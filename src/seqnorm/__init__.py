@@ -10,7 +10,6 @@ tests stage by stage over real data with auditable persistence.
 from .calibrate import CalibrationResult, calibrate_known, calibrate_unknown
 from .errors import (
     CalibrationError,
-    ContractViolationError,
     DegenerateSampleError,
     DomainError,
     InconsistentBoundaryError,
@@ -22,27 +21,20 @@ from .errors import (
     StateError,
 )
 from .geometry import (
-    BoundaryPiece,
     ConeRegion,
     HyperbolaConeRegion,
-    PolarBoundary,
     classify_branch,
     cone_prob,
     hyperbola_cone_prob,
-    offset_domain_prob,
-    origin_domain_prob,
-    psi_barrier_integrand,
-    psi_line_integrand,
-    upsilon_integrand,
 )
 from .plan_known import (
     Decision,
     KnownVarPlan,
+    Plan,
     Stage,
     build_known_plan,
     decide_stage,
     mirror_known_plan,
-    oc_bounds_known,
     oc_upper_phi,
     sample_tail_known,
     statistic_known,
@@ -53,7 +45,6 @@ from .plan_unknown import (
     build_unknown_plan,
     min_stage_size,
     mirror_unknown_plan,
-    oc_bounds_unknown,
     oc_upper_P,
     refine_partition,
     sample_tail_unknown,
@@ -84,7 +75,6 @@ from .simulate import (
     simulate_plan,
 )
 from .special import (
-    CriticalValueSpec,
     chi_square_cdf,
     chi_square_quantile,
     noncentral_t_cdf,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CalibrationError, DomainError
-from .plan_known import build_known_plan, mirror_known_plan, oc_upper_phi
-from .plan_unknown import build_unknown_plan, mirror_unknown_plan, oc_upper_P
+from .plan_known import DEFAULT_CELL_BUDGET, DEFAULT_TAIL_MASS, build_known_plan
+from .plan_unknown import build_unknown_plan
 
 _ZETA_FLOOR = 1e-6
 
@@ -40,9 +40,10 @@ def _search(
 ) -> CalibrationResult:
     """Shared search skeleton.
 
-    probe(zeta) returns the pair of certified bounds checked against
-    (alpha, beta).  Anchor at 1/tau; walk down by halving if infeasible,
-    then bisect toward the nearest infeasible zeta above the anchor.
+    probe(zeta) returns the pair of certified bounds (Plan.certify of the
+    plan built at zeta) checked against (alpha, beta).  Anchor at 1/tau;
+    walk down by halving if infeasible, then bisect toward the nearest
+    infeasible zeta above the anchor.
     """
     if zeta_tol <= 0.0:
         raise DomainError(f"zeta_tol must be > 0, got {zeta_tol}")
@@ -120,11 +121,7 @@ def calibrate_known(
     """
 
     def probe(zeta: float) -> tuple[float, float]:
-        plan = build_known_plan(alpha, beta, epsilon, 0.0, 1.0, zeta, rho, tau)
-        return (
-            oc_upper_phi(-epsilon, plan),
-            oc_upper_phi(-epsilon, mirror_known_plan(plan)),
-        )
+        return build_known_plan(alpha, beta, epsilon, 0.0, 1.0, zeta, rho, tau).certify()
 
     return _search(probe, alpha, beta, tau, zeta_tol)
 
@@ -136,8 +133,8 @@ def calibrate_unknown(
     rho: float,
     tau: int,
     zeta_tol: float = 1e-4,
-    tail_mass: float = 1e-4,
-    cell_budget: int = 256,
+    tail_mass: float = DEFAULT_TAIL_MASS,
+    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> CalibrationResult:
     """Largest certified zeta for the unknown-variance design.
 
@@ -147,10 +144,6 @@ def calibrate_unknown(
 
     def probe(zeta: float) -> tuple[float, float]:
         plan = build_unknown_plan(alpha, beta, epsilon, 0.0, zeta, rho, tau)
-        _, hi = oc_upper_P(-epsilon, plan, tail_mass, cell_budget)
-        _, hi_mirror = oc_upper_P(
-            -epsilon, mirror_unknown_plan(plan), tail_mass, cell_budget
-        )
-        return hi, hi_mirror
+        return plan.certify(tail_mass, cell_budget)
 
     return _search(probe, alpha, beta, tau, zeta_tol)

@@ -11,32 +11,12 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 from .calibrate import calibrate_known, calibrate_unknown
-from .errors import (
-    CalibrationError,
-    DomainError,
-    IntegrityError,
-    PlanCertificationError,
-    SeqnormError,
-    SessionFormatError,
-    StateError,
-)
-from .plan_known import (
-    build_known_plan,
-    mirror_known_plan,
-    oc_bounds_known,
-    oc_upper_phi,
-    sample_tail_known,
-)
-from .plan_unknown import (
-    build_unknown_plan,
-    mirror_unknown_plan,
-    oc_bounds_unknown,
-    oc_upper_P,
-    sample_tail_unknown,
-)
+from .errors import CalibrationError, DomainError, SeqnormError, SessionFormatError
+from .plan_known import DEFAULT_CELL_BUDGET, DEFAULT_TAIL_MASS, build_known_plan
+from .plan_unknown import build_unknown_plan
 from .runner import (
     feed,
     format_real,
@@ -44,6 +24,7 @@ from .runner import (
     load_plan,
     load_session,
     new_session,
+    plan_to_dict,
     save_plan,
     save_session,
 )
@@ -57,23 +38,7 @@ EXIT_NEED_MORE = 4
 
 DEFAULT_RHO = 0.5
 DEFAULT_TAU = 4
-DEFAULT_TAIL_MASS = 1e-4
-DEFAULT_CELL_BUDGET = 256
 DEFAULT_ZETA_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    """One OC table row; bounds are None inside the indifference zone."""
-
-    theta: float
-    oc_lower: float | None
-    oc_upper: float | None
-
-    def __post_init__(self):
-        if self.oc_lower is not None and self.oc_upper is not None:
-            if self.oc_lower > self.oc_upper:
-                raise DomainError("curve row bounds inverted")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -144,76 +109,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _certify_plan(plan, tail_mass: float, cell_budget: int):
-    """Direct evaluation of both error bounds; returns (plan', bound_a, bound_b)."""
-    eps = plan.epsilon
-    if plan.kind == "known":
-        bound_a = oc_upper_phi(-eps, plan)
-        bound_b = oc_upper_phi(-eps, mirror_known_plan(plan))
-    else:
-        _, bound_a = oc_upper_P(-eps, plan, tail_mass, cell_budget)
-        _, bound_b = oc_upper_P(-eps, mirror_unknown_plan(plan), tail_mass, cell_budget)
-    certified = bound_a <= plan.alpha and bound_b <= plan.beta
-    return plan.with_certified(certified), bound_a, bound_b
+def _read_plan(path: str):
+    try:
+        return load_plan(path)
+    except (OSError, SessionFormatError) as exc:
+        raise SeqnormError(f"cannot read plan: {exc}") from exc
 
 
 def cmd_design(args) -> int:
     if (args.zeta is None) == (not args.calibrate):
-        print("design: exactly one of --zeta or --calibrate is required", file=sys.stderr)
-        return EXIT_USAGE
-    if args.kind == "known" and args.sigma is None:
-        print("design: --sigma is required for --kind known", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.calibrate:
-            if args.kind == "known":
-                result = calibrate_known(
-                    args.alpha, args.beta, args.epsilon, args.rho, args.tau,
-                    zeta_tol=args.zeta_tol,
-                )
-            else:
-                result = calibrate_unknown(
-                    args.alpha, args.beta, args.epsilon, args.rho, args.tau,
-                    zeta_tol=args.zeta_tol,
-                    tail_mass=args.tail_mass,
-                    cell_budget=args.cell_budget,
-                )
-            zeta = result.zeta
-        else:
-            zeta = args.zeta
-        if args.kind == "known":
-            plan = build_known_plan(
-                args.alpha, args.beta, args.epsilon, args.gamma, args.sigma,
-                zeta, args.rho, args.tau,
-            )
-        else:
-            plan = build_unknown_plan(
-                args.alpha, args.beta, args.epsilon, args.gamma,
-                zeta, args.rho, args.tau,
-            )
-        plan, bound_a, bound_b = _certify_plan(plan, args.tail_mass, args.cell_budget)
-    except CalibrationError as exc:
-        print(f"design: calibration failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except DomainError as exc:
-        print(f"design: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("exactly one of --zeta or --calibrate is required")
+    design = (args.alpha, args.beta, args.epsilon, args.rho, args.tau)
+    if args.kind == "known":
+        if args.sigma is None:
+            raise DomainError("--sigma is required for --kind known")
+        calibrate = partial(calibrate_known, *design, zeta_tol=args.zeta_tol)
+        build = partial(
+            build_known_plan, args.alpha, args.beta, args.epsilon, args.gamma, args.sigma
+        )
+    else:
+        calibrate = partial(
+            calibrate_unknown, *design, zeta_tol=args.zeta_tol,
+            tail_mass=args.tail_mass, cell_budget=args.cell_budget,
+        )
+        build = partial(build_unknown_plan, args.alpha, args.beta, args.epsilon, args.gamma)
 
+    zeta = args.zeta
+    if args.calibrate:
+        try:
+            zeta = calibrate().zeta
+        except CalibrationError as exc:
+            raise CalibrationError(f"calibration failed: {exc}") from exc
+    plan = build(zeta=zeta, rho=args.rho, tau=args.tau)
+    bound_a, bound_b = plan.certify(args.tail_mass, args.cell_budget)
+    plan = plan.with_certified(bound_a <= plan.alpha and bound_b <= plan.beta)
     save_plan(plan, args.out)
 
-    lines = [
-        f"kind        {plan.kind}",
-        f"alpha       {format_real(plan.alpha)}",
-        f"beta        {format_real(plan.beta)}",
-        f"epsilon     {format_real(plan.epsilon)}",
-        f"gamma       {format_real(plan.gamma)}",
-    ]
-    if plan.kind == "known":
-        lines.append(f"sigma       {format_real(plan.sigma)}")
+    # the design fields, in the order the plan file stores them
+    lines = []
+    for key, value in plan_to_dict(plan).items():
+        if key == "theta_star":
+            break
+        lines.append(f"{key:<12}{format_real(value) if isinstance(value, float) else value}")
     lines += [
-        f"zeta        {format_real(plan.zeta)}",
-        f"rho         {format_real(plan.rho)}",
-        f"tau         {plan.tau}",
         f"tail_mass   {format_real(args.tail_mass)}",
         f"cell_budget {args.cell_budget}",
         f"zeta_tol    {format_real(args.zeta_tol)}",
@@ -238,82 +176,37 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
 
 
 def cmd_oc(args) -> int:
-    try:
-        plan = load_plan(args.plan)
-    except (OSError, SessionFormatError) as exc:
-        print(f"oc: cannot read plan: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    if args.mu_units and plan.kind == "unknown":
-        print("oc: --mu-units needs a plan with a known sigma", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        grid = _grid(args.theta_min, args.theta_max, args.points)
-    except DomainError as exc:
-        print(f"oc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    rows = []
-    for value in grid:
+    plan = _read_plan(args.plan)
+    if args.mu_units and not hasattr(plan, "sigma"):
+        raise DomainError("--mu-units needs a plan with a known sigma")
+    lines = ["theta,oc_lower,oc_upper"]
+    for value in _grid(args.theta_min, args.theta_max, args.points):
         theta = (value - plan.gamma) / plan.sigma if args.mu_units else value
         if abs(theta) < plan.epsilon:
-            rows.append(CurveRow(theta=value, oc_lower=None, oc_upper=None))
+            lines.append(f"{format_real(value)},,")  # no bound inside the indifference zone
             continue
-        if plan.kind == "known":
-            mu = plan.gamma + theta * plan.sigma
-            lo, hi = oc_bounds_known(mu, plan)
-        else:
-            lo, hi = oc_bounds_unknown(theta, plan, args.tail_mass, args.cell_budget)
-        rows.append(CurveRow(theta=value, oc_lower=lo, oc_upper=hi))
-
-    lines = ["theta,oc_lower,oc_upper"]
-    for row in rows:
-        lo = "" if row.oc_lower is None else format_real(row.oc_lower)
-        hi = "" if row.oc_upper is None else format_real(row.oc_upper)
-        lines.append(f"{format_real(row.theta)},{lo},{hi}")
+        lo, hi = plan.oc_bounds(theta, args.tail_mass, args.cell_budget)
+        lines.append(f"{format_real(value)},{format_real(lo)},{format_real(hi)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_asn(args) -> int:
-    try:
-        plan = load_plan(args.plan)
-    except (OSError, SessionFormatError) as exc:
-        print(f"asn: cannot read plan: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    s = plan.num_stages
-    header = "theta," + ",".join(f"tail_{ell}" for ell in range(1, s))
-    lines = [header]
+    plan = _read_plan(args.plan)
+    lines = ["theta," + ",".join(f"tail_{ell}" for ell in range(1, plan.num_stages))]
     for theta in args.theta:
-        cells = [format_real(theta)]
-        for ell in range(1, s):
-            if plan.kind == "known":
-                bound = sample_tail_known(ell, theta, plan)
-            else:
-                bound = sample_tail_unknown(ell, theta, plan)
-            cells.append(format_real(bound))
-        lines.append(",".join(cells))
+        tails = [plan.sample_tail(ell, theta) for ell in range(1, plan.num_stages)]
+        lines.append(",".join(format_real(x) for x in [theta, *tails]))
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        plan = load_plan(args.plan)
-    except (OSError, SessionFormatError) as exc:
-        print(f"simulate: cannot read plan: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    sigma = args.sigma
+    plan = _read_plan(args.plan)
+    sigma = args.sigma if args.sigma is not None else getattr(plan, "sigma", None)
     if sigma is None:
-        if plan.kind == "known":
-            sigma = plan.sigma
-        else:
-            print("simulate: --sigma is required for unknown-variance plans", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        report = simulate_plan(plan, args.mu, sigma, args.reps, args.seed)
-    except DomainError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("--sigma is required for unknown-variance plans")
+    report = simulate_plan(plan, args.mu, sigma, args.reps, args.seed)
     _write_text(args.out, dump_json(report.to_dict(), indent=2) + "\n")
     return EXIT_OK
 
@@ -336,39 +229,19 @@ def _read_data_file(path: str) -> list[float]:
 
 
 def cmd_run(args) -> int:
-    try:
-        plan = load_plan(args.plan)
-    except (OSError, SessionFormatError) as exc:
-        print(f"run: cannot read plan: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    plan = _read_plan(args.plan)
     try:
         batch = _read_data_file(args.data)
-    except OSError as exc:
-        print(f"run: cannot read data: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except DomainError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if os.path.exists(args.session):
-            session = load_session(args.session)
-            if plan_differs(session.plan, plan):
-                print("run: session was created from a different plan", file=sys.stderr)
-                return EXIT_FAILURE
-        else:
-            session = new_session(plan, allow_uncertified=args.allow_uncertified)
-        feed(session, batch)
-        save_session(session, args.session)
-    except (IntegrityError, SessionFormatError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (PlanCertificationError, StateError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except SeqnormError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SeqnormError(f"cannot read data: {exc}") from exc
+    if os.path.exists(args.session):
+        session = load_session(args.session)
+        if plan_to_dict(session.plan) != plan_to_dict(plan):
+            raise SeqnormError("session was created from a different plan")
+    else:
+        session = new_session(plan, allow_uncertified=args.allow_uncertified)
+    feed(session, batch)
+    save_session(session, args.session)
 
     status = session.status
     if status.state == "accepted":
@@ -387,16 +260,21 @@ def cmd_run(args) -> int:
     return EXIT_NEED_MORE
 
 
-def plan_differs(a, b) -> bool:
-    from .runner import plan_to_dict
-
-    return plan_to_dict(a) != plan_to_dict(b)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; a failure prints one "<command>: <message>" line.
+
+    Domain errors (bad arguments or data) exit 2; every other package error,
+    and any file that cannot be read or written, exits 1.
+    """
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except DomainError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (SeqnormError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 def entry_point() -> None:

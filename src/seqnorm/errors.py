@@ -17,12 +17,8 @@ class DegenerateSampleError(SeqnormError):
     """Sample variance is zero; the t-statistic is undefined."""
 
 
-class ContractViolationError(SeqnormError):
-    """A structural precondition (angle coverage, piece ordering) is violated."""
-
-
 class InconsistentBoundaryError(SeqnormError):
-    """A boundary decomposition produced a probability outside [0, 1]."""
+    """A computed probability fell outside [0, 1] by more than its slack."""
 
 
 class CalibrationError(SeqnormError):

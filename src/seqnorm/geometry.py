@@ -27,12 +27,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, InconsistentBoundaryError
+from .errors import DomainError
 from .quadrature import integrate
+from .special import _clamp_unit
 
 _TWO_PI = 2.0 * math.pi
 _INV_TWO_PI = 1.0 / _TWO_PI
@@ -119,23 +120,8 @@ def _barrier_exponent(phi: np.ndarray, level: float) -> np.ndarray:
     return out
 
 
-def psi_barrier_integrand(phi, h: float):
-    """Polar integrand of the vertical barrier u = h."""
-    phi = np.asarray(phi, dtype=float)
-    return _barrier_exponent(phi, float(h))
-
-
-def psi_line_integrand(phi, g: float, k: float, offset: float = 0.0):
-    """Polar integrand of the line u = k v + (g + offset)."""
-    if k <= 0.0:
-        raise DomainError(f"k must be > 0, got {k}")
-    phi = np.asarray(phi, dtype=float)
-    level = abs(g + offset) / math.sqrt(1.0 + k * k)
-    return _barrier_exponent(phi, level)
-
-
 def _hyperbola_polar_sq_radius(
-    phi: np.ndarray, offset: float, lam: float, h: float, strict: bool
+    phi: np.ndarray, offset: float, lam: float, h: float
 ) -> np.ndarray:
     """Squared radius of the near root of the hyperbola's polar quadratic.
 
@@ -152,13 +138,8 @@ def _hyperbola_polar_sq_radius(
     s = np.sin(phi)
     rad = h * c * c + lam * eta * s * s
     scale = abs(h) + lam * abs(eta) + 1e-300
-    bad = rad < -1e-10 * scale
+    bad = rad < -1e-10 * scale  # angle outside the branch's admissible interval
     if np.any(bad):
-        if strict:
-            raise DomainError(
-                "negative radicand in hyperbola polar root: angle outside the "
-                "branch's admissible interval"
-            )
         rad = np.where(bad, np.inf, rad)  # forces the integrand to 0
     rad = np.maximum(rad, 0.0)
     sq = np.sqrt(rad)
@@ -182,176 +163,13 @@ def _hyperbola_polar_sq_radius(
     return r * r
 
 
-def upsilon_integrand(phi, offset: float, lam: float, h: float):
-    """Polar integrand of the right hyperbola branch (strict-domain variant)."""
-    if lam <= 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    if h < 0.0:
-        raise DomainError(f"h must be >= 0, got {h}")
-    phi = np.asarray(phi, dtype=float)
-    r2 = _hyperbola_polar_sq_radius(phi, float(offset), float(lam), float(h), strict=True)
-    with np.errstate(over="ignore", under="ignore"):
-        return _INV_TWO_PI * np.exp(-0.5 * r2)
-
-
 def _upsilon_lenient(offset: float, lam: float, h: float) -> Callable[[np.ndarray], np.ndarray]:
     def f(phi: np.ndarray) -> np.ndarray:
-        r2 = _hyperbola_polar_sq_radius(phi, offset, lam, h, strict=False)
+        r2 = _hyperbola_polar_sq_radius(phi, offset, lam, h)
         with np.errstate(over="ignore", under="ignore"):
             return _INV_TWO_PI * np.exp(-0.5 * r2)
 
     return f
-
-
-# ---------------------------------------------------------------------------
-# General polar boundaries (origin inside / outside)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundaryPiece:
-    """One boundary arc: radius(phi) over [start, end], visible or not."""
-
-    start: float
-    end: float
-    radius: Callable[[np.ndarray], np.ndarray]
-    visible: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise DomainError("piece angles must be finite")
-        if self.end <= self.start:
-            raise DomainError("piece must have end > start")
-        if self.end - self.start > _TWO_PI + 1e-9:
-            raise DomainError("piece spans more than a full turn")
-
-
-@dataclass(frozen=True)
-class PolarBoundary:
-    pieces: tuple[BoundaryPiece, ...]
-
-    def __init__(self, pieces: Sequence[BoundaryPiece]):
-        object.__setattr__(self, "pieces", tuple(pieces))
-
-
-def _normalized_intervals(pieces: Sequence[BoundaryPiece]) -> list[tuple[float, float]]:
-    """Shift each interval so its start lies in [0, 2pi), sorted by start."""
-    out = []
-    for p in pieces:
-        shift = math.floor(p.start / _TWO_PI) * _TWO_PI
-        out.append((p.start - shift, p.end - shift))
-    return sorted(out)
-
-
-def _check_disjoint(intervals: list[tuple[float, float]], tol: float = 1e-9) -> None:
-    # wrapped tails (beyond 2pi) are compared against the leading intervals
-    events = []
-    for a, b in intervals:
-        if b <= _TWO_PI + tol:
-            events.append((a, min(b, _TWO_PI)))
-        else:
-            events.append((a, _TWO_PI))
-            events.append((0.0, b - _TWO_PI))
-    events.sort()
-    for (a1, b1), (a2, b2) in zip(events, events[1:]):
-        if a2 < b1 - tol:
-            raise ContractViolationError(
-                f"boundary pieces overlap near angle {a2:.6f}"
-            )
-
-
-def _piece_integral(piece: BoundaryPiece, tol: float = 1e-12) -> float:
-    def f(phi: np.ndarray) -> np.ndarray:
-        r = np.asarray(piece.radius(phi), dtype=float)
-        if np.any(r < 0.0):
-            raise DomainError("boundary radius must be nonnegative")
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(-0.5 * r * r)
-
-    return integrate(f, piece.start, piece.end, tol=tol)
-
-
-def origin_domain_prob(boundary: PolarBoundary) -> float:
-    """Probability of a convex domain containing the origin.
-
-    Angles not covered by any piece are directions in which the domain is
-    unbounded; they contribute nothing to the boundary integral.
-    """
-    if not boundary.pieces:
-        raise ContractViolationError("boundary has no pieces")
-    if not all(p.visible for p in boundary.pieces):
-        raise ContractViolationError("a domain containing the origin has no invisible boundary")
-    intervals = _normalized_intervals(boundary.pieces)
-    if sum(b - a for a, b in intervals) > _TWO_PI + 1e-9:
-        raise ContractViolationError("boundary pieces wind more than a full turn")
-    _check_disjoint(intervals)
-    total = sum(_piece_integral(p) for p in boundary.pieces)
-    return _clamp_unit(1.0 - _INV_TWO_PI * total, slack=1e-9)
-
-
-def offset_domain_prob(boundary: PolarBoundary) -> float:
-    """Probability of a convex domain not containing the origin.
-
-    Signed difference of the visible and invisible boundary integrals.
-    Every invisible arc must sit behind a visible one, so the invisible
-    angle set must be covered by the visible angle set.
-    """
-    visible = [p for p in boundary.pieces if p.visible]
-    invisible = [p for p in boundary.pieces if not p.visible]
-    if not visible:
-        raise ContractViolationError("no visible pieces supplied")
-    vis_ints = _normalized_intervals(visible)
-    _check_disjoint(vis_ints)
-    if invisible:
-        _check_disjoint(_normalized_intervals(invisible))
-        _check_covered(_normalized_intervals(invisible), vis_ints)
-    total_v = sum(_piece_integral(p) for p in visible)
-    total_i = sum(_piece_integral(p) for p in invisible)
-    value = _INV_TWO_PI * (total_v - total_i)
-    if value < -1e-9 or value > 1.0 + 1e-9:
-        raise InconsistentBoundaryError(
-            f"visible/invisible decomposition gives probability {value}"
-        )
-    return _clamp_unit(value, slack=1e-9)
-
-
-def _check_covered(
-    inner: list[tuple[float, float]], outer: list[tuple[float, float]], tol: float = 1e-9
-) -> None:
-    def unwrap(ints):
-        flat = []
-        for a, b in ints:
-            if b <= _TWO_PI + tol:
-                flat.append((a, min(b, _TWO_PI)))
-            else:
-                flat.append((a, _TWO_PI))
-                flat.append((0.0, b - _TWO_PI))
-        return sorted(flat)
-
-    outer_flat = unwrap(outer)
-    for a, b in unwrap(inner):
-        pos = a
-        for oa, ob in outer_flat:
-            if oa <= pos + tol and ob >= pos:
-                pos = max(pos, ob)
-            if pos >= b - tol:
-                break
-        if pos < b - tol:
-            raise ContractViolationError(
-                "invisible boundary angles are not covered by visible ones"
-            )
-
-
-def _clamp_unit(value: float, slack: float) -> float:
-    if value < 0.0:
-        if value < -slack:
-            raise InconsistentBoundaryError(f"probability {value} below 0")
-        return 0.0
-    if value > 1.0:
-        if value > 1.0 + slack:
-            raise InconsistentBoundaryError(f"probability {value} above 1")
-        return 1.0
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ Gaussian measure of a cone region, evaluated in closed form by the geometry
 module.  phi taken at the indifference-zone endpoint equals the plan's
 total boundary-crossing rate there, which is what calibration pins to the
 error budget.
+
+``Plan`` holds what both variance cases share: the design fields, the
+stage ladder, the OC bounds and the certificate.  ``KnownVarPlan`` here and
+``UnknownVarPlan`` in plan_unknown add the statistic, the envelope and the
+mirror plan.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
+
+import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .geometry import ConeRegion, cone_prob
@@ -69,13 +76,26 @@ def _validate_design_inputs(alpha, beta, epsilon, zeta, rho, tau):
         )
 
 
-@dataclass(frozen=True)
-class KnownVarPlan:
+# defaults of the unknown-variance interval (chi-square tail mass and
+# partition cells per stage term); the closed-form known envelope ignores them
+DEFAULT_TAIL_MASS = 1e-4
+DEFAULT_CELL_BUDGET = 256
+
+
+@dataclass(frozen=True, kw_only=True)
+class Plan:
+    """Design parameters plus the stage ladder they build.
+
+    A subclass supplies ``statistic(samples, n)``, the vectorized
+    ``stage_statistics(shifted, sigma)``, ``envelope(theta, tail_mass,
+    cell_budget) -> (lo, hi)`` bracketing the rejection envelope,
+    ``mirror()`` (alpha and beta swapped) and ``sample_tail(ell, theta)``.
+    """
+
     alpha: float
     beta: float
     epsilon: float
     gamma: float
-    sigma: float
     zeta: float
     rho: float
     tau: int
@@ -83,7 +103,7 @@ class KnownVarPlan:
     stages: tuple[Stage, ...]
     certified: bool = False
 
-    kind = "known"
+    kind: ClassVar[str]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -93,8 +113,80 @@ class KnownVarPlan:
     def num_stages(self) -> int:
         return len(self.stages)
 
-    def with_certified(self, certified: bool) -> "KnownVarPlan":
+    def with_certified(self, certified: bool) -> "Plan":
         return replace(self, certified=certified)
+
+    def oc_bounds(
+        self,
+        theta: float,
+        tail_mass: float = DEFAULT_TAIL_MASS,
+        cell_budget: int = DEFAULT_CELL_BUDGET,
+    ) -> tuple[float, float]:
+        """Certified (lower, upper) bounds on Pr{accept | mean = gamma + theta sigma}.
+
+        Only stated outside the indifference zone: below it the acceptance
+        probability exceeds 1 - (envelope upper end at theta); above it, it
+        stays below the mirror plan's envelope upper end at -theta.
+        """
+        if abs(theta) < self.epsilon:
+            raise DomainError(
+                f"theta={theta} lies inside the indifference zone; no bound is stated there"
+            )
+        if theta <= -self.epsilon:
+            # the envelope may exceed 1 for uncalibrated designs; the bound floors at 0
+            _, hi = self.envelope(theta, tail_mass, cell_budget)
+            return min(1.0, max(0.0, 1.0 - hi)), 1.0
+        _, hi = self.mirror().envelope(-theta, tail_mass, cell_budget)
+        return 0.0, min(1.0, max(0.0, hi))
+
+    def certify(
+        self, tail_mass: float = DEFAULT_TAIL_MASS, cell_budget: int = DEFAULT_CELL_BUDGET
+    ) -> tuple[float, float]:
+        """(bound_a, bound_b): envelope upper ends at theta = -epsilon.
+
+        bound_a is the plan's own envelope and bounds the Type I error;
+        bound_b is the mirror plan's and bounds the Type II error.  The plan
+        is certified when bound_a <= alpha and bound_b <= beta.
+        """
+        theta = -self.epsilon
+        _, bound_a = self.envelope(theta, tail_mass, cell_budget)
+        _, bound_b = self.mirror().envelope(theta, tail_mass, cell_budget)
+        return bound_a, bound_b
+
+
+@dataclass(frozen=True, kw_only=True)
+class KnownVarPlan(Plan):
+    sigma: float
+
+    kind = "known"
+
+    def statistic(self, samples: Sequence[float], n: int) -> float:
+        return statistic_known(samples, n, self.gamma, self.sigma)
+
+    def stage_statistics(self, shifted: np.ndarray, sigma: float) -> np.ndarray:
+        """z-statistics of every stage, replicates in rows, stages in columns.
+
+        shifted holds samples minus gamma, drawn with standard deviation
+        sigma; the statistic standardizes by that sigma.
+        """
+        csum = np.cumsum(shifted / sigma, axis=1)
+        return np.column_stack([csum[:, n - 1] / math.sqrt(n) for n in self.sizes])
+
+    def envelope(
+        self,
+        theta: float,
+        tail_mass: float = DEFAULT_TAIL_MASS,
+        cell_budget: int = DEFAULT_CELL_BUDGET,
+    ) -> tuple[float, float]:
+        """[phi, phi]: the closed form is exact, so the interval is a point."""
+        phi = oc_upper_phi(theta, self)
+        return phi, phi
+
+    def mirror(self) -> "KnownVarPlan":
+        return mirror_known_plan(self)
+
+    def sample_tail(self, ell: int, theta: float) -> float:
+        return sample_tail_known(ell, theta, self)
 
 
 def build_known_plan(
@@ -220,33 +312,21 @@ def oc_upper_phi(theta: float, plan: KnownVarPlan) -> float:
     return total
 
 
-def oc_bounds_known(mu: float, plan: KnownVarPlan) -> tuple[float, float]:
-    """Certified (lower, upper) bounds on Pr{accept | mean = mu}.
-
-    Only stated outside the indifference zone: below it the acceptance
-    probability exceeds 1 - phi(theta); above it, it stays below the
-    mirror-plan envelope at -theta.
-    """
-    theta = (mu - plan.gamma) / plan.sigma
-    if abs(theta) < plan.epsilon:
-        raise DomainError(
-            f"mu={mu} lies inside the indifference zone; no bound is stated there"
-        )
-    if theta <= -plan.epsilon:
-        # phi may exceed 1 for uncalibrated designs; the bound floors at 0
-        return min(1.0, max(0.0, 1.0 - oc_upper_phi(theta, plan))), 1.0
-    mirrored = mirror_known_plan(plan)
-    return 0.0, min(1.0, max(0.0, oc_upper_phi(-theta, mirrored)))
-
-
-def sample_tail_known(ell: int, theta: float, plan: KnownVarPlan) -> float:
-    """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
+def _continue_stage(ell: int, theta: float, plan: Plan) -> Stage:
+    """Stage ell of a sample-number tail bound, after checking ell and theta."""
     s = plan.num_stages
     if not (1 <= ell <= s - 1):
         raise DomainError(
             f"stage index must lie in [1, {s - 1}] (sampling always stops at stage {s})"
         )
-    stage = plan.stages[ell - 1]
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
+    return plan.stages[ell - 1]
+
+
+def sample_tail_known(ell: int, theta: float, plan: KnownVarPlan) -> float:
+    """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
+    stage = _continue_stage(ell, theta, plan)
     root = math.sqrt(stage.n) * theta
     value = std_normal_cdf(stage.b - root) - std_normal_cdf(stage.a - root)
     return max(0.0, value)

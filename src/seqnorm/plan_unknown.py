@@ -20,12 +20,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, DegenerateSampleError, InsufficientDataError, SeqnormError
 from .geometry import ConeRegion, HyperbolaConeRegion, cone_prob, hyperbola_cone_prob
-from .plan_known import Stage, _validate_design_inputs
+from .plan_known import (
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_TAIL_MASS,
+    Plan,
+    Stage,
+    _continue_stage,
+    _validate_design_inputs,
+)
 from .special import (
     chi_square_cdf,
     chi_square_quantile,
@@ -36,32 +45,57 @@ from .special import (
 _SIZE_SEARCH_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class UnknownVarPlan:
-    alpha: float
-    beta: float
-    epsilon: float
-    gamma: float
-    zeta: float
-    rho: float
-    tau: int
-    theta_star: float
-    n_star: int
-    stages: tuple[Stage, ...]
-    certified: bool = False
-
+@dataclass(frozen=True, kw_only=True)
+class UnknownVarPlan(Plan):
     kind = "unknown"
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(s.n for s in self.stages)
+    def n_star(self) -> int:
+        """Smallest size at which the thresholds meet: the final stage size."""
+        return self.stages[-1].n
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.stages)
+    def statistic(self, samples: Sequence[float], n: int) -> float:
+        return statistic_unknown(samples, n, self.gamma)
 
-    def with_certified(self, certified: bool) -> "UnknownVarPlan":
-        return replace(self, certified=certified)
+    def stage_statistics(self, shifted: np.ndarray, sigma: float) -> np.ndarray:
+        """t-statistics of every stage, replicates in rows, stages in columns.
+
+        shifted holds samples minus gamma at the data's natural scale, so
+        sums of squares form there; sigma is not used, as t is scale free.
+        """
+        if self.stages[0].n < 2:
+            raise DomainError("unknown-variance plans need stage sizes >= 2")
+        csum = np.cumsum(shifted, axis=1)
+        csq = np.cumsum(shifted * shifted, axis=1)
+        cols = []
+        for n in self.sizes:
+            s = csum[:, n - 1]
+            ss = csq[:, n - 1]
+            var = np.maximum(ss - s * s / n, 0.0) / (n - 1)
+            sd = np.sqrt(var)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (s / math.sqrt(n)) / np.where(sd > 0.0, sd, 1.0)
+            # degenerate samples cannot occur with continuous draws; pin the
+            # statistic to the mean's sign so a decision still falls out
+            t = np.where(sd > 0.0, t, np.sign(s) * np.inf)
+            t = np.where(np.isnan(t), 0.0, t)
+            cols.append(t)
+        return np.column_stack(cols)
+
+    def envelope(
+        self,
+        theta: float,
+        tail_mass: float = DEFAULT_TAIL_MASS,
+        cell_budget: int = DEFAULT_CELL_BUDGET,
+    ) -> tuple[float, float]:
+        """Certified bracket of the rejection envelope (see oc_upper_P)."""
+        return oc_upper_P(theta, self, tail_mass, cell_budget)
+
+    def mirror(self) -> "UnknownVarPlan":
+        return mirror_unknown_plan(self)
+
+    def sample_tail(self, ell: int, theta: float) -> float:
+        return sample_tail_unknown(ell, theta, self)
 
 
 def min_stage_size(alpha: float, beta: float, epsilon: float, zeta: float) -> int:
@@ -155,7 +189,6 @@ def build_unknown_plan(
         rho=float(rho),
         tau=tau,
         theta_star=theta_star,
-        n_star=n_star,
         stages=tuple(stages),
     )
 
@@ -406,8 +439,8 @@ def _continue_band_prob(theta: float, stage: Stage) -> float:
 def oc_upper_P(
     theta: float,
     plan: UnknownVarPlan,
-    tail_mass: float = 1e-4,
-    cell_budget: int = 256,
+    tail_mass: float = DEFAULT_TAIL_MASS,
+    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> tuple[float, float]:
     """Interval [lower, upper] certified to bracket the rejection envelope.
 
@@ -453,34 +486,6 @@ def oc_upper_P(
     return lower, upper
 
 
-def oc_bounds_unknown(
-    theta: float,
-    plan: UnknownVarPlan,
-    tail_mass: float = 1e-4,
-    cell_budget: int = 256,
-) -> tuple[float, float]:
-    """Certified (lower, upper) bounds on Pr{accept | mean = gamma + theta sigma}.
-
-    Stated only outside the indifference zone, as for the known-variance
-    plans; the acceptance-side bound evaluates the mirror plan at -theta.
-    """
-    if abs(theta) < plan.epsilon:
-        raise DomainError(
-            f"theta={theta} lies inside the indifference zone; no bound is stated there"
-        )
-    if theta <= -plan.epsilon:
-        _, envelope_hi = oc_upper_P(theta, plan, tail_mass, cell_budget)
-        return min(1.0, max(0.0, 1.0 - envelope_hi)), 1.0
-    mirrored = mirror_unknown_plan(plan)
-    _, envelope_hi = oc_upper_P(-theta, mirrored, tail_mass, cell_budget)
-    return 0.0, min(1.0, max(0.0, envelope_hi))
-
-
 def sample_tail_unknown(ell: int, theta: float, plan: UnknownVarPlan) -> float:
     """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
-    s = plan.num_stages
-    if not (1 <= ell <= s - 1):
-        raise DomainError(
-            f"stage index must lie in [1, {s - 1}] (sampling always stops at stage {s})"
-        )
-    return _continue_band_prob(theta, plan.stages[ell - 1])
+    return _continue_band_prob(theta, _continue_stage(ell, theta, plan))

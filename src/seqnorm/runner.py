@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Sequence
 
 from .errors import (
@@ -26,8 +26,8 @@ from .errors import (
     SessionFormatError,
     StateError,
 )
-from .plan_known import Decision, KnownVarPlan, Stage, decide_stage, statistic_known
-from .plan_unknown import UnknownVarPlan, statistic_unknown
+from .plan_known import Decision, KnownVarPlan, Stage, decide_stage
+from .plan_unknown import UnknownVarPlan
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -36,7 +36,6 @@ _DECISION_NAMES = {
     Decision.ACCEPT: "accept",
     Decision.REJECT: "reject",
 }
-_DECISIONS_BY_NAME = {name: dec for dec, name in _DECISION_NAMES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -109,68 +108,84 @@ def _emit(obj, out: list[str], indent: int, depth: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+_PLAN_TYPES = {cls.kind: cls for cls in (KnownVarPlan, UnknownVarPlan)}
+# serialized order of the scalar fields; each plan type writes the ones it has
+_SCALAR_ORDER = ("alpha", "beta", "epsilon", "gamma", "sigma", "zeta", "rho", "tau", "theta_star")
+_SCALARS = {
+    cls: tuple(key for key in _SCALAR_ORDER if key in {f.name for f in fields(cls)})
+    for cls in _PLAN_TYPES.values()
+}
+
+
 def plan_to_dict(plan) -> dict:
-    out = {
-        "kind": plan.kind,
-        "alpha": plan.alpha,
-        "beta": plan.beta,
-        "epsilon": plan.epsilon,
-        "gamma": plan.gamma,
-    }
-    if plan.kind == "known":
-        out["sigma"] = plan.sigma
-    out.update(
-        {
-            "zeta": plan.zeta,
-            "rho": plan.rho,
-            "tau": plan.tau,
-            "theta_star": plan.theta_star,
-            "stages": [{"n": s.n, "a": s.a, "b": s.b} for s in plan.stages],
-            "certified": plan.certified,
-        }
-    )
+    out = {"kind": plan.kind}
+    for key in _SCALARS[type(plan)]:
+        out[key] = getattr(plan, key)
+    out["stages"] = [{"n": s.n, "a": s.a, "b": s.b} for s in plan.stages]
+    out["certified"] = plan.certified
     return out
+
+
+def _real(value, name: str) -> float:
+    """A finite JSON number; booleans are not numbers here."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise SessionFormatError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
+
+
+def _reals(values, name: str) -> list[float]:
+    """A JSON array of finite numbers, as floats; checked in bulk for speed."""
+    if isinstance(values, list) and set(map(type, values)) <= {int, float}:
+        try:
+            out = list(map(float, values))
+        except OverflowError:
+            out = [math.inf]
+        if all(map(math.isfinite, out)):
+            return out
+    raise SessionFormatError(f"{name} must be an array of finite reals")
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SessionFormatError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def plan_from_dict(data: dict):
     if not isinstance(data, dict):
         raise SessionFormatError("plan must be a JSON object")
     kind = data.get("kind")
-    if kind not in ("known", "unknown"):
+    cls = _PLAN_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise SessionFormatError(f"unknown plan kind {kind!r}")
-    required = {"kind", "alpha", "beta", "epsilon", "gamma", "zeta", "rho", "tau",
-                "theta_star", "stages", "certified"}
-    if kind == "known":
-        required.add("sigma")
-    missing = required - set(data)
+    scalars = _SCALARS[cls]
+    missing = {"kind", "stages", "certified", *scalars} - set(data)
     if missing:
         raise SessionFormatError(f"plan is missing fields: {sorted(missing)}")
+    if not isinstance(data["stages"], list):
+        raise SessionFormatError("malformed stage list: not a JSON array")
     try:
         stages = tuple(
-            Stage(n=int(s["n"]), a=float(s["a"]), b=float(s["b"]))
+            Stage(n=_integer(s["n"], "stage n"), a=_real(s["a"], "stage a"),
+                  b=_real(s["b"], "stage b"))
             for s in data["stages"]
         )
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+    except (KeyError, TypeError, DomainError) as exc:
         raise SessionFormatError(f"malformed stage list: {exc}") from exc
     if not stages:
         raise SessionFormatError("plan has no stages")
     if any(b.n <= a.n for a, b in zip(stages, stages[1:])):
         raise SessionFormatError("stage sizes must increase strictly")
-    common = dict(
-        alpha=float(data["alpha"]),
-        beta=float(data["beta"]),
-        epsilon=float(data["epsilon"]),
-        gamma=float(data["gamma"]),
-        zeta=float(data["zeta"]),
-        rho=float(data["rho"]),
-        tau=int(data["tau"]),
-        theta_star=float(data["theta_star"]),
-        stages=stages,
-        certified=bool(data["certified"]),
-    )
-    if kind == "known":
-        return KnownVarPlan(sigma=float(data["sigma"]), **common)
-    return UnknownVarPlan(n_star=stages[-1].n, **common)
+    if not isinstance(data["certified"], bool):
+        raise SessionFormatError(f"certified must be true or false, got {data['certified']!r}")
+    values = {
+        key: (_integer if key == "tau" else _real)(data[key], key) for key in scalars
+    }
+    return cls(**values, stages=stages, certified=data["certified"])
 
 
 def save_plan(plan, path: str | os.PathLike) -> None:
@@ -183,7 +198,7 @@ def load_plan(path: str | os.PathLike):
     try:
         with open(path, "r", encoding="utf-8") as fp:
             data = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise SessionFormatError(f"plan file is not valid JSON: {exc}") from exc
     return plan_from_dict(data)
 
@@ -231,17 +246,12 @@ class TestSession:
     def is_terminal(self) -> bool:
         return self._decision is not None
 
-    def _statistic(self, n: int) -> float:
-        if self.plan.kind == "known":
-            return statistic_known(self.samples, n, self.plan.gamma, self.plan.sigma)
-        return statistic_unknown(self.samples, n, self.plan.gamma)
-
     def _advance(self) -> None:
         while self._decision is None:
             stage = self.plan.stages[self._stage_index]
             if len(self.samples) < stage.n:
                 return
-            value = self._statistic(stage.n)
+            value = self.plan.statistic(self.samples, stage.n)
             decision = decide_stage(value, stage)
             self.history.append(
                 HistoryEntry(stage=self._stage_index + 1, statistic=value, decision=decision)
@@ -326,42 +336,41 @@ def save_session(session: TestSession, target: str | os.PathLike | IO[str]) -> N
             fp.write(text)
 
 
+def _json_equal(a, b) -> bool:
+    """Equal with equal types throughout, so 3 and 3.0 (or 1 and true) differ."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    return a == b
+
+
 def session_from_dict(data: dict) -> TestSession:
     if not isinstance(data, dict):
         raise SessionFormatError("session must be a JSON object")
-    if data.get("version") != SESSION_SCHEMA_VERSION:
-        raise SessionFormatError(
-            f"unsupported session schema version {data.get('version')!r}"
-        )
+    version = data.get("version")
+    if type(version) is not int or version != SESSION_SCHEMA_VERSION:
+        raise SessionFormatError(f"unsupported session schema version {version!r}")
     for key in ("plan", "samples", "status", "history"):
         if key not in data:
             raise SessionFormatError(f"session is missing field {key!r}")
     plan = plan_from_dict(data["plan"])
-    try:
-        samples = [float(x) for x in data["samples"]]
-        stored_history = [
-            (int(h["stage"]), float(h["statistic"]), str(h["decision"]))
-            for h in data["history"]
-        ]
-        stored_status = dict(data["status"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SessionFormatError(f"malformed session payload: {exc}") from exc
+    samples = _reals(data["samples"], "samples")
 
     # replay the samples through a fresh session, then demand that every
-    # stored history row matches the recomputation bit for bit
+    # stored history row and the status match the recomputation bit for bit
     session = TestSession(plan)
     session.samples = samples
     session._advance()
 
-    replayed = [
-        (h.stage, h.statistic, _DECISION_NAMES[h.decision]) for h in session.history
-    ]
-    if replayed != stored_history:
+    derived = session_to_dict(session)
+    if not _json_equal(derived["history"], data["history"]):
         raise IntegrityError(
             "stored history does not match recomputation from samples"
         )
-    derived_status = _status_to_dict(session.status)
-    if derived_status != stored_status:
+    if not _json_equal(derived["status"], data["status"]):
         raise IntegrityError("stored status does not match recomputation from samples")
     return session
 
@@ -373,6 +382,6 @@ def load_session(source: str | os.PathLike | IO[str]) -> TestSession:
         else:
             with open(source, "r", encoding="utf-8") as fp:
                 data = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise SessionFormatError(f"session file is not valid JSON: {exc}") from exc
     return session_from_dict(data)

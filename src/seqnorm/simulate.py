@@ -91,53 +91,20 @@ class SimReport:
         }
 
 
-def _stage_statistics(shifted: np.ndarray, sizes, kind: str) -> np.ndarray:
-    """Statistics for every stage, replicates in rows, stages in columns.
+def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tally) -> list:
+    """tally(stats, a, b) of every replicate chunk, in chunk order.
 
-    shifted holds samples already centered at gamma, so the unknown-variance
-    path forms sums of squares at the data's natural scale.
-    """
-    csum = np.cumsum(shifted, axis=1)
-    cols = []
-    if kind == "known":
-        for n in sizes:
-            cols.append(csum[:, n - 1] / math.sqrt(n))
-    else:
-        csq = np.cumsum(shifted * shifted, axis=1)
-        for n in sizes:
-            s = csum[:, n - 1]
-            ss = csq[:, n - 1]
-            var = np.maximum(ss - s * s / n, 0.0) / (n - 1)
-            sd = np.sqrt(var)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (s / math.sqrt(n)) / np.where(sd > 0.0, sd, 1.0)
-            # degenerate samples cannot occur with continuous draws; pin the
-            # statistic to the mean's sign so a decision still falls out
-            t = np.where(sd > 0.0, t, np.sign(s) * np.inf)
-            t = np.where(np.isnan(t), 0.0, t)
-            cols.append(t)
-    return np.column_stack(cols)
-
-
-def _check_plan_for_simulation(plan) -> None:
-    if plan.kind == "unknown" and plan.sizes[0] < 2:
-        raise DomainError("unknown-variance plans need stage sizes >= 2")
-
-
-def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -> SimReport:
-    """Run the stagewise decision rule on synthetic normal(mu, sigma^2) data.
-
-    The stopped process never consults statistics past the deciding stage.
-    Deterministic in (plan, mu, sigma, replications, seed).
+    stats holds each replicate's statistics at every stage (replicates in
+    rows, stages in columns) from normal(mu, sigma^2) samples; a and b are
+    the stage thresholds.
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
     if sigma <= 0.0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
-    _check_plan_for_simulation(plan)
-    sizes = plan.sizes
-    s = len(sizes)
-    n_max = sizes[-1]
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise DomainError(f"mu and sigma must be finite, got {mu} and {sigma}")
+    n_max = plan.sizes[-1]
     width = _words_per_replicate(n_max)
     a = np.array([st.a for st in plan.stages])
     b = np.array([st.b for st in plan.stages])
@@ -146,12 +113,22 @@ def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -
     def worker(bounds):
         lo, hi = bounds
         z = _normal_block(seed, lo * width, hi - lo, width)[:, :n_max]
-        shifted = shift + sigma * z
-        if plan.kind == "known":
-            stats = _stage_statistics(shifted / sigma, sizes, "known")
-        else:
-            stats = _stage_statistics(shifted, sizes, "unknown")
-        undecided = np.ones(hi - lo, dtype=bool)
+        return tally(plan.stage_statistics(shift + sigma * z, sigma), a, b)
+
+    chunks = [(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
+    return _map_chunks(worker, chunks)
+
+
+def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -> SimReport:
+    """Run the stagewise decision rule on synthetic normal(mu, sigma^2) data.
+
+    The stopped process never consults statistics past the deciding stage.
+    Deterministic in (plan, mu, sigma, replications, seed).
+    """
+    s = plan.num_stages
+
+    def tally(stats, a, b):
+        undecided = np.ones(len(stats), dtype=bool)
         hist = np.zeros(s, dtype=np.int64)
         accepted = 0
         for idx in range(s):
@@ -166,16 +143,15 @@ def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -
             raise SeqnormError("final stage failed to decide; plan invariant broken")
         return hist, accepted
 
-    chunks = [(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
     hist = np.zeros(s, dtype=np.int64)
     accepted = 0
-    for part_hist, part_acc in _map_chunks(worker, chunks):
+    for part_hist, part_acc in _stage_pass(plan, mu, sigma, replications, seed, tally):
         hist += part_hist
         accepted += part_acc
 
     accept_rate = accepted / replications
     reject_rate = (replications - accepted) / replications
-    asn = float(np.dot(hist, np.array(sizes, dtype=float))) / replications
+    asn = float(np.dot(hist, np.array(plan.sizes, dtype=float))) / replications
     p = reject_rate
     mc_se = math.sqrt(p * (1.0 - p) / replications)
     return SimReport(
@@ -208,31 +184,11 @@ class TransitionSums:
 
 
 def mc_transition_sums(plan, mu: float, sigma: float, replications: int, seed: int) -> TransitionSums:
-    if replications < 1:
-        raise DomainError(f"replications must be >= 1, got {replications}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    _check_plan_for_simulation(plan)
-    sizes = plan.sizes
-    s = len(sizes)
-    n_max = sizes[-1]
-    width = _words_per_replicate(n_max)
-    a = np.array([st.a for st in plan.stages])
-    b = np.array([st.b for st in plan.stages])
-    shift = mu - plan.gamma
-
-    def worker(bounds):
-        lo, hi = bounds
-        z = _normal_block(seed, lo * width, hi - lo, width)[:, :n_max]
-        shifted = shift + sigma * z
-        if plan.kind == "known":
-            stats = _stage_statistics(shifted / sigma, sizes, "known")
-        else:
-            stats = _stage_statistics(shifted, sizes, "unknown")
-        rej_count = np.zeros(hi - lo, dtype=np.int64)
-        acc_count = np.zeros(hi - lo, dtype=np.int64)
-        prev_continue = np.ones(hi - lo, dtype=bool)
-        for idx in range(s):
+    def tally(stats, a, b):
+        rej_count = np.zeros(len(stats), dtype=np.int64)
+        acc_count = np.zeros(len(stats), dtype=np.int64)
+        prev_continue = np.ones(len(stats), dtype=bool)
+        for idx in range(plan.num_stages):
             t = stats[:, idx]
             rej_count += (prev_continue & (t > b[idx])).astype(np.int64)
             acc_count += (prev_continue & (t <= a[idx])).astype(np.int64)
@@ -242,12 +198,11 @@ def mc_transition_sums(plan, mu: float, sigma: float, replications: int, seed: i
             int(acc_count.sum()), float(np.dot(acc_count, acc_count)),
         )
 
-    chunks = [(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
     rej_total = 0
     rej_sq = 0.0
     acc_total = 0
     acc_sq = 0.0
-    for r1, r2, a1, a2 in _map_chunks(worker, chunks):
+    for r1, r2, a1, a2 in _stage_pass(plan, mu, sigma, replications, seed, tally):
         rej_total += r1
         rej_sq += r2
         acc_total += a1

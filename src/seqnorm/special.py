@@ -18,15 +18,12 @@ degree of freedom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
 
-from .errors import DomainError
+from .errors import DomainError, InconsistentBoundaryError
 from .quadrature import integrate
-
-Probability = float  # in [0, 1]; clamp_probability enforces the invariant
 
 
 def _require_finite(x: float, name: str) -> float:
@@ -52,50 +49,23 @@ def _require_dof(dof: int, name: str = "dof") -> int:
     return dof
 
 
-def clamp_probability(p: float, slack: float = 1e-9) -> float:
-    """Clamp a value to [0, 1], tolerating excursions up to slack."""
-    if p < 0.0:
-        if p < -slack:
-            raise DomainError(f"value {p} is not a probability")
+def _clamp_unit(value: float, slack: float) -> float:
+    """Clamp a computed probability to [0, 1], tolerating excursions up to slack."""
+    if value < 0.0:
+        if value < -slack:
+            raise InconsistentBoundaryError(f"probability {value} below 0")
         return 0.0
-    if p > 1.0:
-        if p > 1.0 + slack:
-            raise DomainError(f"value {p} is not a probability")
+    if value > 1.0:
+        if value > 1.0 + slack:
+            raise InconsistentBoundaryError(f"probability {value} above 1")
         return 1.0
-    return float(p)
-
-
-@dataclass(frozen=True)
-class CriticalValueSpec:
-    """Tail mass plus optional degrees of freedom for a critical value.
-
-    dof None selects the standard normal; an integer selects Student's t.
-    """
-
-    tail_mass: float
-    dof: int | None = None
-
-    def __post_init__(self):
-        _require_open_unit(self.tail_mass, "tail_mass")
-        if self.dof is not None:
-            _require_dof(self.dof)
-
-    def value(self) -> float:
-        if self.dof is None:
-            return std_normal_critical(self.tail_mass)
-        return student_t_critical(self.dof, self.tail_mass)
+    return float(value)
 
 
 def std_normal_cdf(x: float) -> float:
     """Lower-tail standard normal CDF Pr{U <= x}."""
     x = _require_finite(x, "x")
     return float(sp.ndtr(x))
-
-
-def std_normal_upper_tail(x: float) -> float:
-    """Upper-tail mass Pr{U > x}, computed without cancellation."""
-    x = _require_finite(x, "x")
-    return float(sp.ndtr(-x))
 
 
 def std_normal_critical(delta: float) -> float:
@@ -193,4 +163,4 @@ def noncentral_t_cdf(x: float, dof: int, ncp: float) -> float:
         return sp.ndtr(x * s / root_dof - ncp) * _chi_pdf(s, dof)
 
     val = integrate(integrand, s_lo, s_hi, tol=1e-11, initial_panels=16)
-    return clamp_probability(val, slack=1e-7)
+    return _clamp_unit(val, slack=1e-7)

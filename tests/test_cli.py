@@ -5,7 +5,7 @@ import json
 import pytest
 
 from seqnorm.cli import main
-from seqnorm.runner import load_plan
+from seqnorm.runner import load_plan, plan_to_dict
 
 
 def run_cli(args, capsys):
@@ -307,3 +307,88 @@ class TestDeterminism:
                 "--reps", "20000", "--seed", "11", "--out", str(out),
             ], capsys)
         assert s1.read_bytes() == s2.read_bytes()
+
+
+def write_edited_plan(source, target, edit):
+    data = json.loads(source.read_text())
+    edit(data)
+    target.write_text(json.dumps(data))
+    return target
+
+
+class TestErrorHandling:
+    """Failures print one "<command>: <message>" line instead of a traceback."""
+
+    def test_oc_on_plan_with_alpha_two(self, known_plan_file, tmp_path, capsys):
+        plan = write_edited_plan(
+            known_plan_file, tmp_path / "p.json", lambda d: d.update(alpha=2)
+        )
+        code, out, err = run_cli([
+            "oc", str(plan), "--theta-min", "-1.5", "--theta-max", "1.5", "--points", "5",
+        ], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "oc: beta must lie in (0, 1), got 2.0\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--cell-budget", "cell_budget must be >= 4, got 2"),
+        ("--tail-mass", "tail_mass must lie in (0, 1), got 2.0"),
+    ])
+    def test_oc_on_unknown_plan_with_bad_budget(self, unknown_plan_file, flag, message, capsys):
+        code, _, err = run_cli([
+            "oc", str(unknown_plan_file), "--theta-min", "-1.5", "--theta-max", "1.5",
+            "--points", "3", flag, "2",
+        ], capsys)
+        assert code == 2
+        assert err == f"oc: {message}\n"
+
+    def test_simulate_plan_whose_final_stage_does_not_close(
+        self, known_plan_file, tmp_path, capsys
+    ):
+        def open_final_stage(data):
+            data["stages"][-1].update(a=-1.0, b=1.0)
+
+        plan = write_edited_plan(known_plan_file, tmp_path / "p.json", open_final_stage)
+        code, out, err = run_cli([
+            "simulate", str(plan), "--mu", "0", "--reps", "1000", "--seed", "1",
+        ], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "simulate: final stage failed to decide; plan invariant broken\n"
+
+    def test_asn_nan_theta(self, known_plan_file, capsys):
+        code, out, err = run_cli(["asn", str(known_plan_file), "--theta", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "asn: theta must be finite, got nan\n"
+
+    def test_malformed_plan_field(self, known_plan_file, tmp_path, capsys):
+        plan = write_edited_plan(
+            known_plan_file, tmp_path / "p.json", lambda d: d.update(tau="x")
+        )
+        code, _, err = run_cli(["asn", str(plan), "--theta", "0"], capsys)
+        assert code == 1
+        assert err == "asn: cannot read plan: tau must be an integer, got 'x'\n"
+
+
+class TestIndifferenceBoundary:
+    def test_oc_at_zone_edge_with_nonunit_scale(self, tmp_path, capsys):
+        # gamma = 1.3, sigma = 0.7 made the old mu round trip turn theta = 0.5
+        # into 0.49999999999999983, inside the zone, and the bound raised
+        path = tmp_path / "plan.json"
+        code, _, _ = run_cli([
+            "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "0.5", "--gamma", "1.3", "--sigma", "0.7",
+            "--rho", "1", "--tau", "3", "--zeta", "0.9", "--out", str(path),
+        ], capsys)
+        assert code == 0
+        code, out, err = run_cli([
+            "oc", str(path), "--theta-min", "-1.5", "--theta-max", "0.5", "--points", "5",
+        ], capsys)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == ["-1.5", "-1.0", "-0.5", "0.0", "0.5"]
+        assert rows[3] == ["0.0", "", ""]
+        plan = load_plan(path)
+        lo, hi = plan.oc_bounds(0.5)
+        assert [float(x) for x in rows[4]] == [0.5, lo, hi]

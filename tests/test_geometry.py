@@ -1,4 +1,4 @@
-"""Polar boundary decompositions and the cone evaluator against oracles."""
+"""The cone evaluator and its polar integrand against oracles."""
 
 import math
 
@@ -6,148 +6,33 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from seqnorm.errors import ContractViolationError, DomainError
-from seqnorm.geometry import (
-    BoundaryPiece,
-    ConeRegion,
-    PolarBoundary,
-    cone_prob,
-    offset_domain_prob,
-    origin_domain_prob,
-    psi_barrier_integrand,
-    psi_line_integrand,
-)
+from seqnorm.errors import DomainError
+from seqnorm.geometry import ConeRegion, _barrier_exponent, cone_prob
 from seqnorm.simulate import grid_domain_prob, mc_domain_prob
 from seqnorm.special import std_normal_cdf
 
 TWO_PI = 2.0 * math.pi
 
 
-class _PredicateRegion:
-    """Adapter for oracle runs on domains given only by a membership test."""
-
-    def __init__(self, contains):
-        self.contains = contains
-
-
 class TestOriginDomain:
-    def test_disk_rayleigh(self):
-        for r in (0.5, 1.0, 2.0):
-            boundary = PolarBoundary(
-                [BoundaryPiece(0.0, TWO_PI, lambda phi, r=r: np.full_like(phi, r))]
-            )
-            assert origin_domain_prob(boundary) == pytest.approx(
-                1.0 - math.exp(-r * r / 2.0), abs=1e-10
-            )
+    """Cone regions containing the origin (h <= 0 <= g)."""
 
     def test_half_plane_as_huge_half_disk(self):
-        # {u <= 1e-9} closed by an arc of radius 60: barrier ahead, arc behind
-        eps, big = 1e-9, 60.0
-
-        def radius(phi):
-            c = np.cos(phi)
-            line = np.where(c > eps / big, eps / np.maximum(c, eps / big), big)
-            return np.minimum(line, big)
-
-        boundary = PolarBoundary([BoundaryPiece(0.0, TWO_PI, radius)])
-        assert origin_domain_prob(boundary) == pytest.approx(0.5, abs=1e-6)
-
-    def test_unit_square_vs_grid(self):
-        def radius(phi):
-            c = np.abs(np.cos(phi))
-            s = np.abs(np.sin(phi))
-            return 0.5 / np.maximum(c, s)
-
-        boundary = PolarBoundary([BoundaryPiece(0.0, TWO_PI, radius)])
-        got = origin_domain_prob(boundary)
-        ref = grid_domain_prob(
-            _PredicateRegion(lambda u, v: (np.abs(u) <= 0.5) & (np.abs(v) <= 0.5)),
-            resolution=4000,
-        )
-        assert got == pytest.approx(ref, abs=1e-6)
-
-    def test_overlapping_pieces_rejected(self):
-        pieces = [
-            BoundaryPiece(0.0, 4.0, lambda phi: np.full_like(phi, 1.0)),
-            BoundaryPiece(3.5, 6.0, lambda phi: np.full_like(phi, 1.0)),
-        ]
-        with pytest.raises(ContractViolationError):
-            origin_domain_prob(PolarBoundary(pieces))
-
-    def test_overwinding_rejected(self):
-        pieces = [
-            BoundaryPiece(0.0, 5.0, lambda phi: np.full_like(phi, 1.0)),
-            BoundaryPiece(6.0, 9.0, lambda phi: np.full_like(phi, 1.0)),
-        ]
-        with pytest.raises(ContractViolationError):
-            origin_domain_prob(PolarBoundary(pieces))
-
-    def test_invisible_piece_rejected(self):
-        pieces = [BoundaryPiece(0.0, TWO_PI, lambda phi: np.full_like(phi, 1.0), visible=False)]
-        with pytest.raises(ContractViolationError):
-            origin_domain_prob(PolarBoundary(pieces))
-
-
-def _circle_pieces(center: float, radius: float):
-    """Visible/invisible decomposition of a circle at (center, 0), center > radius."""
-    half = math.asin(radius / center)
-
-    def chord(phi, near):
-        c = center * np.cos(phi)
-        disc = np.maximum(c * c - (center * center - radius * radius), 0.0)
-        root = np.sqrt(disc)
-        return c - root if near else c + root
-
-    return [
-        BoundaryPiece(-half, half, lambda phi: chord(phi, True), visible=True),
-        BoundaryPiece(-half, half, lambda phi: chord(phi, False), visible=False),
-    ]
+        # {u <= k v} is a half plane through the origin; a barrier at
+        # u = -40 closes it without moving any of its mass
+        for k in (0.3, 1.0, 4.0):
+            assert cone_prob(ConeRegion(-40.0, 0.0, k)) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestOffsetDomain:
-    def test_offset_disk_vs_grid_and_closed_form(self):
-        boundary = PolarBoundary(_circle_pieces(3.0, 1.0))
-        got = offset_domain_prob(boundary)
-        # (U-3)^2 + V^2 <= 1 is a noncentral chi-square event with 2 dof
-        exact = float(st.ncx2.cdf(1.0, df=2, nc=9.0))
-        assert got == pytest.approx(exact, abs=1e-9)
-        ref = grid_domain_prob(
-            _PredicateRegion(lambda u, v: (u - 3.0) ** 2 + v**2 <= 1.0),
-            resolution=4000,
-        )
-        assert got == pytest.approx(ref, abs=1e-5)
+    """Cone regions excluding the origin."""
 
     def test_translated_half_plane(self):
+        # {u >= c} cut by a slanted side so far out that it holds no mass
         for c in (0.5, 1.5, 3.0):
-            boundary = PolarBoundary(
-                [
-                    BoundaryPiece(
-                        -math.pi / 2 + 1e-9,
-                        math.pi / 2 - 1e-9,
-                        lambda phi, c=c: c / np.cos(phi),
-                    )
-                ]
-            )
-            assert offset_domain_prob(boundary) == pytest.approx(
+            assert cone_prob(ConeRegion(c, 60.0, 1.0)) == pytest.approx(
                 1.0 - std_normal_cdf(c), abs=1e-9
             )
-
-    def test_thin_sliver(self):
-        # annular sliver between radii 2 and 2.001 over a narrow arc
-        pieces = [
-            BoundaryPiece(-0.3, 0.3, lambda phi: np.full_like(phi, 2.0), visible=True),
-            BoundaryPiece(-0.3, 0.3, lambda phi: np.full_like(phi, 2.001), visible=False),
-        ]
-        val = offset_domain_prob(PolarBoundary(pieces))
-        assert 0.0 <= val <= 1e-3
-
-    def test_uncovered_invisible_rejected(self):
-        pieces = [
-            BoundaryPiece(0.0, 0.5, lambda phi: np.full_like(phi, 2.0), visible=True),
-            BoundaryPiece(1.0, 1.5, lambda phi: np.full_like(phi, 3.0), visible=False),
-        ]
-        with pytest.raises(ContractViolationError):
-            offset_domain_prob(PolarBoundary(pieces))
 
 
 CONE_CONFIGS = {
@@ -226,18 +111,25 @@ class TestConeProb:
 
 class TestIntegrands:
     def test_barrier_at_zero_level(self):
-        assert psi_barrier_integrand(0.0, 0.0) == pytest.approx(1.0 / TWO_PI, abs=0)
+        assert _barrier_exponent(np.array([0.0]), 0.0)[0] == pytest.approx(1.0 / TWO_PI, abs=0)
 
     def test_barrier_vanishes_at_right_angle(self):
-        assert psi_barrier_integrand(math.pi / 2, 1.0) == 0.0
+        assert _barrier_exponent(np.array([math.pi / 2]), 1.0)[0] == 0.0
 
     def test_line_matches_scaled_barrier(self):
+        # the line u = k v + (g + offset) sits at distance level from the
+        # origin; along the direction at angle phi from its normal the polar
+        # radius is r, and the integrand is exp(-r^2 / 2) / (2 pi)
         phi = np.linspace(-1.2, 1.2, 7)
         g, k, off = 0.8, 1.5, -0.3
-        level = abs(g + off) / math.sqrt(1 + k * k)
+        norm = math.sqrt(1 + k * k)
+        level = abs(g + off) / norm
+        normal = math.atan2(-k, 1.0)
+        du, dv = np.cos(normal + phi), np.sin(normal + phi)
+        r = (g + off) / (du - k * dv)
         assert np.allclose(
-            psi_line_integrand(phi, g, k, offset=off),
-            psi_barrier_integrand(phi, level),
-            rtol=0,
+            _barrier_exponent(phi, level),
+            np.exp(-0.5 * r * r) / TWO_PI,
+            rtol=1e-12,
             atol=0,
         )

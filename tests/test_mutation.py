@@ -1,0 +1,141 @@
+"""Property: a plan or session file with one field mutated never gets past
+the CLI's error handling.  Every command exits 1 or 2 with one stderr line
+naming the command, and no exception escapes.
+
+Mutations change a field's JSON type, put a non-finite real where a real
+belongs, or put in a value the format rules out.  Each one is invalid, so
+no command may succeed on the mutated file.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqnorm.cli import main
+from seqnorm.plan_known import build_known_plan
+from seqnorm.plan_unknown import build_unknown_plan
+from seqnorm.runner import feed, new_session, plan_to_dict, session_to_dict
+
+PLANS = {
+    "known": build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, 1 / 3, 1.0, 3).with_certified(True),
+    "unknown": build_unknown_plan(0.05, 0.05, 0.5, 0.0, 1 / 3, 1.0, 3).with_certified(True),
+}
+
+
+def _session_doc(plan) -> dict:
+    """A session whose first stage continued, so history and status are set."""
+    n1 = plan.sizes[0]
+    samples = [0.1 * (-1) ** i * (i // 2 + 1) for i in range(n1 - n1 % 2)] + [0.0] * (n1 % 2)
+    session = feed(new_session(plan), samples)
+    assert session.history and session.status.state == "need_more"
+    return session_to_dict(session)
+
+
+DOCS = {
+    **{f"plan.{kind}": plan_to_dict(plan) for kind, plan in PLANS.items()},
+    **{f"session.{kind}": _session_doc(plan) for kind, plan in PLANS.items()},
+}
+
+
+def _paths(node, prefix=()):
+    """Every path below the document root, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _well_typed(value, original) -> bool:
+    """True when value would pass the format's type rules in original's place."""
+    if isinstance(original, bool):
+        return isinstance(value, bool)
+    if isinstance(original, int):
+        return type(value) is int
+    if isinstance(original, float):
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is type(original)
+
+
+ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+# values of the right type that the format still rules out
+INVALID_VALUES = {
+    "kind": ["other", "Known"],
+    "version": [0, 2],
+    "n": [0, -4],
+}
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(DOCS)))
+    doc = json.loads(json.dumps(DOCS[name]))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    original = _get(doc, path)
+    choices = ANY_JSON.filter(lambda v: not _well_typed(v, original))
+    if path[-1] in INVALID_VALUES:
+        choices = st.one_of(choices, st.sampled_from(INVALID_VALUES[path[-1]]))
+    _get(doc, path[:-1])[path[-1]] = draw(choices)
+    return name, path, doc
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutation")
+    (path / "data.csv").write_text("0.25\n")
+    for kind, plan in PLANS.items():
+        (path / f"{kind}.json").write_text(json.dumps(plan_to_dict(plan)))
+    return path
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutations())
+def test_mutated_file_fails_with_one_line(workdir, mutation):
+    name, path, doc = mutation
+    role, kind = name.split(".")
+    mutated = workdir / "mutated.json"
+    mutated.write_text(json.dumps(doc))
+    data = workdir / "data.csv"
+    if role == "plan":
+        session = workdir / "fresh.session.json"
+        session.unlink(missing_ok=True)
+        commands = [
+            ["oc", mutated, "--theta-min", "-1", "--theta-max", "1", "--points", "2",
+             "--cell-budget", "4"],
+            ["asn", mutated, "--theta", "0.5"],
+            ["simulate", mutated, "--mu", "0", "--sigma", "1", "--reps", "10", "--seed", "1"],
+            ["run", mutated, "--session", session, "--data", data],
+        ]
+    else:
+        commands = [["run", workdir / f"{kind}.json", "--session", mutated, "--data", data]]
+    for argv in commands:
+        code, out, err = _run(argv)
+        assert code in (1, 2), (path, argv[0], code, err)
+        assert out == ""
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1 and err.endswith("\n")

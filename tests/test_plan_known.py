@@ -12,7 +12,6 @@ from seqnorm.plan_known import (
     build_known_plan,
     decide_stage,
     mirror_known_plan,
-    oc_bounds_known,
     oc_upper_phi,
     sample_tail_known,
     statistic_known,
@@ -159,25 +158,37 @@ class TestEnvelope:
 class TestBounds:
     PLAN = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1 / 3, rho=1.0, tau=3)
 
+    def test_members_call_the_envelope_functions(self):
+        # the closed-form envelope is a point interval, and the certificate
+        # is the plan's and the mirror plan's envelope at -epsilon
+        phi = oc_upper_phi(-0.7, self.PLAN)
+        assert self.PLAN.envelope(-0.7) == (phi, phi)
+        assert self.PLAN.certify() == (
+            oc_upper_phi(-0.5, self.PLAN),
+            oc_upper_phi(-0.5, mirror_known_plan(self.PLAN)),
+        )
+
     def test_far_field_lower(self):
-        lo, hi = oc_bounds_known(-50.0, self.PLAN)
+        lo, hi = self.PLAN.oc_bounds(-50.0)
         assert lo >= 1.0 - 1e-10
         assert hi == 1.0
 
     def test_symmetric_mirror_relation(self):
         for theta in (0.5, 0.8, 1.5):
-            lo_neg, _ = oc_bounds_known(-theta, self.PLAN)
-            _, hi_pos = oc_bounds_known(theta, self.PLAN)
+            lo_neg, _ = self.PLAN.oc_bounds(-theta)
+            _, hi_pos = self.PLAN.oc_bounds(theta)
             assert lo_neg == pytest.approx(1.0 - hi_pos, abs=1e-9)
 
     def test_indifference_zone_rejected(self):
         with pytest.raises(DomainError):
-            oc_bounds_known(0.2, self.PLAN)
+            self.PLAN.oc_bounds(0.2)
 
     def test_nonunit_scale_conversion(self):
+        # bounds are stated in theta = (mu - gamma) / sigma, so they do not
+        # depend on the plan's gamma and sigma
         plan = build_known_plan(0.05, 0.05, 0.5, 10.0, 2.0, zeta=1 / 3, rho=1.0, tau=3)
-        lo_scaled, hi_scaled = oc_bounds_known(10.0 - 0.5 * 2.0, plan)
-        lo_unit, hi_unit = oc_bounds_known(-0.5, self.PLAN)
+        lo_scaled, hi_scaled = plan.oc_bounds(-0.5)
+        lo_unit, hi_unit = self.PLAN.oc_bounds(-0.5)
         assert lo_scaled == pytest.approx(lo_unit, abs=1e-12)
         assert hi_scaled == pytest.approx(hi_unit, abs=1e-12)
 
@@ -190,7 +201,7 @@ class TestBoundValidityAgainstMC:
         for theta in (-1.2, -0.7, 0.7, 1.2):
             rep = simulate_plan(known_plan, mu=theta, sigma=1.0, replications=reps, seed=808)
             se = math.sqrt(max(rep.accept_rate * (1 - rep.accept_rate), 1e-12) / reps)
-            lo, hi = oc_bounds_known(theta, known_plan)
+            lo, hi = known_plan.oc_bounds(theta)
             assert rep.accept_rate >= lo - 4 * se
             assert rep.accept_rate <= hi + 4 * se
 

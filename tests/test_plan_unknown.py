@@ -11,7 +11,6 @@ from seqnorm.plan_unknown import (
     build_unknown_plan,
     min_stage_size,
     mirror_unknown_plan,
-    oc_bounds_unknown,
     oc_upper_P,
     refine_partition,
     sample_tail_unknown,
@@ -260,10 +259,18 @@ class TestBoundsAndTails:
 
     def test_bounds_outside_zone_only(self):
         with pytest.raises(DomainError):
-            oc_bounds_unknown(0.1, self.PLAN)
+            self.PLAN.oc_bounds(0.1)
+
+    def test_certify_is_both_upper_ends(self):
+        mirrored = mirror_unknown_plan(self.PLAN)
+        assert self.PLAN.certify(1e-4, 16) == (
+            oc_upper_P(-0.5, self.PLAN, 1e-4, 16)[1],
+            oc_upper_P(-0.5, mirrored, 1e-4, 16)[1],
+        )
+        assert self.PLAN.mirror() == mirrored
 
     def test_far_field(self):
-        lo, hi = oc_bounds_unknown(-40.0, self.PLAN, cell_budget=16)
+        lo, hi = self.PLAN.oc_bounds(-40.0, cell_budget=16)
         assert lo >= 1.0 - 2e-4
         assert hi == 1.0
 

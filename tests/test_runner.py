@@ -49,6 +49,7 @@ class TestSerialization:
             save_plan(plan, path)
             loaded = load_plan(path)
             assert plan_to_dict(loaded) == plan_to_dict(plan)
+            assert type(loaded) is type(plan)
 
     def test_plan_schema_keys(self):
         known = plan_to_dict(make_plan())
@@ -72,6 +73,37 @@ class TestSerialization:
         decreasing["stages"] = [dict(n=5, a=-1.0, b=1.0), dict(n=5, a=0.0, b=0.0)]
         with pytest.raises(SessionFormatError):
             plan_from_dict(decreasing)
+
+
+class TestPlanFieldTypes:
+    @pytest.mark.parametrize("key, value", [
+        ("tau", "x"),
+        ("tau", 3.0),
+        ("tau", True),
+        ("alpha", [1]),
+        ("alpha", "nan"),
+        ("alpha", float("nan")),
+        ("gamma", float("inf")),
+        ("sigma", None),
+        ("certified", "no"),
+        ("certified", 1),
+    ])
+    def test_malformed_field_is_format_error(self, key, value):
+        data = dict(plan_to_dict(make_plan()), **{key: value})
+        with pytest.raises(SessionFormatError):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize("stages", [
+        "abc",
+        [{"n": "5", "a": -1.0, "b": 1.0}],
+        [{"n": 5, "a": "-1", "b": 1.0}],
+        [{"n": 5, "a": float("nan"), "b": 1.0}],
+        [[5, -1.0, 1.0]],
+    ])
+    def test_malformed_stage_is_format_error(self, stages):
+        data = dict(plan_to_dict(make_plan()), stages=stages)
+        with pytest.raises(SessionFormatError):
+            plan_from_dict(data)
 
 
 class TestSessionFlow:
@@ -229,4 +261,26 @@ class TestPersistence:
         data["version"] = 99
         path.write_text(dump_json(data, indent=2))
         with pytest.raises(SessionFormatError):
+            load_session(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_the_integer(self, tmp_path, version):
+        session = new_session(make_plan())
+        path = tmp_path / "session.json"
+        save_session(session, path)
+        data = json.loads(path.read_text())
+        data["version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(SessionFormatError):
+            load_session(path)
+
+    def test_retyped_status_is_integrity_error(self, tmp_path):
+        session = new_session(make_plan())
+        feed(session, [0.1, 0.2])
+        path = tmp_path / "session.json"
+        save_session(session, path)
+        data = json.loads(path.read_text())
+        data["status"]["next_n"] = float(data["status"]["next_n"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(IntegrityError):
             load_session(path)

@@ -9,7 +9,6 @@ import scipy.special as sp
 
 from seqnorm.errors import DomainError
 from seqnorm.special import (
-    CriticalValueSpec,
     chi_square_cdf,
     chi_square_quantile,
     noncentral_t_cdf,
@@ -226,15 +225,3 @@ class TestNoncentralT:
         xs = np.linspace(-6, 6, 61)
         vals = [noncentral_t_cdf(x, 6, 1.3) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-class TestCriticalValueSpec:
-    def test_dispatch(self):
-        assert CriticalValueSpec(0.05).value() == std_normal_critical(0.05)
-        assert CriticalValueSpec(0.05, dof=13).value() == student_t_critical(13, 0.05)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            CriticalValueSpec(0.0)
-        with pytest.raises(DomainError):
-            CriticalValueSpec(0.1, dof=0)
