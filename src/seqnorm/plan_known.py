@@ -60,20 +60,22 @@ class Stage:
             raise DomainError(f"stage thresholds inverted: a={self.a} > b={self.b}")
 
 
-def _validate_design_inputs(alpha, beta, epsilon, zeta, rho, tau):
+def validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma=None):
+    """Raise DomainError unless the design values are valid; sigma is checked if given."""
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not (0.0 < val < 1.0):
             raise DomainError(f"{name} must lie in (0, 1), got {val}")
-    for name, val in (("epsilon", epsilon), ("zeta", zeta), ("rho", rho)):
+    for name, val in (("epsilon", epsilon), ("rho", rho)):
         if not (val > 0.0 and math.isfinite(val)):
             raise DomainError(f"{name} must be positive and finite, got {val}")
+    # above 1 a stage's critical level zeta*alpha would exceed alpha itself;
+    # calibration searches (0, 1] as well
+    if not (0.0 < zeta <= 1.0):
+        raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
     if tau != int(tau) or tau < 1:
         raise DomainError(f"tau must be a positive integer, got {tau}")
-    if zeta * alpha >= 1.0 or zeta * beta >= 1.0:
-        raise DomainError(
-            f"scaled tail masses zeta*alpha={zeta * alpha}, zeta*beta={zeta * beta} "
-            "must stay below 1"
-        )
+    if sigma is not None and not (sigma > 0.0 and math.isfinite(sigma)):
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
 
 
 # defaults of the unknown-variance interval (chi-square tail mass and
@@ -208,9 +210,7 @@ def build_known_plan(
     stages.  Thresholds: a_l = min(theta*, eps sqrt(n_l) - z_b) and
     b_l = max(theta*, z_a - eps sqrt(n_l)) with theta* = (z_a - z_b) / 2.
     """
-    _validate_design_inputs(alpha, beta, epsilon, zeta, rho, tau)
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma)
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
     tau = int(tau)

@@ -33,7 +33,7 @@ from .plan_known import (
     Plan,
     Stage,
     _continue_stage,
-    _validate_design_inputs,
+    validate_design,
 )
 from .special import (
     chi_square_cdf,
@@ -105,7 +105,7 @@ def min_stage_size(alpha: float, beta: float, epsilon: float, zeta: float) -> in
     is monotone; a doubling search brackets the crossover and bisection
     pins it.
     """
-    _validate_design_inputs(alpha, beta, epsilon, zeta, rho=1.0, tau=1)
+    validate_design(alpha, beta, epsilon, zeta, rho=1.0, tau=1)
 
     def ok(n: int) -> bool:
         dof = n - 1
@@ -153,7 +153,7 @@ def build_unknown_plan(
     b_l = max(theta* sqrt(n_l - 1), t_{n_l-1, zeta*alpha} - eps sqrt(n_l - 1)),
     theta* = (t_{n_s-1, zeta*alpha} - t_{n_s-1, zeta*beta}) / (2 sqrt(n_s - 1)).
     """
-    _validate_design_inputs(alpha, beta, epsilon, zeta, rho, tau)
+    validate_design(alpha, beta, epsilon, zeta, rho, tau)
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
     tau = int(tau)
@@ -305,7 +305,8 @@ class _StageTermEvaluator:
     Bounds Pr{scale sqrt(V^2 + y + z) <= U - off <= k V + omega sqrt(y)}
     differences between two omega values using monotonicity: the radicand
     grows with y + z (shrinking the region) and the line intercept grows
-    with omega sqrt(y).
+    with omega sqrt(y).  Neighbouring cells share corners, so each corner's
+    probability is computed once per evaluator and then looked up.
     """
 
     def __init__(self, scale, off, k, omega_plus, omega_minus, dof_y, dof_z, negate):
@@ -317,8 +318,16 @@ class _StageTermEvaluator:
         self.dof_y = dof_y
         self.dof_z = dof_z
         self.negate = negate  # True when the difference is nonpositive
+        self._corners: dict[tuple[float, float, float], float] = {}
 
     def event_prob(self, sum_yz: float, y_for_line: float, omega: float) -> float:
+        key = (sum_yz, y_for_line, omega)
+        p = self._corners.get(key)
+        if p is None:
+            p = self._corners[key] = self._event_prob(sum_yz, y_for_line, omega)
+        return p
+
+    def _event_prob(self, sum_yz: float, y_for_line: float, omega: float) -> float:
         g = omega * math.sqrt(y_for_line)
         if self.scale == 0.0:
             return cone_prob(ConeRegion(h=self.off, g=self.off + g, k=self.k))

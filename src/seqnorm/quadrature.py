@@ -8,7 +8,10 @@ swaps order.
 The 15-point Kronrod rule evaluates only interior nodes, so integrands that
 are singular or undefined exactly at an endpoint (``1/cos^2`` factors at
 ``pi/2``, radicands vanishing at a critical angle) are never sampled there.
-Integrands must accept and return numpy arrays.
+Integrands must accept and return numpy arrays, elementwise: they are
+evaluated a batch of panels at a time (all initial panels in one call, both
+halves of a bisected panel in the next), and each panel's sums are still
+formed row by row, so the result does not depend on the batching.
 """
 
 from __future__ import annotations
@@ -46,14 +49,24 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Return (kronrod, |kronrod - gauss|) for one panel [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _XK), dtype=float)
-    k15 = half * float(np.dot(_WK, y))
-    g7 = half * float(np.dot(_WG, y[_GAUSS_IDX]))
-    return k15, abs(k15 - g7)
+def _panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """[(kronrod, |kronrod - gauss|)] for panels [lo[i], hi[i]], from one call of f.
+
+    Each row is reduced with its own dot product over contiguous memory: a
+    matrix-vector product, or a strided row, sums in a different order and
+    would move the last bits.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = mid[:, None] + half[:, None] * _XK
+    ys = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    gauss = np.ascontiguousarray(ys[:, _GAUSS_IDX])
+    out = []
+    for h, y, yg in zip(half.tolist(), ys, gauss):
+        k15 = h * float(_WK.dot(y))
+        g7 = h * float(_WG.dot(yg))
+        out.append((k15, abs(k15 - g7)))
+    return out
 
 
 def integrate(
@@ -83,17 +96,14 @@ def integrate(
 
     npanels = max(1, int(initial_panels))
     edges = np.linspace(a, b, npanels + 1)
+    initial = _panels(f, edges[:-1], edges[1:])
     heap = []  # (-err, order, lo, hi, value)
     order = 0
-    total = 0.0
     total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
+    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], initial):
         heapq.heappush(heap, (-err, order, lo, hi, val))
         order += 1
-        total += val
         total_err += err
-
     while total_err > tol and len(heap) < max_panels:
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         err = -neg_err
@@ -103,9 +113,7 @@ def integrate(
             heapq.heappush(heap, (0.0, order, lo, hi, val))
             order += 1
             continue
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        total += (v1 + v2) - val
+        (v1, e1), (v2, e2) = _panels(f, np.array([lo, mid]), np.array([mid, hi]))
         total_err += (e1 + e2) - err
         heapq.heappush(heap, (-e1, order, lo, mid, v1))
         order += 1

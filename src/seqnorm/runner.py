@@ -26,7 +26,7 @@ from .errors import (
     SessionFormatError,
     StateError,
 )
-from .plan_known import Decision, KnownVarPlan, Stage, decide_stage
+from .plan_known import Decision, KnownVarPlan, Stage, decide_stage, validate_design
 from .plan_unknown import UnknownVarPlan
 
 SESSION_SCHEMA_VERSION = 1
@@ -185,6 +185,13 @@ def plan_from_dict(data: dict):
     values = {
         key: (_integer if key == "tau" else _real)(data[key], key) for key in scalars
     }
+    try:
+        validate_design(
+            *(values[key] for key in ("alpha", "beta", "epsilon", "zeta", "rho", "tau")),
+            sigma=values.get("sigma"),
+        )
+    except DomainError as exc:
+        raise SessionFormatError(str(exc)) from exc
     return cls(**values, stages=stages, certified=data["certified"])
 
 

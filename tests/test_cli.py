@@ -326,9 +326,9 @@ class TestErrorHandling:
         code, out, err = run_cli([
             "oc", str(plan), "--theta-min", "-1.5", "--theta-max", "1.5", "--points", "5",
         ], capsys)
-        assert code == 2
+        assert code == 1
         assert out == ""
-        assert err == "oc: beta must lie in (0, 1), got 2.0\n"
+        assert err == "oc: cannot read plan: alpha must lie in (0, 1), got 2.0\n"
 
     @pytest.mark.parametrize("flag, message", [
         ("--cell-budget", "cell_budget must be >= 4, got 2"),

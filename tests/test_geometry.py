@@ -7,7 +7,7 @@ import pytest
 import scipy.stats as st
 
 from seqnorm.errors import DomainError
-from seqnorm.geometry import ConeRegion, _barrier_exponent, cone_prob
+from seqnorm.geometry import ConeRegion, _barrier_exponent, _upsilon_lenient, cone_prob
 from seqnorm.simulate import grid_domain_prob, mc_domain_prob
 from seqnorm.special import std_normal_cdf
 
@@ -133,3 +133,31 @@ class TestIntegrands:
             rtol=1e-12,
             atol=0,
         )
+
+
+class TestBatchedEvaluation:
+    """Quadrature evaluates a batch of 15-node panels in one integrand call;
+    every element must come out with the bits of a panel-sized call."""
+
+    @staticmethod
+    def _assert_chunk_invariant(f, phi):
+        whole = f(phi)
+        chunks = np.concatenate([f(phi[i:i + 15]) for i in range(0, phi.size, 15)])
+        assert whole.tobytes() == chunks.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_barrier_exponent(self, seed):
+        rng = np.random.default_rng(seed)
+        phi = rng.uniform(-math.pi, 3.0 * math.pi, 15 * int(rng.integers(1, 40)))
+        phi[::7] = 0.5 * math.pi  # cos vanishes here
+        for level in (0.0, 1e-3, float(rng.uniform(-4.0, 4.0)), 9.0):
+            self._assert_chunk_invariant(lambda x: _barrier_exponent(x, level), phi)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_upsilon_lenient(self, seed):
+        rng = np.random.default_rng(seed)
+        phi = rng.uniform(-math.pi, 3.0 * math.pi, 15 * int(rng.integers(1, 40)))
+        offset = float(rng.uniform(-3.0, 3.0))
+        lam = float(rng.uniform(0.1, 4.0))
+        for h in (0.0, offset * offset, float(rng.uniform(0.0, 6.0))):
+            self._assert_chunk_invariant(_upsilon_lenient(offset, lam, h), phi)

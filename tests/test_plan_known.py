@@ -76,7 +76,7 @@ class TestBuild:
                     zeta=1.0, rho=1.0, tau=3)
         for key, bad in (
             ("alpha", 0.0), ("beta", 1.0), ("epsilon", -1.0), ("sigma", 0.0),
-            ("zeta", 0.0), ("rho", 0.0), ("tau", 0),
+            ("zeta", 0.0), ("zeta", 1.5), ("rho", 0.0), ("tau", 0),
         ):
             kwargs = dict(good)
             kwargs[key] = bad

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqnorm import plan_unknown
 from seqnorm.errors import DegenerateSampleError, DomainError, InsufficientDataError
 from seqnorm.plan_unknown import (
     PartitionCell,
@@ -292,6 +293,48 @@ class TestBoundsAndTails:
     def test_sample_tail_index_domain(self):
         with pytest.raises(DomainError):
             sample_tail_unknown(self.PLAN.num_stages, 0.0, self.PLAN)
+
+
+class TestCornerMemo:
+    """Neighbouring cells share corners; each distinct corner is computed once."""
+
+    PLAN = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=1 / 3, rho=1.0, tau=3)
+
+    @pytest.mark.parametrize("ell, region_fn", [(2, "hyperbola_cone_prob"), (3, "cone_prob")])
+    def test_one_geometry_call_per_distinct_corner(self, monkeypatch, ell, region_fn):
+        corners = []
+        calls = {"cone_prob": 0, "hyperbola_cone_prob": 0}
+        event_prob = plan_unknown._StageTermEvaluator.event_prob
+
+        def recorded(self, sum_yz, y_for_line, omega):
+            corners.append((sum_yz, y_for_line, omega))
+            return event_prob(self, sum_yz, y_for_line, omega)
+
+        def counted(name):
+            original = getattr(plan_unknown, name)
+
+            def wrapper(region):
+                calls[name] += 1
+                return original(region)
+
+            return wrapper
+
+        monkeypatch.setattr(plan_unknown._StageTermEvaluator, "event_prob", recorded)
+        for name in calls:
+            monkeypatch.setattr(plan_unknown, name, counted(name))
+        stage_term_cells(-0.5, self.PLAN, ell, 5e-5, 64)
+        assert calls[region_fn] == len(set(corners)) < len(corners)
+        assert sum(calls.values()) == calls[region_fn]
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_cells_equal_memo_free_recomputation(self, ell):
+        cells, ev, _ = stage_term_cells(-0.5, self.PLAN, ell, 5e-5, 64)
+        for c in cells:
+            fresh = plan_unknown._StageTermEvaluator(
+                ev.scale, ev.off, ev.k, ev.omega_plus, ev.omega_minus,
+                ev.dof_y, ev.dof_z, ev.negate,
+            )
+            assert (c.p_lower, c.p_upper) == fresh(c.y_lo, c.y_hi, c.z_lo, c.z_hi)
 
 
 class TestZeroRejectThreshold:

@@ -1,0 +1,150 @@
+"""Adaptive Gauss-Kronrod quadrature: batched panel evaluation against a
+panel-at-a-time reference, bit for bit."""
+
+import heapq
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqnorm.errors import DomainError
+from seqnorm.quadrature import _GAUSS_IDX, _WG, _WK, _XK, _panels, integrate
+
+
+def _reference_panel(f, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    y = np.asarray(f(mid + half * _XK), dtype=float)
+    k15 = half * float(np.dot(_WK, y))
+    g7 = half * float(np.dot(_WG, y[_GAUSS_IDX]))
+    return k15, abs(k15 - g7)
+
+
+def reference_integrate(f, a, b, tol=1e-12, initial_panels=8, max_panels=2048):
+    """One integrand call per panel; returns (value, bisections)."""
+    a = float(a)
+    b = float(b)
+    if a == b:
+        return 0.0, 0
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    npanels = max(1, int(initial_panels))
+    edges = np.linspace(a, b, npanels + 1)
+    heap = []
+    order = 0
+    total_err = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = _reference_panel(f, lo, hi)
+        heapq.heappush(heap, (-err, order, lo, hi, val))
+        order += 1
+        total_err += err
+    bisections = 0
+    while total_err > tol and len(heap) < max_panels:
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        err = -neg_err
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            heapq.heappush(heap, (0.0, order, lo, hi, val))
+            order += 1
+            continue
+        v1, e1 = _reference_panel(f, lo, mid)
+        v2, e2 = _reference_panel(f, mid, hi)
+        bisections += 1
+        total_err += (e1 + e2) - err
+        heapq.heappush(heap, (-e1, order, lo, mid, v1))
+        order += 1
+        heapq.heappush(heap, (-e2, order, mid, hi, v2))
+        order += 1
+    total = float(sum(item[4] for item in sorted(heap, key=lambda t: t[2])))
+    return sign * total, bisections
+
+
+def smooth(c0, c1, w, p):
+    return lambda x: c0 + c1 * np.sin(w * x + p) * np.exp(-0.1 * x * x)
+
+
+def peaked(x0, width, height):
+    return lambda x: height / (1.0 + ((x - x0) / width) ** 2)
+
+
+def step(x0, height):
+    return lambda x: np.where(x > x0, height, 0.0)
+
+
+limits = st.floats(-10.0, 10.0, allow_nan=False)
+integrands = st.one_of(
+    st.builds(smooth, st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 20), st.floats(-3, 3)),
+    st.builds(peaked, st.floats(-10, 10), st.floats(1e-4, 1e-1), st.floats(0.1, 100)),
+    st.builds(step, st.floats(-10, 10), st.floats(-5, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=integrands,
+    a=limits,
+    b=limits,
+    same=st.booleans(),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    initial_panels=st.sampled_from([1, 8, 16]),
+    max_panels=st.sampled_from([4, 24, 2048]),
+)
+def test_batched_panels_match_reference_bit_for_bit(
+    f, a, b, same, tol, initial_panels, max_panels
+):
+    if same:
+        b = a
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
+    got = integrate(counted, a, b, tol=tol, initial_panels=initial_panels, max_panels=max_panels)
+    ref, bisections = reference_integrate(
+        f, a, b, tol=tol, initial_panels=initial_panels, max_panels=max_panels
+    )
+    assert got == ref
+    assert repr(got) == repr(ref)  # signed zeros too
+    assert calls == (0 if a == b else 1 + bisections)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=integrands,
+    edges=st.lists(limits, min_size=2, max_size=40, unique=True).map(sorted),
+)
+def test_each_panel_value_and_error_match_reference(f, edges):
+    # the error estimates steer bisection, so they must match bit for bit too
+    edges = np.array(edges)
+    got = _panels(f, edges[:-1], edges[1:])
+    ref = [_reference_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert [tuple(map(repr, map(float, p))) for p in got] == [
+        tuple(map(repr, map(float, p))) for p in ref
+    ]
+
+
+def test_step_integrand_bisects_until_max_panels():
+    f = step(0.3, 1.0)
+    value, bisections = reference_integrate(f, -1.0, 1.0, max_panels=40)
+    assert bisections == 40 - 8
+    assert integrate(f, -1.0, 1.0, max_panels=40) == value
+
+
+def test_accuracy_and_orientation():
+    assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-13)
+    assert integrate(np.cos, 1.0, -2.0) == -integrate(np.cos, -2.0, 1.0)
+    f = peaked(0.1, 1e-3, 1.0)
+    exact = 1e-3 * (math.atan((2.0 - 0.1) / 1e-3) - math.atan((-1.0 - 0.1) / 1e-3))
+    assert integrate(f, -1.0, 2.0) == pytest.approx(exact, abs=1e-11)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+def test_non_finite_limits_rejected(a, b):
+    with pytest.raises(DomainError):
+        integrate(np.cos, a, b)

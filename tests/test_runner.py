@@ -1,11 +1,13 @@
 """Session state machine, persistence round trips, integrity checks."""
 
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
 
+from seqnorm.cli import main
 from seqnorm.errors import (
     IntegrityError,
     PlanCertificationError,
@@ -104,6 +106,31 @@ class TestPlanFieldTypes:
         data = dict(plan_to_dict(make_plan()), stages=stages)
         with pytest.raises(SessionFormatError):
             plan_from_dict(data)
+
+
+class TestPlanFieldValues:
+    """Well-typed values the design rules out are refused on load."""
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("sigma", 0, ["oc", "--theta-min", "-1", "--theta-max", "1", "--points", "3",
+                      "--mu-units"]),
+        ("epsilon", -0.5, ["oc", "--theta-min", "-1", "--theta-max", "1", "--points", "3"]),
+        ("zeta", 5, ["asn", "--theta", "0.5"]),
+        # earlier versions let design --zeta 1.5 write such a plan
+        ("zeta", 1.5, ["oc", "--theta-min", "-1", "--theta-max", "1", "--points", "3"]),
+    ])
+    def test_out_of_range_value_is_format_error(self, tmp_path, key, value, command):
+        data = dict(plan_to_dict(make_plan()), **{key: value})
+        with pytest.raises(SessionFormatError, match=key):
+            plan_from_dict(data)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith(f"{command[0]}: cannot read plan: {key} must ")
+        assert err.getvalue().count("\n") == 1
 
 
 class TestSessionFlow:

@@ -9,6 +9,7 @@ import scipy.special as sp
 
 from seqnorm.errors import DomainError
 from seqnorm.special import (
+    _chi_pdf,
     chi_square_cdf,
     chi_square_quantile,
     noncentral_t_cdf,
@@ -225,3 +226,15 @@ class TestNoncentralT:
         xs = np.linspace(-6, 6, 61)
         vals = [noncentral_t_cdf(x, 6, 1.3) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 7, 60])
+def test_chi_pdf_batch_matches_panel_chunks(dof):
+    # the noncentral t integrand is evaluated 16 panels of 15 nodes at a time
+    s = np.random.default_rng(dof).uniform(0.0, 12.0, 240)
+    s[::11] = 0.0
+    whole = sp.ndtr(0.7 * s - 0.3) * _chi_pdf(s, dof)
+    chunks = np.concatenate(
+        [sp.ndtr(0.7 * c - 0.3) * _chi_pdf(c, dof) for c in np.split(s, 16)]
+    )
+    assert whole.tobytes() == chunks.tobytes()
