@@ -60,18 +60,10 @@ def _search(
         return pair[0] <= alpha and pair[1] <= beta
 
     if feasible(anchor):
-        lo = anchor
-        if zeta_hi > anchor and feasible(zeta_hi):
-            lo = zeta_hi
-            hi = zeta_hi
+        if zeta_hi > anchor and not feasible(zeta_hi):
+            lo, hi = anchor, zeta_hi
         else:
-            hi = zeta_hi if zeta_hi > anchor else anchor
-            while hi - lo > zeta_tol:
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
+            lo = hi = zeta_hi  # zeta_hi is feasible, or is the anchor itself
     else:
         z = anchor
         while True:
@@ -87,12 +79,12 @@ def _search(
             if feasible(z):
                 break
         lo, hi = z, 2.0 * z
-        while hi - lo > zeta_tol:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
+    while hi - lo > zeta_tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
 
     # certify the returned zeta by its own evaluation
     pa, pb = values[lo]

@@ -217,7 +217,10 @@ def build_known_plan(
 
     z_a = std_normal_critical(zeta * alpha)
     z_b = std_normal_critical(zeta * beta)
-    base = (z_a + z_b) ** 2 / (4.0 * epsilon * epsilon)
+    denom = 4.0 * epsilon * epsilon
+    base = (z_a + z_b) ** 2 / denom if denom > 0.0 else math.inf
+    if not math.isfinite(base):
+        raise DomainError(f"epsilon must be large enough for finite stage sizes, got {epsilon}")
     sizes = sorted({max(1, math.ceil(base * (1.0 + rho) ** (i - tau))) for i in range(1, tau + 1)})
     theta_star = 0.5 * (z_a - z_b)
 

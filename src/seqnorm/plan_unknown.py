@@ -18,6 +18,7 @@ the upper end.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -275,8 +276,10 @@ def refine_partition(
         return cells
     y_span, z_span = spans
     cells = list(cells)
+    widest = [(-cell.gap, i) for i, cell in enumerate(cells)]
+    heapq.heapify(widest)
     while len(cells) < budget:
-        best = max(range(len(cells)), key=lambda i: (cells[i].gap, -i))
+        _, best = heapq.heappop(widest)
         cell = cells[best]
         ny = (cell.y_hi - cell.y_lo) / y_span if y_span > 0.0 else 0.0
         nz = (cell.z_hi - cell.z_lo) / z_span if z_span > 0.0 else 0.0
@@ -296,6 +299,8 @@ def refine_partition(
             children.append(PartitionCell(*geom, p_lower=p_lo, p_upper=p_hi))
         cells[best] = children[0]
         cells.append(children[1])
+        heapq.heappush(widest, (-children[0].gap, best))
+        heapq.heappush(widest, (-children[1].gap, len(cells) - 1))
     return cells
 
 
@@ -400,28 +405,18 @@ def stage_term_cells(
     d_prev = prev.b / math.sqrt(prev.n - 1)
     d_cur = cur.b / math.sqrt(cur.n - 1)
 
-    if d_cur >= 0.0:
-        evaluator = _StageTermEvaluator(
-            scale=d_cur,
-            off=-math.sqrt(cur.n) * theta,
-            k=k,
-            omega_plus=scale_prev * d_prev,
-            omega_minus=scale_prev * c_prev,
-            dof_y=dof_y,
-            dof_z=dof_z,
-            negate=False,
-        )
-    else:
-        evaluator = _StageTermEvaluator(
-            scale=-d_cur,
-            off=math.sqrt(cur.n) * theta,
-            k=k,
-            omega_plus=-scale_prev * d_prev,
-            omega_minus=-scale_prev * c_prev,
-            dof_y=dof_y,
-            dof_z=dof_z,
-            negate=True,
-        )
+    # a negative reject slope flips the event; multiplying by -1.0 is exact
+    sign = 1.0 if d_cur >= 0.0 else -1.0
+    evaluator = _StageTermEvaluator(
+        scale=sign * d_cur,
+        off=-sign * math.sqrt(cur.n) * theta,
+        k=k,
+        omega_plus=sign * scale_prev * d_prev,
+        omega_minus=sign * scale_prev * c_prev,
+        dof_y=dof_y,
+        dof_z=dof_z,
+        negate=sign < 0.0,
+    )
 
     quarter = tail_budget / 4.0
     y_lo = chi_square_quantile(quarter, dof_y)

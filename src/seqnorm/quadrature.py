@@ -80,8 +80,9 @@ def integrate(
     """Integrate f from a to b (signed) to absolute tolerance tol.
 
     Panels with the largest error estimates are bisected first; the loop
-    stops once the summed error estimate drops below tol.  Raises
-    DomainError if the limits are not finite.
+    stops once the summed error estimate drops below tol, max_panels panels
+    exist, or every panel is too narrow to bisect.  Raises DomainError if
+    the limits are not finite.
     """
     a = float(a)
     b = float(b)
@@ -98,20 +99,20 @@ def integrate(
     edges = np.linspace(a, b, npanels + 1)
     initial = _panels(f, edges[:-1], edges[1:])
     heap = []  # (-err, order, lo, hi, value)
+    aside = []  # panels narrower than float spacing: never split, still summed
     order = 0
     total_err = 0.0
     for lo, hi, (val, err) in zip(edges[:-1], edges[1:], initial):
         heapq.heappush(heap, (-err, order, lo, hi, val))
         order += 1
         total_err += err
-    while total_err > tol and len(heap) < max_panels:
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
+    while heap and total_err > tol and len(heap) + len(aside) < max_panels:
+        panel = heapq.heappop(heap)
+        neg_err, _, lo, hi, val = panel
         err = -neg_err
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            # panel narrower than float spacing; keep its estimate
-            heapq.heappush(heap, (0.0, order, lo, hi, val))
-            order += 1
+            aside.append(panel)  # its estimate stays in total_err
             continue
         (v1, e1), (v2, e2) = _panels(f, np.array([lo, mid]), np.array([mid, hi]))
         total_err += (e1 + e2) - err
@@ -121,5 +122,5 @@ def integrate(
         order += 1
 
     # recompute the sum in deterministic (position) order for bit stability
-    total = float(sum(item[4] for item in sorted(heap, key=lambda t: t[2])))
+    total = float(sum(item[4] for item in sorted(heap + aside, key=lambda t: t[2])))
     return sign * total

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, fields
 from typing import IO, Sequence
 
@@ -26,8 +27,8 @@ from .errors import (
     SessionFormatError,
     StateError,
 )
-from .plan_known import Decision, KnownVarPlan, Stage, decide_stage, validate_design
-from .plan_unknown import UnknownVarPlan
+from .plan_known import Decision, KnownVarPlan, build_known_plan, decide_stage
+from .plan_unknown import UnknownVarPlan, build_unknown_plan
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -156,6 +157,12 @@ def _integer(value, name: str) -> int:
 
 
 def plan_from_dict(data: dict):
+    """The plan a file's design builds, provided its stored stages and theta_star match.
+
+    Stages and theta_star are derived data: they are rebuilt from the design
+    fields and compared type-strictly, so an edited threshold or size, or a
+    file written by a numerics build that rounds differently, is refused.
+    """
     if not isinstance(data, dict):
         raise SessionFormatError("plan must be a JSON object")
     kind = data.get("kind")
@@ -166,33 +173,26 @@ def plan_from_dict(data: dict):
     missing = {"kind", "stages", "certified", *scalars} - set(data)
     if missing:
         raise SessionFormatError(f"plan is missing fields: {sorted(missing)}")
-    if not isinstance(data["stages"], list):
-        raise SessionFormatError("malformed stage list: not a JSON array")
-    try:
-        stages = tuple(
-            Stage(n=_integer(s["n"], "stage n"), a=_real(s["a"], "stage a"),
-                  b=_real(s["b"], "stage b"))
-            for s in data["stages"]
-        )
-    except (KeyError, TypeError, DomainError) as exc:
-        raise SessionFormatError(f"malformed stage list: {exc}") from exc
-    if not stages:
-        raise SessionFormatError("plan has no stages")
-    if any(b.n <= a.n for a, b in zip(stages, stages[1:])):
-        raise SessionFormatError("stage sizes must increase strictly")
     if not isinstance(data["certified"], bool):
         raise SessionFormatError(f"certified must be true or false, got {data['certified']!r}")
-    values = {
-        key: (_integer if key == "tau" else _real)(data[key], key) for key in scalars
+    design = {
+        key: (_integer if key == "tau" else _real)(data[key], key)
+        for key in scalars
+        if key != "theta_star"
     }
+    build = build_known_plan if cls is KnownVarPlan else build_unknown_plan
     try:
-        validate_design(
-            *(values[key] for key in ("alpha", "beta", "epsilon", "zeta", "rho", "tau")),
-            sigma=values.get("sigma"),
-        )
+        with warnings.catch_warnings():
+            # the builder warns when it clips stage sizes to 2; loading prints nothing
+            warnings.simplefilter("ignore", RuntimeWarning)
+            plan = build(**design)
     except DomainError as exc:
         raise SessionFormatError(str(exc)) from exc
-    return cls(**values, stages=stages, certified=data["certified"])
+    derived = plan_to_dict(plan)
+    for key in ("theta_star", "stages"):
+        if not _json_equal(derived[key], data[key]):
+            raise SessionFormatError(f"the stored {key} field does not match the plan's design")
+    return plan.with_certified(data["certified"])
 
 
 def save_plan(plan, path: str | os.PathLike) -> None:

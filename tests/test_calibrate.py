@@ -2,6 +2,7 @@
 
 import pytest
 
+from seqnorm import calibrate
 from seqnorm.calibrate import calibrate_known, calibrate_unknown
 from seqnorm.errors import DomainError
 from seqnorm.plan_known import build_known_plan, mirror_known_plan, oc_upper_phi
@@ -106,3 +107,40 @@ class TestUnknown:
         se1 = math.sqrt(at_mu1.accept_rate * (1 - at_mu1.accept_rate) / reps)
         assert at_mu0.reject_rate <= 0.05 + 4 * at_mu0.mc_se
         assert at_mu1.accept_rate <= 0.05 + 4 * se1
+
+
+class TestProbePath:
+    """The search probes the same zeta sequence as the two-loop search it replaced."""
+
+    @pytest.mark.parametrize("tail_mass, probes", [
+        # feasible at the anchor 1/3 and infeasible at zeta_hi = 1: bisect up
+        (1e-4, [1 / 3, 1.0, 0.6666666666666666, 0.5, 0.41666666666666663,
+                0.4583333333333333, 0.4375, 0.4270833333333333, 0.421875]),
+        # a tail budget this large makes the anchor infeasible: halve, then bisect
+        (0.03, [1 / 3, 0.16666666666666666, 0.25, 0.20833333333333331,
+                0.22916666666666666, 0.21875, 0.21354166666666666]),
+    ])
+    def test_unknown_probe_sequence(self, monkeypatch, tail_mass, probes):
+        seen = []
+
+        def build(*args):
+            seen.append(args[4])  # zeta
+            return build_unknown_plan(*args)
+
+        monkeypatch.setattr(calibrate, "build_unknown_plan", build)
+        res = calibrate_unknown(
+            0.05, 0.05, 0.5, rho=1.0, tau=3, zeta_tol=1e-2, tail_mass=tail_mass, cell_budget=4
+        )
+        assert list(map(repr, seen)) == list(map(repr, probes))
+        assert res.iterations == len(probes)
+
+    def test_anchor_equal_to_zeta_hi_probes_once(self, monkeypatch):
+        seen = []
+
+        def build(*args):
+            seen.append(args[5])  # zeta
+            return build_known_plan(*args)
+
+        monkeypatch.setattr(calibrate, "build_known_plan", build)
+        assert calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=1).zeta == 1.0
+        assert seen == [1.0]

@@ -1,9 +1,13 @@
 """CLI subcommands: flags, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import seqnorm
 from seqnorm.cli import main
 from seqnorm.runner import load_plan, plan_to_dict
 
@@ -345,6 +349,7 @@ class TestErrorHandling:
     def test_simulate_plan_whose_final_stage_does_not_close(
         self, known_plan_file, tmp_path, capsys
     ):
+        # the design does not build these stages, so the plan is refused on load
         def open_final_stage(data):
             data["stages"][-1].update(a=-1.0, b=1.0)
 
@@ -354,7 +359,41 @@ class TestErrorHandling:
         ], capsys)
         assert code == 1
         assert out == ""
-        assert err == "simulate: final stage failed to decide; plan invariant broken\n"
+        assert err == (
+            "simulate: cannot read plan: the stored stages field does not match the plan's design\n"
+        )
+
+    def test_run_on_plan_with_edited_thresholds(self, known_plan_file, tmp_path, capsys):
+        # stage-1 thresholds lowered to -3 with certified kept: earlier
+        # versions ran this plan and rejected at stage 1 on data with mean 0.1
+        def lower_first_stage(data):
+            assert data["certified"] is True
+            data["stages"][0].update(a=-3.0, b=-3.0)
+
+        plan = write_edited_plan(known_plan_file, tmp_path / "p.json", lower_first_stage)
+        n1 = load_plan(known_plan_file).sizes[0]
+        data = tmp_path / "data.csv"
+        data.write_text("0.1\n" * n1)
+        session = tmp_path / "session.json"
+        code, out, err = run_cli(
+            ["run", str(plan), "--session", str(session), "--data", str(data)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "run: cannot read plan: the stored stages field does not match the plan's design\n"
+        )
+        assert not session.exists()
+
+    def test_design_with_epsilon_too_small_for_finite_sizes(self, tmp_path, capsys):
+        out = tmp_path / "plan.json"
+        code, stdout, err = run_cli([
+            "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "1e-200", "--gamma", "0", "--sigma", "1", "--zeta", "0.5",
+            "--out", str(out),
+        ], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "design: epsilon must be large enough for finite stage sizes, got 1e-200\n"
+        assert not out.exists()
 
     def test_asn_nan_theta(self, known_plan_file, capsys):
         code, out, err = run_cli(["asn", str(known_plan_file), "--theta", "nan"], capsys)
@@ -392,3 +431,42 @@ class TestIndifferenceBoundary:
         plan = load_plan(path)
         lo, hi = plan.oc_bounds(0.5)
         assert [float(x) for x in rows[4]] == [0.5, lo, hi]
+
+
+class TestClippedSizes:
+    """A plan whose stage sizes were clipped to 2 loads without a warning."""
+
+    CLIP = "RuntimeWarning: stage sizes below 2 were clipped to 2"
+
+    def cli(self, *args, cwd):
+        # a fresh interpreter, so warnings reach stderr as they would for a user
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqnorm.__file__)))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqnorm.cli", *args],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_loading_prints_nothing(self, tmp_path):
+        code, _, err = self.cli(
+            "design", "--kind", "unknown", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "2", "--gamma", "0", "--rho", "1", "--tau", "5", "--zeta", "0.9",
+            "--cell-budget", "8", "--out", "plan.json", cwd=tmp_path,
+        )
+        assert code == 0
+        assert err.count(self.CLIP) == 2  # the build, and the mirror plan's build
+        code, _, err = self.cli("asn", "plan.json", "--theta", "0.5", cwd=tmp_path)
+        assert (code, err) == (0, "")
+        (tmp_path / "data.csv").write_text("0.1\n0.2\n0.3\n")
+        code, out, err = self.cli(
+            "run", "plan.json", "--session", "s.json", "--data", "data.csv", cwd=tmp_path
+        )
+        assert (code, out, err) == (4, "NeedMore 1\n", "")
+        # oc builds the mirror plan itself, which warns as it always has
+        code, _, err = self.cli(
+            "oc", "plan.json", "--theta-min", "-3", "--theta-max", "3", "--points", "4",
+            "--cell-budget", "8", cwd=tmp_path,
+        )
+        assert code == 0
+        assert err.count(self.CLIP) == 1 and "plan_unknown.py" in err

@@ -3,8 +3,10 @@ the CLI's error handling.  Every command exits 1 or 2 with one stderr line
 naming the command, and no exception escapes.
 
 Mutations change a field's JSON type, put a non-finite real where a real
-belongs, or put in a value the format rules out.  Each one is invalid, so
-no command may succeed on the mutated file.
+belongs, or put in a value the format rules out.  Derived edits keep every
+type but change what the design builds: a stage threshold or size,
+theta_star, or the number of stages.  Each one is invalid, so no command
+may succeed on the mutated file.
 """
 
 import contextlib
@@ -17,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqnorm.cli import main
+from seqnorm.errors import SessionFormatError
 from seqnorm.plan_known import build_known_plan
 from seqnorm.plan_unknown import build_unknown_plan
-from seqnorm.runner import feed, new_session, plan_to_dict, session_to_dict
+from seqnorm.runner import feed, new_session, plan_to_dict, session_from_dict, session_to_dict
 
 PLANS = {
     "known": build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, 1 / 3, 1.0, 3).with_certified(True),
@@ -98,6 +101,28 @@ def mutations(draw):
     return name, path, doc
 
 
+@st.composite
+def derived_edits(draw):
+    """A well-typed edit of a field the plan's design determines."""
+    name = draw(st.sampled_from(sorted(DOCS)))
+    doc = json.loads(json.dumps(DOCS[name]))
+    plan = doc["plan"] if name.startswith("session.") else doc
+    stages = plan["stages"]
+    index = draw(st.integers(0, len(stages) - 1))
+    edit = draw(st.sampled_from(["a", "b", "n", "theta_star", "append", "drop"]))
+    if edit in ("a", "b"):
+        stages[index][edit] += draw(st.sampled_from([-0.5, 0.5]))
+    elif edit == "n":
+        stages[index]["n"] += 1
+    elif edit == "theta_star":
+        plan["theta_star"] += draw(st.sampled_from([-0.1, 0.1]))
+    elif edit == "append":
+        stages.append(dict(stages[-1], n=stages[-1]["n"] + 1))
+    else:
+        del stages[index]
+    return name, (edit, index), doc
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("mutation")
@@ -114,10 +139,8 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=40, deadline=None)
-@given(mutations())
-def test_mutated_file_fails_with_one_line(workdir, mutation):
-    name, path, doc = mutation
+def _assert_every_command_fails(workdir, name, path, doc, session_plans=()):
+    """session_plans: plan files to run a mutated session against, besides its own kind's."""
     role, kind = name.split(".")
     mutated = workdir / "mutated.json"
     mutated.write_text(json.dumps(doc))
@@ -133,9 +156,32 @@ def test_mutated_file_fails_with_one_line(workdir, mutation):
             ["run", mutated, "--session", session, "--data", data],
         ]
     else:
-        commands = [["run", workdir / f"{kind}.json", "--session", mutated, "--data", data]]
+        plans = [workdir / f"{kind}.json", *session_plans]
+        commands = [["run", plan, "--session", mutated, "--data", data] for plan in plans]
     for argv in commands:
         code, out, err = _run(argv)
         assert code in (1, 2), (path, argv[0], code, err)
         assert out == ""
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutations())
+def test_mutated_file_fails_with_one_line(workdir, mutation):
+    _assert_every_command_fails(workdir, *mutation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(derived_edits())
+def test_derived_edit_fails_with_one_line(workdir, mutation):
+    name, path, doc = mutation
+    session_plans = []
+    if name.startswith("session."):
+        with pytest.raises(SessionFormatError, match="does not match the plan's design"):
+            session_from_dict(doc)
+        # a plan file with the same edit agrees with the session's plan, so
+        # only the load-time checks can refuse this run
+        edited = workdir / "edited.plan.json"
+        edited.write_text(json.dumps(doc["plan"]))
+        session_plans.append(edited)
+    _assert_every_command_fails(workdir, name, path, doc, session_plans)

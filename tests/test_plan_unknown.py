@@ -244,6 +244,47 @@ class TestPartitionCells:
         # equal gaps: the lowest-index cell splits first
         assert refined[0].y_hi == 0.5 or refined[0].z_hi == 0.5
 
+    def test_refine_matches_widest_gap_scan(self, monkeypatch, unknown_plan):
+        # the widest cell comes off a heap; the old linear scan is the reference
+        def scan(cells, budget, evaluate, spans):
+            cells = list(cells)
+            while len(cells) < budget:
+                best = max(range(len(cells)), key=lambda i: (cells[i].gap, -i))
+                cell = cells[best]
+                ny = (cell.y_hi - cell.y_lo) / spans[0] if spans[0] > 0.0 else 0.0
+                nz = (cell.z_hi - cell.z_lo) / spans[1] if spans[1] > 0.0 else 0.0
+                if ny <= 0.0 and nz <= 0.0:
+                    break
+                if ny >= nz:
+                    mid = 0.5 * (cell.y_lo + cell.y_hi)
+                    geoms = [(cell.y_lo, mid, cell.z_lo, cell.z_hi),
+                             (mid, cell.y_hi, cell.z_lo, cell.z_hi)]
+                else:
+                    mid = 0.5 * (cell.z_lo + cell.z_hi)
+                    geoms = [(cell.y_lo, cell.y_hi, cell.z_lo, mid),
+                             (cell.y_lo, cell.y_hi, mid, cell.z_hi)]
+                lo, hi = (PartitionCell(*g, *evaluate(*g)) for g in geoms)
+                cells[best] = lo
+                cells.append(hi)
+            return cells
+
+        pairs = []
+
+        def both(cells, budget, evaluate, spans):
+            got = refine_partition(cells, budget, evaluate, spans)
+            pairs.append((got, scan(cells, budget, evaluate, spans)))
+            return got
+
+        monkeypatch.setattr(plan_unknown, "refine_partition", both)
+        for plan in (unknown_plan, unknown_plan.mirror()):
+            s = plan.num_stages
+            for ell in range(2, s + 1):
+                stage_term_cells(-plan.epsilon, plan, ell, 1e-4 / (s - 1), 256)
+        assert len(pairs) == 2 * (unknown_plan.num_stages - 1)
+        for got, ref in pairs:
+            assert len(got) == 256
+            assert list(map(repr, got)) == list(map(repr, ref))
+
     def test_refine_budget_below_count_warns(self):
         cells = [PartitionCell(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)] * 3
         with pytest.warns(RuntimeWarning):

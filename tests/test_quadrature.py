@@ -136,6 +136,28 @@ def test_step_integrand_bisects_until_max_panels():
     assert integrate(f, -1.0, 1.0, max_panels=40) == value
 
 
+ULP = 2.0**-52  # float spacing just above 1.0
+
+
+def test_unsplittable_panels_still_return():
+    # every panel ends up one ulp wide while the summed error stays far
+    # above tol; such panels are set aside, so the loop runs out of work
+    f = lambda x: 1e300 * np.sin(1e20 * x)
+    assert math.isfinite(integrate(f, 1.0, 1.0 + 2 * ULP))
+
+
+@pytest.mark.parametrize("initial_panels", [1, 8])
+def test_set_aside_panels_match_reference(initial_panels):
+    # the noisy left half bisects down to one-ulp panels that are set aside;
+    # the quiet right half is then split until max_panels, as in the reference
+    quiet_from = 1.0 + 64 * ULP
+    f = lambda x: np.where(x < quiet_from, 1e300 * np.sin(1e20 * x), 0.0)
+    kwargs = dict(initial_panels=initial_panels, max_panels=100)
+    got = integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
+    ref, _ = reference_integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
+    assert repr(got) == repr(ref)
+
+
 def test_accuracy_and_orientation():
     assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-13)
     assert integrate(np.cos, 1.0, -2.0) == -integrate(np.cos, -2.0, 1.0)

@@ -118,6 +118,8 @@ class TestPlanFieldValues:
         ("zeta", 5, ["asn", "--theta", "0.5"]),
         # earlier versions let design --zeta 1.5 write such a plan
         ("zeta", 1.5, ["oc", "--theta-min", "-1", "--theta-max", "1", "--points", "3"]),
+        # (z_a + z_b)^2 / (4 epsilon^2) overflows: no stage sizes exist
+        ("epsilon", 1e-200, ["asn", "--theta", "0.5"]),
     ])
     def test_out_of_range_value_is_format_error(self, tmp_path, key, value, command):
         data = dict(plan_to_dict(make_plan()), **{key: value})

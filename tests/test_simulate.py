@@ -1,14 +1,15 @@
 """Monte Carlo oracles: determinism, chunk invariance, decomposition check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import seqnorm.simulate as sim
-from seqnorm.errors import DomainError
+from seqnorm.errors import DomainError, SeqnormError
 from seqnorm.geometry import ConeRegion, HyperbolaConeRegion
-from seqnorm.plan_known import build_known_plan
+from seqnorm.plan_known import Stage, build_known_plan
 from seqnorm.simulate import (
     grid_domain_prob,
     sample_decomposition_check,
@@ -58,6 +59,13 @@ class TestSimulatePlan:
             simulate_plan(PLAN, mu=0.0, sigma=0.0, replications=10, seed=1)
         with pytest.raises(DomainError):
             simulate_plan(PLAN, mu=0.0, sigma=1.0, replications=0, seed=1)
+
+    def test_final_stage_that_does_not_close_is_an_error(self):
+        # plan files cannot carry such a stage; a hand-built plan can
+        last = PLAN.stages[-1]
+        open_plan = replace(PLAN, stages=PLAN.stages[:-1] + (Stage(n=last.n, a=-1.0, b=1.0),))
+        with pytest.raises(SeqnormError, match="final stage failed to decide"):
+            simulate_plan(open_plan, mu=0.0, sigma=1.0, replications=1000, seed=1)
 
     def test_matches_known_single_stage_probability(self):
         single = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1.0, rho=0.01, tau=2)
