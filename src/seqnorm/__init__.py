@@ -34,10 +34,7 @@ from .plan_known import (
     Stage,
     build_known_plan,
     decide_stage,
-    mirror_known_plan,
     oc_upper_phi,
-    sample_tail_known,
-    statistic_known,
 )
 from .plan_unknown import (
     PartitionCell,
@@ -47,8 +44,6 @@ from .plan_unknown import (
     mirror_unknown_plan,
     oc_upper_P,
     refine_partition,
-    sample_tail_unknown,
-    statistic_unknown,
 )
 from .runner import (
     HistoryEntry,

@@ -16,9 +16,9 @@ total boundary-crossing rate there, which is what calibration pins to the
 error budget.
 
 ``Plan`` holds what both variance cases share: the design fields, the
-stage ladder, the OC bounds and the certificate.  ``KnownVarPlan`` here and
-``UnknownVarPlan`` in plan_unknown add the statistic, the envelope and the
-mirror plan.
+stage ladder, the mirror plan, the OC bounds and the certificate.
+``KnownVarPlan`` here and ``UnknownVarPlan`` in plan_unknown add the
+statistic, the envelope and the sample-number tails.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class Plan:
 
     A subclass supplies ``statistic(samples, n)``, the vectorized
     ``stage_statistics(shifted, sigma)``, ``envelope(theta, tail_mass,
-    cell_budget) -> (lo, hi)`` bracketing the rejection envelope,
-    ``mirror()`` (alpha and beta swapped) and ``sample_tail(ell, theta)``.
+    cell_budget) -> (lo, hi)`` bracketing the rejection envelope and
+    ``sample_tail(ell, theta)``.
     """
 
     alpha: float
@@ -117,6 +117,23 @@ class Plan:
 
     def with_certified(self, certified: bool) -> "Plan":
         return replace(self, certified=certified)
+
+    def mirror(self) -> "Plan":
+        """The plan build_known_plan or build_unknown_plan makes with alpha and beta swapped.
+
+        Swapping them keeps every stage size; thresholds negate and
+        exchange, and theta* negates, which is what the acceptance-side
+        bound evaluates.  ``0.0 - x`` keeps the +0.0 those functions give
+        where a threshold is zero (``-x`` would give -0.0).
+        """
+        return replace(
+            self,
+            alpha=self.beta,
+            beta=self.alpha,
+            theta_star=0.0 - self.theta_star,
+            stages=tuple(Stage(n=s.n, a=0.0 - s.b, b=0.0 - s.a) for s in self.stages),
+            certified=False,
+        )
 
     def oc_bounds(
         self,
@@ -163,7 +180,17 @@ class KnownVarPlan(Plan):
     kind = "known"
 
     def statistic(self, samples: Sequence[float], n: int) -> float:
-        return statistic_known(samples, n, self.gamma, self.sigma)
+        """sqrt(n) * (mean of the first n samples - gamma) / sigma."""
+        if self.sigma <= 0.0:
+            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        if n < 1:
+            raise DomainError(f"n must be >= 1, got {n}")
+        if len(samples) < n:
+            raise InsufficientDataError(
+                f"statistic needs {n} samples, only {len(samples)} supplied"
+            )
+        mean = math.fsum(samples[:n]) / n
+        return math.sqrt(n) * (mean - self.gamma) / self.sigma
 
     def stage_statistics(self, shifted: np.ndarray, sigma: float) -> np.ndarray:
         """z-statistics of every stage, replicates in rows, stages in columns.
@@ -184,11 +211,12 @@ class KnownVarPlan(Plan):
         phi = oc_upper_phi(theta, self)
         return phi, phi
 
-    def mirror(self) -> "KnownVarPlan":
-        return mirror_known_plan(self)
-
     def sample_tail(self, ell: int, theta: float) -> float:
-        return sample_tail_known(ell, theta, self)
+        """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
+        stage = _continue_stage(ell, theta, self)
+        root = math.sqrt(stage.n) * theta
+        value = std_normal_cdf(stage.b - root) - std_normal_cdf(stage.a - root)
+        return max(0.0, value)
 
 
 def build_known_plan(
@@ -244,24 +272,6 @@ def build_known_plan(
     )
 
 
-def mirror_known_plan(plan: KnownVarPlan) -> KnownVarPlan:
-    """Rebuild the plan with the roles of alpha and beta swapped.
-
-    Stage sizes are unchanged by the swap; thresholds negate and exchange,
-    which is what the acceptance-side bound evaluates.
-    """
-    return build_known_plan(
-        alpha=plan.beta,
-        beta=plan.alpha,
-        epsilon=plan.epsilon,
-        gamma=plan.gamma,
-        sigma=plan.sigma,
-        zeta=plan.zeta,
-        rho=plan.rho,
-        tau=plan.tau,
-    )
-
-
 def decide_stage(statistic: float, stage: Stage) -> Decision:
     """Accept at or below a, reject strictly above b, continue between."""
     if statistic <= stage.a:
@@ -269,22 +279,6 @@ def decide_stage(statistic: float, stage: Stage) -> Decision:
     if statistic > stage.b:
         return Decision.REJECT
     return Decision.CONTINUE
-
-
-def statistic_known(
-    samples: Sequence[float], n: int, gamma: float, sigma: float
-) -> float:
-    """sqrt(n) * (mean of the first n samples - gamma) / sigma."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if len(samples) < n:
-        raise InsufficientDataError(
-            f"statistic needs {n} samples, only {len(samples)} supplied"
-        )
-    mean = math.fsum(samples[:n]) / n
-    return math.sqrt(n) * (mean - gamma) / sigma
 
 
 def _phi_terms(theta: float, stages: Sequence[Stage]):
@@ -325,11 +319,3 @@ def _continue_stage(ell: int, theta: float, plan: Plan) -> Stage:
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}")
     return plan.stages[ell - 1]
-
-
-def sample_tail_known(ell: int, theta: float, plan: KnownVarPlan) -> float:
-    """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
-    stage = _continue_stage(ell, theta, plan)
-    root = math.sqrt(stage.n) * theta
-    value = std_normal_cdf(stage.b - root) - std_normal_cdf(stage.a - root)
-    return max(0.0, value)

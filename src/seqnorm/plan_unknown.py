@@ -50,13 +50,21 @@ _SIZE_SEARCH_LIMIT = 10**7
 class UnknownVarPlan(Plan):
     kind = "unknown"
 
-    @property
-    def n_star(self) -> int:
-        """Smallest size at which the thresholds meet: the final stage size."""
-        return self.stages[-1].n
-
     def statistic(self, samples: Sequence[float], n: int) -> float:
-        return statistic_unknown(samples, n, self.gamma)
+        """t-statistic sqrt(n) (mean - gamma) / sd over the first n samples."""
+        if n < 2:
+            raise DomainError(f"n must be >= 2 for a sample deviation, got {n}")
+        if len(samples) < n:
+            raise InsufficientDataError(
+                f"statistic needs {n} samples, only {len(samples)} supplied"
+            )
+        window = samples[:n]
+        mean = math.fsum(window) / n
+        ss = math.fsum((x - mean) ** 2 for x in window)
+        if ss <= 0.0:
+            raise DegenerateSampleError("all samples equal; sample deviation is zero")
+        sd = math.sqrt(ss / (n - 1))
+        return math.sqrt(n) * (mean - self.gamma) / sd
 
     def stage_statistics(self, shifted: np.ndarray, sigma: float) -> np.ndarray:
         """t-statistics of every stage, replicates in rows, stages in columns.
@@ -92,11 +100,9 @@ class UnknownVarPlan(Plan):
         """Certified bracket of the rejection envelope (see oc_upper_P)."""
         return oc_upper_P(theta, self, tail_mass, cell_budget)
 
-    def mirror(self) -> "UnknownVarPlan":
-        return mirror_unknown_plan(self)
-
     def sample_tail(self, ell: int, theta: float) -> float:
-        return sample_tail_unknown(ell, theta, self)
+        """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
+        return _continue_band_prob(theta, _continue_stage(ell, theta, self))
 
 
 def min_stage_size(alpha: float, beta: float, epsilon: float, zeta: float) -> int:
@@ -194,34 +200,8 @@ def build_unknown_plan(
     )
 
 
-def mirror_unknown_plan(plan: UnknownVarPlan) -> UnknownVarPlan:
-    """Rebuild the plan with the roles of alpha and beta swapped."""
-    return build_unknown_plan(
-        alpha=plan.beta,
-        beta=plan.alpha,
-        epsilon=plan.epsilon,
-        gamma=plan.gamma,
-        zeta=plan.zeta,
-        rho=plan.rho,
-        tau=plan.tau,
-    )
-
-
-def statistic_unknown(samples: Sequence[float], n: int, gamma: float) -> float:
-    """t-statistic sqrt(n) (mean - gamma) / sd over the first n samples."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2 for a sample deviation, got {n}")
-    if len(samples) < n:
-        raise InsufficientDataError(
-            f"statistic needs {n} samples, only {len(samples)} supplied"
-        )
-    window = samples[:n]
-    mean = math.fsum(window) / n
-    ss = math.fsum((x - mean) ** 2 for x in window)
-    if ss <= 0.0:
-        raise DegenerateSampleError("all samples equal; sample deviation is zero")
-    sd = math.sqrt(ss / (n - 1))
-    return math.sqrt(n) * (mean - gamma) / sd
+# perfbench calls the mirror by this module-level name
+mirror_unknown_plan = UnknownVarPlan.mirror
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +468,3 @@ def oc_upper_P(
         upper += term_hi
 
     return lower, upper
-
-
-def sample_tail_unknown(ell: int, theta: float, plan: UnknownVarPlan) -> float:
-    """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
-    return _continue_band_prob(theta, _continue_stage(ell, theta, plan))

@@ -121,6 +121,10 @@ def integrate(
         heapq.heappush(heap, (-e2, order, mid, hi, v2))
         order += 1
 
-    # recompute the sum in deterministic (position) order for bit stability
-    total = float(sum(item[4] for item in sorted(heap + aside, key=lambda t: t[2])))
+    # recompute the sum in deterministic (position) order for bit stability;
+    # the built-in sum compensates rounding from Python 3.12 on, a plain
+    # left-to-right loop gives the same bits on every interpreter
+    total = 0.0
+    for item in sorted(heap + aside, key=lambda t: t[2]):
+        total += item[4]
     return sign * total

@@ -4,15 +4,12 @@ and the sample-decomposition identity check.
 Every stochastic routine draws from a counter-based uniform stream (Philox)
 pushed through the inverse normal CDF.  Replicate r owns a fixed window of
 the stream, so results are bit-identical no matter how the replicate range
-is chunked; chunk tallies merge in index order.  The environment variable
-SEQNORM_THREADS caps the worker threads used for chunk evaluation.
+is chunked; chunk tallies merge in index order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +20,6 @@ from .errors import DomainError, SeqnormError
 
 _CHUNK = 1 << 15
 _U_FLOOR = 2.0 ** -64  # inverse-CDF guard: random() can emit exactly 0
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("SEQNORM_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, cap)
 
 
 def _uniform_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarray:
@@ -54,14 +42,6 @@ def _normal_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarra
 
 def _words_per_replicate(n: int) -> int:
     return 4 * ((n + 3) // 4)
-
-
-def _map_chunks(worker, chunks):
-    cap = thread_cap()
-    if cap <= 1 or len(chunks) <= 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(worker, chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +84,8 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise DomainError(f"mu and sigma must be finite, got {mu} and {sigma}")
+    if not (0 <= seed < 2**128):
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     n_max = plan.sizes[-1]
     width = _words_per_replicate(n_max)
     a = np.array([st.a for st in plan.stages])
@@ -116,7 +98,7 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
         return tally(plan.stage_statistics(shift + sigma * z, sigma), a, b)
 
     chunks = [(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
-    return _map_chunks(worker, chunks)
+    return [worker(c) for c in chunks]
 
 
 def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -> SimReport:
@@ -251,7 +233,7 @@ def mc_domain_prob_many(regions, draws: int, seed: int) -> list[tuple[float, flo
 
     chunks = [(lo, min(lo + _CHUNK * 8, draws)) for lo in range(0, draws, _CHUNK * 8)]
     hits = [0] * len(regions)
-    for part in _map_chunks(worker, chunks):
+    for part in map(worker, chunks):
         for i, count in enumerate(part):
             hits[i] += count
     out = []

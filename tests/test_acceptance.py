@@ -17,10 +17,9 @@ from seqnorm.geometry import (
     cone_prob,
     hyperbola_cone_prob,
 )
-from seqnorm.plan_known import mirror_known_plan, oc_upper_phi, sample_tail_known
+from seqnorm.plan_known import oc_upper_phi
 from seqnorm.plan_unknown import (
     oc_upper_P,
-    sample_tail_unknown,
     stage_term_cells,
 )
 from seqnorm.runner import load_plan
@@ -238,7 +237,7 @@ def test_criterion_05_known_certification(known_plan, known_calibration):
     assert abs(phi_val - ts.reject_sum) <= 4 * ts.reject_se
     assert at_mu0.reject_rate <= phi_val + 4 * at_mu0.mc_se
     # mirror identity on the acceptance side
-    phi_mirror = oc_upper_phi(-0.5, mirror_known_plan(plan))
+    phi_mirror = oc_upper_phi(-0.5, plan.mirror())
     ts1 = mc_transition_sums(plan, mu=+0.5, sigma=1.0, replications=reps, seed=1004)
     assert abs(phi_mirror - ts1.accept_sum) <= 4 * ts1.accept_se
 
@@ -281,10 +280,7 @@ def test_criterion_08_asn_bounds(known_plan, unknown_plan):
             stopped_by = np.cumsum(rep.stage_histogram)
             for ell in range(1, plan.num_stages):
                 continue_freq = 1.0 - stopped_by[ell - 1] / reps
-                if plan.kind == "known":
-                    bound = sample_tail_known(ell, theta, plan)
-                else:
-                    bound = sample_tail_unknown(ell, theta, plan)
+                bound = plan.sample_tail(ell, theta)
                 se = math.sqrt(max(continue_freq * (1 - continue_freq), 1e-12) / reps)
                 assert continue_freq <= bound + 4 * se, (plan.kind, theta, ell)
 

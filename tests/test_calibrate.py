@@ -5,8 +5,8 @@ import pytest
 from seqnorm import calibrate
 from seqnorm.calibrate import calibrate_known, calibrate_unknown
 from seqnorm.errors import DomainError
-from seqnorm.plan_known import build_known_plan, mirror_known_plan, oc_upper_phi
-from seqnorm.plan_unknown import build_unknown_plan, mirror_unknown_plan, oc_upper_P
+from seqnorm.plan_known import build_known_plan, oc_upper_phi
+from seqnorm.plan_unknown import build_unknown_plan, oc_upper_P
 
 DESIGN = dict(alpha=0.05, beta=0.05, epsilon=0.5, rho=1.0, tau=3)
 
@@ -33,7 +33,7 @@ class TestKnown:
                 0.05, 0.05, 0.5, 0.0, 1.0, probe_zeta, 1.0, 3
             )
             a_bound = oc_upper_phi(-0.5, plan)
-            b_bound = oc_upper_phi(-0.5, mirror_known_plan(plan))
+            b_bound = oc_upper_phi(-0.5, plan.mirror())
             assert a_bound > 0.05 or b_bound > 0.05
         else:
             assert res.zeta == zeta_hi
@@ -79,7 +79,7 @@ class TestUnknown:
         plan = build_unknown_plan(0.05, 0.05, 0.5, 0.0, res.zeta, 1.0, 3)
         _, hi_more = oc_upper_P(-0.5, plan, tail_mass=1e-4, cell_budget=512)
         _, hi_mirror = oc_upper_P(
-            -0.5, mirror_unknown_plan(plan), tail_mass=1e-4, cell_budget=512
+            -0.5, plan.mirror(), tail_mass=1e-4, cell_budget=512
         )
         assert hi_more <= res.phi_at_theta0 + 1e-12
         assert hi_more <= 0.05

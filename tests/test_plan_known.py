@@ -1,9 +1,12 @@
 """Known-variance plan construction, decisions, and bound evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqnorm.errors import DomainError, InsufficientDataError
 from seqnorm.plan_known import (
@@ -11,11 +14,10 @@ from seqnorm.plan_known import (
     Stage,
     build_known_plan,
     decide_stage,
-    mirror_known_plan,
     oc_upper_phi,
-    sample_tail_known,
-    statistic_known,
 )
+from seqnorm.plan_unknown import build_unknown_plan
+from seqnorm.runner import _json_equal, plan_to_dict
 from seqnorm.special import std_normal_cdf, std_normal_critical
 
 
@@ -87,11 +89,51 @@ class TestBuild:
 
     def test_mirror_swaps_thresholds(self):
         plan = build_known_plan(0.03, 0.09, 0.5, 0.0, 1.0, zeta=0.3, rho=1.0, tau=3)
-        mirrored = mirror_known_plan(plan)
+        mirrored = plan.mirror()
         assert mirrored.sizes == plan.sizes
         for s, m in zip(plan.stages, mirrored.stages):
             assert m.a == pytest.approx(-s.b, abs=1e-12)
             assert m.b == pytest.approx(-s.a, abs=1e-12)
+
+
+def build(kind, alpha, beta, epsilon, gamma, sigma, zeta, rho, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # clipped unknown sizes
+        if kind == "known":
+            return build_known_plan(alpha, beta, epsilon, gamma, sigma, zeta, rho, tau)
+        return build_unknown_plan(alpha, beta, epsilon, gamma, zeta, rho, tau)
+
+
+probabilities = st.floats(0.005, 0.4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["known", "unknown"]),
+    alpha=probabilities,
+    beta=st.none() | probabilities,
+    epsilon=st.floats(0.3, 3.0),
+    gamma=st.floats(-5.0, 5.0),
+    sigma=st.floats(0.1, 5.0),
+    zeta=st.floats(0.05, 1.0),
+    rho=st.floats(0.1, 8.0),
+    tau=st.integers(1, 8),
+    certified=st.booleans(),
+)
+@example("known", 0.05, None, 0.5, 0.0, 1.0, 1 / 3, 1.0, 3, True)  # alpha == beta
+@example("unknown", 0.05, None, 2.0, 0.0, 1.0, 0.9, 1.0, 5, True)  # sizes clipped to 2
+def test_mirror_is_the_swapped_build(
+    kind, alpha, beta, epsilon, gamma, sigma, zeta, rho, tau, certified
+):
+    # None draws alpha == beta, whose zero final thresholds must stay +0.0
+    beta = alpha if beta is None else beta
+    plan = build(kind, alpha, beta, epsilon, gamma, sigma, zeta, rho, tau)
+    plan = plan.with_certified(certified)
+    swapped = build(kind, beta, alpha, epsilon, gamma, sigma, zeta, rho, tau)
+    mirrored = plan.mirror()
+    assert repr(mirrored) == repr(swapped)
+    assert _json_equal(plan_to_dict(mirrored), plan_to_dict(swapped))
+    assert repr(mirrored.mirror()) == repr(plan.with_certified(False))
 
 
 class TestDecide:
@@ -111,6 +153,11 @@ class TestDecide:
         stage = Stage(n=9, a=0.25, b=0.25)
         for t in (-1.0, 0.25, 0.2500001, 3.0):
             assert decide_stage(t, stage) != Decision.CONTINUE
+
+
+def statistic_known(samples, n, gamma, sigma):
+    plan = build_known_plan(0.05, 0.05, 0.5, gamma, sigma, zeta=1 / 3, rho=1.0, tau=3)
+    return plan.statistic(samples, n)
 
 
 class TestStatistic:
@@ -148,7 +195,7 @@ class TestEnvelope:
 
     def test_symmetric_design_mirrors(self):
         plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1 / 3, rho=1.0, tau=3)
-        mirrored = mirror_known_plan(plan)
+        mirrored = plan.mirror()
         for theta in (-2.0, -0.5, -0.6):
             assert oc_upper_phi(theta, plan) == pytest.approx(
                 oc_upper_phi(theta, mirrored), abs=1e-12
@@ -165,7 +212,7 @@ class TestBounds:
         assert self.PLAN.envelope(-0.7) == (phi, phi)
         assert self.PLAN.certify() == (
             oc_upper_phi(-0.5, self.PLAN),
-            oc_upper_phi(-0.5, mirror_known_plan(self.PLAN)),
+            oc_upper_phi(-0.5, self.PLAN.mirror()),
         )
 
     def test_far_field_lower(self):
@@ -214,17 +261,17 @@ class TestSampleTail:
         for theta in (-0.5, 0.0, 0.7):
             root = math.sqrt(stage.n) * theta
             expected = std_normal_cdf(stage.b - root) - std_normal_cdf(stage.a - root)
-            assert sample_tail_known(1, theta, self.PLAN) == pytest.approx(expected)
+            assert self.PLAN.sample_tail(1, theta) == pytest.approx(expected)
 
     def test_coincident_thresholds_give_zero(self):
         plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1.0, rho=3.0, tau=3)
         # find a stage (if any) with a == b; otherwise synthesize via theta far out
-        assert sample_tail_known(1, 80.0, plan) <= 1e-12
-        assert sample_tail_known(1, -80.0, plan) <= 1e-12
+        assert plan.sample_tail(1, 80.0) <= 1e-12
+        assert plan.sample_tail(1, -80.0) <= 1e-12
 
     def test_final_stage_rejected(self):
         s = self.PLAN.num_stages
         with pytest.raises(DomainError):
-            sample_tail_known(s, 0.0, self.PLAN)
+            self.PLAN.sample_tail(s, 0.0)
         with pytest.raises(DomainError):
-            sample_tail_known(0, 0.0, self.PLAN)
+            self.PLAN.sample_tail(0, 0.0)

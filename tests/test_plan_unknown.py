@@ -14,9 +14,7 @@ from seqnorm.plan_unknown import (
     mirror_unknown_plan,
     oc_upper_P,
     refine_partition,
-    sample_tail_unknown,
     stage_term_cells,
-    statistic_unknown,
 )
 from seqnorm.simulate import mc_transition_sums
 from seqnorm.special import chi_square_cdf, noncentral_t_cdf, student_t_critical
@@ -68,7 +66,7 @@ class TestMinStageSize:
 class TestBuild:
     def test_pinned_ladder(self):
         plan = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=1.0, rho=1.0, tau=3)
-        assert plan.n_star == 14
+        assert plan.sizes[-1] == 14
         assert plan.sizes == (4, 7, 14)
 
     def test_single_stage(self):
@@ -97,11 +95,16 @@ class TestBuild:
 
     def test_mirror_swaps(self):
         plan = build_unknown_plan(0.2, 0.02, 0.5, 0.0, zeta=0.4, rho=1.0, tau=3)
-        mirrored = mirror_unknown_plan(plan)
+        mirrored = plan.mirror()
         assert mirrored.sizes == plan.sizes
         for s, m in zip(plan.stages, mirrored.stages):
             assert m.a == pytest.approx(-s.b, abs=1e-12)
             assert m.b == pytest.approx(-s.a, abs=1e-12)
+
+
+def statistic_unknown(samples, n, gamma):
+    plan = build_unknown_plan(0.05, 0.05, 0.5, gamma, zeta=1.0, rho=1.0, tau=3)
+    return plan.statistic(samples, n)
 
 
 class TestStatistic:
@@ -323,17 +326,17 @@ class TestBoundsAndTails:
         expected = noncentral_t_cdf(stage.b, stage.n - 1, ncp) - noncentral_t_cdf(
             stage.a, stage.n - 1, ncp
         )
-        assert sample_tail_unknown(1, theta, self.PLAN) == pytest.approx(expected)
+        assert self.PLAN.sample_tail(1, theta) == pytest.approx(expected)
 
     def test_sample_tail_central_symmetry(self):
         stage = self.PLAN.stages[0]
-        got = sample_tail_unknown(1, 0.0, self.PLAN)
+        got = self.PLAN.sample_tail(1, 0.0)
         via_symmetry = 1.0 - 2.0 * noncentral_t_cdf(-stage.b, stage.n - 1, 0.0)
         assert got == pytest.approx(via_symmetry, abs=1e-9)
 
     def test_sample_tail_index_domain(self):
         with pytest.raises(DomainError):
-            sample_tail_unknown(self.PLAN.num_stages, 0.0, self.PLAN)
+            self.PLAN.sample_tail(self.PLAN.num_stages, 0.0)
 
 
 class TestCornerMemo:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqnorm import quadrature
 from seqnorm.errors import DomainError
 from seqnorm.quadrature import _GAUSS_IDX, _WG, _WK, _XK, _panels, integrate
 
@@ -59,8 +60,10 @@ def reference_integrate(f, a, b, tol=1e-12, initial_panels=8, max_panels=2048):
         order += 1
         heapq.heappush(heap, (-e2, order, mid, hi, v2))
         order += 1
-    total = float(sum(item[4] for item in sorted(heap, key=lambda t: t[2])))
-    return sign * total, bisections
+    total = 0.0
+    for item in sorted(heap, key=lambda t: t[2]):
+        total += item[4]
+    return sign * float(total), bisections
 
 
 def smooth(c0, c1, w, p):
@@ -156,6 +159,27 @@ def test_set_aside_panels_match_reference(initial_panels):
     got = integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
     ref, _ = reference_integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
     assert repr(got) == repr(ref)
+
+
+def compensated_sum(values, start=0):
+    """The float summation of the built-in sum from Python 3.12 on (Neumaier)."""
+    total = start
+    c = 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_total_does_not_depend_on_the_builtin_sum(monkeypatch):
+    # the module sees the compensated sum, as it would on Python 3.12+; on
+    # these limits the compensated panel total differs in its last bits
+    # (1069.1050839605425 against 1069.1050839605412)
+    monkeypatch.setattr(quadrature, "sum", compensated_sum, raising=False)
+    f = lambda x: 1e3 * np.cos(x)
+    ref, _ = reference_integrate(f, -7.0, 9.0)
+    assert repr(integrate(f, -7.0, 9.0)) == repr(ref)
 
 
 def test_accuracy_and_orientation():

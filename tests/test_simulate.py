@@ -48,12 +48,6 @@ class TestSimulatePlan:
         rechunked = simulate_plan(PLAN, mu=-0.3, sigma=1.0, replications=10_000, seed=5)
         assert base == rechunked
 
-    def test_thread_cap_is_resultless(self, monkeypatch):
-        base = simulate_plan(PLAN, mu=-0.3, sigma=1.0, replications=40_000, seed=5)
-        monkeypatch.setenv("SEQNORM_THREADS", "3")
-        threaded = simulate_plan(PLAN, mu=-0.3, sigma=1.0, replications=40_000, seed=5)
-        assert base == threaded
-
     def test_validation(self):
         with pytest.raises(DomainError):
             simulate_plan(PLAN, mu=0.0, sigma=0.0, replications=10, seed=1)
