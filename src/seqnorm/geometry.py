@@ -8,6 +8,11 @@ origin contributes 1 - (1/2pi) * integral of exp(-B(phi)^2/2) over its
 boundary; a domain excluding the origin contributes the signed difference
 of the visible and invisible boundary integrals.
 
+A straight piece at distance d from the origin integrates in closed form:
+on (-pi/2, pi/2) the antiderivative of exp(-d^2 / (2 cos^2 phi)) / (2 pi) is
+Owen's T(d, tan phi) (Owen, Ann. Math. Statist. 27, 1956).  Cone regions need
+no quadrature; only the curved hyperbola arcs use adaptive quadrature.
+
 Two closed-form region families drive the multistage test bounds:
 
 - ``ConeRegion``          {(u, v) : h <= u <= k v + g}
@@ -27,9 +32,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr, owens_t
 
 from .errors import DomainError
 from .quadrature import integrate
@@ -104,20 +111,26 @@ class HyperbolaConeRegion:
 
 
 # ---------------------------------------------------------------------------
-# Integrands
+# Boundary integrals
 # ---------------------------------------------------------------------------
 
 
-def _barrier_exponent(phi: np.ndarray, level: float) -> np.ndarray:
-    """exp(-level^2 / (2 cos^2 phi)) / (2 pi), elementwise, 0 where cos = 0."""
-    if level == 0.0:
-        return np.full_like(phi, _INV_TWO_PI)
-    c2 = np.cos(phi) ** 2
-    out = np.zeros_like(phi)
-    nz = c2 > 0.0
-    with np.errstate(over="ignore", under="ignore"):
-        out[nz] = _INV_TWO_PI * np.exp(-(level * level) / (2.0 * c2[nz]))
-    return out
+def _barrier_integral(level: float, lo: float, hi: float) -> float:
+    """Signed integral of exp(-level^2 / (2 cos^2 phi)) / (2 pi) from lo to hi.
+
+    The integrand has period pi and one period integrates to Phi(-|level|), so
+    F(phi) = m Phi(-|level|) + T(level, tan(phi - m pi)) with m = round(phi / pi).
+    """
+    period = float(ndtr(-abs(level)))
+
+    def antiderivative(phi: float) -> float:
+        m = round(phi / math.pi)
+        # phi - m pi can round past +-pi/2 when phi is an odd multiple of a
+        # quarter turn; the clamp keeps tan on the side m was chosen for
+        x = min(max(phi - m * math.pi, -_HALF_PI), _HALF_PI)
+        return m * period + float(owens_t(level, math.tan(x)))
+
+    return antiderivative(hi) - antiderivative(lo)
 
 
 def _hyperbola_polar_sq_radius(
@@ -177,7 +190,7 @@ def _upsilon_lenient(offset: float, lam: float, h: float) -> Callable[[np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def cone_prob(region: ConeRegion, tol: float = 1e-12) -> float:
+def cone_prob(region: ConeRegion) -> float:
     """Pr{h <= U <= k V + g} by the three-configuration boundary split."""
     h, g, k = region.h, region.g, region.k
     phi_k = math.atan(k)
@@ -190,27 +203,21 @@ def cone_prob(region: ConeRegion, tol: float = 1e-12) -> float:
         # cancels out entirely)
         phi_r = _HALF_PI
 
-    level_line = abs(g) / math.sqrt(1.0 + k * k)
-
-    def psi_h(phi):
-        return _barrier_exponent(phi, h)
-
-    def psi_line(phi):
-        return _barrier_exponent(phi, level_line)
+    d = abs(g) / math.sqrt(1.0 + k * k)
 
     if max(g, h) < 0.0:
-        value = integrate(psi_line, _HALF_PI, math.pi + phi_k + phi_r, tol=tol) - integrate(
-            psi_h, _HALF_PI, math.pi + phi_r, tol=tol
+        value = _barrier_integral(d, _HALF_PI, math.pi + phi_k + phi_r) - _barrier_integral(
+            h, _HALF_PI, math.pi + phi_r
         )
     elif h <= 0.0 <= g:
         value = (
             1.0
-            - integrate(psi_h, _HALF_PI, math.pi + phi_r, tol=tol)
-            - integrate(psi_line, phi_k + phi_r, 1.5 * math.pi, tol=tol)
+            - _barrier_integral(h, _HALF_PI, math.pi + phi_r)
+            - _barrier_integral(d, phi_k + phi_r, 1.5 * math.pi)
         )
     else:
-        value = integrate(psi_h, phi_r, _HALF_PI, tol=tol) - integrate(
-            psi_line, phi_k + phi_r, _HALF_PI, tol=tol
+        value = _barrier_integral(h, phi_r, _HALF_PI) - _barrier_integral(
+            d, phi_k + phi_r, _HALF_PI
         )
     return _clamp_unit(value, slack=1e-7)
 
@@ -339,7 +346,7 @@ def classify_branch(region: HyperbolaConeRegion) -> str:
         return _branch_geometry(region).leaf
 
 
-def hyperbola_cone_prob(region: HyperbolaConeRegion, tol: float = 1e-12) -> float:
+def hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:
     """Pr{(U, V) in region} via the 16-leaf closed-form dispatch."""
     data = _branch_geometry(region)
     if data.leaf == "zero":
@@ -356,87 +363,78 @@ def hyperbola_cone_prob(region: HyperbolaConeRegion, tol: float = 1e-12) -> floa
     phi_lam = data.phi_lam
     phi_m = data.phi_m
 
-    level_line = abs(off + g) / math.sqrt(1.0 + k * k)
-
-    def psi(phi):
-        return _barrier_exponent(phi, level_line)
-
+    line = partial(_barrier_integral, abs(off + g) / math.sqrt(1.0 + k * k))
     ups = _upsilon_lenient(off, lam, h)
     pi = math.pi
 
-    def iv(f, a, b):
-        return integrate(f, a, b, tol=tol)
-
     leaf = data.leaf
     if leaf == "np1":
-        value = iv(ups, pi - phi_a, pi + phi_b) - iv(psi, phi_k - phi_a, phi_k + phi_b)
+        value = integrate(ups, pi - phi_a, pi + phi_b) - line(phi_k - phi_a, phi_k + phi_b)
     elif leaf == "np2":
         value = (
-            iv(ups, pi - phi_a, pi + phi_m)
-            - iv(ups, phi_b, phi_m)
-            - iv(psi, phi_k - phi_a, phi_k + phi_b)
+            integrate(ups, pi - phi_a, pi + phi_m)
+            - integrate(ups, phi_b, phi_m)
+            - line(phi_k - phi_a, phi_k + phi_b)
         )
     elif leaf == "np3":
         value = (
-            iv(ups, pi - phi_m, pi + phi_m)
-            - iv(ups, phi_b, phi_m)
-            - iv(ups, phi_a, phi_m)
-            - iv(psi, phi_k - phi_a, phi_k + phi_b)
+            integrate(ups, pi - phi_m, pi + phi_m)
+            - integrate(ups, phi_b, phi_m)
+            - integrate(ups, phi_a, phi_m)
+            - line(phi_k - phi_a, phi_k + phi_b)
         )
     elif leaf == "np4":
         value = (
             1.0
-            - iv(psi, phi_k - phi_a, phi_k + phi_b)
-            - iv(ups, phi_b, _TWO_PI - phi_a)
+            - line(phi_k - phi_a, phi_k + phi_b)
+            - integrate(ups, phi_b, _TWO_PI - phi_a)
         )
     elif leaf == "np5":
-        value = iv(psi, phi_k + phi_b, phi_k - phi_a + _TWO_PI) - iv(
+        value = line(phi_k + phi_b, phi_k - phi_a + _TWO_PI) - integrate(
             ups, phi_b, _TWO_PI - phi_a
         )
     elif leaf == "pp1":
-        value = iv(ups, pi + phi_a, pi + phi_b) - iv(psi, phi_k + phi_a, phi_k + phi_b)
+        value = integrate(ups, pi + phi_a, pi + phi_b) - line(phi_k + phi_a, phi_k + phi_b)
     elif leaf == "pp2":
         value = (
-            iv(ups, pi + phi_a, pi + phi_m)
-            - iv(ups, phi_b, phi_m)
-            - iv(psi, phi_k + phi_a, phi_k + phi_b)
+            integrate(ups, pi + phi_a, pi + phi_m)
+            - integrate(ups, phi_b, phi_m)
+            - line(phi_k + phi_a, phi_k + phi_b)
         )
     elif leaf == "pp3":
-        value = iv(psi, phi_k + phi_b, phi_k + phi_a) - iv(ups, phi_b, phi_a)
+        value = line(phi_k + phi_b, phi_k + phi_a) - integrate(ups, phi_b, phi_a)
     elif leaf == "n1":
-        value = iv(ups, pi - phi_a, pi + phi_lam) - iv(psi, phi_k - phi_a, _HALF_PI)
+        value = integrate(ups, pi - phi_a, pi + phi_lam) - line(phi_k - phi_a, _HALF_PI)
     elif leaf == "n2":
         value = (
-            iv(ups, pi - phi_a, pi + phi_m)
-            - iv(ups, phi_lam, phi_m)
-            - iv(psi, phi_k - phi_a, _HALF_PI)
+            integrate(ups, pi - phi_a, pi + phi_m)
+            - integrate(ups, phi_lam, phi_m)
+            - line(phi_k - phi_a, _HALF_PI)
         )
     elif leaf == "n3":
         value = (
-            iv(ups, pi - phi_m, pi + phi_m)
-            - iv(ups, phi_lam, phi_m)
-            - iv(ups, phi_a, phi_m)
-            - iv(psi, phi_k - phi_a, _HALF_PI)
+            integrate(ups, pi - phi_m, pi + phi_m)
+            - integrate(ups, phi_lam, phi_m)
+            - integrate(ups, phi_a, phi_m)
+            - line(phi_k - phi_a, _HALF_PI)
         )
     elif leaf == "n4":
         value = (
             1.0
-            - iv(psi, phi_k - phi_a, _HALF_PI)
-            - iv(ups, phi_lam, _TWO_PI - phi_a)
+            - line(phi_k - phi_a, _HALF_PI)
+            - integrate(ups, phi_lam, _TWO_PI - phi_a)
         )
     elif leaf == "n5":
-        value = iv(psi, _HALF_PI, phi_k - phi_a + _TWO_PI) - iv(
-            ups, phi_lam, _TWO_PI - phi_a
-        )
+        value = line(_HALF_PI, phi_k - phi_a + _TWO_PI) - integrate(ups, phi_lam, _TWO_PI - phi_a)
     elif leaf == "p1":
-        value = iv(psi, _HALF_PI, phi_k + phi_a) + iv(ups, pi + phi_a, pi + phi_lam)
+        value = line(_HALF_PI, phi_k + phi_a) + integrate(ups, pi + phi_a, pi + phi_lam)
     elif leaf == "p2":
         value = (
-            iv(psi, _HALF_PI, phi_k + phi_a)
-            + iv(ups, pi + phi_a, pi + phi_m)
-            - iv(ups, phi_lam, phi_m)
+            line(_HALF_PI, phi_k + phi_a)
+            + integrate(ups, pi + phi_a, pi + phi_m)
+            - integrate(ups, phi_lam, phi_m)
         )
     else:  # p3
-        value = iv(psi, _HALF_PI, phi_k + phi_a) - iv(ups, phi_lam, phi_a)
+        value = line(_HALF_PI, phi_k + phi_a) - integrate(ups, phi_lam, phi_a)
 
     return _clamp_unit(value, slack=1e-7)

@@ -6,8 +6,8 @@ rely on this so one expression covers configurations where an angle pair
 swaps order.
 
 The 15-point Kronrod rule evaluates only interior nodes, so integrands that
-are singular or undefined exactly at an endpoint (``1/cos^2`` factors at
-``pi/2``, radicands vanishing at a critical angle) are never sampled there.
+are singular or undefined exactly at an endpoint (a hyperbola's radicand
+or denominator vanishing at a critical angle) are never sampled there.
 Integrands must accept and return numpy arrays, elementwise: they are
 evaluated a batch of panels at a time (all initial panels in one call, both
 halves of a bisected panel in the next), and each panel's sums are still

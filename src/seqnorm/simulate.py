@@ -28,6 +28,8 @@ def _uniform_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarr
     word_start must be a multiple of 4 (one Philox counter step yields four
     64-bit words) so any chunking reproduces the same layout.
     """
+    if not (0 <= seed < 2**128):
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     if word_start % 4 != 0:
         raise ValueError("stream window must be 4-word aligned")
     gen = Generator(Philox(key=seed, counter=word_start // 4))
@@ -84,8 +86,6 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise DomainError(f"mu and sigma must be finite, got {mu} and {sigma}")
-    if not (0 <= seed < 2**128):
-        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     n_max = plan.sizes[-1]
     width = _words_per_replicate(n_max)
     a = np.array([st.a for st in plan.stages])

@@ -1,6 +1,6 @@
 """Distribution primitives: normal, Student-t, chi-square, noncentral t.
 
-Five scalar operations backed by scipy.special, each with an explicit
+Six scalar operations backed by scipy.special, each with an explicit
 accuracy contract tighter than anything the rest of the package consumes:
 
 - std_normal_cdf        lower-tail Phi, absolute error <= 1e-15

@@ -1,17 +1,79 @@
-"""The cone evaluator and its polar integrand against oracles."""
+"""The cone evaluator and its closed-form barrier integral against oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from seqnorm.errors import DomainError
-from seqnorm.geometry import ConeRegion, _barrier_exponent, _upsilon_lenient, cone_prob
+from seqnorm.geometry import ConeRegion, _barrier_integral, _upsilon_lenient, cone_prob
+from seqnorm.quadrature import integrate
 from seqnorm.simulate import grid_domain_prob, mc_domain_prob
 from seqnorm.special import std_normal_cdf
 
 TWO_PI = 2.0 * math.pi
+INV_TWO_PI = 1.0 / TWO_PI
+HALF_PI = 0.5 * math.pi
+
+
+def _barrier_exponent(phi: np.ndarray, level: float) -> np.ndarray:
+    """exp(-level^2 / (2 cos^2 phi)) / (2 pi), elementwise, 0 where cos = 0.
+
+    The polar integrand of a straight boundary piece, kept as the reference
+    the closed form is checked against.
+    """
+    if level == 0.0:
+        return np.full_like(phi, INV_TWO_PI)
+    c2 = np.cos(phi) ** 2
+    out = np.zeros_like(phi)
+    nz = c2 > 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        out[nz] = INV_TWO_PI * np.exp(-(level * level) / (2.0 * c2[nz]))
+    return out
+
+
+def polar_barrier_integral(level, lo, hi):
+    """integrate(_barrier_exponent) from lo to hi, signed.
+
+    The integrand is flat to all orders at the odd multiples of pi/2, and
+    Kronrod's error estimate misses the dip there when a panel straddles
+    one, so the span is cut at each of them.
+    """
+    a, b = min(lo, hi), max(lo, hi)
+    first = math.floor(a / math.pi - 0.5) + 1
+    cuts = [(j + 0.5) * math.pi for j in range(first, math.ceil(b / math.pi - 0.5))]
+    edges = [a] + [c for c in cuts if a < c < b] + [b]
+    total = sum(
+        integrate(lambda phi: _barrier_exponent(phi, level), x, y)
+        for x, y in zip(edges, edges[1:])
+    )
+    return total if hi >= lo else -total
+
+
+def polar_cone_prob(h, g, k):
+    """cone_prob's three-configuration split, each piece by quadrature."""
+    phi_k = math.atan(k)
+    phi_r = math.atan((h - g) / (k * h)) if h != 0.0 else HALF_PI
+    d = abs(g) / math.sqrt(1.0 + k * k)
+    if max(g, h) < 0.0:
+        value = polar_barrier_integral(d, HALF_PI, math.pi + phi_k + phi_r) - (
+            polar_barrier_integral(h, HALF_PI, math.pi + phi_r)
+        )
+    elif h <= 0.0 <= g:
+        value = (
+            1.0
+            - polar_barrier_integral(h, HALF_PI, math.pi + phi_r)
+            - polar_barrier_integral(d, phi_k + phi_r, 1.5 * math.pi)
+        )
+    else:
+        value = polar_barrier_integral(h, phi_r, HALF_PI) - polar_barrier_integral(
+            d, phi_k + phi_r, HALF_PI
+        )
+    return min(max(value, 0.0), 1.0)
 
 
 class TestOriginDomain:
@@ -109,6 +171,73 @@ class TestConeProb:
             ConeRegion(0.0, 0.0, -1.0)
 
 
+# levels where the polar quadrature reference holds 1e-14; levels nearer 0
+# leave a dip narrower than its panels and are checked against mpmath below
+levels = hst.one_of(
+    hst.just(0.0),
+    hst.floats(1e-3, 9.0).flatmap(lambda x: hst.sampled_from([x, -x])),
+)
+angles = hst.one_of(
+    hst.floats(-3.5 * math.pi, 3.5 * math.pi),
+    hst.integers(-4, 3).map(lambda j: (j + 0.5) * math.pi),
+)
+
+
+class TestBarrierIntegral:
+    @settings(max_examples=300, deadline=None)
+    @given(level=levels, lo=angles, hi=angles)
+    @example(level=0.0, lo=-4.5 * math.pi, hi=3.5 * math.pi)
+    @example(level=1.0, lo=1.5 * math.pi, hi=-2.5 * math.pi)
+    @example(level=-9.0, lo=-3.0, hi=3.5 * math.pi)
+    def test_matches_polar_quadrature(self, level, lo, hi):
+        got = _barrier_integral(level, lo, hi)
+        ref = polar_barrier_integral(level, lo, hi)
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize(
+        "level, lo, hi",
+        [
+            (0.0, -0.3, 2.0),
+            (1e-8, -2.5 * math.pi, 3.5 * math.pi),
+            (-1e-3, 0.2, 1.5 * math.pi),
+            (0.7, 1.5 * math.pi, -0.5 * math.pi),
+            (2.0, -7.0, 9.0),
+            (-5.5, 0.5 * math.pi, 2.9),
+            (9.0, -10.0, 10.0),
+        ],
+    )
+    def test_matches_mpmath(self, level, lo, hi):
+        with mpmath.workdps(30):
+            d = mpmath.mpf(level)
+            a, b = sorted((mpmath.mpf(lo), mpmath.mpf(hi)))
+            poles = [(j + 0.5) * mpmath.pi for j in range(-5, 5)]
+            exact = mpmath.quad(
+                lambda phi: mpmath.exp(-d * d / (2 * mpmath.cos(phi) ** 2)) / (2 * mpmath.pi),
+                [a] + [c for c in poles if a < c < b] + [b],
+            )
+            exact = float(exact if hi >= lo else -exact)
+        assert _barrier_integral(level, lo, hi) == pytest.approx(exact, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -3.0])
+    def test_half_periods(self, level):
+        # each quarter turn on either side of a zero of cos carries half a
+        # period's mass; far from 0, phi - m pi rounds past pi/2 at some of
+        # these angles
+        half = 0.5 * std_normal_cdf(-abs(level))
+        for j in range(-40, 40):
+            got = _barrier_integral(level, 0.0, (j + 0.5) * math.pi)
+            assert got == pytest.approx((2 * j + 1) * half, rel=1e-14)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=hst.one_of(hst.just(0.0), hst.floats(0.01, 6.0).flatmap(lambda x: hst.sampled_from([x, -x]))),
+        g=hst.one_of(hst.just(0.0), hst.floats(0.01, 6.0).flatmap(lambda x: hst.sampled_from([x, -x]))),
+        k=hst.floats(0.1, 10.0),
+    )
+    def test_cone_prob_matches_polar_split(self, h, g, k):
+        assert abs(cone_prob(ConeRegion(h, g, k)) - polar_cone_prob(h, g, k)) <= 1e-14
+
+
 class TestIntegrands:
     def test_barrier_at_zero_level(self):
         assert _barrier_exponent(np.array([0.0]), 0.0)[0] == pytest.approx(1.0 / TWO_PI, abs=0)
@@ -137,21 +266,14 @@ class TestIntegrands:
 
 class TestBatchedEvaluation:
     """Quadrature evaluates a batch of 15-node panels in one integrand call;
-    every element must come out with the bits of a panel-sized call."""
+    every element of the curved-arc integrand must come out with the bits of
+    a panel-sized call."""
 
     @staticmethod
     def _assert_chunk_invariant(f, phi):
         whole = f(phi)
         chunks = np.concatenate([f(phi[i:i + 15]) for i in range(0, phi.size, 15)])
         assert whole.tobytes() == chunks.tobytes()
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_barrier_exponent(self, seed):
-        rng = np.random.default_rng(seed)
-        phi = rng.uniform(-math.pi, 3.0 * math.pi, 15 * int(rng.integers(1, 40)))
-        phi[::7] = 0.5 * math.pi  # cos vanishes here
-        for level in (0.0, 1e-3, float(rng.uniform(-4.0, 4.0)), 9.0):
-            self._assert_chunk_invariant(lambda x: _barrier_exponent(x, level), phi)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_upsilon_lenient(self, seed):

@@ -189,3 +189,22 @@ class TestDecomposition:
             sample_decomposition_check(5, 5, replications=100, seed=1)
         with pytest.raises(DomainError):
             sample_decomposition_check(5, 0, replications=100, seed=1)
+
+
+SEEDED_DRAWS = {
+    "simulate_plan": lambda seed: simulate_plan(PLAN, 0.0, 1.0, 10, seed),
+    "mc_transition_sums": lambda seed: mc_transition_sums(PLAN, 0.0, 1.0, 10, seed),
+    "mc_domain_prob": lambda seed: mc_domain_prob(ConeRegion(0.0, 0.0, 1.0), 10, seed),
+    "mc_domain_prob_many": lambda seed: mc_domain_prob_many(
+        [ConeRegion(0.0, 0.0, 1.0)], 10, seed
+    ),
+    "sample_decomposition_check": lambda seed: sample_decomposition_check(5, 2, 10, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize("name", sorted(SEEDED_DRAWS))
+def test_seed_outside_philox_key_range(name, seed):
+    with pytest.raises(DomainError) as info:
+        SEEDED_DRAWS[name](seed)
+    assert str(info.value) == f"seed must lie in [0, 2**128), got {seed}"
