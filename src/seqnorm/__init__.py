@@ -3,8 +3,8 @@
 Design multistage plans with hard error guarantees (known or unknown
 variance), calibrate the risk tuning parameter, evaluate certified
 operating-characteristic and sample-number bounds through closed-form
-Gaussian geometry, verify everything against Monte Carlo oracles, and run
-tests stage by stage over real data with auditable persistence.
+Gaussian geometry, simulate plans on synthetic data, and run tests stage by
+stage over real data with auditable persistence.
 """
 
 from .calibrate import CalibrationResult, calibrate_known, calibrate_unknown
@@ -58,17 +58,7 @@ from .runner import (
     save_plan,
     save_session,
 )
-from .simulate import (
-    DecompositionReport,
-    SimReport,
-    TransitionSums,
-    grid_domain_prob,
-    sample_decomposition_check,
-    mc_domain_prob,
-    mc_domain_prob_many,
-    mc_transition_sums,
-    simulate_plan,
-)
+from .simulate import SimReport, TransitionSums, mc_transition_sums, simulate_plan
 from .special import (
     chi_square_cdf,
     chi_square_quantile,

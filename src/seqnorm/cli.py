@@ -207,7 +207,7 @@ def cmd_simulate(args) -> int:
     if sigma is None:
         raise DomainError("--sigma is required for unknown-variance plans")
     report = simulate_plan(plan, args.mu, sigma, args.reps, args.seed)
-    _write_text(args.out, dump_json(report.to_dict(), indent=2) + "\n")
+    _write_text(args.out, dump_json(report.to_dict()) + "\n")
     return EXIT_OK
 
 

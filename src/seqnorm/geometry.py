@@ -67,16 +67,6 @@ class ConeRegion:
         if self.k <= 0.0:
             raise DomainError(f"k must be > 0, got {self.k}")
 
-    def contains(self, u, v):
-        return (u >= self.h) & (u <= self.k * v + self.g)
-
-    def u_interval(self, v):
-        """Per-v section [lo, hi]; empty where lo > hi."""
-        v = np.asarray(v, dtype=float)
-        lo = np.full_like(v, self.h)
-        hi = self.k * v + self.g
-        return lo, hi
-
 
 @dataclass(frozen=True)
 class HyperbolaConeRegion:
@@ -98,16 +88,6 @@ class HyperbolaConeRegion:
             raise DomainError(f"h must be >= 0, got {self.h}")
         if self.k <= 0.0:
             raise DomainError(f"k must be > 0, got {self.k}")
-
-    def contains(self, u, v):
-        z = u - self.offset
-        return (np.sqrt(self.lam * v * v + self.h) <= z) & (z <= self.k * v + self.g)
-
-    def u_interval(self, v):
-        v = np.asarray(v, dtype=float)
-        lo = self.offset + np.sqrt(self.lam * v * v + self.h)
-        hi = self.offset + self.k * v + self.g
-        return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +199,7 @@ def cone_prob(region: ConeRegion) -> float:
         value = _barrier_integral(h, phi_r, _HALF_PI) - _barrier_integral(
             d, phi_k + phi_r, _HALF_PI
         )
-    return _clamp_unit(value, slack=1e-7)
+    return _clamp_unit(value)
 
 
 # ---------------------------------------------------------------------------
@@ -437,4 +417,4 @@ def hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:
     else:  # p3
         value = line(_HALF_PI, phi_k + phi_a) - integrate(ups, phi_lam, phi_a)
 
-    return _clamp_unit(value, slack=1e-7)
+    return _clamp_unit(value)

@@ -34,6 +34,10 @@ from .errors import DomainError, InsufficientDataError
 from .geometry import ConeRegion, cone_prob
 from .special import std_normal_cdf, std_normal_critical
 
+# the builders loop over the tau ladder rungs, so a plan file's tau sets the
+# cost of loading it
+_TAU_LIMIT = 1000
+
 
 class Decision(enum.IntEnum):
     """Stage outcome; integer values follow the 0/1/2 decision-variable coding."""
@@ -74,6 +78,8 @@ def validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma=None):
         raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
     if tau != int(tau) or tau < 1:
         raise DomainError(f"tau must be a positive integer, got {tau}")
+    if tau > _TAU_LIMIT:
+        raise DomainError(f"tau must be at most {_TAU_LIMIT}, got {tau}")
     if sigma is not None and not (sigma > 0.0 and math.isfinite(sigma)):
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
 

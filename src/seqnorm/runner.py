@@ -55,17 +55,16 @@ def format_real(x: float) -> str:
     return s
 
 
-def dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON emitter; floats go through format_real."""
+def dump_json(obj) -> str:
+    """Deterministic JSON emitter, two-space indented; floats go through format_real."""
     pieces: list[str] = []
-    _emit(obj, pieces, indent, 0)
+    _emit(obj, pieces, 0)
     return "".join(pieces)
 
 
-def _emit(obj, out: list[str], indent: int, depth: int) -> None:
-    pad = " " * (indent * (depth + 1)) if indent else ""
-    end_pad = " " * (indent * depth) if indent else ""
-    sep = ",\n" if indent else ", "
+def _emit(obj, out: list[str], depth: int) -> None:
+    pad = "  " * (depth + 1)
+    end_pad = "  " * depth
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -80,26 +79,26 @@ def _emit(obj, out: list[str], indent: int, depth: int) -> None:
         if not obj:
             out.append("[]")
             return
-        out.append("[\n" if indent else "[")
+        out.append("[\n")
         for i, item in enumerate(obj):
             if i:
-                out.append(sep)
+                out.append(",\n")
             out.append(pad)
-            _emit(item, out, indent, depth + 1)
-        out.append(("\n" + end_pad + "]") if indent else "]")
+            _emit(item, out, depth + 1)
+        out.append("\n" + end_pad + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        out.append("{\n" if indent else "{")
+        out.append("{\n")
         for i, (key, val) in enumerate(obj.items()):
             if i:
-                out.append(sep)
+                out.append(",\n")
             out.append(pad)
             out.append(json.dumps(str(key)))
             out.append(": ")
-            _emit(val, out, indent, depth + 1)
-        out.append(("\n" + end_pad + "}") if indent else "}")
+            _emit(val, out, depth + 1)
+        out.append("\n" + end_pad + "}")
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__}")
 
@@ -197,7 +196,7 @@ def plan_from_dict(data: dict):
 
 def save_plan(plan, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(dump_json(plan_to_dict(plan), indent=2))
+        fp.write(dump_json(plan_to_dict(plan)))
         fp.write("\n")
 
 
@@ -335,7 +334,7 @@ def session_to_dict(session: TestSession) -> dict:
 
 
 def save_session(session: TestSession, target: str | os.PathLike | IO[str]) -> None:
-    text = dump_json(session_to_dict(session), indent=2) + "\n"
+    text = dump_json(session_to_dict(session)) + "\n"
     if hasattr(target, "write"):
         target.write(text)
     else:

@@ -1,10 +1,10 @@
-"""Monte Carlo and grid oracles: plan execution, 2-D domain probabilities,
-and the sample-decomposition identity check.
+"""Plan execution on synthetic normal data: the stopped decision rule and
+the adjacent-stage boundary-crossing sums the OC envelopes bound.
 
-Every stochastic routine draws from a counter-based uniform stream (Philox)
-pushed through the inverse normal CDF.  Replicate r owns a fixed window of
-the stream, so results are bit-identical no matter how the replicate range
-is chunked; chunk tallies merge in index order.
+Samples come from a counter-based uniform stream (Philox) pushed through
+the inverse normal CDF.  Replicate r owns a fixed window of the stream, so
+results are bit-identical no matter how the replicate range is chunked;
+chunk tallies merge in index order.
 """
 
 from __future__ import annotations
@@ -202,176 +202,4 @@ def mc_transition_sums(plan, mu: float, sigma: float, replications: int, seed: i
         accept_sum=acc_mean,
         accept_se=math.sqrt(acc_var / n),
         seed=seed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# 2-D domain oracles
-# ---------------------------------------------------------------------------
-
-
-def mc_domain_prob(region, draws: int, seed: int) -> tuple[float, float]:
-    """Indicator average of the region over standard bivariate normal draws."""
-    return mc_domain_prob_many([region], draws, seed)[0]
-
-
-def mc_domain_prob_many(regions, draws: int, seed: int) -> list[tuple[float, float]]:
-    """mc_domain_prob for several regions over one shared draw stream.
-
-    Returns exactly what per-region calls with the same (draws, seed) would,
-    but generates the normals once.
-    """
-    if draws < 1:
-        raise DomainError(f"draws must be >= 1, got {draws}")
-    regions = list(regions)
-
-    def worker(bounds):
-        lo, hi = bounds
-        z = _normal_block(seed, lo * 4, hi - lo, 4)
-        u, v = z[:, 0], z[:, 1]
-        return [int(np.count_nonzero(r.contains(u, v))) for r in regions]
-
-    chunks = [(lo, min(lo + _CHUNK * 8, draws)) for lo in range(0, draws, _CHUNK * 8)]
-    hits = [0] * len(regions)
-    for part in map(worker, chunks):
-        for i, count in enumerate(part):
-            hits[i] += count
-    out = []
-    for count in hits:
-        p = count / draws
-        out.append((p, math.sqrt(p * (1.0 - p) / draws)))
-    return out
-
-
-def grid_domain_prob(region, half_width: float = 8.0, resolution: int = 4000) -> float:
-    """Midpoint-rule integration of the standard bivariate density over the region.
-
-    Both closed-form region families are u-convex (each vertical section is
-    an interval), so the inner sum collapses to a prefix-sum difference of
-    the one-dimensional weights; this equals the full two-dimensional
-    midpoint sum term for term.  Regions without a ``u_interval`` method are
-    handled by evaluating ``contains`` on midpoint rows.
-    """
-    if half_width < 8.0:
-        raise DomainError("half_width below 8 truncates more than 1e-15 of mass")
-    if resolution < 512:
-        raise DomainError("resolution below 512 is too coarse for the stated error budget")
-    step = 2.0 * half_width / resolution
-    mid = -half_width + step * (np.arange(resolution) + 0.5)
-    w = np.exp(-0.5 * mid * mid) / math.sqrt(2.0 * math.pi) * step
-
-    if hasattr(region, "u_interval"):
-        lo, hi = region.u_interval(mid)
-        cum = np.concatenate(([0.0], np.cumsum(w)))
-        left = np.searchsorted(mid, lo, side="left")
-        right = np.searchsorted(mid, hi, side="right")
-        right = np.maximum(right, left)
-        inner = cum[right] - cum[left]
-        return float(np.dot(w, inner))
-
-    total = 0.0
-    block = 256
-    for start in range(0, resolution, block):
-        v = mid[start : start + block]
-        inside = np.broadcast_to(
-            region.contains(mid[:, None], v[None, :]), (resolution, v.size)
-        )
-        total += float(np.dot(w, inside.astype(float) @ w[start : start + block]))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Sample-decomposition identity (independence construction)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    replications: int
-    identity_max_rel_err: float
-    means: dict
-    variances: dict
-    max_abs_correlation: float
-    correlation_threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_correlation <= self.correlation_threshold
-
-
-def sample_decomposition_check(
-    n: int,
-    m: int,
-    replications: int,
-    seed: int,
-    mu: float = 0.0,
-    sigma: float = 1.0,
-) -> DecompositionReport:
-    """Simulate the (U, V, Y, Z) split of a normal sample and audit it.
-
-    U is the full-sample z-score, V the scaled difference between the first-
-    block and second-block means, Y and Z the block sums of squared
-    deviations over sigma^2.  Checks the algebraic identity
-    sum (x_i - mean_n)^2 = sigma^2 (Y + Z + V^2) on every replicate (1e-9
-    relative; violation raises) and reports moments plus the largest
-    pairwise correlation against a 4 / sqrt(replications) threshold.
-    """
-    if not (1 <= m < n):
-        raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
-    if replications < 2:
-        raise DomainError("need at least 2 replications")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-
-    width = _words_per_replicate(n)
-    cols = {"U": [], "V": [], "Y": [], "Z": []}
-    worst_rel = 0.0
-
-    for lo in range(0, replications, _CHUNK):
-        hi = min(lo + _CHUNK, replications)
-        z = _normal_block(seed, lo * width, hi - lo, width)[:, :n]
-        x = mu + sigma * z
-        first = x[:, :m]
-        second = x[:, m:]
-        mean_n = x.mean(axis=1)
-        mean_first = first.mean(axis=1)
-        mean_second = second.mean(axis=1)
-        u = math.sqrt(n) * (mean_n - mu) / sigma
-        v = math.sqrt(m * (n - m) / n) * (mean_first - mean_second) / sigma
-        y = ((first - mean_first[:, None]) ** 2).sum(axis=1) / sigma**2
-        zz = ((second - mean_second[:, None]) ** 2).sum(axis=1) / sigma**2
-
-        lhs = ((x - mean_n[:, None]) ** 2).sum(axis=1)
-        rhs = sigma**2 * (y + zz + v * v)
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        rel = np.abs(lhs - rhs) / np.where(scale > 0.0, scale, 1.0)
-        worst = float(rel.max())
-        if worst > 1e-9:
-            offender = int(lo + np.argmax(rel))
-            raise AssertionError(
-                f"decomposition identity violated at replicate {offender}: "
-                f"relative error {worst:.3e}"
-            )
-        worst_rel = max(worst_rel, worst)
-        cols["U"].append(u)
-        cols["V"].append(v)
-        cols["Y"].append(y)
-        cols["Z"].append(zz)
-
-    series = {key: np.concatenate(parts) for key, parts in cols.items()}
-    means = {key: float(val.mean()) for key, val in series.items()}
-    variances = {key: float(val.var()) for key, val in series.items()}
-    names = ["U", "V", "Y", "Z"]
-    max_corr = 0.0
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            c = float(np.corrcoef(series[names[i]], series[names[j]])[0, 1])
-            max_corr = max(max_corr, abs(c))
-    return DecompositionReport(
-        replications=replications,
-        identity_max_rel_err=worst_rel,
-        means=means,
-        variances=variances,
-        max_abs_correlation=max_corr,
-        correlation_threshold=4.0 / math.sqrt(replications),
     )

@@ -25,6 +25,8 @@ import scipy.special as sp
 from .errors import DomainError, InconsistentBoundaryError
 from .quadrature import integrate
 
+_CLAMP_SLACK = 1e-7
+
 
 def _require_finite(x: float, name: str) -> float:
     x = float(x)
@@ -49,14 +51,14 @@ def _require_dof(dof: int, name: str = "dof") -> int:
     return dof
 
 
-def _clamp_unit(value: float, slack: float) -> float:
-    """Clamp a computed probability to [0, 1], tolerating excursions up to slack."""
+def _clamp_unit(value: float) -> float:
+    """Clamp a computed probability to [0, 1]; raise if it strays past _CLAMP_SLACK."""
     if value < 0.0:
-        if value < -slack:
+        if value < -_CLAMP_SLACK:
             raise InconsistentBoundaryError(f"probability {value} below 0")
         return 0.0
     if value > 1.0:
-        if value > 1.0 + slack:
+        if value > 1.0 + _CLAMP_SLACK:
             raise InconsistentBoundaryError(f"probability {value} above 1")
         return 1.0
     return float(value)
@@ -163,4 +165,4 @@ def noncentral_t_cdf(x: float, dof: int, ncp: float) -> float:
         return sp.ndtr(x * s / root_dof - ncp) * _chi_pdf(s, dof)
 
     val = integrate(integrand, s_lo, s_hi, tol=1e-11, initial_panels=16)
-    return _clamp_unit(val, slack=1e-7)
+    return _clamp_unit(val)

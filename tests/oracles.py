@@ -1,0 +1,185 @@
+"""Independent oracles for the closed-form geometry and the unknown-variance
+decomposition: Monte Carlo and midpoint-grid integration of 2-D domain
+probabilities, and a simulation audit of the sample-decomposition identity.
+
+Every draw comes from ``seqnorm.simulate._normal_block``, so the package's
+seed-range check covers these oracles as well.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from seqnorm.errors import DomainError
+from seqnorm.geometry import ConeRegion
+from seqnorm.simulate import _CHUNK, _normal_block, _words_per_replicate
+
+_BLOCK_ROWS = 1 << 17  # Philox rows per draw block, two points per row
+_PASS_POINTS = 1 << 15  # points per containment pass; larger passes leave cache
+
+
+def section(region):
+    """v -> (lo, hi): the region's u-interval at each v, empty where lo > hi.
+
+    Both closed-form families are u-convex, so this one function states each
+    region's inequality for every oracle.
+    """
+    if isinstance(region, ConeRegion):
+        h, g, k = region.h, region.g, region.k
+        return lambda v: (np.full_like(v, h), k * v + g)
+    off, lam, h, g, k = region.offset, region.lam, region.h, region.g, region.k
+    return lambda v: (off + np.sqrt(lam * v * v + h), off + k * v + g)
+
+
+def mc_domain_prob_many(regions, draws: int, seed: int) -> list[tuple[float, float]]:
+    """(estimate, binomial se) of each region's standard bivariate normal mass.
+
+    All regions share one stream of draws points: Philox row r gives the two
+    points (z[r, 0], z[r, 1]) and (z[r, 2], z[r, 3]).
+    """
+    if draws < 1:
+        raise DomainError(f"draws must be >= 1, got {draws}")
+    sections = [section(r) for r in regions]
+    hits = [0] * len(sections)
+    rows = (draws + 1) // 2
+    for first in range(0, rows, _BLOCK_ROWS):
+        z = _normal_block(seed, first * 4, min(_BLOCK_ROWS, rows - first), 4)
+        points = min(2 * len(z), draws - 2 * first)
+        # raveling the strided column pairs copies them into contiguous arrays
+        u = z[:, 0::2].ravel()[:points]
+        v = z[:, 1::2].ravel()[:points]
+        for start in range(0, points, _PASS_POINTS):
+            us = u[start : start + _PASS_POINTS]
+            vs = v[start : start + _PASS_POINTS]
+            for i, sec in enumerate(sections):
+                lo, hi = sec(vs)
+                hits[i] += int(np.count_nonzero((lo <= us) & (us <= hi)))
+    out = []
+    for count in hits:
+        p = count / draws
+        out.append((p, math.sqrt(p * (1.0 - p) / draws)))
+    return out
+
+
+def grid_points(half_width: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints of a uniform grid on [-half_width, half_width] and their normal weights."""
+    if half_width < 8.0:
+        raise DomainError("half_width below 8 truncates more than 1e-15 of mass")
+    if resolution < 512:
+        raise DomainError("resolution below 512 is too coarse for the stated error budget")
+    step = 2.0 * half_width / resolution
+    mid = -half_width + step * (np.arange(resolution) + 0.5)
+    w = np.exp(-0.5 * mid * mid) / math.sqrt(2.0 * math.pi) * step
+    return mid, w
+
+
+def grid_domain_prob(sec, half_width: float = 8.0, resolution: int = 4000) -> float:
+    """Midpoint-rule integral of the standard bivariate density over a u-convex domain.
+
+    sec maps v to the domain's u-interval (see ``section``).  Each inner sum
+    over u is a prefix-sum difference of the one-dimensional weights; this
+    equals the full two-dimensional midpoint sum term for term.
+    """
+    mid, w = grid_points(half_width, resolution)
+    lo, hi = sec(mid)
+    cum = np.concatenate(([0.0], np.cumsum(w)))
+    left = np.searchsorted(mid, lo, side="left")
+    right = np.searchsorted(mid, hi, side="right")
+    right = np.maximum(right, left)
+    inner = cum[right] - cum[left]
+    return float(np.dot(w, inner))
+
+
+@dataclass(frozen=True)
+class DecompositionReport:
+    replications: int
+    identity_max_rel_err: float
+    means: dict
+    variances: dict
+    max_abs_correlation: float
+    correlation_threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_abs_correlation <= self.correlation_threshold
+
+
+def sample_decomposition_check(
+    n: int,
+    m: int,
+    replications: int,
+    seed: int,
+    mu: float = 0.0,
+    sigma: float = 1.0,
+) -> DecompositionReport:
+    """Simulate the (U, V, Y, Z) split of a normal sample and audit it.
+
+    U is the full-sample z-score, V the scaled difference between the first-
+    block and second-block means, Y and Z the block sums of squared
+    deviations over sigma^2.  Checks the algebraic identity
+    sum (x_i - mean_n)^2 = sigma^2 (Y + Z + V^2) on every replicate (1e-9
+    relative; violation raises) and reports moments plus the largest
+    pairwise correlation against a 4 / sqrt(replications) threshold.
+    """
+    if not (1 <= m < n):
+        raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
+    if replications < 2:
+        raise DomainError("need at least 2 replications")
+    if sigma <= 0.0:
+        raise DomainError(f"sigma must be > 0, got {sigma}")
+
+    width = _words_per_replicate(n)
+    cols = {"U": [], "V": [], "Y": [], "Z": []}
+    worst_rel = 0.0
+
+    for lo in range(0, replications, _CHUNK):
+        hi = min(lo + _CHUNK, replications)
+        z = _normal_block(seed, lo * width, hi - lo, width)[:, :n]
+        x = mu + sigma * z
+        first = x[:, :m]
+        second = x[:, m:]
+        mean_n = x.mean(axis=1)
+        mean_first = first.mean(axis=1)
+        mean_second = second.mean(axis=1)
+        u = math.sqrt(n) * (mean_n - mu) / sigma
+        v = math.sqrt(m * (n - m) / n) * (mean_first - mean_second) / sigma
+        y = ((first - mean_first[:, None]) ** 2).sum(axis=1) / sigma**2
+        zz = ((second - mean_second[:, None]) ** 2).sum(axis=1) / sigma**2
+
+        lhs = ((x - mean_n[:, None]) ** 2).sum(axis=1)
+        rhs = sigma**2 * (y + zz + v * v)
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        rel = np.abs(lhs - rhs) / np.where(scale > 0.0, scale, 1.0)
+        worst = float(rel.max())
+        if worst > 1e-9:
+            offender = int(lo + np.argmax(rel))
+            raise AssertionError(
+                f"decomposition identity violated at replicate {offender}: "
+                f"relative error {worst:.3e}"
+            )
+        worst_rel = max(worst_rel, worst)
+        cols["U"].append(u)
+        cols["V"].append(v)
+        cols["Y"].append(y)
+        cols["Z"].append(zz)
+
+    series = {key: np.concatenate(parts) for key, parts in cols.items()}
+    means = {key: float(val.mean()) for key, val in series.items()}
+    variances = {key: float(val.var()) for key, val in series.items()}
+    names = ["U", "V", "Y", "Z"]
+    max_corr = 0.0
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            c = float(np.corrcoef(series[names[i]], series[names[j]])[0, 1])
+            max_corr = max(max_corr, abs(c))
+    return DecompositionReport(
+        replications=replications,
+        identity_max_rel_err=worst_rel,
+        means=means,
+        variances=variances,
+        max_abs_correlation=max_corr,
+        correlation_threshold=4.0 / math.sqrt(replications),
+    )

@@ -12,8 +12,9 @@ from hypothesis import strategies as hst
 from seqnorm.errors import DomainError
 from seqnorm.geometry import ConeRegion, _barrier_integral, _upsilon_lenient, cone_prob
 from seqnorm.quadrature import integrate
-from seqnorm.simulate import grid_domain_prob, mc_domain_prob
 from seqnorm.special import std_normal_cdf
+
+from oracles import grid_domain_prob, mc_domain_prob_many, section
 
 TWO_PI = 2.0 * math.pi
 INV_TWO_PI = 1.0 / TWO_PI
@@ -124,7 +125,7 @@ class TestConeProb:
     def test_all_configurations_vs_grid(self, name):
         region = ConeRegion(*CONE_CONFIGS[name])
         got = cone_prob(region)
-        ref = grid_domain_prob(region, resolution=120_000)
+        ref = grid_domain_prob(section(region), resolution=120_000)
         assert got == pytest.approx(ref, abs=1e-6)
 
     def test_mixed_example_vs_oracles(self):
@@ -133,9 +134,9 @@ class TestConeProb:
         region = ConeRegion(-0.5, 0.5, 1.0)
         got = cone_prob(region)
         assert got == pytest.approx(
-            grid_domain_prob(region, resolution=4_000_000), abs=1e-6
+            grid_domain_prob(section(region), resolution=4_000_000), abs=1e-6
         )
-        est, se = mc_domain_prob(region, 10**6, seed=314)
+        [(est, se)] = mc_domain_prob_many([region], 10**6, seed=314)
         assert abs(got - est) <= 4 * se
         # exact decomposition: P{U>=h} - P{U>=h, (U-V)/sqrt(2) >= g/sqrt(2)}
         rho = 1.0 / math.sqrt(2.0)

@@ -12,7 +12,8 @@ from seqnorm.geometry import (
     classify_branch,
     hyperbola_cone_prob,
 )
-from seqnorm.simulate import grid_domain_prob, mc_domain_prob, mc_domain_prob_many
+
+from oracles import grid_domain_prob, mc_domain_prob_many, section
 
 # one representative per closed-form leaf: (offset, lam, h, g, k)
 LEAF_CASES = {
@@ -75,7 +76,7 @@ class TestLeafOracles:
     def test_against_grid(self, leaf):
         region = region_of(LEAF_CASES[leaf])
         got = hyperbola_cone_prob(region)
-        ref = grid_domain_prob(region, resolution=400_000)
+        ref = grid_domain_prob(section(region), resolution=400_000)
         assert got == pytest.approx(ref, abs=1e-5)
 
     def test_against_monte_carlo(self):
@@ -92,7 +93,7 @@ class TestDegenerateWedge:
         # u = |v| and the line
         region = HyperbolaConeRegion(offset=0.0, lam=1.0, h=0.0, g=1.8, k=1.4)
         got = hyperbola_cone_prob(region)
-        ref = grid_domain_prob(region, resolution=2_000_000)
+        ref = grid_domain_prob(section(region), resolution=2_000_000)
         assert got == pytest.approx(ref, abs=1e-6)
 
     def test_matches_cone_composition(self):
@@ -102,7 +103,7 @@ class TestDegenerateWedge:
         # re-deriving the algebra
         region = HyperbolaConeRegion(offset=0.0, lam=1.0, h=0.0, g=0.9, k=1.6)
         got = hyperbola_cone_prob(region)
-        est, se = mc_domain_prob(region, 4 * 10**6, seed=21)
+        [(est, se)] = mc_domain_prob_many([region], 4 * 10**6, seed=21)
         assert abs(got - est) <= 4 * se
 
     def test_halfline_split_identity(self):
@@ -114,7 +115,7 @@ class TestDegenerateWedge:
         got = hyperbola_cone_prob(region)
         # upper half {0 <= v, v <= u <= k v + g}: cone(h=0 barrier v<=u) is not
         # a ConeRegion; integrate by the grid instead at high resolution
-        ref = grid_domain_prob(region, resolution=2_000_000)
+        ref = grid_domain_prob(section(region), resolution=2_000_000)
         assert got == pytest.approx(ref, abs=1.5e-6)
 
 
@@ -260,7 +261,7 @@ class TestMonotonicityAndTranslation:
             off = float(rng.uniform(-2.5, 1.5))
             region = HyperbolaConeRegion(offset=off, lam=lam, h=h, g=g, k=k)
             got = hyperbola_cone_prob(region)
-            ref = grid_domain_prob(region, resolution=120_000)
+            ref = grid_domain_prob(section(region), resolution=120_000)
             assert got == pytest.approx(ref, abs=2e-5)
 
 

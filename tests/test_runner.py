@@ -120,6 +120,8 @@ class TestPlanFieldValues:
         ("zeta", 1.5, ["oc", "--theta-min", "-1", "--theta-max", "1", "--points", "3"]),
         # (z_a + z_b)^2 / (4 epsilon^2) overflows: no stage sizes exist
         ("epsilon", 1e-200, ["asn", "--theta", "0.5"]),
+        # the builders loop over tau rungs; a huge tau is refused before that
+        ("tau", 10**9, ["asn", "--theta", "0.5"]),
     ])
     def test_out_of_range_value_is_format_error(self, tmp_path, key, value, command):
         data = dict(plan_to_dict(make_plan()), **{key: value})
@@ -263,7 +265,7 @@ class TestPersistence:
         save_session(session, path)
         data = json.loads(path.read_text())
         data["history"][0]["statistic"] += 1e-6
-        path.write_text(dump_json(data, indent=2))
+        path.write_text(dump_json(data))
         with pytest.raises(IntegrityError):
             load_session(path)
 
@@ -277,7 +279,7 @@ class TestPersistence:
         data["history"][-1]["decision"] = "reject"
         data["status"] = {"state": "rejected", "stage": 1,
                           "statistic": data["history"][-1]["statistic"]}
-        path.write_text(dump_json(data, indent=2))
+        path.write_text(dump_json(data))
         with pytest.raises(IntegrityError):
             load_session(path)
 
@@ -288,7 +290,7 @@ class TestPersistence:
         save_session(session, path)
         data = json.loads(path.read_text())
         data["version"] = 99
-        path.write_text(dump_json(data, indent=2))
+        path.write_text(dump_json(data))
         with pytest.raises(SessionFormatError):
             load_session(path)
 

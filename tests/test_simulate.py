@@ -1,4 +1,5 @@
-"""Monte Carlo oracles: determinism, chunk invariance, decomposition check."""
+"""Plan simulation and the test oracles: determinism, chunk invariance,
+domain probabilities, decomposition check."""
 
 import math
 from dataclasses import replace
@@ -10,15 +11,16 @@ import seqnorm.simulate as sim
 from seqnorm.errors import DomainError, SeqnormError
 from seqnorm.geometry import ConeRegion, HyperbolaConeRegion
 from seqnorm.plan_known import Stage, build_known_plan
-from seqnorm.simulate import (
-    grid_domain_prob,
-    sample_decomposition_check,
-    mc_domain_prob,
-    mc_domain_prob_many,
-    mc_transition_sums,
-    simulate_plan,
-)
+from seqnorm.simulate import mc_transition_sums, simulate_plan
 from seqnorm.special import std_normal_cdf
+
+from oracles import (
+    grid_domain_prob,
+    grid_points,
+    mc_domain_prob_many,
+    sample_decomposition_check,
+    section,
+)
 
 PLAN = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1 / 3, rho=1.0, tau=3)
 
@@ -84,86 +86,76 @@ class TestTransitionSums:
         assert rep.accept_rate <= ts.accept_sum + 4 * ts.accept_se
 
 
+def grid_by_rows(sec, resolution):
+    """The midpoint sum of grid_domain_prob, one indicator row block at a time."""
+    mid, w = grid_points(8.0, resolution)
+    total = 0.0
+    block = 256
+    for start in range(0, resolution, block):
+        lo, hi = sec(mid[start : start + block])
+        inside = (lo[None, :] <= mid[:, None]) & (mid[:, None] <= hi[None, :])
+        total += float(np.dot(w, inside.astype(float) @ w[start : start + block]))
+    return total
+
+
+def disk(v):
+    inside = np.abs(v) <= 1.0
+    half = np.sqrt(np.maximum(1.0 - v * v, 0.0))
+    return np.where(inside, -half, 1.0), np.where(inside, half, 0.0)
+
+
 class TestDomainOracles:
     def test_mc_full_plane_proxy(self):
         region = ConeRegion(-50.0, 50.0, 1.0)
-        est, se = mc_domain_prob(region, 10**5, seed=1)
+        [(est, se)] = mc_domain_prob_many([region], 10**5, seed=1)
         assert est == 1.0
 
     def test_mc_empty_branch_region(self):
         region = HyperbolaConeRegion(offset=0.5, lam=2.0, h=0.8, g=-0.5, k=0.4)
-        est, se = mc_domain_prob(region, 10**5, seed=1)
+        [(est, se)] = mc_domain_prob_many([region], 10**5, seed=1)
         assert est == 0.0
 
     def test_mc_wedge(self):
-        est, se = mc_domain_prob(ConeRegion(0.0, 0.0, 1.0), 10**7, seed=6)
+        [(est, se)] = mc_domain_prob_many([ConeRegion(0.0, 0.0, 1.0)], 10**7, seed=6)
         assert abs(est - 0.125) <= 4 * se
 
-    def test_mc_batch_equals_singles(self):
-        regions = [ConeRegion(-0.5, 0.8, 1.3), ConeRegion(0.2, 0.4, 0.7)]
-        singles = [mc_domain_prob(r, 10**5, seed=44) for r in regions]
-        assert mc_domain_prob_many(regions, 10**5, seed=44) == singles
-
     def test_grid_disk_closed_form(self):
-        class Disk:
-            def contains(self, u, v):
-                return u * u + v * v <= 1.0
-
-            def u_interval(self, v):
-                inside = np.minimum(np.abs(v), 1.0)
-                half = np.sqrt(np.maximum(1.0 - inside * inside, 0.0))
-                lo = np.where(np.abs(v) <= 1.0, -half, 1.0)
-                hi = np.where(np.abs(v) <= 1.0, half, 0.0)
-                return lo, hi
-
-        got = grid_domain_prob(Disk(), resolution=64_000)
+        got = grid_domain_prob(disk, resolution=64_000)
         assert got == pytest.approx(1.0 - math.exp(-0.5), abs=1e-5)
-        # predicate path agrees with the interval path on one grid
-        coarse_pred = grid_domain_prob(
-            type("D", (), {"contains": Disk().contains})(), resolution=1024
+        # the prefix-sum shortcut equals the row-by-row indicator sum
+        assert grid_by_rows(disk, 1024) == pytest.approx(
+            grid_domain_prob(disk, resolution=1024), abs=1e-12
         )
-        coarse_fast = grid_domain_prob(Disk(), resolution=1024)
-        assert coarse_pred == pytest.approx(coarse_fast, abs=1e-12)
 
     def test_grid_half_plane(self):
         # a vertical boundary rounds identically in every row, so only high
         # resolution (or edge alignment) controls the truncation error
         for c in (-1.0, 0.37, 2.0):
 
-            class Half:
-                def contains(self, u, v, c=c):
-                    return np.logical_and(u <= c, np.isfinite(v))
+            def half(v, c=c):
+                return np.full_like(v, -np.inf), np.full_like(v, c)
 
-                def u_interval(self, v, c=c):
-                    v = np.asarray(v, dtype=float)
-                    return np.full_like(v, -np.inf), np.full_like(v, c)
-
-            got = grid_domain_prob(Half(), resolution=2_000_000)
+            got = grid_domain_prob(half, resolution=2_000_000)
             assert got == pytest.approx(std_normal_cdf(c), abs=1e-5)
 
     def test_grid_parameters_validated(self):
+        cone = section(ConeRegion(0.0, 0.0, 1.0))
         with pytest.raises(DomainError):
-            grid_domain_prob(ConeRegion(0.0, 0.0, 1.0), half_width=4.0)
+            grid_domain_prob(cone, half_width=4.0)
         with pytest.raises(DomainError):
-            grid_domain_prob(ConeRegion(0.0, 0.0, 1.0), resolution=100)
+            grid_domain_prob(cone, resolution=100)
 
     def test_mc_agrees_with_grid_directly(self):
         for region in (ConeRegion(-0.6, 0.4, 1.3),
                        HyperbolaConeRegion(offset=-0.4, lam=0.6, h=0.3, g=1.1, k=1.2)):
-            est, se = mc_domain_prob(region, 10**6, seed=77)
-            ref = grid_domain_prob(region, resolution=60_000)
+            [(est, se)] = mc_domain_prob_many([region], 10**6, seed=77)
+            ref = grid_domain_prob(section(region), resolution=60_000)
             assert abs(est - ref) <= 4 * se
 
     def test_grid_interval_path_equals_predicate_path(self):
-        region = ConeRegion(-0.4, 0.7, 1.3)
-
-        class Pred:
-            def contains(self, u, v):
-                return region.contains(u, v)
-
-        fast = grid_domain_prob(region, resolution=1024)
-        brute = grid_domain_prob(Pred(), resolution=1024)
-        assert fast == pytest.approx(brute, abs=1e-12)
+        cone = section(ConeRegion(-0.4, 0.7, 1.3))
+        fast = grid_domain_prob(cone, resolution=1024)
+        assert grid_by_rows(cone, 1024) == pytest.approx(fast, abs=1e-12)
 
 
 class TestDecomposition:
@@ -194,7 +186,6 @@ class TestDecomposition:
 SEEDED_DRAWS = {
     "simulate_plan": lambda seed: simulate_plan(PLAN, 0.0, 1.0, 10, seed),
     "mc_transition_sums": lambda seed: mc_transition_sums(PLAN, 0.0, 1.0, 10, seed),
-    "mc_domain_prob": lambda seed: mc_domain_prob(ConeRegion(0.0, 0.0, 1.0), 10, seed),
     "mc_domain_prob_many": lambda seed: mc_domain_prob_many(
         [ConeRegion(0.0, 0.0, 1.0)], 10, seed
     ),
