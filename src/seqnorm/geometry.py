@@ -19,11 +19,15 @@ Two closed-form region families drive the multistage test bounds:
 - ``HyperbolaConeRegion`` {(u, v) : sqrt(lam v^2 + h) <= u - offset <= k v + g}
 
 The cone evaluator splits into three configurations on the signs of h and
-g.  The hyperbola-cone evaluator first classifies the parameters into four
-feasible families (or an empty zero branch) and then, within each family,
-dispatches on the position of the origin relative to the tangent-line
-intercepts, the vertex, and the line intercept, for 16 leaf formulas in
-total.  All integrals are signed, which lets one printed expression cover
+g.  The hyperbola-cone evaluator finds the points A and B where the line
+touches the hyperbola; B lies at infinity along the asymptote when the line
+is at least as steep as it.  A domain that crosses the u-axis places the
+origin on a five-rung ladder (the tangent intercepts Q and P, the vertex C,
+the line intercept R); one that does not, on a three-rung ladder (Q, P).
+A's angle carries the sign of its v coordinate and an infinite B takes the
+asymptote's angle, so six boundary formulas serve all sixteen leaves: the
+crossing ladder's five rungs and the third rung of the other.  All
+integrals are signed, which lets one printed expression cover
 configurations where an angle pair swaps order.
 """
 
@@ -174,14 +178,18 @@ def cone_prob(region: ConeRegion) -> float:
     """Pr{h <= U <= k V + g} by the three-configuration boundary split."""
     h, g, k = region.h, region.g, region.k
     phi_k = math.atan(k)
-    if h != 0.0:
-        phi_r = math.atan((h - g) / (k * h))
-    else:
+    kh = k * h
+    if kh != 0.0:
+        phi_r = math.atan((h - g) / kh)
+    elif h == 0.0:
         # barrier through the origin: the corner recedes to infinity and its
         # angle tends to a quarter turn; +pi/2 is the limit consistent with
         # both branch formulas that can receive h = 0 (at g = 0 the angle
         # cancels out entirely)
         phi_r = _HALF_PI
+    else:
+        # k h underflowed: the ratio's limit
+        phi_r = 0.0 if h == g else math.copysign(_HALF_PI, (h - g) * h)
 
     d = abs(g) / math.sqrt(1.0 + k * k)
 
@@ -218,11 +226,13 @@ def _abs_polar_angle(u: float, v: float) -> float:
 class _BranchData:
     leaf: str  # "zero", "np1".."np5", "pp1".."pp3", "n1".."n5", "p1".."p3"
     lam: float  # possibly nudged off the degenerate surface
-    phi_a: float = 0.0
-    phi_b: float = 0.0
-    phi_k: float = 0.0
-    phi_lam: float = 0.0
+    crossing: bool = False  # the domain crosses the u-axis (A lies below it)
+    rung: int = 0  # the origin's rung on the u-axis ladder
+    phi_a: float = 0.0  # signed like A's v coordinate
+    phi_b: float = 0.0  # the upper asymptote's angle when B is at infinity
     phi_m: float = 0.0
+    line_a: float = 0.0  # A's and B's angles from the line's normal
+    line_b: float = 0.0
 
 
 def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
@@ -244,28 +254,35 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
 
     sqrt_h = math.sqrt(h)
     delta = h * (k2 - lam) + lam * g * g
-
-    if k2 < lam:
-        if g > sqrt_h:
-            family = "np"
-        elif g > 0.0 and delta >= 0.0:
-            family = "pp"
-        else:
-            return _BranchData(leaf="zero", lam=lam)
-    else:
-        family = "n" if g * k > math.sqrt(max(delta, 0.0)) else "p"
-
     sqd = math.sqrt(max(delta, 0.0))
+
+    # the line touches the hyperbola at A and, when it is flatter than the
+    # asymptote, again at B; otherwise B recedes to infinity along the asymptote
+    bounded = k2 < lam
+    if not bounded:
+        crossing = g * k > sqd
+    elif g > sqrt_h:
+        crossing = True
+    elif g > 0.0 and delta >= 0.0:
+        crossing = False
+    else:
+        return _BranchData(leaf="zero", lam=lam)
+
     denom = lam - k2
     z_a = (lam * g - k * sqd) / denom
-    z_b = (lam * g + k * sqd) / denom
-    u_a = off + z_a
-    u_b = off + z_b
-    v_a = (g * k - sqd) / denom
-    v_b = (g * k + sqd) / denom
-
-    phi_a = _abs_polar_angle(u_a, v_a)
-    phi_b = _abs_polar_angle(u_b, v_b)
+    phi_a = _abs_polar_angle(off + z_a, (g * k - sqd) / denom)
+    if crossing:
+        phi_a = -phi_a
+    phi_k = math.atan(k)
+    if bounded:
+        z_b = (lam * g + k * sqd) / denom
+        phi_b = _abs_polar_angle(off + z_b, (g * k + sqd) / denom)
+        line_b = phi_k + phi_b
+        u_q = off + (h / z_b if z_b != 0.0 else 0.0)
+    else:
+        phi_b = math.atan(1.0 / math.sqrt(lam))
+        line_b = _HALF_PI
+        u_q = off
     eta = off * off - h
     if eta == 0.0:
         phi_m = _HALF_PI
@@ -274,48 +291,24 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
     else:
         phi_m = math.atan(math.sqrt(h / (lam * abs(eta))))
 
-    # special points on the u-axis: Q and P are the tangent intercepts from
-    # B and A, C is the vertex, R the line intercept, M the center (u = off)
+    # the origin's rung among special points on the u-axis: Q and P are the
+    # tangent intercepts from B and A (Q is the center M when B is at
+    # infinity), C is the vertex and R the line intercept
     u_p = off + (h / z_a if z_a != 0.0 else 0.0)
-    u_q = off + (h / z_b if z_b != 0.0 else 0.0)
-    u_c = off + sqrt_h
-    u_r = off + g
+    ladder = (u_q, u_p, off + sqrt_h, off + g) if crossing else (u_q, u_p)
+    rung = next((i for i, u in enumerate(ladder, 1) if u >= 0.0), len(ladder) + 1)
 
-    if family == "np":
-        if u_q >= 0.0:
-            idx = 1
-        elif u_p >= 0.0:
-            idx = 2
-        elif u_c >= 0.0:
-            idx = 3
-        elif u_r >= 0.0:
-            idx = 4
-        else:
-            idx = 5
-    elif family == "pp":
-        idx = 1 if u_q >= 0.0 else (2 if u_p >= 0.0 else 3)
-    elif family == "n":
-        if off >= 0.0:
-            idx = 1
-        elif u_p >= 0.0:
-            idx = 2
-        elif u_c >= 0.0:
-            idx = 3
-        elif u_r >= 0.0:
-            idx = 4
-        else:
-            idx = 5
-    else:
-        idx = 1 if off >= 0.0 else (2 if u_p >= 0.0 else 3)
-
+    family = ("n" if crossing else "p") + ("p" if bounded else "")
     return _BranchData(
-        leaf=f"{family}{idx}",
+        leaf=f"{family}{rung}",
         lam=lam,
+        crossing=crossing,
+        rung=rung,
         phi_a=phi_a,
         phi_b=phi_b,
-        phi_k=math.atan(k),
-        phi_lam=math.atan(1.0 / math.sqrt(lam)),
         phi_m=phi_m,
+        line_a=phi_k + phi_a,
+        line_b=line_b,
     )
 
 
@@ -327,94 +320,34 @@ def classify_branch(region: HyperbolaConeRegion) -> str:
 
 
 def hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:
-    """Pr{(U, V) in region} via the 16-leaf closed-form dispatch."""
+    """Pr{(U, V) in region} via the six closed-form boundary formulas."""
     data = _branch_geometry(region)
     if data.leaf == "zero":
         return 0.0
-    off = region.offset
-    lam = data.lam
-    h = region.h
-    g = region.g
-    k = region.k
-
-    phi_a = data.phi_a
-    phi_b = data.phi_b
-    phi_k = data.phi_k
-    phi_lam = data.phi_lam
-    phi_m = data.phi_m
-
-    line = partial(_barrier_integral, abs(off + g) / math.sqrt(1.0 + k * k))
-    ups = _upsilon_lenient(off, lam, h)
+    a = data.phi_a
+    b = data.phi_b
+    m = data.phi_m
+    line_a = data.line_a
+    line_b = data.line_b
     pi = math.pi
 
-    leaf = data.leaf
-    if leaf == "np1":
-        value = integrate(ups, pi - phi_a, pi + phi_b) - line(phi_k - phi_a, phi_k + phi_b)
-    elif leaf == "np2":
-        value = (
-            integrate(ups, pi - phi_a, pi + phi_m)
-            - integrate(ups, phi_b, phi_m)
-            - line(phi_k - phi_a, phi_k + phi_b)
-        )
-    elif leaf == "np3":
-        value = (
-            integrate(ups, pi - phi_m, pi + phi_m)
-            - integrate(ups, phi_b, phi_m)
-            - integrate(ups, phi_a, phi_m)
-            - line(phi_k - phi_a, phi_k + phi_b)
-        )
-    elif leaf == "np4":
-        value = (
-            1.0
-            - line(phi_k - phi_a, phi_k + phi_b)
-            - integrate(ups, phi_b, _TWO_PI - phi_a)
-        )
-    elif leaf == "np5":
-        value = line(phi_k + phi_b, phi_k - phi_a + _TWO_PI) - integrate(
-            ups, phi_b, _TWO_PI - phi_a
-        )
-    elif leaf == "pp1":
-        value = integrate(ups, pi + phi_a, pi + phi_b) - line(phi_k + phi_a, phi_k + phi_b)
-    elif leaf == "pp2":
-        value = (
-            integrate(ups, pi + phi_a, pi + phi_m)
-            - integrate(ups, phi_b, phi_m)
-            - line(phi_k + phi_a, phi_k + phi_b)
-        )
-    elif leaf == "pp3":
-        value = line(phi_k + phi_b, phi_k + phi_a) - integrate(ups, phi_b, phi_a)
-    elif leaf == "n1":
-        value = integrate(ups, pi - phi_a, pi + phi_lam) - line(phi_k - phi_a, _HALF_PI)
-    elif leaf == "n2":
-        value = (
-            integrate(ups, pi - phi_a, pi + phi_m)
-            - integrate(ups, phi_lam, phi_m)
-            - line(phi_k - phi_a, _HALF_PI)
-        )
-    elif leaf == "n3":
-        value = (
-            integrate(ups, pi - phi_m, pi + phi_m)
-            - integrate(ups, phi_lam, phi_m)
-            - integrate(ups, phi_a, phi_m)
-            - line(phi_k - phi_a, _HALF_PI)
-        )
-    elif leaf == "n4":
-        value = (
-            1.0
-            - line(phi_k - phi_a, _HALF_PI)
-            - integrate(ups, phi_lam, _TWO_PI - phi_a)
-        )
-    elif leaf == "n5":
-        value = line(_HALF_PI, phi_k - phi_a + _TWO_PI) - integrate(ups, phi_lam, _TWO_PI - phi_a)
-    elif leaf == "p1":
-        value = line(_HALF_PI, phi_k + phi_a) + integrate(ups, pi + phi_a, pi + phi_lam)
-    elif leaf == "p2":
-        value = (
-            line(_HALF_PI, phi_k + phi_a)
-            + integrate(ups, pi + phi_a, pi + phi_m)
-            - integrate(ups, phi_lam, phi_m)
-        )
-    else:  # p3
-        value = line(_HALF_PI, phi_k + phi_a) - integrate(ups, phi_lam, phi_a)
+    line = partial(
+        _barrier_integral, abs(region.offset + region.g) / math.sqrt(1.0 + region.k * region.k)
+    )
+    ups = partial(integrate, _upsilon_lenient(region.offset, data.lam, region.h))
+
+    rung = data.rung
+    if rung == 3 and not data.crossing:
+        value = line(line_b, line_a) - ups(b, a)
+    elif rung == 1:
+        value = ups(pi + a, pi + b) - line(line_a, line_b)
+    elif rung == 2:
+        value = ups(pi + a, pi + m) - ups(b, m) - line(line_a, line_b)
+    elif rung == 3:
+        value = ups(pi - m, pi + m) - ups(b, m) - ups(-a, m) - line(line_a, line_b)
+    elif rung == 4:
+        value = 1.0 - line(line_a, line_b) - ups(b, _TWO_PI + a)
+    else:
+        value = line(line_b, line_a + _TWO_PI) - ups(b, _TWO_PI + a)
 
     return _clamp_unit(value)

@@ -76,7 +76,7 @@ def validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma=None):
     # calibration searches (0, 1] as well
     if not (0.0 < zeta <= 1.0):
         raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
-    if tau != int(tau) or tau < 1:
+    if not (1 <= tau < math.inf and tau == int(tau)):
         raise DomainError(f"tau must be a positive integer, got {tau}")
     if tau > _TAU_LIMIT:
         raise DomainError(f"tau must be at most {_TAU_LIMIT}, got {tau}")

@@ -306,7 +306,8 @@ class _StageTermEvaluator:
         self._corners: dict[tuple[float, float, float], float] = {}
 
     def event_prob(self, sum_yz: float, y_for_line: float, omega: float) -> float:
-        key = (sum_yz, y_for_line, omega)
+        # the cone path (scale 0) ignores sum_yz, so its corners share it
+        key = (sum_yz if self.scale != 0.0 else 0.0, y_for_line, omega)
         p = self._corners.get(key)
         if p is None:
             p = self._corners[key] = self._event_prob(sum_yz, y_for_line, omega)

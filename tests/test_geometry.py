@@ -145,13 +145,17 @@ class TestConeProb:
         assert got == pytest.approx(exact, abs=1e-9)
 
     def test_barrier_through_origin_limits(self):
-        # h = 0 must continue both adjacent formulas
-        for g, k in ((0.7, 1.2), (-0.4, 0.8), (0.0, 1.0)):
-            at_zero = cone_prob(ConeRegion(0.0, g, k))
+        # h = 0 must continue both adjacent formulas, and so must an h whose
+        # product with k underflows
+        for h, g, k in (
+            (0.0, 0.7, 1.2), (0.0, -0.4, 0.8), (0.0, 0.0, 1.0),
+            (5e-324, 1.0, 0.5), (-5e-324, 1.0, 0.5), (1e-300, 1.0, 1e-30),
+        ):
+            at_h = cone_prob(ConeRegion(h, g, k))
             below = cone_prob(ConeRegion(-1e-9, g, k))
             above = cone_prob(ConeRegion(1e-9, g, k))
-            assert at_zero == pytest.approx(below, abs=1e-7)
-            assert at_zero == pytest.approx(above, abs=1e-7)
+            assert at_h == pytest.approx(below, abs=1e-7)
+            assert at_h == pytest.approx(above, abs=1e-7)
 
     def test_monotone_in_g_and_h(self):
         ks = (0.6, 1.4)

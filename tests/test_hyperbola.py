@@ -1,17 +1,28 @@
 """Hyperbola-cone evaluator: leaf coverage, oracles, continuity, integrand."""
 
 import math
+import warnings
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqnorm.errors import DomainError
 from seqnorm.geometry import (
+    _HALF_PI,
+    _TWO_PI,
     HyperbolaConeRegion,
+    _abs_polar_angle,
+    _barrier_integral,
     _upsilon_lenient,
     classify_branch,
     hyperbola_cone_prob,
 )
+from seqnorm.quadrature import integrate
+from seqnorm.special import _clamp_unit
 
 from oracles import grid_domain_prob, mc_domain_prob_many, section
 
@@ -40,6 +51,211 @@ ZERO_CASE = (0.5, 2.0, 0.8, -0.5, 0.4)
 def region_of(params) -> HyperbolaConeRegion:
     off, lam, h, g, k = params
     return HyperbolaConeRegion(offset=off, lam=lam, h=h, g=g, k=k)
+
+
+# ---------------------------------------------------------------------------
+# The sixteen per-leaf formulas that the six shared ones replaced, kept
+# verbatim as the reference they are checked against
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _ReferenceBranchData:
+    leaf: str  # "zero", "np1".."np5", "pp1".."pp3", "n1".."n5", "p1".."p3"
+    lam: float  # possibly nudged off the degenerate surface
+    phi_a: float = 0.0
+    phi_b: float = 0.0
+    phi_k: float = 0.0
+    phi_lam: float = 0.0
+    phi_m: float = 0.0
+
+
+def reference_branch_geometry(region: HyperbolaConeRegion) -> _ReferenceBranchData:
+    off = region.offset
+    lam = region.lam
+    h = region.h
+    g = region.g
+    k = region.k
+    k2 = k * k
+
+    if abs(k2 - lam) <= 1e-9 * max(k2, lam):
+        warnings.warn(
+            "hyperbola shape coincides with the squared line slope; nudging "
+            "the shape parameter off the degenerate surface",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        lam = k2 * (1.0 + 1e-8) if lam >= k2 else k2 * (1.0 - 1e-8)
+
+    sqrt_h = math.sqrt(h)
+    delta = h * (k2 - lam) + lam * g * g
+
+    if k2 < lam:
+        if g > sqrt_h:
+            family = "np"
+        elif g > 0.0 and delta >= 0.0:
+            family = "pp"
+        else:
+            return _ReferenceBranchData(leaf="zero", lam=lam)
+    else:
+        family = "n" if g * k > math.sqrt(max(delta, 0.0)) else "p"
+
+    sqd = math.sqrt(max(delta, 0.0))
+    denom = lam - k2
+    z_a = (lam * g - k * sqd) / denom
+    z_b = (lam * g + k * sqd) / denom
+    u_a = off + z_a
+    u_b = off + z_b
+    v_a = (g * k - sqd) / denom
+    v_b = (g * k + sqd) / denom
+
+    phi_a = _abs_polar_angle(u_a, v_a)
+    phi_b = _abs_polar_angle(u_b, v_b)
+    eta = off * off - h
+    if eta == 0.0:
+        phi_m = _HALF_PI
+    elif h == 0.0:
+        phi_m = 0.0
+    else:
+        phi_m = math.atan(math.sqrt(h / (lam * abs(eta))))
+
+    # special points on the u-axis: Q and P are the tangent intercepts from
+    # B and A, C is the vertex, R the line intercept, M the center (u = off)
+    u_p = off + (h / z_a if z_a != 0.0 else 0.0)
+    u_q = off + (h / z_b if z_b != 0.0 else 0.0)
+    u_c = off + sqrt_h
+    u_r = off + g
+
+    if family == "np":
+        if u_q >= 0.0:
+            idx = 1
+        elif u_p >= 0.0:
+            idx = 2
+        elif u_c >= 0.0:
+            idx = 3
+        elif u_r >= 0.0:
+            idx = 4
+        else:
+            idx = 5
+    elif family == "pp":
+        idx = 1 if u_q >= 0.0 else (2 if u_p >= 0.0 else 3)
+    elif family == "n":
+        if off >= 0.0:
+            idx = 1
+        elif u_p >= 0.0:
+            idx = 2
+        elif u_c >= 0.0:
+            idx = 3
+        elif u_r >= 0.0:
+            idx = 4
+        else:
+            idx = 5
+    else:
+        idx = 1 if off >= 0.0 else (2 if u_p >= 0.0 else 3)
+
+    return _ReferenceBranchData(
+        leaf=f"{family}{idx}",
+        lam=lam,
+        phi_a=phi_a,
+        phi_b=phi_b,
+        phi_k=math.atan(k),
+        phi_lam=math.atan(1.0 / math.sqrt(lam)),
+        phi_m=phi_m,
+    )
+
+
+def reference_hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:
+    """Pr{(U, V) in region} via the 16-leaf closed-form dispatch."""
+    data = reference_branch_geometry(region)
+    if data.leaf == "zero":
+        return 0.0
+    off = region.offset
+    lam = data.lam
+    h = region.h
+    g = region.g
+    k = region.k
+
+    phi_a = data.phi_a
+    phi_b = data.phi_b
+    phi_k = data.phi_k
+    phi_lam = data.phi_lam
+    phi_m = data.phi_m
+
+    line = partial(_barrier_integral, abs(off + g) / math.sqrt(1.0 + k * k))
+    ups = _upsilon_lenient(off, lam, h)
+    pi = math.pi
+
+    leaf = data.leaf
+    if leaf == "np1":
+        value = integrate(ups, pi - phi_a, pi + phi_b) - line(phi_k - phi_a, phi_k + phi_b)
+    elif leaf == "np2":
+        value = (
+            integrate(ups, pi - phi_a, pi + phi_m)
+            - integrate(ups, phi_b, phi_m)
+            - line(phi_k - phi_a, phi_k + phi_b)
+        )
+    elif leaf == "np3":
+        value = (
+            integrate(ups, pi - phi_m, pi + phi_m)
+            - integrate(ups, phi_b, phi_m)
+            - integrate(ups, phi_a, phi_m)
+            - line(phi_k - phi_a, phi_k + phi_b)
+        )
+    elif leaf == "np4":
+        value = (
+            1.0
+            - line(phi_k - phi_a, phi_k + phi_b)
+            - integrate(ups, phi_b, _TWO_PI - phi_a)
+        )
+    elif leaf == "np5":
+        value = line(phi_k + phi_b, phi_k - phi_a + _TWO_PI) - integrate(
+            ups, phi_b, _TWO_PI - phi_a
+        )
+    elif leaf == "pp1":
+        value = integrate(ups, pi + phi_a, pi + phi_b) - line(phi_k + phi_a, phi_k + phi_b)
+    elif leaf == "pp2":
+        value = (
+            integrate(ups, pi + phi_a, pi + phi_m)
+            - integrate(ups, phi_b, phi_m)
+            - line(phi_k + phi_a, phi_k + phi_b)
+        )
+    elif leaf == "pp3":
+        value = line(phi_k + phi_b, phi_k + phi_a) - integrate(ups, phi_b, phi_a)
+    elif leaf == "n1":
+        value = integrate(ups, pi - phi_a, pi + phi_lam) - line(phi_k - phi_a, _HALF_PI)
+    elif leaf == "n2":
+        value = (
+            integrate(ups, pi - phi_a, pi + phi_m)
+            - integrate(ups, phi_lam, phi_m)
+            - line(phi_k - phi_a, _HALF_PI)
+        )
+    elif leaf == "n3":
+        value = (
+            integrate(ups, pi - phi_m, pi + phi_m)
+            - integrate(ups, phi_lam, phi_m)
+            - integrate(ups, phi_a, phi_m)
+            - line(phi_k - phi_a, _HALF_PI)
+        )
+    elif leaf == "n4":
+        value = (
+            1.0
+            - line(phi_k - phi_a, _HALF_PI)
+            - integrate(ups, phi_lam, _TWO_PI - phi_a)
+        )
+    elif leaf == "n5":
+        value = line(_HALF_PI, phi_k - phi_a + _TWO_PI) - integrate(ups, phi_lam, _TWO_PI - phi_a)
+    elif leaf == "p1":
+        value = line(_HALF_PI, phi_k + phi_a) + integrate(ups, pi + phi_a, pi + phi_lam)
+    elif leaf == "p2":
+        value = (
+            line(_HALF_PI, phi_k + phi_a)
+            + integrate(ups, pi + phi_a, pi + phi_m)
+            - integrate(ups, phi_lam, phi_m)
+        )
+    else:  # p3
+        value = line(_HALF_PI, phi_k + phi_a) - integrate(ups, phi_lam, phi_a)
+
+    return _clamp_unit(value)
 
 
 class TestDispatch:
@@ -309,3 +525,40 @@ class TestUpsilonIntegrand:
             for off in (-math.sqrt(h) - 1e-8, -math.sqrt(h), -math.sqrt(h) + 1e-8)
         ]
         assert max(vals) - min(vals) < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore:hyperbola shape coincides:RuntimeWarning")
+class TestSharedFormulas:
+    """The six shared formulas against the sixteen per-leaf ones.
+
+    Every leaf keeps its name and its bits, except p2: the reference sums
+    line + U1 - U2, the shared rung-2 formula U1 - U2 - line.
+    """
+
+    def check(self, params):
+        region = region_of(params)
+        leaf = classify_branch(region)
+        assert leaf == reference_branch_geometry(region).leaf
+        got = hyperbola_cone_prob(region)
+        ref = reference_hyperbola_cone_prob(region)
+        if leaf == "p2":
+            assert abs(got - ref) <= 2.2e-16
+        else:
+            assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize(
+        "params", [*LEAF_CASES.values(), ZERO_CASE], ids=[*LEAF_CASES, "zero"]
+    )
+    def test_leaf_cases(self, params):
+        self.check(params)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        offset=st.floats(-3.0, 3.0),
+        lam=st.floats(0.05, 4.0),
+        h=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        g=st.floats(-1.0, 3.0),
+        k=st.floats(0.05, 3.0),
+    )
+    def test_random_regions(self, offset, lam, h, g, k):
+        self.check((offset, lam, h, g, k))

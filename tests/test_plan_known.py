@@ -79,7 +79,7 @@ class TestBuild:
         for key, bad in (
             ("alpha", 0.0), ("beta", 1.0), ("epsilon", -1.0), ("sigma", 0.0),
             ("zeta", 0.0), ("zeta", 1.5), ("rho", 0.0), ("tau", 0),
-            ("tau", 1001),
+            ("tau", 1001), ("tau", math.nan), ("tau", math.inf),
         ):
             kwargs = dict(good)
             kwargs[key] = bad
