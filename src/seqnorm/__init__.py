@@ -34,6 +34,7 @@ from .plan_known import (
     Stage,
     build_known_plan,
     decide_stage,
+    decision_code,
     oc_upper_phi,
 )
 from .plan_unknown import (

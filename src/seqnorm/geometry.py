@@ -34,6 +34,7 @@ configurations where an angle pair swaps order.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -90,6 +91,9 @@ class HyperbolaConeRegion:
             raise DomainError(f"lam must be > 0, got {self.lam}")
         if self.h < 0.0:
             raise DomainError(f"h must be >= 0, got {self.h}")
+        if 0.0 < self.h < sys.float_info.min:
+            # sqrt(h) and h times the polar direction terms lose their digits
+            raise DomainError(f"h must be 0 or a normal float, got {self.h}")
         if self.k <= 0.0:
             raise DomainError(f"k must be > 0, got {self.k}")
 
@@ -254,6 +258,8 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
 
     sqrt_h = math.sqrt(h)
     delta = h * (k2 - lam) + lam * g * g
+    if not math.isfinite(delta):
+        raise DomainError(f"region too large for double precision: {region}")
     sqd = math.sqrt(max(delta, 0.0))
 
     # the line touches the hyperbola at A and, when it is flatter than the
@@ -284,12 +290,15 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
         line_b = _HALF_PI
         u_q = off
     eta = off * off - h
+    lam_eta = lam * abs(eta)
     if eta == 0.0:
         phi_m = _HALF_PI
     elif h == 0.0:
         phi_m = 0.0
+    elif lam_eta < sys.float_info.min:
+        raise DomainError(f"lam * |offset^2 - h| underflows: {region}")
     else:
-        phi_m = math.atan(math.sqrt(h / (lam * abs(eta))))
+        phi_m = math.atan(math.sqrt(h / lam_eta))
 
     # the origin's rung among special points on the u-axis: Q and P are the
     # tangent intercepts from B and A (Q is the center M when B is at

@@ -16,9 +16,9 @@ total boundary-crossing rate there, which is what calibration pins to the
 error budget.
 
 ``Plan`` holds what both variance cases share: the design fields, the
-stage ladder, the mirror plan, the OC bounds and the certificate.
-``KnownVarPlan`` here and ``UnknownVarPlan`` in plan_unknown add the
-statistic, the envelope and the sample-number tails.
+stage ladder, the mirror plan, the OC bounds, the certificate and the
+sample-number tails.  ``KnownVarPlan`` here and ``UnknownVarPlan`` in
+plan_unknown add the statistic, its law at a stage and the envelope.
 """
 
 from __future__ import annotations
@@ -95,9 +95,10 @@ class Plan:
     """Design parameters plus the stage ladder they build.
 
     A subclass supplies ``statistic(samples, n)``, the vectorized
-    ``stage_statistics(shifted, sigma)``, ``envelope(theta, tail_mass,
-    cell_budget) -> (lo, hi)`` bracketing the rejection envelope and
-    ``sample_tail(ell, theta)``.
+    ``stage_statistics(shifted)``, the statistic's law
+    ``stage_cdf(x, n, theta)`` at stage size n and standardized mean
+    theta, and ``envelope(theta, tail_mass, cell_budget) -> (lo, hi)``
+    bracketing the rejection envelope.
     """
 
     alpha: float
@@ -140,6 +141,19 @@ class Plan:
             stages=tuple(Stage(n=s.n, a=0.0 - s.b, b=0.0 - s.a) for s in self.stages),
             certified=False,
         )
+
+    def sample_tail(self, ell: int, theta: float) -> float:
+        """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
+        s = self.num_stages
+        if not (1 <= ell <= s - 1):
+            raise DomainError(
+                f"stage index must lie in [1, {s - 1}] (sampling always stops at stage {s})"
+            )
+        if not math.isfinite(theta):
+            raise DomainError(f"theta must be finite, got {theta}")
+        stage = self.stages[ell - 1]
+        value = self.stage_cdf(stage.b, stage.n, theta) - self.stage_cdf(stage.a, stage.n, theta)
+        return max(0.0, value)
 
     def oc_bounds(
         self,
@@ -198,14 +212,19 @@ class KnownVarPlan(Plan):
         mean = math.fsum(samples[:n]) / n
         return math.sqrt(n) * (mean - self.gamma) / self.sigma
 
-    def stage_statistics(self, shifted: np.ndarray, sigma: float) -> np.ndarray:
-        """z-statistics of every stage, replicates in rows, stages in columns.
+    def stage_statistics(self, shifted: np.ndarray) -> np.ndarray:
+        """z-statistics of every stage, stages in rows, replicates in columns.
 
-        shifted holds samples minus gamma, drawn with standard deviation
-        sigma; the statistic standardizes by that sigma.
+        shifted holds samples minus gamma, replicates in rows; like
+        ``statistic``, this standardizes by the plan's sigma, whatever sigma
+        the data had.
         """
-        csum = np.cumsum(shifted / sigma, axis=1)
-        return np.column_stack([csum[:, n - 1] / math.sqrt(n) for n in self.sizes])
+        csum = np.cumsum(shifted / self.sigma, axis=1)
+        return np.array([csum[:, n - 1] / math.sqrt(n) for n in self.sizes])
+
+    def stage_cdf(self, x: float, n: int, theta: float) -> float:
+        """Pr{statistic at size n <= x}: normal with mean sqrt(n) theta, unit variance."""
+        return std_normal_cdf(x - math.sqrt(n) * theta)
 
     def envelope(
         self,
@@ -216,13 +235,6 @@ class KnownVarPlan(Plan):
         """[phi, phi]: the closed form is exact, so the interval is a point."""
         phi = oc_upper_phi(theta, self)
         return phi, phi
-
-    def sample_tail(self, ell: int, theta: float) -> float:
-        """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
-        stage = _continue_stage(ell, theta, self)
-        root = math.sqrt(stage.n) * theta
-        value = std_normal_cdf(stage.b - root) - std_normal_cdf(stage.a - root)
-        return max(0.0, value)
 
 
 def build_known_plan(
@@ -278,13 +290,22 @@ def build_known_plan(
     )
 
 
+def decision_code(t, a, b):
+    """The decision rule: accept at or below a, reject strictly above b, continue between.
+
+    Gives the ``Decision`` value (0 continue, 1 accept, 2 reject) of a
+    statistic t against thresholds a <= b.  It is elementwise on numpy
+    arrays and stays in plain integer arithmetic on floats.
+    """
+    return (t <= a) + 2 * (t > b)
+
+
+_DECISIONS = tuple(Decision)  # indexed by decision code
+
+
 def decide_stage(statistic: float, stage: Stage) -> Decision:
-    """Accept at or below a, reject strictly above b, continue between."""
-    if statistic <= stage.a:
-        return Decision.ACCEPT
-    if statistic > stage.b:
-        return Decision.REJECT
-    return Decision.CONTINUE
+    """The decision rule at one stage's thresholds."""
+    return _DECISIONS[decision_code(statistic, stage.a, stage.b)]
 
 
 def _phi_terms(theta: float, stages: Sequence[Stage]):
@@ -313,15 +334,3 @@ def oc_upper_phi(theta: float, plan: KnownVarPlan) -> float:
     for region_b, region_a in _phi_terms(theta, stages):
         total += cone_prob(region_b) - cone_prob(region_a)
     return total
-
-
-def _continue_stage(ell: int, theta: float, plan: Plan) -> Stage:
-    """Stage ell of a sample-number tail bound, after checking ell and theta."""
-    s = plan.num_stages
-    if not (1 <= ell <= s - 1):
-        raise DomainError(
-            f"stage index must lie in [1, {s - 1}] (sampling always stops at stage {s})"
-        )
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
-    return plan.stages[ell - 1]

@@ -28,14 +28,7 @@ import numpy as np
 
 from .errors import DomainError, DegenerateSampleError, InsufficientDataError, SeqnormError
 from .geometry import ConeRegion, HyperbolaConeRegion, cone_prob, hyperbola_cone_prob
-from .plan_known import (
-    DEFAULT_CELL_BUDGET,
-    DEFAULT_TAIL_MASS,
-    Plan,
-    Stage,
-    _continue_stage,
-    validate_design,
-)
+from .plan_known import DEFAULT_CELL_BUDGET, DEFAULT_TAIL_MASS, Plan, Stage, validate_design
 from .special import (
     chi_square_cdf,
     chi_square_quantile,
@@ -66,11 +59,11 @@ class UnknownVarPlan(Plan):
         sd = math.sqrt(ss / (n - 1))
         return math.sqrt(n) * (mean - self.gamma) / sd
 
-    def stage_statistics(self, shifted: np.ndarray, sigma: float) -> np.ndarray:
-        """t-statistics of every stage, replicates in rows, stages in columns.
+    def stage_statistics(self, shifted: np.ndarray) -> np.ndarray:
+        """t-statistics of every stage, stages in rows, replicates in columns.
 
-        shifted holds samples minus gamma at the data's natural scale, so
-        sums of squares form there; sigma is not used, as t is scale free.
+        shifted holds samples minus gamma at the data's natural scale,
+        replicates in rows, so sums of squares form there.
         """
         if self.stages[0].n < 2:
             raise DomainError("unknown-variance plans need stage sizes >= 2")
@@ -89,7 +82,11 @@ class UnknownVarPlan(Plan):
             t = np.where(sd > 0.0, t, np.sign(s) * np.inf)
             t = np.where(np.isnan(t), 0.0, t)
             cols.append(t)
-        return np.column_stack(cols)
+        return np.array(cols)
+
+    def stage_cdf(self, x: float, n: int, theta: float) -> float:
+        """Pr{statistic at size n <= x}: noncentral t, n - 1 dof, ncp sqrt(n) theta."""
+        return noncentral_t_cdf(x, n - 1, math.sqrt(n) * theta)
 
     def envelope(
         self,
@@ -99,10 +96,6 @@ class UnknownVarPlan(Plan):
     ) -> tuple[float, float]:
         """Certified bracket of the rejection envelope (see oc_upper_P)."""
         return oc_upper_P(theta, self, tail_mass, cell_budget)
-
-    def sample_tail(self, ell: int, theta: float) -> float:
-        """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
-        return _continue_band_prob(theta, _continue_stage(ell, theta, self))
 
 
 def min_stage_size(alpha: float, beta: float, epsilon: float, zeta: float) -> int:
@@ -414,13 +407,6 @@ def stage_term_cells(
     return cells, evaluator, spans
 
 
-def _continue_band_prob(theta: float, stage: Stage) -> float:
-    ncp = math.sqrt(stage.n) * theta
-    dof = stage.n - 1
-    value = noncentral_t_cdf(stage.b, dof, ncp) - noncentral_t_cdf(stage.a, dof, ncp)
-    return max(0.0, value)
-
-
 def oc_upper_P(
     theta: float,
     plan: UnknownVarPlan,
@@ -442,7 +428,7 @@ def oc_upper_P(
         raise DomainError(f"cell_budget must be >= 4, got {cell_budget}")
 
     first = plan.stages[0]
-    p1 = 1.0 - noncentral_t_cdf(first.b, first.n - 1, math.sqrt(first.n) * theta)
+    p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)
     lower = p1
     upper = p1
     s = plan.num_stages
@@ -455,7 +441,7 @@ def oc_upper_P(
         cell_lo = math.fsum(c.p_lower for c in cells)
         cell_hi = math.fsum(c.p_upper for c in cells)
         if evaluator.negate:
-            nct = _continue_band_prob(theta, plan.stages[ell - 2])
+            nct = plan.sample_tail(ell - 1, theta)
             term_lo = max(0.0, nct + cell_lo - tail_budget)
             term_hi = min(nct, nct + cell_hi)
         else:

@@ -17,7 +17,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, fields
-from typing import IO, Sequence
+from typing import Sequence
 
 from .errors import (
     DomainError,
@@ -31,12 +31,6 @@ from .plan_known import Decision, KnownVarPlan, build_known_plan, decide_stage
 from .plan_unknown import UnknownVarPlan, build_unknown_plan
 
 SESSION_SCHEMA_VERSION = 1
-
-_DECISION_NAMES = {
-    Decision.CONTINUE: "continue",
-    Decision.ACCEPT: "accept",
-    Decision.REJECT: "reject",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +320,17 @@ def session_to_dict(session: TestSession) -> dict:
             {
                 "stage": h.stage,
                 "statistic": h.statistic,
-                "decision": _DECISION_NAMES[h.decision],
+                "decision": h.decision.name.lower(),
             }
             for h in session.history
         ],
     }
 
 
-def save_session(session: TestSession, target: str | os.PathLike | IO[str]) -> None:
-    text = dump_json(session_to_dict(session)) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
+def save_session(session: TestSession, path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fp:
+        fp.write(dump_json(session_to_dict(session)))
+        fp.write("\n")
 
 
 def _json_equal(a, b) -> bool:
@@ -381,13 +372,10 @@ def session_from_dict(data: dict) -> TestSession:
     return session
 
 
-def load_session(source: str | os.PathLike | IO[str]) -> TestSession:
+def load_session(path: str | os.PathLike) -> TestSession:
     try:
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fp:
-                data = json.load(fp)
+        with open(path, "r", encoding="utf-8") as fp:
+            data = json.load(fp)
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise SessionFormatError(f"session file is not valid JSON: {exc}") from exc
     return session_from_dict(data)

@@ -1,6 +1,13 @@
 """Plan execution on synthetic normal data: the stopped decision rule and
 the adjacent-stage boundary-crossing sums the OC envelopes bound.
 
+Each replicate's stage statistics come from the plan's own
+``stage_statistics`` and its decisions from ``decision_code``, the rule a
+session applies, so a simulated replicate reaches the stage and decision a
+session fed the same samples reaches.  sigma is the data's standard
+deviation; a known-variance plan still standardizes by its own sigma, so a
+different sigma simulates a misspecified one.
+
 Samples come from a counter-based uniform stream (Philox) pushed through
 the inverse normal CDF.  Replicate r owns a fixed window of the stream, so
 results are bit-identical no matter how the replicate range is chunked;
@@ -17,6 +24,7 @@ import scipy.special as sp
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, SeqnormError
+from .plan_known import Decision, decision_code
 
 _CHUNK = 1 << 15
 _U_FLOOR = 2.0 ** -64  # inverse-CDF guard: random() can emit exactly 0
@@ -74,11 +82,10 @@ class SimReport:
 
 
 def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tally) -> list:
-    """tally(stats, a, b) of every replicate chunk, in chunk order.
+    """tally(codes) of every replicate chunk, in chunk order.
 
-    stats holds each replicate's statistics at every stage (replicates in
-    rows, stages in columns) from normal(mu, sigma^2) samples; a and b are
-    the stage thresholds.
+    codes holds each replicate's decision code at every stage (stages in
+    rows, replicates in columns) from normal(mu, sigma^2) samples.
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
@@ -88,46 +95,43 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
         raise DomainError(f"mu and sigma must be finite, got {mu} and {sigma}")
     n_max = plan.sizes[-1]
     width = _words_per_replicate(n_max)
-    a = np.array([st.a for st in plan.stages])
-    b = np.array([st.b for st in plan.stages])
+    a = np.array([[st.a] for st in plan.stages])
+    b = np.array([[st.b] for st in plan.stages])
     shift = mu - plan.gamma
 
     def worker(bounds):
         lo, hi = bounds
         z = _normal_block(seed, lo * width, hi - lo, width)[:, :n_max]
-        return tally(plan.stage_statistics(shift + sigma * z, sigma), a, b)
+        return tally(decision_code(plan.stage_statistics(shift + sigma * z), a, b))
 
     chunks = [(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
     return [worker(c) for c in chunks]
 
 
+def _stop_tally(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """How many replicates stop at each stage, and how many of those accept.
+
+    A replicate stops at the first stage it reaches that does not continue.
+    """
+    reached = np.ones_like(codes, dtype=bool)
+    for idx in range(1, len(codes)):
+        reached[idx] = reached[idx - 1] & (codes[idx - 1] == Decision.CONTINUE)
+    stops = reached & (codes != Decision.CONTINUE)
+    if np.count_nonzero(stops) != codes.shape[1]:
+        raise SeqnormError("final stage failed to decide; plan invariant broken")
+    accepted = np.count_nonzero(stops & (codes == Decision.ACCEPT))
+    return np.count_nonzero(stops, axis=1), int(accepted)
+
+
 def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -> SimReport:
     """Run the stagewise decision rule on synthetic normal(mu, sigma^2) data.
 
-    The stopped process never consults statistics past the deciding stage.
-    Deterministic in (plan, mu, sigma, replications, seed).
+    Each replicate stops at its first deciding stage.  Deterministic in
+    (plan, mu, sigma, replications, seed).
     """
-    s = plan.num_stages
-
-    def tally(stats, a, b):
-        undecided = np.ones(len(stats), dtype=bool)
-        hist = np.zeros(s, dtype=np.int64)
-        accepted = 0
-        for idx in range(s):
-            t = stats[:, idx]
-            acc = undecided & (t <= a[idx])
-            rej = undecided & (t > b[idx])
-            decided = acc | rej
-            hist[idx] += int(np.count_nonzero(decided))
-            accepted += int(np.count_nonzero(acc))
-            undecided &= ~decided
-        if np.any(undecided):
-            raise SeqnormError("final stage failed to decide; plan invariant broken")
-        return hist, accepted
-
-    hist = np.zeros(s, dtype=np.int64)
+    hist = np.zeros(plan.num_stages, dtype=np.int64)
     accepted = 0
-    for part_hist, part_acc in _stage_pass(plan, mu, sigma, replications, seed, tally):
+    for part_hist, part_acc in _stage_pass(plan, mu, sigma, replications, seed, _stop_tally):
         hist += part_hist
         accepted += part_acc
 
@@ -165,26 +169,28 @@ class TransitionSums:
     seed: int
 
 
-def mc_transition_sums(plan, mu: float, sigma: float, replications: int, seed: int) -> TransitionSums:
-    def tally(stats, a, b):
-        rej_count = np.zeros(len(stats), dtype=np.int64)
-        acc_count = np.zeros(len(stats), dtype=np.int64)
-        prev_continue = np.ones(len(stats), dtype=bool)
-        for idx in range(plan.num_stages):
-            t = stats[:, idx]
-            rej_count += (prev_continue & (t > b[idx])).astype(np.int64)
-            acc_count += (prev_continue & (t <= a[idx])).astype(np.int64)
-            prev_continue = (t > a[idx]) & (t <= b[idx])
-        return (
-            int(rej_count.sum()), float(np.dot(rej_count, rej_count)),
-            int(acc_count.sum()), float(np.dot(acc_count, acc_count)),
-        )
+def _transition_tally(codes: np.ndarray) -> tuple[int, float, int, float]:
+    """Sums and sums of squares of each replicate's reject and accept transitions.
 
+    A transition at stage l is a decision there after stage l-1 continued;
+    the first stage counts as following a continue.
+    """
+    prev_continue = np.ones_like(codes, dtype=bool)
+    prev_continue[1:] = codes[:-1] == Decision.CONTINUE
+    rej_count = np.count_nonzero(prev_continue & (codes == Decision.REJECT), axis=0)
+    acc_count = np.count_nonzero(prev_continue & (codes == Decision.ACCEPT), axis=0)
+    return (
+        int(rej_count.sum()), float(np.dot(rej_count, rej_count)),
+        int(acc_count.sum()), float(np.dot(acc_count, acc_count)),
+    )
+
+
+def mc_transition_sums(plan, mu: float, sigma: float, replications: int, seed: int) -> TransitionSums:
     rej_total = 0
     rej_sq = 0.0
     acc_total = 0
     acc_sq = 0.0
-    for r1, r2, a1, a2 in _stage_pass(plan, mu, sigma, replications, seed, tally):
+    for r1, r2, a1, a2 in _stage_pass(plan, mu, sigma, replications, seed, _transition_tally):
         rej_total += r1
         rej_sq += r2
         acc_total += a1

@@ -1,6 +1,7 @@
 """Hyperbola-cone evaluator: leaf coverage, oracles, continuity, integrand."""
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -527,6 +528,41 @@ class TestUpsilonIntegrand:
         assert max(vals) - min(vals) < 1e-6
 
 
+def refused(offset, lam, h):
+    """The refusals bounded inputs can reach: h subnormal, or lam |offset^2 - h| underflowing."""
+    eta = offset * offset - h
+    return 0.0 < h < sys.float_info.min or (
+        h > 0.0 and eta != 0.0 and lam * abs(eta) < sys.float_info.min
+    )
+
+
+class TestDoubleRange:
+    """Regions whose formulas leave double range are refused, not evaluated."""
+
+    @pytest.mark.parametrize("params", [
+        (0.0, 0.5, 1.0, 1e160, 0.1),  # delta overflows: gave 0.634 > Phi(-1)
+        (0.0, 0.5, 1.0, 1e200, 0.1),
+        (0.0, 0.5, 1.0, 1e200, 1.0),  # raised InconsistentBoundaryError
+        (0.0, 0.05, 5e-324, 1.0, 1.0),  # subnormal h: raised ZeroDivisionError
+        (1e-300, 0.05, 5e-324, 1.0, 0.1),
+        (0.0, 1.0, 5e-324, 1.0, 0.5),  # gave 0.0401 where h = 1e-300 gives 0.1235
+        (0.0, 1.0, 1e-310, 1.0, 0.5),
+        (0.0, 1e-300, 1e-100, 1.0, 0.5),  # lam |eta| underflows: raised ZeroDivisionError
+    ])
+    def test_refused(self, params):
+        with pytest.raises(DomainError):
+            hyperbola_cone_prob(region_of(params))
+
+    @pytest.mark.parametrize("params, expected", [
+        ((0.0, 0.5, 1.0, 1e10, 0.1), "0.12123929870441913"),
+        ((0.0, 0.5, 1.0, 1e150, 0.1), "0.12123929870441913"),
+        ((0.0, 1.0, 1e-300, 1.0, 0.5), "0.12347985917869253"),
+        ((0.0, 1.0, sys.float_info.min, 1.0, 0.5), "0.12347985917869253"),
+    ])
+    def test_edge_of_range_keeps_its_value(self, params, expected):
+        assert repr(hyperbola_cone_prob(region_of(params))) == expected
+
+
 @pytest.mark.filterwarnings("ignore:hyperbola shape coincides:RuntimeWarning")
 class TestSharedFormulas:
     """The six shared formulas against the sixteen per-leaf ones.
@@ -536,8 +572,12 @@ class TestSharedFormulas:
     """
 
     def check(self, params):
-        region = region_of(params)
-        leaf = classify_branch(region)
+        try:
+            region = region_of(params)
+            leaf = classify_branch(region)
+        except DomainError:
+            assert refused(*params[:3])
+            return
         assert leaf == reference_branch_geometry(region).leaf
         got = hyperbola_cone_prob(region)
         ref = reference_hyperbola_cone_prob(region)

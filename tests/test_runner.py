@@ -239,9 +239,9 @@ class TestPersistence:
         save_session(session, path)
         text_one = path.read_text()
         loaded = load_session(path)
-        buf = io.StringIO()
-        save_session(loaded, buf)
-        assert buf.getvalue() == text_one
+        again = tmp_path / "again.json"
+        save_session(loaded, again)
+        assert again.read_text() == text_one
         assert loaded.samples == session.samples
         assert loaded.history == session.history
         assert loaded.status == session.status

@@ -6,11 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqnorm.simulate as sim
 from seqnorm.errors import DomainError, SeqnormError
 from seqnorm.geometry import ConeRegion, HyperbolaConeRegion
-from seqnorm.plan_known import Stage, build_known_plan
+from seqnorm.plan_known import Decision, Stage, build_known_plan, decision_code
+from seqnorm.plan_unknown import build_unknown_plan
+from seqnorm.runner import feed, new_session
 from seqnorm.simulate import mc_transition_sums, simulate_plan
 from seqnorm.special import std_normal_cdf
 
@@ -70,6 +74,126 @@ class TestSimulatePlan:
         rep = simulate_plan(single, mu=theta, sigma=1.0, replications=4 * 10**5, seed=31)
         exact = std_normal_cdf(math.sqrt(single.sizes[0]) * theta - single.stages[0].b)
         assert abs(rep.reject_rate - exact) <= 4 * max(rep.mc_se, 1e-9)
+
+
+def replicate_samples(plan, mu, sigma, r, seed):
+    """Replicate r's samples, as simulate_plan draws them from its stream window."""
+    n_max = plan.sizes[-1]
+    width = sim._words_per_replicate(n_max)
+    z = sim._normal_block(seed, r * width, 1, width)[0, :n_max]
+    return list(mu + sigma * z)
+
+
+REPLAY_PLANS = {
+    "known": build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=0.455, rho=1.0, tau=3),
+    "known-shifted": build_known_plan(0.05, 0.10, 0.4, 1.3, 0.7, zeta=0.6, rho=0.5, tau=4),
+    "unknown": build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8, rho=1.0, tau=3),
+}
+
+
+@pytest.mark.parametrize("theta, sigma_ratio", [(-0.5, 2.0), (0.7, 2.0), (0.2, 0.5)])
+@pytest.mark.parametrize("name", sorted(REPLAY_PLANS))
+def test_replicates_reach_the_session_decision(name, theta, sigma_ratio):
+    """Replicate r's outcome is what adding it changes in the report; a
+    session fed its samples must reach the same stage and decision, also
+    when the data's sigma is not the plan's."""
+    plan = REPLAY_PLANS[name]
+    plan_sigma = getattr(plan, "sigma", 1.0)
+    sigma = sigma_ratio * plan_sigma
+    mu = plan.gamma + theta * plan_sigma
+    seed = 5
+    hist = np.zeros(plan.num_stages, dtype=np.int64)
+    accepted = 0
+    for r in range(200):
+        rep = simulate_plan(plan, mu, sigma, r + 1, seed)
+        stage = int(np.flatnonzero(np.array(rep.stage_histogram) - hist)[0]) + 1
+        now_accepted = round(rep.accept_rate * (r + 1))
+        session = feed(new_session(plan, allow_uncertified=True),
+                       replicate_samples(plan, mu, sigma, r, seed))
+        last = session.history[-1]
+        assert (stage, now_accepted > accepted) == (last.stage, last.decision == Decision.ACCEPT), r
+        hist = np.array(rep.stage_histogram)
+        accepted = now_accepted
+
+
+def reference_stop_tally(stats, a, b):
+    """The per-stage loop simulate_plan's tally replaced; the reference."""
+    s = stats.shape[1]
+    undecided = np.ones(len(stats), dtype=bool)
+    hist = np.zeros(s, dtype=np.int64)
+    accepted = 0
+    for idx in range(s):
+        t = stats[:, idx]
+        acc = undecided & (t <= a[idx])
+        rej = undecided & (t > b[idx])
+        decided = acc | rej
+        hist[idx] += int(np.count_nonzero(decided))
+        accepted += int(np.count_nonzero(acc))
+        undecided &= ~decided
+    if np.any(undecided):
+        raise SeqnormError("final stage failed to decide; plan invariant broken")
+    return hist, accepted
+
+
+def reference_transition_tally(stats, a, b):
+    """The per-stage loop mc_transition_sums's tally replaced; the reference."""
+    rej_count = np.zeros(len(stats), dtype=np.int64)
+    acc_count = np.zeros(len(stats), dtype=np.int64)
+    prev_continue = np.ones(len(stats), dtype=bool)
+    for idx in range(stats.shape[1]):
+        t = stats[:, idx]
+        rej_count += (prev_continue & (t > b[idx])).astype(np.int64)
+        acc_count += (prev_continue & (t <= a[idx])).astype(np.int64)
+        prev_continue = (t > a[idx]) & (t <= b[idx])
+    return (
+        int(rej_count.sum()), float(np.dot(rej_count, rej_count)),
+        int(acc_count.sum()), float(np.dot(acc_count, acc_count)),
+    )
+
+
+@st.composite
+def statistic_matrices(draw):
+    """Thresholds a <= b per stage, and statistics that often sit exactly
+    at a threshold or one float step from it."""
+    stages = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 25))
+    reals = st.floats(-4.0, 4.0)
+    a, b = [], []
+    for _ in range(stages):
+        lo, hi = sorted(draw(st.lists(reals, min_size=2, max_size=2)))
+        if draw(st.booleans()):
+            hi = lo  # a closing stage
+        a.append(lo)
+        b.append(hi)
+    near = [
+        [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        for pair in zip(a, b) for x in pair
+    ]
+    # an integer entry picks a value at or next to one of its stage's thresholds
+    entries = st.one_of(st.integers(0, 5), reals, st.sampled_from([-math.inf, math.inf]))
+    flat = draw(st.lists(entries, min_size=rows * stages, max_size=rows * stages))
+    stats = np.array([
+        near[2 * (i % stages) + x // 3][x % 3] if isinstance(x, int) else x
+        for i, x in enumerate(flat)
+    ]).reshape(rows, stages)
+    return stats, np.array(a), np.array(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(statistic_matrices())
+def test_tallies_equal_the_per_stage_loops(case):
+    stats, a, b = case
+    codes = decision_code(stats.T, a[:, None], b[:, None])
+    assert sim._transition_tally(codes) == reference_transition_tally(stats, a, b)
+    try:
+        expected = reference_stop_tally(stats, a, b)
+    except SeqnormError:
+        with pytest.raises(SeqnormError, match="final stage failed to decide"):
+            sim._stop_tally(codes)
+        return
+    hist, accepted = sim._stop_tally(codes)
+    assert hist.tolist() == expected[0].tolist()
+    assert accepted == expected[1]
 
 
 class TestTransitionSums:
