@@ -38,13 +38,11 @@ from .plan_known import (
     oc_upper_phi,
 )
 from .plan_unknown import (
-    PartitionCell,
     UnknownVarPlan,
     build_unknown_plan,
     min_stage_size,
     mirror_unknown_plan,
     oc_upper_P,
-    refine_partition,
 )
 from .runner import (
     HistoryEntry,

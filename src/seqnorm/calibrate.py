@@ -45,16 +45,13 @@ def _search(
     walk down by halving if infeasible, then bisect toward the nearest
     infeasible zeta above the anchor.
     """
-    if zeta_tol <= 0.0:
+    if not zeta_tol > 0.0:
         raise DomainError(f"zeta_tol must be > 0, got {zeta_tol}")
     zeta_hi = min(1.0, 10.0 / tau)
     anchor = min(1.0 / tau, zeta_hi)
-    iterations = 0
-    values: dict[float, tuple[float, float]] = {}
+    values: dict[float, tuple[float, float]] = {}  # every probe, each zeta once
 
     def feasible(z: float) -> bool:
-        nonlocal iterations
-        iterations += 1
         pair = probe(z)
         values[z] = pair
         return pair[0] <= alpha and pair[1] <= beta
@@ -81,6 +78,8 @@ def _search(
         lo, hi = z, 2.0 * z
     while hi - lo > zeta_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles; zeta_tol is below their spacing
         if feasible(mid):
             lo = mid
         else:
@@ -93,7 +92,7 @@ def _search(
         zeta=lo,
         phi_at_theta0=pa,
         phi_mirror_at_theta1=pb,
-        iterations=iterations,
+        iterations=len(values),
         certified=certified,
     )
 

@@ -143,9 +143,9 @@ def cmd_design(args) -> int:
     plan = build(zeta=zeta, rho=args.rho, tau=args.tau)
     bound_a, bound_b = plan.certify(args.tail_mass, args.cell_budget)
     plan = plan.with_certified(bound_a <= plan.alpha and bound_b <= plan.beta)
-    save_plan(plan, args.out)
 
-    # the design fields, in the order the plan file stores them
+    # the design fields, in the order the plan file stores them; the summary
+    # is formatted before the plan is saved so a failure leaves no file
     lines = []
     for key, value in plan_to_dict(plan).items():
         if key == "theta_star":
@@ -162,6 +162,7 @@ def cmd_design(args) -> int:
     ]
     for i, st in enumerate(plan.stages, start=1):
         lines.append(f"{i:5d} {st.n:10d} {st.a:+.6f}    {st.b:+.6f}")
+    save_plan(plan, args.out)
     print("\n".join(lines))
     return EXIT_OK
 

@@ -246,6 +246,8 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
     g = region.g
     k = region.k
     k2 = k * k
+    if not math.isfinite(k2):
+        raise DomainError(f"region too large for double precision: {region}")
 
     if abs(k2 - lam) <= 1e-9 * max(k2, lam):
         warnings.warn(

@@ -226,54 +226,47 @@ class PartitionCell:
         return self.p_upper - self.p_lower
 
 
-def refine_partition(
-    cells: list[PartitionCell],
+def _partition(
+    root: tuple[float, float, float, float],
     budget: int,
     evaluate: Callable[[float, float, float, float], tuple[float, float]],
-    spans: tuple[float, float],
 ) -> list[PartitionCell]:
-    """Bisect the widest-gap cell until budget cells exist.
+    """Cells tiling root = (y_lo, y_hi, z_lo, z_hi), split where the gap is widest.
 
-    evaluate(y_lo, y_hi, z_lo, z_hi) returns the (p_lower, p_upper)
-    contribution of a rectangle.  The split axis is the side that is longer
-    after normalizing by the initial rectangle's spans; equal gaps split
-    the lowest-index cell, so the refinement path is deterministic and a
-    larger budget extends the path of a smaller one.
+    evaluate(y_lo, y_hi, z_lo, z_hi) returns a rectangle's (p_lower, p_upper).  The
+    root is halved along y and, if z has extent, along z; then the widest-gap cell,
+    the lowest-index one among equals, is bisected along its side longer in units of
+    the root's sides until budget cells exist, so larger budgets extend one path.
     """
-    if budget < len(cells):
-        warnings.warn(
-            f"cell budget {budget} below current cell count {len(cells)}; not refining",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return cells
-    y_span, z_span = spans
-    cells = list(cells)
-    widest = [(-cell.gap, i) for i, cell in enumerate(cells)]
+    y_span, z_span = root[1] - root[0], root[3] - root[2]
+
+    def halves(geom, along_y):
+        y_lo, y_hi, z_lo, z_hi = geom
+        if along_y:
+            y_mid = 0.5 * (y_lo + y_hi)
+            return (y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)
+        z_mid = 0.5 * (z_lo + z_hi)
+        return (y_lo, y_hi, z_lo, z_mid), (y_lo, y_hi, z_mid, z_hi)
+
+    def cell(geom):
+        return PartitionCell(*geom, *evaluate(*geom))
+
+    rows = halves(root, False) if z_span > 0.0 else (root,)
+    cells = [cell(half) for row in rows for half in halves(row, True)]
+    widest = [(-c.gap, i) for i, c in enumerate(cells)]
     heapq.heapify(widest)
     while len(cells) < budget:
         _, best = heapq.heappop(widest)
-        cell = cells[best]
-        ny = (cell.y_hi - cell.y_lo) / y_span if y_span > 0.0 else 0.0
-        nz = (cell.z_hi - cell.z_lo) / z_span if z_span > 0.0 else 0.0
+        c = cells[best]
+        ny = (c.y_hi - c.y_lo) / y_span if y_span > 0.0 else 0.0
+        nz = (c.z_hi - c.z_lo) / z_span if z_span > 0.0 else 0.0
         if ny <= 0.0 and nz <= 0.0:
             break  # nothing splittable (degenerate rectangle)
-        if ny >= nz:
-            mid = 0.5 * (cell.y_lo + cell.y_hi)
-            lo_geom = (cell.y_lo, mid, cell.z_lo, cell.z_hi)
-            hi_geom = (mid, cell.y_hi, cell.z_lo, cell.z_hi)
-        else:
-            mid = 0.5 * (cell.z_lo + cell.z_hi)
-            lo_geom = (cell.y_lo, cell.y_hi, cell.z_lo, mid)
-            hi_geom = (cell.y_lo, cell.y_hi, mid, cell.z_hi)
-        children = []
-        for geom in (lo_geom, hi_geom):
-            p_lo, p_hi = evaluate(*geom)
-            children.append(PartitionCell(*geom, p_lower=p_lo, p_upper=p_hi))
-        cells[best] = children[0]
-        cells.append(children[1])
-        heapq.heappush(widest, (-children[0].gap, best))
-        heapq.heappush(widest, (-children[1].gap, len(cells) - 1))
+        low, high = map(cell, halves((c.y_lo, c.y_hi, c.z_lo, c.z_hi), ny >= nz))
+        cells[best] = low
+        cells.append(high)
+        heapq.heappush(widest, (-low.gap, best))
+        heapq.heappush(widest, (-high.gap, len(cells) - 1))
     return cells
 
 
@@ -346,29 +339,14 @@ class _StageTermEvaluator:
         return m * diff_lo, m * diff_hi
 
 
-def _initial_cells(evaluator, y_lo, y_hi, z_lo, z_hi) -> list[PartitionCell]:
-    y_mid = 0.5 * (y_lo + y_hi)
-    if z_hi > z_lo:
-        z_mid = 0.5 * (z_lo + z_hi)
-        geoms = [
-            (y_lo, y_mid, z_lo, z_mid),
-            (y_mid, y_hi, z_lo, z_mid),
-            (y_lo, y_mid, z_mid, z_hi),
-            (y_mid, y_hi, z_mid, z_hi),
-        ]
-    else:
-        geoms = [(y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)]
-    cells = []
-    for geom in geoms:
-        p_lo, p_hi = evaluator(*geom)
-        cells.append(PartitionCell(*geom, p_lower=p_lo, p_upper=p_hi))
-    return cells
-
-
 def stage_term_cells(
     theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float, cell_budget: int
 ) -> tuple[list[PartitionCell], _StageTermEvaluator, tuple[float, float]]:
-    """Partition cells bounding the stage-ell envelope term (ell >= 2, 1-based)."""
+    """Partition cells bounding the stage-ell envelope term (ell >= 2, 1-based).
+
+    Returns the cells, their evaluator and the root's (y, z) side lengths.  The root
+    holds the central 1 - tail_budget/2 of Y and of Z (Z = 0 when it has no dof).
+    """
     prev = plan.stages[ell - 2]
     cur = plan.stages[ell - 1]
     dof_y = prev.n - 1
@@ -401,10 +379,8 @@ def stage_term_cells(
     else:
         z_lo = z_hi = 0.0
 
-    cells = _initial_cells(evaluator, y_lo, y_hi, z_lo, z_hi)
-    spans = (y_hi - y_lo, z_hi - z_lo)
-    cells = refine_partition(cells, cell_budget, evaluator, spans)
-    return cells, evaluator, spans
+    cells = _partition((y_lo, y_hi, z_lo, z_hi), cell_budget, evaluator)
+    return cells, evaluator, (y_hi - y_lo, z_hi - z_lo)
 
 
 def oc_upper_P(

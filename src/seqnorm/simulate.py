@@ -11,7 +11,8 @@ different sigma simulates a misspecified one.
 Samples come from a counter-based uniform stream (Philox) pushed through
 the inverse normal CDF.  Replicate r owns a fixed window of the stream, so
 results are bit-identical no matter how the replicate range is chunked;
-chunk tallies merge in index order.
+chunk tallies merge in index order.  A chunk holds at most 2**24 stream
+words, so plans whose final stage exceeds 2**24 samples are refused.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from numpy.random import Generator, Philox
 from .errors import DomainError, SeqnormError
 from .plan_known import Decision, decision_code
 
-_CHUNK = 1 << 15
+_CHUNK = 1 << 15  # replicates per chunk
+_CHUNK_WORDS = 1 << 24  # stream words per chunk: 128 MiB per float64 chunk array
 _U_FLOOR = 2.0 ** -64  # inverse-CDF guard: random() can emit exactly 0
 
 
@@ -95,6 +97,11 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
         raise DomainError(f"mu and sigma must be finite, got {mu} and {sigma}")
     n_max = plan.sizes[-1]
     width = _words_per_replicate(n_max)
+    rows = min(_CHUNK, _CHUNK_WORDS // width)
+    if rows == 0:
+        raise DomainError(
+            f"final stage size {n_max} exceeds the simulation limit of {_CHUNK_WORDS} samples"
+        )
     a = np.array([[st.a] for st in plan.stages])
     b = np.array([[st.b] for st in plan.stages])
     shift = mu - plan.gamma
@@ -104,7 +111,7 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
         z = _normal_block(seed, lo * width, hi - lo, width)[:, :n_max]
         return tally(decision_code(plan.stage_statistics(shift + sigma * z), a, b))
 
-    chunks = [(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
+    chunks = [(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
     return [worker(c) for c in chunks]
 
 

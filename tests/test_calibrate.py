@@ -1,5 +1,7 @@
 """Calibration search: feasibility, maximality, determinism."""
 
+import math
+
 import pytest
 
 from seqnorm import calibrate
@@ -64,6 +66,10 @@ class TestKnown:
     def test_zeta_tol_validation(self):
         with pytest.raises(DomainError):
             calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=3, zeta_tol=0.0)
+
+    def test_nan_zeta_tol_refused(self):
+        with pytest.raises(DomainError, match="zeta_tol"):
+            calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=3, zeta_tol=float("nan"))
 
 
 class TestUnknown:
@@ -144,3 +150,19 @@ class TestProbePath:
         monkeypatch.setattr(calibrate, "build_known_plan", build)
         assert calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=1).zeta == 1.0
         assert seen == [1.0]
+
+    def test_tolerance_below_float_spacing_ends(self, monkeypatch):
+        # once lo and hi are adjacent doubles their midpoint is one of them
+        seen = []
+
+        def build(*args):
+            seen.append(args[5])  # zeta
+            if len(seen) > 200:
+                raise AssertionError("zeta bisection does not end")
+            return build_known_plan(*args)
+
+        monkeypatch.setattr(calibrate, "build_known_plan", build)
+        res = calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=3, zeta_tol=1e-20)
+        assert res.certified
+        assert res.iterations == len(seen) == len(set(seen))
+        assert math.nextafter(res.zeta, 1.0) in seen  # the infeasible neighbour

@@ -395,6 +395,34 @@ class TestErrorHandling:
         assert err == "design: epsilon must be large enough for finite stage sizes, got 1e-200\n"
         assert not out.exists()
 
+    def test_simulate_plan_too_large_to_hold(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        assert main([
+            "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "1e-6", "--gamma", "0", "--sigma", "1", "--zeta", "0.5",
+            "--out", str(plan),
+        ]) == 0
+        n_max = load_plan(plan).sizes[-1]
+        capsys.readouterr()
+        code, out, err = run_cli([
+            "simulate", str(plan), "--mu", "0", "--reps", "1", "--seed", "1",
+        ], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"simulate: final stage size {n_max} exceeds the simulation limit of 16777216 samples\n"
+        )
+
+    def test_design_failing_after_certification_writes_no_plan(self, tmp_path, capsys):
+        out = tmp_path / "plan.json"
+        code, stdout, err = run_cli([
+            "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "0.5", "--gamma", "0", "--sigma", "1", "--zeta", "0.5",
+            "--tail-mass", "nan", "--out", str(out),
+        ], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "design: cannot serialize non-finite real nan\n"
+        assert not out.exists()
+
     def test_asn_nan_theta(self, known_plan_file, capsys):
         code, out, err = run_cli(["asn", str(known_plan_file), "--theta", "nan"], capsys)
         assert code == 2

@@ -553,11 +553,20 @@ class TestDoubleRange:
         with pytest.raises(DomainError):
             hyperbola_cone_prob(region_of(params))
 
+    @pytest.mark.parametrize("k", [2e154, 1e200])
+    def test_slope_whose_square_overflows_is_refused_without_warning(self, k):
+        # k * k = inf passed the degeneracy test and warned before refusing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too large for double precision"):
+                hyperbola_cone_prob(region_of((0.0, 0.5, 1.0, 1.0, k)))
+
     @pytest.mark.parametrize("params, expected", [
         ((0.0, 0.5, 1.0, 1e10, 0.1), "0.12123929870441913"),
         ((0.0, 0.5, 1.0, 1e150, 0.1), "0.12123929870441913"),
         ((0.0, 1.0, 1e-300, 1.0, 0.5), "0.12347985917869253"),
         ((0.0, 1.0, sys.float_info.min, 1.0, 0.5), "0.12347985917869253"),
+        ((0.0, 0.5, 1.0, 1.0, 1.3e154), "0.060619649352209565"),  # k * k still finite
     ])
     def test_edge_of_range_keeps_its_value(self, params, expected):
         assert repr(hyperbola_cone_prob(region_of(params))) == expected

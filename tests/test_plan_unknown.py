@@ -1,6 +1,7 @@
 """Unknown-variance plans: construction, statistics, partition bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from seqnorm import plan_unknown
 from seqnorm.errors import DegenerateSampleError, DomainError, InsufficientDataError
 from seqnorm.plan_unknown import (
     PartitionCell,
+    _partition,
     build_unknown_plan,
     min_stage_size,
     mirror_unknown_plan,
     oc_upper_P,
-    refine_partition,
     stage_term_cells,
 )
 from seqnorm.simulate import mc_transition_sums
@@ -229,28 +230,47 @@ class TestPartitionCells:
             counter["n"] += 1
             return (1.0 - width) * 0.1, (1.0 + width) * 0.1
 
-        cells = [PartitionCell(0.0, 1.0, 0.0, 1.0, *evaluate(0.0, 1.0, 0.0, 1.0))]
-        refined = refine_partition(cells, 2, evaluate, spans=(1.0, 1.0))
-        assert len(refined) == 2
-        assert sum(c.p_lower for c in refined) >= cells[0].p_lower
-        assert sum(c.p_upper for c in refined) <= 2 * cells[0].p_upper
+        root = (0.0, 1.0, 0.0, 1.0)
+        parent = _partition(root, 4, evaluate)[0]
+        counter["n"] = 0
+        refined = _partition(root, 5, evaluate)
+        # the root itself is never evaluated: four quarters, then two halves
+        assert counter["n"] == 6
+        assert len(refined) == 5
+        children = [refined[0], refined[4]]
+        assert (children[0].y_lo, children[1].y_hi) == (parent.y_lo, parent.y_hi)
+        assert children[0].y_hi == children[1].y_lo
+        assert sum(c.p_lower for c in children) >= parent.p_lower
+        assert sum(c.p_upper for c in children) <= 2 * parent.p_upper
 
     def test_refine_tie_break_round_robin(self):
         def evaluate(y_lo, y_hi, z_lo, z_hi):
             return 0.0, (y_hi - y_lo) + (z_hi - z_lo)
 
-        cells = [
-            PartitionCell(0.0, 1.0, 0.0, 1.0, 0.0, 2.0),
-            PartitionCell(1.0, 2.0, 0.0, 1.0, 0.0, 2.0),
-        ]
-        refined = refine_partition(cells, 3, evaluate, spans=(2.0, 1.0))
+        root = (0.0, 2.0, 0.0, 1.0)
+        initial = _partition(root, 4, evaluate)
+        refined = _partition(root, 5, evaluate)
         # equal gaps: the lowest-index cell splits first
-        assert refined[0].y_hi == 0.5 or refined[0].z_hi == 0.5
+        assert refined[0].y_hi == 0.5 or refined[0].z_hi == 0.25
+        assert refined[1:4] == initial[1:4]
+        # and every equal-gap cell splits once before any splits twice
+        refined = _partition(root, 8, evaluate)
+        assert [c.gap for c in refined] == [1.0] * 8
 
     def test_refine_matches_widest_gap_scan(self, monkeypatch, unknown_plan):
-        # the widest cell comes off a heap; the old linear scan is the reference
-        def scan(cells, budget, evaluate, spans):
-            cells = list(cells)
+        # the widest cell comes off a heap; a linear scan from the explicit
+        # root split is the reference
+        def scan(root, budget, evaluate):
+            y_lo, y_hi, z_lo, z_hi = root
+            spans = (y_hi - y_lo, z_hi - z_lo)
+            y_mid = 0.5 * (y_lo + y_hi)
+            if z_hi > z_lo:
+                z_mid = 0.5 * (z_lo + z_hi)
+                geoms = [(y_lo, y_mid, z_lo, z_mid), (y_mid, y_hi, z_lo, z_mid),
+                         (y_lo, y_mid, z_mid, z_hi), (y_mid, y_hi, z_mid, z_hi)]
+            else:
+                geoms = [(y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)]
+            cells = [PartitionCell(*g, *evaluate(*g)) for g in geoms]
             while len(cells) < budget:
                 best = max(range(len(cells)), key=lambda i: (cells[i].gap, -i))
                 cell = cells[best]
@@ -272,13 +292,14 @@ class TestPartitionCells:
             return cells
 
         pairs = []
+        partition = plan_unknown._partition
 
-        def both(cells, budget, evaluate, spans):
-            got = refine_partition(cells, budget, evaluate, spans)
-            pairs.append((got, scan(cells, budget, evaluate, spans)))
+        def both(root, budget, evaluate):
+            got = partition(root, budget, evaluate)
+            pairs.append((got, scan(root, budget, evaluate)))
             return got
 
-        monkeypatch.setattr(plan_unknown, "refine_partition", both)
+        monkeypatch.setattr(plan_unknown, "_partition", both)
         for plan in (unknown_plan, unknown_plan.mirror()):
             s = plan.num_stages
             for ell in range(2, s + 1):
@@ -288,11 +309,19 @@ class TestPartitionCells:
             assert len(got) == 256
             assert list(map(repr, got)) == list(map(repr, ref))
 
-    def test_refine_budget_below_count_warns(self):
-        cells = [PartitionCell(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)] * 3
-        with pytest.warns(RuntimeWarning):
-            out = refine_partition(list(cells), 2, lambda *a: (0.0, 1.0), spans=(1.0, 1.0))
-        assert len(out) == 3
+    def test_partition_budget_below_initial_split(self):
+        def evaluate(*geom):
+            return 0.0, 1.0
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            square = _partition((0.0, 1.0, 0.0, 1.0), 2, evaluate)
+            flat = _partition((0.0, 1.0, 0.0, 0.0), 1, evaluate)
+        assert square == _partition((0.0, 1.0, 0.0, 1.0), 4, evaluate)
+        assert [(c.y_lo, c.y_hi, c.z_lo, c.z_hi) for c in flat] == [
+            (0.0, 0.5, 0.0, 0.0),
+            (0.5, 1.0, 0.0, 0.0),
+        ]
 
     def test_cell_validation(self):
         with pytest.raises(Exception):

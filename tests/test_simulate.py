@@ -54,6 +54,24 @@ class TestSimulatePlan:
         rechunked = simulate_plan(PLAN, mu=-0.3, sigma=1.0, replications=10_000, seed=5)
         assert base == rechunked
 
+    def test_chunks_hold_at_most_2_to_24_samples(self, monkeypatch):
+        # n_max 1537: a chunk of 32768 replicates would hold 50 million samples
+        plan = build_known_plan(0.05, 0.05, 0.05, 0.0, 1.0, zeta=0.5, rho=1.0, tau=3)
+        assert plan.sizes[-1] == 1537
+        shapes = []
+
+        class Recorded(Exception):
+            pass
+
+        def record(seed, word_start, rows, cols):
+            shapes.append((rows, cols))
+            raise Recorded
+
+        monkeypatch.setattr(sim, "_normal_block", record)
+        with pytest.raises(Recorded):
+            simulate_plan(plan, mu=0.0, sigma=1.0, replications=40_000, seed=1)
+        assert shapes == [(10894, 1540)]  # 2**24 // 1540 replicates of 1540 words
+
     def test_validation(self):
         with pytest.raises(DomainError):
             simulate_plan(PLAN, mu=0.0, sigma=0.0, replications=10, seed=1)
