@@ -85,9 +85,17 @@ def validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma=None):
 
 
 # defaults of the unknown-variance interval (chi-square tail mass and
-# partition cells per stage term); the closed-form known envelope ignores them
+# partition cells per stage term); the closed-form known envelope only checks
+# them, so that both plan kinds refuse the same settings
 DEFAULT_TAIL_MASS = 1e-4
 DEFAULT_CELL_BUDGET = 256
+
+
+def _check_interval_settings(tail_mass: float, cell_budget: int) -> None:
+    if not (0.0 < tail_mass < 1.0):
+        raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
+    if cell_budget < 4:
+        raise DomainError(f"cell_budget must be >= 4, got {cell_budget}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -233,6 +241,7 @@ class KnownVarPlan(Plan):
         cell_budget: int = DEFAULT_CELL_BUDGET,
     ) -> tuple[float, float]:
         """[phi, phi]: the closed form is exact, so the interval is a point."""
+        _check_interval_settings(tail_mass, cell_budget)
         phi = oc_upper_phi(theta, self)
         return phi, phi
 

@@ -28,7 +28,14 @@ import numpy as np
 
 from .errors import DomainError, DegenerateSampleError, InsufficientDataError, SeqnormError
 from .geometry import ConeRegion, HyperbolaConeRegion, cone_prob, hyperbola_cone_prob
-from .plan_known import DEFAULT_CELL_BUDGET, DEFAULT_TAIL_MASS, Plan, Stage, validate_design
+from .plan_known import (
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_TAIL_MASS,
+    Plan,
+    Stage,
+    _check_interval_settings,
+    validate_design,
+)
 from .special import (
     chi_square_cdf,
     chi_square_quantile,
@@ -398,10 +405,7 @@ def oc_upper_P(
     """
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}")
-    if not (0.0 < tail_mass < 1.0):
-        raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    if cell_budget < 4:
-        raise DomainError(f"cell_budget must be >= 4, got {cell_budget}")
+    _check_interval_settings(tail_mass, cell_budget)
 
     first = plan.stages[0]
     p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)

@@ -338,13 +338,24 @@ class TestErrorHandling:
         ("--cell-budget", "cell_budget must be >= 4, got 2"),
         ("--tail-mass", "tail_mass must lie in (0, 1), got 2.0"),
     ])
-    def test_oc_on_unknown_plan_with_bad_budget(self, unknown_plan_file, flag, message, capsys):
-        code, _, err = run_cli([
-            "oc", str(unknown_plan_file), "--theta-min", "-1.5", "--theta-max", "1.5",
-            "--points", "3", flag, "2",
-        ], capsys)
-        assert code == 2
-        assert err == f"oc: {message}\n"
+    def test_oc_on_unknown_plan_with_bad_budget(
+        self, unknown_plan_file, known_plan_file, flag, message, tmp_path, capsys
+    ):
+        # known plans ignore both settings but refuse them with the same messages
+        out = tmp_path / "plan.json"
+        commands = [
+            ["oc", str(plan), "--theta-min", "-1.5", "--theta-max", "1.5", "--points", "3"]
+            for plan in (unknown_plan_file, known_plan_file)
+        ] + [[
+            "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "0.5", "--gamma", "0", "--sigma", "1", "--zeta", "0.5",
+            "--out", str(out),
+        ]]
+        for command in commands:
+            code, stdout, err = run_cli([*command, flag, "2"], capsys)
+            assert (code, stdout) == (2, "")
+            assert err == f"{command[0]}: {message}\n"
+        assert not out.exists()
 
     def test_simulate_plan_whose_final_stage_does_not_close(
         self, known_plan_file, tmp_path, capsys
@@ -417,7 +428,7 @@ class TestErrorHandling:
         code, stdout, err = run_cli([
             "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
             "--epsilon", "0.5", "--gamma", "0", "--sigma", "1", "--zeta", "0.5",
-            "--tail-mass", "nan", "--out", str(out),
+            "--zeta-tol", "nan", "--out", str(out),
         ], capsys)
         assert (code, stdout) == (2, "")
         assert err == "design: cannot serialize non-finite real nan\n"
