@@ -22,6 +22,11 @@ from .plan_unknown import build_unknown_plan
 _ZETA_FLOOR = 1e-6
 
 
+def _check_zeta_tol(zeta_tol: float) -> None:
+    if not zeta_tol > 0.0:
+        raise DomainError(f"zeta_tol must be > 0, got {zeta_tol}")
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     zeta: float
@@ -45,8 +50,7 @@ def _search(
     walk down by halving if infeasible, then bisect toward the nearest
     infeasible zeta above the anchor.
     """
-    if not zeta_tol > 0.0:
-        raise DomainError(f"zeta_tol must be > 0, got {zeta_tol}")
+    _check_zeta_tol(zeta_tol)
     zeta_hi = min(1.0, 10.0 / tau)
     anchor = min(1.0 / tau, zeta_hi)
     values: dict[float, tuple[float, float]] = {}  # every probe, each zeta once

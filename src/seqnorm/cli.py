@@ -11,9 +11,9 @@ import argparse
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
-from .calibrate import calibrate_known, calibrate_unknown
+from .calibrate import _check_zeta_tol, calibrate_known, calibrate_unknown
 from .errors import CalibrationError, DomainError, SeqnormError, SessionFormatError
 from .plan_known import DEFAULT_CELL_BUDGET, DEFAULT_TAIL_MASS, build_known_plan
 from .plan_unknown import build_unknown_plan
@@ -49,6 +49,7 @@ def _write_text(path: str | None, text: str) -> None:
             fp.write(text)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqnorm",
@@ -119,6 +120,7 @@ def _read_plan(path: str):
 def cmd_design(args) -> int:
     if (args.zeta is None) == (not args.calibrate):
         raise DomainError("exactly one of --zeta or --calibrate is required")
+    _check_zeta_tol(args.zeta_tol)
     design = (args.alpha, args.beta, args.epsilon, args.rho, args.tau)
     if args.kind == "known":
         if args.sigma is None:
@@ -236,29 +238,21 @@ def cmd_run(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise SeqnormError(f"cannot read data: {exc}") from exc
     if os.path.exists(args.session):
-        session = load_session(args.session)
-        if plan_to_dict(session.plan) != plan_to_dict(plan):
-            raise SeqnormError("session was created from a different plan")
+        session = load_session(args.session, plan)
     else:
         session = new_session(plan, allow_uncertified=args.allow_uncertified)
     feed(session, batch)
     save_session(session, args.session)
 
     status = session.status
-    if status.state == "accepted":
-        print(
-            f"Accepted at stage {status.stage} "
-            f"(statistic={format_real(status.statistic)})"
-        )
-        return EXIT_OK
-    if status.state == "rejected":
-        print(
-            f"Rejected at stage {status.stage} "
-            f"(statistic={format_real(status.statistic)})"
-        )
-        return EXIT_REJECTED
-    print(f"NeedMore {status.next_n}")
-    return EXIT_NEED_MORE
+    if status.state == "need_more":
+        print(f"NeedMore {status.next_n}")
+        return EXIT_NEED_MORE
+    print(
+        f"{status.state.capitalize()} at stage {status.stage} "
+        f"(statistic={format_real(status.statistic)})"
+    )
+    return EXIT_OK if status.state == "accepted" else EXIT_REJECTED
 
 
 def main(argv=None) -> int:

@@ -2,9 +2,11 @@
 
 A session embeds a full copy of its plan, the samples seen so far, and a
 history of (stage, statistic, decision) rows, so a saved file is
-self-contained and auditable.  Loading recomputes every history statistic
-and decision from the stored samples and rejects the file on any mismatch;
-a terminal decision can therefore never be altered by editing the file.
+self-contained and auditable.  A session is loaded against the plan it
+runs: the embedded copy must equal that plan exactly, with equal JSON
+types.  Loading recomputes every history statistic and decision from the
+stored samples and rejects the file on any mismatch; a terminal decision
+can therefore never be altered by editing the file.
 
 Serialized reals carry 17 significant digits, which round-trip doubles
 exactly, so the recompute check can demand bit equality.
@@ -299,23 +301,12 @@ def feed(session: TestSession, batch: Sequence[float]) -> TestSession:
 # ---------------------------------------------------------------------------
 
 
-def _status_to_dict(status: SessionStatus) -> dict:
-    out = {"state": status.state}
-    if status.next_n is not None:
-        out["next_n"] = status.next_n
-    if status.stage is not None:
-        out["stage"] = status.stage
-    if status.statistic is not None:
-        out["statistic"] = status.statistic
-    return out
-
-
 def session_to_dict(session: TestSession) -> dict:
     return {
         "version": SESSION_SCHEMA_VERSION,
         "plan": plan_to_dict(session.plan),
         "samples": list(session.samples),
-        "status": _status_to_dict(session.status),
+        "status": {k: v for k, v in vars(session.status).items() if v is not None},
         "history": [
             {
                 "stage": h.stage,
@@ -344,7 +335,12 @@ def _json_equal(a, b) -> bool:
     return a == b
 
 
-def session_from_dict(data: dict) -> TestSession:
+def session_from_dict(data: dict, plan) -> TestSession:
+    """The session data holds, replayed with plan; its embedded plan must equal plan's.
+
+    To audit a lone session file, pass the plan it embeds:
+    session_from_dict(data, plan_from_dict(data["plan"])).
+    """
     if not isinstance(data, dict):
         raise SessionFormatError("session must be a JSON object")
     version = data.get("version")
@@ -353,7 +349,8 @@ def session_from_dict(data: dict) -> TestSession:
     for key in ("plan", "samples", "status", "history"):
         if key not in data:
             raise SessionFormatError(f"session is missing field {key!r}")
-    plan = plan_from_dict(data["plan"])
+    if not _json_equal(data["plan"], plan_to_dict(plan)):
+        raise SessionFormatError("session was created from a different plan")
     samples = _reals(data["samples"], "samples")
 
     # replay the samples through a fresh session, then demand that every
@@ -363,19 +360,16 @@ def session_from_dict(data: dict) -> TestSession:
     session._advance()
 
     derived = session_to_dict(session)
-    if not _json_equal(derived["history"], data["history"]):
-        raise IntegrityError(
-            "stored history does not match recomputation from samples"
-        )
-    if not _json_equal(derived["status"], data["status"]):
-        raise IntegrityError("stored status does not match recomputation from samples")
+    for key in ("history", "status"):
+        if not _json_equal(derived[key], data[key]):
+            raise IntegrityError(f"stored {key} does not match recomputation from samples")
     return session
 
 
-def load_session(path: str | os.PathLike) -> TestSession:
+def load_session(path: str | os.PathLike, plan) -> TestSession:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             data = json.load(fp)
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise SessionFormatError(f"session file is not valid JSON: {exc}") from exc
-    return session_from_dict(data)
+    return session_from_dict(data, plan)

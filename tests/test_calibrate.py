@@ -6,7 +6,7 @@ import pytest
 
 from seqnorm import calibrate
 from seqnorm.calibrate import calibrate_known, calibrate_unknown
-from seqnorm.errors import DomainError
+from seqnorm.errors import CalibrationError, DomainError
 from seqnorm.plan_known import build_known_plan, oc_upper_phi
 from seqnorm.plan_unknown import build_unknown_plan, oc_upper_P
 
@@ -95,6 +95,13 @@ class TestUnknown:
         a = calibrate_unknown(0.05, 0.05, 0.5, rho=1.0, tau=2, cell_budget=16)
         b = calibrate_unknown(0.05, 0.05, 0.5, rho=1.0, tau=2, cell_budget=16)
         assert a == b
+
+    def test_no_feasible_zeta_raises(self):
+        # with tail_mass 0.5 the certified upper end stays above alpha down to the floor
+        with pytest.raises(CalibrationError, match="no feasible zeta above floor 1e-06") as info:
+            calibrate_unknown(0.05, 0.05, 0.5, 0.5, 4, tail_mass=0.5, cell_budget=4)
+        assert info.value.bound_alpha == pytest.approx(0.5208, abs=1e-4)
+        assert info.value.bound_alpha > 0.05
 
     def test_asymmetric_design(self):
         res = calibrate_unknown(0.2, 0.02, 0.5, rho=1.0, tau=2, cell_budget=16)

@@ -424,14 +424,27 @@ class TestErrorHandling:
         )
 
     def test_design_failing_after_certification_writes_no_plan(self, tmp_path, capsys):
+        # --zeta-tol is checked whether or not design calibrates
+        out = tmp_path / "plan.json"
+        for zeta_tol, shown in (("nan", "nan"), ("-1", "-1.0")):
+            code, stdout, err = run_cli([
+                "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
+                "--epsilon", "0.5", "--gamma", "0", "--sigma", "1", "--zeta", "0.5",
+                "--zeta-tol", zeta_tol, "--out", str(out),
+            ], capsys)
+            assert (code, stdout) == (2, "")
+            assert err == f"design: zeta_tol must be > 0, got {shown}\n"
+            assert not out.exists()
+
+    def test_design_whose_calibration_fails_writes_no_plan(self, tmp_path, capsys):
         out = tmp_path / "plan.json"
         code, stdout, err = run_cli([
-            "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
-            "--epsilon", "0.5", "--gamma", "0", "--sigma", "1", "--zeta", "0.5",
-            "--zeta-tol", "nan", "--out", str(out),
+            "design", "--kind", "unknown", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "0.5", "--gamma", "0", "--calibrate", "--tail-mass", "0.5",
+            "--cell-budget", "4", "--out", str(out),
         ], capsys)
-        assert (code, stdout) == (2, "")
-        assert err == "design: cannot serialize non-finite real nan\n"
+        assert (code, stdout) == (1, "")
+        assert err == "design: calibration failed: no feasible zeta above floor 1e-06\n"
         assert not out.exists()
 
     def test_asn_nan_theta(self, known_plan_file, capsys):

@@ -91,6 +91,11 @@ COMMANDS = {
     "error-oc-missing-plan": ["oc", "missing.json", *_GRID],
     "error-simulate-no-sigma": ["simulate", "us.json", "--mu", "0", "--reps", "10", "--seed", "1"],
     "error-simulate-seed": ["simulate", "ks.json", "--mu", "0", "--reps", "10", "--seed", "-1"],
+    "error-design-zeta-tol": _KNOWN + _SYM + ["--sigma", "1", "--zeta", "0.5", "--zeta-tol", "-1",
+                                              "--out", "x.json"],
+    "error-design-calibration-failed": _UNKNOWN + ["--beta", "0.05", "--calibrate",
+                                                   "--tail-mass", "0.5", "--cell-budget", "4",
+                                                   "--out", "x.json"],
 }
 
 

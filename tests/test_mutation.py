@@ -177,8 +177,8 @@ def test_derived_edit_fails_with_one_line(workdir, mutation):
     name, path, doc = mutation
     session_plans = []
     if name.startswith("session."):
-        with pytest.raises(SessionFormatError, match="does not match the plan's design"):
-            session_from_dict(doc)
+        with pytest.raises(SessionFormatError, match="session was created from a different plan"):
+            session_from_dict(doc, PLANS[name.split(".")[1]])
         # a plan file with the same edit agrees with the session's plan, so
         # only the load-time checks can refuse this run
         edited = workdir / "edited.plan.json"

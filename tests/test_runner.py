@@ -16,6 +16,7 @@ from seqnorm.errors import (
 )
 from seqnorm.plan_known import Decision, build_known_plan
 from seqnorm.plan_unknown import build_unknown_plan
+from seqnorm import runner
 from seqnorm.runner import (
     dump_json,
     feed,
@@ -27,6 +28,8 @@ from seqnorm.runner import (
     plan_to_dict,
     save_plan,
     save_session,
+    session_from_dict,
+    session_to_dict,
 )
 from seqnorm.simulate import simulate_plan
 
@@ -238,7 +241,7 @@ class TestPersistence:
         path = tmp_path / "session.json"
         save_session(session, path)
         text_one = path.read_text()
-        loaded = load_session(path)
+        loaded = load_session(path, plan)
         again = tmp_path / "again.json"
         save_session(loaded, again)
         assert again.read_text() == text_one
@@ -254,7 +257,7 @@ class TestPersistence:
         save_session(session, path)
         path.write_text(path.read_text()[:40])
         with pytest.raises(SessionFormatError):
-            load_session(path)
+            load_session(path, session.plan)
 
     def test_perturbed_statistic_is_integrity_error(self, tmp_path):
         plan = make_plan()
@@ -267,7 +270,7 @@ class TestPersistence:
         data["history"][0]["statistic"] += 1e-6
         path.write_text(dump_json(data))
         with pytest.raises(IntegrityError):
-            load_session(path)
+            load_session(path, session.plan)
 
     def test_tampered_decision_is_integrity_error(self, tmp_path):
         plan = make_plan()
@@ -281,7 +284,7 @@ class TestPersistence:
                           "statistic": data["history"][-1]["statistic"]}
         path.write_text(dump_json(data))
         with pytest.raises(IntegrityError):
-            load_session(path)
+            load_session(path, session.plan)
 
     def test_version_tag_checked(self, tmp_path):
         plan = make_plan()
@@ -292,7 +295,7 @@ class TestPersistence:
         data["version"] = 99
         path.write_text(dump_json(data))
         with pytest.raises(SessionFormatError):
-            load_session(path)
+            load_session(path, session.plan)
 
     @pytest.mark.parametrize("version", [True, 1.0, "1"])
     def test_version_must_be_the_integer(self, tmp_path, version):
@@ -303,7 +306,7 @@ class TestPersistence:
         data["version"] = version
         path.write_text(json.dumps(data))
         with pytest.raises(SessionFormatError):
-            load_session(path)
+            load_session(path, session.plan)
 
     def test_retyped_status_is_integrity_error(self, tmp_path):
         session = new_session(make_plan())
@@ -314,4 +317,72 @@ class TestPersistence:
         data["status"]["next_n"] = float(data["status"]["next_n"])
         path.write_text(json.dumps(data))
         with pytest.raises(IntegrityError):
-            load_session(path)
+            load_session(path, session.plan)
+
+    def test_history_and_status_messages(self, tmp_path):
+        session = feed(new_session(make_plan()), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        assert session.history
+        for key, edit in (
+            ("history", lambda d: d["history"].pop()),
+            ("status", lambda d: d["status"].update(next_n=99)),
+        ):
+            data = session_to_dict(session)
+            edit(data)
+            with pytest.raises(IntegrityError) as info:
+                session_from_dict(data, session.plan)
+            assert str(info.value) == f"stored {key} does not match recomputation from samples"
+
+
+class TestSessionPlan:
+    """A session is loaded against the plan it runs; its embedded copy must equal it."""
+
+    def _doc(self):
+        session = feed(new_session(make_plan()), [0.1, 0.2])
+        return session.plan, session_to_dict(session)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["stages"][0].update(a=p["stages"][0]["a"] - 0.5),
+        lambda p: p.update(theta_star=p["theta_star"] + 0.1),
+        lambda p: p.update(certified=False),
+        lambda p: p.update(gamma=0),  # a real written as an integer
+        lambda p: p.update(extra=1),
+    ])
+    def test_edited_embedded_plan_is_refused(self, edit):
+        plan, data = self._doc()
+        edit(data["plan"])
+        with pytest.raises(SessionFormatError, match="^session was created from a different plan$"):
+            session_from_dict(data, plan)
+
+    def test_plan_mismatch_is_reported_before_sample_faults(self):
+        plan, data = self._doc()
+        data["samples"] = ["x"]
+        data["history"] = [{}]
+        with pytest.raises(SessionFormatError, match="different plan"):
+            session_from_dict(data, make_plan(certified=False))
+        with pytest.raises(SessionFormatError, match="samples"):
+            session_from_dict(data, plan)
+
+    def test_lone_session_audits_against_its_embedded_plan(self):
+        plan, data = self._doc()
+        session = session_from_dict(data, plan_from_dict(data["plan"]))
+        assert session_to_dict(session) == data
+
+    def test_run_builds_its_plan_once(self, tmp_path, monkeypatch):
+        plan_path, session_path, data = (
+            tmp_path / "plan.json", tmp_path / "session.json", tmp_path / "data.csv"
+        )
+        save_plan(make_plan(), plan_path)
+        data.write_text("0.1\n")
+        argv = ["run", str(plan_path), "--session", str(session_path), "--data", str(data)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 4
+        calls = []
+
+        def counting(**design):
+            calls.append(design)
+            return build_known_plan(**design)
+
+        monkeypatch.setattr(runner, "build_known_plan", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 4
+        assert len(calls) == 1
