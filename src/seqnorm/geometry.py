@@ -12,6 +12,9 @@ A straight piece at distance d from the origin integrates in closed form:
 on (-pi/2, pi/2) the antiderivative of exp(-d^2 / (2 cos^2 phi)) / (2 pi) is
 Owen's T(d, tan phi) (Owen, Ann. Math. Statist. 27, 1956).  Cone regions need
 no quadrature; only the curved hyperbola arcs use adaptive quadrature.
+``hyperbola_cone_prob_many`` integrates the arcs of a whole list of regions
+in one ``integrate_many`` call, and ``hyperbola_cone_prob`` is its one-region
+call; a region's value does not depend on the list it comes in.
 
 Two closed-form region families drive the multistage test bounds:
 
@@ -38,13 +41,14 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr, owens_t
 
 from .errors import DomainError
-from .quadrature import integrate
+# integrate is unused here; perfbench's binding test rebinds it
+from .quadrature import integrate, integrate_many  # noqa: F401
 from .special import _clamp_unit
 
 _TWO_PI = 2.0 * math.pi
@@ -121,9 +125,7 @@ def _barrier_integral(level: float, lo: float, hi: float) -> float:
     return antiderivative(hi) - antiderivative(lo)
 
 
-def _hyperbola_polar_sq_radius(
-    phi: np.ndarray, offset: float, lam: float, h: float
-) -> np.ndarray:
+def _hyperbola_polar_sq_radius(phi: np.ndarray, offset, lam, h) -> np.ndarray:
     """Squared radius of the near root of the hyperbola's polar quadratic.
 
     The polar points of {(u - offset)^2 - lam v^2 = h} solve
@@ -132,7 +134,8 @@ def _hyperbola_polar_sq_radius(
     one the case tables integrate; the far root enters the tables through a
     half-turn shift of the angle.  At eta = 0 the ratio is 0/0 and the root
     continues to 0 where the denominator stays away from zero and to
-    2 offset cos(phi) / (cos^2 - lam sin^2) where it vanishes.
+    2 offset cos(phi) / (cos^2 - lam sin^2) where it vanishes.  offset, lam
+    and h are floats or arrays shaped like phi, one hyperbola per node.
     """
     eta = offset * offset - h
     c = np.cos(phi)
@@ -147,30 +150,27 @@ def _hyperbola_polar_sq_radius(
     num = offset * c
     # two algebraically equal forms of the near root; each cancels on the
     # opposite sign of offset*cos(phi), so pick per element
+    den = num + sq
+    aq = c * c - lam * s * s
+    den_ok = den != 0.0
+    aq_ok = aq != 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = num + sq
-        ratio = np.where(
-            den != 0.0,
-            eta / np.where(den != 0.0, den, 1.0),
-            0.0 if eta == 0.0 else np.inf,
-        )
-        aq = c * c - lam * s * s
-        stable = np.where(
-            aq != 0.0,
-            (num - sq) / np.where(aq != 0.0, aq, 1.0),
-            np.inf,
-        )
+        at_zero = np.where(eta == 0.0, 0.0, np.inf)
+        ratio = np.where(den_ok, eta / np.where(den_ok, den, 1.0), at_zero)
+        stable = np.where(aq_ok, (num - sq) / np.where(aq_ok, aq, 1.0), np.inf)
     r = np.where(num >= 0.0, ratio, stable)
     return r * r
 
 
-def _upsilon_lenient(offset: float, lam: float, h: float) -> Callable[[np.ndarray], np.ndarray]:
-    def f(phi: np.ndarray) -> np.ndarray:
-        r2 = _hyperbola_polar_sq_radius(phi, offset, lam, h)
-        with np.errstate(over="ignore", under="ignore"):
-            return _INV_TWO_PI * np.exp(-0.5 * r2)
+def _upsilon(phi: np.ndarray, offset, lam, h) -> np.ndarray:
+    """The arc integrand exp(-r(phi)^2 / 2) / (2 pi) of the hyperbola (offset, lam, h)."""
+    r2 = _hyperbola_polar_sq_radius(phi, offset, lam, h)
+    with np.errstate(over="ignore", under="ignore"):
+        return _INV_TWO_PI * np.exp(-0.5 * r2)
 
-    return f
+
+def _upsilon_lenient(offset: float, lam: float, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    return partial(_upsilon, offset=offset, lam=lam, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -330,35 +330,73 @@ def classify_branch(region: HyperbolaConeRegion) -> str:
         return _branch_geometry(region).leaf
 
 
-def hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:
-    """Pr{(U, V) in region} via the six closed-form boundary formulas."""
-    data = _branch_geometry(region)
-    if data.leaf == "zero":
-        return 0.0
+def _arcs(data: _BranchData) -> tuple[tuple[float, float], ...]:
+    """The (from, to) angles of the hyperbola arcs in the region's boundary formula."""
     a = data.phi_a
     b = data.phi_b
     m = data.phi_m
-    line_a = data.line_a
-    line_b = data.line_b
     pi = math.pi
-
-    line = partial(
-        _barrier_integral, abs(region.offset + region.g) / math.sqrt(1.0 + region.k * region.k)
-    )
-    ups = partial(integrate, _upsilon_lenient(region.offset, data.lam, region.h))
-
     rung = data.rung
     if rung == 3 and not data.crossing:
-        value = line(line_b, line_a) - ups(b, a)
-    elif rung == 1:
-        value = ups(pi + a, pi + b) - line(line_a, line_b)
-    elif rung == 2:
-        value = ups(pi + a, pi + m) - ups(b, m) - line(line_a, line_b)
-    elif rung == 3:
-        value = ups(pi - m, pi + m) - ups(b, m) - ups(-a, m) - line(line_a, line_b)
-    elif rung == 4:
-        value = 1.0 - line(line_a, line_b) - ups(b, _TWO_PI + a)
-    else:
-        value = line(line_b, line_a + _TWO_PI) - ups(b, _TWO_PI + a)
+        return ((b, a),)
+    if rung == 1:
+        return ((pi + a, pi + b),)
+    if rung == 2:
+        return ((pi + a, pi + m), (b, m))
+    if rung == 3:
+        return ((pi - m, pi + m), (b, m), (-a, m))
+    return ((b, _TWO_PI + a),)
 
-    return _clamp_unit(value)
+
+def hyperbola_cone_prob_many(regions: Sequence[HyperbolaConeRegion]) -> list[float]:
+    """Pr{(U, V) in region} for each region, via the six closed-form boundary formulas.
+
+    The branch geometry, the straight pieces and the assembly run region by
+    region in ``math``, whose last bits numpy's ufuncs do not always share;
+    only the curved arcs of all regions go through one ``integrate_many``
+    call.  Each value has the bits of a one-region call.
+    """
+    data = [_branch_geometry(region) for region in regions]
+    arcs = [() if d.leaf == "zero" else _arcs(d) for d in data]
+    owner = [i for i, region_arcs in enumerate(arcs) for _ in region_arcs]
+    if owner:
+        lo, hi = np.array([arc for region_arcs in arcs for arc in region_arcs]).T
+        offset = np.array([regions[i].offset for i in owner])
+        lam = np.array([data[i].lam for i in owner])
+        h = np.array([regions[i].h for i in owner])
+        values, _ = integrate_many(
+            lambda phi, arc: _upsilon(phi, offset[arc], lam[arc], h[arc]), lo, hi
+        )
+        values = iter(values.tolist())
+
+    out = []
+    for region, d, region_arcs in zip(regions, data, arcs):
+        if d.leaf == "zero":
+            out.append(0.0)
+            continue
+        ups = [next(values) for _ in region_arcs]
+        line = partial(
+            _barrier_integral, abs(region.offset + region.g) / math.sqrt(1.0 + region.k * region.k)
+        )
+        line_a = d.line_a
+        line_b = d.line_b
+        rung = d.rung
+        if rung == 3 and not d.crossing:
+            value = line(line_b, line_a) - ups[0]
+        elif rung == 1:
+            value = ups[0] - line(line_a, line_b)
+        elif rung == 2:
+            value = ups[0] - ups[1] - line(line_a, line_b)
+        elif rung == 3:
+            value = ups[0] - ups[1] - ups[2] - line(line_a, line_b)
+        elif rung == 4:
+            value = 1.0 - line(line_a, line_b) - ups[0]
+        else:
+            value = line(line_b, line_a + _TWO_PI) - ups[0]
+        out.append(_clamp_unit(value))
+    return out
+
+
+def hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:
+    """Pr{(U, V) in region}: the one-region call of hyperbola_cone_prob_many."""
+    return hyperbola_cone_prob_many([region])[0]

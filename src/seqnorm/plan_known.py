@@ -193,11 +193,19 @@ class Plan:
 
         bound_a is the plan's own envelope and bounds the Type I error;
         bound_b is the mirror plan's and bounds the Type II error.  The plan
-        is certified when bound_a <= alpha and bound_b <= beta.
+        is certified when bound_a <= alpha and bound_b <= beta.  A plan that
+        is its own mirror (every alpha = beta design) has bound_b = bound_a,
+        and its envelope is evaluated once.
         """
         theta = -self.epsilon
         _, bound_a = self.envelope(theta, tail_mass, cell_budget)
-        _, bound_b = self.mirror().envelope(theta, tail_mass, cell_budget)
+        mirror = self.mirror()
+        # the mirror swaps alpha and beta, so only alpha = beta plans can be
+        # their own; repr tells -0.0 from 0.0, which == does not, so equal
+        # reprs mean equal bits and the same envelope
+        if self.alpha == self.beta and repr(mirror) == repr(self.with_certified(False)):
+            return bound_a, bound_a
+        _, bound_b = mirror.envelope(theta, tail_mass, cell_budget)
         return bound_a, bound_b
 
 

@@ -27,7 +27,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, DegenerateSampleError, InsufficientDataError, SeqnormError
-from .geometry import ConeRegion, HyperbolaConeRegion, cone_prob, hyperbola_cone_prob
+from .geometry import (  # noqa: F401  (hyperbola_cone_prob: perfbench's binding test)
+    ConeRegion,
+    HyperbolaConeRegion,
+    cone_prob,
+    hyperbola_cone_prob,
+    hyperbola_cone_prob_many,
+)
 from .plan_known import (
     DEFAULT_CELL_BUDGET,
     DEFAULT_TAIL_MASS,
@@ -236,13 +242,15 @@ class PartitionCell:
 def _partition(
     root: tuple[float, float, float, float],
     budget: int,
-    evaluate: Callable[[float, float, float, float], tuple[float, float]],
+    evaluate: Callable[[list[tuple[float, float, float, float]]], list[tuple[float, float]]],
 ) -> list[PartitionCell]:
     """Cells tiling root = (y_lo, y_hi, z_lo, z_hi), split where the gap is widest.
 
-    evaluate(y_lo, y_hi, z_lo, z_hi) returns a rectangle's (p_lower, p_upper).  The
-    root is halved along y and, if z has extent, along z; then the widest-gap cell,
-    the lowest-index one among equals, is bisected along its side longer in units of
+    evaluate(rects) returns each rectangle's (p_lower, p_upper), for rectangles
+    given as (y_lo, y_hi, z_lo, z_hi); it gets every rectangle of a round in one
+    call: the initial cells, then each split's two children.  The root is halved
+    along y and, if z has extent, along z; then the widest-gap cell, the
+    lowest-index one among equals, is bisected along its side longer in units of
     the root's sides until budget cells exist, so larger budgets extend one path.
     """
     y_span, z_span = root[1] - root[0], root[3] - root[2]
@@ -255,11 +263,11 @@ def _partition(
         z_mid = 0.5 * (z_lo + z_hi)
         return (y_lo, y_hi, z_lo, z_mid), (y_lo, y_hi, z_mid, z_hi)
 
-    def cell(geom):
-        return PartitionCell(*geom, *evaluate(*geom))
+    def make_cells(geoms):
+        return [PartitionCell(*g, *bounds) for g, bounds in zip(geoms, evaluate(geoms))]
 
     rows = halves(root, False) if z_span > 0.0 else (root,)
-    cells = [cell(half) for row in rows for half in halves(row, True)]
+    cells = make_cells([half for row in rows for half in halves(row, True)])
     widest = [(-c.gap, i) for i, c in enumerate(cells)]
     heapq.heapify(widest)
     while len(cells) < budget:
@@ -269,7 +277,7 @@ def _partition(
         nz = (c.z_hi - c.z_lo) / z_span if z_span > 0.0 else 0.0
         if ny <= 0.0 and nz <= 0.0:
             break  # nothing splittable (degenerate rectangle)
-        low, high = map(cell, halves((c.y_lo, c.y_hi, c.z_lo, c.z_hi), ny >= nz))
+        low, high = make_cells(list(halves((c.y_lo, c.y_hi, c.z_lo, c.z_hi), ny >= nz)))
         cells[best] = low
         cells.append(high)
         heapq.heappush(widest, (-low.gap, best))
@@ -284,7 +292,8 @@ class _StageTermEvaluator:
     differences between two omega values using monotonicity: the radicand
     grows with y + z (shrinking the region) and the line intercept grows
     with omega sqrt(y).  Neighbouring cells share corners, so each corner's
-    probability is computed once per evaluator and then looked up.
+    probability is computed once per evaluator and then looked up; the
+    corners a batch of rectangles still lacks are computed in one call.
     """
 
     def __init__(self, scale, off, k, omega_plus, omega_minus, dof_y, dof_z, negate):
@@ -298,33 +307,40 @@ class _StageTermEvaluator:
         self.negate = negate  # True when the difference is nonpositive
         self._corners: dict[tuple[float, float, float], float] = {}
 
-    def event_prob(self, sum_yz: float, y_for_line: float, omega: float) -> float:
+    def _key(self, sum_yz: float, y_for_line: float, omega: float) -> tuple[float, float, float]:
         # the cone path (scale 0) ignores sum_yz, so its corners share it
-        key = (sum_yz if self.scale != 0.0 else 0.0, y_for_line, omega)
-        p = self._corners.get(key)
-        if p is None:
-            p = self._corners[key] = self._event_prob(sum_yz, y_for_line, omega)
-        return p
+        return (sum_yz if self.scale != 0.0 else 0.0, y_for_line, omega)
 
-    def _event_prob(self, sum_yz: float, y_for_line: float, omega: float) -> float:
-        g = omega * math.sqrt(y_for_line)
+    def _fill(self, keys) -> None:
+        """Compute, in one batch, the corners among keys not yet in the memo."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._corners]
+        if not missing:
+            return
         if self.scale == 0.0:
-            return cone_prob(ConeRegion(h=self.off, g=self.off + g, k=self.k))
-        region = HyperbolaConeRegion(
-            offset=self.off,
-            lam=self.scale * self.scale,
-            h=self.scale * self.scale * sum_yz,
-            g=g,
-            k=self.k,
-        )
-        return hyperbola_cone_prob(region)
+            probs = [
+                cone_prob(ConeRegion(h=self.off, g=self.off + omega * math.sqrt(y), k=self.k))
+                for _, y, omega in missing
+            ]
+        else:
+            lam = self.scale * self.scale
+            probs = hyperbola_cone_prob_many([
+                HyperbolaConeRegion(
+                    offset=self.off, lam=lam, h=lam * sum_yz, g=omega * math.sqrt(y), k=self.k
+                )
+                for sum_yz, y, omega in missing
+            ])
+        self._corners.update(zip(missing, probs))
 
-    def _corner_bounds(self, y_lo, y_hi, z_lo, z_hi, omega):
+    def event_prob(self, sum_yz: float, y_for_line: float, omega: float) -> float:
+        key = self._key(sum_yz, y_for_line, omega)
+        self._fill([key])
+        return self._corners[key]
+
+    def _corner_keys(self, y_lo, y_hi, z_lo, z_hi, omega):
+        """Keys of the corners giving the event's (upper, lower) bound on the rectangle."""
         y_for_hi = y_hi if omega >= 0.0 else y_lo
         y_for_lo = y_lo if omega >= 0.0 else y_hi
-        p_hi = self.event_prob(y_lo + z_lo, y_for_hi, omega)
-        p_lo = self.event_prob(y_hi + z_hi, y_for_lo, omega)
-        return p_lo, p_hi
+        return self._key(y_lo + z_lo, y_for_hi, omega), self._key(y_hi + z_hi, y_for_lo, omega)
 
     def mass(self, y_lo, y_hi, z_lo, z_hi) -> float:
         m = chi_square_cdf(y_hi, self.dof_y) - chi_square_cdf(y_lo, self.dof_y)
@@ -332,18 +348,26 @@ class _StageTermEvaluator:
             m *= chi_square_cdf(z_hi, self.dof_z) - chi_square_cdf(z_lo, self.dof_z)
         return max(0.0, m)
 
-    def __call__(self, y_lo, y_hi, z_lo, z_hi) -> tuple[float, float]:
-        a_lo, a_hi = self._corner_bounds(y_lo, y_hi, z_lo, z_hi, self.omega_plus)
-        b_lo, b_hi = self._corner_bounds(y_lo, y_hi, z_lo, z_hi, self.omega_minus)
-        if self.negate:
-            diff_hi = min(0.0, a_hi - b_lo)
-            diff_lo = max(-1.0, a_lo - b_hi)
-        else:
-            diff_hi = min(1.0, max(0.0, a_hi - b_lo))
-            diff_lo = max(0.0, a_lo - b_hi)
-        diff_lo = min(diff_lo, diff_hi)
-        m = self.mass(y_lo, y_hi, z_lo, z_hi)
-        return m * diff_lo, m * diff_hi
+    def __call__(self, rects) -> list[tuple[float, float]]:
+        """Mass-weighted (lower, upper) bounds for each (y_lo, y_hi, z_lo, z_hi) rectangle."""
+        keys = [
+            self._corner_keys(*rect, self.omega_plus) + self._corner_keys(*rect, self.omega_minus)
+            for rect in rects
+        ]
+        self._fill([key for rect_keys in keys for key in rect_keys])
+        out = []
+        for rect, rect_keys in zip(rects, keys):
+            a_hi, a_lo, b_hi, b_lo = (self._corners[key] for key in rect_keys)
+            if self.negate:
+                diff_hi = min(0.0, a_hi - b_lo)
+                diff_lo = max(-1.0, a_lo - b_hi)
+            else:
+                diff_hi = min(1.0, max(0.0, a_hi - b_lo))
+                diff_lo = max(0.0, a_lo - b_hi)
+            diff_lo = min(diff_lo, diff_hi)
+            m = self.mass(*rect)
+            out.append((m * diff_lo, m * diff_hi))
+        return out
 
 
 def stage_term_cells(

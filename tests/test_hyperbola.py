@@ -21,6 +21,7 @@ from seqnorm.geometry import (
     _upsilon_lenient,
     classify_branch,
     hyperbola_cone_prob,
+    hyperbola_cone_prob_many,
 )
 from seqnorm.quadrature import integrate
 from seqnorm.special import _clamp_unit
@@ -572,6 +573,16 @@ class TestDoubleRange:
         assert repr(hyperbola_cone_prob(region_of(params))) == expected
 
 
+# (offset, lam, h, g, k), h = 0 included
+random_params = st.tuples(
+    st.floats(-3.0, 3.0),
+    st.floats(0.05, 4.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    st.floats(-1.0, 3.0),
+    st.floats(0.05, 3.0),
+)
+
+
 @pytest.mark.filterwarnings("ignore:hyperbola shape coincides:RuntimeWarning")
 class TestSharedFormulas:
     """The six shared formulas against the sixteen per-leaf ones.
@@ -602,12 +613,39 @@ class TestSharedFormulas:
         self.check(params)
 
     @settings(max_examples=1000, deadline=None)
-    @given(
-        offset=st.floats(-3.0, 3.0),
-        lam=st.floats(0.05, 4.0),
-        h=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
-        g=st.floats(-1.0, 3.0),
-        k=st.floats(0.05, 3.0),
-    )
-    def test_random_regions(self, offset, lam, h, g, k):
-        self.check((offset, lam, h, g, k))
+    @given(params=random_params)
+    def test_random_regions(self, params):
+        self.check(params)
+
+
+@pytest.mark.filterwarnings("ignore:hyperbola shape coincides:RuntimeWarning")
+class TestBatchInvariance:
+    """A region's value does not depend on the batch it is evaluated in."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_split_of_any_order_matches_one_region_calls(self, data):
+        params = data.draw(st.lists(
+            st.one_of(st.sampled_from([*LEAF_CASES.values(), ZERO_CASE]), random_params),
+            max_size=12,
+        ))
+        alone = []
+        for p in params:
+            try:
+                region = region_of(p)
+                alone.append((region, repr(hyperbola_cone_prob(region))))
+            except DomainError:
+                assert refused(*p[:3])
+        alone = data.draw(st.permutations(alone))
+        cut = data.draw(st.integers(0, len(alone)))
+        regions = [region for region, _ in alone]
+        got = hyperbola_cone_prob_many(regions[:cut]) + hyperbola_cone_prob_many(regions[cut:])
+        assert list(map(repr, got)) == [value for _, value in alone]
+
+    def test_every_leaf_in_one_batch(self):
+        params = [*LEAF_CASES.values(), ZERO_CASE]
+        regions = [region_of(p) for p in params]
+        assert list(map(repr, hyperbola_cone_prob_many(regions))) == [
+            repr(hyperbola_cone_prob(r)) for r in regions
+        ]
+        assert hyperbola_cone_prob_many([]) == []

@@ -216,6 +216,28 @@ class TestBounds:
             oc_upper_phi(-0.5, self.PLAN.mirror()),
         )
 
+    @pytest.mark.parametrize("kind", ["known", "unknown"])
+    @pytest.mark.parametrize("beta, envelopes", [(0.05, 1), (0.10, 2)])
+    def test_self_mirror_certifies_with_one_envelope(self, monkeypatch, kind, beta, envelopes):
+        # an alpha = beta plan is its own mirror, so bound_b is bound_a
+        if kind == "known":
+            plan = build_known_plan(0.05, beta, 0.5, 0.0, 1.0, zeta=0.45, rho=1.0, tau=3)
+        else:
+            plan = build_unknown_plan(0.05, beta, 0.5, 0.0, zeta=0.45, rho=1.0, tau=3)
+        mirror = plan.mirror()
+        expected = (plan.envelope(-0.5, 1e-4, 16)[1], mirror.envelope(-0.5, 1e-4, 16)[1])
+        assert (repr(mirror) == repr(plan)) == (beta == 0.05)
+        calls = []
+        envelope = type(plan).envelope
+
+        def counted(self, *args):
+            calls.append(self)
+            return envelope(self, *args)
+
+        monkeypatch.setattr(type(plan), "envelope", counted)
+        assert list(map(repr, plan.certify(1e-4, 16))) == list(map(repr, expected))
+        assert len(calls) == envelopes
+
     def test_far_field_lower(self):
         lo, hi = self.PLAN.oc_bounds(-50.0)
         assert lo >= 1.0 - 1e-10

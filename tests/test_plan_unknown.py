@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqnorm import plan_unknown
+from seqnorm import geometry, plan_unknown
 from seqnorm.errors import DegenerateSampleError, DomainError, InsufficientDataError
 from seqnorm.plan_unknown import (
     PartitionCell,
@@ -222,20 +222,25 @@ class TestPartitionCells:
         assert abs(p - est) <= 4 * se
 
     def test_refine_split_tightens_parent(self):
-        counter = {"n": 0}
+        counter = {"n": 0, "batches": 0}
 
-        def evaluate(y_lo, y_hi, z_lo, z_hi):
+        def evaluate(rects):
             # synthetic monotone bounds: wider cells are looser
-            width = (y_hi - y_lo) + (z_hi - z_lo)
-            counter["n"] += 1
-            return (1.0 - width) * 0.1, (1.0 + width) * 0.1
+            counter["n"] += len(rects)
+            counter["batches"] += 1
+            out = []
+            for y_lo, y_hi, z_lo, z_hi in rects:
+                width = (y_hi - y_lo) + (z_hi - z_lo)
+                out.append(((1.0 - width) * 0.1, (1.0 + width) * 0.1))
+            return out
 
         root = (0.0, 1.0, 0.0, 1.0)
         parent = _partition(root, 4, evaluate)[0]
-        counter["n"] = 0
+        counter.update(n=0, batches=0)
         refined = _partition(root, 5, evaluate)
-        # the root itself is never evaluated: four quarters, then two halves
-        assert counter["n"] == 6
+        # the root itself is never evaluated: four quarters in one batch, then
+        # two halves in another
+        assert counter == {"n": 6, "batches": 2}
         assert len(refined) == 5
         children = [refined[0], refined[4]]
         assert (children[0].y_lo, children[1].y_hi) == (parent.y_lo, parent.y_hi)
@@ -244,8 +249,8 @@ class TestPartitionCells:
         assert sum(c.p_upper for c in children) <= 2 * parent.p_upper
 
     def test_refine_tie_break_round_robin(self):
-        def evaluate(y_lo, y_hi, z_lo, z_hi):
-            return 0.0, (y_hi - y_lo) + (z_hi - z_lo)
+        def evaluate(rects):
+            return [(0.0, (y_hi - y_lo) + (z_hi - z_lo)) for y_lo, y_hi, z_lo, z_hi in rects]
 
         root = (0.0, 2.0, 0.0, 1.0)
         initial = _partition(root, 4, evaluate)
@@ -270,7 +275,7 @@ class TestPartitionCells:
                          (y_lo, y_mid, z_mid, z_hi), (y_mid, y_hi, z_mid, z_hi)]
             else:
                 geoms = [(y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)]
-            cells = [PartitionCell(*g, *evaluate(*g)) for g in geoms]
+            cells = [PartitionCell(*g, *evaluate([g])[0]) for g in geoms]
             while len(cells) < budget:
                 best = max(range(len(cells)), key=lambda i: (cells[i].gap, -i))
                 cell = cells[best]
@@ -286,7 +291,7 @@ class TestPartitionCells:
                     mid = 0.5 * (cell.z_lo + cell.z_hi)
                     geoms = [(cell.y_lo, cell.y_hi, cell.z_lo, mid),
                              (cell.y_lo, cell.y_hi, mid, cell.z_hi)]
-                lo, hi = (PartitionCell(*g, *evaluate(*g)) for g in geoms)
+                lo, hi = (PartitionCell(*g, *evaluate([g])[0]) for g in geoms)
                 cells[best] = lo
                 cells.append(hi)
             return cells
@@ -310,8 +315,8 @@ class TestPartitionCells:
             assert list(map(repr, got)) == list(map(repr, ref))
 
     def test_partition_budget_below_initial_split(self):
-        def evaluate(*geom):
-            return 0.0, 1.0
+        def evaluate(rects):
+            return [(0.0, 1.0)] * len(rects)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -373,33 +378,38 @@ class TestCornerMemo:
 
     PLAN = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=1 / 3, rho=1.0, tau=3)
 
-    @pytest.mark.parametrize("ell, region_fn", [(2, "hyperbola_cone_prob"), (3, "cone_prob")])
-    def test_one_geometry_call_per_distinct_corner(self, monkeypatch, ell, region_fn):
-        corners = []
-        calls = {"cone_prob": 0, "hyperbola_cone_prob": 0}
-        event_prob = plan_unknown._StageTermEvaluator.event_prob
-
-        def recorded(self, sum_yz, y_for_line, omega):
-            corners.append((sum_yz, y_for_line, omega))
-            return event_prob(self, sum_yz, y_for_line, omega)
+    @pytest.mark.parametrize("ell, region", [(2, "hyperbola_cone_prob"), (3, "cone_prob")])
+    def test_one_geometry_call_per_distinct_corner(self, monkeypatch, ell, region):
+        # hyperbola-cone corners go to the batched evaluator, cone corners one by one
+        region_fn = "hyperbola_cone_prob_many" if region == "hyperbola_cone_prob" else region
+        regions = {"cone_prob": [], "hyperbola_cone_prob_many": [], "hyperbola_cone_prob": []}
+        batches = []
 
         def counted(name):
             original = getattr(plan_unknown, name)
 
-            def wrapper(region):
-                calls[name] += 1
-                return original(region)
+            def wrapper(arg):
+                batch = list(arg) if name == "hyperbola_cone_prob_many" else [arg]
+                regions[name] += batch
+                batches.append(len(batch))
+                return original(arg)
 
             return wrapper
 
-        monkeypatch.setattr(plan_unknown._StageTermEvaluator, "event_prob", recorded)
-        for name in calls:
+        for name in regions:
             monkeypatch.setattr(plan_unknown, name, counted(name))
-        stage_term_cells(-0.5, self.PLAN, ell, 5e-5, 64)
-        # the cone ignores sum_yz, so its corners are the (y_for_line, omega) pairs
-        distinct = {c if region_fn == "hyperbola_cone_prob" else c[1:] for c in corners}
-        assert calls[region_fn] == len(distinct) < len(corners)
-        assert sum(calls.values()) == calls[region_fn]
+        cells, evaluator, _ = stage_term_cells(-0.5, self.PLAN, ell, 5e-5, 64)
+        sent = regions[region_fn]
+        # every corner in the memo was sent once, and no region twice
+        assert len(sent) == len(set(sent)) == len(evaluator._corners)
+        assert sum(map(len, regions.values())) == len(sent)
+        # rectangles share corners: fewer regions than four per rectangle
+        initial = 4 if cells[0].z_hi > cells[0].z_lo else 2
+        splits = len(cells) - initial
+        assert len(sent) < 4 * (initial + 2 * splits)
+        if region_fn == "hyperbola_cone_prob_many":
+            # one batch for the initial cells, then one per split
+            assert len(batches) == 1 + splits
 
     @pytest.mark.parametrize("ell", [2, 3])
     def test_cells_equal_memo_free_recomputation(self, ell):
@@ -409,7 +419,32 @@ class TestCornerMemo:
                 ev.scale, ev.off, ev.k, ev.omega_plus, ev.omega_minus,
                 ev.dof_y, ev.dof_z, ev.negate,
             )
-            assert (c.p_lower, c.p_upper) == fresh(c.y_lo, c.y_hi, c.z_lo, c.z_hi)
+            assert [(c.p_lower, c.p_upper)] == fresh([(c.y_lo, c.y_hi, c.z_lo, c.z_hi)])
+
+
+class TestArcConvergence:
+    """Every hyperbola arc of a default certificate meets the quadrature tolerance."""
+
+    @pytest.mark.parametrize("design, zeta", [
+        ((0.05, 0.05, 0.5, 1.0, 3), 0.8777669270833333),  # calibrated sym
+        ((0.05, 0.10, 0.5, 0.5, 4), 0.703369140625),  # calibrated asym
+    ], ids=["sym", "asym"])
+    def test_default_certificate_caps_no_arc(self, monkeypatch, design, zeta):
+        alpha, beta, epsilon, rho, tau = design
+        arcs = []
+        integrate_many = geometry.integrate_many
+
+        def recorded(*args, **kwargs):
+            values, capped = integrate_many(*args, **kwargs)
+            arcs.extend(capped.tolist())
+            return values, capped
+
+        monkeypatch.setattr(geometry, "integrate_many", recorded)
+        plan = build_unknown_plan(alpha, beta, epsilon, 0.0, zeta, rho, tau)
+        for p in (plan, plan.mirror()):
+            p.envelope(-epsilon)  # the default 256 cells and tail mass
+        assert len(arcs) > 1000
+        assert not any(arcs)
 
 
 class TestZeroRejectThreshold:

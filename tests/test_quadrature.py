@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 
 from seqnorm import quadrature
 from seqnorm.errors import DomainError
-from seqnorm.quadrature import _GAUSS_IDX, _WG, _WK, _XK, _panels, integrate
+from seqnorm.quadrature import (
+    _GAUSS_IDX,
+    _WG,
+    _WK,
+    _XK,
+    _left_to_right_sums,
+    _panels,
+    integrate,
+    integrate_many,
+)
 
 
 def _reference_panel(f, a, b):
@@ -24,11 +33,11 @@ def _reference_panel(f, a, b):
 
 
 def reference_integrate(f, a, b, tol=1e-12, initial_panels=8, max_panels=2048):
-    """One integrand call per panel; returns (value, bisections)."""
+    """One integrand call per panel; returns (value, bisections, capped)."""
     a = float(a)
     b = float(b)
     if a == b:
-        return 0.0, 0
+        return 0.0, 0, False
     sign = 1.0
     if b < a:
         a, b = b, a
@@ -63,7 +72,7 @@ def reference_integrate(f, a, b, tol=1e-12, initial_panels=8, max_panels=2048):
     total = 0.0
     for item in sorted(heap, key=lambda t: t[2]):
         total += item[4]
-    return sign * float(total), bisections
+    return sign * float(total), bisections, total_err > tol
 
 
 def smooth(c0, c1, w, p):
@@ -109,7 +118,7 @@ def test_batched_panels_match_reference_bit_for_bit(
         return f(x)
 
     got = integrate(counted, a, b, tol=tol, initial_panels=initial_panels, max_panels=max_panels)
-    ref, bisections = reference_integrate(
+    ref, bisections, _ = reference_integrate(
         f, a, b, tol=tol, initial_panels=initial_panels, max_panels=max_panels
     )
     assert got == ref
@@ -125,16 +134,33 @@ def test_batched_panels_match_reference_bit_for_bit(
 def test_each_panel_value_and_error_match_reference(f, edges):
     # the error estimates steer bisection, so they must match bit for bit too
     edges = np.array(edges)
-    got = _panels(f, edges[:-1], edges[1:])
+    got = zip(*_panels(f, edges[:-1], edges[1:]))
     ref = [_reference_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     assert [tuple(map(repr, map(float, p))) for p in got] == [
         tuple(map(repr, map(float, p))) for p in ref
     ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 16).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(-0.0)), min_size=width, max_size=width),
+    min_size=1, max_size=6,
+)))
+def test_row_sums_add_left_to_right_from_zero(rows):
+    expected = []
+    for row in rows:
+        total = 0.0
+        for x in row:
+            total += x
+        expected.append(repr(total))
+    assert list(map(repr, _left_to_right_sums(np.array(rows)).tolist())) == expected
+    assert repr(float(_left_to_right_sums(np.array([[-0.0, -0.0]]))[0])) == "0.0"
+
+
 def test_step_integrand_bisects_until_max_panels():
     f = step(0.3, 1.0)
-    value, bisections = reference_integrate(f, -1.0, 1.0, max_panels=40)
+    value, bisections, capped = reference_integrate(f, -1.0, 1.0, max_panels=40)
+    assert capped
     assert bisections == 40 - 8
     assert integrate(f, -1.0, 1.0, max_panels=40) == value
 
@@ -157,8 +183,65 @@ def test_set_aside_panels_match_reference(initial_panels):
     f = lambda x: np.where(x < quiet_from, 1e300 * np.sin(1e20 * x), 0.0)
     kwargs = dict(initial_panels=initial_panels, max_panels=100)
     got = integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
-    ref, _ = reference_integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
+    ref, _, _ = reference_integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
     assert repr(got) == repr(ref)
+
+
+def stacked(fs):
+    """The batched integrand that applies fs[i] to the nodes of arc i."""
+
+    def f(x, arc):
+        out = np.empty_like(x)
+        for i in np.unique(arc):
+            at = arc == i
+            out[at] = fs[i](x[at])
+        return out
+
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arcs=st.lists(st.tuples(integrands, limits, limits, st.booleans()), min_size=1, max_size=8),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    initial_panels=st.sampled_from([1, 8, 16]),
+    max_panels=st.sampled_from([4, 24, 2048]),
+)
+def test_many_arcs_match_one_arc_reference_bit_for_bit(arcs, tol, initial_panels, max_panels):
+    fs = [f for f, _, _, _ in arcs]
+    a = [lo for _, lo, _, _ in arcs]
+    b = [lo if same else hi for _, lo, hi, same in arcs]
+    kwargs = dict(tol=tol, initial_panels=initial_panels, max_panels=max_panels)
+    values, capped = integrate_many(stacked(fs), a, b, **kwargs)
+    ref = [reference_integrate(f, lo, hi, **kwargs) for f, lo, hi in zip(fs, a, b)]
+    assert list(map(repr, values.tolist())) == [repr(value) for value, _, _ in ref]
+    assert capped.tolist() == [bool(cap) for _, _, cap in ref]
+
+
+def test_many_arcs_with_set_aside_and_capped_arcs():
+    # arcs that stop for each reason, batched: converged, capped at
+    # max_panels, set-aside one-ulp panels, empty, reversed
+    quiet_from = 1.0 + 64 * ULP
+    noisy = lambda x: np.where(x < quiet_from, 1e300 * np.sin(1e20 * x), 0.0)
+    arcs = [
+        (np.sin, 0.0, math.pi),
+        (lambda x: np.sin(1e3 * x), 0.0, 10.0),  # 1,600 periods
+        (noisy, 1.0, 1.0 + 128 * ULP),  # as in test_set_aside_panels_match_reference
+        (np.cos, 2.0, 2.0),
+        (peaked(0.1, 1e-3, 1.0), 2.0, -1.0),
+    ]
+    fs, a, b = zip(*arcs)
+    values, capped = integrate_many(stacked(fs), a, b, max_panels=100)
+    ref = [reference_integrate(f, lo, hi, max_panels=100) for f, lo, hi in arcs]
+    assert list(map(repr, values.tolist())) == [repr(value) for value, _, _ in ref]
+    assert capped.tolist() == [False, True, True, False, False]
+    assert capped.tolist() == [bool(cap) for _, _, cap in ref]
+
+
+def test_arc_out_of_splittable_panels_is_capped():
+    f = lambda x: 1e300 * np.sin(1e20 * x)
+    values, capped = integrate_many(lambda x, arc: f(x), [1.0], [1.0 + 2 * ULP])
+    assert math.isfinite(values[0]) and capped[0]
 
 
 def compensated_sum(values, start=0):
@@ -178,7 +261,7 @@ def test_total_does_not_depend_on_the_builtin_sum(monkeypatch):
     # (1069.1050839605425 against 1069.1050839605412)
     monkeypatch.setattr(quadrature, "sum", compensated_sum, raising=False)
     f = lambda x: 1e3 * np.cos(x)
-    ref, _ = reference_integrate(f, -7.0, 9.0)
+    ref, _, _ = reference_integrate(f, -7.0, 9.0)
     assert repr(integrate(f, -7.0, 9.0)) == repr(ref)
 
 
