@@ -103,7 +103,8 @@ class Plan:
     """Design parameters plus the stage ladder they build.
 
     A subclass supplies ``statistic(samples, n)``, the vectorized
-    ``stage_statistics(shifted)``, the statistic's law
+    ``stage_statistics(sums, squares)`` and whether it is ``studentized``
+    (reads the squares), the statistic's law
     ``stage_cdf(x, n, theta)`` at stage size n and standardized mean
     theta, and ``envelope(theta, tail_mass, cell_budget) -> (lo, hi)``
     bracketing the rejection envelope.
@@ -121,6 +122,7 @@ class Plan:
     certified: bool = False
 
     kind: ClassVar[str]
+    studentized: ClassVar[bool]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -214,6 +216,7 @@ class KnownVarPlan(Plan):
     sigma: float
 
     kind = "known"
+    studentized = False
 
     def statistic(self, samples: Sequence[float], n: int) -> float:
         """sqrt(n) * (mean of the first n samples - gamma) / sigma."""
@@ -228,15 +231,16 @@ class KnownVarPlan(Plan):
         mean = math.fsum(samples[:n]) / n
         return math.sqrt(n) * (mean - self.gamma) / self.sigma
 
-    def stage_statistics(self, shifted: np.ndarray) -> np.ndarray:
+    def stage_statistics(self, sums: np.ndarray, squares) -> np.ndarray:
         """z-statistics of every stage, stages in rows, replicates in columns.
 
-        shifted holds samples minus gamma, replicates in rows; like
+        sums holds each stage's sum of samples minus gamma, stages in rows;
+        the sums of squared deviations in squares are not read.  Like
         ``statistic``, this standardizes by the plan's sigma, whatever sigma
         the data had.
         """
-        csum = np.cumsum(shifted / self.sigma, axis=1)
-        return np.array([csum[:, n - 1] / math.sqrt(n) for n in self.sizes])
+        root_n = np.sqrt(np.array(self.sizes, dtype=float))[:, None]
+        return sums / self.sigma / root_n
 
     def stage_cdf(self, x: float, n: int, theta: float) -> float:
         """Pr{statistic at size n <= x}: normal with mean sqrt(n) theta, unit variance."""

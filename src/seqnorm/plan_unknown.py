@@ -55,6 +55,7 @@ _SIZE_SEARCH_LIMIT = 10**7
 @dataclass(frozen=True, kw_only=True)
 class UnknownVarPlan(Plan):
     kind = "unknown"
+    studentized = True
 
     def statistic(self, samples: Sequence[float], n: int) -> float:
         """t-statistic sqrt(n) (mean - gamma) / sd over the first n samples."""
@@ -72,30 +73,22 @@ class UnknownVarPlan(Plan):
         sd = math.sqrt(ss / (n - 1))
         return math.sqrt(n) * (mean - self.gamma) / sd
 
-    def stage_statistics(self, shifted: np.ndarray) -> np.ndarray:
+    def stage_statistics(self, sums: np.ndarray, squares: np.ndarray) -> np.ndarray:
         """t-statistics of every stage, stages in rows, replicates in columns.
 
-        shifted holds samples minus gamma at the data's natural scale,
-        replicates in rows, so sums of squares form there.
+        sums holds each stage's sum of samples minus gamma and squares its
+        sum of squared deviations from the stage mean, stages in rows.
         """
         if self.stages[0].n < 2:
             raise DomainError("unknown-variance plans need stage sizes >= 2")
-        csum = np.cumsum(shifted, axis=1)
-        csq = np.cumsum(shifted * shifted, axis=1)
-        cols = []
-        for n in self.sizes:
-            s = csum[:, n - 1]
-            ss = csq[:, n - 1]
-            var = np.maximum(ss - s * s / n, 0.0) / (n - 1)
-            sd = np.sqrt(var)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (s / math.sqrt(n)) / np.where(sd > 0.0, sd, 1.0)
+        n = np.array(self.sizes, dtype=float)[:, None]
+        sd = np.sqrt(np.maximum(squares, 0.0) / (n - 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (sums / np.sqrt(n)) / np.where(sd > 0.0, sd, 1.0)
             # degenerate samples cannot occur with continuous draws; pin the
             # statistic to the mean's sign so a decision still falls out
-            t = np.where(sd > 0.0, t, np.sign(s) * np.inf)
-            t = np.where(np.isnan(t), 0.0, t)
-            cols.append(t)
-        return np.array(cols)
+            t = np.where(sd > 0.0, t, np.sign(sums) * np.inf)
+        return np.where(np.isnan(t), 0.0, t)
 
     def stage_cdf(self, x: float, n: int, theta: float) -> float:
         """Pr{statistic at size n <= x}: noncentral t, n - 1 dof, ncp sqrt(n) theta."""

@@ -4,15 +4,30 @@ the adjacent-stage boundary-crossing sums the OC envelopes bound.
 Each replicate's stage statistics come from the plan's own
 ``stage_statistics`` and its decisions from ``decision_code``, the rule a
 session applies, so a simulated replicate reaches the stage and decision a
-session fed the same samples reaches.  sigma is the data's standard
-deviation; a known-variance plan still standardizes by its own sigma, so a
-different sigma simulates a misspecified one.
+session reaches on samples with the same stage sums and sums of squares.
+sigma is the data's standard deviation; a known-variance plan still
+standardizes by its own sigma, so a different sigma simulates a
+misspecified one.
 
-Samples come from a counter-based uniform stream (Philox) pushed through
-the inverse normal CDF.  Replicate r owns a fixed window of the stream, so
-results are bit-identical no matter how the replicate range is chunked;
-chunk tallies merge in index order.  A chunk holds at most 2**24 stream
-words, so plans whose final stage exceeds 2**24 samples are refused.
+A stage statistic depends on the samples only through their sum and, for a
+studentized plan, their sum of squared deviations, so a replicate draws
+those per stage block, not its samples.  The block of dn = n_l - n_{l-1}
+samples gets its sum, dn * (mu - gamma) + sigma * sqrt(dn) * Z, and a
+studentized plan also gets its within-block sum of squared deviations,
+sigma^2 * chi^2(dn - 1): the sum of dn - 1 squared normals (Helmert's
+decomposition) below ``_CHI2_INVERSE_DF`` degrees of freedom, and one
+inverse-CDF draw 2 * gammaincinv((dn - 1) / 2, u) from there on.  Blocks
+pool into stage sums and sums of squares by ``_stage_sums``.  A replicate
+of a known-variance plan costs one draw per stage, whatever its stage
+sizes.
+
+Draws come from a counter-based uniform stream (Philox); a normal is one
+stream word pushed through the inverse normal CDF.  Replicate r owns a
+fixed 4-word-aligned window of sum_l (1 + k_l) words, k_l being the words
+block l spends on its sum of squares, so results are bit-identical no
+matter how the replicate range is chunked; chunk tallies merge in index
+order.  Plans whose final stage exceeds 2**24 samples are refused; that is
+simulate's stated range, not a memory limit.
 """
 
 from __future__ import annotations
@@ -29,7 +44,11 @@ from .plan_known import Decision, decision_code
 
 _CHUNK = 1 << 15  # replicates per chunk
 _CHUNK_WORDS = 1 << 24  # stream words per chunk: 128 MiB per float64 chunk array
+_MAX_SIZE = 1 << 24  # largest final stage simulated
 _U_FLOOR = 2.0 ** -64  # inverse-CDF guard: random() can emit exactly 0
+# degrees of freedom from which a block's chi-square is one gammaincinv draw
+# (about 1 us) and not a sum of squared ndtri normals (about 18 ns each)
+_CHI2_INVERSE_DF = 40
 
 
 def _uniform_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarray:
@@ -46,14 +65,70 @@ def _uniform_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarr
     return gen.random((rows, cols))
 
 
-def _normal_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarray:
-    u = _uniform_block(seed, word_start, rows, cols)
+def _blocks(plan) -> tuple[list[tuple[int, int]], int]:
+    """Each stage block's size dn and sum-of-squares words k, and the
+    replicate's window width.
+
+    k is 0 for a plan that is not studentized, dn - 1 for a chi-square
+    summed from normals and 1 for one drawn by inverse CDF.
+    """
+    blocks = []
+    prev = 0
+    for n in plan.sizes:
+        dn = n - prev
+        k = 0 if not plan.studentized else dn - 1 if dn - 1 < _CHI2_INVERSE_DF else 1
+        blocks.append((dn, k))
+        prev = n
+    width = sum(1 + k for _, k in blocks)
+    return blocks, 4 * ((width + 3) // 4)
+
+
+def _block_draws(plan, shift: float, sigma: float, seed: int, lo: int, hi: int):
+    """Block sums of replicates lo..hi-1 and, for a studentized plan, their
+    within-block sums of squared deviations (None otherwise).
+
+    Stages in rows, replicates in columns; the samples are normal(shift,
+    sigma^2), shift being the data's mean minus the plan's gamma.
+    """
+    blocks, width = _blocks(plan)
+    u = _uniform_block(seed, lo * width, hi - lo, width)
     np.maximum(u, _U_FLOOR, out=u)
-    return sp.ndtri(u)
+    z = sp.ndtri(u)
+    sums = np.empty((len(blocks), hi - lo))
+    squares = np.empty_like(sums) if plan.studentized else None
+    col = 0
+    for i, (dn, k) in enumerate(blocks):
+        sums[i] = dn * shift + sigma * math.sqrt(dn) * z[:, col]
+        if squares is not None:
+            if dn - 1 < _CHI2_INVERSE_DF:
+                helmert = z[:, col + 1 : col + 1 + k]
+                chi2 = np.einsum("ij,ij->i", helmert, helmert)
+            else:
+                chi2 = 2.0 * sp.gammaincinv(0.5 * (dn - 1), u[:, col + 1])
+            squares[i] = sigma * sigma * chi2
+        col += 1 + k
+    return sums, squares
 
 
-def _words_per_replicate(n: int) -> int:
-    return 4 * ((n + 3) // 4)
+def _stage_sums(sizes, block_sums: np.ndarray, block_squares):
+    """Cumulative sums and sums of squared deviations at every stage.
+
+    Block l joins the n_{l-1} samples before it by the two-sample identity
+    SS_l = SS_{l-1} + W_l + (n_{l-1} dn / n_l) (mean_{l-1} - mean_block)^2,
+    W_l being the block's own sum of squared deviations.  The squares are
+    None when block_squares is.
+    """
+    sums = np.cumsum(block_sums, axis=0)
+    if block_squares is None:
+        return sums, None
+    squares = np.empty_like(block_squares)
+    squares[0] = block_squares[0]
+    for i in range(1, len(sizes)):
+        prev, n = sizes[i - 1], sizes[i]
+        dn = n - prev
+        gap = sums[i - 1] / prev - block_sums[i] / dn
+        squares[i] = squares[i - 1] + block_squares[i] + (prev * dn / n) * (gap * gap)
+    return sums, squares
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +162,7 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
     """tally(codes) of every replicate chunk, in chunk order.
 
     codes holds each replicate's decision code at every stage (stages in
-    rows, replicates in columns) from normal(mu, sigma^2) samples.
+    rows, replicates in columns) on normal(mu, sigma^2) data.
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
@@ -95,21 +170,19 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise DomainError(f"mu and sigma must be finite, got {mu} and {sigma}")
-    n_max = plan.sizes[-1]
-    width = _words_per_replicate(n_max)
-    rows = min(_CHUNK, _CHUNK_WORDS // width)
-    if rows == 0:
+    if plan.sizes[-1] > _MAX_SIZE:
         raise DomainError(
-            f"final stage size {n_max} exceeds the simulation limit of {_CHUNK_WORDS} samples"
+            f"final stage size {plan.sizes[-1]} exceeds the simulation limit of {_MAX_SIZE} samples"
         )
+    rows = min(_CHUNK, _CHUNK_WORDS // _blocks(plan)[1])
     a = np.array([[st.a] for st in plan.stages])
     b = np.array([[st.b] for st in plan.stages])
     shift = mu - plan.gamma
 
     def worker(bounds):
         lo, hi = bounds
-        z = _normal_block(seed, lo * width, hi - lo, width)[:, :n_max]
-        return tally(decision_code(plan.stage_statistics(shift + sigma * z), a, b))
+        sums, squares = _stage_sums(plan.sizes, *_block_draws(plan, shift, sigma, seed, lo, hi))
+        return tally(decision_code(plan.stage_statistics(sums, squares), a, b))
 
     chunks = [(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
     return [worker(c) for c in chunks]
@@ -130,15 +203,11 @@ def _stop_tally(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return np.count_nonzero(stops, axis=1), int(accepted)
 
 
-def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -> SimReport:
-    """Run the stagewise decision rule on synthetic normal(mu, sigma^2) data.
-
-    Each replicate stops at its first deciding stage.  Deterministic in
-    (plan, mu, sigma, replications, seed).
-    """
+def _sim_report(plan, replications: int, seed: int, parts) -> SimReport:
+    """The report of _stop_tally's chunk parts, merged in chunk order."""
     hist = np.zeros(plan.num_stages, dtype=np.int64)
     accepted = 0
-    for part_hist, part_acc in _stage_pass(plan, mu, sigma, replications, seed, _stop_tally):
+    for part_hist, part_acc in parts:
         hist += part_hist
         accepted += part_acc
 
@@ -156,6 +225,16 @@ def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -
         stage_histogram=tuple(int(c) for c in hist),
         seed=seed,
     )
+
+
+def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -> SimReport:
+    """Run the stagewise decision rule on synthetic normal(mu, sigma^2) data.
+
+    Each replicate stops at its first deciding stage.  Deterministic in
+    (plan, mu, sigma, replications, seed).
+    """
+    parts = _stage_pass(plan, mu, sigma, replications, seed, _stop_tally)
+    return _sim_report(plan, replications, seed, parts)
 
 
 @dataclass(frozen=True)

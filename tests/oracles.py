@@ -1,8 +1,10 @@
-"""Independent oracles for the closed-form geometry and the unknown-variance
-decomposition: Monte Carlo and midpoint-grid integration of 2-D domain
-probabilities, and a simulation audit of the sample-decomposition identity.
+"""Independent oracles for the closed-form geometry, the unknown-variance
+decomposition and the simulator: Monte Carlo and midpoint-grid integration
+of 2-D domain probabilities, a simulation audit of the sample-decomposition
+identity, a per-sample reference simulator, and the samples a simulated
+replicate stands for.
 
-Every draw comes from ``seqnorm.simulate._normal_block``, so the package's
+Every draw comes from ``seqnorm.simulate._uniform_block``, so the package's
 seed-range check covers these oracles as well.
 """
 
@@ -12,13 +14,34 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as sp
 
 from seqnorm.errors import DomainError
 from seqnorm.geometry import ConeRegion
-from seqnorm.simulate import _CHUNK, _normal_block, _words_per_replicate
+from seqnorm.plan_known import decision_code
+from seqnorm.simulate import (
+    _CHUNK,
+    _U_FLOOR,
+    _block_draws,
+    _sim_report,
+    _stage_sums,
+    _stop_tally,
+    _uniform_block,
+)
 
 _BLOCK_ROWS = 1 << 17  # Philox rows per draw block, two points per row
 _PASS_POINTS = 1 << 15  # points per containment pass; larger passes leave cache
+
+
+def _normal_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarray:
+    """Standard normals, one per stream word, shaped (rows, cols)."""
+    u = _uniform_block(seed, word_start, rows, cols)
+    np.maximum(u, _U_FLOOR, out=u)
+    return sp.ndtri(u)
+
+
+def _words_per_replicate(n: int) -> int:
+    return 4 * ((n + 3) // 4)
 
 
 def section(region):
@@ -97,6 +120,7 @@ def grid_domain_prob(sec, half_width: float = 8.0, resolution: int = 4000) -> fl
 class DecompositionReport:
     replications: int
     identity_max_rel_err: float
+    pooling_max_rel_err: float
     means: dict
     variances: dict
     max_abs_correlation: float
@@ -105,6 +129,19 @@ class DecompositionReport:
     @property
     def passed(self) -> bool:
         return self.max_abs_correlation <= self.correlation_threshold
+
+
+def _worst_rel_err(lhs: np.ndarray, rhs: np.ndarray, first: int, what: str) -> float:
+    """Largest relative gap between lhs and rhs; above 1e-9 it raises."""
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    rel = np.abs(lhs - rhs) / np.where(scale > 0.0, scale, 1.0)
+    worst = float(rel.max())
+    if worst > 1e-9:
+        offender = int(first + np.argmax(rel))
+        raise AssertionError(
+            f"{what} violated at replicate {offender}: relative error {worst:.3e}"
+        )
+    return worst
 
 
 def sample_decomposition_check(
@@ -119,10 +156,12 @@ def sample_decomposition_check(
 
     U is the full-sample z-score, V the scaled difference between the first-
     block and second-block means, Y and Z the block sums of squared
-    deviations over sigma^2.  Checks the algebraic identity
-    sum (x_i - mean_n)^2 = sigma^2 (Y + Z + V^2) on every replicate (1e-9
-    relative; violation raises) and reports moments plus the largest
-    pairwise correlation against a 4 / sqrt(replications) threshold.
+    deviations over sigma^2.  Checks on every replicate, to 1e-9 relative
+    (violation raises), the algebraic identity
+    sum (x_i - mean_n)^2 = sigma^2 (Y + Z + V^2) and the simulator's own
+    block pooling (``seqnorm.simulate._stage_sums``) against that two-pass
+    sum of squares; reports moments plus the largest pairwise correlation
+    against a 4 / sqrt(replications) threshold.
     """
     if not (1 <= m < n):
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -133,7 +172,8 @@ def sample_decomposition_check(
 
     width = _words_per_replicate(n)
     cols = {"U": [], "V": [], "Y": [], "Z": []}
-    worst_rel = 0.0
+    worst_identity = 0.0
+    worst_pooling = 0.0
 
     for lo in range(0, replications, _CHUNK):
         hi = min(lo + _CHUNK, replications)
@@ -149,18 +189,15 @@ def sample_decomposition_check(
         y = ((first - mean_first[:, None]) ** 2).sum(axis=1) / sigma**2
         zz = ((second - mean_second[:, None]) ** 2).sum(axis=1) / sigma**2
 
-        lhs = ((x - mean_n[:, None]) ** 2).sum(axis=1)
-        rhs = sigma**2 * (y + zz + v * v)
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        rel = np.abs(lhs - rhs) / np.where(scale > 0.0, scale, 1.0)
-        worst = float(rel.max())
-        if worst > 1e-9:
-            offender = int(lo + np.argmax(rel))
-            raise AssertionError(
-                f"decomposition identity violated at replicate {offender}: "
-                f"relative error {worst:.3e}"
-            )
-        worst_rel = max(worst_rel, worst)
+        two_pass = ((x - mean_n[:, None]) ** 2).sum(axis=1)
+        worst_identity = max(worst_identity, _worst_rel_err(
+            two_pass, sigma**2 * (y + zz + v * v), lo, "decomposition identity"
+        ))
+        block_sums = np.array([first.sum(axis=1), second.sum(axis=1)])
+        _, pooled = _stage_sums((m, n), block_sums, sigma**2 * np.array([y, zz]))
+        worst_pooling = max(worst_pooling, _worst_rel_err(
+            two_pass, pooled[1], lo, "block pooling"
+        ))
         cols["U"].append(u)
         cols["V"].append(v)
         cols["Y"].append(y)
@@ -177,9 +214,52 @@ def sample_decomposition_check(
             max_corr = max(max_corr, abs(c))
     return DecompositionReport(
         replications=replications,
-        identity_max_rel_err=worst_rel,
+        identity_max_rel_err=worst_identity,
+        pooling_max_rel_err=worst_pooling,
         means=means,
         variances=variances,
         max_abs_correlation=max_corr,
         correlation_threshold=4.0 / math.sqrt(replications),
     )
+
+
+def reference_simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int):
+    """simulate_plan's report from per-sample data: each replicate draws all
+    n_max normals from its own stream window, and stage sums and sums of
+    squares come from cumulative sums over them."""
+    n_max = plan.sizes[-1]
+    width = _words_per_replicate(n_max)
+    last = np.array(plan.sizes) - 1
+    n = np.array(plan.sizes, dtype=float)[:, None]
+    a = np.array([[st.a] for st in plan.stages])
+    b = np.array([[st.b] for st in plan.stages])
+    rows = max(1, min(_CHUNK, (1 << 22) // width))
+    parts = []
+    for lo in range(0, replications, rows):
+        hi = min(lo + rows, replications)
+        x = (mu - plan.gamma) + sigma * _normal_block(seed, lo * width, hi - lo, width)[:, :n_max]
+        sums = np.cumsum(x, axis=1)[:, last].T
+        squares = np.maximum(np.cumsum(x * x, axis=1)[:, last].T - sums * sums / n, 0.0)
+        parts.append(_stop_tally(decision_code(plan.stage_statistics(sums, squares), a, b)))
+    return _sim_report(plan, replications, seed, parts)
+
+
+def replicate_samples(plan, mu: float, sigma: float, r: int, seed: int) -> list[float]:
+    """Samples with replicate r's block sums and within-block sums of squares.
+
+    Each block of dn samples is its mean plus sqrt(W) times the unit vector
+    (1, ..., 1, -(dn - 1)) / sqrt(dn (dn - 1)), which is orthogonal to the
+    ones vector, so its sum and its sum of squared deviations are the
+    simulator's.  A plan that is not studentized draws no W; its blocks are
+    constant.
+    """
+    sums, squares = _block_draws(plan, mu - plan.gamma, sigma, seed, r, r + 1)
+    samples = []
+    prev = 0
+    for i, n in enumerate(plan.sizes):
+        dn = n - prev
+        mean = plan.gamma + float(sums[i, 0]) / dn
+        spread = 0.0 if squares is None or dn == 1 else math.sqrt(squares[i, 0] / (dn * (dn - 1)))
+        samples += [mean + spread] * (dn - 1) + [mean - (dn - 1) * spread]
+        prev = n
+    return samples

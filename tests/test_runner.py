@@ -33,6 +33,8 @@ from seqnorm.runner import (
 )
 from seqnorm.simulate import simulate_plan
 
+from oracles import replicate_samples
+
 
 def make_plan(certified=True):
     plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1 / 3, rho=1.0, tau=3)
@@ -204,18 +206,14 @@ class TestSessionFlow:
             assert chunked.history == whole.history[: len(chunked.history)]
 
     def test_replay_matches_simulation(self):
-        # the same synthetic stream must decide identically through the
-        # session path and the vectorized simulation path
+        # samples with each simulated replicate's stage sums must decide
+        # identically through the session path and the vectorized one
         plan = make_plan()
         rep = simulate_plan(plan, mu=-0.5, sigma=1.0, replications=64, seed=505)
-        from seqnorm.simulate import _normal_block, _words_per_replicate
-
-        width = _words_per_replicate(plan.sizes[-1])
         accepted = 0
         hist = [0] * plan.num_stages
         for r in range(64):
-            z = _normal_block(505, r * width, 1, width)[0, : plan.sizes[-1]]
-            samples = list(-0.5 + 1.0 * z)
+            samples = replicate_samples(plan, -0.5, 1.0, r, 505)
             session = new_session(plan)
             feed(session, samples)
             status = session.status

@@ -1,11 +1,14 @@
 """Plan simulation and the test oracles: determinism, chunk invariance,
-domain probabilities, decomposition check."""
+agreement with the per-sample reference simulator, domain probabilities,
+decomposition check."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +25,16 @@ from oracles import (
     grid_domain_prob,
     grid_points,
     mc_domain_prob_many,
+    reference_simulate_plan,
+    replicate_samples,
     sample_decomposition_check,
     section,
 )
 
 PLAN = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1 / 3, rho=1.0, tau=3)
+# sizes (63, 94, 140): its blocks' chi-square has 62, 30 and 45 degrees of
+# freedom, so both sides of the inverse-CDF cut-over are drawn
+STRADDLE = build_unknown_plan(0.05, 0.05, 0.15, 0.0, zeta=0.8, rho=0.5, tau=3)
 
 
 class TestSimulatePlan:
@@ -55,7 +63,8 @@ class TestSimulatePlan:
         assert base == rechunked
 
     def test_chunks_hold_at_most_2_to_24_samples(self, monkeypatch):
-        # n_max 1537: a chunk of 32768 replicates would hold 50 million samples
+        # n_max 1537 costs one word per stage block: a chunk is _CHUNK rows
+        # of a 4-word window, however large the final stage
         plan = build_known_plan(0.05, 0.05, 0.05, 0.0, 1.0, zeta=0.5, rho=1.0, tau=3)
         assert plan.sizes[-1] == 1537
         shapes = []
@@ -67,10 +76,25 @@ class TestSimulatePlan:
             shapes.append((rows, cols))
             raise Recorded
 
-        monkeypatch.setattr(sim, "_normal_block", record)
+        monkeypatch.setattr(sim, "_uniform_block", record)
         with pytest.raises(Recorded):
             simulate_plan(plan, mu=0.0, sigma=1.0, replications=40_000, seed=1)
-        assert shapes == [(10894, 1540)]  # 2**24 // 1540 replicates of 1540 words
+        with pytest.raises(Recorded):
+            simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=40_000, seed=1)
+        # with more replicates per chunk than 2**24 words hold, the word bound rules
+        monkeypatch.setattr(sim, "_CHUNK", 1 << 30)
+        with pytest.raises(Recorded):
+            simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=10**7, seed=1)
+        # STRADDLE's window: 1 + 1, 1 + 30 and 1 + 1 words, padded to 36
+        assert shapes == [(32768, 4), (32768, 36), (466033, 36)]
+        assert 466033 * 36 <= 2**24 < 466034 * 36
+
+    def test_degenerate_sums_of_squares_pin_the_statistic_to_the_mean_sign(self):
+        plan = REPLAY_PLANS["unknown"]
+        sums = np.array([[1.0, -2.0, 0.0, 3.0]] * plan.num_stages)
+        squares = np.array([[0.0, 0.0, 0.0, -1e-300]] * plan.num_stages)
+        got = plan.stage_statistics(sums, squares)
+        assert got.tolist() == [[math.inf, -math.inf, 0.0, math.inf]] * plan.num_stages
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -94,18 +118,77 @@ class TestSimulatePlan:
         assert abs(rep.reject_rate - exact) <= 4 * max(rep.mc_se, 1e-9)
 
 
-def replicate_samples(plan, mu, sigma, r, seed):
-    """Replicate r's samples, as simulate_plan draws them from its stream window."""
-    n_max = plan.sizes[-1]
-    width = sim._words_per_replicate(n_max)
-    z = sim._normal_block(seed, r * width, 1, width)[0, :n_max]
-    return list(mu + sigma * z)
+CHUNK_BASE = simulate_plan(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 400))
+def test_simulation_is_unchanged_under_any_chunk(chunk):
+    with mock.patch.object(sim, "_CHUNK", chunk):
+        assert simulate_plan(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17) == CHUNK_BASE
+
+
+REFERENCE_CASES = {
+    # name: (plan, mu, sigma)
+    "known": (build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=0.455, rho=1.0, tau=3), -0.1, 1.0),
+    "known-misspecified": (
+        build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=0.455, rho=1.0, tau=3), -0.3, 1.7,
+    ),
+    "unknown": (build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8777, rho=1.0, tau=3), 0.1, 2.0),
+    "unknown-straddle": (STRADDLE, 0.02, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_matches_the_per_sample_reference(name):
+    """Stage sums drawn per block and per sample have one law: reject rates
+    agree within 4 se and the stage histograms pass a chi-square
+    homogeneity test at the 1e-3 level."""
+    plan, mu, sigma = REFERENCE_CASES[name]
+    reps = 100_000
+    got = simulate_plan(plan, mu, sigma, reps, seed=41)
+    ref = reference_simulate_plan(plan, mu, sigma, reps, seed=42)
+    assert abs(got.reject_rate - ref.reject_rate) <= 4 * math.hypot(got.mc_se, ref.mc_se)
+    h1 = np.array(got.stage_histogram, dtype=float)
+    h2 = np.array(ref.stage_histogram, dtype=float)
+    seen = (h1 + h2) > 0
+    assert np.count_nonzero(seen) >= 2  # the histograms have a shape to compare
+    stat = float(np.sum((h1 - h2)[seen] ** 2 / (h1 + h2)[seen]))
+    assert sp.chdtrc(np.count_nonzero(seen) - 1, stat) >= 1e-3, (got, ref)
+
+
+@pytest.mark.parametrize("block, method", [(0, "Helmert"), (1, "inverse CDF")])
+def test_block_squares_have_the_chi_square_law(block, method):
+    """W / sigma^2 of a block of dn samples is chi-square with dn - 1
+    degrees of freedom on both sides of the cut-over, and the block sum is
+    normal(dn shift, dn sigma^2)."""
+    assert sim._CHI2_INVERSE_DF == 40
+    base = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8, rho=1.0, tau=3)
+    # blocks of 40 and 41 samples: 39 and 40 degrees of freedom
+    plan = replace(base, stages=(Stage(n=40, a=-1.0, b=1.0), Stage(n=81, a=0.0, b=0.0)))
+    assert sim._blocks(plan) == ([(40, 39), (41, 1)], 44)
+    reps, shift, sigma = 200_000, 0.3, 1.7
+    sums, squares = sim._block_draws(plan, shift, sigma, 11, 0, reps)
+    dn = (40, 41)[block]
+    df = dn - 1
+    w = squares[block] / sigma**2
+    assert abs(w.mean() - df) <= 4 * math.sqrt(2 * df / reps)
+    assert abs(w.var() - 2 * df) <= 4 * math.sqrt((8 * df * df + 48 * df) / reps)
+    # Kolmogorov distance to the chi-square CDF, 1e-3 level
+    cdf = sp.chdtr(df, np.sort(w))
+    steps = np.arange(1, reps + 1) / reps
+    distance = max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / reps))))
+    assert distance <= 1.95 / math.sqrt(reps), method
+    unit = (sums[block] - dn * shift) / (sigma * math.sqrt(dn))
+    assert abs(unit.mean()) <= 4 / math.sqrt(reps)
+    assert abs(unit.var() - 1.0) <= 4 * math.sqrt(2.0 / reps)
 
 
 REPLAY_PLANS = {
     "known": build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=0.455, rho=1.0, tau=3),
     "known-shifted": build_known_plan(0.05, 0.10, 0.4, 1.3, 0.7, zeta=0.6, rho=0.5, tau=4),
     "unknown": build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8, rho=1.0, tau=3),
+    "unknown-straddle": STRADDLE,
 }
 
 
@@ -113,8 +196,9 @@ REPLAY_PLANS = {
 @pytest.mark.parametrize("name", sorted(REPLAY_PLANS))
 def test_replicates_reach_the_session_decision(name, theta, sigma_ratio):
     """Replicate r's outcome is what adding it changes in the report; a
-    session fed its samples must reach the same stage and decision, also
-    when the data's sigma is not the plan's."""
+    session fed samples with its block sums and sums of squares must reach
+    the same stage and decision, also when the data's sigma is not the
+    plan's."""
     plan = REPLAY_PLANS[name]
     plan_sigma = getattr(plan, "sigma", 1.0)
     sigma = sigma_ratio * plan_sigma
@@ -305,6 +389,7 @@ class TestDecomposition:
         report = sample_decomposition_check(10, 4, replications=10**4, seed=13,
                                             mu=0.7, sigma=1.3)
         assert report.identity_max_rel_err <= 1e-9
+        assert report.pooling_max_rel_err <= 1e-9
         se_y = math.sqrt(2.0 * (4 - 1)) / math.sqrt(report.replications)
         assert abs(report.means["Y"] - (4 - 1)) <= 4 * se_y
         se_z = math.sqrt(2.0 * (10 - 4 - 1)) / math.sqrt(report.replications)
