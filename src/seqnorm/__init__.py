@@ -13,7 +13,6 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     InconsistentBoundaryError,
-    InsufficientDataError,
     IntegrityError,
     PlanCertificationError,
     SeqnormError,
@@ -33,7 +32,6 @@ from .plan_known import (
     Plan,
     Stage,
     build_known_plan,
-    decide_stage,
     decision_code,
     oc_upper_phi,
 )

@@ -9,10 +9,6 @@ class DomainError(SeqnormError, ValueError):
     """An argument is outside its mathematical domain."""
 
 
-class InsufficientDataError(SeqnormError):
-    """Fewer samples supplied than the requested statistic needs."""
-
-
 class DegenerateSampleError(SeqnormError):
     """Sample variance is zero; the t-statistic is undefined."""
 

@@ -41,7 +41,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, owens_t
@@ -167,10 +167,6 @@ def _upsilon(phi: np.ndarray, offset, lam, h) -> np.ndarray:
     r2 = _hyperbola_polar_sq_radius(phi, offset, lam, h)
     with np.errstate(over="ignore", under="ignore"):
         return _INV_TWO_PI * np.exp(-0.5 * r2)
-
-
-def _upsilon_lenient(offset: float, lam: float, h: float) -> Callable[[np.ndarray], np.ndarray]:
-    return partial(_upsilon, offset=offset, lam=lam, h=h)
 
 
 # ---------------------------------------------------------------------------

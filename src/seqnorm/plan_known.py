@@ -16,9 +16,10 @@ total boundary-crossing rate there, which is what calibration pins to the
 error budget.
 
 ``Plan`` holds what both variance cases share: the design fields, the
-stage ladder, the mirror plan, the OC bounds, the certificate and the
-sample-number tails.  ``KnownVarPlan`` here and ``UnknownVarPlan`` in
-plan_unknown add the statistic, its law at a stage and the envelope.
+stage ladder, the stage statistic, the mirror plan, the OC bounds, the
+certificate and the sample-number tails.  ``KnownVarPlan`` here and
+``UnknownVarPlan`` in plan_unknown add the statistic's scale, its law at a
+stage and the envelope.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError
 from .geometry import ConeRegion, cone_prob
 from .special import std_normal_cdf, std_normal_critical
 
@@ -102,9 +103,8 @@ def _check_interval_settings(tail_mass: float, cell_budget: int) -> None:
 class Plan:
     """Design parameters plus the stage ladder they build.
 
-    A subclass supplies ``statistic(samples, n)``, the vectorized
-    ``stage_statistics(sums, squares)`` and whether it is ``studentized``
-    (reads the squares), the statistic's law
+    A subclass supplies the statistic's scale ``_sd(squares, n)`` and
+    whether it is ``studentized`` (reads the squares), the statistic's law
     ``stage_cdf(x, n, theta)`` at stage size n and standardized mean
     theta, and ``envelope(theta, tail_mass, cell_budget) -> (lo, hi)``
     bracketing the rejection envelope.
@@ -134,6 +134,20 @@ class Plan:
 
     def with_certified(self, certified: bool) -> "Plan":
         return replace(self, certified=certified)
+
+    def stage_statistics(self, sums, squares, n):
+        """The stage statistic sqrt(n) (sums / n - gamma) / sd, elementwise.
+
+        sums are sums of n samples and squares their sums of squared
+        deviations, read only by a studentized plan, whose sd is
+        sqrt(squares / (n - 1)); any other plan's sd is its sigma.  n is
+        one stage size (a session) or a column of them (the simulator).  An
+        overflowing statistic is +-inf, which still decides; a zero sd pins
+        it to the sign of sums / n - gamma, and 0 / 0 gives 0.
+        """
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = np.sqrt(n) * (sums / n - self.gamma) / self._sd(squares, n)
+        return np.where(np.isnan(t), 0.0, t)
 
     def mirror(self) -> "Plan":
         """The plan build_known_plan or build_unknown_plan makes with alpha and beta swapped.
@@ -218,29 +232,9 @@ class KnownVarPlan(Plan):
     kind = "known"
     studentized = False
 
-    def statistic(self, samples: Sequence[float], n: int) -> float:
-        """sqrt(n) * (mean of the first n samples - gamma) / sigma."""
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        if len(samples) < n:
-            raise InsufficientDataError(
-                f"statistic needs {n} samples, only {len(samples)} supplied"
-            )
-        mean = math.fsum(samples[:n]) / n
-        return math.sqrt(n) * (mean - self.gamma) / self.sigma
-
-    def stage_statistics(self, sums: np.ndarray, squares) -> np.ndarray:
-        """z-statistics of every stage, stages in rows, replicates in columns.
-
-        sums holds each stage's sum of samples minus gamma, stages in rows;
-        the sums of squared deviations in squares are not read.  Like
-        ``statistic``, this standardizes by the plan's sigma, whatever sigma
-        the data had.
-        """
-        root_n = np.sqrt(np.array(self.sizes, dtype=float))[:, None]
-        return sums / self.sigma / root_n
+    def _sd(self, squares, n) -> float:
+        """The plan's sigma, whatever sigma the data had."""
+        return self.sigma
 
     def stage_cdf(self, x: float, n: int, theta: float) -> float:
         """Pr{statistic at size n <= x}: normal with mean sqrt(n) theta, unit variance."""
@@ -319,14 +313,6 @@ def decision_code(t, a, b):
     arrays and stays in plain integer arithmetic on floats.
     """
     return (t <= a) + 2 * (t > b)
-
-
-_DECISIONS = tuple(Decision)  # indexed by decision code
-
-
-def decide_stage(statistic: float, stage: Stage) -> Decision:
-    """The decision rule at one stage's thresholds."""
-    return _DECISIONS[decision_code(statistic, stage.a, stage.b)]
 
 
 def _phi_terms(theta: float, stages: Sequence[Stage]):

@@ -22,11 +22,11 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, DegenerateSampleError, InsufficientDataError, SeqnormError
+from .errors import DomainError, SeqnormError
 from .geometry import (  # noqa: F401  (hyperbola_cone_prob: perfbench's binding test)
     ConeRegion,
     HyperbolaConeRegion,
@@ -57,38 +57,12 @@ class UnknownVarPlan(Plan):
     kind = "unknown"
     studentized = True
 
-    def statistic(self, samples: Sequence[float], n: int) -> float:
-        """t-statistic sqrt(n) (mean - gamma) / sd over the first n samples."""
-        if n < 2:
-            raise DomainError(f"n must be >= 2 for a sample deviation, got {n}")
-        if len(samples) < n:
-            raise InsufficientDataError(
-                f"statistic needs {n} samples, only {len(samples)} supplied"
-            )
-        window = samples[:n]
-        mean = math.fsum(window) / n
-        ss = math.fsum((x - mean) ** 2 for x in window)
-        if ss <= 0.0:
-            raise DegenerateSampleError("all samples equal; sample deviation is zero")
-        sd = math.sqrt(ss / (n - 1))
-        return math.sqrt(n) * (mean - self.gamma) / sd
-
-    def stage_statistics(self, sums: np.ndarray, squares: np.ndarray) -> np.ndarray:
-        """t-statistics of every stage, stages in rows, replicates in columns.
-
-        sums holds each stage's sum of samples minus gamma and squares its
-        sum of squared deviations from the stage mean, stages in rows.
-        """
-        if self.stages[0].n < 2:
+    def _sd(self, squares, n):
+        """The sample deviation sqrt(squares / (n - 1)); a negative sum of
+        squares counts as zero."""
+        if np.any(np.less(n, 2)):
             raise DomainError("unknown-variance plans need stage sizes >= 2")
-        n = np.array(self.sizes, dtype=float)[:, None]
-        sd = np.sqrt(np.maximum(squares, 0.0) / (n - 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (sums / np.sqrt(n)) / np.where(sd > 0.0, sd, 1.0)
-            # degenerate samples cannot occur with continuous draws; pin the
-            # statistic to the mean's sign so a decision still falls out
-            t = np.where(sd > 0.0, t, np.sign(sums) * np.inf)
-        return np.where(np.isnan(t), 0.0, t)
+        return np.sqrt(np.maximum(squares, 0.0) / (n - 1))
 
     def stage_cdf(self, x: float, n: int, theta: float) -> float:
         """Pr{statistic at size n <= x}: noncentral t, n - 1 dof, ncp sqrt(n) theta."""

@@ -8,6 +8,10 @@ types.  Loading recomputes every history statistic and decision from the
 stored samples and rejects the file on any mismatch; a terminal decision
 can therefore never be altered by editing the file.
 
+A stage's statistic is the plan's ``stage_statistics``, the method the
+simulator calls; samples whose sums or statistic overflow are refused
+with a DomainError before anything is saved.
+
 Serialized reals carry 17 significant digits, which round-trip doubles
 exactly, so the recompute check can demand bit equality.
 """
@@ -22,6 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import (
+    DegenerateSampleError,
     DomainError,
     IntegrityError,
     PlanCertificationError,
@@ -29,7 +34,7 @@ from .errors import (
     SessionFormatError,
     StateError,
 )
-from .plan_known import Decision, KnownVarPlan, build_known_plan, decide_stage
+from .plan_known import Decision, KnownVarPlan, build_known_plan, decision_code
 from .plan_unknown import UnknownVarPlan, build_unknown_plan
 
 SESSION_SCHEMA_VERSION = 1
@@ -190,10 +195,15 @@ def plan_from_dict(data: dict):
     return plan.with_certified(data["certified"])
 
 
-def save_plan(plan, path: str | os.PathLike) -> None:
+def _write_json(obj, path: str | os.PathLike) -> None:
+    # serialize first: a value dump_json refuses must not truncate the file
+    text = dump_json(obj) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(dump_json(plan_to_dict(plan)))
-        fp.write("\n")
+        fp.write(text)
+
+
+def save_plan(plan, path: str | os.PathLike) -> None:
+    _write_json(plan_to_dict(plan), path)
 
 
 def load_plan(path: str | os.PathLike):
@@ -248,13 +258,34 @@ class TestSession:
     def is_terminal(self) -> bool:
         return self._decision is not None
 
+    def _statistic(self, n: int) -> float:
+        """The stage statistic of the first n samples, from their fsum and,
+        for a studentized plan, the two-pass fsum of squared deviations."""
+        window = self.samples[:n]
+        squares = None
+        try:
+            total = math.fsum(window)
+            if self.plan.studentized:
+                mean = total / n
+                squares = math.fsum((x - mean) ** 2 for x in window)
+        except OverflowError:
+            value = math.inf
+        else:
+            if squares is not None and squares <= 0.0:
+                raise DegenerateSampleError("all samples equal; sample deviation is zero")
+            value = float(self.plan.stage_statistics(total, squares, n))
+        if not math.isfinite(value):
+            stage = self._stage_index + 1
+            raise DomainError(f"stage {stage}: the samples' sums or statistic overflow")
+        return value
+
     def _advance(self) -> None:
         while self._decision is None:
             stage = self.plan.stages[self._stage_index]
             if len(self.samples) < stage.n:
                 return
-            value = self.plan.statistic(self.samples, stage.n)
-            decision = decide_stage(value, stage)
+            value = self._statistic(stage.n)
+            decision = Decision(decision_code(value, stage.a, stage.b))
             self.history.append(
                 HistoryEntry(stage=self._stage_index + 1, statistic=value, decision=decision)
             )
@@ -319,9 +350,7 @@ def session_to_dict(session: TestSession) -> dict:
 
 
 def save_session(session: TestSession, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(dump_json(session_to_dict(session)))
-        fp.write("\n")
+    _write_json(session_to_dict(session), path)
 
 
 def _json_equal(a, b) -> bool:

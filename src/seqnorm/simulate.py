@@ -2,11 +2,11 @@
 the adjacent-stage boundary-crossing sums the OC envelopes bound.
 
 Each replicate's stage statistics come from the plan's own
-``stage_statistics`` and its decisions from ``decision_code``, the rule a
-session applies, so a simulated replicate reaches the stage and decision a
-session reaches on samples with the same stage sums and sums of squares.
-sigma is the data's standard deviation; a known-variance plan still
-standardizes by its own sigma, so a different sigma simulates a
+``stage_statistics`` and its decisions from ``decision_code``: the method
+and the rule a session applies, so a simulated replicate reaches the stage
+and decision a session reaches on samples with the same stage sums and
+sums of squares.  sigma is the data's standard deviation; a known-variance
+plan still standardizes by its own sigma, so a different sigma simulates a
 misspecified one.
 
 A stage statistic depends on the samples only through their sum and, for a
@@ -17,9 +17,11 @@ studentized plan also gets its within-block sum of squared deviations,
 sigma^2 * chi^2(dn - 1): the sum of dn - 1 squared normals (Helmert's
 decomposition) below ``_CHI2_INVERSE_DF`` degrees of freedom, and one
 inverse-CDF draw 2 * gammaincinv((dn - 1) / 2, u) from there on.  Blocks
-pool into stage sums and sums of squares by ``_stage_sums``.  A replicate
-of a known-variance plan costs one draw per stage, whatever its stage
-sizes.
+pool into stage sums and sums of squares by ``_stage_sums``, on sums taken
+about gamma so the pooled means do not cancel; n * gamma is added back
+before the statistic.  A replicate of a known-variance plan costs one draw
+per stage, whatever its stage sizes.  Data whose stage sums or sums of
+squares could overflow a double are refused.
 
 Draws come from a counter-based uniform stream (Philox); a normal is one
 stream word pushed through the inverse normal CDF.  Replicate r owns a
@@ -49,6 +51,8 @@ _U_FLOOR = 2.0 ** -64  # inverse-CDF guard: random() can emit exactly 0
 # degrees of freedom from which a block's chi-square is one gammaincinv draw
 # (about 1 us) and not a sum of squared ndtri normals (about 18 ns each)
 _CHI2_INVERSE_DF = 40
+# no normal drawn exceeds this in size: the inverse normal CDF at _U_FLOOR
+_Z_MAX = float(-sp.ndtri(_U_FLOOR))
 
 
 def _uniform_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarray:
@@ -170,19 +174,33 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise DomainError(f"mu and sigma must be finite, got {mu} and {sigma}")
-    if plan.sizes[-1] > _MAX_SIZE:
+    n_max = plan.sizes[-1]
+    if n_max > _MAX_SIZE:
         raise DomainError(
-            f"final stage size {plan.sizes[-1]} exceeds the simulation limit of {_MAX_SIZE} samples"
+            f"final stage size {n_max} exceeds the simulation limit of {_MAX_SIZE} samples"
+        )
+    shift = mu - plan.gamma
+    # a block sum is at most dn * spread in size, so a stage sum stays within
+    # n_max (spread + |gamma|); a block's sum of squares stays within
+    # dn * spread^2 and its pooling term within 4 dn spread^2
+    spread = abs(shift) + sigma * _Z_MAX
+    if not math.isfinite(n_max * (spread + abs(plan.gamma))) or (
+        plan.studentized and not math.isfinite(5.0 * n_max * spread * spread)
+    ):
+        raise DomainError(
+            f"mu={mu} and sigma={sigma} are too large: "
+            "stage sums or sums of squares would overflow"
         )
     rows = min(_CHUNK, _CHUNK_WORDS // _blocks(plan)[1])
     a = np.array([[st.a] for st in plan.stages])
     b = np.array([[st.b] for st in plan.stages])
-    shift = mu - plan.gamma
+    n = np.array(plan.sizes, dtype=float)[:, None]
+    centre = n * plan.gamma  # the draws are sums of samples minus gamma
 
     def worker(bounds):
         lo, hi = bounds
         sums, squares = _stage_sums(plan.sizes, *_block_draws(plan, shift, sigma, seed, lo, hi))
-        return tally(decision_code(plan.stage_statistics(sums, squares), a, b))
+        return tally(decision_code(plan.stage_statistics(sums + centre, squares, n), a, b))
 
     chunks = [(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
     return [worker(c) for c in chunks]

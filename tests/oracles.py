@@ -1,8 +1,9 @@
 """Independent oracles for the closed-form geometry, the unknown-variance
 decomposition and the simulator: Monte Carlo and midpoint-grid integration
 of 2-D domain probabilities, a simulation audit of the sample-decomposition
-identity, a per-sample reference simulator, and the samples a simulated
-replicate stands for.
+identity, a per-sample reference simulator, the samples a simulated
+replicate stands for, and the scalar stage statistic written out over a
+sample list.
 
 Every draw comes from ``seqnorm.simulate._uniform_block``, so the package's
 seed-range check covers these oracles as well.
@@ -240,7 +241,8 @@ def reference_simulate_plan(plan, mu: float, sigma: float, replications: int, se
         x = (mu - plan.gamma) + sigma * _normal_block(seed, lo * width, hi - lo, width)[:, :n_max]
         sums = np.cumsum(x, axis=1)[:, last].T
         squares = np.maximum(np.cumsum(x * x, axis=1)[:, last].T - sums * sums / n, 0.0)
-        parts.append(_stop_tally(decision_code(plan.stage_statistics(sums, squares), a, b)))
+        stats = plan.stage_statistics(sums + n * plan.gamma, squares, n)
+        parts.append(_stop_tally(decision_code(stats, a, b)))
     return _sim_report(plan, replications, seed, parts)
 
 
@@ -263,3 +265,18 @@ def replicate_samples(plan, mu: float, sigma: float, r: int, seed: int) -> list[
         samples += [mean + spread] * (dn - 1) + [mean - (dn - 1) * spread]
         prev = n
     return samples
+
+
+def reference_statistic(plan, samples, n: int) -> float:
+    """The stage statistic of the first n samples, in scalar float code:
+    sqrt(n) (mean - gamma) / sd with an fsum mean, sd being the plan's
+    sigma or, for an unknown-variance plan, the sample deviation from a
+    two-pass fsum of squared deviations."""
+    window = samples[:n]
+    mean = math.fsum(window) / n
+    if plan.studentized:
+        ss = math.fsum((x - mean) ** 2 for x in window)
+        sd = math.sqrt(ss / (n - 1))
+    else:
+        sd = plan.sigma
+    return math.sqrt(n) * (mean - plan.gamma) / sd

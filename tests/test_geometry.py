@@ -1,6 +1,7 @@
 """The cone evaluator and its closed-form barrier integral against oracles."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from seqnorm.errors import DomainError
-from seqnorm.geometry import ConeRegion, _barrier_integral, _upsilon_lenient, cone_prob
+from seqnorm.geometry import ConeRegion, _barrier_integral, _upsilon, cone_prob
 from seqnorm.quadrature import integrate
 from seqnorm.special import std_normal_cdf
 
@@ -287,4 +288,4 @@ class TestBatchedEvaluation:
         offset = float(rng.uniform(-3.0, 3.0))
         lam = float(rng.uniform(0.1, 4.0))
         for h in (0.0, offset * offset, float(rng.uniform(0.0, 6.0))):
-            self._assert_chunk_invariant(_upsilon_lenient(offset, lam, h), phi)
+            self._assert_chunk_invariant(partial(_upsilon, offset=offset, lam=lam, h=h), phi)

@@ -38,6 +38,9 @@ INPUTS = {
     "rest.csv": "\n".join(format(0.1 * i - 0.9, ".17g") for i in range(40)) + "\n",
     "high.csv": "\n".join(format(0.25 * i + 1.0, ".17g") for i in range(60)) + "\n",
     "bad.csv": "0.5\nnot-a-number\n",
+    # finite samples whose sum, or whose squared deviations, overflow a double
+    "huge.csv": "1.5e308\n" * 20,
+    "spread.csv": "\n".join(format(1e200 * (1 + i), ".17g") for i in range(20)) + "\n",
 }
 
 COMMANDS = {
@@ -96,6 +99,11 @@ COMMANDS = {
     "error-design-calibration-failed": _UNKNOWN + ["--beta", "0.05", "--calibrate",
                                                    "--tail-mass", "0.5", "--cell-budget", "4",
                                                    "--out", "x.json"],
+    "error-run-known-overflow": ["run", "ks.json", "--session", "s5.json", "--data", "huge.csv"],
+    "error-run-unknown-overflow": ["run", "us.json", "--session", "s6.json", "--data", "spread.csv",
+                                   "--allow-uncertified"],
+    "error-simulate-scale": ["simulate", "us.json", "--mu", "1e160", "--sigma", "1e160",
+                             "--reps", "10", "--seed", "1"],
 }
 
 

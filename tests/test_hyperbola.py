@@ -18,7 +18,7 @@ from seqnorm.geometry import (
     HyperbolaConeRegion,
     _abs_polar_angle,
     _barrier_integral,
-    _upsilon_lenient,
+    _upsilon,
     classify_branch,
     hyperbola_cone_prob,
     hyperbola_cone_prob_many,
@@ -184,7 +184,7 @@ def reference_hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:
     phi_m = data.phi_m
 
     line = partial(_barrier_integral, abs(off + g) / math.sqrt(1.0 + k * k))
-    ups = _upsilon_lenient(off, lam, h)
+    ups = partial(_upsilon, offset=off, lam=lam, h=h)
     pi = math.pi
 
     leaf = data.leaf
@@ -501,7 +501,7 @@ class TestUpsilonIntegrand:
         off, lam, h = -2.0, 0.7, 1.3
         r = abs(off) - math.sqrt(h)
         expected = math.exp(-0.5 * r * r) / (2.0 * math.pi)
-        got = float(_upsilon_lenient(off, lam, h)(np.array([math.pi]))[0])
+        got = float(partial(_upsilon, offset=off, lam=lam, h=h)(np.array([math.pi]))[0])
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_removable_singularity_limit(self):
@@ -513,17 +513,18 @@ class TestUpsilonIntegrand:
         aq = math.cos(phi) ** 2 - lam * math.sin(phi) ** 2
         r = 2.0 * off * math.cos(phi) / aq
         expected = math.exp(-0.5 * r * r) / (2.0 * math.pi)
-        got = float(_upsilon_lenient(off, lam, h)(np.array([phi]))[0])
+        got = float(partial(_upsilon, offset=off, lam=lam, h=h)(np.array([phi]))[0])
         assert got == pytest.approx(expected, rel=1e-9)
         # and the other limit: numerator root -> 0 when offset*cos(phi) > 0
-        got_pos = float(_upsilon_lenient(math.sqrt(h), lam, h)(np.array([phi]))[0])
+        ups_pos = partial(_upsilon, offset=math.sqrt(h), lam=lam, h=h)
+        got_pos = float(ups_pos(np.array([phi]))[0])
         assert got_pos == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-9)
 
     def test_smooth_across_removable_singularity(self):
         lam, h = 0.7, 1.3
         phi = np.array([0.25])
         vals = [
-            float(_upsilon_lenient(off, lam, h)(phi)[0])
+            float(partial(_upsilon, offset=off, lam=lam, h=h)(phi)[0])
             for off in (-math.sqrt(h) - 1e-8, -math.sqrt(h), -math.sqrt(h) + 1e-8)
         ]
         assert max(vals) - min(vals) < 1e-6

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seqnorm import geometry, plan_unknown
-from seqnorm.errors import DegenerateSampleError, DomainError, InsufficientDataError
+from seqnorm.errors import DegenerateSampleError, DomainError
 from seqnorm.plan_unknown import (
     PartitionCell,
     _partition,
@@ -17,6 +17,7 @@ from seqnorm.plan_unknown import (
     oc_upper_P,
     stage_term_cells,
 )
+from seqnorm.runner import feed, new_session
 from seqnorm.simulate import mc_transition_sums
 from seqnorm.special import chi_square_cdf, noncentral_t_cdf, student_t_critical
 
@@ -104,8 +105,12 @@ class TestBuild:
 
 
 def statistic_unknown(samples, n, gamma):
+    """The plan's stage statistic of the first n samples, at scalar n."""
     plan = build_unknown_plan(0.05, 0.05, 0.5, gamma, zeta=1.0, rho=1.0, tau=3)
-    return plan.statistic(samples, n)
+    window = samples[:n]
+    mean = math.fsum(window) / n
+    squares = math.fsum((x - mean) ** 2 for x in window)
+    return plan.stage_statistics(math.fsum(window), squares, n)
 
 
 class TestStatistic:
@@ -128,12 +133,16 @@ class TestStatistic:
         assert statistic_unknown(samples, n, gamma) == pytest.approx(naive, rel=1e-12)
 
     def test_degenerate_sample(self):
+        # a session refuses equal samples; the statistic itself pins a zero
+        # deviation to the sign of the centered mean
+        plan = build_unknown_plan(0.05, 0.05, 0.5, 1.0, zeta=1.0, rho=1.0, tau=3)
+        session = new_session(plan, allow_uncertified=True)
         with pytest.raises(DegenerateSampleError):
-            statistic_unknown([2.0, 2.0, 2.0], 3, 1.0)
+            feed(session, [2.0] * plan.sizes[0])
+        assert statistic_unknown([2.0, 2.0, 2.0], 3, 1.0) == math.inf
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientDataError):
-            statistic_unknown([1.0], 2, 0.0)
+        # one sample has no deviation
         with pytest.raises(DomainError):
             statistic_unknown([1.0, 2.0], 1, 0.0)
 

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqnorm.cli import main
 from seqnorm.errors import (
+    DomainError,
     IntegrityError,
     PlanCertificationError,
     SessionFormatError,
@@ -33,7 +38,7 @@ from seqnorm.runner import (
 )
 from seqnorm.simulate import simulate_plan
 
-from oracles import replicate_samples
+from oracles import reference_statistic, replicate_samples
 
 
 def make_plan(certified=True):
@@ -230,7 +235,100 @@ class TestSessionFlow:
         assert session.status.state in ("need_more", "accepted", "rejected")
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    studentized=st.booleans(),
+    epsilon=st.floats(0.2, 0.6),
+    gamma=st.floats(-1e6, 1e6),
+    log_sigma=st.floats(-3.0, 3.0),
+    log_scale=st.floats(-8.0, 100.0),
+    shift=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_session_statistics_match_the_scalar_reference(
+    studentized, epsilon, gamma, log_sigma, log_scale, shift, seed
+):
+    """A session's history statistics are the scalar statistic bit for bit,
+    for either plan kind, any gamma, sigma and stage sizes, and samples
+    from 1e-8 to 1e100 in scale."""
+    sigma = 10.0**log_sigma
+    if studentized:
+        plan = build_unknown_plan(0.05, 0.05, epsilon, gamma, zeta=0.8, rho=1.0, tau=3)
+    else:
+        plan = build_known_plan(0.05, 0.05, epsilon, gamma, sigma, zeta=0.45, rho=1.0, tau=3)
+    scale = 10.0**log_scale
+    z = np.random.default_rng(seed).standard_normal(plan.sizes[-1])
+    samples = [gamma + scale * (shift + float(x)) for x in z]
+    session = new_session(plan, allow_uncertified=True)
+    feed(session, samples)
+    assert session.is_terminal
+    for entry in session.history:
+        n = plan.sizes[entry.stage - 1]
+        assert type(entry.statistic) is float
+        assert repr(entry.statistic) == repr(reference_statistic(plan, samples, n))
+
+
+class TestOverflow:
+    """Finite samples whose sums or statistic overflow are refused with one
+    DomainError naming the stage, and no RuntimeWarning (tier-1 turns those
+    into errors)."""
+
+    UNKNOWN = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.87, rho=0.5, tau=4)
+
+    @pytest.mark.parametrize(
+        "plan, samples",
+        [
+            (make_plan(), [1.5e308] * 20),  # the sum overflows in fsum
+            (UNKNOWN, [1e200 * (1 + i) for i in range(20)]),  # squared deviations overflow
+            # a deviation of 1.4e-150 about a mean 1e308 above gamma
+            (replace(UNKNOWN, gamma=-1e308), [1e-150, 0.0, 0.0, 0.0, 0.0]),
+        ],
+        ids=["known-sum", "unknown-squares", "unknown-statistic"],
+    )
+    def test_overflowing_samples_are_a_domain_error(self, plan, samples):
+        session = new_session(plan, allow_uncertified=True)
+        with pytest.raises(DomainError, match="^stage 1: "):
+            feed(session, samples)
+
+    def test_overflowing_statistic_names_its_stage(self):
+        plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1e-300, zeta=0.45, rho=0.5, tau=4)
+        session = new_session(plan, allow_uncertified=True)
+        feed(session, [1e-301, -1e-301] * 2 + [1e-301])
+        assert session.status.state == "need_more"
+        with pytest.raises(DomainError, match="^stage 2: "):
+            feed(session, [1e10] * 10)
+
+    def test_cli_leaves_the_session_file_as_it_was(self, tmp_path):
+        plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1e-300, zeta=0.45, rho=0.5, tau=4)
+        plan_path, session_path = tmp_path / "plan.json", tmp_path / "session.json"
+        save_plan(plan, plan_path)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_text("1e-301\n-1e-301\n1e-301\n-1e-301\n1e-301\n")
+        second.write_text("1e10\n" * 10)
+        argv = ["run", str(plan_path), "--session", str(session_path), "--allow-uncertified"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--data", str(first)]) == 4
+        before = session_path.read_bytes()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv + ["--data", str(second)]) == 2
+        assert err.getvalue() == "run: stage 2: the samples' sums or statistic overflow\n"
+        assert session_path.read_bytes() == before
+
+
 class TestPersistence:
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        plan = make_plan()
+        session = new_session(plan)
+        feed(session, [0.1, 0.2])
+        path = tmp_path / "session.json"
+        save_session(session, path)
+        before = path.read_bytes()
+        session.samples.append(math.inf)
+        with pytest.raises(DomainError, match="non-finite"):
+            save_session(session, path)
+        assert path.read_bytes() == before
+
     def test_round_trip_bit_exact(self, tmp_path):
         plan = make_plan()
         session = new_session(plan)

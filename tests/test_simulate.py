@@ -3,6 +3,7 @@ agreement with the per-sample reference simulator, domain probabilities,
 decomposition check."""
 
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -93,8 +94,10 @@ class TestSimulatePlan:
         plan = REPLAY_PLANS["unknown"]
         sums = np.array([[1.0, -2.0, 0.0, 3.0]] * plan.num_stages)
         squares = np.array([[0.0, 0.0, 0.0, -1e-300]] * plan.num_stages)
-        got = plan.stage_statistics(sums, squares)
+        n = np.array(plan.sizes, dtype=float)[:, None]
+        got = plan.stage_statistics(sums, squares, n)
         assert got.tolist() == [[math.inf, -math.inf, 0.0, math.inf]] * plan.num_stages
+        assert plan.stage_statistics(-2.0, 0.0, plan.sizes[0]) == -math.inf
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -116,6 +119,58 @@ class TestSimulatePlan:
         rep = simulate_plan(single, mu=theta, sigma=1.0, replications=4 * 10**5, seed=31)
         exact = std_normal_cdf(math.sqrt(single.sizes[0]) * theta - single.stages[0].b)
         assert abs(rep.reject_rate - exact) <= 4 * max(rep.mc_se, 1e-9)
+
+
+SCALE_PLANS = {
+    # name: (plan, smallest and largest admissible limit exponent)
+    "known": (build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=0.455, rho=1.0, tau=3), 1000, 1023),
+    # the plan of `design --kind unknown ... --zeta 0.87 --cell-budget 8`: 1e150
+    # (about 2**498) simulates and 1e160 (about 2**531) must not
+    "unknown": (build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.87, rho=0.5, tau=4), 498, 530),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_PLANS))
+def test_data_too_large_for_finite_sums_is_refused(name):
+    """mu = sigma = 2**k simulates without a RuntimeWarning up to the largest
+    k whose stage sums and sums of squares stay finite, and every larger k is
+    a DomainError.  Bisection in the next binade finds the largest admitted
+    scale: it still runs without a warning, and the next double is refused.
+    On a gamma = 0 unknown-variance plan a power-of-two scale changes no bit
+    of a t-statistic, so every admitted report equals the unscaled one."""
+    plan, low, high = SCALE_PLANS[name]
+
+    def run(scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return simulate_plan(plan, mu=scale, sigma=scale, replications=300, seed=8)
+
+    base = run(1.0)
+    admitted = []
+    for k in range(1024):
+        try:
+            report = run(2.0**k)
+        except DomainError as exc:
+            assert "too large" in str(exc)
+            continue
+        admitted.append(k)
+        if plan.studentized:
+            assert report == base
+    top = admitted[-1]
+    assert admitted == list(range(top + 1))
+    assert low <= top <= high
+    # bisect the last admitted binade for the largest admitted double
+    lo, hi = 2.0**top, 2.0 ** (top + 1)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        try:
+            run(mid)
+            lo = mid
+        except DomainError:
+            hi = mid
+    assert sum(run(lo).stage_histogram) == 300
+    with pytest.raises(DomainError, match="too large"):
+        run(hi)
 
 
 CHUNK_BASE = simulate_plan(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17)
