@@ -15,7 +15,12 @@ from functools import cache, partial
 
 from .calibrate import _check_zeta_tol, calibrate_known, calibrate_unknown
 from .errors import CalibrationError, DomainError, SeqnormError, SessionFormatError
-from .plan_known import DEFAULT_CELL_BUDGET, DEFAULT_TAIL_MASS, build_known_plan
+from .plan_known import (
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_TAIL_MASS,
+    _check_interval_settings,
+    build_known_plan,
+)
 from .plan_unknown import build_unknown_plan
 from .runner import (
     feed,
@@ -136,14 +141,20 @@ def cmd_design(args) -> int:
         )
         build = partial(build_unknown_plan, args.alpha, args.beta, args.epsilon, args.gamma)
 
-    zeta = args.zeta
     if args.calibrate:
         try:
-            zeta = calibrate().zeta
+            result = calibrate()
         except CalibrationError as exc:
             raise CalibrationError(f"calibration failed: {exc}") from exc
-    plan = build(zeta=zeta, rho=args.rho, tau=args.tau)
-    bound_a, bound_b = plan.certify(args.tail_mass, args.cell_budget)
+        plan = build(zeta=result.zeta, rho=args.rho, tau=args.tau)
+        # the envelope involves neither gamma nor sigma, so the bounds the
+        # search certified its returned zeta with are this plan's; the known
+        # search takes no interval settings, so they are checked here
+        _check_interval_settings(args.tail_mass, args.cell_budget)
+        bound_a, bound_b = result.phi_at_theta0, result.phi_mirror_at_theta1
+    else:
+        plan = build(zeta=args.zeta, rho=args.rho, tau=args.tau)
+        bound_a, bound_b = plan.certify(args.tail_mass, args.cell_budget)
     plan = plan.with_certified(bound_a <= plan.alpha and bound_b <= plan.beta)
 
     # the design fields, in the order the plan file stores them; the summary

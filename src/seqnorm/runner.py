@@ -10,7 +10,8 @@ can therefore never be altered by editing the file.
 
 A stage's statistic is the plan's ``stage_statistics``, the method the
 simulator calls; samples whose sums or statistic overflow are refused
-with a DomainError before anything is saved.
+with a DomainError before anything is saved, and a stored session whose
+samples do is refused on load with an IntegrityError.
 
 Serialized reals carry 17 significant digits, which round-trip doubles
 exactly, so the recompute check can demand bit equality.
@@ -315,15 +316,23 @@ def feed(session: TestSession, batch: Sequence[float]) -> TestSession:
 
     Samples arriving in the same batch beyond a terminal decision are kept
     for the record but never consulted; feeding a session that is already
-    terminal is a state error.
+    terminal is a state error.  A refused batch leaves the session as it
+    was: its samples, history and stage index are restored.
     """
     if session.is_terminal:
         raise StateError("session already reached a terminal decision")
     values = [float(x) for x in batch]
     if any(not math.isfinite(v) for v in values):
         raise DomainError("samples must be finite reals")
+    seen, rows, stage = len(session.samples), len(session.history), session._stage_index
     session.samples.extend(values)
-    session._advance()
+    try:
+        session._advance()
+    except BaseException:
+        del session.samples[seen:]
+        del session.history[rows:]
+        session._stage_index = stage
+        raise
     return session
 
 
@@ -386,7 +395,11 @@ def session_from_dict(data: dict, plan) -> TestSession:
     # stored history row and the status match the recomputation bit for bit
     session = TestSession(plan)
     session.samples = samples
-    session._advance()
+    try:
+        session._advance()
+    except DomainError as exc:
+        # feed refuses such samples before anything is saved
+        raise IntegrityError(f"stored samples do not replay: {exc}") from exc
 
     derived = session_to_dict(session)
     for key in ("history", "status"):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from seqnorm import calibrate
@@ -91,6 +92,10 @@ class TestUnknown:
         assert hi_more <= 0.05
         assert hi_mirror <= 0.05
 
+    def test_default_design_takes_at_most_seven_probes(self, unknown_calibration):
+        # bisection took 15: the bracket [1/3, 1] halved down to 1e-4
+        assert unknown_calibration.iterations <= 7
+
     def test_deterministic(self):
         a = calibrate_unknown(0.05, 0.05, 0.5, rho=1.0, tau=2, cell_budget=16)
         b = calibrate_unknown(0.05, 0.05, 0.5, rho=1.0, tau=2, cell_budget=16)
@@ -122,16 +127,90 @@ class TestUnknown:
         assert at_mu1.accept_rate <= 0.05 + 4 * se1
 
 
+class TestGuardedStep:
+    """The Illinois step with its ITP guard, on synthetic probe functions."""
+
+    @staticmethod
+    def synthetic_probe(seed, alpha, beta):
+        """Bounds whose excess g is discontinuous and non-monotone in zeta.
+
+        The members range from smooth to a one-sided cliff that makes plain
+        regula falsi crawl; below zeta = 0.05 every probe is feasible.
+        """
+        rng = np.random.default_rng(seed)
+        root = rng.uniform(0.06, 0.99)
+        jumps = rng.uniform(0.05, 1.0, 5)
+        heights = rng.uniform(-0.6, 0.6, 5)
+        power = float(rng.choice([0.1, 1.0, 3.0, 9.0]))
+        scale = 10.0 ** rng.uniform(-4.0, 4.0)
+        wiggle = rng.uniform(0.0, 0.4) * rng.integers(0, 2)
+        cliff = rng.integers(0, 2)
+
+        def probe(z):
+            if z < 0.05:
+                return 0.5 * alpha, 0.5 * beta
+            d = z - root
+            if cliff:
+                g = 1e6 if d > 0 else -1e-9 * (1.0 - d)
+            else:
+                g = scale * math.copysign(abs(d) ** power, d)
+            g += float(heights[jumps <= z].sum()) + wiggle * math.sin(40.0 * z)
+            return alpha * (1.0 + g), beta * (1.0 + 0.5 * g)
+
+        return probe
+
+    @pytest.mark.parametrize("tau, zeta_tol", [(3, 1e-4), (2, 2e-2), (7, 1e-6), (1, 2.0**-10)])
+    def test_never_two_probes_beyond_bisection(self, tau, zeta_tol):
+        alpha, beta = 0.05, 0.1
+        worst = 0
+        for seed in range(200):
+            probe = self.synthetic_probe(seed, alpha, beta)
+            steps = calibrate._search(probe, alpha, beta, tau, zeta_tol, interpolate=True)
+            halves = calibrate._search(probe, alpha, beta, tau, zeta_tol, interpolate=False)
+            assert steps.iterations <= halves.iterations + 2, seed
+            worst = max(worst, steps.iterations - halves.iterations)
+            # the returned zeta is certified and an infeasible probe lies within zeta_tol above it
+            assert steps.certified
+            above = [z for z, _, _, ok in steps.path if not ok and z > steps.zeta]
+            if steps.zeta < min(1.0, 10.0 / tau):
+                assert min(above) - steps.zeta <= zeta_tol
+        assert worst > 0  # some member forces the guard to bite
+
+    def test_known_search_halves_the_bracket(self):
+        res = calibrate_known(**DESIGN)
+        zetas = [row[0] for row in res.path]
+        for i in range(2, len(zetas)):  # after the anchor 1/3 and zeta_hi = 1
+            lo = max(z for z, _, _, ok in res.path[:i] if ok)
+            hi = min(z for z, _, _, ok in res.path[:i] if not ok and z > lo)
+            assert zetas[i] == 0.5 * (lo + hi)
+
+
+class TestBoundsReuse:
+    """design --calibrate prints the bounds the search certified its zeta with:
+    the envelope involves neither gamma nor sigma, so they are the plan's."""
+
+    @pytest.mark.parametrize("gamma, sigma", [(0.0, 1.0), (1.3, 0.7), (-1e3, 25.0)])
+    def test_known(self, known_calibration, gamma, sigma):
+        res = known_calibration
+        plan = build_known_plan(0.05, 0.05, 0.5, gamma, sigma, res.zeta, 1.0, 3)
+        assert plan.certify() == (res.phi_at_theta0, res.phi_mirror_at_theta1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.3, -7.5])
+    def test_unknown(self, unknown_calibration, gamma):
+        res = unknown_calibration
+        plan = build_unknown_plan(0.05, 0.05, 0.5, gamma, res.zeta, 1.0, 3)
+        assert plan.certify(1e-4, 256) == (res.phi_at_theta0, res.phi_mirror_at_theta1)
+
+
 class TestProbePath:
-    """The search probes the same zeta sequence as the two-loop search it replaced."""
+    """Pinned probe sequences: any change to a search step shows here."""
 
     @pytest.mark.parametrize("tail_mass, probes", [
-        # feasible at the anchor 1/3 and infeasible at zeta_hi = 1: bisect up
-        (1e-4, [1 / 3, 1.0, 0.6666666666666666, 0.5, 0.41666666666666663,
-                0.4583333333333333, 0.4375, 0.4270833333333333, 0.421875]),
-        # a tail budget this large makes the anchor infeasible: halve, then bisect
-        (0.03, [1 / 3, 0.16666666666666666, 0.25, 0.20833333333333331,
-                0.22916666666666666, 0.21875, 0.21354166666666666]),
+        # feasible at the anchor 1/3 and infeasible at zeta_hi = 1: Illinois steps
+        (1e-4, [1 / 3, 1.0, 0.4040156620194033, 0.4338148789184331, 0.4166478050458483,
+                0.42316395752502495]),
+        # a tail budget this large makes the anchor infeasible: halve, then Illinois steps
+        (0.03, [1 / 3, 0.16666666666666666, 0.20971346399479968, 0.21589445746172636]),
     ])
     def test_unknown_probe_sequence(self, monkeypatch, tail_mass, probes):
         seen = []
@@ -145,7 +224,15 @@ class TestProbePath:
             0.05, 0.05, 0.5, rho=1.0, tau=3, zeta_tol=1e-2, tail_mass=tail_mass, cell_budget=4
         )
         assert list(map(repr, seen)) == list(map(repr, probes))
+        assert [row[0] for row in res.path] == seen
         assert res.iterations == len(probes)
+
+    def test_path_rows_are_the_probes_certified_bounds(self, unknown_calibration):
+        res = unknown_calibration
+        assert res.iterations == len(res.path) == len({row[0] for row in res.path})
+        for zeta, bound_a, bound_b, feasible in res.path:
+            assert feasible == (bound_a <= 0.05 and bound_b <= 0.05)
+        assert (res.zeta, res.phi_at_theta0, res.phi_mirror_at_theta1, True) in res.path
 
     def test_anchor_equal_to_zeta_hi_probes_once(self, monkeypatch):
         seen = []

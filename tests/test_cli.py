@@ -348,9 +348,8 @@ class TestErrorHandling:
             for plan in (unknown_plan_file, known_plan_file)
         ] + [[
             "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
-            "--epsilon", "0.5", "--gamma", "0", "--sigma", "1", "--zeta", "0.5",
-            "--out", str(out),
-        ]]
+            "--epsilon", "0.5", "--gamma", "0", "--sigma", "1", *zeta, "--out", str(out),
+        ] for zeta in (["--zeta", "0.5"], ["--calibrate"])]
         for command in commands:
             code, stdout, err = run_cli([*command, flag, "2"], capsys)
             assert (code, stdout) == (2, "")

@@ -32,6 +32,18 @@ _UNKNOWN = ["design", "--kind", "unknown", "--alpha", "0.05", "--epsilon", "0.5"
 _GRID = ["--theta-min", "-1", "--theta-max", "1", "--points", "9"]
 _CELLS = ["--cell-budget", "16"]
 
+# the plan "design-known-uncertified" writes to ku.json
+_KU_PLAN = {
+    "kind": "known", "alpha": 0.05, "beta": 0.05, "epsilon": 0.5, "gamma": 0.0, "sigma": 1.0,
+    "zeta": 1.0, "rho": 1.0, "tau": 3, "theta_star": 0.0,
+    "stages": [
+        {"n": 3, "a": -0.77882822316703426, "b": 0.77882822316703426},
+        {"n": 6, "a": -0.42010875555988392, "b": 0.42010875555988392},
+        {"n": 11, "a": 0.0, "b": 0.0},
+    ],
+    "certified": False,
+}
+
 # data files the run sessions read
 INPUTS = {
     "first.csv": "-0.4\n0.3\n-1.2\n0.05\n",
@@ -41,6 +53,11 @@ INPUTS = {
     # finite samples whose sum, or whose squared deviations, overflow a double
     "huge.csv": "1.5e308\n" * 20,
     "spread.csv": "\n".join(format(1e200 * (1 + i), ".17g") for i in range(20)) + "\n",
+    # a session of ku.json whose stored samples overflow on replay
+    "overflow.json": json.dumps({
+        "version": 1, "plan": _KU_PLAN, "samples": [1.5e308] * 3,
+        "status": {"state": "need_more", "next_n": 3}, "history": [],
+    }),
 }
 
 COMMANDS = {
@@ -104,6 +121,8 @@ COMMANDS = {
                                    "--allow-uncertified"],
     "error-simulate-scale": ["simulate", "us.json", "--mu", "1e160", "--sigma", "1e160",
                              "--reps", "10", "--seed", "1"],
+    "error-run-session-overflow": ["run", "ku.json", "--session", "overflow.json",
+                                   "--data", "first.csv"],
 }
 
 

@@ -298,6 +298,32 @@ class TestOverflow:
         with pytest.raises(DomainError, match="^stage 2: "):
             feed(session, [1e10] * 10)
 
+    def test_refused_batch_leaves_the_session_as_it_was(self):
+        session = new_session(make_plan())
+        before = session.status
+        with pytest.raises(DomainError, match="^stage 1: "):
+            feed(session, [1.5e308] * 20)
+        assert session.status == before and before.state == "need_more"
+        assert session.samples == [] and session.history == []
+
+        plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1e-300, zeta=0.45, rho=0.5, tau=4)
+        session = new_session(plan, allow_uncertified=True)
+        feed(session, [1e-301, -1e-301] * 2 + [1e-301])
+        before = session_to_dict(session)
+        with pytest.raises(DomainError, match="^stage 2: "):
+            feed(session, [1e10] * 10)
+        assert session_to_dict(session) == before
+        feed(session, [0.0] * session.status.next_n)  # the session still takes data
+        assert len(session.history) == 2
+
+    def test_stored_overflowing_samples_are_an_integrity_error(self):
+        session = new_session(make_plan())
+        feed(session, [0.1, 0.2])
+        data = session_to_dict(session)
+        data["samples"] = [1.5e308] * 5
+        with pytest.raises(IntegrityError, match="^stored samples do not replay: stage 1: "):
+            session_from_dict(data, session.plan)
+
     def test_cli_leaves_the_session_file_as_it_was(self, tmp_path):
         plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1e-300, zeta=0.45, rho=0.5, tau=4)
         plan_path, session_path = tmp_path / "plan.json", tmp_path / "session.json"
