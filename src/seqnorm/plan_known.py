@@ -19,7 +19,7 @@ error budget.
 stage ladder, the stage statistic, the mirror plan, the OC bounds, the
 certificate and the sample-number tails.  ``KnownVarPlan`` here and
 ``UnknownVarPlan`` in plan_unknown add the statistic's scale, its law at a
-stage and the envelope.
+stage and the envelopes of a list of plans.
 """
 
 from __future__ import annotations
@@ -106,8 +106,9 @@ class Plan:
     A subclass supplies the statistic's scale ``_sd(squares, n)`` and
     whether it is ``studentized`` (reads the squares), the statistic's law
     ``stage_cdf(x, n, theta)`` at stage size n and standardized mean
-    theta, and ``envelope(theta, tail_mass, cell_budget) -> (lo, hi)``
-    bracketing the rejection envelope.
+    theta, and ``envelopes(theta, plans, tail_mass, cell_budget)``, one
+    ``(lo, hi)`` bracket of the rejection envelope per plan of its kind,
+    evaluated together.
     """
 
     alpha: float
@@ -179,6 +180,15 @@ class Plan:
         value = self.stage_cdf(stage.b, stage.n, theta) - self.stage_cdf(stage.a, stage.n, theta)
         return max(0.0, value)
 
+    def envelope(
+        self,
+        theta: float,
+        tail_mass: float = DEFAULT_TAIL_MASS,
+        cell_budget: int = DEFAULT_CELL_BUDGET,
+    ) -> tuple[float, float]:
+        """(lo, hi) bracketing the rejection envelope: envelopes' one-plan call."""
+        return self.envelopes(theta, [self], tail_mass, cell_budget)[0]
+
     def oc_bounds(
         self,
         theta: float,
@@ -209,20 +219,19 @@ class Plan:
 
         bound_a is the plan's own envelope and bounds the Type I error;
         bound_b is the mirror plan's and bounds the Type II error.  The plan
-        is certified when bound_a <= alpha and bound_b <= beta.  A plan that
-        is its own mirror (every alpha = beta design) has bound_b = bound_a,
-        and its envelope is evaluated once.
+        is certified when bound_a <= alpha and bound_b <= beta.  Both
+        envelopes are evaluated in one envelopes call; a plan that is its own
+        mirror (every alpha = beta design) has bound_b = bound_a, and its
+        envelope is evaluated once.
         """
-        theta = -self.epsilon
-        _, bound_a = self.envelope(theta, tail_mass, cell_budget)
         mirror = self.mirror()
         # the mirror swaps alpha and beta, so only alpha = beta plans can be
         # their own; repr tells -0.0 from 0.0, which == does not, so equal
         # reprs mean equal bits and the same envelope
-        if self.alpha == self.beta and repr(mirror) == repr(self.with_certified(False)):
-            return bound_a, bound_a
-        _, bound_b = mirror.envelope(theta, tail_mass, cell_budget)
-        return bound_a, bound_b
+        own = self.alpha == self.beta and repr(mirror) == repr(self.with_certified(False))
+        plans = [self] if own else [self, mirror]
+        brackets = self.envelopes(-self.epsilon, plans, tail_mass, cell_budget)
+        return brackets[0][1], brackets[-1][1]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -240,16 +249,17 @@ class KnownVarPlan(Plan):
         """Pr{statistic at size n <= x}: normal with mean sqrt(n) theta, unit variance."""
         return std_normal_cdf(x - math.sqrt(n) * theta)
 
-    def envelope(
-        self,
+    @staticmethod
+    def envelopes(
         theta: float,
+        plans: list["KnownVarPlan"],
         tail_mass: float = DEFAULT_TAIL_MASS,
         cell_budget: int = DEFAULT_CELL_BUDGET,
-    ) -> tuple[float, float]:
-        """[phi, phi]: the closed form is exact, so the interval is a point."""
+    ) -> list[tuple[float, float]]:
+        """[phi, phi] per plan: the closed form is exact, so each interval is a point."""
         _check_interval_settings(tail_mass, cell_budget)
-        phi = oc_upper_phi(theta, self)
-        return phi, phi
+        phis = [oc_upper_phi(theta, plan) for plan in plans]
+        return [(phi, phi) for phi in phis]
 
 
 def build_known_plan(

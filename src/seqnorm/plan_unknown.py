@@ -68,14 +68,15 @@ class UnknownVarPlan(Plan):
         """Pr{statistic at size n <= x}: noncentral t, n - 1 dof, ncp sqrt(n) theta."""
         return noncentral_t_cdf(x, n - 1, math.sqrt(n) * theta)
 
-    def envelope(
-        self,
+    @staticmethod
+    def envelopes(
         theta: float,
+        plans: list["UnknownVarPlan"],
         tail_mass: float = DEFAULT_TAIL_MASS,
         cell_budget: int = DEFAULT_CELL_BUDGET,
-    ) -> tuple[float, float]:
-        """Certified bracket of the rejection envelope (see oc_upper_P)."""
-        return oc_upper_P(theta, self, tail_mass, cell_budget)
+    ) -> list[tuple[float, float]]:
+        """Certified brackets of the plans' rejection envelopes (see oc_upper_P_many)."""
+        return oc_upper_P_many(theta, plans, tail_mass, cell_budget)
 
 
 def min_stage_size(alpha: float, beta: float, epsilon: float, zeta: float) -> int:
@@ -206,19 +207,15 @@ class PartitionCell:
         return self.p_upper - self.p_lower
 
 
-def _partition(
-    root: tuple[float, float, float, float],
-    budget: int,
-    evaluate: Callable[[list[tuple[float, float, float, float]]], list[tuple[float, float]]],
-) -> list[PartitionCell]:
-    """Cells tiling root = (y_lo, y_hi, z_lo, z_hi), split where the gap is widest.
+def _refine(root: tuple[float, float, float, float], budget: int):
+    """Generator of cells tiling root = (y_lo, y_hi, z_lo, z_hi), split where the gap is widest.
 
-    evaluate(rects) returns each rectangle's (p_lower, p_upper), for rectangles
-    given as (y_lo, y_hi, z_lo, z_hi); it gets every rectangle of a round in one
-    call: the initial cells, then each split's two children.  The root is halved
-    along y and, if z has extent, along z; then the widest-gap cell, the
-    lowest-index one among equals, is bisected along its side longer in units of
-    the root's sides until budget cells exist, so larger budgets extend one path.
+    Each round it yields rectangles (y_lo, y_hi, z_lo, z_hi) and is sent back
+    their (p_lower, p_upper): the initial cells, then each split's two
+    children; it returns the cells.  The root is halved along y and, if z has
+    extent, along z; then the widest-gap cell, the lowest-index one among
+    equals, is bisected along its side longer in units of the root's sides
+    until budget cells exist, so larger budgets extend one path.
     """
     y_span, z_span = root[1] - root[0], root[3] - root[2]
 
@@ -230,11 +227,10 @@ def _partition(
         z_mid = 0.5 * (z_lo + z_hi)
         return (y_lo, y_hi, z_lo, z_mid), (y_lo, y_hi, z_mid, z_hi)
 
-    def make_cells(geoms):
-        return [PartitionCell(*g, *bounds) for g, bounds in zip(geoms, evaluate(geoms))]
-
     rows = halves(root, False) if z_span > 0.0 else (root,)
-    cells = make_cells([half for row in rows for half in halves(row, True)])
+    geoms = [half for row in rows for half in halves(row, True)]
+    bounds = yield geoms
+    cells = [PartitionCell(*g, *b) for g, b in zip(geoms, bounds)]
     widest = [(-c.gap, i) for i, c in enumerate(cells)]
     heapq.heapify(widest)
     while len(cells) < budget:
@@ -244,11 +240,52 @@ def _partition(
         nz = (c.z_hi - c.z_lo) / z_span if z_span > 0.0 else 0.0
         if ny <= 0.0 and nz <= 0.0:
             break  # nothing splittable (degenerate rectangle)
-        low, high = make_cells(list(halves((c.y_lo, c.y_hi, c.z_lo, c.z_hi), ny >= nz)))
+        geoms = list(halves((c.y_lo, c.y_hi, c.z_lo, c.z_hi), ny >= nz))
+        bounds = yield geoms
+        low, high = (PartitionCell(*g, *b) for g, b in zip(geoms, bounds))
         cells[best] = low
         cells.append(high)
         heapq.heappush(widest, (-low.gap, best))
         heapq.heappush(widest, (-high.gap, len(cells) - 1))
+    return cells
+
+
+def _partition_many(
+    roots: list[tuple[float, float, float, float]],
+    budget: int,
+    evaluate_round: Callable[[list[tuple[int, list]]], list[list[tuple[float, float]]]],
+) -> list[list[PartitionCell]]:
+    """The cells of each root (see _refine), all partitions refined in lock-step.
+
+    evaluate_round(pending) gets, in one call per round, the (root index,
+    rectangles) pair of every partition still refining, and returns each
+    pair's (p_lower, p_upper) list in the same order.
+    """
+    runs = [_refine(root, budget) for root in roots]
+    pending = [(i, next(run)) for i, run in enumerate(runs)]
+    cells: list[list[PartitionCell]] = [[] for _ in runs]
+    while pending:
+        advanced = []
+        for (i, _), bounds in zip(pending, evaluate_round(pending)):
+            try:
+                advanced.append((i, runs[i].send(bounds)))
+            except StopIteration as done:
+                cells[i] = done.value
+        pending = advanced
+    return cells
+
+
+def _partition(
+    root: tuple[float, float, float, float],
+    budget: int,
+    evaluate: Callable[[list[tuple[float, float, float, float]]], list[tuple[float, float]]],
+) -> list[PartitionCell]:
+    """The cells of root (see _refine): the one-partition call of _partition_many.
+
+    evaluate(rects) returns each rectangle's (p_lower, p_upper) and gets every
+    rectangle of a round in one call.
+    """
+    [cells] = _partition_many([root], budget, lambda pending: [evaluate(pending[0][1])])
     return cells
 
 
@@ -259,8 +296,8 @@ class _StageTermEvaluator:
     differences between two omega values using monotonicity: the radicand
     grows with y + z (shrinking the region) and the line intercept grows
     with omega sqrt(y).  Neighbouring cells share corners, so each corner's
-    probability is computed once per evaluator and then looked up; the
-    corners a batch of rectangles still lacks are computed in one call.
+    probability is computed once per evaluator, by _fill_corners, and then
+    looked up.
     """
 
     def __init__(self, scale, off, k, omega_plus, omega_minus, dof_y, dof_z, negate):
@@ -278,30 +315,15 @@ class _StageTermEvaluator:
         # the cone path (scale 0) ignores sum_yz, so its corners share it
         return (sum_yz if self.scale != 0.0 else 0.0, y_for_line, omega)
 
-    def _fill(self, keys) -> None:
-        """Compute, in one batch, the corners among keys not yet in the memo."""
-        missing = [key for key in dict.fromkeys(keys) if key not in self._corners]
-        if not missing:
-            return
+    def region(self, key: tuple[float, float, float]) -> ConeRegion | HyperbolaConeRegion:
+        """The event at a corner key: a cone when scale is 0, else a hyperbola-cone."""
+        sum_yz, y, omega = key
         if self.scale == 0.0:
-            probs = [
-                cone_prob(ConeRegion(h=self.off, g=self.off + omega * math.sqrt(y), k=self.k))
-                for _, y, omega in missing
-            ]
-        else:
-            lam = self.scale * self.scale
-            probs = hyperbola_cone_prob_many([
-                HyperbolaConeRegion(
-                    offset=self.off, lam=lam, h=lam * sum_yz, g=omega * math.sqrt(y), k=self.k
-                )
-                for sum_yz, y, omega in missing
-            ])
-        self._corners.update(zip(missing, probs))
-
-    def event_prob(self, sum_yz: float, y_for_line: float, omega: float) -> float:
-        key = self._key(sum_yz, y_for_line, omega)
-        self._fill([key])
-        return self._corners[key]
+            return ConeRegion(h=self.off, g=self.off + omega * math.sqrt(y), k=self.k)
+        lam = self.scale * self.scale
+        return HyperbolaConeRegion(
+            offset=self.off, lam=lam, h=lam * sum_yz, g=omega * math.sqrt(y), k=self.k
+        )
 
     def _corner_keys(self, y_lo, y_hi, z_lo, z_hi, omega):
         """Keys of the corners giving the event's (upper, lower) bound on the rectangle."""
@@ -309,22 +331,22 @@ class _StageTermEvaluator:
         y_for_lo = y_lo if omega >= 0.0 else y_hi
         return self._key(y_lo + z_lo, y_for_hi, omega), self._key(y_hi + z_hi, y_for_lo, omega)
 
+    def rect_keys(self, rect) -> tuple:
+        """The omega_plus (upper, lower) then omega_minus (upper, lower) corner keys of rect."""
+        plus = self._corner_keys(*rect, self.omega_plus)
+        return plus + self._corner_keys(*rect, self.omega_minus)
+
     def mass(self, y_lo, y_hi, z_lo, z_hi) -> float:
         m = chi_square_cdf(y_hi, self.dof_y) - chi_square_cdf(y_lo, self.dof_y)
         if self.dof_z > 0:
             m *= chi_square_cdf(z_hi, self.dof_z) - chi_square_cdf(z_lo, self.dof_z)
         return max(0.0, m)
 
-    def __call__(self, rects) -> list[tuple[float, float]]:
-        """Mass-weighted (lower, upper) bounds for each (y_lo, y_hi, z_lo, z_hi) rectangle."""
-        keys = [
-            self._corner_keys(*rect, self.omega_plus) + self._corner_keys(*rect, self.omega_minus)
-            for rect in rects
-        ]
-        self._fill([key for rect_keys in keys for key in rect_keys])
+    def bounds(self, rects) -> list[tuple[float, float]]:
+        """Mass-weighted (lower, upper) bounds of rectangles whose corners are in the memo."""
         out = []
-        for rect, rect_keys in zip(rects, keys):
-            a_hi, a_lo, b_hi, b_lo = (self._corners[key] for key in rect_keys)
+        for rect in rects:
+            a_hi, a_lo, b_hi, b_lo = (self._corners[key] for key in self.rect_keys(rect))
             if self.negate:
                 diff_hi = min(0.0, a_hi - b_lo)
                 diff_lo = max(-1.0, a_lo - b_hi)
@@ -336,14 +358,42 @@ class _StageTermEvaluator:
             out.append((m * diff_lo, m * diff_hi))
         return out
 
+    def __call__(self, rects) -> list[tuple[float, float]]:
+        """Mass-weighted (lower, upper) bounds for each (y_lo, y_hi, z_lo, z_hi) rectangle."""
+        _fill_corners([(self, rects)])
+        return self.bounds(rects)
 
-def stage_term_cells(
-    theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float, cell_budget: int
-) -> tuple[list[PartitionCell], _StageTermEvaluator, tuple[float, float]]:
-    """Partition cells bounding the stage-ell envelope term (ell >= 2, 1-based).
 
-    Returns the cells, their evaluator and the root's (y, z) side lengths.  The root
-    holds the central 1 - tail_budget/2 of Y and of Z (Z = 0 when it has no dof).
+def _fill_corners(batch: list[tuple[_StageTermEvaluator, list]]) -> None:
+    """Compute the corners that each (evaluator, rectangles) pair's memo lacks.
+
+    Cone corners (scale 0) are closed forms, computed one by one; every
+    hyperbola-cone corner of the batch goes into one hyperbola_cone_prob_many
+    call.  A region's probability does not depend on the batch it is in, so
+    each memo holds the same bits whichever terms share a round.
+    """
+    owners, regions = [], []
+    for evaluator, rects in batch:
+        keys = dict.fromkeys(key for rect in rects for key in evaluator.rect_keys(rect))
+        missing = [key for key in keys if key not in evaluator._corners]
+        if evaluator.scale == 0.0:
+            for key in missing:
+                evaluator._corners[key] = cone_prob(evaluator.region(key))
+        else:
+            owners += [(evaluator, key) for key in missing]
+            regions += [evaluator.region(key) for key in missing]
+    if regions:
+        for (evaluator, key), p in zip(owners, hyperbola_cone_prob_many(regions)):
+            evaluator._corners[key] = p
+
+
+def _stage_term(
+    theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float
+) -> tuple[tuple[float, float, float, float], _StageTermEvaluator]:
+    """The stage-ell envelope term's (y, z) root and corner evaluator (ell >= 2, 1-based).
+
+    The root holds the central 1 - tail_budget/2 of Y and of Z (Z = 0 when it
+    has no dof).
     """
     prev = plan.stages[ell - 2]
     cur = plan.stages[ell - 1]
@@ -376,43 +426,69 @@ def stage_term_cells(
         z_hi = chi_square_quantile(1.0 - quarter, dof_z)
     else:
         z_lo = z_hi = 0.0
-
-    cells = _partition((y_lo, y_hi, z_lo, z_hi), cell_budget, evaluator)
-    return cells, evaluator, (y_hi - y_lo, z_hi - z_lo)
+    return (y_lo, y_hi, z_lo, z_hi), evaluator
 
 
-def oc_upper_P(
+def stage_term_cells(
+    theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float, cell_budget: int
+) -> tuple[list[PartitionCell], _StageTermEvaluator, tuple[float, float]]:
+    """Partition cells bounding the stage-ell envelope term (ell >= 2, 1-based).
+
+    Returns the cells, their evaluator and the root's (y, z) side lengths (see
+    _stage_term for the root).  oc_upper_P_many refines these same cells for
+    every term of its plans at once.
+    """
+    root, evaluator = _stage_term(theta, plan, ell, tail_budget)
+    cells = _partition(root, cell_budget, evaluator)
+    return cells, evaluator, (root[1] - root[0], root[3] - root[2])
+
+
+def oc_upper_P_many(
     theta: float,
-    plan: UnknownVarPlan,
+    plans: list[UnknownVarPlan],
     tail_mass: float = DEFAULT_TAIL_MASS,
     cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> tuple[float, float]:
-    """Interval [lower, upper] certified to bracket the rejection envelope.
+) -> list[tuple[float, float]]:
+    """Interval [lower, upper] certified to bracket each plan's rejection envelope.
 
     The first-stage term is a single noncentral-t tail and enters both ends
-    exactly.  Each later term is bracketed by partition cells; the chi-square
-    tail truncation budget is split evenly over those terms, so the total
-    truncation slack absorbed into the interval is at most tail_mass.
+    exactly, and is the whole envelope of a single-stage plan.  Each later
+    term is bracketed by partition cells; the chi-square tail truncation
+    budget is split evenly over a plan's terms, so the total truncation slack
+    absorbed into its interval is at most tail_mass.  The partitions of every
+    term of every plan are refined in lock-step, so the corners a round lacks
+    go through one hyperbola_cone_prob_many call; each term's cells are the
+    ones stage_term_cells gives.
     """
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}")
     _check_interval_settings(tail_mass, cell_budget)
 
-    first = plan.stages[0]
-    p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)
-    lower = p1
-    upper = p1
-    s = plan.num_stages
-    if s == 1:
-        return lower, upper
+    terms = [
+        (j, ell, tail_mass / (plan.num_stages - 1))
+        for j, plan in enumerate(plans)
+        for ell in range(2, plan.num_stages + 1)
+    ]
+    setups = [_stage_term(theta, plans[j], ell, tail_budget) for j, ell, tail_budget in terms]
+    evaluators = [evaluator for _, evaluator in setups]
 
-    tail_budget = tail_mass / (s - 1)
-    for ell in range(2, s + 1):
-        cells, evaluator, _ = stage_term_cells(theta, plan, ell, tail_budget, cell_budget)
+    def evaluate_round(pending):
+        batch = [(evaluators[i], rects) for i, rects in pending]
+        _fill_corners(batch)
+        return [evaluator.bounds(rects) for evaluator, rects in batch]
+
+    term_cells = _partition_many([root for root, _ in setups], cell_budget, evaluate_round)
+
+    brackets = []
+    for plan in plans:
+        first = plan.stages[0]
+        p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)
+        brackets.append([p1, p1])
+    for (j, ell, tail_budget), evaluator, cells in zip(terms, evaluators, term_cells):
         cell_lo = math.fsum(c.p_lower for c in cells)
         cell_hi = math.fsum(c.p_upper for c in cells)
         if evaluator.negate:
-            nct = plan.sample_tail(ell - 1, theta)
+            nct = plans[j].sample_tail(ell - 1, theta)
             term_lo = max(0.0, nct + cell_lo - tail_budget)
             term_hi = min(nct, nct + cell_hi)
         else:
@@ -422,7 +498,16 @@ def oc_upper_P(
             raise SeqnormError(
                 f"stage {ell} interval inverted: [{term_lo}, {term_hi}]"
             )
-        lower += term_lo
-        upper += term_hi
+        brackets[j][0] += term_lo
+        brackets[j][1] += term_hi
+    return [(lower, upper) for lower, upper in brackets]
 
-    return lower, upper
+
+def oc_upper_P(
+    theta: float,
+    plan: UnknownVarPlan,
+    tail_mass: float = DEFAULT_TAIL_MASS,
+    cell_budget: int = DEFAULT_CELL_BUDGET,
+) -> tuple[float, float]:
+    """Certified bracket of the plan's rejection envelope: oc_upper_P_many's one-plan call."""
+    return oc_upper_P_many(theta, [plan], tail_mass, cell_budget)[0]

@@ -129,6 +129,19 @@ class TestConeProb:
         ref = grid_domain_prob(section(region), resolution=120_000)
         assert got == pytest.approx(ref, abs=1e-6)
 
+    @settings(max_examples=40, deadline=None)
+    @given(h=hst.floats(-4.0, 4.0), g=hst.floats(-4.0, 4.0), k=hst.floats(0.05, 20.0))
+    def test_random_regions_vs_grid(self, h, g, k):
+        # the grid keeps a u-cell whole when its midpoint lies inside, so each
+        # v-row misplaces at most half a cell at either end, under
+        # phi(0) * step in all; the v-rule adds O(step^2) and the cut at 8
+        # about 1e-15, so one step bounds the grid's error with room to spare
+        resolution = 100_000
+        step = 16.0 / resolution
+        region = ConeRegion(h, g, k)
+        ref = grid_domain_prob(section(region), half_width=8.0, resolution=resolution)
+        assert cone_prob(region) == pytest.approx(ref, abs=step)
+
     def test_mixed_example_vs_oracles(self):
         # a unit slope keeps constant phase against the shared u/v grid, so
         # the midpoint error does not average out; brute resolution handles it

@@ -229,15 +229,17 @@ class TestBounds:
         expected = (plan.envelope(-0.5, 1e-4, 16)[1], mirror.envelope(-0.5, 1e-4, 16)[1])
         assert (repr(mirror) == repr(plan)) == (beta == 0.05)
         calls = []
-        envelope = type(plan).envelope
+        envelopes_of_kind = type(plan).envelopes
 
-        def counted(self, *args):
-            calls.append(self)
-            return envelope(self, *args)
+        def counted(theta, plans, *args):
+            calls.append(plans)
+            return envelopes_of_kind(theta, plans, *args)
 
-        monkeypatch.setattr(type(plan), "envelope", counted)
+        monkeypatch.setattr(type(plan), "envelopes", staticmethod(counted))
         assert list(map(repr, plan.certify(1e-4, 16))) == list(map(repr, expected))
-        assert len(calls) == envelopes
+        # one envelopes call, for the plan and, unless it is its own, its mirror
+        assert len(calls) == 1
+        assert len(calls[0]) == envelopes
 
     def test_far_field_lower(self):
         lo, hi = self.PLAN.oc_bounds(-50.0)

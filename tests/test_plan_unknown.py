@@ -15,6 +15,7 @@ from seqnorm.plan_unknown import (
     min_stage_size,
     mirror_unknown_plan,
     oc_upper_P,
+    oc_upper_P_many,
     stage_term_cells,
 )
 from seqnorm.runner import feed, new_session
@@ -218,13 +219,17 @@ class TestPartitionCells:
         # probability against plain Monte Carlo over (U, V)
         cells, evaluator, _ = stage_term_cells(-0.5, self.PLAN, 2, 5e-5, 8)
         cell = cells[0]
-        p = evaluator.event_prob(cell.y_lo + cell.z_lo, cell.y_hi, evaluator.omega_plus)
+        # the omega_plus upper corner, as the partition's batches left it in the memo
+        key = evaluator.rect_keys((cell.y_lo, cell.y_hi, cell.z_lo, cell.z_hi))[0]
+        sum_yz, y_line, omega = key
+        assert (sum_yz, y_line, omega) == (cell.y_lo + cell.z_lo, cell.y_hi, evaluator.omega_plus)
+        p = evaluator._corners[key]
         rng = np.random.default_rng(17)
         n = 2 * 10**6
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        lhs = evaluator.scale * np.sqrt(v * v + cell.y_lo + cell.z_lo)
-        rhs = evaluator.k * v + evaluator.omega_plus * math.sqrt(cell.y_hi)
+        lhs = evaluator.scale * np.sqrt(v * v + sum_yz)
+        rhs = evaluator.k * v + omega * math.sqrt(y_line)
         inside = (lhs <= u - evaluator.off) & (u - evaluator.off <= rhs)
         est = float(inside.mean())
         se = math.sqrt(est * (1 - est) / n)
@@ -431,6 +436,102 @@ class TestCornerMemo:
             assert [(c.p_lower, c.p_upper)] == fresh([(c.y_lo, c.y_hi, c.z_lo, c.z_hi)])
 
 
+class TestLockStep:
+    """oc_upper_P_many refines every stage term of every plan together; each
+    term's cells and each plan's bracket are those of one term at a time."""
+
+    DESIGNS = {
+        "sym": ((0.05, 0.05, 0.5, 1.0, 3), 0.8777410381486583),  # calibrated, own mirror
+        "asym": ((0.05, 0.10, 0.5, 0.5, 4), 0.7033882181678947),  # calibrated
+        "negative-slope": ((0.2, 0.02, 0.5, 1.0, 3), 0.4),
+        "single-stage": ((0.05, 0.05, 0.5, 1.0, 1), 1 / 3),
+    }
+
+    @classmethod
+    def plan(cls, name):
+        (alpha, beta, epsilon, rho, tau), zeta = cls.DESIGNS[name]
+        return build_unknown_plan(alpha, beta, epsilon, 0.0, zeta, rho, tau)
+
+    @staticmethod
+    def one_term_at_a_time(theta, plan, tail_mass, cell_budget):
+        """The envelope bracket and term cells, each term through stage_term_cells."""
+        first = plan.stages[0]
+        lower = upper = 1.0 - plan.stage_cdf(first.b, first.n, theta)
+        s = plan.num_stages
+        term_cells = []
+        for ell in range(2, s + 1):
+            tail_budget = tail_mass / (s - 1)
+            cells, evaluator, _ = stage_term_cells(theta, plan, ell, tail_budget, cell_budget)
+            term_cells.append(cells)
+            cell_lo = math.fsum(c.p_lower for c in cells)
+            cell_hi = math.fsum(c.p_upper for c in cells)
+            if evaluator.negate:
+                nct = plan.sample_tail(ell - 1, theta)
+                lower += max(0.0, nct + cell_lo - tail_budget)
+                upper += min(nct, nct + cell_hi)
+            else:
+                lower += max(0.0, cell_lo)
+                upper += cell_hi + tail_budget
+        return (lower, upper), term_cells
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_plan_and_mirror_equal_separate_terms(self, monkeypatch, name):
+        plan = self.plan(name)
+        if name == "negative-slope":
+            assert plan.stages[-1].b < 0.0  # the negated-event branch
+        theta = -plan.epsilon
+        refined = []
+        partition_many = plan_unknown._partition_many
+
+        def recorded(*args):
+            refined.append(partition_many(*args))
+            return refined[-1]
+
+        monkeypatch.setattr(plan_unknown, "_partition_many", recorded)
+        got = oc_upper_P_many(theta, [plan, plan.mirror()], 1e-4, 32)
+        monkeypatch.undo()
+        # one lock-step refinement for every term of both plans
+        [lockstep_cells] = refined
+        brackets, term_cells = zip(*(
+            self.one_term_at_a_time(theta, p, 1e-4, 32) for p in (plan, plan.mirror())
+        ))
+        assert list(map(repr, got)) == list(map(repr, brackets))
+        assert got[0] == oc_upper_P(theta, plan, 1e-4, 32)
+        expected = [cells for per_plan in term_cells for cells in per_plan]
+        assert len(lockstep_cells) == 2 * (plan.num_stages - 1)
+        assert [list(map(repr, c)) for c in lockstep_cells] == [
+            list(map(repr, c)) for c in expected
+        ]
+
+    @pytest.mark.parametrize("name, one_term_batches, batches", [
+        ("sym", 5, 5),  # one hyperbola-cone term; the cone term needs no batch
+        ("asym", 30, 5),  # six hyperbola-cone terms, five rounds each
+    ])
+    def test_certify_makes_one_batch_per_round(
+        self, monkeypatch, name, one_term_batches, batches
+    ):
+        plan = self.plan(name)
+        calls = []
+        many = plan_unknown.hyperbola_cone_prob_many
+
+        def counted(regions):
+            calls.append(len(regions))
+            return many(regions)
+
+        monkeypatch.setattr(plan_unknown, "hyperbola_cone_prob_many", counted)
+        own = repr(plan.mirror()) == repr(plan)
+        for p in [plan] if own else [plan, plan.mirror()]:
+            for ell in range(2, p.num_stages + 1):
+                stage_term_cells(-p.epsilon, p, ell, 1e-4 / (p.num_stages - 1), 8)
+        assert len(calls) == one_term_batches
+        regions = sum(calls)
+        calls.clear()
+        plan.certify(1e-4, 8)
+        assert len(calls) == batches
+        # the same corners, in fewer and larger batches
+        assert sum(calls) == regions
+
+
 class TestArcConvergence:
     """Every hyperbola arc of a default certificate meets the quadrature tolerance."""
 
@@ -467,8 +568,9 @@ class TestZeroRejectThreshold:
         cells, evaluator, _ = stage_term_cells(-0.5, plan, ell, 5e-5, 16)
         assert evaluator.scale == 0.0
         assert all(c.p_lower <= c.p_upper for c in cells)
-        p = evaluator.event_prob(1.0, 2.0, evaluator.omega_plus)
-        assert 0.0 <= p <= 1.0
+        # the cone corners ignore y + z, and each is a probability
+        assert {sum_yz for sum_yz, _, _ in evaluator._corners} == {0.0}
+        assert all(0.0 <= p <= 1.0 for p in evaluator._corners.values())
 
 
 class TestChiSquareTruncation:
