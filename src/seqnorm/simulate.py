@@ -14,14 +14,21 @@ studentized plan, their sum of squared deviations, so a replicate draws
 those per stage block, not its samples.  The block of dn = n_l - n_{l-1}
 samples gets its sum, dn * (mu - gamma) + sigma * sqrt(dn) * Z, and a
 studentized plan also gets its within-block sum of squared deviations,
-sigma^2 * chi^2(dn - 1): the sum of dn - 1 squared normals (Helmert's
-decomposition) below ``_CHI2_INVERSE_DF`` degrees of freedom, and one
-inverse-CDF draw 2 * gammaincinv((dn - 1) / 2, u) from there on.  Blocks
-pool into stage sums and sums of squares by ``_stage_sums``, on sums taken
-about gamma so the pooled means do not cancel; n * gamma is added back
-before the statistic.  A replicate of a known-variance plan costs one draw
-per stage, whatever its stage sizes.  Data whose stage sums or sums of
-squares could overflow a double are refused.
+sigma^2 * chi^2(dn - 1) by Helmert's decomposition.  A block of df = dn - 1
+= 1 draws that chi-square as one squared normal, and one of df = 0 draws
+nothing.  From df = 2 on it is twice a Gamma(df / 2) variable drawn by
+Marsaglia and Tsang's method (ACM TOMS 26(3), 2000) in at most ``_TRIES``
+tries, each a (normal, uniform) word pair; a block whose tries all reject
+takes one inverse-CDF draw 2 * gammaincinv(df / 2, u) from a word of its
+own.  The tries and the fallback read disjoint words and each has the Gamma
+law, so their mixture has it too, and a block costs O(1) work whatever its
+size: about 2e-3 of blocks fall back at df = 2, 1e-4 at df = 6 and none of
+400,000 from df = 40 on.  A replicate costs at most 2 * ``_TRIES`` + 2
+words per stage, whatever its stage sizes.  Blocks pool into stage sums
+and sums of squares by ``_stage_sums``, on sums taken about gamma so the
+pooled means do not cancel; n * gamma is added back before the statistic.
+Data whose stage sums or sums of squares could overflow a double are
+refused.
 
 Draws come from a counter-based uniform stream (Philox); a normal is one
 stream word pushed through the inverse normal CDF.  Replicate r owns a
@@ -48,9 +55,7 @@ _CHUNK = 1 << 15  # replicates per chunk
 _CHUNK_WORDS = 1 << 24  # stream words per chunk: 128 MiB per float64 chunk array
 _MAX_SIZE = 1 << 24  # largest final stage simulated
 _U_FLOOR = 2.0 ** -64  # inverse-CDF guard: random() can emit exactly 0
-# degrees of freedom from which a block's chi-square is one gammaincinv draw
-# (about 1 us) and not a sum of squared ndtri normals (about 18 ns each)
-_CHI2_INVERSE_DF = 40
+_TRIES = 2  # Marsaglia-Tsang tries per chi-square before the inverse-CDF fallback
 # no normal drawn exceeds this in size: the inverse normal CDF at _U_FLOOR
 _Z_MAX = float(-sp.ndtri(_U_FLOOR))
 
@@ -73,18 +78,52 @@ def _blocks(plan) -> tuple[list[tuple[int, int]], int]:
     """Each stage block's size dn and sum-of-squares words k, and the
     replicate's window width.
 
-    k is 0 for a plan that is not studentized, dn - 1 for a chi-square
-    summed from normals and 1 for one drawn by inverse CDF.
+    k is 0 for a plan that is not studentized or a block of one sample, 1
+    for a block of two (its chi-square is one squared normal) and
+    2 * _TRIES + 1 for a larger one (``_chi_square``'s words).  The window
+    holds every block's sum word, then every block's k words, in stage order.
     """
     blocks = []
     prev = 0
     for n in plan.sizes:
         dn = n - prev
-        k = 0 if not plan.studentized else dn - 1 if dn - 1 < _CHI2_INVERSE_DF else 1
+        k = 0 if not plan.studentized or dn == 1 else 1 if dn == 2 else 2 * _TRIES + 1
         blocks.append((dn, k))
         prev = n
     width = sum(1 + k for _, k in blocks)
     return blocks, 4 * ((width + 3) // 4)
+
+
+def _chi_square(df: int, window: np.ndarray) -> np.ndarray:
+    """chi^2(df) draws, df >= 2, one per row of a window of 2 * _TRIES + 1
+    floored uniforms: a (normal, acceptance) word pair per Marsaglia-Tsang
+    try, then the fallback word.
+
+    With d = df / 2 - 1/3 and c = 1 / sqrt(9 d), try t turns its normal
+    word into z and accepts Gamma(df / 2) = d v, v = (1 + c z)^3, when
+    v > 0 and log u < z^2 / 2 + d (1 - v + log v).  That exponent is
+    evaluated as z^2 / 2 + d (3 log1p(c z) - c z (3 + c z (3 + c z))),
+    whose terms are of the size of c z, not of 1, so it stays accurate at
+    large d.  The first try that accepts gives the draw; a row none accepts
+    takes 2 gammaincinv(df / 2, u) of its fallback word.  A try's normal is
+    computed only on the rows that reach it.
+    """
+    d = 0.5 * df - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    chi2 = np.empty(len(window))
+    rows = np.arange(len(window))
+    for t in range(_TRIES):
+        z = sp.ndtri(window[rows, 2 * t])
+        w = c * z
+        inside = w > -1.0
+        w[~inside] = 0.0
+        exponent = 0.5 * z * z + d * (3.0 * np.log1p(w) - w * (3.0 + w * (3.0 + w)))
+        take = inside & (np.log(window[rows, 2 * t + 1]) < exponent)
+        v = 1.0 + w[take]
+        chi2[rows[take]] = (2.0 * d) * (v * v * v)
+        rows = rows[~take]
+    chi2[rows] = 2.0 * sp.gammaincinv(0.5 * df, window[rows, 2 * _TRIES])
+    return chi2
 
 
 def _block_draws(plan, shift: float, sigma: float, seed: int, lo: int, hi: int):
@@ -95,22 +134,24 @@ def _block_draws(plan, shift: float, sigma: float, seed: int, lo: int, hi: int):
     sigma^2), shift being the data's mean minus the plan's gamma.
     """
     blocks, width = _blocks(plan)
-    u = _uniform_block(seed, lo * width, hi - lo, width)
-    np.maximum(u, _U_FLOOR, out=u)
-    z = sp.ndtri(u)
+    words = _uniform_block(seed, lo * width, hi - lo, width)
+    np.maximum(words, _U_FLOOR, out=words)
+    z = sp.ndtri(words[:, : len(blocks)])
     sums = np.empty((len(blocks), hi - lo))
     squares = np.empty_like(sums) if plan.studentized else None
-    col = 0
+    col = len(blocks)
     for i, (dn, k) in enumerate(blocks):
-        sums[i] = dn * shift + sigma * math.sqrt(dn) * z[:, col]
+        sums[i] = dn * shift + sigma * math.sqrt(dn) * z[:, i]
         if squares is not None:
-            if dn - 1 < _CHI2_INVERSE_DF:
-                helmert = z[:, col + 1 : col + 1 + k]
-                chi2 = np.einsum("ij,ij->i", helmert, helmert)
+            if k == 0:
+                chi2 = 0.0
+            elif k == 1:
+                helmert = sp.ndtri(words[:, col])
+                chi2 = helmert * helmert
             else:
-                chi2 = 2.0 * sp.gammaincinv(0.5 * (dn - 1), u[:, col + 1])
+                chi2 = _chi_square(dn - 1, words[:, col : col + k])
             squares[i] = sigma * sigma * chi2
-        col += 1 + k
+        col += k
     return sums, squares
 
 
@@ -182,7 +223,13 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
     shift = mu - plan.gamma
     # a block sum is at most dn * spread in size, so a stage sum stays within
     # n_max (spread + |gamma|); a block's sum of squares stays within
-    # dn * spread^2 and its pooling term within 4 dn spread^2
+    # dn * spread^2 and its pooling term within 4 dn spread^2.  That takes
+    # every block's chi-square as at most dn * _Z_MAX^2: a squared normal is;
+    # an accepted Marsaglia-Tsang draw 2 d (1 + c z)^3 is at most
+    # 2 d (1 + _Z_MAX / (3 sqrt(d)))^3, which is tightest at df = 2 (139
+    # against 3 * 82.4); and the fallback's word is at most 1 - 2**-53, whose
+    # chi-square quantile is below df + 12.2 sqrt(df) + 73.5 (Laurent and
+    # Massart's tail bound).
     spread = abs(shift) + sigma * _Z_MAX
     if not math.isfinite(n_max * (spread + abs(plan.gamma))) or (
         plan.studentized and not math.isfinite(5.0 * n_max * spread * spread)

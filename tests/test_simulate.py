@@ -34,7 +34,7 @@ from oracles import (
 
 PLAN = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1 / 3, rho=1.0, tau=3)
 # sizes (63, 94, 140): its blocks' chi-square has 62, 30 and 45 degrees of
-# freedom, so both sides of the inverse-CDF cut-over are drawn
+# freedom
 STRADDLE = build_unknown_plan(0.05, 0.05, 0.15, 0.0, zeta=0.8, rho=0.5, tau=3)
 
 
@@ -86,9 +86,9 @@ class TestSimulatePlan:
         monkeypatch.setattr(sim, "_CHUNK", 1 << 30)
         with pytest.raises(Recorded):
             simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=10**7, seed=1)
-        # STRADDLE's window: 1 + 1, 1 + 30 and 1 + 1 words, padded to 36
-        assert shapes == [(32768, 4), (32768, 36), (466033, 36)]
-        assert 466033 * 36 <= 2**24 < 466034 * 36
+        # STRADDLE's window: 1 + 5 words per stage, padded to 20
+        assert shapes == [(32768, 4), (32768, 20), (838860, 20)]
+        assert 838860 * 20 <= 2**24 < 838861 * 20
 
     def test_degenerate_sums_of_squares_pin_the_statistic_to_the_mean_sign(self):
         plan = REPLAY_PLANS["unknown"]
@@ -212,31 +212,82 @@ def test_matches_the_per_sample_reference(name):
     assert sp.chdtrc(np.count_nonzero(seen) - 1, stat) >= 1e-3, (got, ref)
 
 
-@pytest.mark.parametrize("block, method", [(0, "Helmert"), (1, "inverse CDF")])
-def test_block_squares_have_the_chi_square_law(block, method):
+@pytest.mark.parametrize("df", [1, 2, 3, 39, 40, 146, 2**24 - 1])
+def test_block_squares_have_the_chi_square_law(df):
     """W / sigma^2 of a block of dn samples is chi-square with dn - 1
-    degrees of freedom on both sides of the cut-over, and the block sum is
-    normal(dn shift, dn sigma^2)."""
-    assert sim._CHI2_INVERSE_DF == 40
+    degrees of freedom, from one squared normal at df 1 to a
+    Marsaglia-Tsang draw at 2**24 - 1, and the block sum is normal(dn shift,
+    dn sigma^2)."""
     base = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8, rho=1.0, tau=3)
-    # blocks of 40 and 41 samples: 39 and 40 degrees of freedom
-    plan = replace(base, stages=(Stage(n=40, a=-1.0, b=1.0), Stage(n=81, a=0.0, b=0.0)))
-    assert sim._blocks(plan) == ([(40, 39), (41, 1)], 44)
+    dn = df + 1
+    # a block of dn samples, then one of a single sample, which draws no square
+    plan = replace(base, stages=(Stage(n=dn, a=-1.0, b=1.0), Stage(n=dn + 1, a=0.0, b=0.0)))
+    k = 1 if df == 1 else 2 * sim._TRIES + 1
+    assert sim._blocks(plan) == ([(dn, k), (1, 0)], 4 * ((k + 5) // 4))
     reps, shift, sigma = 200_000, 0.3, 1.7
     sums, squares = sim._block_draws(plan, shift, sigma, 11, 0, reps)
-    dn = (40, 41)[block]
-    df = dn - 1
-    w = squares[block] / sigma**2
+    assert squares[1].tolist() == [0.0] * reps
+    w = squares[0] / sigma**2
     assert abs(w.mean() - df) <= 4 * math.sqrt(2 * df / reps)
     assert abs(w.var() - 2 * df) <= 4 * math.sqrt((8 * df * df + 48 * df) / reps)
     # Kolmogorov distance to the chi-square CDF, 1e-3 level
     cdf = sp.chdtr(df, np.sort(w))
     steps = np.arange(1, reps + 1) / reps
     distance = max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / reps))))
-    assert distance <= 1.95 / math.sqrt(reps), method
-    unit = (sums[block] - dn * shift) / (sigma * math.sqrt(dn))
+    assert distance <= 1.95 / math.sqrt(reps)
+    unit = (sums[0] - dn * shift) / (sigma * math.sqrt(dn))
     assert abs(unit.mean()) <= 4 / math.sqrt(reps)
     assert abs(unit.var() - 1.0) <= 4 * math.sqrt(2.0 / reps)
+
+
+_TOP = 1.0 - 2.0**-53  # the largest word the stream emits
+
+
+@pytest.mark.parametrize("df", [2, 3, 40, 2**24 - 1])
+def test_chi_square_takes_the_first_accepting_try_or_the_fallback(df):
+    """Hand-made windows: a try whose normal word is 0.999 (z = 3.09) and
+    whose acceptance word is 1 - 2**-53 rejects at every df, and one with
+    acceptance word _U_FLOOR and normal word 0.7 accepts, giving 2 d v."""
+    d = 0.5 * df - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    v = 1.0 + c * float(sp.ndtri(0.7))
+    accepted = 2.0 * d * (v * v * v)
+    fallback = 2.0 * float(sp.gammaincinv(0.5 * df, 0.3))
+    reject, accept = [0.999, _TOP], [0.7, sim._U_FLOOR]
+    windows = {
+        "first": accept + reject,
+        "second": reject + accept,
+        "neither": reject + reject,
+    }
+    expected = {"first": accepted, "second": accepted, "neither": fallback}
+    assert sim._TRIES == 2
+    for name, words in windows.items():
+        got = sim._chi_square(df, np.array([words + [0.3]]))
+        assert repr(float(got[0])) == repr(expected[name]), name
+    # rows of every kind in one window draw what each draws alone
+    mixed = np.array([windows[name] + [0.3] for name in ("neither", "first", "second", "neither")])
+    got = sim._chi_square(df, mixed).tolist()
+    assert got == [expected[name] for name in ("neither", "first", "second", "neither")]
+
+
+@pytest.mark.parametrize("df", [2, 3, 40, 2**24 - 1])
+@pytest.mark.parametrize("word", [sim._U_FLOOR, _TOP])
+def test_extreme_windows_keep_the_chi_square_within_the_overflow_bound(df, word):
+    """_stage_pass refuses data by taking every block's chi-square as at
+    most dn * _Z_MAX^2; windows of the smallest or of the largest word,
+    which drive a draw to its extremes, stay within that."""
+    chi2 = sim._chi_square(df, np.full((1, 2 * sim._TRIES + 1), word))
+    assert 0.0 <= chi2[0] <= (df + 1) * sim._Z_MAX**2
+
+
+def test_largest_accepted_draw_is_within_the_overflow_bound():
+    """An accepted try gives at most 2 d (1 + _Z_MAX / (3 sqrt(d)))^3,
+    which stays within dn * _Z_MAX^2 from df 2 to 10**4 and at 2**24 - 1;
+    its ratio to that bound falls as df grows."""
+    dfs = np.concatenate([np.arange(2, 10**4), [2.0**24 - 1]])
+    d = 0.5 * dfs - 1.0 / 3.0
+    largest = 2.0 * d * (1.0 + sim._Z_MAX / (3.0 * np.sqrt(d))) ** 3
+    assert np.all(largest <= (dfs + 1) * sim._Z_MAX**2)
 
 
 REPLAY_PLANS = {
