@@ -186,7 +186,10 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     if not (hi > lo):
         raise DomainError("grid needs max > min")
     step = (hi - lo) / (points - 1)
-    return [lo + i * step for i in range(points)]
+    if not math.isfinite(step):
+        raise DomainError(f"grid from {lo!r} to {hi!r} overflows double precision")
+    # the last point is max itself: lo + (points - 1) * step can cancel to 0
+    return [lo + i * step for i in range(points - 1)] + [hi]
 
 
 def cmd_oc(args) -> int:

@@ -40,11 +40,11 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, owens_t
+from scipy.special import ndtr
+from scipy.special.cython_special import owens_t
 
 from .errors import DomainError
 # integrate is unused here; perfbench's binding test rebinds it
@@ -61,6 +61,13 @@ _HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 
 
+def _require_finite_fields(region) -> None:
+    """Raise DomainError naming the first field of region that is not finite."""
+    for name in region.__dataclass_fields__:
+        if not math.isfinite(getattr(region, name)):
+            raise DomainError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class ConeRegion:
     """Wedge {h <= u <= k v + g} bounded left by a vertical barrier."""
@@ -70,9 +77,8 @@ class ConeRegion:
     k: float
 
     def __post_init__(self):
-        for name in ("h", "g", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        if not (math.isfinite(self.h) and math.isfinite(self.g) and math.isfinite(self.k)):
+            _require_finite_fields(self)
         if self.k <= 0.0:
             raise DomainError(f"k must be > 0, got {self.k}")
 
@@ -88,9 +94,11 @@ class HyperbolaConeRegion:
     k: float
 
     def __post_init__(self):
-        for name in ("offset", "lam", "h", "g", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        if not (
+            math.isfinite(self.offset) and math.isfinite(self.lam) and math.isfinite(self.h)
+            and math.isfinite(self.g) and math.isfinite(self.k)
+        ):
+            _require_finite_fields(self)
         if self.lam <= 0.0:
             raise DomainError(f"lam must be > 0, got {self.lam}")
         if self.h < 0.0:
@@ -114,15 +122,14 @@ def _barrier_integral(level: float, lo: float, hi: float) -> float:
     F(phi) = m Phi(-|level|) + T(level, tan(phi - m pi)) with m = round(phi / pi).
     """
     period = float(ndtr(-abs(level)))
-
-    def antiderivative(phi: float) -> float:
-        m = round(phi / math.pi)
-        # phi - m pi can round past +-pi/2 when phi is an odd multiple of a
-        # quarter turn; the clamp keeps tan on the side m was chosen for
-        x = min(max(phi - m * math.pi, -_HALF_PI), _HALF_PI)
-        return m * period + float(owens_t(level, math.tan(x)))
-
-    return antiderivative(hi) - antiderivative(lo)
+    # phi - m pi can round past +-pi/2 when phi is an odd multiple of a
+    # quarter turn; the clamp keeps tan on the side m was chosen for
+    m = round(hi / math.pi)
+    x = min(max(hi - m * math.pi, -_HALF_PI), _HALF_PI)
+    upper = m * period + owens_t(level, math.tan(x))
+    m = round(lo / math.pi)
+    x = min(max(lo - m * math.pi, -_HALF_PI), _HALF_PI)
+    return upper - (m * period + owens_t(level, math.tan(x)))
 
 
 def _hyperbola_polar_sq_radius(phi: np.ndarray, offset, lam, h) -> np.ndarray:
@@ -141,25 +148,27 @@ def _hyperbola_polar_sq_radius(phi: np.ndarray, offset, lam, h) -> np.ndarray:
     c = np.cos(phi)
     s = np.sin(phi)
     rad = h * c * c + lam * eta * s * s
-    scale = abs(h) + lam * abs(eta) + 1e-300
-    bad = rad < -1e-10 * scale  # angle outside the branch's admissible interval
-    if np.any(bad):
-        rad = np.where(bad, np.inf, rad)  # forces the integrand to 0
-    rad = np.maximum(rad, 0.0)
+    if np.signbit(rad).any():  # -0.0 too, so the clamp below gives +0.0
+        scale = abs(h) + lam * abs(eta) + 1e-300
+        bad = rad < -1e-10 * scale  # angle outside the branch's admissible interval
+        if np.any(bad):
+            rad = np.where(bad, np.inf, rad)  # forces the integrand to 0
+        rad = np.maximum(rad, 0.0)
     sq = np.sqrt(rad)
     num = offset * c
     # two algebraically equal forms of the near root; each cancels on the
     # opposite sign of offset*cos(phi), so pick per element
     den = num + sq
     aq = c * c - lam * s * s
-    den_ok = den != 0.0
-    aq_ok = aq != 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        at_zero = np.where(eta == 0.0, 0.0, np.inf)
-        ratio = np.where(den_ok, eta / np.where(den_ok, den, 1.0), at_zero)
-        stable = np.where(aq_ok, (num - sq) / np.where(aq_ok, aq, 1.0), np.inf)
-    r = np.where(num >= 0.0, ratio, stable)
-    return r * r
+        ratio = eta / den
+        if not den.all():
+            ratio = np.where(den != 0.0, ratio, np.where(eta == 0.0, 0.0, np.inf))
+        stable = (num - sq) / aq
+        if not aq.all():
+            stable = np.where(aq != 0.0, stable, np.inf)
+        r = np.where(num >= 0.0, ratio, stable)
+        return r * r  # an overflow is a radius the integrand sends to 0
 
 
 def _upsilon(phi: np.ndarray, offset, lam, h) -> np.ndarray:
@@ -222,8 +231,7 @@ def _abs_polar_angle(u: float, v: float) -> float:
     return math.acos(min(1.0, max(-1.0, u / norm)))
 
 
-@dataclass(frozen=True)
-class _BranchData:
+class _BranchData(NamedTuple):
     leaf: str  # "zero", "np1".."np5", "pp1".."pp3", "n1".."n5", "p1".."p3"
     lam: float  # possibly nudged off the degenerate surface
     crossing: bool = False  # the domain crosses the u-axis (A lies below it)
@@ -253,6 +261,11 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
             stacklevel=3,
         )
         lam = k2 * (1.0 + 1e-8) if lam >= k2 else k2 * (1.0 - 1e-8)
+
+    # the arc integrand's radicand is bounded by h + lam |eta|
+    eta = off * off - h
+    if not math.isfinite(h + lam * abs(eta)):
+        raise DomainError(f"region too large for double precision: {region}")
 
     sqrt_h = math.sqrt(h)
     delta = h * (k2 - lam) + lam * g * g
@@ -287,7 +300,6 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
         phi_b = math.atan(1.0 / math.sqrt(lam))
         line_b = _HALF_PI
         u_q = off
-    eta = off * off - h
     lam_eta = lam * abs(eta)
     if eta == 0.0:
         phi_m = _HALF_PI
@@ -303,7 +315,11 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
     # infinity), C is the vertex and R the line intercept
     u_p = off + (h / z_a if z_a != 0.0 else 0.0)
     ladder = (u_q, u_p, off + sqrt_h, off + g) if crossing else (u_q, u_p)
-    rung = next((i for i, u in enumerate(ladder, 1) if u >= 0.0), len(ladder) + 1)
+    rung = len(ladder) + 1
+    for i, u in enumerate(ladder, 1):
+        if u >= 0.0:
+            rung = i
+            break
 
     family = ("n" if crossing else "p") + ("p" if bounded else "")
     return _BranchData(
@@ -371,24 +387,22 @@ def hyperbola_cone_prob_many(regions: Sequence[HyperbolaConeRegion]) -> list[flo
             out.append(0.0)
             continue
         ups = [next(values) for _ in region_arcs]
-        line = partial(
-            _barrier_integral, abs(region.offset + region.g) / math.sqrt(1.0 + region.k * region.k)
-        )
+        level = abs(region.offset + region.g) / math.sqrt(1.0 + region.k * region.k)
         line_a = d.line_a
         line_b = d.line_b
         rung = d.rung
         if rung == 3 and not d.crossing:
-            value = line(line_b, line_a) - ups[0]
+            value = _barrier_integral(level, line_b, line_a) - ups[0]
         elif rung == 1:
-            value = ups[0] - line(line_a, line_b)
+            value = ups[0] - _barrier_integral(level, line_a, line_b)
         elif rung == 2:
-            value = ups[0] - ups[1] - line(line_a, line_b)
+            value = ups[0] - ups[1] - _barrier_integral(level, line_a, line_b)
         elif rung == 3:
-            value = ups[0] - ups[1] - ups[2] - line(line_a, line_b)
+            value = ups[0] - ups[1] - ups[2] - _barrier_integral(level, line_a, line_b)
         elif rung == 4:
-            value = 1.0 - line(line_a, line_b) - ups[0]
+            value = 1.0 - _barrier_integral(level, line_a, line_b) - ups[0]
         else:
-            value = line(line_b, line_a + _TWO_PI) - ups[0]
+            value = _barrier_integral(level, line_b, line_a + _TWO_PI) - ups[0]
         out.append(_clamp_unit(value))
     return out
 

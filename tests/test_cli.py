@@ -1,14 +1,17 @@
 """CLI subcommands: flags, exit codes, deterministic output."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+import scipy.special as sp
 
 import seqnorm
-from seqnorm.cli import main
+from seqnorm.cli import _grid, main
 from seqnorm.runner import load_plan, plan_to_dict
 
 
@@ -127,6 +130,11 @@ class TestOc:
         ], capsys)
         assert code == 2
         assert "sigma" in err
+
+    def test_grid_ends_at_theta_max(self):
+        # lo + (points - 1) * step cancels to 0.0 here
+        assert _grid(-1e160, -1e10, 2) == [-1e160, -1e10]
+        assert _grid(-1.0, 1.0, 5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
     def test_unreadable_plan(self, tmp_path, capsys):
         code, _, err = run_cli([
@@ -445,6 +453,37 @@ class TestErrorHandling:
         assert (code, stdout) == (1, "")
         assert err == "design: calibration failed: no feasible zeta above floor 1e-06\n"
         assert not out.exists()
+
+    @pytest.mark.skipif(
+        not math.isnan(sp.nctdtr(3, 1e10, 0.5)),
+        reason="this scipy's nctdtr computes |ncp| >= 1e10",
+    )
+    @pytest.mark.parametrize("command, message", [
+        # nctdtr gives NaN, which min/max and max(0, .) used to turn into bounds
+        (["oc", "--theta-min=-2e10", "--theta-max=-1e10", "--points", "2"],
+         "oc: noncentral t CDF not computable at "),
+        (["asn", "--theta", "1e10"], "asn: noncentral t CDF not computable at "),
+    ])
+    def test_noncentral_t_nan_is_refused(self, unknown_plan_file, command, message, capsys):
+        code, out, err = run_cli([command[0], str(unknown_plan_file), *command[1:]], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, message", [
+        # the hyperbola offset's square overflows: refused before any
+        # RuntimeWarning can leak from the arc integrand
+        (["--theta-min=-1e160", "--theta-max=-1e10", "--points", "2", "--cell-budget", "8"],
+         "oc: region too large for double precision: "),
+        # the grid step overflows
+        (["--theta-min=-1e308", "--theta-max=1e308", "--points", "3"],
+         "oc: grid from -1e+308 to 1e+308 overflows double precision\n"),
+    ])
+    def test_huge_theta_is_refused(self, unknown_plan_file, command, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["oc", str(unknown_plan_file), *command], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_asn_nan_theta(self, known_plan_file, capsys):
         code, out, err = run_cli(["asn", str(known_plan_file), "--theta", "nan"], capsys)

@@ -563,6 +563,17 @@ class TestDoubleRange:
             with pytest.raises(DomainError, match="too large for double precision"):
                 hyperbola_cone_prob(region_of((0.0, 0.5, 1.0, 1.0, k)))
 
+    @pytest.mark.parametrize("params", [
+        (1e160, 0.5, 1.0, 1.0, 0.5),  # offset^2 overflows: warned from the arc integrand
+        (-1e160, 0.5, 1.0, 1.0, 0.5),
+        (1e154, 1e10, 1.0, 1.0, 0.5),  # offset^2 finite, lam |offset^2 - h| not
+    ])
+    def test_offset_whose_square_overflows_is_refused_without_warning(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too large for double precision"):
+                hyperbola_cone_prob(region_of(params))
+
     @pytest.mark.parametrize("params, expected", [
         ((0.0, 0.5, 1.0, 1e10, 0.1), "0.12123929870441913"),
         ((0.0, 0.5, 1.0, 1e150, 0.1), "0.12123929870441913"),

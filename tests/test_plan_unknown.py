@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from seqnorm import geometry, plan_unknown
 from seqnorm.errors import DegenerateSampleError, DomainError
@@ -188,6 +189,18 @@ class TestEnvelopeInterval:
         )
         assert lo == hi == pytest.approx(expected, abs=1e-12)
         assert first.n < single.stages[0].n  # multi-stage ladder starts smaller
+
+    @pytest.mark.skipif(
+        not math.isnan(sp.nctdtr(3, 1e10, 0.5)),
+        reason="this scipy's nctdtr computes |ncp| >= 1e10",
+    )
+    @pytest.mark.parametrize("theta", [-1e10, 1e10])
+    def test_no_nan_bound_where_nctdtr_fails(self, theta):
+        # nctdtr's NaN used to pass _clamp_unit and come out as (nan, nan)
+        with pytest.raises(DomainError, match="noncentral t CDF not computable"):
+            oc_upper_P(theta, self.PLAN, tail_mass=1e-4, cell_budget=8)
+        with pytest.raises(DomainError, match="noncentral t CDF not computable"):
+            self.PLAN.sample_tail(1, theta)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqnorm import quadrature
+from seqnorm import geometry, quadrature
+from seqnorm.calibrate import calibrate_unknown
 from seqnorm.errors import DomainError
 from seqnorm.quadrature import (
     _GAUSS_IDX,
@@ -123,7 +124,7 @@ def test_batched_panels_match_reference_bit_for_bit(
     )
     assert got == ref
     assert repr(got) == repr(ref)  # signed zeros too
-    assert calls == (0 if a == b else 1 + bisections)
+    assert calls <= (0 if a == b else 1 + bisections)
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,3 +278,26 @@ def test_accuracy_and_orientation():
 def test_non_finite_limits_rejected(a, b):
     with pytest.raises(DomainError):
         integrate(np.cos, a, b)
+
+
+def test_bench_asym_calibration_round_count(monkeypatch):
+    # the 8-cell asym calibration of perfbench's unknown-design workload:
+    # 30 integrate_many calls of one initial round each, then 29 adaptive
+    # rounds (72 when each round bisected one panel per arc)
+    calls = {"rounds": 0, "integrate_many": 0}
+
+    def counted_panels(*args):
+        calls["rounds"] += 1
+        return _panels(*args)
+
+    def counted_many(*args, **kwargs):
+        calls["integrate_many"] += 1
+        return integrate_many(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_panels", counted_panels)
+    monkeypatch.setattr(geometry, "integrate_many", counted_many)
+    result = calibrate_unknown(
+        0.05, 0.10, 0.5, 0.5, 4, zeta_tol=2e-2, tail_mass=1e-4, cell_budget=8
+    )
+    assert repr(result.zeta) == "0.3353125235280764"
+    assert calls == {"rounds": 59, "integrate_many": 30}

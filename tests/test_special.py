@@ -6,9 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import cython_special
 
-from seqnorm.errors import DomainError
+from seqnorm.errors import DomainError, InconsistentBoundaryError
 from seqnorm.special import (
+    _clamp_unit,
     chi_square_cdf,
     chi_square_quantile,
     noncentral_t_cdf,
@@ -256,3 +260,57 @@ class TestNoncentralT:
         xs = np.linspace(-6, 6, 61)
         vals = [noncentral_t_cdf(x, 6, 1.3) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("dof", [3, 300])
+    @pytest.mark.parametrize("ncp", [1e10, -1e10, 1e12, -1e300])
+    def test_scipy_nan_is_refused(self, dof, ncp):
+        # scipy 1.17's nctdtr gives NaN once |ncp| >= 1e10, whatever x and dof
+        value = float(sp.nctdtr(dof, ncp, 0.5))
+        if not math.isnan(value):
+            assert noncentral_t_cdf(0.5, dof, ncp) == value
+            return
+        with pytest.raises(DomainError, match="noncentral t CDF not computable"):
+            noncentral_t_cdf(0.5, dof, ncp)
+
+    @pytest.mark.parametrize("dof", [3, 300])
+    def test_large_ncp_below_the_nan_edge(self, dof):
+        assert noncentral_t_cdf(0.5, dof, 1e9) == 0.0
+        assert noncentral_t_cdf(0.5, dof, -1e9) == 1.0
+
+
+def test_clamp_refuses_nan():
+    with pytest.raises(InconsistentBoundaryError, match="NaN"):
+        _clamp_unit(float("nan"))
+    assert repr(_clamp_unit(-0.0)) == "-0.0"
+    assert (_clamp_unit(-1e-9), _clamp_unit(1.0 + 1e-9)) == (0.0, 1.0)
+
+
+# The scalar calls the package makes through scipy.special.cython_special,
+# with arguments drawn from the domains it calls them on: dof / 2 for
+# integer dof, and the probabilities, abscissae and Owen's T slopes
+# (tan of an angle in [-pi/2, pi/2]) of its certificates.  Each must give
+# the bits of the scipy.special ufunc of the same name.  Degrees of freedom
+# are floats: the fused cython_special functions refuse a Python int.
+_half_dof = st.integers(1, 10**6).map(lambda dof: 0.5 * dof)
+_unit = st.floats(0.0, 1.0)
+_CYTHON_CALLS = {
+    "ndtri": st.tuples(_unit),
+    "betainc": st.tuples(_half_dof, st.just(0.5), _unit),
+    "betaincinv": st.tuples(_half_dof, st.just(0.5), _unit),
+    "gammainc": st.tuples(_half_dof, st.floats(0.0, 1e7)),
+    "gammaincinv": st.tuples(_half_dof, _unit),
+    "nctdtr": st.tuples(
+        st.integers(1, 10**6).map(float), st.floats(-1e11, 1e11), st.floats(-1e8, 1e8)
+    ),
+    "owens_t": st.tuples(st.floats(-60.0, 60.0), st.floats(-1e17, 1e17)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CYTHON_CALLS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cython_special_has_the_bits_of_the_ufunc(name, data):
+    args = data.draw(_CYTHON_CALLS[name])
+    got = getattr(cython_special, name)(*args)
+    assert type(got) is float
+    assert repr(got) == repr(float(getattr(sp, name)(*args))), args
