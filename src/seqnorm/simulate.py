@@ -25,10 +25,16 @@ law, so their mixture has it too, and a block costs O(1) work whatever its
 size: about 2e-3 of blocks fall back at df = 2, 1e-4 at df = 6 and none of
 400,000 from df = 40 on.  A replicate costs at most 2 * ``_TRIES`` + 2
 words per stage, whatever its stage sizes.  Blocks pool into stage sums
-and sums of squares by ``_stage_sums``, on sums taken about gamma so the
-pooled means do not cancel; n * gamma is added back before the statistic.
-Data whose stage sums or sums of squares could overflow a double are
-refused.
+and sums of squares by ``_pool``, on sums taken about gamma so the pooled
+means do not cancel; n * gamma is added back before the statistic.  Data
+whose stage sums or sums of squares could overflow a double are refused.
+
+A chunk draws its replicates' windows in one stream call, then walks the
+stages in order.  ``simulate_plan`` reads, pools and decides stage l only
+for the replicates still sampling there, so a replicate that stops at
+stage 1 costs one block's work; ``mc_transition_sums`` reads every stage,
+so its walk keeps every replicate.  A replicate's statistics depend only on
+its own words, so either walk gives them the same bits.
 
 Draws come from a counter-based uniform stream (Philox); a normal is one
 stream word pushed through the inverse normal CDF.  Replicate r owns a
@@ -105,75 +111,72 @@ def _chi_square(df: int, window: np.ndarray) -> np.ndarray:
     evaluated as z^2 / 2 + d (3 log1p(c z) - c z (3 + c z (3 + c z))),
     whose terms are of the size of c z, not of 1, so it stays accurate at
     large d.  The first try that accepts gives the draw; a row none accepts
-    takes 2 gammaincinv(df / 2, u) of its fallback word.  A try's normal is
-    computed only on the rows that reach it.
+    takes 2 gammaincinv(df / 2, u) of its fallback word.  The first try
+    reads the window's columns in place; a later try computes its normal
+    only on the rows that reach it.
     """
     d = 0.5 * df - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    chi2 = np.empty(len(window))
-    rows = np.arange(len(window))
-    for t in range(_TRIES):
-        z = sp.ndtri(window[rows, 2 * t])
+
+    def attempt(normals, uniforms):
+        z = sp.ndtri(normals)
         w = c * z
         inside = w > -1.0
-        w[~inside] = 0.0
+        np.copyto(w, 0.0, where=~inside)
         exponent = 0.5 * z * z + d * (3.0 * np.log1p(w) - w * (3.0 + w * (3.0 + w)))
-        take = inside & (np.log(window[rows, 2 * t + 1]) < exponent)
-        v = 1.0 + w[take]
-        chi2[rows[take]] = (2.0 * d) * (v * v * v)
+        v = 1.0 + w
+        return inside & (np.log(uniforms) < exponent), (2.0 * d) * (v * v * v)
+
+    take, chi2 = attempt(window[:, 0], window[:, 1])
+    rows = np.flatnonzero(~take)
+    for t in range(1, _TRIES):
+        take, draw = attempt(window[rows, 2 * t], window[rows, 2 * t + 1])
+        chi2[rows[take]] = draw[take]
         rows = rows[~take]
     chi2[rows] = 2.0 * sp.gammaincinv(0.5 * df, window[rows, 2 * _TRIES])
     return chi2
 
 
-def _block_draws(plan, shift: float, sigma: float, seed: int, lo: int, hi: int):
-    """Block sums of replicates lo..hi-1 and, for a studentized plan, their
-    within-block sums of squared deviations (None otherwise).
+def _block_draw(
+    words, live, i: int, col: int, dn: int, k: int, shift: float, sigma: float, studentized: bool
+):
+    """Block i's sums for the rows live of a floored window, and for a
+    studentized plan their within-block sums of squared deviations (None
+    otherwise).
 
-    Stages in rows, replicates in columns; the samples are normal(shift,
-    sigma^2), shift being the data's mean minus the plan's gamma.
+    The samples are normal(shift, sigma^2), shift being the data's mean
+    minus the plan's gamma.  The block's sum word is column i and its k
+    sum-of-squares words start at column col; only those columns of the
+    live rows are read.
     """
-    blocks, width = _blocks(plan)
-    words = _uniform_block(seed, lo * width, hi - lo, width)
-    np.maximum(words, _U_FLOOR, out=words)
-    z = sp.ndtri(words[:, : len(blocks)])
-    sums = np.empty((len(blocks), hi - lo))
-    squares = np.empty_like(sums) if plan.studentized else None
-    col = len(blocks)
-    for i, (dn, k) in enumerate(blocks):
-        sums[i] = dn * shift + sigma * math.sqrt(dn) * z[:, i]
-        if squares is not None:
-            if k == 0:
-                chi2 = 0.0
-            elif k == 1:
-                helmert = sp.ndtri(words[:, col])
-                chi2 = helmert * helmert
-            else:
-                chi2 = _chi_square(dn - 1, words[:, col : col + k])
-            squares[i] = sigma * sigma * chi2
-        col += k
-    return sums, squares
+    sums = dn * shift + sigma * math.sqrt(dn) * sp.ndtri(words[live, i])
+    if not studentized:
+        return sums, None
+    if k == 0:
+        chi2 = np.zeros(len(sums))
+    elif k == 1:
+        helmert = sp.ndtri(words[live, col])
+        chi2 = helmert * helmert
+    else:
+        chi2 = _chi_square(dn - 1, words[live, col : col + k])
+    return sums, sigma * sigma * chi2
 
 
-def _stage_sums(sizes, block_sums: np.ndarray, block_squares):
-    """Cumulative sums and sums of squared deviations at every stage.
+def _pool(sums, squares, block_sums, block_squares, prev: int, dn: int):
+    """The sums and sums of squared deviations of n_l = prev + dn samples,
+    from those of the prev samples before block l and the block's own.
 
-    Block l joins the n_{l-1} samples before it by the two-sample identity
+    The sums add; the squares pool by the two-sample identity
     SS_l = SS_{l-1} + W_l + (n_{l-1} dn / n_l) (mean_{l-1} - mean_block)^2,
     W_l being the block's own sum of squared deviations.  The squares are
-    None when block_squares is.
+    None when block_squares is; prev = 0 gives the block's own.
     """
-    sums = np.cumsum(block_sums, axis=0)
+    if prev == 0:
+        return block_sums, block_squares
     if block_squares is None:
-        return sums, None
-    squares = np.empty_like(block_squares)
-    squares[0] = block_squares[0]
-    for i in range(1, len(sizes)):
-        prev, n = sizes[i - 1], sizes[i]
-        dn = n - prev
-        gap = sums[i - 1] / prev - block_sums[i] / dn
-        squares[i] = squares[i - 1] + block_squares[i] + (prev * dn / n) * (gap * gap)
-    return sums, squares
+        return sums + block_sums, None
+    gap = sums / prev - block_sums / dn
+    return sums + block_sums, squares + block_squares + (prev * dn / (prev + dn)) * (gap * gap)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +206,15 @@ class SimReport:
         }
 
 
-def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tally) -> list:
+def _stage_pass(
+    plan, mu: float, sigma: float, replications: int, seed: int, tally, stop: bool
+) -> list:
     """tally(codes) of every replicate chunk, in chunk order.
 
     codes holds each replicate's decision code at every stage (stages in
-    rows, replicates in columns) on normal(mu, sigma^2) data.
+    rows, replicates in columns) on normal(mu, sigma^2) data.  With stop,
+    a replicate's stages after its first decision are neither drawn nor
+    decided, and their codes are CONTINUE; without it every stage is.
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
@@ -238,19 +245,41 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
             f"mu={mu} and sigma={sigma} are too large: "
             "stage sums or sums of squares would overflow"
         )
-    rows = min(_CHUNK, _CHUNK_WORDS // _blocks(plan)[1])
-    a = np.array([[st.a] for st in plan.stages])
-    b = np.array([[st.b] for st in plan.stages])
-    n = np.array(plan.sizes, dtype=float)[:, None]
-    centre = n * plan.gamma  # the draws are sums of samples minus gamma
+    blocks, width = _blocks(plan)
+    rows = min(_CHUNK, _CHUNK_WORDS // width)
 
-    def worker(bounds):
-        lo, hi = bounds
-        sums, squares = _stage_sums(plan.sizes, *_block_draws(plan, shift, sigma, seed, lo, hi))
-        return tally(decision_code(plan.stage_statistics(sums + centre, squares, n), a, b))
+    def worker(lo, hi):
+        words = _uniform_block(seed, lo * width, hi - lo, width)
+        np.maximum(words, _U_FLOOR, out=words)
+        codes = np.zeros((len(blocks), hi - lo), dtype=np.int8)
+        # the replicates still sampling: a slice while all are, since
+        # gathering by an index array costs a copy of every column read
+        live = slice(None)
+        sums = squares = None
+        prev, col = 0, len(blocks)
+        for i, ((dn, k), st) in enumerate(zip(blocks, plan.stages)):
+            sums, squares = _pool(
+                sums, squares,
+                *_block_draw(words, live, i, col, dn, k, shift, sigma, plan.studentized),
+                prev, dn,
+            )
+            prev += dn
+            col += k
+            code = decision_code(
+                plan.stage_statistics(sums + prev * plan.gamma, squares, float(prev)), st.a, st.b
+            )
+            codes[i, live] = code
+            if stop and i + 1 < len(blocks):
+                going = np.flatnonzero(code == Decision.CONTINUE)
+                if len(going) == 0:
+                    break
+                if len(going) < len(code):
+                    live = going if isinstance(live, slice) else live[going]
+                    sums = sums[going]
+                    squares = None if squares is None else squares[going]
+        return tally(codes)
 
-    chunks = [(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
-    return [worker(c) for c in chunks]
+    return [worker(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
 
 
 def _stop_tally(codes: np.ndarray) -> tuple[np.ndarray, int]:
@@ -298,7 +327,7 @@ def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -
     Each replicate stops at its first deciding stage.  Deterministic in
     (plan, mu, sigma, replications, seed).
     """
-    parts = _stage_pass(plan, mu, sigma, replications, seed, _stop_tally)
+    parts = _stage_pass(plan, mu, sigma, replications, seed, _stop_tally, stop=True)
     return _sim_report(plan, replications, seed, parts)
 
 
@@ -341,7 +370,8 @@ def mc_transition_sums(plan, mu: float, sigma: float, replications: int, seed: i
     rej_sq = 0.0
     acc_total = 0
     acc_sq = 0.0
-    for r1, r2, a1, a2 in _stage_pass(plan, mu, sigma, replications, seed, _transition_tally):
+    parts = _stage_pass(plan, mu, sigma, replications, seed, _transition_tally, stop=False)
+    for r1, r2, a1, a2 in parts:
         rej_total += r1
         rej_sq += r2
         acc_total += a1

@@ -1,9 +1,9 @@
 """Independent oracles for the closed-form geometry, the unknown-variance
 decomposition and the simulator: Monte Carlo and midpoint-grid integration
 of 2-D domain probabilities, a simulation audit of the sample-decomposition
-identity, a per-sample reference simulator, the samples a simulated
-replicate stands for, and the scalar stage statistic written out over a
-sample list.
+identity, a per-sample reference simulator, the simulator's block draws at
+every stage, the samples a simulated replicate stands for, and the scalar
+stage statistic written out over a sample list.
 
 Every draw comes from ``seqnorm.simulate._uniform_block``, so the package's
 seed-range check covers these oracles as well.
@@ -23,9 +23,10 @@ from seqnorm.plan_known import decision_code
 from seqnorm.simulate import (
     _CHUNK,
     _U_FLOOR,
-    _block_draws,
+    _block_draw,
+    _blocks,
+    _pool,
     _sim_report,
-    _stage_sums,
     _stop_tally,
     _uniform_block,
 )
@@ -160,7 +161,7 @@ def sample_decomposition_check(
     deviations over sigma^2.  Checks on every replicate, to 1e-9 relative
     (violation raises), the algebraic identity
     sum (x_i - mean_n)^2 = sigma^2 (Y + Z + V^2) and the simulator's own
-    block pooling (``seqnorm.simulate._stage_sums``) against that two-pass
+    block pooling (``seqnorm.simulate._pool``) against that two-pass
     sum of squares; reports moments plus the largest pairwise correlation
     against a 4 / sqrt(replications) threshold.
     """
@@ -194,10 +195,11 @@ def sample_decomposition_check(
         worst_identity = max(worst_identity, _worst_rel_err(
             two_pass, sigma**2 * (y + zz + v * v), lo, "decomposition identity"
         ))
-        block_sums = np.array([first.sum(axis=1), second.sum(axis=1)])
-        _, pooled = _stage_sums((m, n), block_sums, sigma**2 * np.array([y, zz]))
+        _, pooled = _pool(
+            first.sum(axis=1), sigma**2 * y, second.sum(axis=1), sigma**2 * zz, m, n - m
+        )
         worst_pooling = max(worst_pooling, _worst_rel_err(
-            two_pass, pooled[1], lo, "block pooling"
+            two_pass, pooled, lo, "block pooling"
         ))
         cols["U"].append(u)
         cols["V"].append(v)
@@ -246,6 +248,27 @@ def reference_simulate_plan(plan, mu: float, sigma: float, replications: int, se
     return _sim_report(plan, replications, seed, parts)
 
 
+def block_draws(plan, shift: float, sigma: float, seed: int, lo: int, hi: int):
+    """Every stage block's sums of replicates lo..hi-1 and, for a studentized
+    plan, their within-block sums of squared deviations (None otherwise),
+    stages in rows: the simulator's draws with no replicate stopping.
+
+    The samples are normal(shift, sigma^2), shift being the data's mean
+    minus the plan's gamma.
+    """
+    blocks, width = _blocks(plan)
+    words = _uniform_block(seed, lo * width, hi - lo, width)
+    np.maximum(words, _U_FLOOR, out=words)
+    draws = []
+    col = len(blocks)
+    for i, (dn, k) in enumerate(blocks):
+        draws.append(_block_draw(words, slice(None), i, col, dn, k, shift, sigma, plan.studentized))
+        col += k
+    sums = np.array([block_sums for block_sums, _ in draws])
+    squares = np.array([block_squares for _, block_squares in draws]) if plan.studentized else None
+    return sums, squares
+
+
 def replicate_samples(plan, mu: float, sigma: float, r: int, seed: int) -> list[float]:
     """Samples with replicate r's block sums and within-block sums of squares.
 
@@ -255,7 +278,7 @@ def replicate_samples(plan, mu: float, sigma: float, r: int, seed: int) -> list[
     simulator's.  A plan that is not studentized draws no W; its blocks are
     constant.
     """
-    sums, squares = _block_draws(plan, mu - plan.gamma, sigma, seed, r, r + 1)
+    sums, squares = block_draws(plan, mu - plan.gamma, sigma, seed, r, r + 1)
     samples = []
     prev = 0
     for i, n in enumerate(plan.sizes):

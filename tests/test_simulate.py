@@ -23,6 +23,7 @@ from seqnorm.simulate import mc_transition_sums, simulate_plan
 from seqnorm.special import std_normal_cdf
 
 from oracles import (
+    block_draws,
     grid_domain_prob,
     grid_points,
     mc_domain_prob_many,
@@ -113,7 +114,7 @@ class TestSimulatePlan:
             simulate_plan(open_plan, mu=0.0, sigma=1.0, replications=1000, seed=1)
 
     def test_matches_known_single_stage_probability(self):
-        single = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1.0, rho=0.01, tau=2)
+        single = SINGLE
         assert single.num_stages == 1
         theta = -0.5
         rep = simulate_plan(single, mu=theta, sigma=1.0, replications=4 * 10**5, seed=31)
@@ -225,7 +226,7 @@ def test_block_squares_have_the_chi_square_law(df):
     k = 1 if df == 1 else 2 * sim._TRIES + 1
     assert sim._blocks(plan) == ([(dn, k), (1, 0)], 4 * ((k + 5) // 4))
     reps, shift, sigma = 200_000, 0.3, 1.7
-    sums, squares = sim._block_draws(plan, shift, sigma, 11, 0, reps)
+    sums, squares = block_draws(plan, shift, sigma, 11, 0, reps)
     assert squares[1].tolist() == [0.0] * reps
     w = squares[0] / sigma**2
     assert abs(w.mean() - df) <= 4 * math.sqrt(2 * df / reps)
@@ -322,6 +323,98 @@ def test_replicates_reach_the_session_decision(name, theta, sigma_ratio):
         assert (stage, now_accepted > accepted) == (last.stage, last.decision == Decision.ACCEPT), r
         hist = np.array(rep.stage_histogram)
         accepted = now_accepted
+
+
+SINGLE = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1.0, rho=0.01, tau=2)
+WALK_PLANS = {**REPLAY_PLANS, "plan": PLAN, "single": SINGLE}
+
+
+@pytest.mark.parametrize("chunk", [sim._CHUNK, 137])
+@pytest.mark.parametrize(
+    "theta, sigma_ratio", [(-50.0, 1.0), (-0.5, 2.0), (0.0, 1.0), (0.3, 0.5), (0.7, 2.0)]
+)
+@pytest.mark.parametrize("name", sorted(WALK_PLANS))
+def test_stopped_walk_reports_what_the_all_stages_walk_does(
+    name, theta, sigma_ratio, chunk, monkeypatch
+):
+    """simulate_plan draws and decides a replicate's stages only while it
+    samples; its report is the stop tally of the walk that decides every
+    replicate at every stage, also where every replicate stops at once."""
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    plan = WALK_PLANS[name]
+    plan_sigma = getattr(plan, "sigma", 1.0)
+    mu, sigma = plan.gamma + theta * plan_sigma, sigma_ratio * plan_sigma
+    reps, seed = 2000, 3
+    walked = sim._stage_pass(plan, mu, sigma, reps, seed, sim._stop_tally, stop=False)
+    rep = simulate_plan(plan, mu, sigma, reps, seed)
+    assert rep == sim._sim_report(plan, reps, seed, walked)
+    if theta == -50.0:
+        assert rep.stage_histogram == (reps,) + (0,) * (plan.num_stages - 1)
+
+
+@pytest.mark.parametrize("stop", [True, False])
+def test_open_final_stage_fails_in_either_walk(stop):
+    last = PLAN.stages[-1]
+    open_plan = replace(PLAN, stages=PLAN.stages[:-1] + (Stage(n=last.n, a=-1.0, b=1.0),))
+    with pytest.raises(SeqnormError, match="final stage failed to decide"):
+        sim._stage_pass(open_plan, 0.0, 1.0, 1000, 1, sim._stop_tally, stop)
+
+
+# recorded from the pass that drew and decided every stage of every
+# replicate, before the walk learnt to stop; the unknown-variance bench
+# oracle compares these sums with the certified envelopes
+TRANSITION_SUMS = {
+    ("plan", 4): "TransitionSums(replications=20000, reject_sum=0.37475, "
+    "reject_se=0.003626378617160651, accept_sum=0.6922, accept_se=0.0036121957311308584, seed=4)",
+    ("plan", 19): "TransitionSums(replications=20000, reject_sum=0.3767, "
+    "reject_se=0.003639348224613853, accept_sum=0.68805, accept_se=0.0035988692495004596, seed=19)",
+    ("straddle", 4): "TransitionSums(replications=20000, reject_sum=0.7096, "
+    "reject_se=0.0035669864031139787, accept_sum=0.36265, accept_se=0.0036127204258010336, seed=4)",
+    ("straddle", 19): "TransitionSums(replications=20000, reject_sum=0.71625, "
+    "reject_se=0.003559044376655059, accept_sum=0.3591, accept_se=0.0036079578018596617, seed=19)",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(TRANSITION_SUMS))
+def test_transition_sums_keep_their_values(name, seed):
+    plan, mu, sigma = {"plan": (PLAN, -0.1, 1.0), "straddle": (STRADDLE, 0.05, 1.2)}[name]
+    got = mc_transition_sums(plan, mu, sigma, 20_000, seed)
+    assert repr(got) == TRANSITION_SUMS[name, seed]
+
+
+@pytest.mark.parametrize("theta", [-50.0, -0.5, 0.2])
+def test_only_replicates_still_sampling_draw_a_block(theta, monkeypatch):
+    """Each stage block is drawn, and its chi-square computed, for the
+    replicates that reach its stage and no others; the transition walk draws
+    every block of every replicate."""
+    plan = REPLAY_PLANS["unknown"]
+    assert [dn - 1 for dn, _ in sim._blocks(plan)[0]] == [3, 3, 7]  # each a Marsaglia-Tsang block
+    drawn, chi_rows = [], []
+    block_draw, chi_square = sim._block_draw, sim._chi_square
+
+    def recording_block(words, live, i, *rest):
+        drawn.append(i)
+        return block_draw(words, live, i, *rest)
+
+    def recording_chi_square(df, window):
+        chi_rows.append(len(window))
+        return chi_square(df, window)
+
+    monkeypatch.setattr(sim, "_block_draw", recording_block)
+    monkeypatch.setattr(sim, "_chi_square", recording_chi_square)
+    reps = 5000
+    rep = simulate_plan(plan, theta, 1.0, reps, 2)
+    reaching = [sum(rep.stage_histogram[i:]) for i in range(plan.num_stages)]
+    stages = [i for i, count in enumerate(reaching) if count]
+    assert drawn == stages
+    assert chi_rows == reaching[: len(stages)]
+    if theta == -50.0:
+        assert drawn == [0]
+    drawn.clear()
+    chi_rows.clear()
+    mc_transition_sums(plan, theta, 1.0, reps, 2)
+    assert drawn == list(range(plan.num_stages))
+    assert chi_rows == [reps] * plan.num_stages
 
 
 def reference_stop_tally(stats, a, b):
