@@ -140,6 +140,7 @@ def cmd_design(args) -> int:
             tail_mass=args.tail_mass, cell_budget=args.cell_budget,
         )
         build = partial(build_unknown_plan, args.alpha, args.beta, args.epsilon, args.gamma)
+    _check_interval_settings(args.tail_mass, args.cell_budget)
 
     if args.calibrate:
         try:
@@ -148,9 +149,7 @@ def cmd_design(args) -> int:
             raise CalibrationError(f"calibration failed: {exc}") from exc
         plan = build(zeta=result.zeta, rho=args.rho, tau=args.tau)
         # the envelope involves neither gamma nor sigma, so the bounds the
-        # search certified its returned zeta with are this plan's; the known
-        # search takes no interval settings, so they are checked here
-        _check_interval_settings(args.tail_mass, args.cell_budget)
+        # search certified its returned zeta with are this plan's
         bound_a, bound_b = result.phi_at_theta0, result.phi_mirror_at_theta1
     else:
         plan = build(zeta=args.zeta, rho=args.rho, tau=args.tau)

@@ -18,7 +18,6 @@ the upper end.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -183,110 +182,73 @@ mirror_unknown_plan = UnknownVarPlan.mirror
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionCell:
-    """Rectangle in (y, z) space with mass-weighted bound contributions."""
-
-    y_lo: float
-    y_hi: float
-    z_lo: float
-    z_hi: float
-    p_lower: float
-    p_upper: float
-
-    def __post_init__(self):
-        if self.y_lo > self.y_hi or self.z_lo > self.z_hi:
-            raise DomainError("cell bounds inverted")
-        if self.p_lower > self.p_upper + 1e-12:
-            raise SeqnormError(
-                f"cell bound inversion: lower={self.p_lower} > upper={self.p_upper}"
-            )
-
-    @property
-    def gap(self) -> float:
-        return self.p_upper - self.p_lower
-
-
-def _refine(root: tuple[float, float, float, float], budget: int):
-    """Generator of cells tiling root = (y_lo, y_hi, z_lo, z_hi), split where the gap is widest.
-
-    Each round it yields rectangles (y_lo, y_hi, z_lo, z_hi) and is sent back
-    their (p_lower, p_upper): the initial cells, then each split's two
-    children; it returns the cells.  The root is halved along y and, if z has
-    extent, along z; then the widest-gap cell, the lowest-index one among
-    equals, is bisected along its side longer in units of the root's sides
-    until budget cells exist, so larger budgets extend one path.
-    """
-    y_span, z_span = root[1] - root[0], root[3] - root[2]
-
-    def halves(geom, along_y):
-        y_lo, y_hi, z_lo, z_hi = geom
-        if along_y:
-            y_mid = 0.5 * (y_lo + y_hi)
-            return (y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)
-        z_mid = 0.5 * (z_lo + z_hi)
-        return (y_lo, y_hi, z_lo, z_mid), (y_lo, y_hi, z_mid, z_hi)
-
-    rows = halves(root, False) if z_span > 0.0 else (root,)
-    geoms = [half for row in rows for half in halves(row, True)]
-    bounds = yield geoms
-    cells = [PartitionCell(*g, *b) for g, b in zip(geoms, bounds)]
-    widest = [(-c.gap, i) for i, c in enumerate(cells)]
-    heapq.heapify(widest)
-    while len(cells) < budget:
-        _, best = heapq.heappop(widest)
-        c = cells[best]
-        ny = (c.y_hi - c.y_lo) / y_span if y_span > 0.0 else 0.0
-        nz = (c.z_hi - c.z_lo) / z_span if z_span > 0.0 else 0.0
-        if ny <= 0.0 and nz <= 0.0:
-            break  # nothing splittable (degenerate rectangle)
-        geoms = list(halves((c.y_lo, c.y_hi, c.z_lo, c.z_hi), ny >= nz))
-        bounds = yield geoms
-        low, high = (PartitionCell(*g, *b) for g, b in zip(geoms, bounds))
-        cells[best] = low
-        cells.append(high)
-        heapq.heappush(widest, (-low.gap, best))
-        heapq.heappush(widest, (-high.gap, len(cells) - 1))
-    return cells
+def _halves(y_lo, y_hi, z_lo, z_hi, along_y):
+    """The two halves of the rectangle (y_lo, y_hi, z_lo, z_hi), cut across y or z."""
+    if along_y:
+        y_mid = 0.5 * (y_lo + y_hi)
+        return [(y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)]
+    z_mid = 0.5 * (z_lo + z_hi)
+    return [(y_lo, y_hi, z_lo, z_mid), (y_lo, y_hi, z_mid, z_hi)]
 
 
 def _partition_many(
     roots: list[tuple[float, float, float, float]],
     budget: int,
     evaluate_round: Callable[[list[tuple[int, list]]], list[list[tuple[float, float]]]],
-) -> list[list[PartitionCell]]:
-    """The cells of each root (see _refine), all partitions refined in lock-step.
+) -> list[np.ndarray]:
+    """Cells tiling each root = (y_lo, y_hi, z_lo, z_hi), all partitions refined in lock-step.
 
-    evaluate_round(pending) gets, in one call per round, the (root index,
-    rectangles) pair of every partition still refining, and returns each
-    pair's (p_lower, p_upper) list in the same order.
+    A root is halved along y and, if z has extent, along z.  Then each round
+    the widest-gap cell of every partition still refining, the lowest-index
+    one among equals, is bisected along its side longer in units of the
+    root's sides: the low half keeps its row and the high half is appended,
+    until budget cells exist, so larger budgets extend one path.  A partition
+    whose widest cell has no extent stops.  evaluate_round(pending) gets, in
+    one call per round, the (root index, rectangles) pair of every partition
+    still refining, and returns each pair's (p_lower, p_upper) list in the
+    same order.  Each root's cells are rows (y_lo, y_hi, z_lo, z_hi, p_lower,
+    p_upper).
     """
-    runs = [_refine(root, budget) for root in roots]
-    pending = [(i, next(run)) for i, run in enumerate(runs)]
-    cells: list[list[PartitionCell]] = [[] for _ in runs]
+    roots = np.array(roots, dtype=float).reshape(-1, 4)
+    if (roots[:, ::2] > roots[:, 1::2]).any():
+        raise DomainError("cell bounds inverted")
+    spans = (roots[:, 1::2] - roots[:, ::2]).tolist()
+    # rows and their gaps p_upper - p_lower, doubled when full
+    cells = [np.empty((4, 6)) for _ in spans]
+    gaps = [np.empty(4) for _ in spans]
+    # slots[i]: the rows partition i's latest rectangles fill, the last one its last row
+    slots, pending = [], []
+    for i, root in enumerate(roots.tolist()):
+        rows = _halves(*root, False) if spans[i][1] > 0.0 else [tuple(root)]
+        pending.append((i, [half for row in rows for half in _halves(*row, True)]))
+        slots.append(range(len(pending[-1][1])))
     while pending:
+        rounds = zip(pending, evaluate_round(pending))
+        made = np.array([r + tuple(b) for (_, rects), bs in rounds for r, b in zip(rects, bs)])
+        inverted = made[:, 4] > made[:, 5] + 1e-12
+        if inverted.any():
+            lower, upper = made[inverted.argmax(), 4:]
+            raise SeqnormError(f"cell bound inversion: lower={lower} > upper={upper}")
+        made = zip(made, (made[:, 5] - made[:, 4]).tolist())
         advanced = []
-        for (i, _), bounds in zip(pending, evaluate_round(pending)):
-            try:
-                advanced.append((i, runs[i].send(bounds)))
-            except StopIteration as done:
-                cells[i] = done.value
+        for i, _ in pending:
+            if slots[i][-1] >= len(gaps[i]):
+                cells[i] = np.concatenate((cells[i], cells[i]))
+                gaps[i] = np.concatenate((gaps[i], gaps[i]))
+            for slot in slots[i]:
+                cells[i][slot], gaps[i][slot] = next(made)
+            n = slots[i][-1] + 1
+            if n >= budget:
+                continue
+            best = int(gaps[i][:n].argmax())
+            y_lo, y_hi, z_lo, z_hi = cells[i][best, :4].tolist()
+            ny = (y_hi - y_lo) / spans[i][0] if spans[i][0] > 0.0 else 0.0
+            nz = (z_hi - z_lo) / spans[i][1] if spans[i][1] > 0.0 else 0.0
+            if ny > 0.0 or nz > 0.0:
+                slots[i] = (best, n)
+                advanced.append((i, _halves(y_lo, y_hi, z_lo, z_hi, ny >= nz)))
         pending = advanced
-    return cells
-
-
-def _partition(
-    root: tuple[float, float, float, float],
-    budget: int,
-    evaluate: Callable[[list[tuple[float, float, float, float]]], list[tuple[float, float]]],
-) -> list[PartitionCell]:
-    """The cells of root (see _refine): the one-partition call of _partition_many.
-
-    evaluate(rects) returns each rectangle's (p_lower, p_upper) and gets every
-    rectangle of a round in one call.
-    """
-    [cells] = _partition_many([root], budget, lambda pending: [evaluate(pending[0][1])])
-    return cells
+    return [rows[: last[-1] + 1] for rows, last in zip(cells, slots)]
 
 
 class _StageTermEvaluator:
@@ -358,11 +320,6 @@ class _StageTermEvaluator:
             out.append((m * diff_lo, m * diff_hi))
         return out
 
-    def __call__(self, rects) -> list[tuple[float, float]]:
-        """Mass-weighted (lower, upper) bounds for each (y_lo, y_hi, z_lo, z_hi) rectangle."""
-        _fill_corners([(self, rects)])
-        return self.bounds(rects)
-
 
 def _fill_corners(batch: list[tuple[_StageTermEvaluator, list]]) -> None:
     """Compute the corners that each (evaluator, rectangles) pair's memo lacks.
@@ -429,17 +386,31 @@ def _stage_term(
     return (y_lo, y_hi, z_lo, z_hi), evaluator
 
 
+def _term_cells(
+    setups: list[tuple[tuple[float, float, float, float], _StageTermEvaluator]], cell_budget: int
+) -> list[np.ndarray]:
+    """The cells of each (root, evaluator) term, all refined in lock-step by _partition_many."""
+
+    def evaluate_round(pending):
+        batch = [(setups[i][1], rects) for i, rects in pending]
+        _fill_corners(batch)
+        return [evaluator.bounds(rects) for evaluator, rects in batch]
+
+    return _partition_many([root for root, _ in setups], cell_budget, evaluate_round)
+
+
 def stage_term_cells(
     theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float, cell_budget: int
-) -> tuple[list[PartitionCell], _StageTermEvaluator, tuple[float, float]]:
+) -> tuple[np.ndarray, _StageTermEvaluator, tuple[float, float]]:
     """Partition cells bounding the stage-ell envelope term (ell >= 2, 1-based).
 
-    Returns the cells, their evaluator and the root's (y, z) side lengths (see
-    _stage_term for the root).  oc_upper_P_many refines these same cells for
-    every term of its plans at once.
+    Returns the cells, rows (y_lo, y_hi, z_lo, z_hi, p_lower, p_upper), their
+    evaluator and the root's (y, z) side lengths (see _stage_term for the
+    root).  oc_upper_P_many refines these same cells for every term of its
+    plans at once.
     """
     root, evaluator = _stage_term(theta, plan, ell, tail_budget)
-    cells = _partition(root, cell_budget, evaluator)
+    [cells] = _term_cells([(root, evaluator)], cell_budget)
     return cells, evaluator, (root[1] - root[0], root[3] - root[2])
 
 
@@ -470,23 +441,16 @@ def oc_upper_P_many(
         for ell in range(2, plan.num_stages + 1)
     ]
     setups = [_stage_term(theta, plans[j], ell, tail_budget) for j, ell, tail_budget in terms]
-    evaluators = [evaluator for _, evaluator in setups]
-
-    def evaluate_round(pending):
-        batch = [(evaluators[i], rects) for i, rects in pending]
-        _fill_corners(batch)
-        return [evaluator.bounds(rects) for evaluator, rects in batch]
-
-    term_cells = _partition_many([root for root, _ in setups], cell_budget, evaluate_round)
+    term_cells = _term_cells(setups, cell_budget)
 
     brackets = []
     for plan in plans:
         first = plan.stages[0]
         p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)
         brackets.append([p1, p1])
-    for (j, ell, tail_budget), evaluator, cells in zip(terms, evaluators, term_cells):
-        cell_lo = math.fsum(c.p_lower for c in cells)
-        cell_hi = math.fsum(c.p_upper for c in cells)
+    for (j, ell, tail_budget), (_, evaluator), cells in zip(terms, setups, term_cells):
+        cell_lo = math.fsum(cells[:, 4])
+        cell_hi = math.fsum(cells[:, 5])
         if evaluator.negate:
             nct = plans[j].sample_tail(ell - 1, theta)
             term_lo = max(0.0, nct + cell_lo - tail_budget)

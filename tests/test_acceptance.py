@@ -308,8 +308,8 @@ def test_criterion_10_refinement_monotone(unknown_plan):
     widths = []
     for budget in (4, 16, 64, 256):
         cells, evaluator, _ = stage_term_cells(-0.5, plan, 2, tail_budget, budget)
-        lo = math.fsum(c.p_lower for c in cells)
-        hi = math.fsum(c.p_upper for c in cells)
+        lo = math.fsum(cells[:, 4])
+        hi = math.fsum(cells[:, 5])
         widths.append(hi - lo)
     assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:])), widths
 

@@ -364,6 +364,24 @@ class TestErrorHandling:
             assert err == f"{command[0]}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["known", "unknown"])
+    def test_design_refuses_interval_settings_before_calibrating(
+        self, monkeypatch, kind, tmp_path, capsys
+    ):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(seqnorm.cli, f"calibrate_{kind}", calibrate)
+        out = tmp_path / "plan.json"
+        code, stdout, err = run_cli([
+            "design", "--kind", kind, "--alpha", "0.05", "--beta", "0.05", "--epsilon", "0.5",
+            "--gamma", "0", "--sigma", "1", "--calibrate", "--cell-budget", "2",
+            "--out", str(out),
+        ], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "design: cell_budget must be >= 4, got 2\n"
+        assert not out.exists()
+
     def test_simulate_plan_whose_final_stage_does_not_close(
         self, known_plan_file, tmp_path, capsys
     ):

@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 import scipy.special as sp
 
 from seqnorm import geometry, plan_unknown
-from seqnorm.errors import DegenerateSampleError, DomainError
+from seqnorm.errors import DegenerateSampleError, DomainError, SeqnormError
 from seqnorm.plan_unknown import (
-    PartitionCell,
-    _partition,
+    _fill_corners,
+    _partition_many,
     build_unknown_plan,
     min_stage_size,
     mirror_unknown_plan,
@@ -209,33 +210,37 @@ class TestEnvelopeInterval:
             oc_upper_P(-0.5, self.PLAN, tail_mass=1e-4, cell_budget=3)
 
 
+def partition(root, budget, evaluate):
+    """The cells of one root, each round's rectangles going to evaluate(rects)."""
+    [cells] = _partition_many([root], budget, lambda pending: [evaluate(pending[0][1])])
+    return cells
+
+
 class TestPartitionCells:
     PLAN = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=1 / 3, rho=1.0, tau=3)
 
     def test_mass_bookkeeping(self):
         tail_budget = 1e-4 / 2
         cells, evaluator, _ = stage_term_cells(-0.5, self.PLAN, 2, tail_budget, 32)
-        total = sum(evaluator.mass(c.y_lo, c.y_hi, c.z_lo, c.z_hi) for c in cells)
+        total = sum(evaluator.mass(*rect) for rect in cells[:, :4].tolist())
         assert total >= 1.0 - 1e-4
 
     def test_cells_tile_disjointly(self):
         cells, _, _ = stage_term_cells(-0.5, self.PLAN, 2, 5e-5, 32)
-        area = sum((c.y_hi - c.y_lo) * (c.z_hi - c.z_lo) for c in cells)
-        y_lo = min(c.y_lo for c in cells)
-        y_hi = max(c.y_hi for c in cells)
-        z_lo = min(c.z_lo for c in cells)
-        z_hi = max(c.z_hi for c in cells)
-        assert area == pytest.approx((y_hi - y_lo) * (z_hi - z_lo), rel=1e-9)
+        y_lo, y_hi, z_lo, z_hi = cells[:, :4].T
+        area = sum((y_hi - y_lo) * (z_hi - z_lo))
+        expected = (y_hi.max() - y_lo.min()) * (z_hi.max() - z_lo.min())
+        assert area == pytest.approx(expected, rel=1e-9)
 
     def test_mapping_matches_frozen_conditional_mc(self):
         # freeze (y, z) at a cell corner and compare the conditional event
         # probability against plain Monte Carlo over (U, V)
         cells, evaluator, _ = stage_term_cells(-0.5, self.PLAN, 2, 5e-5, 8)
-        cell = cells[0]
+        y_lo, y_hi, z_lo, z_hi = cells[0, :4].tolist()
         # the omega_plus upper corner, as the partition's batches left it in the memo
-        key = evaluator.rect_keys((cell.y_lo, cell.y_hi, cell.z_lo, cell.z_hi))[0]
+        key = evaluator.rect_keys((y_lo, y_hi, z_lo, z_hi))[0]
         sum_yz, y_line, omega = key
-        assert (sum_yz, y_line, omega) == (cell.y_lo + cell.z_lo, cell.y_hi, evaluator.omega_plus)
+        assert (sum_yz, y_line, omega) == (y_lo + z_lo, y_hi, evaluator.omega_plus)
         p = evaluator._corners[key]
         rng = np.random.default_rng(17)
         n = 2 * 10**6
@@ -262,36 +267,37 @@ class TestPartitionCells:
             return out
 
         root = (0.0, 1.0, 0.0, 1.0)
-        parent = _partition(root, 4, evaluate)[0]
+        parent = partition(root, 4, evaluate)[0]
         counter.update(n=0, batches=0)
-        refined = _partition(root, 5, evaluate)
+        refined = partition(root, 5, evaluate)
         # the root itself is never evaluated: four quarters in one batch, then
         # two halves in another
         assert counter == {"n": 6, "batches": 2}
         assert len(refined) == 5
-        children = [refined[0], refined[4]]
-        assert (children[0].y_lo, children[1].y_hi) == (parent.y_lo, parent.y_hi)
-        assert children[0].y_hi == children[1].y_lo
-        assert sum(c.p_lower for c in children) >= parent.p_lower
-        assert sum(c.p_upper for c in children) <= 2 * parent.p_upper
+        low, high = refined[0], refined[4]
+        assert (low[0], high[1]) == (parent[0], parent[1])
+        assert low[1] == high[0]
+        assert low[4] + high[4] >= parent[4]
+        assert low[5] + high[5] <= 2 * parent[5]
 
     def test_refine_tie_break_round_robin(self):
         def evaluate(rects):
             return [(0.0, (y_hi - y_lo) + (z_hi - z_lo)) for y_lo, y_hi, z_lo, z_hi in rects]
 
         root = (0.0, 2.0, 0.0, 1.0)
-        initial = _partition(root, 4, evaluate)
-        refined = _partition(root, 5, evaluate)
+        initial = partition(root, 4, evaluate)
+        refined = partition(root, 5, evaluate)
         # equal gaps: the lowest-index cell splits first
-        assert refined[0].y_hi == 0.5 or refined[0].z_hi == 0.25
-        assert refined[1:4] == initial[1:4]
+        assert refined[0, 1] == 0.5 or refined[0, 3] == 0.25
+        assert refined[1:4].tobytes() == initial[1:4].tobytes()
         # and every equal-gap cell splits once before any splits twice
-        refined = _partition(root, 8, evaluate)
-        assert [c.gap for c in refined] == [1.0] * 8
+        refined = partition(root, 8, evaluate)
+        assert (refined[:, 5] - refined[:, 4]).tolist() == [1.0] * 8
 
     def test_refine_matches_widest_gap_scan(self, monkeypatch, unknown_plan):
-        # the widest cell comes off a heap; a linear scan from the explicit
-        # root split is the reference
+        # the widest cell comes from an argmax over the cell rows; a linear
+        # scan from the explicit root split, one rectangle at a time, is the
+        # reference
         def scan(root, budget, evaluate):
             y_lo, y_hi, z_lo, z_hi = root
             spans = (y_hi - y_lo, z_hi - z_lo)
@@ -302,44 +308,43 @@ class TestPartitionCells:
                          (y_lo, y_mid, z_mid, z_hi), (y_mid, y_hi, z_mid, z_hi)]
             else:
                 geoms = [(y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)]
-            cells = [PartitionCell(*g, *evaluate([g])[0]) for g in geoms]
+            cells = [g + evaluate([g])[0] for g in geoms]
             while len(cells) < budget:
-                best = max(range(len(cells)), key=lambda i: (cells[i].gap, -i))
-                cell = cells[best]
-                ny = (cell.y_hi - cell.y_lo) / spans[0] if spans[0] > 0.0 else 0.0
-                nz = (cell.z_hi - cell.z_lo) / spans[1] if spans[1] > 0.0 else 0.0
+                best = max(range(len(cells)), key=lambda i: (cells[i][5] - cells[i][4], -i))
+                c_y_lo, c_y_hi, c_z_lo, c_z_hi, _, _ = cells[best]
+                ny = (c_y_hi - c_y_lo) / spans[0] if spans[0] > 0.0 else 0.0
+                nz = (c_z_hi - c_z_lo) / spans[1] if spans[1] > 0.0 else 0.0
                 if ny <= 0.0 and nz <= 0.0:
                     break
                 if ny >= nz:
-                    mid = 0.5 * (cell.y_lo + cell.y_hi)
-                    geoms = [(cell.y_lo, mid, cell.z_lo, cell.z_hi),
-                             (mid, cell.y_hi, cell.z_lo, cell.z_hi)]
+                    mid = 0.5 * (c_y_lo + c_y_hi)
+                    geoms = [(c_y_lo, mid, c_z_lo, c_z_hi), (mid, c_y_hi, c_z_lo, c_z_hi)]
                 else:
-                    mid = 0.5 * (cell.z_lo + cell.z_hi)
-                    geoms = [(cell.y_lo, cell.y_hi, cell.z_lo, mid),
-                             (cell.y_lo, cell.y_hi, mid, cell.z_hi)]
-                lo, hi = (PartitionCell(*g, *evaluate([g])[0]) for g in geoms)
+                    mid = 0.5 * (c_z_lo + c_z_hi)
+                    geoms = [(c_y_lo, c_y_hi, c_z_lo, mid), (c_y_lo, c_y_hi, mid, c_z_hi)]
+                lo, hi = (g + evaluate([g])[0] for g in geoms)
                 cells[best] = lo
                 cells.append(hi)
-            return cells
+            return np.array(cells)
 
         pairs = []
-        partition = plan_unknown._partition
+        partition_many = plan_unknown._partition_many
 
-        def both(root, budget, evaluate):
-            got = partition(root, budget, evaluate)
-            pairs.append((got, scan(root, budget, evaluate)))
-            return got
+        def both(roots, budget, evaluate_round):
+            [got] = partition_many(roots, budget, evaluate_round)
+            ref = scan(roots[0], budget, lambda rects: evaluate_round([(0, rects)])[0])
+            pairs.append((got, ref))
+            return [got]
 
-        monkeypatch.setattr(plan_unknown, "_partition", both)
+        monkeypatch.setattr(plan_unknown, "_partition_many", both)
         for plan in (unknown_plan, unknown_plan.mirror()):
             s = plan.num_stages
             for ell in range(2, s + 1):
                 stage_term_cells(-plan.epsilon, plan, ell, 1e-4 / (s - 1), 256)
         assert len(pairs) == 2 * (unknown_plan.num_stages - 1)
         for got, ref in pairs:
-            assert len(got) == 256
-            assert list(map(repr, got)) == list(map(repr, ref))
+            assert got.shape == (256, 6)
+            assert got.tobytes() == ref.tobytes()
 
     def test_partition_budget_below_initial_split(self):
         def evaluate(rects):
@@ -347,17 +352,46 @@ class TestPartitionCells:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            square = _partition((0.0, 1.0, 0.0, 1.0), 2, evaluate)
-            flat = _partition((0.0, 1.0, 0.0, 0.0), 1, evaluate)
-        assert square == _partition((0.0, 1.0, 0.0, 1.0), 4, evaluate)
-        assert [(c.y_lo, c.y_hi, c.z_lo, c.z_hi) for c in flat] == [
-            (0.0, 0.5, 0.0, 0.0),
-            (0.5, 1.0, 0.0, 0.0),
-        ]
+            square = partition((0.0, 1.0, 0.0, 1.0), 2, evaluate)
+            flat = partition((0.0, 1.0, 0.0, 0.0), 1, evaluate)
+        assert square.tobytes() == partition((0.0, 1.0, 0.0, 1.0), 4, evaluate).tobytes()
+        assert flat[:, :4].tolist() == [[0.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0]]
 
-    def test_cell_validation(self):
-        with pytest.raises(Exception):
-            PartitionCell(1.0, 0.5, 0.0, 1.0, 0.0, 0.0)
+    @pytest.mark.parametrize("root", [(1.0, 0.5, 0.0, 1.0), (0.0, 1.0, 1.0, 0.5)])
+    def test_inverted_root_is_refused(self, root):
+        def evaluate(rects):
+            raise AssertionError("an inverted root is refused before any evaluation")
+
+        with pytest.raises(DomainError, match="cell bounds inverted"):
+            partition(root, 8, evaluate)
+
+    def test_inverted_cell_bounds_are_refused(self):
+        # lower may exceed upper by rounding, up to 1e-12, in any round
+        def slack(excess, at_split):
+            def evaluate(rects):
+                split = len(rects) == 2
+                return [(0.5 + excess if split == at_split else 0.0, 0.5)] * len(rects)
+
+            return evaluate
+
+        for at_split in (False, True):
+            cells = partition((0.0, 1.0, 0.0, 1.0), 6, slack(5e-13, at_split))
+            assert cells.shape == (6, 6)
+            with pytest.raises(SeqnormError, match="cell bound inversion"):
+                partition((0.0, 1.0, 0.0, 1.0), 6, slack(2e-12, at_split))
+
+    def test_unsplittable_root_stops_at_its_initial_cells(self):
+        rounds = []
+
+        def evaluate(rects):
+            rounds.append(len(rects))
+            return [(0.0, 1.0)] * len(rects)
+
+        # no extent in y or z: rows grow only with the cells made, so the
+        # budget allocates nothing
+        cells = partition((2.0, 2.0, 3.0, 3.0), 2**62, evaluate)
+        assert rounds == [2]
+        assert cells.tolist() == [[2.0, 2.0, 3.0, 3.0, 0.0, 1.0]] * 2
 
 
 class TestBoundsAndTails:
@@ -431,7 +465,7 @@ class TestCornerMemo:
         assert len(sent) == len(set(sent)) == len(evaluator._corners)
         assert sum(map(len, regions.values())) == len(sent)
         # rectangles share corners: fewer regions than four per rectangle
-        initial = 4 if cells[0].z_hi > cells[0].z_lo else 2
+        initial = 4 if cells[0, 3] > cells[0, 2] else 2
         splits = len(cells) - initial
         assert len(sent) < 4 * (initial + 2 * splits)
         if region_fn == "hyperbola_cone_prob_many":
@@ -441,12 +475,14 @@ class TestCornerMemo:
     @pytest.mark.parametrize("ell", [2, 3])
     def test_cells_equal_memo_free_recomputation(self, ell):
         cells, ev, _ = stage_term_cells(-0.5, self.PLAN, ell, 5e-5, 64)
-        for c in cells:
+        for y_lo, y_hi, z_lo, z_hi, p_lower, p_upper in cells.tolist():
             fresh = plan_unknown._StageTermEvaluator(
                 ev.scale, ev.off, ev.k, ev.omega_plus, ev.omega_minus,
                 ev.dof_y, ev.dof_z, ev.negate,
             )
-            assert [(c.p_lower, c.p_upper)] == fresh([(c.y_lo, c.y_hi, c.z_lo, c.z_hi)])
+            rects = [(y_lo, y_hi, z_lo, z_hi)]
+            _fill_corners([(fresh, rects)])
+            assert [(p_lower, p_upper)] == fresh.bounds(rects)
 
 
 class TestLockStep:
@@ -476,8 +512,8 @@ class TestLockStep:
             tail_budget = tail_mass / (s - 1)
             cells, evaluator, _ = stage_term_cells(theta, plan, ell, tail_budget, cell_budget)
             term_cells.append(cells)
-            cell_lo = math.fsum(c.p_lower for c in cells)
-            cell_hi = math.fsum(c.p_upper for c in cells)
+            cell_lo = math.fsum(cells[:, 4])
+            cell_hi = math.fsum(cells[:, 5])
             if evaluator.negate:
                 nct = plan.sample_tail(ell - 1, theta)
                 lower += max(0.0, nct + cell_lo - tail_budget)
@@ -512,9 +548,23 @@ class TestLockStep:
         assert got[0] == oc_upper_P(theta, plan, 1e-4, 32)
         expected = [cells for per_plan in term_cells for cells in per_plan]
         assert len(lockstep_cells) == 2 * (plan.num_stages - 1)
-        assert [list(map(repr, c)) for c in lockstep_cells] == [
-            list(map(repr, c)) for c in expected
-        ]
+        assert [c.tobytes() for c in lockstep_cells] == [c.tobytes() for c in expected]
+
+    @pytest.mark.parametrize("name, brackets", [
+        ("sym", "[(0.04489720581787282, 0.04999871846894828), "
+                "(0.04489720581787282, 0.04999871846894828)]"),
+        ("asym", "[(0.03669921169873978, 0.04250052118087422), "
+                 "(0.08661346758515112, 0.09999896757190233)]"),
+    ])
+    def test_default_certificate_keeps_its_bits(self, name, brackets):
+        # recorded under these builds; others may round differently
+        builds = {"numpy": np.__version__, "scipy": scipy.__version__}
+        if builds != {"numpy": "2.4.6", "scipy": "1.17.1"}:
+            pytest.skip(f"default certificate bits recorded with numpy 2.4.6, scipy 1.17.1, "
+                        f"running {builds}")
+        plan = self.plan(name)
+        # the default tail mass and 256 cells
+        assert repr(oc_upper_P_many(-plan.epsilon, [plan, plan.mirror()])) == brackets
 
     @pytest.mark.parametrize("name, one_term_batches, batches", [
         ("sym", 5, 5),  # one hyperbola-cone term; the cone term needs no batch
@@ -580,7 +630,7 @@ class TestZeroRejectThreshold:
         ell = plan.num_stages
         cells, evaluator, _ = stage_term_cells(-0.5, plan, ell, 5e-5, 16)
         assert evaluator.scale == 0.0
-        assert all(c.p_lower <= c.p_upper for c in cells)
+        assert np.all(cells[:, 4] <= cells[:, 5])
         # the cone corners ignore y + z, and each is a probability
         assert {sum_yz for sum_yz, _, _ in evaluator._corners} == {0.0}
         assert all(0.0 <= p <= 1.0 for p in evaluator._corners.values())
@@ -591,8 +641,8 @@ class TestChiSquareTruncation:
         plan = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=1 / 3, rho=1.0, tau=3)
         tail_budget = 1e-3
         cells, evaluator, _ = stage_term_cells(-0.5, plan, 2, tail_budget, 8)
-        y_lo = min(c.y_lo for c in cells)
-        y_hi = max(c.y_hi for c in cells)
+        y_lo = cells[:, 0].min()
+        y_hi = cells[:, 1].max()
         assert chi_square_cdf(y_lo, evaluator.dof_y) == pytest.approx(tail_budget / 4, abs=1e-12)
         assert 1.0 - chi_square_cdf(y_hi, evaluator.dof_y) == pytest.approx(
             tail_budget / 4, abs=1e-12
