@@ -1,4 +1,4 @@
-"""Risk-tuning calibration: find the largest zeta whose plan is certified.
+"""Risk-tuning calibration: find a zeta whose plan is certified, near an anchor.
 
 Feasibility of a zeta means the freshly built plan's rejection envelope at
 the lower indifference endpoint stays within alpha AND the mirror plan's
@@ -6,6 +6,8 @@ envelope (the acceptance-side bound) stays within beta.  Whether the
 feasible set is an interval is not established, so the search only narrows
 a bracket [feasible, infeasible] near a known-feasible anchor, and the
 returned zeta is re-certified by direct evaluation, never by search logic.
+The result is the bracket's feasible end: the largest certified zeta when
+the feasible set is an interval, and otherwise a boundary near the anchor.
 
 Known variance halves the bracket.  Unknown variance, where every probe is
 a full hyperbola-cone certification, steps by regula falsi with the
@@ -171,7 +173,7 @@ def calibrate_known(
     tau: int,
     zeta_tol: float = 1e-4,
 ) -> CalibrationResult:
-    """Largest certified zeta for the known-variance design.
+    """Certified zeta at a feasibility boundary near the anchor, known variance.
 
     The envelope does not involve gamma or sigma, so probes build plans at
     canonical gamma=0, sigma=1.
@@ -193,7 +195,7 @@ def calibrate_unknown(
     tail_mass: float = DEFAULT_TAIL_MASS,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> CalibrationResult:
-    """Largest certified zeta for the unknown-variance design.
+    """Certified zeta at a feasibility boundary near the anchor, unknown variance.
 
     Feasibility tests the interval upper ends, so a certified result is
     conservative with respect to the partition truncation.

@@ -209,7 +209,7 @@ def cmd_oc(args) -> int:
 
 def cmd_asn(args) -> int:
     plan = _read_plan(args.plan)
-    lines = ["theta," + ",".join(f"tail_{ell}" for ell in range(1, plan.num_stages))]
+    lines = [",".join(["theta", *(f"tail_{ell}" for ell in range(1, plan.num_stages))])]
     for theta in args.theta:
         tails = [plan.sample_tail(ell, theta) for ell in range(1, plan.num_stages)]
         lines.append(",".join(format_real(x) for x in [theta, *tails]))

@@ -31,7 +31,9 @@ A's angle carries the sign of its v coordinate and an infinite B takes the
 asymptote's angle, so six boundary formulas serve all sixteen leaves: the
 crossing ladder's five rungs and the third rung of the other.  All
 integrals are signed, which lets one printed expression cover
-configurations where an angle pair swaps order.
+configurations where an angle pair swaps order.  ``_branch_geometry``
+writes each formula once, as data: the arcs to integrate, the straight
+piece, and the order of the terms, the first minus each later one in turn.
 """
 
 from __future__ import annotations
@@ -234,13 +236,12 @@ def _abs_polar_angle(u: float, v: float) -> float:
 class _BranchData(NamedTuple):
     leaf: str  # "zero", "np1".."np5", "pp1".."pp3", "n1".."n5", "p1".."p3"
     lam: float  # possibly nudged off the degenerate surface
-    crossing: bool = False  # the domain crosses the u-axis (A lies below it)
-    rung: int = 0  # the origin's rung on the u-axis ladder
-    phi_a: float = 0.0  # signed like A's v coordinate
-    phi_b: float = 0.0  # the upper asymptote's angle when B is at infinity
-    phi_m: float = 0.0
-    line_a: float = 0.0  # A's and B's angles from the line's normal
-    line_b: float = 0.0
+    # the boundary formula: its hyperbola arcs' (from, to) angles, the line's
+    # (distance, from, to), and its terms as indices into (arc integrals...,
+    # line integral, 1.0); the value is the first minus each later term
+    arcs: tuple[tuple[float, float], ...] = ()
+    line: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    terms: tuple[int, ...] = (-1, -1)  # the empty region: 1 - 1
 
 
 def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
@@ -321,18 +322,26 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
             rung = i
             break
 
+    # the region's boundary formula; term -2 is the line integral B, -1 is 1.0
+    line_a = phi_k + phi_a
+    level = abs(off + g) / math.sqrt(1.0 + k2)
+    line = (level, line_a, line_b)
+    if rung == 3 and not crossing:  # B(line_b, line_a) - U0
+        arcs, line, terms = ((phi_b, phi_a),), (level, line_b, line_a), (-2, 0)
+    elif rung == 1:  # U0 - B
+        arcs, terms = ((math.pi + phi_a, math.pi + phi_b),), (0, -2)
+    elif rung == 2:  # U0 - U1 - B
+        arcs, terms = ((math.pi + phi_a, math.pi + phi_m), (phi_b, phi_m)), (0, 1, -2)
+    elif rung == 3:  # U0 - U1 - U2 - B
+        arcs = ((math.pi - phi_m, math.pi + phi_m), (phi_b, phi_m), (-phi_a, phi_m))
+        terms = (0, 1, 2, -2)
+    elif rung == 4:  # 1 - B - U0
+        arcs, terms = ((phi_b, _TWO_PI + phi_a),), (-1, -2, 0)
+    else:  # B(line_b, line_a + 2 pi) - U0
+        arcs, terms = ((phi_b, _TWO_PI + phi_a),), (-2, 0)
+        line = (level, line_b, line_a + _TWO_PI)
     family = ("n" if crossing else "p") + ("p" if bounded else "")
-    return _BranchData(
-        leaf=f"{family}{rung}",
-        lam=lam,
-        crossing=crossing,
-        rung=rung,
-        phi_a=phi_a,
-        phi_b=phi_b,
-        phi_m=phi_m,
-        line_a=phi_k + phi_a,
-        line_b=line_b,
-    )
+    return _BranchData(f"{family}{rung}", lam, arcs, line, terms)
 
 
 def classify_branch(region: HyperbolaConeRegion) -> str:
@@ -340,24 +349,6 @@ def classify_branch(region: HyperbolaConeRegion) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return _branch_geometry(region).leaf
-
-
-def _arcs(data: _BranchData) -> tuple[tuple[float, float], ...]:
-    """The (from, to) angles of the hyperbola arcs in the region's boundary formula."""
-    a = data.phi_a
-    b = data.phi_b
-    m = data.phi_m
-    pi = math.pi
-    rung = data.rung
-    if rung == 3 and not data.crossing:
-        return ((b, a),)
-    if rung == 1:
-        return ((pi + a, pi + b),)
-    if rung == 2:
-        return ((pi + a, pi + m), (b, m))
-    if rung == 3:
-        return ((pi - m, pi + m), (b, m), (-a, m))
-    return ((b, _TWO_PI + a),)
 
 
 def hyperbola_cone_prob_many(regions: Sequence[HyperbolaConeRegion]) -> list[float]:
@@ -369,10 +360,9 @@ def hyperbola_cone_prob_many(regions: Sequence[HyperbolaConeRegion]) -> list[flo
     call.  Each value has the bits of a one-region call.
     """
     data = [_branch_geometry(region) for region in regions]
-    arcs = [() if d.leaf == "zero" else _arcs(d) for d in data]
-    owner = [i for i, region_arcs in enumerate(arcs) for _ in region_arcs]
+    owner = [i for i, d in enumerate(data) for _ in d.arcs]
     if owner:
-        lo, hi = np.array([arc for region_arcs in arcs for arc in region_arcs]).T
+        lo, hi = np.array([arc for d in data for arc in d.arcs]).T
         offset = np.array([regions[i].offset for i in owner])
         lam = np.array([data[i].lam for i in owner])
         h = np.array([regions[i].h for i in owner])
@@ -382,27 +372,11 @@ def hyperbola_cone_prob_many(regions: Sequence[HyperbolaConeRegion]) -> list[flo
         values = iter(values.tolist())
 
     out = []
-    for region, d, region_arcs in zip(regions, data, arcs):
-        if d.leaf == "zero":
-            out.append(0.0)
-            continue
-        ups = [next(values) for _ in region_arcs]
-        level = abs(region.offset + region.g) / math.sqrt(1.0 + region.k * region.k)
-        line_a = d.line_a
-        line_b = d.line_b
-        rung = d.rung
-        if rung == 3 and not d.crossing:
-            value = _barrier_integral(level, line_b, line_a) - ups[0]
-        elif rung == 1:
-            value = ups[0] - _barrier_integral(level, line_a, line_b)
-        elif rung == 2:
-            value = ups[0] - ups[1] - _barrier_integral(level, line_a, line_b)
-        elif rung == 3:
-            value = ups[0] - ups[1] - ups[2] - _barrier_integral(level, line_a, line_b)
-        elif rung == 4:
-            value = 1.0 - _barrier_integral(level, line_a, line_b) - ups[0]
-        else:
-            value = _barrier_integral(level, line_b, line_a + _TWO_PI) - ups[0]
+    for d in data:
+        parts = (*[next(values) for _ in d.arcs], _barrier_integral(*d.line), 1.0)
+        value = parts[d.terms[0]]
+        for term in d.terms[1:]:
+            value -= parts[term]
         out.append(_clamp_unit(value))
     return out
 

@@ -162,7 +162,9 @@ def plan_from_dict(data: dict):
 
     Stages and theta_star are derived data: they are rebuilt from the design
     fields and compared type-strictly, so an edited threshold or size, or a
-    file written by a numerics build that rounds differently, is refused.
+    file written by a numerics build that rounds differently, is refused.  A
+    known-variance plan that says it is certified has its closed-form
+    certificate re-run, and is refused unless both bounds hold.
     """
     if not isinstance(data, dict):
         raise SessionFormatError("plan must be a JSON object")
@@ -193,6 +195,13 @@ def plan_from_dict(data: dict):
     for key in ("theta_star", "stages"):
         if not _json_equal(derived[key], data[key]):
             raise SessionFormatError(f"the stored {key} field does not match the plan's design")
+    if cls is KnownVarPlan and data["certified"]:
+        bound_a, bound_b = plan.certify()
+        if not (bound_a <= plan.alpha and bound_b <= plan.beta):
+            raise SessionFormatError(
+                f"the plan says certified, but its bounds ({format_real(bound_a)}, "
+                f"{format_real(bound_b)}) exceed (alpha, beta)"
+            )
     return plan.with_certified(data["certified"])
 
 

@@ -160,6 +160,46 @@ class TestAsn:
                 assert 0.0 <= float(cell) <= 1.0
 
 
+@pytest.fixture(scope="module")
+def single_stage_plan_files(tmp_path_factory):
+    """A one-stage plan of each kind: tau 1 leaves no continuation tail."""
+    folder = tmp_path_factory.mktemp("plans")
+    files = {}
+    for kind, extra in (("known", ["--sigma", "1"]), ("unknown", [])):
+        files[kind] = folder / f"{kind}-single.json"
+        code = main([
+            "design", "--kind", kind, "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "0.5", "--gamma", "0", *extra,
+            "--tau", "1", "--zeta", "0.5", "--out", str(files[kind]),
+        ])
+        assert code == 0
+    return files
+
+
+class TestCsvShape:
+    @pytest.mark.parametrize("kind", ["known", "unknown"])
+    @pytest.mark.parametrize("stages", ["single", "multi"])
+    @pytest.mark.parametrize("command", [
+        ["oc", "--theta-min", "-1", "--theta-max", "1", "--points", "3", "--cell-budget", "16"],
+        ["asn", "--theta", "-0.5", "--theta", "0.5"],
+    ], ids=["oc", "asn"])
+    def test_every_row_has_the_header_fields(
+        self, request, single_stage_plan_files, command, stages, kind, capsys
+    ):
+        if stages == "single":
+            path = single_stage_plan_files[kind]
+        else:
+            path = request.getfixturevalue(f"{kind}_plan_file")
+            capsys.readouterr()  # the fixture's design summary
+        assert (load_plan(path).num_stages == 1) == (stages == "single")
+        code, out, _ = run_cli([command[0], str(path), *command[1:]], capsys)
+        assert code == 0
+        header, *rows = out.rstrip("\n").split("\n")
+        assert len(rows) in (2, 3)
+        for row in rows:
+            assert len(row.split(",")) == len(header.split(","))
+
+
 class TestSimulateCmd:
     def test_json_report(self, known_plan_file, capsys):
         code, out, _ = run_cli([
@@ -417,6 +457,40 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err == (
             "run: cannot read plan: the stored stages field does not match the plan's design\n"
+        )
+        assert not session.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--session", "SESSION", "--data", "DATA"],
+        ["oc", "--theta-min", "-1", "--theta-max", "1", "--points", "3"],
+        ["asn", "--theta", "0.5"],
+    ], ids=["run", "oc", "asn"])
+    def test_known_plan_claiming_a_certificate_it_lacks(self, command, tmp_path, capsys):
+        # zeta 0.9 gives bounds of 0.0899 > alpha = beta = 0.05; earlier
+        # versions trusted the edited flag, and run printed NeedMore 3
+        honest = tmp_path / "honest.json"
+        code, stdout, _ = run_cli([
+            "design", "--kind", "known", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "0.5", "--gamma", "0", "--sigma", "1",
+            "--rho", "1", "--tau", "3", "--zeta", "0.9", "--out", str(honest),
+        ], capsys)
+        assert code == 0 and "certified   false" in stdout
+        assert load_plan(honest).certified is False  # never upgraded
+
+        def claim_certificate(data):
+            data["certified"] = True
+
+        plan = write_edited_plan(honest, tmp_path / "p.json", claim_certificate)
+        session = tmp_path / "session.json"
+        data = tmp_path / "data.csv"
+        data.write_text("0.1\n")
+        paths = {"SESSION": str(session), "DATA": str(data)}
+        args = [paths.get(arg, arg) for arg in command[1:]]
+        code, out, err = run_cli([command[0], str(plan), *args], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"{command[0]}: cannot read plan: the plan says certified, but its bounds "
+            "(0.089863334349066765, 0.089863334349066765) exceed (alpha, beta)\n"
         )
         assert not session.exists()
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqnorm import geometry
 from seqnorm.errors import DomainError
 from seqnorm.geometry import (
     _HALF_PI,
@@ -661,3 +662,14 @@ class TestBatchInvariance:
             repr(hyperbola_cone_prob(r)) for r in regions
         ]
         assert hyperbola_cone_prob_many([]) == []
+
+    def test_batch_of_empty_regions_integrates_nothing(self, monkeypatch):
+        def no_arcs(*args, **kwargs):
+            raise AssertionError("an empty region has no arc to integrate")
+
+        monkeypatch.setattr(geometry, "integrate_many", no_arcs)
+        steep = HyperbolaConeRegion(offset=0.0, lam=4.0, h=1.0, g=0.3, k=0.5)
+        zeros = [region_of(ZERO_CASE), steep]
+        assert {classify_branch(r) for r in zeros} == {"zero"}
+        got = hyperbola_cone_prob_many(zeros)
+        assert list(map(repr, got)) == ["0.0", "0.0"]
