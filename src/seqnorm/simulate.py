@@ -15,26 +15,31 @@ those per stage block, not its samples.  The block of dn = n_l - n_{l-1}
 samples gets its sum, dn * (mu - gamma) + sigma * sqrt(dn) * Z, and a
 studentized plan also gets its within-block sum of squared deviations,
 sigma^2 * chi^2(dn - 1) by Helmert's decomposition.  A block of df = dn - 1
-= 1 draws that chi-square as one squared normal, and one of df = 0 draws
-nothing.  From df = 2 on it is twice a Gamma(df / 2) variable drawn by
+= 0 draws nothing.  A block whose ceil(df / 2) is at most 2 * ``_TRIES`` +
+1, which is df <= 10, draws its chi-square directly from that many words,
+with no rejection: m = floor(df / 2) uniforms give chi^2(2 m) = -2 log(u_1
+... u_m), and an odd df adds one squared normal, so df = 1 is one squared
+normal.  From df = 11 on it is twice a Gamma(df / 2) variable drawn by
 Marsaglia and Tsang's method (ACM TOMS 26(3), 2000) in at most ``_TRIES``
 tries, each a (normal, uniform) word pair; a block whose tries all reject
 takes one inverse-CDF draw 2 * gammaincinv(df / 2, u) from a word of its
 own.  The tries and the fallback read disjoint words and each has the Gamma
 law, so their mixture has it too, and a block costs O(1) work whatever its
-size: about 2e-3 of blocks fall back at df = 2, 1e-4 at df = 6 and none of
-400,000 from df = 40 on.  A replicate costs at most 2 * ``_TRIES`` + 2
-words per stage, whatever its stage sizes.  Blocks pool into stage sums
-and sums of squares by ``_pool``, on sums taken about gamma so the pooled
-means do not cancel; n * gamma is added back before the statistic.  Data
-whose stage sums or sums of squares could overflow a double are refused.
+size: about 3e-5 of blocks fall back at df = 11 and 2e-6 at df = 40.  A
+replicate costs 1 + min(ceil(df / 2), 2 * ``_TRIES`` + 1) words per stage,
+so at most 2 * ``_TRIES`` + 2 whatever its stage sizes.  Blocks pool into
+stage sums and sums of squares by ``_pool``, on sums taken about gamma so
+the pooled means do not cancel; n * gamma is added back before the
+statistic.  Data whose stage sums or sums of squares could overflow a
+double are refused.
 
 A chunk draws its replicates' windows in one stream call, then walks the
 stages in order.  ``simulate_plan`` reads, pools and decides stage l only
-for the replicates still sampling there, so a replicate that stops at
-stage 1 costs one block's work; ``mc_transition_sums`` reads every stage,
-so its walk keeps every replicate.  A replicate's statistics depend only on
-its own words, so either walk gives them the same bits.
+for the replicates still sampling there, and counts those that stop there
+as it goes, so a replicate that stops at stage 1 costs one block's work;
+``mc_transition_sums`` reads every stage, so its walk keeps every
+replicate.  A replicate's statistics depend only on its own words, so
+either walk gives them the same bits.
 
 Draws come from a counter-based uniform stream (Philox); a normal is one
 stream word pushed through the inverse normal CDF.  Replicate r owns a
@@ -84,26 +89,52 @@ def _blocks(plan) -> tuple[list[tuple[int, int]], int]:
     """Each stage block's size dn and sum-of-squares words k, and the
     replicate's window width.
 
-    k is 0 for a plan that is not studentized or a block of one sample, 1
-    for a block of two (its chi-square is one squared normal) and
-    2 * _TRIES + 1 for a larger one (``_chi_square``'s words).  The window
-    holds every block's sum word, then every block's k words, in stage order.
+    k is 0 for a plan that is not studentized.  Otherwise the block's
+    chi-square has df = dn - 1 and k = min(ceil(df / 2), 2 * _TRIES + 1) =
+    min(dn // 2, 2 * _TRIES + 1): a direct draw's words
+    (``_direct_chi_square``) while they are at most a Marsaglia-Tsang
+    block's, and ``_chi_square``'s words beyond, so no block costs more
+    words than a Marsaglia-Tsang one.  The window holds every block's sum
+    word, then every block's k words, in stage order.
     """
     blocks = []
     prev = 0
     for n in plan.sizes:
         dn = n - prev
-        k = 0 if not plan.studentized or dn == 1 else 1 if dn == 2 else 2 * _TRIES + 1
-        blocks.append((dn, k))
+        blocks.append((dn, min(dn // 2, 2 * _TRIES + 1) if plan.studentized else 0))
         prev = n
     width = sum(1 + k for _, k in blocks)
     return blocks, 4 * ((width + 3) // 4)
 
 
+def _direct_chi_square(df: int, window: np.ndarray) -> np.ndarray:
+    """chi^2(df) draws, df >= 1, one per row of a window of ceil(df / 2)
+    floored uniforms, with no rejection.
+
+    The first m = floor(df / 2) words give chi^2(2 m) = -2 log(u_1 ... u_m),
+    twice a sum of m unit exponentials, and an odd df adds the square of the
+    last word's normal; at df = 1 (m = 0) that square is the draw.  The
+    product is taken left to right and logged once: its at most 2 * _TRIES +
+    1 factors are each at least _U_FLOOR, so it stays at or above 2**-320
+    and cannot underflow.
+    """
+    m = df // 2
+    chi2 = 0.0
+    if m:
+        prod = window[:, 0]
+        for j in range(1, m):
+            prod = prod * window[:, j]
+        chi2 = -2.0 * np.log(prod)
+    if df % 2:
+        z = sp.ndtri(window[:, m])
+        chi2 = chi2 + z * z
+    return chi2
+
+
 def _chi_square(df: int, window: np.ndarray) -> np.ndarray:
-    """chi^2(df) draws, df >= 2, one per row of a window of 2 * _TRIES + 1
-    floored uniforms: a (normal, acceptance) word pair per Marsaglia-Tsang
-    try, then the fallback word.
+    """chi^2(df) draws, df >= 11 in the simulator (any df >= 2 works), one
+    per row of a window of 2 * _TRIES + 1 floored uniforms: a (normal,
+    acceptance) word pair per Marsaglia-Tsang try, then the fallback word.
 
     With d = df / 2 - 1/3 and c = 1 / sqrt(9 d), try t turns its normal
     word into z and accepts Gamma(df / 2) = d v, v = (1 + c z)^3, when
@@ -154,9 +185,8 @@ def _block_draw(
         return sums, None
     if k == 0:
         chi2 = np.zeros(len(sums))
-    elif k == 1:
-        helmert = sp.ndtri(words[live, col])
-        chi2 = helmert * helmert
+    elif k == dn // 2:  # a direct draw: _blocks gave it its ceil(df / 2) words
+        chi2 = _direct_chi_square(dn - 1, words[live, col : col + k])
     else:
         chi2 = _chi_square(dn - 1, words[live, col : col + k])
     return sums, sigma * sigma * chi2
@@ -206,15 +236,17 @@ class SimReport:
         }
 
 
-def _stage_pass(
-    plan, mu: float, sigma: float, replications: int, seed: int, tally, stop: bool
-) -> list:
-    """tally(codes) of every replicate chunk, in chunk order.
+def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tally=None) -> list:
+    """Each replicate chunk's part, in chunk order, on normal(mu, sigma^2)
+    data.
 
-    codes holds each replicate's decision code at every stage (stages in
-    rows, replicates in columns) on normal(mu, sigma^2) data.  With stop,
-    a replicate's stages after its first decision are neither drawn nor
-    decided, and their codes are CONTINUE; without it every stage is.
+    Without tally a replicate's stages after its first decision are neither
+    drawn nor decided, and a chunk's part is how many of its replicates stop
+    at each stage and how many of those accept, counted as the walk goes; a
+    replicate still sampling after the final stage is an error.  With tally
+    every stage of every replicate is drawn and decided, and a chunk's part
+    is tally(codes), codes holding each replicate's decision code at every
+    stage (stages in rows, replicates in columns).
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
@@ -231,12 +263,15 @@ def _stage_pass(
     # a block sum is at most dn * spread in size, so a stage sum stays within
     # n_max (spread + |gamma|); a block's sum of squares stays within
     # dn * spread^2 and its pooling term within 4 dn spread^2.  That takes
-    # every block's chi-square as at most dn * _Z_MAX^2: a squared normal is;
-    # an accepted Marsaglia-Tsang draw 2 d (1 + c z)^3 is at most
-    # 2 d (1 + _Z_MAX / (3 sqrt(d)))^3, which is tightest at df = 2 (139
-    # against 3 * 82.4); and the fallback's word is at most 1 - 2**-53, whose
-    # chi-square quantile is below df + 12.2 sqrt(df) + 73.5 (Laurent and
-    # Massart's tail bound).
+    # every block's chi-square as at most dn * _Z_MAX^2.  A direct draw of
+    # floored words is at most 2 m 64 log 2 + [df odd] _Z_MAX^2, which is
+    # below (2 m + 1) _Z_MAX^2 <= dn * _Z_MAX^2 since 128 log 2 = 88.7 is
+    # below 2 * 82.4; df = 1 is one squared normal.  An accepted
+    # Marsaglia-Tsang draw 2 d (1 + c z)^3 is at most
+    # 2 d (1 + _Z_MAX / (3 sqrt(d)))^3, which is tightest at df = 11 (131
+    # against 12 * 82.4); and the fallback's word is at most 1 - 2**-53,
+    # whose chi-square quantile is below df + 12.2 sqrt(df) + 73.5 (Laurent
+    # and Massart's tail bound).
     spread = abs(shift) + sigma * _Z_MAX
     if not math.isfinite(n_max * (spread + abs(plan.gamma))) or (
         plan.studentized and not math.isfinite(5.0 * n_max * spread * spread)
@@ -251,7 +286,8 @@ def _stage_pass(
     def worker(lo, hi):
         words = _uniform_block(seed, lo * width, hi - lo, width)
         np.maximum(words, _U_FLOOR, out=words)
-        codes = np.zeros((len(blocks), hi - lo), dtype=np.int8)
+        codes = None if tally is None else np.zeros((len(blocks), hi - lo), dtype=np.int8)
+        stops, accepted = np.zeros(len(blocks), dtype=np.int64), 0
         # the replicates still sampling: a slice while all are, since
         # gathering by an index array costs a copy of every column read
         live = slice(None)
@@ -268,37 +304,27 @@ def _stage_pass(
             code = decision_code(
                 plan.stage_statistics(sums + prev * plan.gamma, squares, float(prev)), st.a, st.b
             )
-            codes[i, live] = code
-            if stop and i + 1 < len(blocks):
-                going = np.flatnonzero(code == Decision.CONTINUE)
-                if len(going) == 0:
-                    break
-                if len(going) < len(code):
-                    live = going if isinstance(live, slice) else live[going]
-                    sums = sums[going]
-                    squares = None if squares is None else squares[going]
-        return tally(codes)
+            if codes is not None:
+                codes[i] = code
+                continue
+            going = np.flatnonzero(code == Decision.CONTINUE)
+            stops[i] = len(code) - len(going)
+            accepted += int(np.count_nonzero(code == Decision.ACCEPT))
+            if len(going) == 0:
+                break
+            if i + 1 == len(blocks):
+                raise SeqnormError("final stage failed to decide; plan invariant broken")
+            if len(going) < len(code):
+                live = going if isinstance(live, slice) else live[going]
+                sums = sums[going]
+                squares = None if squares is None else squares[going]
+        return (stops, accepted) if tally is None else tally(codes)
 
     return [worker(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
 
 
-def _stop_tally(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """How many replicates stop at each stage, and how many of those accept.
-
-    A replicate stops at the first stage it reaches that does not continue.
-    """
-    reached = np.ones_like(codes, dtype=bool)
-    for idx in range(1, len(codes)):
-        reached[idx] = reached[idx - 1] & (codes[idx - 1] == Decision.CONTINUE)
-    stops = reached & (codes != Decision.CONTINUE)
-    if np.count_nonzero(stops) != codes.shape[1]:
-        raise SeqnormError("final stage failed to decide; plan invariant broken")
-    accepted = np.count_nonzero(stops & (codes == Decision.ACCEPT))
-    return np.count_nonzero(stops, axis=1), int(accepted)
-
-
 def _sim_report(plan, replications: int, seed: int, parts) -> SimReport:
-    """The report of _stop_tally's chunk parts, merged in chunk order."""
+    """The report of the stop counts of each chunk, merged in chunk order."""
     hist = np.zeros(plan.num_stages, dtype=np.int64)
     accepted = 0
     for part_hist, part_acc in parts:
@@ -327,7 +353,7 @@ def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -
     Each replicate stops at its first deciding stage.  Deterministic in
     (plan, mu, sigma, replications, seed).
     """
-    parts = _stage_pass(plan, mu, sigma, replications, seed, _stop_tally, stop=True)
+    parts = _stage_pass(plan, mu, sigma, replications, seed)
     return _sim_report(plan, replications, seed, parts)
 
 
@@ -370,7 +396,7 @@ def mc_transition_sums(plan, mu: float, sigma: float, replications: int, seed: i
     rej_sq = 0.0
     acc_total = 0
     acc_sq = 0.0
-    parts = _stage_pass(plan, mu, sigma, replications, seed, _transition_tally, stop=False)
+    parts = _stage_pass(plan, mu, sigma, replications, seed, _transition_tally)
     for r1, r2, a1, a2 in parts:
         rej_total += r1
         rej_sq += r2

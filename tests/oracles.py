@@ -1,9 +1,10 @@
 """Independent oracles for the closed-form geometry, the unknown-variance
 decomposition and the simulator: Monte Carlo and midpoint-grid integration
 of 2-D domain probabilities, a simulation audit of the sample-decomposition
-identity, a per-sample reference simulator, the simulator's block draws at
-every stage, the samples a simulated replicate stands for, and the scalar
-stage statistic written out over a sample list.
+identity, a per-sample reference simulator and the stop tally it counts
+with, the simulator's block draws at every stage, the samples a simulated
+replicate stands for, and the scalar stage statistic written out over a
+sample list.
 
 Every draw comes from ``seqnorm.simulate._uniform_block``, so the package's
 seed-range check covers these oracles as well.
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from seqnorm.errors import DomainError
+from seqnorm.errors import DomainError, SeqnormError
 from seqnorm.geometry import ConeRegion
-from seqnorm.plan_known import decision_code
+from seqnorm.plan_known import Decision, decision_code
 from seqnorm.simulate import (
     _CHUNK,
     _U_FLOOR,
@@ -27,7 +28,6 @@ from seqnorm.simulate import (
     _blocks,
     _pool,
     _sim_report,
-    _stop_tally,
     _uniform_block,
 )
 
@@ -226,6 +226,24 @@ def sample_decomposition_check(
     )
 
 
+def stop_tally(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """How many replicates stop at each stage, and how many of those accept,
+    from every replicate's decision code at every stage (stages in rows,
+    replicates in columns): the reference for the counts simulate_plan's
+    walk keeps as it goes.
+
+    A replicate stops at the first stage it reaches that does not continue.
+    """
+    reached = np.ones_like(codes, dtype=bool)
+    for idx in range(1, len(codes)):
+        reached[idx] = reached[idx - 1] & (codes[idx - 1] == Decision.CONTINUE)
+    stops = reached & (codes != Decision.CONTINUE)
+    if np.count_nonzero(stops) != codes.shape[1]:
+        raise SeqnormError("final stage failed to decide; plan invariant broken")
+    accepted = np.count_nonzero(stops & (codes == Decision.ACCEPT))
+    return np.count_nonzero(stops, axis=1), int(accepted)
+
+
 def reference_simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int):
     """simulate_plan's report from per-sample data: each replicate draws all
     n_max normals from its own stream window, and stage sums and sums of
@@ -244,7 +262,7 @@ def reference_simulate_plan(plan, mu: float, sigma: float, replications: int, se
         sums = np.cumsum(x, axis=1)[:, last].T
         squares = np.maximum(np.cumsum(x * x, axis=1)[:, last].T - sums * sums / n, 0.0)
         stats = plan.stage_statistics(sums + n * plan.gamma, squares, n)
-        parts.append(_stop_tally(decision_code(stats, a, b)))
+        parts.append(stop_tally(decision_code(stats, a, b)))
     return _sim_report(plan, replications, seed, parts)
 
 

@@ -31,12 +31,17 @@ from oracles import (
     replicate_samples,
     sample_decomposition_check,
     section,
+    stop_tally,
 )
 
 PLAN = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1 / 3, rho=1.0, tau=3)
 # sizes (63, 94, 140): its blocks' chi-square has 62, 30 and 45 degrees of
 # freedom
 STRADDLE = build_unknown_plan(0.05, 0.05, 0.15, 0.0, zeta=0.8, rho=0.5, tau=3)
+# sizes (2, 3, 6, 12, 24): its blocks' chi-square has 1, 0, 2, 5 and 11
+# degrees of freedom, so it draws a squared normal, nothing, two direct draws
+# and a Marsaglia-Tsang one
+MIXED = build_unknown_plan(0.05, 0.05, 0.4, 0.0, zeta=0.7, rho=1.0, tau=5)
 
 
 class TestSimulatePlan:
@@ -213,17 +218,17 @@ def test_matches_the_per_sample_reference(name):
     assert sp.chdtrc(np.count_nonzero(seen) - 1, stat) >= 1e-3, (got, ref)
 
 
-@pytest.mark.parametrize("df", [1, 2, 3, 39, 40, 146, 2**24 - 1])
+@pytest.mark.parametrize("df", [*range(1, 12), 39, 40, 146, 2**24 - 1])
 def test_block_squares_have_the_chi_square_law(df):
     """W / sigma^2 of a block of dn samples is chi-square with dn - 1
-    degrees of freedom, from one squared normal at df 1 to a
-    Marsaglia-Tsang draw at 2**24 - 1, and the block sum is normal(dn shift,
-    dn sigma^2)."""
+    degrees of freedom, from direct draws of ceil(df / 2) words up to df 10
+    (one squared normal at df 1) to Marsaglia-Tsang draws from df 11 to
+    2**24 - 1, and the block sum is normal(dn shift, dn sigma^2)."""
     base = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8, rho=1.0, tau=3)
     dn = df + 1
     # a block of dn samples, then one of a single sample, which draws no square
     plan = replace(base, stages=(Stage(n=dn, a=-1.0, b=1.0), Stage(n=dn + 1, a=0.0, b=0.0)))
-    k = 1 if df == 1 else 2 * sim._TRIES + 1
+    k = min((df + 1) // 2, 2 * sim._TRIES + 1)
     assert sim._blocks(plan) == ([(dn, k), (1, 0)], 4 * ((k + 5) // 4))
     reps, shift, sigma = 200_000, 0.3, 1.7
     sums, squares = block_draws(plan, shift, sigma, 11, 0, reps)
@@ -271,14 +276,47 @@ def test_chi_square_takes_the_first_accepting_try_or_the_fallback(df):
     assert got == [expected[name] for name in ("neither", "first", "second", "neither")]
 
 
-@pytest.mark.parametrize("df", [2, 3, 40, 2**24 - 1])
+def test_direct_draw_is_minus_twice_the_log_of_the_product_and_a_square():
+    """Hand-made windows: an odd df draws -2 log(u1 u2) + ndtri(u3)^2, an even
+    one -2 log of its words' left-to-right product, df 1 the square alone
+    (the bits of the squared normal a block of two drew before), and a block
+    reads its words from column col on."""
+    u = np.array([
+        [0.3, 0.8, 0.6, 0.05, 0.99],
+        [sim._U_FLOOR, _TOP, 0.5, sim._U_FLOOR, sim._U_FLOOR],
+        [_TOP, 0.123456789, sim._U_FLOOR, _TOP, 0.7],
+    ])
+    u1, u2, u3, u4, u5 = u.T
+    odd = -2.0 * np.log(u1 * u2) + sp.ndtri(u3) ** 2
+    assert sim._direct_chi_square(5, u[:, :3]).tolist() == odd.tolist()
+    assert sim._direct_chi_square(4, u[:, :2]).tolist() == (-2.0 * np.log(u1 * u2)).tolist()
+    even = -2.0 * np.log((((u1 * u2) * u3) * u4) * u5)
+    assert sim._direct_chi_square(10, u).tolist() == even.tolist()
+    assert sim._direct_chi_square(2, u[:, 3:4]).tolist() == (-2.0 * np.log(u4)).tolist()
+    assert sim._direct_chi_square(1, u[:, 2:3]).tolist() == (sp.ndtri(u3) ** 2).tolist()
+    # a block of six samples: sum word at column 0, its three words at 2..4
+    sums, squares = sim._block_draw(u, slice(None), 0, 2, 6, 3, 0.25, 1.5, True)
+    assert squares.tolist() == (1.5 * 1.5 * (-2.0 * np.log(u3 * u4) + sp.ndtri(u5) ** 2)).tolist()
+    assert sums.tolist() == (6 * 0.25 + 1.5 * math.sqrt(6) * sp.ndtri(u1)).tolist()
+
+
+@pytest.mark.parametrize("df", [*range(1, 12), 40, 2**24 - 1])
 @pytest.mark.parametrize("word", [sim._U_FLOOR, _TOP])
 def test_extreme_windows_keep_the_chi_square_within_the_overflow_bound(df, word):
     """_stage_pass refuses data by taking every block's chi-square as at
     most dn * _Z_MAX^2; windows of the smallest or of the largest word,
-    which drive a draw to its extremes, stay within that."""
-    chi2 = sim._chi_square(df, np.full((1, 2 * sim._TRIES + 1), word))
-    assert 0.0 <= chi2[0] <= (df + 1) * sim._Z_MAX**2
+    which drive a draw to its extremes, stay within that, and without a
+    warning: the direct draw's ceil(df / 2) words up to df 10 and a
+    Marsaglia-Tsang window from df 2 on."""
+    draws = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if (df + 1) // 2 <= 2 * sim._TRIES + 1:
+            draws.append(sim._direct_chi_square(df, np.full((1, (df + 1) // 2), word)))
+        if df >= 2:
+            draws.append(sim._chi_square(df, np.full((1, 2 * sim._TRIES + 1), word)))
+    for chi2 in draws:
+        assert 0.0 <= chi2[0] <= (df + 1) * sim._Z_MAX**2
 
 
 def test_largest_accepted_draw_is_within_the_overflow_bound():
@@ -296,6 +334,7 @@ REPLAY_PLANS = {
     "known-shifted": build_known_plan(0.05, 0.10, 0.4, 1.3, 0.7, zeta=0.6, rho=0.5, tau=4),
     "unknown": build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8, rho=1.0, tau=3),
     "unknown-straddle": STRADDLE,
+    "unknown-mixed": MIXED,
 }
 
 
@@ -345,11 +384,34 @@ def test_stopped_walk_reports_what_the_all_stages_walk_does(
     plan_sigma = getattr(plan, "sigma", 1.0)
     mu, sigma = plan.gamma + theta * plan_sigma, sigma_ratio * plan_sigma
     reps, seed = 2000, 3
-    walked = sim._stage_pass(plan, mu, sigma, reps, seed, sim._stop_tally, stop=False)
+    walked = sim._stage_pass(plan, mu, sigma, reps, seed, stop_tally)
     rep = simulate_plan(plan, mu, sigma, reps, seed)
     assert rep == sim._sim_report(plan, reps, seed, walked)
     if theta == -50.0:
         assert rep.stage_histogram == (reps,) + (0,) * (plan.num_stages - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(WALK_PLANS)),
+    st.floats(-1.0, 1.0),
+    st.floats(0.25, 4.0),
+    st.integers(1, 700),
+    st.integers(0, 2**64 - 1),
+)
+def test_walk_counts_equal_the_stop_tally_of_every_stage(name, theta, sigma_ratio, chunk, seed):
+    """Each chunk's stop counts, kept as the stopped walk goes, are the
+    stop tally of the codes of the walk that decides every replicate at
+    every stage."""
+    plan = WALK_PLANS[name]
+    plan_sigma = getattr(plan, "sigma", 1.0)
+    mu, sigma = plan.gamma + theta * plan_sigma, sigma_ratio * plan_sigma
+    with mock.patch.object(sim, "_CHUNK", chunk):
+        counted = sim._stage_pass(plan, mu, sigma, 900, seed)
+        walked = sim._stage_pass(plan, mu, sigma, 900, seed, stop_tally)
+    assert len(counted) == len(walked) == -(-900 // chunk)
+    for (stops, accepted), (tallied, tallied_accepted) in zip(counted, walked):
+        assert (stops.tolist(), accepted) == (tallied.tolist(), tallied_accepted)
 
 
 @pytest.mark.parametrize("stop", [True, False])
@@ -357,7 +419,7 @@ def test_open_final_stage_fails_in_either_walk(stop):
     last = PLAN.stages[-1]
     open_plan = replace(PLAN, stages=PLAN.stages[:-1] + (Stage(n=last.n, a=-1.0, b=1.0),))
     with pytest.raises(SeqnormError, match="final stage failed to decide"):
-        sim._stage_pass(open_plan, 0.0, 1.0, 1000, 1, sim._stop_tally, stop)
+        sim._stage_pass(open_plan, 0.0, 1.0, 1000, 1, None if stop else stop_tally)
 
 
 # recorded from the pass that drew and decided every stage of every
@@ -384,17 +446,19 @@ def test_transition_sums_keep_their_values(name, seed):
 
 @pytest.mark.parametrize("theta", [-50.0, -0.5, 0.2])
 def test_only_replicates_still_sampling_draw_a_block(theta, monkeypatch):
-    """Each stage block is drawn, and its chi-square computed, for the
+    """Each stage block is drawn, and its sum of squares computed, for the
     replicates that reach its stage and no others; the transition walk draws
-    every block of every replicate."""
-    plan = REPLAY_PLANS["unknown"]
-    assert [dn - 1 for dn, _ in sim._blocks(plan)[0]] == [3, 3, 7]  # each a Marsaglia-Tsang block
-    drawn, chi_rows = [], []
+    every block of every replicate.  REPLAY_PLANS["unknown"] draws each
+    chi-square directly; MIXED also draws a squared normal, nothing, and a
+    Marsaglia-Tsang block, whose ``_chi_square`` rows are checked too."""
+    drawn, square_rows, chi_rows = [], [], []
     block_draw, chi_square = sim._block_draw, sim._chi_square
 
     def recording_block(words, live, i, *rest):
+        sums, squares = block_draw(words, live, i, *rest)
         drawn.append(i)
-        return block_draw(words, live, i, *rest)
+        square_rows.append(len(squares))
+        return sums, squares
 
     def recording_chi_square(df, window):
         chi_rows.append(len(window))
@@ -403,18 +467,28 @@ def test_only_replicates_still_sampling_draw_a_block(theta, monkeypatch):
     monkeypatch.setattr(sim, "_block_draw", recording_block)
     monkeypatch.setattr(sim, "_chi_square", recording_chi_square)
     reps = 5000
-    rep = simulate_plan(plan, theta, 1.0, reps, 2)
-    reaching = [sum(rep.stage_histogram[i:]) for i in range(plan.num_stages)]
-    stages = [i for i, count in enumerate(reaching) if count]
-    assert drawn == stages
-    assert chi_rows == reaching[: len(stages)]
-    if theta == -50.0:
-        assert drawn == [0]
-    drawn.clear()
-    chi_rows.clear()
-    mc_transition_sums(plan, theta, 1.0, reps, 2)
-    assert drawn == list(range(plan.num_stages))
-    assert chi_rows == [reps] * plan.num_stages
+    for plan, dfs in ((REPLAY_PLANS["unknown"], [3, 3, 7]), (MIXED, [1, 0, 2, 5, 11])):
+        assert [dn - 1 for dn, _ in sim._blocks(plan)[0]] == dfs
+        tried = [i for i, df in enumerate(dfs) if (df + 1) // 2 > 2 * sim._TRIES + 1]
+        for record in (drawn, square_rows, chi_rows):
+            record.clear()
+        rep = simulate_plan(plan, theta, 1.0, reps, 2)
+        reaching = [sum(rep.stage_histogram[i:]) for i in range(plan.num_stages)]
+        stages = [i for i, count in enumerate(reaching) if count]
+        assert drawn == stages
+        assert square_rows == reaching[: len(stages)]
+        assert chi_rows == [reaching[i] for i in tried if i in stages]
+        if theta == -50.0:
+            assert drawn == [0]
+        else:
+            # the Marsaglia-Tsang block is drawn for some replicates, not all
+            assert all(0 < rows < reps for rows in chi_rows) and len(chi_rows) == len(tried)
+        for record in (drawn, square_rows, chi_rows):
+            record.clear()
+        mc_transition_sums(plan, theta, 1.0, reps, 2)
+        assert drawn == list(range(plan.num_stages))
+        assert square_rows == [reps] * plan.num_stages
+        assert chi_rows == [reps] * len(tried)
 
 
 def reference_stop_tally(stats, a, b):
@@ -490,9 +564,9 @@ def test_tallies_equal_the_per_stage_loops(case):
         expected = reference_stop_tally(stats, a, b)
     except SeqnormError:
         with pytest.raises(SeqnormError, match="final stage failed to decide"):
-            sim._stop_tally(codes)
+            stop_tally(codes)
         return
-    hist, accepted = sim._stop_tally(codes)
+    hist, accepted = stop_tally(codes)
     assert hist.tolist() == expected[0].tolist()
     assert accepted == expected[1]
 
