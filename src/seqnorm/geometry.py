@@ -12,6 +12,8 @@ A straight piece at distance d from the origin integrates in closed form:
 on (-pi/2, pi/2) the antiderivative of exp(-d^2 / (2 cos^2 phi)) / (2 pi) is
 Owen's T(d, tan phi) (Owen, Ann. Math. Statist. 27, 1956).  Cone regions need
 no quadrature; only the curved hyperbola arcs use adaptive quadrature.
+``cone_prob`` and the known-variance envelope's cone pairs share one scalar
+kernel, ``_cone_measure``, fed what all cones of one barrier and slope share.
 ``hyperbola_cone_prob_many`` integrates the arcs of a whole list of regions
 in one ``integrate_many`` call, and ``hyperbola_cone_prob`` is its one-region
 call; a region's value does not depend on the list it comes in.
@@ -117,6 +119,16 @@ class HyperbolaConeRegion:
 # ---------------------------------------------------------------------------
 
 
+def _antiderivative(level: float, period: float, phi: float) -> float:
+    """F(phi) of _barrier_integral, given period = Phi(-|level|)."""
+    # phi - m pi can round past +-pi/2 when phi is an odd multiple of a
+    # quarter turn; the clamp keeps tan on the side m was chosen for
+    m = round(phi / math.pi)
+    x = phi - m * math.pi
+    x = _HALF_PI if x > _HALF_PI else -_HALF_PI if x < -_HALF_PI else x
+    return m * period + owens_t(level, math.tan(x))
+
+
 def _barrier_integral(level: float, lo: float, hi: float) -> float:
     """Signed integral of exp(-level^2 / (2 cos^2 phi)) / (2 pi) from lo to hi.
 
@@ -124,14 +136,7 @@ def _barrier_integral(level: float, lo: float, hi: float) -> float:
     F(phi) = m Phi(-|level|) + T(level, tan(phi - m pi)) with m = round(phi / pi).
     """
     period = float(ndtr(-abs(level)))
-    # phi - m pi can round past +-pi/2 when phi is an odd multiple of a
-    # quarter turn; the clamp keeps tan on the side m was chosen for
-    m = round(hi / math.pi)
-    x = min(max(hi - m * math.pi, -_HALF_PI), _HALF_PI)
-    upper = m * period + owens_t(level, math.tan(x))
-    m = round(lo / math.pi)
-    x = min(max(lo - m * math.pi, -_HALF_PI), _HALF_PI)
-    return upper - (m * period + owens_t(level, math.tan(x)))
+    return _antiderivative(level, period, hi) - _antiderivative(level, period, lo)
 
 
 def _hyperbola_polar_sq_radius(phi: np.ndarray, offset, lam, h) -> np.ndarray:
@@ -185,10 +190,15 @@ def _upsilon(phi: np.ndarray, offset, lam, h) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cone_prob(region: ConeRegion) -> float:
-    """Pr{h <= U <= k V + g} by the three-configuration boundary split."""
-    h, g, k = region.h, region.g, region.k
-    phi_k = math.atan(k)
+def _cone_shared(h: float, k: float) -> tuple[float, float, float, float]:
+    """atan(k), Phi(-|h|), the h barrier's F(pi/2) and sqrt(1 + k^2): what
+    the cones {h <= u <= k v + g} of one h and k share, whatever g."""
+    period_h = float(ndtr(-abs(h)))
+    return math.atan(k), period_h, _antiderivative(h, period_h, _HALF_PI), math.sqrt(1.0 + k * k)
+
+
+def _cone_measure(h, g, k, phi_k, period_h, top_h, hyp) -> float:
+    """cone_prob of {h <= u <= k v + g}, given _cone_shared(h, k) and finite h, g and k > 0."""
     kh = k * h
     if kh != 0.0:
         phi_r = math.atan((h - g) / kh)
@@ -202,23 +212,29 @@ def cone_prob(region: ConeRegion) -> float:
         # k h underflowed: the ratio's limit
         phi_r = 0.0 if h == g else math.copysign(_HALF_PI, (h - g) * h)
 
-    d = abs(g) / math.sqrt(1.0 + k * k)
-
+    # each barrier integral of _barrier_integral as F(hi) - F(lo)
+    f = _antiderivative
+    d = abs(g) / hyp
+    period_d = float(ndtr(-abs(d)))
     if max(g, h) < 0.0:
-        value = _barrier_integral(d, _HALF_PI, math.pi + phi_k + phi_r) - _barrier_integral(
-            h, _HALF_PI, math.pi + phi_r
+        value = (f(d, period_d, math.pi + phi_k + phi_r) - f(d, period_d, _HALF_PI)) - (
+            f(h, period_h, math.pi + phi_r) - top_h
         )
     elif h <= 0.0 <= g:
-        value = (
-            1.0
-            - _barrier_integral(h, _HALF_PI, math.pi + phi_r)
-            - _barrier_integral(d, phi_k + phi_r, 1.5 * math.pi)
+        value = 1.0 - (f(h, period_h, math.pi + phi_r) - top_h) - (
+            f(d, period_d, 1.5 * math.pi) - f(d, period_d, phi_k + phi_r)
         )
     else:
-        value = _barrier_integral(h, phi_r, _HALF_PI) - _barrier_integral(
-            d, phi_k + phi_r, _HALF_PI
+        value = (top_h - f(h, period_h, phi_r)) - (
+            f(d, period_d, _HALF_PI) - f(d, period_d, phi_k + phi_r)
         )
     return _clamp_unit(value)
+
+
+def cone_prob(region: ConeRegion) -> float:
+    """Pr{h <= U <= k V + g} by the three-configuration boundary split."""
+    h, g, k = region.h, region.g, region.k
+    return _cone_measure(h, g, k, *_cone_shared(h, k))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ stage always decides.
 The rejection envelope phi(theta) adds, over stages, the probability that
 stage l-1 sat in the continue band while stage l crossed the reject line.
 Conditioning on the fresh-sample direction turns each summand into the
-Gaussian measure of a cone region, evaluated in closed form by the geometry
-module.  phi taken at the indifference-zone endpoint equals the plan's
-total boundary-crossing rate there, which is what calibration pins to the
-error budget.
+difference of two cone measures that share their barrier and slope; the
+geometry module evaluates the pair in closed form through the same kernel
+as ``cone_prob``, computing what the two cones share once.  phi taken at
+the indifference-zone endpoint equals the plan's total boundary-crossing
+rate there, which is what calibration pins to the error budget.
 
 ``Plan`` holds what both variance cases share: the design fields, the
 stage ladder, the stage statistic, the mirror plan, the OC bounds, the
@@ -27,12 +28,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ConeRegion, cone_prob
+from .geometry import _cone_measure, _cone_shared
 from .special import std_normal_cdf, std_normal_critical
 
 # the builders loop over the tau ladder rungs, so a plan file's tau sets the
@@ -97,6 +98,10 @@ def _check_interval_settings(tail_mass: float, cell_budget: int) -> None:
         raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
     if cell_budget < 4:
         raise DomainError(f"cell_budget must be >= 4, got {cell_budget}")
+
+
+def _threshold_repr(plan) -> str:
+    return repr([plan.theta_star, *[(s.a, s.b) for s in plan.stages]])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -226,9 +231,9 @@ class Plan:
         """
         mirror = self.mirror()
         # the mirror swaps alpha and beta, so only alpha = beta plans can be
-        # their own; repr tells -0.0 from 0.0, which == does not, so equal
-        # reprs mean equal bits and the same envelope
-        own = self.alpha == self.beta and repr(mirror) == repr(self.with_certified(False))
+        # their own, and changes no other field but theta_star, the stages and
+        # certified; repr tells -0.0 from 0.0, so equal reprs mean equal bits
+        own = self.alpha == self.beta and _threshold_repr(mirror) == _threshold_repr(self)
         plans = [self] if own else [self, mirror]
         brackets = self.envelopes(-self.epsilon, plans, tail_mass, cell_budget)
         return brackets[0][1], brackets[-1][1]
@@ -325,16 +330,10 @@ def decision_code(t, a, b):
     return (t <= a) + 2 * (t > b)
 
 
-def _phi_terms(theta: float, stages: Sequence[Stage]):
-    """Cone regions whose measures sum to phi(theta) beyond the first term."""
-    for prev, cur in zip(stages[:-1], stages[1:]):
-        ratio = cur.n / prev.n
-        k = math.sqrt(ratio - 1.0)
-        root = math.sqrt(cur.n) * theta
-        h = cur.b - root
-        g_b = -root + math.sqrt(ratio) * prev.b
-        g_a = -root + math.sqrt(ratio) * prev.a
-        yield ConeRegion(h=h, g=g_b, k=k), ConeRegion(h=h, g=g_a, k=k)
+def _overflow(theta: float, ell: int, n: int) -> DomainError:
+    # oc_bounds evaluates the mirror plan at -theta: only |theta| is the caller's
+    message = f"the stage {ell} term (n = {n}) overflows double precision"
+    return DomainError(f"|theta| = {abs(theta)!r} is too large: {message}")
 
 
 def oc_upper_phi(theta: float, plan: KnownVarPlan) -> float:
@@ -347,7 +346,21 @@ def oc_upper_phi(theta: float, plan: KnownVarPlan) -> float:
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}")
     stages = plan.stages
-    total = std_normal_cdf(math.sqrt(stages[0].n) * theta - stages[0].b)
-    for region_b, region_a in _phi_terms(theta, stages):
-        total += cone_prob(region_b) - cone_prob(region_a)
+    x = math.sqrt(stages[0].n) * theta - stages[0].b
+    if not math.isfinite(x):
+        raise _overflow(theta, 1, stages[0].n)
+    total = std_normal_cdf(x)
+    for ell, (prev, cur) in enumerate(zip(stages[:-1], stages[1:]), 2):
+        ratio = cur.n / prev.n
+        if not ratio > 1.0:  # the cone slope k must be > 0
+            raise DomainError(f"stage sizes must increase, got {prev.n} then {cur.n}")
+        k = math.sqrt(ratio - 1.0)
+        root = math.sqrt(cur.n) * theta
+        h = cur.b - root
+        g_b = -root + math.sqrt(ratio) * prev.b
+        g_a = -root + math.sqrt(ratio) * prev.a
+        if not (math.isfinite(h) and math.isfinite(g_b) and math.isfinite(g_a)):
+            raise _overflow(theta, ell, cur.n)
+        shared = _cone_shared(h, k)
+        total += _cone_measure(h, g_b, k, *shared) - _cone_measure(h, g_a, k, *shared)
     return total

@@ -3,8 +3,10 @@ decomposition and the simulator: Monte Carlo and midpoint-grid integration
 of 2-D domain probabilities, a simulation audit of the sample-decomposition
 identity, a per-sample reference simulator and the stop tally it counts
 with, the simulator's block draws at every stage, the samples a simulated
-replicate stands for, and the scalar stage statistic written out over a
-sample list.
+replicate stands for, the scalar stage statistic written out over a
+sample list, and the cone evaluator and known-variance envelope as they
+stood before the envelope shared one kernel with ``cone_prob``: one
+``ConeRegion`` per cone and one ``_barrier_integral`` per boundary piece.
 
 Every draw comes from ``seqnorm.simulate._uniform_block``, so the package's
 seed-range check covers these oracles as well.
@@ -19,6 +21,9 @@ import numpy as np
 import scipy.special as sp
 
 from seqnorm.errors import DomainError, SeqnormError
+from scipy.special import ndtr
+from scipy.special.cython_special import owens_t
+
 from seqnorm.geometry import ConeRegion
 from seqnorm.plan_known import Decision, decision_code
 from seqnorm.simulate import (
@@ -30,6 +35,7 @@ from seqnorm.simulate import (
     _sim_report,
     _uniform_block,
 )
+from seqnorm.special import _clamp_unit, std_normal_cdf
 
 _BLOCK_ROWS = 1 << 17  # Philox rows per draw block, two points per row
 _PASS_POINTS = 1 << 15  # points per containment pass; larger passes leave cache
@@ -321,3 +327,69 @@ def reference_statistic(plan, samples, n: int) -> float:
     else:
         sd = plan.sigma
     return math.sqrt(n) * (mean - plan.gamma) / sd
+
+
+_HALF_PI = 0.5 * math.pi
+
+
+def reference_barrier_integral(level: float, lo: float, hi: float) -> float:
+    """The signed polar integral of a straight piece at distance level, with
+    its period and both antiderivative ends written out in one body."""
+    period = float(ndtr(-abs(level)))
+    m = round(hi / math.pi)
+    x = min(max(hi - m * math.pi, -_HALF_PI), _HALF_PI)
+    upper = m * period + owens_t(level, math.tan(x))
+    m = round(lo / math.pi)
+    x = min(max(lo - m * math.pi, -_HALF_PI), _HALF_PI)
+    return upper - (m * period + owens_t(level, math.tan(x)))
+
+
+def reference_cone_prob(region: ConeRegion) -> float:
+    """cone_prob with every shared value recomputed per cone: the
+    three-configuration split over four barrier integrals."""
+    h, g, k = region.h, region.g, region.k
+    phi_k = math.atan(k)
+    kh = k * h
+    if kh != 0.0:
+        phi_r = math.atan((h - g) / kh)
+    elif h == 0.0:
+        phi_r = _HALF_PI
+    else:
+        phi_r = 0.0 if h == g else math.copysign(_HALF_PI, (h - g) * h)
+    d = abs(g) / math.sqrt(1.0 + k * k)
+    if max(g, h) < 0.0:
+        value = reference_barrier_integral(
+            d, _HALF_PI, math.pi + phi_k + phi_r
+        ) - reference_barrier_integral(h, _HALF_PI, math.pi + phi_r)
+    elif h <= 0.0 <= g:
+        value = (
+            1.0
+            - reference_barrier_integral(h, _HALF_PI, math.pi + phi_r)
+            - reference_barrier_integral(d, phi_k + phi_r, 1.5 * math.pi)
+        )
+    else:
+        value = reference_barrier_integral(h, phi_r, _HALF_PI) - reference_barrier_integral(
+            d, phi_k + phi_r, _HALF_PI
+        )
+    return _clamp_unit(value)
+
+
+def reference_phi_terms(theta: float, stages):
+    """The cone pair of each stage after the first, as ConeRegions."""
+    for prev, cur in zip(stages[:-1], stages[1:]):
+        ratio = cur.n / prev.n
+        k = math.sqrt(ratio - 1.0)
+        root = math.sqrt(cur.n) * theta
+        h = cur.b - root
+        g_b = -root + math.sqrt(ratio) * prev.b
+        g_a = -root + math.sqrt(ratio) * prev.a
+        yield ConeRegion(h=h, g=g_b, k=k), ConeRegion(h=h, g=g_a, k=k)
+
+
+def reference_oc_upper_phi(theta: float, plan) -> float:
+    """The known-variance rejection envelope, one reference_cone_prob per cone."""
+    stages = plan.stages
+    total = std_normal_cdf(math.sqrt(stages[0].n) * theta - stages[0].b)
+    for region_b, region_a in reference_phi_terms(theta, stages):
+        total += reference_cone_prob(region_b) - reference_cone_prob(region_a)
+    return total

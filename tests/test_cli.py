@@ -577,6 +577,20 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bounds, message", [
+        # sqrt(n) theta overflows at the first stage of the plan, and at the
+        # last stage of the mirror plan that the upper bound evaluates at -theta
+        (["--theta-min=-1.7e308", "--theta-max=-1.6e308"],
+         "oc: |theta| = 1.7e+308 is too large: the stage 1 term (n = 5) "
+         "overflows double precision\n"),
+        (["--theta-min=5e307", "--theta-max=5.1e307"],
+         "oc: |theta| = 5e+307 is too large: the stage 3 term (n = 17) "
+         "overflows double precision\n"),
+    ])
+    def test_huge_theta_is_refused_known(self, known_plan_file, bounds, message, capsys):
+        code, out, err = run_cli(["oc", str(known_plan_file), *bounds, "--points", "2"], capsys)
+        assert (code, out, err) == (2, "", message)
+
     def test_asn_nan_theta(self, known_plan_file, capsys):
         code, out, err = run_cli(["asn", str(known_plan_file), "--theta", "nan"], capsys)
         assert code == 2

@@ -15,7 +15,7 @@ from seqnorm.geometry import ConeRegion, _barrier_integral, _upsilon, cone_prob
 from seqnorm.quadrature import integrate
 from seqnorm.special import std_normal_cdf
 
-from oracles import grid_domain_prob, mc_domain_prob_many, section
+from oracles import grid_domain_prob, mc_domain_prob_many, reference_cone_prob, section
 
 TWO_PI = 2.0 * math.pi
 INV_TWO_PI = 1.0 / TWO_PI
@@ -112,7 +112,20 @@ CONE_CONFIGS = {
 }
 
 
+# barriers and intercepts on both sides of 0, at 0 and a subnormal off it
+# (k h underflows at the smallest slope, and h = g there too), at every slope
+GRID_LEVELS = (-3.0, -1.0, -0.2, -5e-324, 0.0, 5e-324, 1e-9, 0.3, 1.0, 4.0)
+GRID_SLOPES = (1e-30, 0.05, 0.7, 1.0, 3.0, 50.0)
+REGION_GRID = [ConeRegion(*c) for c in CONE_CONFIGS.values()] + [
+    ConeRegion(h, g, k) for h in GRID_LEVELS for g in GRID_LEVELS for k in GRID_SLOPES
+]
+
+
 class TestConeProb:
+    def test_region_grid_keeps_the_reference_bits(self):
+        got = [repr(cone_prob(region)) for region in REGION_GRID]
+        assert got == [repr(reference_cone_prob(region)) for region in REGION_GRID]
+
     @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_wedge_identity(self, k):
         assert cone_prob(ConeRegion(0.0, 0.0, k)) == pytest.approx(

@@ -53,6 +53,8 @@ INPUTS = {
     # finite samples whose sum, or whose squared deviations, overflow a double
     "huge.csv": "1.5e308\n" * 20,
     "spread.csv": "\n".join(format(1e200 * (1 + i), ".17g") for i in range(20)) + "\n",
+    # ku.json edited to claim the certificate its bounds do not give
+    "kt.json": json.dumps({**_KU_PLAN, "certified": True}),
     # a session of ku.json whose stored samples overflow on replay
     "overflow.json": json.dumps({
         "version": 1, "plan": _KU_PLAN, "samples": [1.5e308] * 3,
@@ -123,6 +125,11 @@ COMMANDS = {
                              "--reps", "10", "--seed", "1"],
     "error-run-session-overflow": ["run", "ku.json", "--session", "overflow.json",
                                    "--data", "first.csv"],
+    "run-known-tampered-certified": ["run", "kt.json", "--session", "s7.json",
+                                     "--data", "first.csv"],
+    # sqrt(n) theta overflows at the last stage of the mirror plan
+    "error-oc-known-overflow": ["oc", "ks.json", "--theta-min=5e307", "--theta-max=5.1e307",
+                                "--points", "2"],
 }
 
 

@@ -1,5 +1,7 @@
 """Known-variance plan construction, decisions, and bound evaluation."""
 
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -19,6 +21,8 @@ from seqnorm.plan_known import (
 from seqnorm.plan_unknown import build_unknown_plan
 from seqnorm.runner import _json_equal, plan_to_dict
 from seqnorm.special import std_normal_cdf, std_normal_critical
+
+from oracles import reference_oc_upper_phi
 
 
 def reference_sizes(alpha, beta, epsilon, zeta, rho, tau):
@@ -202,6 +206,53 @@ class TestEnvelope:
             assert oc_upper_phi(theta, plan) == pytest.approx(
                 oc_upper_phi(theta, mirrored), abs=1e-12
             )
+
+
+# the known-cli benchmark's design grid: alpha, beta, rho, tau
+KNOWN_GRID = list(itertools.product(
+    (0.01, 0.025, 0.05, 0.1), (0.01, 0.025, 0.05, 0.1), (0.5, 1.0), (2, 3, 4, 5)
+))
+
+
+def test_envelope_keeps_the_per_region_bits():
+    # oc_upper_phi computes what a stage's two cones share once for both
+    # kernel calls; the reference recomputes it for every cone, so a kernel
+    # fed another pair's shared values differs somewhere on this grid
+    differ = []
+    cases = 0
+    for (alpha, beta, rho, tau), epsilon, zeta in itertools.product(
+        KNOWN_GRID, (0.1, 0.33, 0.6), (0.1, 0.3, 0.7, 1.0)
+    ):
+        plan = build_known_plan(alpha, beta, epsilon, 0.0, 1.0, zeta, rho, tau)
+        for p, m in itertools.product((plan, plan.mirror()), (-3, -1, 0, 1, 3)):
+            theta = m * epsilon
+            cases += 1
+            if repr(oc_upper_phi(theta, p)) != repr(reference_oc_upper_phi(theta, p)):
+                differ.append((alpha, beta, rho, tau, epsilon, zeta, p is plan, theta))
+    assert cases == 15_360
+    assert differ == []
+
+
+@pytest.mark.parametrize("theta, stage, n", [(-1.7e308, 1, 5), (5e307, 3, 17), (-5e307, 3, 17)])
+def test_overflowing_theta_names_theta_and_stage(theta, stage, n):
+    plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, 0.45499674479166663, 1.0, 3)
+    assert plan.sizes == (5, 9, 17)
+    message = (
+        f"|theta| = {abs(theta)!r} is too large: the stage {stage} term (n = {n}) "
+        "overflows double precision"
+    )
+    with pytest.raises(DomainError) as err:
+        oc_upper_phi(theta, plan)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("sizes", [(5, 5, 17), (5, 9, 7)])
+def test_envelope_refuses_sizes_that_do_not_increase(sizes):
+    # a hand-made plan: the builders always make increasing sizes
+    plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, 0.45, 1.0, 3)
+    stages = tuple(Stage(n=n, a=s.a, b=s.b) for n, s in zip(sizes, plan.stages))
+    with pytest.raises(DomainError, match=r"^stage sizes must increase, got \d+ then \d+$"):
+        oc_upper_phi(-0.5, dataclasses.replace(plan, stages=stages))
 
 
 class TestBounds:
