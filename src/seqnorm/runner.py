@@ -216,13 +216,16 @@ def save_plan(plan, path: str | os.PathLike) -> None:
     _write_json(plan_to_dict(plan), path)
 
 
-def load_plan(path: str | os.PathLike):
+def _read_json(path: str | os.PathLike, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            data = json.load(fp)
-    except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise SessionFormatError(f"plan file is not valid JSON: {exc}") from exc
-    return plan_from_dict(data)
+            return json.load(fp)
+    except (ValueError, RecursionError) as exc:  # undecodable, invalid or too deep
+        raise SessionFormatError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_plan(path: str | os.PathLike):
+    return plan_from_dict(_read_json(path, "plan"))
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +249,29 @@ class SessionStatus:
 
 
 class TestSession:
-    """Single-writer execution state for one plan over incoming batches."""
+    """Single-writer execution state for one plan over incoming batches.
+
+    Progress is the history: the next stage is len(history), and the
+    session is decided once its last row does not continue.
+    """
 
     def __init__(self, plan):
         self.plan = plan
         self.samples: list[float] = []
         self.history: list[HistoryEntry] = []
-        self._stage_index = 0  # next stage to evaluate, 0-based
-        self._decision: Decision | None = None
 
     @property
     def status(self) -> SessionStatus:
-        if self._decision is not None:
+        if self.is_terminal:
             last = self.history[-1]
-            state = "accepted" if self._decision == Decision.ACCEPT else "rejected"
+            state = "accepted" if last.decision == Decision.ACCEPT else "rejected"
             return SessionStatus(state=state, stage=last.stage, statistic=last.statistic)
-        need = self.plan.stages[self._stage_index].n - len(self.samples)
+        need = self.plan.stages[len(self.history)].n - len(self.samples)
         return SessionStatus(state="need_more", next_n=need)
 
     @property
     def is_terminal(self) -> bool:
-        return self._decision is not None
+        return bool(self.history) and self.history[-1].decision != Decision.CONTINUE
 
     def _statistic(self, n: int) -> float:
         """The stage statistic of the first n samples, from their fsum and,
@@ -285,28 +290,23 @@ class TestSession:
                 raise DegenerateSampleError("all samples equal; sample deviation is zero")
             value = float(self.plan.stage_statistics(total, squares, n))
         if not math.isfinite(value):
-            stage = self._stage_index + 1
+            stage = len(self.history) + 1
             raise DomainError(f"stage {stage}: the samples' sums or statistic overflow")
         return value
 
     def _advance(self) -> None:
-        while self._decision is None:
-            stage = self.plan.stages[self._stage_index]
+        while not self.is_terminal:
+            index = len(self.history)
+            stage = self.plan.stages[index]
             if len(self.samples) < stage.n:
                 return
             value = self._statistic(stage.n)
             decision = Decision(decision_code(value, stage.a, stage.b))
-            self.history.append(
-                HistoryEntry(stage=self._stage_index + 1, statistic=value, decision=decision)
-            )
-            if decision == Decision.CONTINUE:
-                if self._stage_index + 1 >= len(self.plan.stages):
-                    raise SeqnormError(
-                        "final stage returned continue; plan thresholds are inconsistent"
-                    )
-                self._stage_index += 1
-            else:
-                self._decision = decision
+            if decision == Decision.CONTINUE and index + 1 == len(self.plan.stages):
+                raise SeqnormError(
+                    "final stage returned continue; plan thresholds are inconsistent"
+                )
+            self.history.append(HistoryEntry(stage=index + 1, statistic=value, decision=decision))
 
 
 def new_session(plan, allow_uncertified: bool = False) -> TestSession:
@@ -326,21 +326,20 @@ def feed(session: TestSession, batch: Sequence[float]) -> TestSession:
     Samples arriving in the same batch beyond a terminal decision are kept
     for the record but never consulted; feeding a session that is already
     terminal is a state error.  A refused batch leaves the session as it
-    was: its samples, history and stage index are restored.
+    was: its samples and history are restored.
     """
     if session.is_terminal:
         raise StateError("session already reached a terminal decision")
     values = [float(x) for x in batch]
     if any(not math.isfinite(v) for v in values):
         raise DomainError("samples must be finite reals")
-    seen, rows, stage = len(session.samples), len(session.history), session._stage_index
+    seen, rows = len(session.samples), len(session.history)
     session.samples.extend(values)
     try:
         session._advance()
     except BaseException:
         del session.samples[seen:]
         del session.history[rows:]
-        session._stage_index = stage
         raise
     return session
 
@@ -418,9 +417,4 @@ def session_from_dict(data: dict, plan) -> TestSession:
 
 
 def load_session(path: str | os.PathLike, plan) -> TestSession:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            data = json.load(fp)
-    except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise SessionFormatError(f"session file is not valid JSON: {exc}") from exc
-    return session_from_dict(data, plan)
+    return session_from_dict(_read_json(path, "session"), plan)

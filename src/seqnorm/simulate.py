@@ -53,7 +53,7 @@ simulate's stated range, not a memory limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.special as sp
@@ -225,15 +225,7 @@ class SimReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "accept_rate": self.accept_rate,
-            "reject_rate": self.reject_rate,
-            "mc_se": self.mc_se,
-            "asn": self.asn,
-            "stage_histogram": list(self.stage_histogram),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "stage_histogram": list(self.stage_histogram)}
 
 
 def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tally=None) -> list:

@@ -6,7 +6,8 @@ Mutations change a field's JSON type, put a non-finite real where a real
 belongs, or put in a value the format rules out.  Derived edits keep every
 type but change what the design builds: a stage threshold or size,
 theta_star, or the number of stages.  Each one is invalid, so no command
-may succeed on the mutated file.
+may succeed on the mutated file.  Nor may any succeed on a file nested
+past the JSON parser's recursion limit.
 """
 
 import contextlib
@@ -140,10 +141,12 @@ def _run(argv):
 
 
 def _assert_every_command_fails(workdir, name, path, doc, session_plans=()):
-    """session_plans: plan files to run a mutated session against, besides its own kind's."""
+    """The (exit code, stderr) of each command; doc is written as JSON, or
+    as is when it is text.  session_plans: plan files to run a mutated
+    session against, besides its own kind's."""
     role, kind = name.split(".")
     mutated = workdir / "mutated.json"
-    mutated.write_text(json.dumps(doc))
+    mutated.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     data = workdir / "data.csv"
     if role == "plan":
         session = workdir / "fresh.session.json"
@@ -158,11 +161,14 @@ def _assert_every_command_fails(workdir, name, path, doc, session_plans=()):
     else:
         plans = [workdir / f"{kind}.json", *session_plans]
         commands = [["run", plan, "--session", mutated, "--data", data] for plan in plans]
+    results = []
     for argv in commands:
         code, out, err = _run(argv)
         assert code in (1, 2), (path, argv[0], code, err)
         assert out == ""
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1 and err.endswith("\n")
+        results.append((code, err))
+    return results
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,3 +191,12 @@ def test_derived_edit_fails_with_one_line(workdir, mutation):
         edited.write_text(json.dumps(doc["plan"]))
         session_plans.append(edited)
     _assert_every_command_fails(workdir, name, path, doc, session_plans)
+
+
+@pytest.mark.parametrize("name", ["plan.known", "session.known"])
+def test_deeply_nested_file_fails_with_one_line(workdir, name):
+    """JSON nested past the parser's recursion limit is refused as invalid
+    JSON by every command that reads the file; json.dumps cannot write it."""
+    deep = "[" * 100_000 + "]" * 100_000
+    for code, err in _assert_every_command_fails(workdir, name, "deep", deep):
+        assert code == 1 and "not valid JSON" in err, err

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from seqnorm.errors import (
     DomainError,
     IntegrityError,
     PlanCertificationError,
+    SeqnormError,
     SessionFormatError,
     StateError,
 )
@@ -190,6 +192,17 @@ class TestSessionFlow:
         with pytest.raises(StateError):
             feed(session, [0.0])
 
+    def test_final_stage_continue_is_refused(self):
+        # thresholds no statistic crosses: the final stage cannot decide
+        plan = make_plan()
+        wide = replace(plan, stages=tuple(replace(s, a=-1e9, b=1e9) for s in plan.stages))
+        session = new_session(wide)
+        feed(session, [0.0] * plan.sizes[0])
+        before = session_to_dict(session)
+        with pytest.raises(SeqnormError, match="^final stage returned continue"):
+            feed(session, [0.0] * (plan.sizes[-1] - plan.sizes[0]))
+        assert session_to_dict(session) == before and not session.is_terminal
+
     def test_chunking_equivalence(self):
         plan = make_plan()
         rng = np.random.default_rng(23)
@@ -199,14 +212,15 @@ class TestSessionFlow:
         for cuts in ((1, 4, 9), (2, 2, 2, 2, 2, 2), (17,)):
             chunked = new_session(plan)
             pos = 0
-            for size in cuts:
-                if chunked.is_terminal:
-                    break
+            sizes = itertools.chain(cuts, itertools.repeat(1))
+            while not chunked.is_terminal and pos < len(stream):
+                size = next(sizes)
                 feed(chunked, stream[pos : pos + size])
                 pos += size
-            while not chunked.is_terminal and pos < len(stream):
-                feed(chunked, stream[pos : pos + 1])
-                pos += 1
+                # the progress a session reports is the one its saved file replays to
+                replayed = session_from_dict(session_to_dict(chunked), plan)
+                assert chunked.status == replayed.status
+                assert chunked.is_terminal == replayed.is_terminal
             assert chunked.status.state == whole.status.state
             assert chunked.history == whole.history[: len(chunked.history)]
 
@@ -305,14 +319,16 @@ class TestOverflow:
             feed(session, [1.5e308] * 20)
         assert session.status == before and before.state == "need_more"
         assert session.samples == [] and session.history == []
+        assert not session.is_terminal and session.status.next_n == session.plan.sizes[0]
 
         plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1e-300, zeta=0.45, rho=0.5, tau=4)
         session = new_session(plan, allow_uncertified=True)
         feed(session, [1e-301, -1e-301] * 2 + [1e-301])
-        before = session_to_dict(session)
+        before, next_n = session_to_dict(session), session.status.next_n
         with pytest.raises(DomainError, match="^stage 2: "):
             feed(session, [1e10] * 10)
         assert session_to_dict(session) == before
+        assert not session.is_terminal and session.status.next_n == next_n
         feed(session, [0.0] * session.status.next_n)  # the session still takes data
         assert len(session.history) == 2
 
