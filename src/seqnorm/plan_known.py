@@ -155,22 +155,43 @@ class Plan:
             t = np.sqrt(n) * (sums / n - self.gamma) / self._sd(squares, n)
         return np.where(np.isnan(t), 0.0, t)
 
+    def _mirrored_thresholds(self) -> tuple[float, list[tuple[float, float]]]:
+        """theta* and the stage (a, b) pairs of ``mirror()``.
+
+        Swapping alpha and beta negates theta* and negates and exchanges
+        each stage's thresholds.  ``0.0 - x`` keeps the +0.0 build_known_plan
+        and build_unknown_plan give where a threshold is zero (``-x`` would
+        give -0.0).
+        """
+        return 0.0 - self.theta_star, [(0.0 - s.b, 0.0 - s.a) for s in self.stages]
+
     def mirror(self) -> "Plan":
         """The plan build_known_plan or build_unknown_plan makes with alpha and beta swapped.
 
-        Swapping them keeps every stage size; thresholds negate and
-        exchange, and theta* negates, which is what the acceptance-side
-        bound evaluates.  ``0.0 - x`` keeps the +0.0 those functions give
-        where a threshold is zero (``-x`` would give -0.0).
+        Swapping them keeps every stage size; theta* and the thresholds are
+        ``_mirrored_thresholds()``, which is what the acceptance-side bound
+        evaluates.
         """
+        theta_star, pairs = self._mirrored_thresholds()
         return replace(
             self,
             alpha=self.beta,
             beta=self.alpha,
-            theta_star=0.0 - self.theta_star,
-            stages=tuple(Stage(n=s.n, a=0.0 - s.b, b=0.0 - s.a) for s in self.stages),
+            theta_star=theta_star,
+            stages=tuple(Stage(n=s.n, a=a, b=b) for s, (a, b) in zip(self.stages, pairs)),
             certified=False,
         )
+
+    def _is_own_mirror(self) -> bool:
+        """Whether ``mirror()`` has this plan's thresholds bit for bit,
+        decided without building it.
+
+        The mirror swaps alpha and beta, so only alpha = beta plans can be
+        their own, and changes no other field but theta_star, the stages and
+        certified.  repr tells -0.0 from 0.0, so equal reprs mean equal bits.
+        """
+        theta_star, pairs = self._mirrored_thresholds()
+        return self.alpha == self.beta and repr([theta_star, *pairs]) == _threshold_repr(self)
 
     def sample_tail(self, ell: int, theta: float) -> float:
         """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
@@ -229,12 +250,7 @@ class Plan:
         mirror (every alpha = beta design) has bound_b = bound_a, and its
         envelope is evaluated once.
         """
-        mirror = self.mirror()
-        # the mirror swaps alpha and beta, so only alpha = beta plans can be
-        # their own, and changes no other field but theta_star, the stages and
-        # certified; repr tells -0.0 from 0.0, so equal reprs mean equal bits
-        own = self.alpha == self.beta and _threshold_repr(mirror) == _threshold_repr(self)
-        plans = [self] if own else [self, mirror]
+        plans = [self] if self._is_own_mirror() else [self, self.mirror()]
         brackets = self.envelopes(-self.epsilon, plans, tail_mass, cell_budget)
         return brackets[0][1], brackets[-1][1]
 

@@ -48,11 +48,28 @@ block l spends on its sum of squares, so results are bit-identical no
 matter how the replicate range is chunked; chunk tallies merge in index
 order.  Plans whose final stage exceeds 2**24 samples are refused; that is
 simulate's stated range, not a memory limit.
+
+Chunks run at the same time: the caller's thread and one more thread per
+further CPU in the process's affinity set (``_cpus``), but no more threads
+than replications // ``_CHUNK`` + 1, so a short call is not cut into chunks
+too small to pay for their threads.  A chunk spends its time in the stream
+fill and numpy and scipy ufuncs, which release the interpreter lock.  With
+w threads a chunk holds min(``_CHUNK``, ``_CHUNK_WORDS`` // (width * w),
+ceil(replications / w)) replicates, so the stream words in flight stay
+within 2**24 and the replicates split evenly; on one CPU a chunk keeps the
+one-thread shape.  Threads take chunks in index order and parts merge in
+index order, so reports are bit-identical whatever the CPU count.  Once a
+chunk fails, or the caller is interrupted, no further chunk starts; the
+first failing chunk in index order decides the exception raised.  Every
+chunk runs under the caller's ``np.errstate``, and warnings raised in a
+thread reach the caller's warnings filters.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,13 +79,20 @@ from numpy.random import Generator, Philox
 from .errors import DomainError, SeqnormError
 from .plan_known import Decision, decision_code
 
-_CHUNK = 1 << 15  # replicates per chunk
-_CHUNK_WORDS = 1 << 24  # stream words per chunk: 128 MiB per float64 chunk array
+_CHUNK = 1 << 15  # most replicates per chunk
+_CHUNK_WORDS = 1 << 24  # stream words of the chunks in flight: 128 MiB of float64
 _MAX_SIZE = 1 << 24  # largest final stage simulated
 _U_FLOOR = 2.0 ** -64  # inverse-CDF guard: random() can emit exactly 0
 _TRIES = 2  # Marsaglia-Tsang tries per chi-square before the inverse-CDF fallback
 # no normal drawn exceeds this in size: the inverse normal CDF at _U_FLOOR
 _Z_MAX = float(-sp.ndtri(_U_FLOOR))
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on: chunks run on up to that many threads."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _uniform_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarray:
@@ -273,7 +297,10 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
             "stage sums or sums of squares would overflow"
         )
     blocks, width = _blocks(plan)
-    rows = min(_CHUNK, _CHUNK_WORDS // width)
+    # each thread holds one chunk's words at a time
+    workers = min(_cpus(), _CHUNK_WORDS // width, replications // _CHUNK + 1)
+    rows = min(_CHUNK, _CHUNK_WORDS // (width * workers), -(-replications // workers))
+    bounds = [(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
 
     def worker(lo, hi):
         words = _uniform_block(seed, lo * width, hi - lo, width)
@@ -312,7 +339,37 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
                 squares = None if squares is None else squares[going]
         return (stops, accepted) if tally is None else tally(codes)
 
-    return [worker(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
+    # numpy 1.x keeps np.errstate per thread, so each thread enters the caller's
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    parts, failures = [None] * len(bounds), []
+    order, lock = iter(range(len(bounds))), threading.Lock()
+
+    def drain():
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    k = None if failures else next(order, None)
+                if k is None:
+                    return
+                try:
+                    parts[k] = worker(*bounds[k])
+                except Exception as exc:
+                    failures.append((k, exc))
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(workers, len(bounds)) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        drain()
+    finally:
+        # stops every helper before its next chunk, also when the caller is interrupted
+        failures.append((len(bounds), None))
+        for helper in helpers:
+            helper.join()
+    k, exc = min(failures, key=lambda failure: failure[0])
+    if exc is not None:
+        raise exc
+    return parts
 
 
 def _sim_report(plan, replications: int, seed: int, parts) -> SimReport:

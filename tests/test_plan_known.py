@@ -14,6 +14,7 @@ from seqnorm.errors import DomainError
 from seqnorm.plan_known import (
     Decision,
     Stage,
+    _threshold_repr,
     build_known_plan,
     decision_code,
     oc_upper_phi,
@@ -139,6 +140,9 @@ def test_mirror_is_the_swapped_build(
     assert repr(mirrored) == repr(swapped)
     assert _json_equal(plan_to_dict(mirrored), plan_to_dict(swapped))
     assert repr(mirrored.mirror()) == repr(plan.with_certified(False))
+    # certify tells a plan that is its own mirror without building the mirror
+    own = plan.alpha == plan.beta and _threshold_repr(mirrored) == _threshold_repr(plan)
+    assert plan._is_own_mirror() == own
 
 
 def decide(t, stage):

@@ -3,6 +3,9 @@ agreement with the per-sample reference simulator, domain probabilities,
 decomposition check."""
 
 import math
+import signal
+import threading
+import time
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -69,32 +72,53 @@ class TestSimulatePlan:
         rechunked = simulate_plan(PLAN, mu=-0.3, sigma=1.0, replications=10_000, seed=5)
         assert base == rechunked
 
-    def test_chunks_hold_at_most_2_to_24_samples(self, monkeypatch):
-        # n_max 1537 costs one word per stage block: a chunk is _CHUNK rows
-        # of a 4-word window, however large the final stage
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_chunks_hold_at_most_2_to_24_samples(self, cpus, monkeypatch):
+        # n_max 1537 costs one word per stage block: a chunk is at most
+        # _CHUNK rows of a 4-word window, however large the final stage
         plan = build_known_plan(0.05, 0.05, 0.05, 0.0, 1.0, zeta=0.5, rho=1.0, tau=3)
         assert plan.sizes[-1] == 1537
-        shapes = []
+        shapes, threads = [], set()
 
         class Recorded(Exception):
             pass
 
         def record(seed, word_start, rows, cols):
             shapes.append((rows, cols))
+            threads.add(threading.get_ident())
             raise Recorded
 
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
         monkeypatch.setattr(sim, "_uniform_block", record)
+        runs = []
+        for run_plan, reps, chunk in (
+            (plan, 40_000, sim._CHUNK),
+            (STRADDLE, 40_000, sim._CHUNK),
+            # with more replicates per chunk than 2**24 words hold, the word bound rules
+            (STRADDLE, 10**7, 1 << 20),
+        ):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            shapes.clear()
+            with pytest.raises(Recorded):
+                simulate_plan(run_plan, mu=0.0, sigma=1.0, replications=reps, seed=1)
+            runs.append(shapes[0])
+            # each of at most cpus threads holds one chunk's words at a time
+            assert all(rows <= chunk and rows * cols * cpus <= 2**24 for rows, cols in shapes)
+        assert len(threads) <= cpus
+        if cpus == 1:
+            # STRADDLE's window: 1 + 5 words per stage, padded to 20
+            assert runs == [(32768, 4), (32768, 20), (838860, 20)]
+            assert 838860 * 20 <= 2**24 < 838861 * 20
+        else:
+            # 40,000 replicates take at most 40,000 // _CHUNK + 1 = 2 threads
+            # and split evenly; 10**7 take every CPU, within the word bound
+            assert runs == [(20_000, 4), (20_000, 20), (2**24 // (20 * cpus), 20)]
+        # fewer replicates than _CHUNK are one chunk on the caller's thread
+        shapes.clear()
+        threads.clear()
         with pytest.raises(Recorded):
-            simulate_plan(plan, mu=0.0, sigma=1.0, replications=40_000, seed=1)
-        with pytest.raises(Recorded):
-            simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=40_000, seed=1)
-        # with more replicates per chunk than 2**24 words hold, the word bound rules
-        monkeypatch.setattr(sim, "_CHUNK", 1 << 30)
-        with pytest.raises(Recorded):
-            simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=10**7, seed=1)
-        # STRADDLE's window: 1 + 5 words per stage, padded to 20
-        assert shapes == [(32768, 4), (32768, 20), (838860, 20)]
-        assert 838860 * 20 <= 2**24 < 838861 * 20
+            simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=20_000, seed=1)
+        assert shapes == [(20_000, 20)] and threads == {threading.get_ident()}
 
     def test_degenerate_sums_of_squares_pin_the_statistic_to_the_mean_sign(self):
         plan = REPLAY_PLANS["unknown"]
@@ -111,12 +135,17 @@ class TestSimulatePlan:
         with pytest.raises(DomainError):
             simulate_plan(PLAN, mu=0.0, sigma=1.0, replications=0, seed=1)
 
-    def test_final_stage_that_does_not_close_is_an_error(self):
-        # plan files cannot carry such a stage; a hand-built plan can
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_final_stage_that_does_not_close_is_an_error(self, cpus, monkeypatch):
+        # plan files cannot carry such a stage; a hand-built plan can.  250
+        # replicates a chunk make four chunks, which two threads share
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "_CHUNK", 250)
         last = PLAN.stages[-1]
         open_plan = replace(PLAN, stages=PLAN.stages[:-1] + (Stage(n=last.n, a=-1.0, b=1.0),))
-        with pytest.raises(SeqnormError, match="final stage failed to decide"):
+        with pytest.raises(SeqnormError) as info:
             simulate_plan(open_plan, mu=0.0, sigma=1.0, replications=1000, seed=1)
+        assert str(info.value) == "final stage failed to decide; plan invariant broken"
 
     def test_matches_known_single_stage_probability(self):
         single = SINGLE
@@ -179,14 +208,110 @@ def test_data_too_large_for_finite_sums_is_refused(name):
         run(hi)
 
 
-CHUNK_BASE = simulate_plan(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17)
+with mock.patch.object(sim, "_cpus", lambda: 1):
+    CHUNK_BASE = simulate_plan(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17)
+    CHUNK_SUMS = mc_transition_sums(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 400))
-def test_simulation_is_unchanged_under_any_chunk(chunk):
-    with mock.patch.object(sim, "_CHUNK", chunk):
+@given(st.integers(1, 400), st.sampled_from([1, 2, 3, 8]))
+def test_simulation_is_unchanged_under_any_chunk(chunk, cpus):
+    """Reports and transition sums equal the one-CPU run's, whatever the
+    chunk size and however many threads share the chunks."""
+    with mock.patch.object(sim, "_CHUNK", chunk), mock.patch.object(sim, "_cpus", lambda: cpus):
         assert simulate_plan(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17) == CHUNK_BASE
+        assert mc_transition_sums(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17) == CHUNK_SUMS
+
+
+def chunk_of(word_start):
+    """The index of the 100-replicate chunk of PLAN whose window starts at word_start."""
+    return word_start // (100 * sim._blocks(PLAN)[1])
+
+
+def test_first_failing_chunk_in_index_order_decides(monkeypatch):
+    """Chunks 1, 2 and 3 fail, each sooner than the one before, while chunk
+    0 runs longest and succeeds: chunk 1's exception is raised."""
+    block = sim._uniform_block
+
+    def fail_later_chunks(seed, word_start, rows, cols):
+        k = chunk_of(word_start)
+        time.sleep(0.05 * (4 - k))
+        if k:
+            raise ValueError(f"chunk {k}")
+        return block(seed, word_start, rows, cols)
+
+    # four chunks of 100 on four threads: all start at once
+    monkeypatch.setattr(sim, "_cpus", lambda: 4)
+    monkeypatch.setattr(sim, "_CHUNK", 100)
+    monkeypatch.setattr(sim, "_uniform_block", fail_later_chunks)
+    with pytest.raises(ValueError, match="^chunk 1$"):
+        simulate_plan(PLAN, mu=0.0, sigma=1.0, replications=400, seed=1)
+
+
+@pytest.mark.parametrize("case", ["first", "later", "interrupt"])
+def test_no_chunk_starts_after_a_failure_or_an_interrupt(case, monkeypatch):
+    """Of 40 chunks on two threads, chunk 0 starts.  Chunk 0 fails
+    after 0.1 s ("first"), or sends the caller's thread SIGINT then, as
+    Ctrl-C does, and fails a second later ("interrupt"), while chunk 1
+    fails after a second; or chunk 1 fails at once while chunk 0 takes
+    half a second and succeeds ("later").  Either way no chunk after
+    chunk 1 starts (chunk 1 may not start at all when the second thread
+    starts late)."""
+    started = []
+
+    class Failed(Exception):
+        pass
+
+    def record(seed, word_start, rows, cols):
+        k = chunk_of(word_start)
+        started.append(k)
+        if case == "later":
+            if k == 0:
+                time.sleep(0.5)
+                return np.full((rows, cols), 0.5)
+            raise Failed
+        if k == 0:
+            time.sleep(0.1)
+            if case == "interrupt":
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        if k != 0 or case == "interrupt":
+            time.sleep(1.0)
+        raise Failed
+
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "_CHUNK", 100)
+    monkeypatch.setattr(sim, "_uniform_block", record)
+    with pytest.raises(KeyboardInterrupt if case == "interrupt" else Failed):
+        simulate_plan(PLAN, mu=0.0, sigma=1.0, replications=4000, seed=1)
+    assert 0 in started and set(started) <= {0, 1}
+
+
+def test_warnings_and_errstate_of_the_caller_hold_in_every_chunk(monkeypatch):
+    """With the word floor lost and every word 0, the first stage's direct
+    chi-square draw logs 0 in each of four chunks: on two CPUs as on one,
+    the caller's warnings filters and np.errstate see every warning."""
+    plan = REPLAY_PLANS["unknown"]  # blocks of 3, 3 and 7 degrees of freedom
+    monkeypatch.setattr(sim, "_CHUNK", 100)
+    monkeypatch.setattr(sim, "_U_FLOOR", 0.0)
+    monkeypatch.setattr(sim, "_uniform_block", lambda seed, start, rows, cols: np.zeros((rows, cols)))
+
+    def run(cpus):
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        return simulate_plan(plan, mu=0.0, sigma=1.0, replications=400, seed=1)
+
+    def caught(cpus):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(cpus)
+        return sorted(str(w.message) for w in caught)
+
+    one = caught(1)
+    assert "divide by zero encountered in log" in one and caught(2) == one
+    for cpus in (1, 2):
+        with pytest.raises(RuntimeWarning, match="^divide by zero encountered in log$"):
+            run(cpus)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide by zero"):
+            run(cpus)
 
 
 REFERENCE_CASES = {
@@ -409,7 +534,8 @@ def test_walk_counts_equal_the_stop_tally_of_every_stage(name, theta, sigma_rati
     with mock.patch.object(sim, "_CHUNK", chunk):
         counted = sim._stage_pass(plan, mu, sigma, 900, seed)
         walked = sim._stage_pass(plan, mu, sigma, 900, seed, stop_tally)
-    assert len(counted) == len(walked) == -(-900 // chunk)
+    # chunks of at most _CHUNK rows, fewer where several threads split them
+    assert len(counted) == len(walked) >= -(-900 // chunk)
     for (stops, accepted), (tallied, tallied_accepted) in zip(counted, walked):
         assert (stops.tolist(), accepted) == (tallied.tolist(), tallied_accepted)
 
@@ -466,6 +592,7 @@ def test_only_replicates_still_sampling_draw_a_block(theta, monkeypatch):
 
     monkeypatch.setattr(sim, "_block_draw", recording_block)
     monkeypatch.setattr(sim, "_chi_square", recording_chi_square)
+    # fewer replicates than _CHUNK: one chunk, so the records come in stage order
     reps = 5000
     for plan, dfs in ((REPLAY_PLANS["unknown"], [3, 3, 7]), (MIXED, [1, 0, 2, 5, 11])):
         assert [dn - 1 for dn, _ in sim._blocks(plan)[0]] == dfs
