@@ -272,7 +272,8 @@ def main(argv=None) -> int:
     """Run one subcommand; a failure prints one "<command>: <message>" line.
 
     Domain errors (bad arguments or data) exit 2; every other package error,
-    and any file that cannot be read or written, exits 1.
+    any file that cannot be read or written, and running out of memory exit
+    1.
     """
     args = _build_parser().parse_args(argv)
     try:
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (SeqnormError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError:
+        print(f"{args.command}: out of memory", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -14,55 +14,54 @@ studentized plan, their sum of squared deviations, so a replicate draws
 those per stage block, not its samples.  The block of dn = n_l - n_{l-1}
 samples gets its sum, dn * (mu - gamma) + sigma * sqrt(dn) * Z, and a
 studentized plan also gets its within-block sum of squared deviations,
-sigma^2 * chi^2(dn - 1) by Helmert's decomposition.  A block of df = dn - 1
-= 0 draws nothing.  A block whose ceil(df / 2) is at most 2 * ``_TRIES`` +
-1, which is df <= 10, draws its chi-square directly from that many words,
-with no rejection: m = floor(df / 2) uniforms give chi^2(2 m) = -2 log(u_1
-... u_m), and an odd df adds one squared normal, so df = 1 is one squared
-normal.  From df = 11 on it is twice a Gamma(df / 2) variable drawn by
-Marsaglia and Tsang's method (ACM TOMS 26(3), 2000) in at most ``_TRIES``
-tries, each a (normal, uniform) word pair; a block whose tries all reject
-takes one inverse-CDF draw 2 * gammaincinv(df / 2, u) from a word of its
-own.  The tries and the fallback read disjoint words and each has the Gamma
-law, so their mixture has it too, and a block costs O(1) work whatever its
-size: about 3e-5 of blocks fall back at df = 11 and 2e-6 at df = 40.  A
-replicate costs 1 + min(ceil(df / 2), 2 * ``_TRIES`` + 1) words per stage,
-so at most 2 * ``_TRIES`` + 2 whatever its stage sizes.  Blocks pool into
-stage sums and sums of squares by ``_pool``, on sums taken about gamma so
-the pooled means do not cancel; n * gamma is added back before the
-statistic.  Data whose stage sums or sums of squares could overflow a
-double are refused.
+sigma^2 * chi^2(dn - 1) by Helmert's decomposition; a block of one sample
+draws no chi-square.  Z comes from numpy's ``Generator.standard_normal``
+(a ziggurat) and the chi-square from ``Generator.chisquare`` (twice a
+gamma variable, drawn by Marsaglia and Tsang's method from df 3 on), both
+exact samplers whose cost does not grow with dn.  Blocks pool into stage
+sums and sums of squares by ``_pool``, on sums taken about gamma so the
+pooled means do not cancel; n * gamma is added back before the statistic.
 
-A chunk draws its replicates' windows in one stream call, then walks the
-stages in order.  ``simulate_plan`` reads, pools and decides stage l only
-for the replicates still sampling there, and counts those that stop there
-as it goes, so a replicate that stops at stage 1 costs one block's work;
-``mc_transition_sums`` reads every stage, so its walk keeps every
-replicate.  A replicate's statistics depend only on its own words, so
-either walk gives them the same bits.
+Replicates are simulated in blocks of ``_BLOCK`` consecutive replicates,
+the unit of both randomness and work.  Each (replicate block, stage, draw
+kind) has its own counter-based stream: Philox keyed by the seed, from the
+counter whose 64-bit words are (block, stage, kind, 0), high to low.  A
+block walks the stages in order.  ``simulate_plan`` draws stage l only for
+the block's replicates still sampling there: kind 0 gives their sums and
+kind 1 their chi-squares, handed out in replicate order, and the
+replicates that stop at stage l are counted as the walk goes, so one that
+stops at stage 1 costs one stage's draws.  ``mc_transition_sums`` decides
+every replicate at every stage: the replicates still sampling get the
+draws ``simulate_plan`` gives them, and those that have stopped draw from
+kinds 2 and 3, so the two walks agree on every stop.  A replicate's draws
+depend on the seed, its block, and the replicates before it in its block,
+never on those after it, so the first r replicates of
+``simulate_plan(r + 1)`` are those of ``simulate_plan(r)``.  numpy does not
+promise that a ``Generator`` method draws the same stream across versions
+(NEP 19), so reports are reproducible for one numpy version; the golden
+transcript pins the one it was recorded with.
 
-Draws come from a counter-based uniform stream (Philox); a normal is one
-stream word pushed through the inverse normal CDF.  Replicate r owns a
-fixed 4-word-aligned window of sum_l (1 + k_l) words, k_l being the words
-block l spends on its sum of squares, so results are bit-identical no
-matter how the replicate range is chunked; chunk tallies merge in index
-order.  Plans whose final stage exceeds 2**24 samples are refused; that is
+Data whose stage sums or sums of squares could overflow a double are
+refused.  The bound takes every normal drawn as at most ``_Z_MAX`` = r +
+53 log(2) / r = 13.71 in size, r = 3.6541528853610088 being where numpy's
+normal ziggurat (``random_standard_normal``) starts its tail: a tail draw
+is r + x with x = -log1p(-u) / r for a double u <= 1 - 2**-53.  The tail
+also rejects x unless x^2 < 2 y, y = -log1p(-u') for another such double,
+so no draw exceeds r + sqrt(106 log 2) = 12.23 and the bound has slack.
+Plans whose final stage exceeds 2**24 samples are refused; that is
 simulate's stated range, not a memory limit.
 
-Chunks run at the same time: the caller's thread and one more thread per
+Blocks run at the same time: the caller's thread and one more thread per
 further CPU in the process's affinity set (``_cpus``), but no more threads
-than replications // ``_CHUNK`` + 1, so a short call is not cut into chunks
-too small to pay for their threads.  A chunk spends its time in the stream
-fill and numpy and scipy ufuncs, which release the interpreter lock.  With
-w threads a chunk holds min(``_CHUNK``, ``_CHUNK_WORDS`` // (width * w),
-ceil(replications / w)) replicates, so the stream words in flight stay
-within 2**24 and the replicates split evenly; on one CPU a chunk keeps the
-one-thread shape.  Threads take chunks in index order and parts merge in
-index order, so reports are bit-identical whatever the CPU count.  Once a
-chunk fails, or the caller is interrupted, no further chunk starts; the
-first failing chunk in index order decides the exception raised.  Every
-chunk runs under the caller's ``np.errstate``, and warnings raised in a
-thread reach the caller's warnings filters.
+than blocks, so fewer than ``_BLOCK`` replicates run on the caller's
+thread alone.  A block spends its time in numpy's samplers and ufuncs,
+which release the interpreter lock.  Threads take block indices in order,
+as they come, so memory does not grow with the replication count, and each
+block's integer counts fold into the totals as it finishes: the totals,
+and so the reports, are bit-identical whatever the CPU count.  Once a block fails, or the caller is interrupted, no
+further block starts; the first failing block in index order decides the
+exception raised.  Every block runs under the caller's ``np.errstate``,
+and warnings raised in a thread reach the caller's warnings filters.
 """
 
 from __future__ import annotations
@@ -73,147 +72,71 @@ import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.special as sp
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, SeqnormError
 from .plan_known import Decision, decision_code
 
-_CHUNK = 1 << 15  # most replicates per chunk
-_CHUNK_WORDS = 1 << 24  # stream words of the chunks in flight: 128 MiB of float64
+_BLOCK = 1 << 15  # replicates per block: the unit of randomness and of work
 _MAX_SIZE = 1 << 24  # largest final stage simulated
-_U_FLOOR = 2.0 ** -64  # inverse-CDF guard: random() can emit exactly 0
-_TRIES = 2  # Marsaglia-Tsang tries per chi-square before the inverse-CDF fallback
-# no normal drawn exceeds this in size: the inverse normal CDF at _U_FLOOR
-_Z_MAX = float(-sp.ndtri(_U_FLOOR))
+# numpy's normal ziggurat returns r + x from its tail, x = -log1p(-u) / r for a
+# double u <= 1 - 2**-53, so no normal drawn exceeds r + 53 log(2) / r in size
+_ZIGGURAT_R = 3.6541528853610088
+_Z_MAX = _ZIGGURAT_R + 53.0 * math.log(2.0) / _ZIGGURAT_R
 
 
 def _cpus() -> int:
-    """How many CPUs this process may run on: chunks run on up to that many threads."""
+    """How many CPUs this process may run on: blocks run on up to that many threads."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _uniform_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarray:
-    """Uniforms from the counter-based stream, shaped (rows, cols).
-
-    word_start must be a multiple of 4 (one Philox counter step yields four
-    64-bit words) so any chunking reproduces the same layout.
-    """
+def _stream(seed: int, counter: int) -> Generator:
+    """The counter-based stream (Philox) keyed by seed, from counter on."""
     if not (0 <= seed < 2**128):
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
-    if word_start % 4 != 0:
-        raise ValueError("stream window must be 4-word aligned")
-    gen = Generator(Philox(key=seed, counter=word_start // 4))
-    return gen.random((rows, cols))
-
-
-def _blocks(plan) -> tuple[list[tuple[int, int]], int]:
-    """Each stage block's size dn and sum-of-squares words k, and the
-    replicate's window width.
-
-    k is 0 for a plan that is not studentized.  Otherwise the block's
-    chi-square has df = dn - 1 and k = min(ceil(df / 2), 2 * _TRIES + 1) =
-    min(dn // 2, 2 * _TRIES + 1): a direct draw's words
-    (``_direct_chi_square``) while they are at most a Marsaglia-Tsang
-    block's, and ``_chi_square``'s words beyond, so no block costs more
-    words than a Marsaglia-Tsang one.  The window holds every block's sum
-    word, then every block's k words, in stage order.
-    """
-    blocks = []
-    prev = 0
-    for n in plan.sizes:
-        dn = n - prev
-        blocks.append((dn, min(dn // 2, 2 * _TRIES + 1) if plan.studentized else 0))
-        prev = n
-    width = sum(1 + k for _, k in blocks)
-    return blocks, 4 * ((width + 3) // 4)
-
-
-def _direct_chi_square(df: int, window: np.ndarray) -> np.ndarray:
-    """chi^2(df) draws, df >= 1, one per row of a window of ceil(df / 2)
-    floored uniforms, with no rejection.
-
-    The first m = floor(df / 2) words give chi^2(2 m) = -2 log(u_1 ... u_m),
-    twice a sum of m unit exponentials, and an odd df adds the square of the
-    last word's normal; at df = 1 (m = 0) that square is the draw.  The
-    product is taken left to right and logged once: its at most 2 * _TRIES +
-    1 factors are each at least _U_FLOOR, so it stays at or above 2**-320
-    and cannot underflow.
-    """
-    m = df // 2
-    chi2 = 0.0
-    if m:
-        prod = window[:, 0]
-        for j in range(1, m):
-            prod = prod * window[:, j]
-        chi2 = -2.0 * np.log(prod)
-    if df % 2:
-        z = sp.ndtri(window[:, m])
-        chi2 = chi2 + z * z
-    return chi2
-
-
-def _chi_square(df: int, window: np.ndarray) -> np.ndarray:
-    """chi^2(df) draws, df >= 11 in the simulator (any df >= 2 works), one
-    per row of a window of 2 * _TRIES + 1 floored uniforms: a (normal,
-    acceptance) word pair per Marsaglia-Tsang try, then the fallback word.
-
-    With d = df / 2 - 1/3 and c = 1 / sqrt(9 d), try t turns its normal
-    word into z and accepts Gamma(df / 2) = d v, v = (1 + c z)^3, when
-    v > 0 and log u < z^2 / 2 + d (1 - v + log v).  That exponent is
-    evaluated as z^2 / 2 + d (3 log1p(c z) - c z (3 + c z (3 + c z))),
-    whose terms are of the size of c z, not of 1, so it stays accurate at
-    large d.  The first try that accepts gives the draw; a row none accepts
-    takes 2 gammaincinv(df / 2, u) of its fallback word.  The first try
-    reads the window's columns in place; a later try computes its normal
-    only on the rows that reach it.
-    """
-    d = 0.5 * df - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-
-    def attempt(normals, uniforms):
-        z = sp.ndtri(normals)
-        w = c * z
-        inside = w > -1.0
-        np.copyto(w, 0.0, where=~inside)
-        exponent = 0.5 * z * z + d * (3.0 * np.log1p(w) - w * (3.0 + w * (3.0 + w)))
-        v = 1.0 + w
-        return inside & (np.log(uniforms) < exponent), (2.0 * d) * (v * v * v)
-
-    take, chi2 = attempt(window[:, 0], window[:, 1])
-    rows = np.flatnonzero(~take)
-    for t in range(1, _TRIES):
-        take, draw = attempt(window[rows, 2 * t], window[rows, 2 * t + 1])
-        chi2[rows[take]] = draw[take]
-        rows = rows[~take]
-    chi2[rows] = 2.0 * sp.gammaincinv(0.5 * df, window[rows, 2 * _TRIES])
-    return chi2
+    return Generator(Philox(key=seed, counter=counter))
 
 
 def _block_draw(
-    words, live, i: int, col: int, dn: int, k: int, shift: float, sigma: float, studentized: bool
+    seed: int, block: int, stage: int, stopped: bool, rows: int,
+    dn: int, shift: float, sigma: float, studentized: bool,
 ):
-    """Block i's sums for the rows live of a floored window, and for a
-    studentized plan their within-block sums of squared deviations (None
+    """Stage block sums of rows replicates of a replicate block and, for a
+    studentized plan, their within-block sums of squared deviations (None
     otherwise).
 
     The samples are normal(shift, sigma^2), shift being the data's mean
-    minus the plan's gamma.  The block's sum word is column i and its k
-    sum-of-squares words start at column col; only those columns of the
-    live rows are read.
+    minus the plan's gamma, and a stage block holds dn of them.  The sums
+    come from the stream of draw kind 0 (2 for replicates that have
+    stopped) and the chi-squares from that of kind 1 (3), each at counter
+    (block, stage, kind, 0) in 64-bit words, high to low; a block of one
+    sample draws no chi-square.
     """
-    sums = dn * shift + sigma * math.sqrt(dn) * sp.ndtri(words[live, i])
+    kind = 2 if stopped else 0
+    counter = block << 192 | stage << 128 | kind << 64
+    sums = _stream(seed, counter).standard_normal(rows)
+    sums *= sigma * math.sqrt(dn)
+    sums += dn * shift
     if not studentized:
         return sums, None
-    if k == 0:
-        chi2 = np.zeros(len(sums))
-    elif k == dn // 2:  # a direct draw: _blocks gave it its ceil(df / 2) words
-        chi2 = _direct_chi_square(dn - 1, words[live, col : col + k])
-    else:
-        chi2 = _chi_square(dn - 1, words[live, col : col + k])
-    return sums, sigma * sigma * chi2
+    if dn == 1:
+        return sums, np.zeros(rows)
+    squares = _stream(seed, counter + (1 << 64)).chisquare(dn - 1, rows)
+    squares *= sigma * sigma
+    return sums, squares
+
+
+def _scatter(sampling, live, stopped):
+    """One array of a replicate block's rows from those of its rows still
+    sampling and of its rows that have stopped, each in row order."""
+    if live is None:
+        return None
+    out = np.empty(len(sampling))
+    out[sampling] = live
+    out[~sampling] = stopped
+    return out
 
 
 def _pool(sums, squares, block_sums, block_squares, prev: int, dn: int):
@@ -252,17 +175,19 @@ class SimReport:
         return {**asdict(self), "stage_histogram": list(self.stage_histogram)}
 
 
-def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tally=None) -> list:
-    """Each replicate chunk's part, in chunk order, on normal(mu, sigma^2)
-    data.
+def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tally=None):
+    """The parts of every replicate block, folded into one, on
+    normal(mu, sigma^2) data.
 
     Without tally a replicate's stages after its first decision are neither
-    drawn nor decided, and a chunk's part is how many of its replicates stop
+    drawn nor decided, and a block's part is how many of its replicates stop
     at each stage and how many of those accept, counted as the walk goes; a
     replicate still sampling after the final stage is an error.  With tally
-    every stage of every replicate is drawn and decided, and a chunk's part
+    every stage of every replicate is drawn and decided, and a block's part
     is tally(codes), codes holding each replicate's decision code at every
-    stage (stages in rows, replicates in columns).
+    stage (stages in rows, replicates in columns).  Parts fold by adding
+    them item by item, so a part's items must be integers or integer
+    arrays: the totals are then exact, whatever the order blocks finish in.
     """
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
@@ -279,15 +204,13 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
     # a block sum is at most dn * spread in size, so a stage sum stays within
     # n_max (spread + |gamma|); a block's sum of squares stays within
     # dn * spread^2 and its pooling term within 4 dn spread^2.  That takes
-    # every block's chi-square as at most dn * _Z_MAX^2.  A direct draw of
-    # floored words is at most 2 m 64 log 2 + [df odd] _Z_MAX^2, which is
-    # below (2 m + 1) _Z_MAX^2 <= dn * _Z_MAX^2 since 128 log 2 = 88.7 is
-    # below 2 * 82.4; df = 1 is one squared normal.  An accepted
-    # Marsaglia-Tsang draw 2 d (1 + c z)^3 is at most
-    # 2 d (1 + _Z_MAX / (3 sqrt(d)))^3, which is tightest at df = 11 (131
-    # against 12 * 82.4); and the fallback's word is at most 1 - 2**-53,
-    # whose chi-square quantile is below df + 12.2 sqrt(df) + 73.5 (Laurent
-    # and Massart's tail bound).
+    # every block's chi-square as at most dn * _Z_MAX^2 = 187.9 dn.  numpy
+    # draws chi^2(1) = 2 X by a rejection step that accepts only X <= E + Y,
+    # E an exponential of at most 7.70 + 53 log 2 = 44.4 and Y at most
+    # 52 log 2 = 36.0, so below 161; chi^2(2) is twice such an exponential;
+    # and from df 3 on, a Marsaglia-Tsang draw 2 d (1 + z / (3 sqrt(d)))^3,
+    # d = df / 2 - 1/3 and |z| <= _Z_MAX, which is largest against dn at
+    # df 3 (334 against 752).
     spread = abs(shift) + sigma * _Z_MAX
     if not math.isfinite(n_max * (spread + abs(plan.gamma))) or (
         plan.studentized and not math.isfinite(5.0 * n_max * spread * spread)
@@ -296,53 +219,54 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
             f"mu={mu} and sigma={sigma} are too large: "
             "stage sums or sums of squares would overflow"
         )
-    blocks, width = _blocks(plan)
-    # each thread holds one chunk's words at a time
-    workers = min(_cpus(), _CHUNK_WORDS // width, replications // _CHUNK + 1)
-    rows = min(_CHUNK, _CHUNK_WORDS // (width * workers), -(-replications // workers))
-    bounds = [(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
 
-    def worker(lo, hi):
-        words = _uniform_block(seed, lo * width, hi - lo, width)
-        np.maximum(words, _U_FLOOR, out=words)
-        codes = None if tally is None else np.zeros((len(blocks), hi - lo), dtype=np.int8)
-        stops, accepted = np.zeros(len(blocks), dtype=np.int64), 0
-        # the replicates still sampling: a slice while all are, since
-        # gathering by an index array costs a copy of every column read
-        live = slice(None)
+    def walk(block):
+        rows = min(_BLOCK, replications - block * _BLOCK)
+        codes = None if tally is None else np.zeros((plan.num_stages, rows), dtype=np.int8)
+        stops, accepted = np.zeros(plan.num_stages, dtype=np.int64), 0
+        # the stopped walk keeps only the rows still sampling; the all-stages
+        # walk keeps every row and marks those still sampling
+        sampling, live = np.ones(rows, dtype=bool), rows
         sums = squares = None
-        prev, col = 0, len(blocks)
-        for i, ((dn, k), st) in enumerate(zip(blocks, plan.stages)):
-            sums, squares = _pool(
-                sums, squares,
-                *_block_draw(words, live, i, col, dn, k, shift, sigma, plan.studentized),
-                prev, dn,
-            )
-            prev += dn
-            col += k
+        prev = 0
+        for i, st in enumerate(plan.stages):
+            dn = st.n - prev
+            drawn = _block_draw(seed, block, i, False, live, dn, shift, sigma, plan.studentized)
+            if codes is not None and live < rows:
+                stopped = _block_draw(
+                    seed, block, i, True, rows - live, dn, shift, sigma, plan.studentized
+                )
+                drawn = [_scatter(sampling, *pair) for pair in zip(drawn, stopped)]
+            sums, squares = _pool(sums, squares, *drawn, prev, dn)
+            prev = st.n
             code = decision_code(
                 plan.stage_statistics(sums + prev * plan.gamma, squares, float(prev)), st.a, st.b
             )
+            going = code == Decision.CONTINUE
             if codes is not None:
                 codes[i] = code
+                sampling &= going
+                live = int(np.count_nonzero(sampling))
                 continue
-            going = np.flatnonzero(code == Decision.CONTINUE)
-            stops[i] = len(code) - len(going)
+            live = int(np.count_nonzero(going))
+            stops[i] = len(code) - live
             accepted += int(np.count_nonzero(code == Decision.ACCEPT))
-            if len(going) == 0:
+            if live == 0:
                 break
-            if i + 1 == len(blocks):
+            if i + 1 == plan.num_stages:
                 raise SeqnormError("final stage failed to decide; plan invariant broken")
-            if len(going) < len(code):
-                live = going if isinstance(live, slice) else live[going]
+            if live < len(code):
+                # gathering by index is several times faster than by a boolean mask
+                going = np.flatnonzero(going)
                 sums = sums[going]
                 squares = None if squares is None else squares[going]
         return (stops, accepted) if tally is None else tally(codes)
 
+    blocks = -(-replications // _BLOCK)
     # numpy 1.x keeps np.errstate per thread, so each thread enters the caller's
     errstate = dict(np.geterr(), call=np.geterrcall())
-    parts, failures = [None] * len(bounds), []
-    order, lock = iter(range(len(bounds))), threading.Lock()
+    total, failures = [], []
+    order, lock = iter(range(blocks)), threading.Lock()
 
     def drain():
         with np.errstate(**errstate):
@@ -352,34 +276,32 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
                 if k is None:
                     return
                 try:
-                    parts[k] = worker(*bounds[k])
+                    part = walk(k)
                 except Exception as exc:
                     failures.append((k, exc))
+                    continue
+                with lock:
+                    total[:] = [t + p for t, p in zip(total, part)] if total else part
 
-    helpers = [threading.Thread(target=drain) for _ in range(min(workers, len(bounds)) - 1)]
+    helpers = [threading.Thread(target=drain) for _ in range(min(_cpus(), blocks) - 1)]
     try:
         for helper in helpers:
             helper.start()
         drain()
     finally:
-        # stops every helper before its next chunk, also when the caller is interrupted
-        failures.append((len(bounds), None))
+        # stops every helper before its next block, also when the caller is interrupted
+        failures.append((blocks, None))
         for helper in helpers:
             helper.join()
     k, exc = min(failures, key=lambda failure: failure[0])
     if exc is not None:
         raise exc
-    return parts
+    return tuple(total)
 
 
-def _sim_report(plan, replications: int, seed: int, parts) -> SimReport:
-    """The report of the stop counts of each chunk, merged in chunk order."""
-    hist = np.zeros(plan.num_stages, dtype=np.int64)
-    accepted = 0
-    for part_hist, part_acc in parts:
-        hist += part_hist
-        accepted += part_acc
-
+def _sim_report(plan, replications: int, seed: int, totals) -> SimReport:
+    """The report of the stop counts and accepted count of every replicate."""
+    hist, accepted = totals
     accept_rate = accepted / replications
     reject_rate = (replications - accepted) / replications
     asn = float(np.dot(hist, np.array(plan.sizes, dtype=float))) / replications
@@ -402,8 +324,7 @@ def simulate_plan(plan, mu: float, sigma: float, replications: int, seed: int) -
     Each replicate stops at its first deciding stage.  Deterministic in
     (plan, mu, sigma, replications, seed).
     """
-    parts = _stage_pass(plan, mu, sigma, replications, seed)
-    return _sim_report(plan, replications, seed, parts)
+    return _sim_report(plan, replications, seed, _stage_pass(plan, mu, sigma, replications, seed))
 
 
 @dataclass(frozen=True)
@@ -424,7 +345,7 @@ class TransitionSums:
     seed: int
 
 
-def _transition_tally(codes: np.ndarray) -> tuple[int, float, int, float]:
+def _transition_tally(codes: np.ndarray) -> tuple[int, int, int, int]:
     """Sums and sums of squares of each replicate's reject and accept transitions.
 
     A transition at stage l is a decision there after stage l-1 continued;
@@ -435,23 +356,15 @@ def _transition_tally(codes: np.ndarray) -> tuple[int, float, int, float]:
     rej_count = np.count_nonzero(prev_continue & (codes == Decision.REJECT), axis=0)
     acc_count = np.count_nonzero(prev_continue & (codes == Decision.ACCEPT), axis=0)
     return (
-        int(rej_count.sum()), float(np.dot(rej_count, rej_count)),
-        int(acc_count.sum()), float(np.dot(acc_count, acc_count)),
+        int(rej_count.sum()), int(np.dot(rej_count, rej_count)),
+        int(acc_count.sum()), int(np.dot(acc_count, acc_count)),
     )
 
 
 def mc_transition_sums(plan, mu: float, sigma: float, replications: int, seed: int) -> TransitionSums:
-    rej_total = 0
-    rej_sq = 0.0
-    acc_total = 0
-    acc_sq = 0.0
-    parts = _stage_pass(plan, mu, sigma, replications, seed, _transition_tally)
-    for r1, r2, a1, a2 in parts:
-        rej_total += r1
-        rej_sq += r2
-        acc_total += a1
-        acc_sq += a2
-
+    rej_total, rej_sq, acc_total, acc_sq = _stage_pass(
+        plan, mu, sigma, replications, seed, _transition_tally
+    )
     n = replications
     rej_mean = rej_total / n
     acc_mean = acc_total / n

@@ -3,22 +3,27 @@ decomposition and the simulator: Monte Carlo and midpoint-grid integration
 of 2-D domain probabilities, a simulation audit of the sample-decomposition
 identity, a per-sample reference simulator and the stop tally it counts
 with, the simulator's block draws at every stage, the samples a simulated
-replicate stands for, the scalar stage statistic written out over a
-sample list, and the cone evaluator and known-variance envelope as they
-stood before the envelope shared one kernel with ``cone_prob``: one
-``ConeRegion`` per cone and one ``_barrier_integral`` per boundary piece.
+replicate stands for, a numpy ``Generator`` on scripted bits (which runs
+numpy's samplers on chosen inputs), the scalar stage statistic written
+out over a sample list, and the cone evaluator and known-variance
+envelope as they stood before the envelope shared one kernel with
+``cone_prob``: one ``ConeRegion`` per cone and one ``_barrier_integral``
+per boundary piece.
 
-Every draw comes from ``seqnorm.simulate._uniform_block``, so the package's
-seed-range check covers these oracles as well.
+Every seeded draw comes from a ``seqnorm.simulate._stream``, so the
+package's seed-range check covers these oracles as well.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
+from numpy.random import Generator
 
 from seqnorm.errors import DomainError, SeqnormError
 from scipy.special import ndtr
@@ -26,24 +31,22 @@ from scipy.special.cython_special import owens_t
 
 from seqnorm.geometry import ConeRegion
 from seqnorm.plan_known import Decision, decision_code
-from seqnorm.simulate import (
-    _CHUNK,
-    _U_FLOOR,
-    _block_draw,
-    _blocks,
-    _pool,
-    _sim_report,
-    _uniform_block,
-)
+from seqnorm.simulate import _BLOCK, _block_draw, _pool, _sim_report, _stream
 from seqnorm.special import _clamp_unit, std_normal_cdf
 
 _BLOCK_ROWS = 1 << 17  # Philox rows per draw block, two points per row
 _PASS_POINTS = 1 << 15  # points per containment pass; larger passes leave cache
+_CHUNK = 1 << 15  # replicates per draw of the per-sample oracles
+_U_FLOOR = 2.0**-64  # inverse-CDF guard: random() can emit exactly 0
 
 
 def _normal_block(seed: int, word_start: int, rows: int, cols: int) -> np.ndarray:
-    """Standard normals, one per stream word, shaped (rows, cols)."""
-    u = _uniform_block(seed, word_start, rows, cols)
+    """Standard normals, one per stream word, shaped (rows, cols).
+
+    word_start must be a multiple of 4: one Philox counter step yields four
+    64-bit words.
+    """
+    u = _stream(seed, word_start // 4).random((rows, cols))
     np.maximum(u, _U_FLOOR, out=u)
     return sp.ndtri(u)
 
@@ -232,6 +235,54 @@ def sample_decomposition_check(
     )
 
 
+_NEXT_U64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT_U32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _BitGen(ctypes.Structure):
+    """numpy's ``bitgen_t``: a state pointer and its four draw functions."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", _NEXT_U64),
+        ("next_uint32", _NEXT_U32),
+        ("next_double", _NEXT_DOUBLE),
+        ("next_raw", _NEXT_U64),
+    ]
+
+
+_capsule_new = ctypes.pythonapi.PyCapsule_New
+_capsule_new.restype = ctypes.py_object
+_capsule_new.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p]
+
+
+class _ScriptedBits:
+    """What numpy's ``Generator`` reads of a bit generator: a capsule holding
+    a ``bitgen_t`` and a lock.  Its 64-bit words and doubles are the given
+    ones, in order, then 0."""
+
+    def __init__(self, words, doubles):
+        words, doubles = iter(words), iter(doubles)
+        # the callbacks live as long as this object, which the Generator holds
+        self._calls = (
+            _NEXT_U64(lambda _: next(words, 0)),
+            _NEXT_U32(lambda _: 0),
+            _NEXT_DOUBLE(lambda _: next(doubles, 0.0)),
+            _NEXT_U64(lambda _: 0),
+        )
+        self._bitgen = _BitGen(None, *self._calls)
+        self.capsule = _capsule_new(ctypes.addressof(self._bitgen), b"BitGenerator", None)
+        self.lock = threading.Lock()
+
+
+def scripted_generator(words=(), doubles=()) -> Generator:
+    """A numpy ``Generator`` whose bit generator returns the given 64-bit words
+    and doubles (each in [0, 1 - 2**-53] as numpy's are) in order, then 0:
+    numpy's own samplers run on chosen inputs."""
+    return Generator(_ScriptedBits(words, doubles))
+
+
 def stop_tally(codes: np.ndarray) -> tuple[np.ndarray, int]:
     """How many replicates stop at each stage, and how many of those accept,
     from every replicate's decision code at every stage (stages in rows,
@@ -261,15 +312,17 @@ def reference_simulate_plan(plan, mu: float, sigma: float, replications: int, se
     a = np.array([[st.a] for st in plan.stages])
     b = np.array([[st.b] for st in plan.stages])
     rows = max(1, min(_CHUNK, (1 << 22) // width))
-    parts = []
+    hist, accepted = np.zeros(plan.num_stages, dtype=np.int64), 0
     for lo in range(0, replications, rows):
         hi = min(lo + rows, replications)
         x = (mu - plan.gamma) + sigma * _normal_block(seed, lo * width, hi - lo, width)[:, :n_max]
         sums = np.cumsum(x, axis=1)[:, last].T
         squares = np.maximum(np.cumsum(x * x, axis=1)[:, last].T - sums * sums / n, 0.0)
         stats = plan.stage_statistics(sums + n * plan.gamma, squares, n)
-        parts.append(stop_tally(decision_code(stats, a, b)))
-    return _sim_report(plan, replications, seed, parts)
+        stops, stopped_accepting = stop_tally(decision_code(stats, a, b))
+        hist += stops
+        accepted += stopped_accepting
+    return _sim_report(plan, replications, seed, (hist, accepted))
 
 
 def block_draws(plan, shift: float, sigma: float, seed: int, lo: int, hi: int):
@@ -278,39 +331,67 @@ def block_draws(plan, shift: float, sigma: float, seed: int, lo: int, hi: int):
     stages in rows: the simulator's draws with no replicate stopping.
 
     The samples are normal(shift, sigma^2), shift being the data's mean
-    minus the plan's gamma.
+    minus the plan's gamma.  Each replicate block's stage draws go to its
+    rows in order, so a block drawn up to row hi - 1 gives its rows the
+    draws a longer one does.
     """
-    blocks, width = _blocks(plan)
-    words = _uniform_block(seed, lo * width, hi - lo, width)
-    np.maximum(words, _U_FLOOR, out=words)
-    draws = []
-    col = len(blocks)
-    for i, (dn, k) in enumerate(blocks):
-        draws.append(_block_draw(words, slice(None), i, col, dn, k, shift, sigma, plan.studentized))
-        col += k
-    sums = np.array([block_sums for block_sums, _ in draws])
-    squares = np.array([block_squares for _, block_squares in draws]) if plan.studentized else None
-    return sums, squares
+    sums, squares = [], []
+    for block in range(lo // _BLOCK, -(-hi // _BLOCK)):
+        first = block * _BLOCK
+        rows = min(_BLOCK, hi - first)
+        prev = 0
+        draws = []
+        for i, n in enumerate(plan.sizes):
+            draws.append(_block_draw(seed, block, i, False, rows, n - prev, shift, sigma,
+                                     plan.studentized))
+            prev = n
+        skip = max(lo - first, 0)
+        sums.append(np.array([block_sums[skip:] for block_sums, _ in draws]))
+        if plan.studentized:
+            squares.append(np.array([block_squares[skip:] for _, block_squares in draws]))
+    return np.hstack(sums), np.hstack(squares) if plan.studentized else None
 
 
 def replicate_samples(plan, mu: float, sigma: float, r: int, seed: int) -> list[float]:
-    """Samples with replicate r's block sums and within-block sums of squares.
+    """Samples with replicate r's block sums and within-block sums of squares
+    at every stage.
 
-    Each block of dn samples is its mean plus sqrt(W) times the unit vector
-    (1, ..., 1, -(dn - 1)) / sqrt(dn (dn - 1)), which is orthogonal to the
-    ones vector, so its sum and its sum of squared deviations are the
-    simulator's.  A plan that is not studentized draws no W; its blocks are
-    constant.
+    Replays r's replicate block up to row r at every stage: the rows still
+    sampling take the draws of kinds 0 and 1 in row order, and the rows that
+    have stopped those of kinds 2 and 3, as mc_transition_sums's walk does,
+    so r's draws while it samples are simulate_plan's.  Each block of dn
+    samples is its mean plus sqrt(W) times the unit vector (1, ..., 1,
+    -(dn - 1)) / sqrt(dn (dn - 1)), which is orthogonal to the ones vector,
+    so its sum and its sum of squared deviations are the simulator's.  A
+    plan that is not studentized draws no W; its blocks are constant.
     """
-    sums, squares = block_draws(plan, mu - plan.gamma, sigma, seed, r, r + 1)
+    block, row = divmod(r, _BLOCK)
+    shift = mu - plan.gamma
+    sampling = np.ones(row + 1, dtype=bool)
+    sums = squares = None
     samples = []
     prev = 0
-    for i, n in enumerate(plan.sizes):
-        dn = n - prev
-        mean = plan.gamma + float(sums[i, 0]) / dn
-        spread = 0.0 if squares is None or dn == 1 else math.sqrt(squares[i, 0] / (dn * (dn - 1)))
+    for i, st in enumerate(plan.stages):
+        dn = st.n - prev
+        block_sums = np.empty(row + 1)
+        block_squares = np.empty(row + 1) if plan.studentized else None
+        for stopped, rows in ((False, sampling), (True, ~sampling)):
+            drawn_sums, drawn_squares = _block_draw(
+                seed, block, i, stopped, int(np.count_nonzero(rows)), dn, shift, sigma,
+                plan.studentized,
+            )
+            block_sums[rows] = drawn_sums
+            if plan.studentized:
+                block_squares[rows] = drawn_squares
+        mean = plan.gamma + float(block_sums[row]) / dn
+        spread = 0.0 if block_squares is None or dn == 1 else math.sqrt(
+            block_squares[row] / (dn * (dn - 1))
+        )
         samples += [mean + spread] * (dn - 1) + [mean - (dn - 1) * spread]
-        prev = n
+        sums, squares = _pool(sums, squares, block_sums, block_squares, prev, dn)
+        prev = st.n
+        stats = plan.stage_statistics(sums + prev * plan.gamma, squares, float(prev))
+        sampling &= decision_code(stats, st.a, st.b) == Decision.CONTINUE
     return samples
 
 

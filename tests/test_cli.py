@@ -143,6 +143,19 @@ class TestOc:
         ], capsys)
         assert code == 1
 
+    def test_out_of_memory_is_one_line(self, known_plan_file, capsys, monkeypatch):
+        # a grid of 10**10 points does not fit in memory; a stand-in raises
+        # the MemoryError its list would, without allocating it
+        def no_memory(lo, hi, points):
+            raise MemoryError
+
+        monkeypatch.setattr(seqnorm.cli, "_grid", no_memory)
+        code, out, err = run_cli([
+            "oc", str(known_plan_file),
+            "--theta-min", "-1", "--theta-max", "1", "--points", "10000000000",
+        ], capsys)
+        assert (code, out, err) == (1, "", "oc: out of memory\n")
+
 
 class TestAsn:
     def test_excludes_final_stage(self, known_plan_file, capsys):

@@ -4,6 +4,7 @@ decomposition check."""
 
 import math
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -33,6 +34,7 @@ from oracles import (
     reference_simulate_plan,
     replicate_samples,
     sample_decomposition_check,
+    scripted_generator,
     section,
     stop_tally,
 )
@@ -42,8 +44,8 @@ PLAN = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1 / 3, rho=1.0, tau=3)
 # freedom
 STRADDLE = build_unknown_plan(0.05, 0.05, 0.15, 0.0, zeta=0.8, rho=0.5, tau=3)
 # sizes (2, 3, 6, 12, 24): its blocks' chi-square has 1, 0, 2, 5 and 11
-# degrees of freedom, so it draws a squared normal, nothing, two direct draws
-# and a Marsaglia-Tsang one
+# degrees of freedom, so numpy draws it by the rejection step below shape 1,
+# not at all, as an exponential, and by Marsaglia and Tsang's method twice
 MIXED = build_unknown_plan(0.05, 0.05, 0.4, 0.0, zeta=0.7, rho=1.0, tau=5)
 
 
@@ -66,59 +68,44 @@ class TestSimulatePlan:
         ) / rep.replications
         assert rep.asn == pytest.approx(expected_asn, abs=0)
 
-    def test_chunking_invariance(self, monkeypatch):
-        base = simulate_plan(PLAN, mu=-0.3, sigma=1.0, replications=10_000, seed=5)
-        monkeypatch.setattr(sim, "_CHUNK", 137)
-        rechunked = simulate_plan(PLAN, mu=-0.3, sigma=1.0, replications=10_000, seed=5)
-        assert base == rechunked
+    def test_a_report_extends_the_report_of_one_replicate_fewer(self, monkeypatch):
+        """Adding replicate r, in blocks of 137, leaves the others' stops as
+        they were: the histogram gains one stop and the accepted count at
+        most one, also where r starts a block."""
+        monkeypatch.setattr(sim, "_BLOCK", 137)
+        before = simulate_plan(STRADDLE, mu=0.05, sigma=1.2, replications=130, seed=5)
+        for r in range(131, 420):
+            now = simulate_plan(STRADDLE, mu=0.05, sigma=1.2, replications=r, seed=5)
+            gained = np.array(now.stage_histogram) - np.array(before.stage_histogram)
+            assert sorted(gained.tolist()) == [0] * (STRADDLE.num_stages - 1) + [1], r
+            accepted = round(now.accept_rate * r) - round(before.accept_rate * (r - 1))
+            assert accepted in (0, 1), r
+            before = now
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_chunks_hold_at_most_2_to_24_samples(self, cpus, monkeypatch):
-        # n_max 1537 costs one word per stage block: a chunk is at most
-        # _CHUNK rows of a 4-word window, however large the final stage
-        plan = build_known_plan(0.05, 0.05, 0.05, 0.0, 1.0, zeta=0.5, rho=1.0, tau=3)
-        assert plan.sizes[-1] == 1537
-        shapes, threads = [], set()
+    def test_threads_take_whole_blocks(self, cpus, monkeypatch):
+        """A block is _BLOCK replicates, the last one the rest, drawn on one
+        thread; a call takes at most one thread per CPU and per block, and
+        fewer than _BLOCK replicates run on the caller's thread alone."""
+        block_draw = sim._block_draw
+        first_draws, threads = {}, {}
 
-        class Recorded(Exception):
-            pass
-
-        def record(seed, word_start, rows, cols):
-            shapes.append((rows, cols))
-            threads.add(threading.get_ident())
-            raise Recorded
+        def record(seed, block, stage, stopped, rows, *rest):
+            if stage == 0:
+                first_draws[block] = rows
+            threads.setdefault(block, set()).add(threading.get_ident())
+            return block_draw(seed, block, stage, stopped, rows, *rest)
 
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-        monkeypatch.setattr(sim, "_uniform_block", record)
-        runs = []
-        for run_plan, reps, chunk in (
-            (plan, 40_000, sim._CHUNK),
-            (STRADDLE, 40_000, sim._CHUNK),
-            # with more replicates per chunk than 2**24 words hold, the word bound rules
-            (STRADDLE, 10**7, 1 << 20),
-        ):
-            monkeypatch.setattr(sim, "_CHUNK", chunk)
-            shapes.clear()
-            with pytest.raises(Recorded):
-                simulate_plan(run_plan, mu=0.0, sigma=1.0, replications=reps, seed=1)
-            runs.append(shapes[0])
-            # each of at most cpus threads holds one chunk's words at a time
-            assert all(rows <= chunk and rows * cols * cpus <= 2**24 for rows, cols in shapes)
-        assert len(threads) <= cpus
-        if cpus == 1:
-            # STRADDLE's window: 1 + 5 words per stage, padded to 20
-            assert runs == [(32768, 4), (32768, 20), (838860, 20)]
-            assert 838860 * 20 <= 2**24 < 838861 * 20
-        else:
-            # 40,000 replicates take at most 40,000 // _CHUNK + 1 = 2 threads
-            # and split evenly; 10**7 take every CPU, within the word bound
-            assert runs == [(20_000, 4), (20_000, 20), (2**24 // (20 * cpus), 20)]
-        # fewer replicates than _CHUNK are one chunk on the caller's thread
-        shapes.clear()
+        monkeypatch.setattr(sim, "_block_draw", record)
+        simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=100_000, seed=1)
+        assert first_draws == {0: 32768, 1: 32768, 2: 32768, 3: 100_000 - 3 * 32768}
+        assert all(len(ids) == 1 for ids in threads.values())
+        assert len(set.union(*threads.values())) <= min(cpus, 4)
+        first_draws.clear()
         threads.clear()
-        with pytest.raises(Recorded):
-            simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=20_000, seed=1)
-        assert shapes == [(20_000, 20)] and threads == {threading.get_ident()}
+        simulate_plan(STRADDLE, mu=0.0, sigma=1.0, replications=20_000, seed=1)
+        assert first_draws == {0: 20_000} and threads == {0: {threading.get_ident()}}
 
     def test_degenerate_sums_of_squares_pin_the_statistic_to_the_mean_sign(self):
         plan = REPLAY_PLANS["unknown"]
@@ -138,9 +125,9 @@ class TestSimulatePlan:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_final_stage_that_does_not_close_is_an_error(self, cpus, monkeypatch):
         # plan files cannot carry such a stage; a hand-built plan can.  250
-        # replicates a chunk make four chunks, which two threads share
+        # replicates a block make four blocks, which two threads share
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-        monkeypatch.setattr(sim, "_CHUNK", 250)
+        monkeypatch.setattr(sim, "_BLOCK", 250)
         last = PLAN.stages[-1]
         open_plan = replace(PLAN, stages=PLAN.stages[:-1] + (Stage(n=last.n, a=-1.0, b=1.0),))
         with pytest.raises(SeqnormError) as info:
@@ -208,92 +195,126 @@ def test_data_too_large_for_finite_sums_is_refused(name):
         run(hi)
 
 
-with mock.patch.object(sim, "_cpus", lambda: 1):
-    CHUNK_BASE = simulate_plan(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17)
-    CHUNK_SUMS = mc_transition_sums(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17)
-
-
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 400), st.sampled_from([1, 2, 3, 8]))
-def test_simulation_is_unchanged_under_any_chunk(chunk, cpus):
-    """Reports and transition sums equal the one-CPU run's, whatever the
-    chunk size and however many threads share the chunks."""
-    with mock.patch.object(sim, "_CHUNK", chunk), mock.patch.object(sim, "_cpus", lambda: cpus):
-        assert simulate_plan(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17) == CHUNK_BASE
-        assert mc_transition_sums(STRADDLE, mu=0.1, sigma=1.3, replications=300, seed=17) == CHUNK_SUMS
+@given(st.integers(1, 20 * 15), st.sampled_from([1, 2, 3, 8]))
+def test_simulation_is_unchanged_under_any_chunk(reps, cpus):
+    """Reports and transition sums equal the one-CPU run's, in runs of 1 to
+    20 blocks of 15 replicates, however many threads share the blocks; a
+    short switch interval makes a lost update of the shared totals likely
+    to show."""
+    args = (STRADDLE, 0.1, 1.3, reps, 17)
+    with mock.patch.object(sim, "_BLOCK", 15):
+        with mock.patch.object(sim, "_cpus", lambda: 1):
+            base, sums = simulate_plan(*args), mc_transition_sums(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(sim, "_cpus", lambda: cpus):
+                assert simulate_plan(*args) == base
+                assert mc_transition_sums(*args) == sums
+        finally:
+            sys.setswitchinterval(interval)
 
 
-def chunk_of(word_start):
-    """The index of the 100-replicate chunk of PLAN whose window starts at word_start."""
-    return word_start // (100 * sim._blocks(PLAN)[1])
+def test_first_failing_block_in_index_order_decides(monkeypatch):
+    """Blocks 1, 2 and 3 fail, each sooner than the one before, while block
+    0 runs longest and succeeds: block 1's exception is raised."""
+    block_draw = sim._block_draw
 
+    def fail_later_blocks(seed, block, stage, *rest):
+        if stage == 0:
+            time.sleep(0.05 * (4 - block))
+            if block:
+                raise ValueError(f"block {block}")
+        return block_draw(seed, block, stage, *rest)
 
-def test_first_failing_chunk_in_index_order_decides(monkeypatch):
-    """Chunks 1, 2 and 3 fail, each sooner than the one before, while chunk
-    0 runs longest and succeeds: chunk 1's exception is raised."""
-    block = sim._uniform_block
-
-    def fail_later_chunks(seed, word_start, rows, cols):
-        k = chunk_of(word_start)
-        time.sleep(0.05 * (4 - k))
-        if k:
-            raise ValueError(f"chunk {k}")
-        return block(seed, word_start, rows, cols)
-
-    # four chunks of 100 on four threads: all start at once
+    # four blocks of 100 on four threads: all start at once
     monkeypatch.setattr(sim, "_cpus", lambda: 4)
-    monkeypatch.setattr(sim, "_CHUNK", 100)
-    monkeypatch.setattr(sim, "_uniform_block", fail_later_chunks)
-    with pytest.raises(ValueError, match="^chunk 1$"):
+    monkeypatch.setattr(sim, "_BLOCK", 100)
+    monkeypatch.setattr(sim, "_block_draw", fail_later_blocks)
+    with pytest.raises(ValueError, match="^block 1$"):
         simulate_plan(PLAN, mu=0.0, sigma=1.0, replications=400, seed=1)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_blocks_are_taken_as_they_come(cpus, monkeypatch):
+    """10**13 replicates are 10**11 blocks of 100: none is laid out before a
+    thread takes it, so a failure at block 2 is raised at once, with no
+    MemoryError, after blocks 0 and 1 ran."""
+    block_draw = sim._block_draw
+    started = []
+
+    def fail_at_block_2(seed, block, stage, *rest):
+        if stage == 0:
+            started.append(block)
+            if block == 2:
+                raise ValueError("block 2")
+        return block_draw(seed, block, stage, *rest)
+
+    monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+    monkeypatch.setattr(sim, "_BLOCK", 100)
+    monkeypatch.setattr(sim, "_block_draw", fail_at_block_2)
+    for run in (simulate_plan, mc_transition_sums):
+        started.clear()
+        with pytest.raises(ValueError, match="^block 2$"):
+            run(PLAN, 0.0, 1.0, 10**13, 1)
+        assert {0, 1, 2} <= set(started)
+        if cpus == 1:
+            assert started == [0, 1, 2]
+
+
 @pytest.mark.parametrize("case", ["first", "later", "interrupt"])
-def test_no_chunk_starts_after_a_failure_or_an_interrupt(case, monkeypatch):
-    """Of 40 chunks on two threads, chunk 0 starts.  Chunk 0 fails
+def test_no_block_starts_after_a_failure_or_an_interrupt(case, monkeypatch):
+    """Of 40 blocks on two threads, block 0 starts.  Block 0 fails
     after 0.1 s ("first"), or sends the caller's thread SIGINT then, as
-    Ctrl-C does, and fails a second later ("interrupt"), while chunk 1
-    fails after a second; or chunk 1 fails at once while chunk 0 takes
-    half a second and succeeds ("later").  Either way no chunk after
-    chunk 1 starts (chunk 1 may not start at all when the second thread
+    Ctrl-C does, and fails a second later ("interrupt"), while block 1
+    fails after a second; or block 1 fails at once while block 0 takes
+    half a second and succeeds ("later").  Either way no block after
+    block 1 starts (block 1 may not start at all when the second thread
     starts late)."""
     started = []
+    block_draw = sim._block_draw
 
     class Failed(Exception):
         pass
 
-    def record(seed, word_start, rows, cols):
-        k = chunk_of(word_start)
-        started.append(k)
+    def record(seed, block, stage, *rest):
+        if stage:
+            return block_draw(seed, block, stage, *rest)
+        started.append(block)
         if case == "later":
-            if k == 0:
+            if block == 0:
                 time.sleep(0.5)
-                return np.full((rows, cols), 0.5)
+                return block_draw(seed, block, stage, *rest)
             raise Failed
-        if k == 0:
+        if block == 0:
             time.sleep(0.1)
             if case == "interrupt":
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-        if k != 0 or case == "interrupt":
+        if block != 0 or case == "interrupt":
             time.sleep(1.0)
         raise Failed
 
     monkeypatch.setattr(sim, "_cpus", lambda: 2)
-    monkeypatch.setattr(sim, "_CHUNK", 100)
-    monkeypatch.setattr(sim, "_uniform_block", record)
+    monkeypatch.setattr(sim, "_BLOCK", 100)
+    monkeypatch.setattr(sim, "_block_draw", record)
     with pytest.raises(KeyboardInterrupt if case == "interrupt" else Failed):
         simulate_plan(PLAN, mu=0.0, sigma=1.0, replications=4000, seed=1)
     assert 0 in started and set(started) <= {0, 1}
 
 
-def test_warnings_and_errstate_of_the_caller_hold_in_every_chunk(monkeypatch):
-    """With the word floor lost and every word 0, the first stage's direct
-    chi-square draw logs 0 in each of four chunks: on two CPUs as on one,
-    the caller's warnings filters and np.errstate see every warning."""
-    plan = REPLAY_PLANS["unknown"]  # blocks of 3, 3 and 7 degrees of freedom
-    monkeypatch.setattr(sim, "_CHUNK", 100)
-    monkeypatch.setattr(sim, "_U_FLOOR", 0.0)
-    monkeypatch.setattr(sim, "_uniform_block", lambda seed, start, rows, cols: np.zeros((rows, cols)))
+def test_warnings_and_errstate_of_the_caller_hold_in_every_block(monkeypatch):
+    """A block draw that logs 0 in each of four blocks: on two CPUs as on
+    one, the caller's warnings filters and np.errstate see every warning."""
+    plan = REPLAY_PLANS["unknown"]
+    block_draw = sim._block_draw
+
+    def log_zero(*args):
+        np.log(np.zeros(1))
+        return block_draw(*args)
+
+    monkeypatch.setattr(sim, "_BLOCK", 100)
+    monkeypatch.setattr(sim, "_block_draw", log_zero)
 
     def run(cpus):
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
@@ -346,15 +367,13 @@ def test_matches_the_per_sample_reference(name):
 @pytest.mark.parametrize("df", [*range(1, 12), 39, 40, 146, 2**24 - 1])
 def test_block_squares_have_the_chi_square_law(df):
     """W / sigma^2 of a block of dn samples is chi-square with dn - 1
-    degrees of freedom, from direct draws of ceil(df / 2) words up to df 10
-    (one squared normal at df 1) to Marsaglia-Tsang draws from df 11 to
-    2**24 - 1, and the block sum is normal(dn shift, dn sigma^2)."""
+    degrees of freedom, through numpy's rejection step at df 1, an
+    exponential at df 2 and Marsaglia-Tsang draws from df 3 to 2**24 - 1,
+    and the block sum is normal(dn shift, dn sigma^2)."""
     base = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8, rho=1.0, tau=3)
     dn = df + 1
     # a block of dn samples, then one of a single sample, which draws no square
     plan = replace(base, stages=(Stage(n=dn, a=-1.0, b=1.0), Stage(n=dn + 1, a=0.0, b=0.0)))
-    k = min((df + 1) // 2, 2 * sim._TRIES + 1)
-    assert sim._blocks(plan) == ([(dn, k), (1, 0)], 4 * ((k + 5) // 4))
     reps, shift, sigma = 200_000, 0.3, 1.7
     sums, squares = block_draws(plan, shift, sigma, 11, 0, reps)
     assert squares[1].tolist() == [0.0] * reps
@@ -371,84 +390,95 @@ def test_block_squares_have_the_chi_square_law(df):
     assert abs(unit.var() - 1.0) <= 4 * math.sqrt(2.0 / reps)
 
 
-_TOP = 1.0 - 2.0**-53  # the largest word the stream emits
+_TOP = 1.0 - 2.0**-53  # the largest double numpy's bit generators emit
+# a 64-bit word that sends numpy's normal ziggurat to its positive tail: layer
+# 0 (the low 8 bits), magnitude bits 9..60 all set, and bit 17, the tail's
+# sign, clear
+_NORMAL_TAIL = ((1 << 52) - 1) << 9 & ~(1 << 17)
+# a word that sends numpy's exponential ziggurat to its tail: layer 0 (bits
+# 3..10) and every magnitude bit above set
+_EXPONENTIAL_TAIL = ((1 << 53) - 1) << 11
 
 
-@pytest.mark.parametrize("df", [2, 3, 40, 2**24 - 1])
-def test_chi_square_takes_the_first_accepting_try_or_the_fallback(df):
-    """Hand-made windows: a try whose normal word is 0.999 (z = 3.09) and
-    whose acceptance word is 1 - 2**-53 rejects at every df, and one with
-    acceptance word _U_FLOOR and normal word 0.7 accepts, giving 2 d v."""
-    d = 0.5 * df - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    v = 1.0 + c * float(sp.ndtri(0.7))
-    accepted = 2.0 * d * (v * v * v)
-    fallback = 2.0 * float(sp.gammaincinv(0.5 * df, 0.3))
-    reject, accept = [0.999, _TOP], [0.7, sim._U_FLOOR]
-    windows = {
-        "first": accept + reject,
-        "second": reject + accept,
-        "neither": reject + reject,
-    }
-    expected = {"first": accepted, "second": accepted, "neither": fallback}
-    assert sim._TRIES == 2
-    for name, words in windows.items():
-        got = sim._chi_square(df, np.array([words + [0.3]]))
-        assert repr(float(got[0])) == repr(expected[name]), name
-    # rows of every kind in one window draw what each draws alone
-    mixed = np.array([windows[name] + [0.3] for name in ("neither", "first", "second", "neither")])
-    got = sim._chi_square(df, mixed).tolist()
-    assert got == [expected[name] for name in ("neither", "first", "second", "neither")]
+def largest_accepted(draw, lo=0.5, hi=_TOP):
+    """The largest double u in [lo, hi) for which draw(u) is not None, by
+    bisection: draw(lo) must be accepted and draw(hi) not."""
+    assert draw(lo) is not None and draw(hi) is None
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if draw(mid) is not None else (lo, mid)
+    return lo
 
 
-def test_direct_draw_is_minus_twice_the_log_of_the_product_and_a_square():
-    """Hand-made windows: an odd df draws -2 log(u1 u2) + ndtri(u3)^2, an even
-    one -2 log of its words' left-to-right product, df 1 the square alone
-    (the bits of the squared normal a block of two drew before), and a block
-    reads its words from column col on."""
-    u = np.array([
-        [0.3, 0.8, 0.6, 0.05, 0.99],
-        [sim._U_FLOOR, _TOP, 0.5, sim._U_FLOOR, sim._U_FLOOR],
-        [_TOP, 0.123456789, sim._U_FLOOR, _TOP, 0.7],
-    ])
-    u1, u2, u3, u4, u5 = u.T
-    odd = -2.0 * np.log(u1 * u2) + sp.ndtri(u3) ** 2
-    assert sim._direct_chi_square(5, u[:, :3]).tolist() == odd.tolist()
-    assert sim._direct_chi_square(4, u[:, :2]).tolist() == (-2.0 * np.log(u1 * u2)).tolist()
-    even = -2.0 * np.log((((u1 * u2) * u3) * u4) * u5)
-    assert sim._direct_chi_square(10, u).tolist() == even.tolist()
-    assert sim._direct_chi_square(2, u[:, 3:4]).tolist() == (-2.0 * np.log(u4)).tolist()
-    assert sim._direct_chi_square(1, u[:, 2:3]).tolist() == (sp.ndtri(u3) ** 2).tolist()
-    # a block of six samples: sum word at column 0, its three words at 2..4
-    sums, squares = sim._block_draw(u, slice(None), 0, 2, 6, 3, 0.25, 1.5, True)
-    assert squares.tolist() == (1.5 * 1.5 * (-2.0 * np.log(u3 * u4) + sp.ndtri(u5) ** 2)).tolist()
-    assert sums.tolist() == (6 * 0.25 + 1.5 * math.sqrt(6) * sp.ndtri(u1)).tolist()
+def largest_normal_tail_u():
+    """The largest double of a normal tail draw that numpy's ziggurat
+    accepts when its acceptance double is _TOP, the most lenient: a
+    rejected first pair is followed by (0, 0.5), which gives r exactly."""
+
+    def draw(u):
+        z = scripted_generator([_NORMAL_TAIL], [u, _TOP, 0.0, 0.5]).standard_normal()
+        return None if z == sim._ZIGGURAT_R else z
+
+    return largest_accepted(draw)
+
+
+def test_no_normal_numpy_draws_exceeds_z_max():
+    """numpy's ziggurat starts its tail at _ZIGGURAT_R: the tail draw is r +
+    x, x = -log1p(-u) / r, so u = 1 - 2**-53 gives _Z_MAX, which the
+    tail's test x^2 < -2 log1p(-u') rejects whatever its second double u'.
+    The largest draw accepted is r + sqrt(106 log 2), up to the grid of
+    doubles, and so within _Z_MAX."""
+    r = sim._ZIGGURAT_R
+    x = -math.log1p(-_TOP) / r
+    assert r + x == sim._Z_MAX == pytest.approx(13.71, abs=5e-3)
+    assert x * x > -2.0 * math.log1p(-_TOP)
+    z = scripted_generator([_NORMAL_TAIL], [largest_normal_tail_u(), _TOP]).standard_normal()
+    assert r + math.sqrt(106 * math.log(2)) - 1e-3 < z <= r + math.sqrt(106 * math.log(2))
+    assert z < sim._Z_MAX
+    # the same word with the tail's sign bit set draws the negative twin
+    negative = _NORMAL_TAIL | 1 << 17
+    assert scripted_generator([negative], [0.75, _TOP]).standard_normal() < -r
 
 
 @pytest.mark.parametrize("df", [*range(1, 12), 40, 2**24 - 1])
-@pytest.mark.parametrize("word", [sim._U_FLOOR, _TOP])
-def test_extreme_windows_keep_the_chi_square_within_the_overflow_bound(df, word):
+@pytest.mark.parametrize("extreme", ["smallest", "largest"])
+def test_extreme_streams_keep_the_chi_square_within_the_overflow_bound(df, extreme):
     """_stage_pass refuses data by taking every block's chi-square as at
-    most dn * _Z_MAX^2; windows of the smallest or of the largest word,
-    which drive a draw to its extremes, stay within that, and without a
-    warning: the direct draw's ceil(df / 2) words up to df 10 and a
-    Marsaglia-Tsang window from df 2 on."""
-    draws = []
+    most dn * _Z_MAX^2.  numpy's largest draws stay within that, and
+    without a warning: at df 1 the rejection step's largest accepted
+    proposal against the largest exponential, at df 2 that exponential,
+    and from df 3 on a Marsaglia-Tsang try on the largest normal, accepted
+    by a uniform of 0.  A stream of zero words and doubles draws at least 0."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if (df + 1) // 2 <= 2 * sim._TRIES + 1:
-            draws.append(sim._direct_chi_square(df, np.full((1, (df + 1) // 2), word)))
-        if df >= 2:
-            draws.append(sim._chi_square(df, np.full((1, 2 * sim._TRIES + 1), word)))
-    for chi2 in draws:
-        assert 0.0 <= chi2[0] <= (df + 1) * sim._Z_MAX**2
+        if extreme == "smallest":
+            chi2 = scripted_generator().chisquare(df)
+        elif df == 1:
+            # a rejected proposal is followed by (0.25, exponential), accepted
+            def draw(u):
+                g = scripted_generator([_EXPONENTIAL_TAIL] * 2, [u, _TOP, 0.25, _TOP])
+                x = g.chisquare(1)
+                return None if x == 2 * 0.25**2 else x
+
+            chi2 = draw(largest_accepted(draw))
+        elif df == 2:
+            chi2 = scripted_generator([_EXPONENTIAL_TAIL], [_TOP]).chisquare(2)
+            assert chi2 == 2.0 * (7.69711747013105 - math.log1p(-_TOP))
+        else:
+            u = largest_normal_tail_u()
+            chi2 = scripted_generator([_NORMAL_TAIL], [u, _TOP, 0.0]).chisquare(df)
+            d = 0.5 * df - 1.0 / 3.0
+            z = scripted_generator([_NORMAL_TAIL], [u, _TOP]).standard_normal()
+            assert chi2 == pytest.approx(2.0 * d * (1.0 + z / (3.0 * math.sqrt(d))) ** 3, rel=1e-12)
+    assert 0.0 <= chi2 <= (df + 1) * sim._Z_MAX**2
 
 
 def test_largest_accepted_draw_is_within_the_overflow_bound():
-    """An accepted try gives at most 2 d (1 + _Z_MAX / (3 sqrt(d)))^3,
-    which stays within dn * _Z_MAX^2 from df 2 to 10**4 and at 2**24 - 1;
-    its ratio to that bound falls as df grows."""
-    dfs = np.concatenate([np.arange(2, 10**4), [2.0**24 - 1]])
+    """A Marsaglia-Tsang try gives at most 2 d (1 + _Z_MAX / (3 sqrt(d)))^3,
+    which stays within dn * _Z_MAX^2 from df 3, where numpy starts drawing
+    by that method, to 10**4 and at 2**24 - 1; its ratio to that bound falls
+    as df grows."""
+    dfs = np.concatenate([np.arange(3, 10**4), [2.0**24 - 1]])
     d = 0.5 * dfs - 1.0 / 3.0
     largest = 2.0 * d * (1.0 + sim._Z_MAX / (3.0 * np.sqrt(d))) ** 3
     assert np.all(largest <= (dfs + 1) * sim._Z_MAX**2)
@@ -493,18 +523,18 @@ SINGLE = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=1.0, rho=0.01, tau=2)
 WALK_PLANS = {**REPLAY_PLANS, "plan": PLAN, "single": SINGLE}
 
 
-@pytest.mark.parametrize("chunk", [sim._CHUNK, 137])
+@pytest.mark.parametrize("block", [sim._BLOCK, 137])
 @pytest.mark.parametrize(
     "theta, sigma_ratio", [(-50.0, 1.0), (-0.5, 2.0), (0.0, 1.0), (0.3, 0.5), (0.7, 2.0)]
 )
 @pytest.mark.parametrize("name", sorted(WALK_PLANS))
 def test_stopped_walk_reports_what_the_all_stages_walk_does(
-    name, theta, sigma_ratio, chunk, monkeypatch
+    name, theta, sigma_ratio, block, monkeypatch
 ):
     """simulate_plan draws and decides a replicate's stages only while it
     samples; its report is the stop tally of the walk that decides every
     replicate at every stage, also where every replicate stops at once."""
-    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    monkeypatch.setattr(sim, "_BLOCK", block)
     plan = WALK_PLANS[name]
     plan_sigma = getattr(plan, "sigma", 1.0)
     mu, sigma = plan.gamma + theta * plan_sigma, sigma_ratio * plan_sigma
@@ -521,23 +551,20 @@ def test_stopped_walk_reports_what_the_all_stages_walk_does(
     st.sampled_from(sorted(WALK_PLANS)),
     st.floats(-1.0, 1.0),
     st.floats(0.25, 4.0),
-    st.integers(1, 700),
+    st.integers(1, 400),
     st.integers(0, 2**64 - 1),
 )
-def test_walk_counts_equal_the_stop_tally_of_every_stage(name, theta, sigma_ratio, chunk, seed):
-    """Each chunk's stop counts, kept as the stopped walk goes, are the
-    stop tally of the codes of the walk that decides every replicate at
-    every stage."""
+def test_walk_counts_equal_the_stop_tally_of_every_stage(name, theta, sigma_ratio, block, seed):
+    """The stop counts, kept as the stopped walk goes, are the stop tally of
+    the codes of the walk that decides every replicate at every stage,
+    whatever the block size."""
     plan = WALK_PLANS[name]
     plan_sigma = getattr(plan, "sigma", 1.0)
     mu, sigma = plan.gamma + theta * plan_sigma, sigma_ratio * plan_sigma
-    with mock.patch.object(sim, "_CHUNK", chunk):
-        counted = sim._stage_pass(plan, mu, sigma, 900, seed)
-        walked = sim._stage_pass(plan, mu, sigma, 900, seed, stop_tally)
-    # chunks of at most _CHUNK rows, fewer where several threads split them
-    assert len(counted) == len(walked) >= -(-900 // chunk)
-    for (stops, accepted), (tallied, tallied_accepted) in zip(counted, walked):
-        assert (stops.tolist(), accepted) == (tallied.tolist(), tallied_accepted)
+    with mock.patch.object(sim, "_BLOCK", block):
+        stops, accepted = sim._stage_pass(plan, mu, sigma, 300, seed)
+        tallied, tallied_accepted = sim._stage_pass(plan, mu, sigma, 300, seed, stop_tally)
+    assert (stops.tolist(), accepted) == (tallied.tolist(), tallied_accepted)
 
 
 @pytest.mark.parametrize("stop", [True, False])
@@ -548,18 +575,17 @@ def test_open_final_stage_fails_in_either_walk(stop):
         sim._stage_pass(open_plan, 0.0, 1.0, 1000, 1, None if stop else stop_tally)
 
 
-# recorded from the pass that drew and decided every stage of every
-# replicate, before the walk learnt to stop; the unknown-variance bench
-# oracle compares these sums with the certified envelopes
+# recorded from the all-stages walk of the block draws; the unknown-variance
+# bench oracle compares these sums with the certified envelopes
 TRANSITION_SUMS = {
-    ("plan", 4): "TransitionSums(replications=20000, reject_sum=0.37475, "
-    "reject_se=0.003626378617160651, accept_sum=0.6922, accept_se=0.0036121957311308584, seed=4)",
-    ("plan", 19): "TransitionSums(replications=20000, reject_sum=0.3767, "
-    "reject_se=0.003639348224613853, accept_sum=0.68805, accept_se=0.0035988692495004596, seed=19)",
-    ("straddle", 4): "TransitionSums(replications=20000, reject_sum=0.7096, "
-    "reject_se=0.0035669864031139787, accept_sum=0.36265, accept_se=0.0036127204258010336, seed=4)",
-    ("straddle", 19): "TransitionSums(replications=20000, reject_sum=0.71625, "
-    "reject_se=0.003559044376655059, accept_sum=0.3591, accept_se=0.0036079578018596617, seed=19)",
+    ("plan", 4): "TransitionSums(replications=20000, reject_sum=0.3823, "
+    "reject_se=0.0036410624136369867, accept_sum=0.6883, accept_se=0.003653375904557318, seed=4)",
+    ("plan", 19): "TransitionSums(replications=20000, reject_sum=0.37135, "
+    "reject_se=0.0036114344622324244, accept_sum=0.6967, accept_se=0.0036256662146424896, seed=19)",
+    ("straddle", 4): "TransitionSums(replications=20000, reject_sum=0.70655, "
+    "reject_se=0.0035618611532455898, accept_sum=0.36575, accept_se=0.0036282016034118064, seed=4)",
+    ("straddle", 19): "TransitionSums(replications=20000, reject_sum=0.7057, "
+    "reject_se=0.003596439280733098, accept_sum=0.3688, accept_se=0.003625510722643087, seed=19)",
 }
 
 
@@ -572,50 +598,41 @@ def test_transition_sums_keep_their_values(name, seed):
 
 @pytest.mark.parametrize("theta", [-50.0, -0.5, 0.2])
 def test_only_replicates_still_sampling_draw_a_block(theta, monkeypatch):
-    """Each stage block is drawn, and its sum of squares computed, for the
-    replicates that reach its stage and no others; the transition walk draws
-    every block of every replicate.  REPLAY_PLANS["unknown"] draws each
-    chi-square directly; MIXED also draws a squared normal, nothing, and a
-    Marsaglia-Tsang block, whose ``_chi_square`` rows are checked too."""
-    drawn, square_rows, chi_rows = [], [], []
-    block_draw, chi_square = sim._block_draw, sim._chi_square
+    """Each stage block is drawn, with its sums of squares, for the
+    replicates that reach its stage and no others; the transition walk
+    draws every block of every replicate, those of the replicates that have
+    stopped from streams of their own.  REPLAY_PLANS["unknown"] draws
+    chi-squares of 3, 3 and 7 degrees of freedom; MIXED also one of 1, none
+    and one of 11."""
+    calls = []
+    block_draw = sim._block_draw
 
-    def recording_block(words, live, i, *rest):
-        sums, squares = block_draw(words, live, i, *rest)
-        drawn.append(i)
-        square_rows.append(len(squares))
+    def record(seed, block, stage, stopped, rows, *rest):
+        sums, squares = block_draw(seed, block, stage, stopped, rows, *rest)
+        assert len(sums) == len(squares) == rows
+        calls.append((stage, stopped, rows))
         return sums, squares
 
-    def recording_chi_square(df, window):
-        chi_rows.append(len(window))
-        return chi_square(df, window)
-
-    monkeypatch.setattr(sim, "_block_draw", recording_block)
-    monkeypatch.setattr(sim, "_chi_square", recording_chi_square)
-    # fewer replicates than _CHUNK: one chunk, so the records come in stage order
+    monkeypatch.setattr(sim, "_block_draw", record)
+    # fewer replicates than _BLOCK: one block, so the calls come in stage order
     reps = 5000
-    for plan, dfs in ((REPLAY_PLANS["unknown"], [3, 3, 7]), (MIXED, [1, 0, 2, 5, 11])):
-        assert [dn - 1 for dn, _ in sim._blocks(plan)[0]] == dfs
-        tried = [i for i, df in enumerate(dfs) if (df + 1) // 2 > 2 * sim._TRIES + 1]
-        for record in (drawn, square_rows, chi_rows):
-            record.clear()
+    for plan in (REPLAY_PLANS["unknown"], MIXED):
+        calls.clear()
         rep = simulate_plan(plan, theta, 1.0, reps, 2)
         reaching = [sum(rep.stage_histogram[i:]) for i in range(plan.num_stages)]
         stages = [i for i, count in enumerate(reaching) if count]
-        assert drawn == stages
-        assert square_rows == reaching[: len(stages)]
-        assert chi_rows == [reaching[i] for i in tried if i in stages]
+        assert calls == [(i, False, reaching[i]) for i in stages]
         if theta == -50.0:
-            assert drawn == [0]
+            assert stages == [0]
         else:
-            # the Marsaglia-Tsang block is drawn for some replicates, not all
-            assert all(0 < rows < reps for rows in chi_rows) and len(chi_rows) == len(tried)
-        for record in (drawn, square_rows, chi_rows):
-            record.clear()
+            # the last block is drawn for some replicates, not all
+            assert 0 < reaching[-1] < reps
+        calls.clear()
         mc_transition_sums(plan, theta, 1.0, reps, 2)
-        assert drawn == list(range(plan.num_stages))
-        assert square_rows == [reps] * plan.num_stages
-        assert chi_rows == [reps] * len(tried)
+        assert [(i, rows) for i, stopped, rows in calls if not stopped] == list(enumerate(reaching))
+        assert [(i, rows) for i, stopped, rows in calls if stopped] == [
+            (i, reps - reaching[i]) for i in range(plan.num_stages) if reaching[i] < reps
+        ]
 
 
 def reference_stop_tally(stats, a, b):
