@@ -135,6 +135,8 @@ def cmd_design(args) -> int:
             build_known_plan, args.alpha, args.beta, args.epsilon, args.gamma, args.sigma
         )
     else:
+        if args.sigma is not None:
+            raise DomainError("--sigma does not apply to --kind unknown")
         calibrate = partial(
             calibrate_unknown, *design, zeta_tol=args.zeta_tol,
             tail_mass=args.tail_mass, cell_budget=args.cell_budget,
@@ -211,6 +213,8 @@ def cmd_asn(args) -> int:
     plan = _read_plan(args.plan)
     lines = [",".join(["theta", *(f"tail_{ell}" for ell in range(1, plan.num_stages))])]
     for theta in args.theta:
+        if not math.isfinite(theta):  # a one-stage plan has no tail to refuse it
+            raise DomainError(f"theta must be finite, got {theta}")
         tails = [plan.sample_tail(ell, theta) for ell in range(1, plan.num_stages)]
         lines.append(",".join(format_real(x) for x in [theta, *tails]))
     _write_text(args.out, "\n".join(lines) + "\n")

@@ -203,6 +203,8 @@ class Plan:
         if not math.isfinite(theta):
             raise DomainError(f"theta must be finite, got {theta}")
         stage = self.stages[ell - 1]
+        if not math.isfinite(math.sqrt(stage.n) * theta):
+            raise _overflow(theta, ell, stage.n)
         value = self.stage_cdf(stage.b, stage.n, theta) - self.stage_cdf(stage.a, stage.n, theta)
         return max(0.0, value)
 

@@ -39,6 +39,7 @@ from .plan_known import (
     Plan,
     Stage,
     _check_interval_settings,
+    _overflow,
     validate_design,
 )
 from .special import (
@@ -251,31 +252,51 @@ def _partition_many(
     return [rows[: last[-1] + 1] for rows, last in zip(cells, slots)]
 
 
-class _StageTermEvaluator:
-    """Corner-bound evaluator for one envelope term's (y, z) rectangles.
+class _StageTerm:
+    """The stage-ell envelope term (ell >= 2, 1-based): its (y, z) root and corner bounds.
 
-    Bounds Pr{scale sqrt(V^2 + y + z) <= U - off <= k V + omega sqrt(y)}
-    differences between two omega values using monotonicity: the radicand
-    grows with y + z (shrinking the region) and the line intercept grows
-    with omega sqrt(y).  Neighbouring cells share corners, so each corner's
-    probability is computed once per evaluator, by _fill_corners, and then
-    looked up.
+    The root holds the central 1 - tail_budget/2 of Y and of Z (Z = 0 when it
+    has no dof).  A rectangle of it bounds Pr{scale sqrt(V^2 + y + z) <= U -
+    off <= k V + omega sqrt(y)} differences between two omega values using
+    monotonicity: the radicand grows with y + z (shrinking the region) and
+    the line intercept grows with omega sqrt(y).  Neighbouring cells share
+    corners, so each corner's probability is computed once per term, by
+    _fill_corners, and then looked up.
     """
 
-    def __init__(self, scale, off, k, omega_plus, omega_minus, dof_y, dof_z, negate):
-        self.scale = scale
-        self.off = off
-        self.k = k
-        self.omega_plus = omega_plus  # event entering the difference with +
-        self.omega_minus = omega_minus  # event entering with -
-        self.dof_y = dof_y
-        self.dof_z = dof_z
-        self.negate = negate  # True when the difference is nonpositive
+    def __init__(self, theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float):
+        prev = plan.stages[ell - 2]
+        cur = plan.stages[ell - 1]
+        self.dof_y = prev.n - 1
+        self.dof_z = cur.n - prev.n - 1
+        self.k = math.sqrt(cur.n / prev.n - 1.0)
+        scale_prev = math.sqrt(cur.n / prev.n)
+        c_prev = prev.a / math.sqrt(prev.n - 1)
+        d_prev = prev.b / math.sqrt(prev.n - 1)
+        d_cur = cur.b / math.sqrt(cur.n - 1)
+
+        # a negative reject slope flips the event; multiplying by -1.0 is exact
+        sign = 1.0 if d_cur >= 0.0 else -1.0
+        self.scale = sign * d_cur
+        self.off = -sign * math.sqrt(cur.n) * theta
+        self.omega_plus = sign * scale_prev * d_prev  # event entering the difference with +
+        self.omega_minus = sign * scale_prev * c_prev  # event entering with -
+        self.negate = sign < 0.0  # True when the difference is nonpositive
+        # a hyperbola-cone corner's arc bound takes scale^2 off^2, a cone corner off itself
+        size = self.scale * self.scale * (self.off * self.off) if self.scale != 0.0 else self.off
+        if not math.isfinite(size):
+            raise _overflow(theta, ell, cur.n)
         self._corners: dict[tuple[float, float, float], float] = {}
 
-    def _key(self, sum_yz: float, y_for_line: float, omega: float) -> tuple[float, float, float]:
-        # the cone path (scale 0) ignores sum_yz, so its corners share it
-        return (sum_yz if self.scale != 0.0 else 0.0, y_for_line, omega)
+        quarter = tail_budget / 4.0
+        y_lo = chi_square_quantile(quarter, self.dof_y)
+        y_hi = chi_square_quantile(1.0 - quarter, self.dof_y)
+        if self.dof_z > 0:
+            z_lo = chi_square_quantile(quarter, self.dof_z)
+            z_hi = chi_square_quantile(1.0 - quarter, self.dof_z)
+        else:
+            z_lo = z_hi = 0.0
+        self.root = (y_lo, y_hi, z_lo, z_hi)
 
     def region(self, key: tuple[float, float, float]) -> ConeRegion | HyperbolaConeRegion:
         """The event at a corner key: a cone when scale is 0, else a hyperbola-cone."""
@@ -287,16 +308,16 @@ class _StageTermEvaluator:
             offset=self.off, lam=lam, h=lam * sum_yz, g=omega * math.sqrt(y), k=self.k
         )
 
-    def _corner_keys(self, y_lo, y_hi, z_lo, z_hi, omega):
-        """Keys of the corners giving the event's (upper, lower) bound on the rectangle."""
-        y_for_hi = y_hi if omega >= 0.0 else y_lo
-        y_for_lo = y_lo if omega >= 0.0 else y_hi
-        return self._key(y_lo + z_lo, y_for_hi, omega), self._key(y_hi + z_hi, y_for_lo, omega)
-
-    def rect_keys(self, rect) -> tuple:
-        """The omega_plus (upper, lower) then omega_minus (upper, lower) corner keys of rect."""
-        plus = self._corner_keys(*rect, self.omega_plus)
-        return plus + self._corner_keys(*rect, self.omega_minus)
+    def rect_keys(self, rect) -> list[tuple[float, float, float]]:
+        """The omega_plus then omega_minus (upper, lower) keys (y + z, y, omega) of rect."""
+        y_lo, y_hi, z_lo, z_hi = rect
+        # the cone path (scale 0) ignores y + z, so its corners share it
+        near, far = (y_lo + z_lo, y_hi + z_hi) if self.scale != 0.0 else (0.0, 0.0)
+        keys = []
+        for omega in (self.omega_plus, self.omega_minus):
+            y_wide, y_narrow = (y_hi, y_lo) if omega >= 0.0 else (y_lo, y_hi)
+            keys += [(near, y_wide, omega), (far, y_narrow, omega)]
+        return keys
 
     def mass(self, y_lo, y_hi, z_lo, z_hi) -> float:
         m = chi_square_cdf(y_hi, self.dof_y) - chi_square_cdf(y_lo, self.dof_y)
@@ -321,8 +342,8 @@ class _StageTermEvaluator:
         return out
 
 
-def _fill_corners(batch: list[tuple[_StageTermEvaluator, list]]) -> None:
-    """Compute the corners that each (evaluator, rectangles) pair's memo lacks.
+def _fill_corners(batch: list[tuple[_StageTerm, list]]) -> None:
+    """Compute the corners that each (term, rectangles) pair's memo lacks.
 
     Cone corners (scale 0) are closed forms, computed one by one; every
     hyperbola-cone corner of the batch goes into one hyperbola_cone_prob_many
@@ -330,88 +351,45 @@ def _fill_corners(batch: list[tuple[_StageTermEvaluator, list]]) -> None:
     each memo holds the same bits whichever terms share a round.
     """
     owners, regions = [], []
-    for evaluator, rects in batch:
-        keys = dict.fromkeys(key for rect in rects for key in evaluator.rect_keys(rect))
-        missing = [key for key in keys if key not in evaluator._corners]
-        if evaluator.scale == 0.0:
+    for term, rects in batch:
+        keys = dict.fromkeys(key for rect in rects for key in term.rect_keys(rect))
+        missing = [key for key in keys if key not in term._corners]
+        if term.scale == 0.0:
             for key in missing:
-                evaluator._corners[key] = cone_prob(evaluator.region(key))
+                term._corners[key] = cone_prob(term.region(key))
         else:
-            owners += [(evaluator, key) for key in missing]
-            regions += [evaluator.region(key) for key in missing]
+            owners += [(term, key) for key in missing]
+            regions += [term.region(key) for key in missing]
     if regions:
-        for (evaluator, key), p in zip(owners, hyperbola_cone_prob_many(regions)):
-            evaluator._corners[key] = p
+        for (term, key), p in zip(owners, hyperbola_cone_prob_many(regions)):
+            term._corners[key] = p
 
 
-def _stage_term(
-    theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float
-) -> tuple[tuple[float, float, float, float], _StageTermEvaluator]:
-    """The stage-ell envelope term's (y, z) root and corner evaluator (ell >= 2, 1-based).
-
-    The root holds the central 1 - tail_budget/2 of Y and of Z (Z = 0 when it
-    has no dof).
-    """
-    prev = plan.stages[ell - 2]
-    cur = plan.stages[ell - 1]
-    dof_y = prev.n - 1
-    dof_z = cur.n - prev.n - 1
-    k = math.sqrt(cur.n / prev.n - 1.0)
-    scale_prev = math.sqrt(cur.n / prev.n)
-    c_prev = prev.a / math.sqrt(prev.n - 1)
-    d_prev = prev.b / math.sqrt(prev.n - 1)
-    d_cur = cur.b / math.sqrt(cur.n - 1)
-
-    # a negative reject slope flips the event; multiplying by -1.0 is exact
-    sign = 1.0 if d_cur >= 0.0 else -1.0
-    evaluator = _StageTermEvaluator(
-        scale=sign * d_cur,
-        off=-sign * math.sqrt(cur.n) * theta,
-        k=k,
-        omega_plus=sign * scale_prev * d_prev,
-        omega_minus=sign * scale_prev * c_prev,
-        dof_y=dof_y,
-        dof_z=dof_z,
-        negate=sign < 0.0,
-    )
-
-    quarter = tail_budget / 4.0
-    y_lo = chi_square_quantile(quarter, dof_y)
-    y_hi = chi_square_quantile(1.0 - quarter, dof_y)
-    if dof_z > 0:
-        z_lo = chi_square_quantile(quarter, dof_z)
-        z_hi = chi_square_quantile(1.0 - quarter, dof_z)
-    else:
-        z_lo = z_hi = 0.0
-    return (y_lo, y_hi, z_lo, z_hi), evaluator
-
-
-def _term_cells(
-    setups: list[tuple[tuple[float, float, float, float], _StageTermEvaluator]], cell_budget: int
-) -> list[np.ndarray]:
-    """The cells of each (root, evaluator) term, all refined in lock-step by _partition_many."""
+def _term_cells(terms: list[_StageTerm], cell_budget: int) -> list[np.ndarray]:
+    """The cells of each term's root, all refined in lock-step by _partition_many."""
 
     def evaluate_round(pending):
-        batch = [(setups[i][1], rects) for i, rects in pending]
+        batch = [(terms[i], rects) for i, rects in pending]
         _fill_corners(batch)
-        return [evaluator.bounds(rects) for evaluator, rects in batch]
+        return [term.bounds(rects) for term, rects in batch]
 
-    return _partition_many([root for root, _ in setups], cell_budget, evaluate_round)
+    return _partition_many([term.root for term in terms], cell_budget, evaluate_round)
 
 
 def stage_term_cells(
     theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float, cell_budget: int
-) -> tuple[np.ndarray, _StageTermEvaluator, tuple[float, float]]:
+) -> tuple[np.ndarray, _StageTerm, tuple[float, float]]:
     """Partition cells bounding the stage-ell envelope term (ell >= 2, 1-based).
 
-    Returns the cells, rows (y_lo, y_hi, z_lo, z_hi, p_lower, p_upper), their
-    evaluator and the root's (y, z) side lengths (see _stage_term for the
+    Returns the cells, rows (y_lo, y_hi, z_lo, z_hi, p_lower, p_upper), the
+    _StageTerm and its root's (y, z) side lengths (see _StageTerm for the
     root).  oc_upper_P_many refines these same cells for every term of its
     plans at once.
     """
-    root, evaluator = _stage_term(theta, plan, ell, tail_budget)
-    [cells] = _term_cells([(root, evaluator)], cell_budget)
-    return cells, evaluator, (root[1] - root[0], root[3] - root[2])
+    term = _StageTerm(theta, plan, ell, tail_budget)
+    [cells] = _term_cells([term], cell_budget)
+    y_lo, y_hi, z_lo, z_hi = term.root
+    return cells, term, (y_hi - y_lo, z_hi - z_lo)
 
 
 def oc_upper_P_many(
@@ -435,23 +413,25 @@ def oc_upper_P_many(
         raise DomainError(f"theta must be finite, got {theta}")
     _check_interval_settings(tail_mass, cell_budget)
 
-    terms = [
+    specs = [
         (j, ell, tail_mass / (plan.num_stages - 1))
         for j, plan in enumerate(plans)
         for ell in range(2, plan.num_stages + 1)
     ]
-    setups = [_stage_term(theta, plans[j], ell, tail_budget) for j, ell, tail_budget in terms]
-    term_cells = _term_cells(setups, cell_budget)
+    terms = [_StageTerm(theta, plans[j], ell, tail_budget) for j, ell, tail_budget in specs]
+    term_cells = _term_cells(terms, cell_budget)
 
     brackets = []
     for plan in plans:
         first = plan.stages[0]
+        if not math.isfinite(math.sqrt(first.n) * theta):
+            raise _overflow(theta, 1, first.n)
         p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)
         brackets.append([p1, p1])
-    for (j, ell, tail_budget), (_, evaluator), cells in zip(terms, setups, term_cells):
+    for (j, ell, tail_budget), term, cells in zip(specs, terms, term_cells):
         cell_lo = math.fsum(cells[:, 4])
         cell_hi = math.fsum(cells[:, 5])
-        if evaluator.negate:
+        if term.negate:
             nct = plans[j].sample_tail(ell - 1, theta)
             term_lo = max(0.0, nct + cell_lo - tail_budget)
             term_hi = min(nct, nct + cell_hi)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from seqnorm import calibrate
 from seqnorm.calibrate import calibrate_known, calibrate_unknown
@@ -95,6 +96,22 @@ class TestUnknown:
     def test_default_design_takes_at_most_seven_probes(self, unknown_calibration):
         # bisection took 15: the bracket [1/3, 1] halved down to 1e-4
         assert unknown_calibration.iterations <= 7
+
+    @pytest.mark.parametrize("design, zeta, iterations", [
+        (DESIGN, "0.8777410381486583", 6),  # the unknown_calibration fixture's
+        (dict(alpha=0.05, beta=0.10, epsilon=0.5, rho=0.5, tau=4), "0.7033882181678947", 7),
+    ], ids=["sym", "asym"])
+    def test_default_calibration_keeps_its_bits(self, request, design, zeta, iterations):
+        # recorded under these builds; others may round differently
+        builds = {"numpy": np.__version__, "scipy": scipy.__version__}
+        if builds != {"numpy": "2.4.6", "scipy": "1.17.1"}:
+            pytest.skip(f"default calibration bits recorded with numpy 2.4.6, scipy 1.17.1, "
+                        f"running {builds}")
+        if design == DESIGN:
+            res = request.getfixturevalue("unknown_calibration")
+        else:
+            res = calibrate_unknown(**design)  # the default tail mass and 256 cells
+        assert (repr(res.zeta), res.iterations) == (zeta, iterations)
 
     def test_deterministic(self):
         a = calibrate_unknown(0.05, 0.05, 0.5, rho=1.0, tau=2, cell_budget=16)

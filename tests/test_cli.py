@@ -48,6 +48,17 @@ def unknown_plan_file(tmp_path_factory):
 
 
 class TestDesign:
+    def test_unknown_refuses_sigma(self, tmp_path, capsys):
+        out = tmp_path / "plan.json"
+        code, stdout, err = run_cli([
+            "design", "--kind", "unknown", "--alpha", "0.05", "--beta", "0.05",
+            "--epsilon", "0.5", "--gamma", "0", "--sigma", "-5", "--zeta", "0.5",
+            "--out", str(out),
+        ], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "design: --sigma does not apply to --kind unknown\n"
+        assert not out.exists()
+
     def test_calibrated_known_is_certified(self, known_plan_file):
         plan = load_plan(known_plan_file)
         assert plan.kind == "known"
@@ -428,8 +439,8 @@ class TestErrorHandling:
         out = tmp_path / "plan.json"
         code, stdout, err = run_cli([
             "design", "--kind", kind, "--alpha", "0.05", "--beta", "0.05", "--epsilon", "0.5",
-            "--gamma", "0", "--sigma", "1", "--calibrate", "--cell-budget", "2",
-            "--out", str(out),
+            "--gamma", "0", *(["--sigma", "1"] if kind == "known" else []), "--calibrate",
+            "--cell-budget", "2", "--out", str(out),
         ], capsys)
         assert (code, stdout) == (2, "")
         assert err == "design: cell_budget must be >= 4, got 2\n"
@@ -575,10 +586,11 @@ class TestErrorHandling:
         assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, message", [
-        # the hyperbola offset's square overflows: refused before any
-        # RuntimeWarning can leak from the arc integrand
+        # the hyperbola offset's square overflows: refused before any region
+        # is built, so no RuntimeWarning can leak from the arc integrand
         (["--theta-min=-1e160", "--theta-max=-1e10", "--points", "2", "--cell-budget", "8"],
-         "oc: region too large for double precision: "),
+         "oc: |theta| = 1e+160 is too large: the stage 2 term (n = 11) "
+         "overflows double precision\n"),
         # the grid step overflows
         (["--theta-min=-1e308", "--theta-max=1e308", "--points", "3"],
          "oc: grid from -1e+308 to 1e+308 overflows double precision\n"),
@@ -603,6 +615,25 @@ class TestErrorHandling:
     def test_huge_theta_is_refused_known(self, known_plan_file, bounds, message, capsys):
         code, out, err = run_cli(["oc", str(known_plan_file), *bounds, "--points", "2"], capsys)
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("kind", ["known", "unknown"])
+    def test_asn_nan_theta_one_stage(self, single_stage_plan_files, kind, capsys):
+        # a one-stage plan has no continuation tail whose bound would refuse it
+        path = single_stage_plan_files[kind]
+        code, out, err = run_cli(["asn", str(path), "--theta", "nan"], capsys)
+        assert (code, out, err) == (2, "", "asn: theta must be finite, got nan\n")
+
+    @pytest.mark.parametrize("kind", ["known", "unknown"])
+    def test_asn_overflowing_theta(self, request, kind, capsys):
+        path = request.getfixturevalue(f"{kind}_plan_file")
+        capsys.readouterr()  # the fixture's design summary
+        n = load_plan(path).stages[0].n
+        code, out, err = run_cli(["asn", str(path), "--theta", "1e308"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"asn: |theta| = 1e+308 is too large: the stage 1 term (n = {n}) "
+            "overflows double precision\n"
+        )
 
     def test_asn_nan_theta(self, known_plan_file, capsys):
         code, out, err = run_cli(["asn", str(known_plan_file), "--theta", "nan"], capsys)

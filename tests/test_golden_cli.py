@@ -130,6 +130,13 @@ COMMANDS = {
     # sqrt(n) theta overflows at the last stage of the mirror plan
     "error-oc-known-overflow": ["oc", "ks.json", "--theta-min=5e307", "--theta-max=5.1e307",
                                 "--points", "2"],
+    # the stage 2 hyperbola offset's square overflows
+    "error-oc-unknown-overflow": ["oc", "us.json", "--theta-min=-1e200", "--theta-max=-0.9",
+                                  "--points", "2", *_CELLS],
+    # sqrt(n) theta overflows at the first stage
+    "error-asn-overflow": ["asn", "us.json", "--theta", "1e308"],
+    "error-design-unknown-sigma": _UNKNOWN + _SYM + ["--sigma", "-5", "--zeta", "0.5",
+                                                     "--out", "x.json"],
 }
 
 

@@ -169,6 +169,23 @@ class TestEnvelopeInterval:
         assert lo >= 0.0
         assert hi <= 1e-4 + 1e-9
 
+    @pytest.mark.parametrize("design, theta, stage, n", [
+        ((0.05, 0.05, 0.5, 0.5, 1), -1e308, 1, 19),  # one stage: its noncentral-t ncp
+        ((0.05, 0.05, 0.5, 0.5, 3), -1e200, 2, 10),  # the hyperbola offset's square
+        ((0.05, 0.05, 0.5, 0.5, 3), 1e308, 2, 10),  # the offset itself, on the mirror
+        # the offset's square is finite, but not times scale^2 = 15.4
+        ((0.01, 0.2, 1.0, 1.0, 3), -7e153, 2, 3),
+    ])
+    def test_overflowing_theta_names_theta_and_stage(self, design, theta, stage, n):
+        alpha, beta, epsilon, zeta, tau = design
+        plan = build_unknown_plan(alpha, beta, epsilon, 0.0, zeta=zeta, rho=1.0, tau=tau)
+        with pytest.raises(DomainError) as err:
+            plan.oc_bounds(theta, cell_budget=8)
+        assert str(err.value) == (
+            f"|theta| = {abs(theta)!r} is too large: the stage {stage} term (n = {n}) "
+            "overflows double precision"
+        )
+
     def test_brackets_monte_carlo(self):
         lo, hi = oc_upper_P(-0.5, self.PLAN, tail_mass=1e-4, cell_budget=64)
         ts = mc_transition_sums(self.PLAN, mu=-0.5, sigma=1.0, replications=2 * 10**5, seed=4)
@@ -474,12 +491,9 @@ class TestCornerMemo:
 
     @pytest.mark.parametrize("ell", [2, 3])
     def test_cells_equal_memo_free_recomputation(self, ell):
-        cells, ev, _ = stage_term_cells(-0.5, self.PLAN, ell, 5e-5, 64)
+        cells, _, _ = stage_term_cells(-0.5, self.PLAN, ell, 5e-5, 64)
         for y_lo, y_hi, z_lo, z_hi, p_lower, p_upper in cells.tolist():
-            fresh = plan_unknown._StageTermEvaluator(
-                ev.scale, ev.off, ev.k, ev.omega_plus, ev.omega_minus,
-                ev.dof_y, ev.dof_z, ev.negate,
-            )
+            fresh = plan_unknown._StageTerm(-0.5, self.PLAN, ell, 5e-5)
             rects = [(y_lo, y_hi, z_lo, z_hi)]
             _fill_corners([(fresh, rects)])
             assert [(p_lower, p_upper)] == fresh.bounds(rects)
