@@ -5,7 +5,7 @@ the statistic T_l = sqrt(n_l) (mean_{n_l} - gamma) / sigma is compared with
 an accept threshold a_l (accept at or below) and a reject threshold b_l
 (reject above); between them sampling continues.  Stage sizes follow a
 geometric ladder whose top size makes the two thresholds meet, so the last
-stage always decides.
+stage always decides; ``Plan`` refuses any plan whose last stage does not.
 
 The rejection envelope phi(theta) adds, over stages, the probability that
 stage l-1 sat in the continue band while stage l crossed the reject line.
@@ -130,6 +130,19 @@ class Plan:
     kind: ClassVar[str]
     studentized: ClassVar[bool]
 
+    def __post_init__(self):
+        """Refuse a plan without stages, with sizes that do not increase, or
+        whose final stage can continue (a != b), in one pass over the stages."""
+        if not self.stages:
+            raise DomainError("plan has no stages")
+        n = 0  # below every stage size
+        for stage in self.stages:
+            if not stage.n > n:
+                raise DomainError(f"stage sizes must increase, got {n} then {stage.n}")
+            n = stage.n
+        if stage.a != stage.b:
+            raise DomainError(f"the final stage must decide: a={stage.a!r} != b={stage.b!r}")
+
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(s.n for s in self.stages)
@@ -208,15 +221,6 @@ class Plan:
         value = self.stage_cdf(stage.b, stage.n, theta) - self.stage_cdf(stage.a, stage.n, theta)
         return max(0.0, value)
 
-    def envelope(
-        self,
-        theta: float,
-        tail_mass: float = DEFAULT_TAIL_MASS,
-        cell_budget: int = DEFAULT_CELL_BUDGET,
-    ) -> tuple[float, float]:
-        """(lo, hi) bracketing the rejection envelope: envelopes' one-plan call."""
-        return self.envelopes(theta, [self], tail_mass, cell_budget)[0]
-
     def oc_bounds(
         self,
         theta: float,
@@ -235,9 +239,9 @@ class Plan:
             )
         if theta <= -self.epsilon:
             # the envelope may exceed 1 for uncalibrated designs; the bound floors at 0
-            _, hi = self.envelope(theta, tail_mass, cell_budget)
+            [(_, hi)] = self.envelopes(theta, [self], tail_mass, cell_budget)
             return min(1.0, max(0.0, 1.0 - hi)), 1.0
-        _, hi = self.mirror().envelope(-theta, tail_mass, cell_budget)
+        [(_, hi)] = self.envelopes(-theta, [self.mirror()], tail_mass, cell_budget)
         return 0.0, min(1.0, max(0.0, hi))
 
     def certify(
@@ -302,7 +306,9 @@ def build_known_plan(
     with z_a, z_b the upper-tail normal critical values at zeta*alpha and
     zeta*beta; duplicates collapse, so the plan may have fewer than tau
     stages.  Thresholds: a_l = min(theta*, eps sqrt(n_l) - z_b) and
-    b_l = max(theta*, z_a - eps sqrt(n_l)) with theta* = (z_a - z_b) / 2.
+    b_l = max(theta*, z_a - eps sqrt(n_l)) with theta* = (z_a - z_b) / 2;
+    the top size, where the two meet, gets a_s = b_s = theta* itself, since
+    rounding may leave the formulas an ulp apart there.
     """
     validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma)
     if not math.isfinite(gamma):
@@ -319,11 +325,10 @@ def build_known_plan(
     theta_star = 0.5 * (z_a - z_b)
 
     stages = []
-    for n in sizes:
+    for n in sizes[:-1]:
         root = epsilon * math.sqrt(n)
-        a = min(theta_star, root - z_b)
-        b = max(theta_star, z_a - root)
-        stages.append(Stage(n=n, a=a, b=b))
+        stages.append(Stage(n=n, a=min(theta_star, root - z_b), b=max(theta_star, z_a - root)))
+    stages.append(Stage(n=sizes[-1], a=theta_star, b=theta_star))
     return KnownVarPlan(
         alpha=float(alpha),
         beta=float(beta),
@@ -370,8 +375,6 @@ def oc_upper_phi(theta: float, plan: KnownVarPlan) -> float:
     total = std_normal_cdf(x)
     for ell, (prev, cur) in enumerate(zip(stages[:-1], stages[1:]), 2):
         ratio = cur.n / prev.n
-        if not ratio > 1.0:  # the cone slope k must be > 0
-            raise DomainError(f"stage sizes must increase, got {prev.n} then {cur.n}")
         k = math.sqrt(ratio - 1.0)
         root = math.sqrt(cur.n) * theta
         h = cur.b - root

@@ -75,8 +75,51 @@ class UnknownVarPlan(Plan):
         tail_mass: float = DEFAULT_TAIL_MASS,
         cell_budget: int = DEFAULT_CELL_BUDGET,
     ) -> list[tuple[float, float]]:
-        """Certified brackets of the plans' rejection envelopes (see oc_upper_P_many)."""
-        return oc_upper_P_many(theta, plans, tail_mass, cell_budget)
+        """Intervals [lower, upper] certified to bracket each plan's rejection envelope.
+
+        The first-stage term is a single noncentral-t tail and enters both
+        ends exactly, and is the whole envelope of a single-stage plan.  Each
+        later term is bracketed by partition cells; the chi-square tail
+        truncation budget is split evenly over a plan's terms, so the total
+        truncation slack absorbed into its interval is at most tail_mass.
+        The partitions of every term of every plan are refined in lock-step,
+        so the corners a round lacks go through one hyperbola_cone_prob_many
+        call; each term's cells are the ones stage_term_cells gives.
+        """
+        if not math.isfinite(theta):
+            raise DomainError(f"theta must be finite, got {theta}")
+        _check_interval_settings(tail_mass, cell_budget)
+
+        specs = [
+            (j, ell, tail_mass / (plan.num_stages - 1))
+            for j, plan in enumerate(plans)
+            for ell in range(2, plan.num_stages + 1)
+        ]
+        terms = [_StageTerm(theta, plans[j], ell, tail_budget) for j, ell, tail_budget in specs]
+        term_cells = _term_cells(terms, cell_budget)
+
+        brackets = []
+        for plan in plans:
+            first = plan.stages[0]
+            if not math.isfinite(math.sqrt(first.n) * theta):
+                raise _overflow(theta, 1, first.n)
+            p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)
+            brackets.append([p1, p1])
+        for (j, ell, tail_budget), term, cells in zip(specs, terms, term_cells):
+            cell_lo = math.fsum(cells[:, 4])
+            cell_hi = math.fsum(cells[:, 5])
+            if term.negate:
+                nct = plans[j].sample_tail(ell - 1, theta)
+                term_lo = max(0.0, nct + cell_lo - tail_budget)
+                term_hi = min(nct, nct + cell_hi)
+            else:
+                term_lo = max(0.0, cell_lo)
+                term_hi = cell_hi + tail_budget
+            if term_lo > term_hi + 1e-12:
+                raise SeqnormError(f"stage {ell} interval inverted: [{term_lo}, {term_hi}]")
+            brackets[j][0] += term_lo
+            brackets[j][1] += term_hi
+        return [(lower, upper) for lower, upper in brackets]
 
 
 def min_stage_size(alpha: float, beta: float, epsilon: float, zeta: float) -> int:
@@ -132,7 +175,9 @@ def build_unknown_plan(
     critical values:
     a_l = min(theta* sqrt(n_l - 1), eps sqrt(n_l - 1) - t_{n_l-1, zeta*beta}),
     b_l = max(theta* sqrt(n_l - 1), t_{n_l-1, zeta*alpha} - eps sqrt(n_l - 1)),
-    theta* = (t_{n_s-1, zeta*alpha} - t_{n_s-1, zeta*beta}) / (2 sqrt(n_s - 1)).
+    theta* = (t_{n_s-1, zeta*alpha} - t_{n_s-1, zeta*beta}) / (2 sqrt(n_s - 1)),
+    except at the top size n_s, where the two meet: a_s = b_s =
+    theta* sqrt(n_s - 1) itself, since rounding may leave them an ulp apart.
     """
     validate_design(alpha, beta, epsilon, zeta, rho, tau)
     if not math.isfinite(gamma):
@@ -155,12 +200,14 @@ def build_unknown_plan(
     ) / (2.0 * math.sqrt(dof_final))
 
     stages = []
-    for n in sizes:
+    for n in sizes[:-1]:
         dof = n - 1
         root = math.sqrt(dof)
         a = min(theta_star * root, epsilon * root - student_t_critical(dof, zeta * beta))
         b = max(theta_star * root, student_t_critical(dof, zeta * alpha) - epsilon * root)
         stages.append(Stage(n=n, a=a, b=b))
+    close = theta_star * math.sqrt(dof_final)
+    stages.append(Stage(n=sizes[-1], a=close, b=close))
     return UnknownVarPlan(
         alpha=float(alpha),
         beta=float(beta),
@@ -383,68 +430,13 @@ def stage_term_cells(
 
     Returns the cells, rows (y_lo, y_hi, z_lo, z_hi, p_lower, p_upper), the
     _StageTerm and its root's (y, z) side lengths (see _StageTerm for the
-    root).  oc_upper_P_many refines these same cells for every term of its
-    plans at once.
+    root).  UnknownVarPlan.envelopes refines these same cells for every
+    term of its plans at once.
     """
     term = _StageTerm(theta, plan, ell, tail_budget)
     [cells] = _term_cells([term], cell_budget)
     y_lo, y_hi, z_lo, z_hi = term.root
     return cells, term, (y_hi - y_lo, z_hi - z_lo)
-
-
-def oc_upper_P_many(
-    theta: float,
-    plans: list[UnknownVarPlan],
-    tail_mass: float = DEFAULT_TAIL_MASS,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> list[tuple[float, float]]:
-    """Interval [lower, upper] certified to bracket each plan's rejection envelope.
-
-    The first-stage term is a single noncentral-t tail and enters both ends
-    exactly, and is the whole envelope of a single-stage plan.  Each later
-    term is bracketed by partition cells; the chi-square tail truncation
-    budget is split evenly over a plan's terms, so the total truncation slack
-    absorbed into its interval is at most tail_mass.  The partitions of every
-    term of every plan are refined in lock-step, so the corners a round lacks
-    go through one hyperbola_cone_prob_many call; each term's cells are the
-    ones stage_term_cells gives.
-    """
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
-    _check_interval_settings(tail_mass, cell_budget)
-
-    specs = [
-        (j, ell, tail_mass / (plan.num_stages - 1))
-        for j, plan in enumerate(plans)
-        for ell in range(2, plan.num_stages + 1)
-    ]
-    terms = [_StageTerm(theta, plans[j], ell, tail_budget) for j, ell, tail_budget in specs]
-    term_cells = _term_cells(terms, cell_budget)
-
-    brackets = []
-    for plan in plans:
-        first = plan.stages[0]
-        if not math.isfinite(math.sqrt(first.n) * theta):
-            raise _overflow(theta, 1, first.n)
-        p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)
-        brackets.append([p1, p1])
-    for (j, ell, tail_budget), term, cells in zip(specs, terms, term_cells):
-        cell_lo = math.fsum(cells[:, 4])
-        cell_hi = math.fsum(cells[:, 5])
-        if term.negate:
-            nct = plans[j].sample_tail(ell - 1, theta)
-            term_lo = max(0.0, nct + cell_lo - tail_budget)
-            term_hi = min(nct, nct + cell_hi)
-        else:
-            term_lo = max(0.0, cell_lo)
-            term_hi = cell_hi + tail_budget
-        if term_lo > term_hi + 1e-12:
-            raise SeqnormError(
-                f"stage {ell} interval inverted: [{term_lo}, {term_hi}]"
-            )
-        brackets[j][0] += term_lo
-        brackets[j][1] += term_hi
-    return [(lower, upper) for lower, upper in brackets]
 
 
 def oc_upper_P(
@@ -453,5 +445,5 @@ def oc_upper_P(
     tail_mass: float = DEFAULT_TAIL_MASS,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> tuple[float, float]:
-    """Certified bracket of the plan's rejection envelope: oc_upper_P_many's one-plan call."""
-    return oc_upper_P_many(theta, [plan], tail_mass, cell_budget)[0]
+    """Certified bracket of the plan's rejection envelope: envelopes' one-plan call."""
+    return UnknownVarPlan.envelopes(theta, [plan], tail_mass, cell_budget)[0]

@@ -74,7 +74,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, SeqnormError
+from .errors import DomainError
 from .plan_known import Decision, decision_code
 
 _BLOCK = 1 << 15  # replicates per block: the unit of randomness and of work
@@ -181,8 +181,8 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
 
     Without tally a replicate's stages after its first decision are neither
     drawn nor decided, and a block's part is how many of its replicates stop
-    at each stage and how many of those accept, counted as the walk goes; a
-    replicate still sampling after the final stage is an error.  With tally
+    at each stage and how many of those accept, counted as the walk goes; the
+    final stage decides every replicate still sampling.  With tally
     every stage of every replicate is drawn and decided, and a block's part
     is tally(codes), codes holding each replicate's decision code at every
     stage (stages in rows, replicates in columns).  Parts fold by adding
@@ -253,8 +253,6 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
             accepted += int(np.count_nonzero(code == Decision.ACCEPT))
             if live == 0:
                 break
-            if i + 1 == plan.num_stages:
-                raise SeqnormError("final stage failed to decide; plan invariant broken")
             if live < len(code):
                 # gathering by index is several times faster than by a boolean mask
                 going = np.flatnonzero(going)

@@ -21,9 +21,10 @@ name, with the same bits, without the ufunc's per-call dispatch (0.1 to
 ufunc costs no more than the fused cython_special dispatch.  Fused
 functions choose their C signature from the argument types and refuse a
 Python int where a double is expected, so degrees of freedom are passed as
-floats.  scipy's ``nctdtr`` returns NaN for |ncp| >= 1e10;
-noncentral_t_cdf raises there rather than pass the NaN on as a
-probability.
+floats.  scipy's ``nctdtr`` returns NaN for |ncp| >= 1e10; there
+noncentral_t_cdf returns the limit 0 or 1 when a tail bound puts the CDF
+within its 1e-12 of it, and raises otherwise rather than pass the NaN on
+as a probability.
 """
 
 from __future__ import annotations
@@ -148,7 +149,9 @@ def noncentral_t_cdf(x: float, dof: int, ncp: float) -> float:
     """CDF of (U + ncp)/sqrt(W/dof) with U standard normal, W chi-square(dof).
 
     Computed by scipy's ``nctdtr`` (Boost) to absolute error <= 1e-12.
-    Raises DomainError where nctdtr gives NaN (|ncp| >= 1e10).
+    Where nctdtr gives NaN (|ncp| >= 1e10) the limit, 0 for ncp > 0 or 1 for
+    ncp < 0, is returned when _far_tail_bound shows the CDF lies within
+    1e-12 of it; otherwise this raises DomainError.
     """
     dof = _require_dof(dof)
     x = float(x)
@@ -161,7 +164,24 @@ def noncentral_t_cdf(x: float, dof: int, ncp: float) -> float:
         return 0.0
     value = cs.nctdtr(float(dof), ncp, x)
     if math.isnan(value):
+        # F(x; ncp) = 1 - F(-x; -ncp) turns ncp < 0 into the bounded case
+        if ncp > 0.0 and _far_tail_bound(x, dof, ncp) <= 1e-12:
+            return 0.0
+        if ncp < 0.0 and _far_tail_bound(-x, dof, -ncp) <= 1e-12:
+            return 1.0
         raise DomainError(
             f"noncentral t CDF not computable at x={x!r}, dof={dof}, ncp={ncp!r}"
         )
     return _clamp_unit(value)
+
+
+def _far_tail_bound(x: float, dof: int, ncp: float) -> float:
+    """An upper bound on the noncentral t CDF F(x) for ncp > 0.
+
+    (U + ncp) / S <= x, S = sqrt(W / dof), needs U <= -ncp when x <= 0;
+    when x > 0 it needs U <= -ncp / 2 or, failing that, x S >= ncp / 2.
+    """
+    if x <= 0.0:
+        return float(ndtr(-ncp))
+    r = ncp / (2.0 * x)  # may overflow to inf, whose chi-square tail is 0
+    return float(ndtr(-0.5 * ncp)) + cs.gammaincc(0.5 * dof, 0.5 * dof * r * r)

@@ -44,6 +44,32 @@ _KU_PLAN = {
     "certified": False,
 }
 
+# the plan of design --kind known --alpha 0.05 --beta 0.05 --epsilon
+# 1.2529022636642626 --gamma 0 --sigma 1 --rho 1 --tau 3 --zeta 0.3, whose
+# final thresholds used to come out an ulp apart (-4.4e-16, +4.4e-16)
+_KC_PLAN = {
+    "kind": "known", "alpha": 0.05, "beta": 0.05, "epsilon": 1.2529022636642626, "gamma": 0.0,
+    "sigma": 1.0, "zeta": 0.3, "rho": 1.0, "tau": 3, "theta_star": 0.0,
+    "stages": [
+        {"n": 1, "a": -0.91718811392029798, "b": 0.91718811392029798},
+        {"n": 2, "a": -0.39821900398260879, "b": 0.39821900398260879},
+        {"n": 3, "a": 0.0, "b": 0.0},
+    ],
+    "certified": True,
+}
+
+# the plan of design --kind unknown --alpha 0.05 --beta 0.05 --epsilon 0.5
+# --gamma 0 --rho 1 --tau 2 --zeta 0.5; its stage 2 term is a cone
+_U2_PLAN = {
+    "kind": "unknown", "alpha": 0.05, "beta": 0.05, "epsilon": 0.5, "gamma": 0.0, "zeta": 0.5,
+    "rho": 1.0, "tau": 2, "theta_star": 0.0,
+    "stages": [
+        {"n": 10, "a": -0.76215716279820533, "b": 0.76215716279820533},
+        {"n": 19, "a": 0.0, "b": 0.0},
+    ],
+    "certified": True,
+}
+
 # data files the run sessions read
 INPUTS = {
     "first.csv": "-0.4\n0.3\n-1.2\n0.05\n",
@@ -60,6 +86,9 @@ INPUTS = {
         "version": 1, "plan": _KU_PLAN, "samples": [1.5e308] * 3,
         "status": {"state": "need_more", "next_n": 3}, "history": [],
     }),
+    "zeros.csv": "0\n0\n0\n",
+    "kc.json": json.dumps(_KC_PLAN),
+    "u2.json": json.dumps(_U2_PLAN),
 }
 
 COMMANDS = {
@@ -137,6 +166,13 @@ COMMANDS = {
     "error-asn-overflow": ["asn", "us.json", "--theta", "1e308"],
     "error-design-unknown-sigma": _UNKNOWN + _SYM + ["--sigma", "-5", "--zeta", "0.5",
                                                      "--out", "x.json"],
+    # a statistic of 0.0 on the closed final stage (a = b = 0.0) decides
+    "run-known-closed-final": ["run", "kc.json", "--session", "s8.json", "--data", "zeros.csv"],
+    # nctdtr gives NaN at |sqrt(n) theta| >= 1e10, where the noncentral t CDF
+    # is its limit 0 or 1 to within 1e-12
+    "oc-unknown-huge-theta": ["oc", "u2.json", "--theta-min=-1e12", "--theta-max=-0.9",
+                              "--points", "2", *_CELLS],
+    "asn-unknown-huge-theta": ["asn", "u2.json", "--theta", "1e12"],
 }
 
 

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from seqnorm.plan_known import (
 )
 from seqnorm.plan_unknown import build_unknown_plan
 from seqnorm.runner import _json_equal, plan_to_dict
-from seqnorm.special import std_normal_cdf, std_normal_critical
+from seqnorm.special import std_normal_cdf, std_normal_critical, student_t_critical
 
 from oracles import reference_oc_upper_phi
 
@@ -250,13 +251,116 @@ def test_overflowing_theta_names_theta_and_stage(theta, stage, n):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("sizes", [(5, 5, 17), (5, 9, 7)])
-def test_envelope_refuses_sizes_that_do_not_increase(sizes):
-    # a hand-made plan: the builders always make increasing sizes
-    plan = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, 0.45, 1.0, 3)
-    stages = tuple(Stage(n=n, a=s.a, b=s.b) for n, s in zip(sizes, plan.stages))
-    with pytest.raises(DomainError, match=r"^stage sizes must increase, got \d+ then \d+$"):
-        oc_upper_phi(-0.5, dataclasses.replace(plan, stages=stages))
+def _nudged(x, ulps):
+    """x moved by |ulps| ulps, down when ulps < 0."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["known", "unknown"]),
+    alpha=st.sampled_from([0.01, 0.025, 0.05, 0.1]),
+    beta=st.sampled_from([0.01, 0.025, 0.05, 0.1]),
+    zeta=st.sampled_from([1.0, 0.7, 0.5, 0.3]),
+    rho=st.sampled_from([0.5, 1.0]),
+    tau=st.integers(1, 5),
+    k=st.integers(2, 300),
+    ulps=st.integers(-2, 2),
+)
+@example(kind="known", alpha=0.05, beta=0.05, zeta=0.3, rho=1.0, tau=3, k=3, ulps=-1)
+@example(kind="unknown", alpha=0.025, beta=0.1, zeta=0.5, rho=0.5, tau=4, k=104, ulps=0)
+def test_final_stage_closes_by_construction(kind, alpha, beta, zeta, rho, tau, k, ulps):
+    """epsilon within two ulps of (c_a + c_b) / (2 r), where the thresholds
+    of stage size k meet: c is z (known) or t_{k-1} (unknown), r is sqrt(k)
+    or sqrt(k - 1).  The final stage closes, a == b, and every earlier stage
+    keeps the min/max formula.  Both examples give a < b by an ulp or two
+    when the final stage too goes through min/max."""
+    if kind == "known":
+        def crit(n, delta):
+            return std_normal_critical(delta)
+
+        def root(n):
+            return math.sqrt(n)
+
+        def scale(n):  # theta* is on the statistic's scale
+            return 1.0
+    else:
+        def crit(n, delta):
+            return student_t_critical(n - 1, delta)
+
+        def root(n):
+            return math.sqrt(n - 1)
+
+        scale = root
+    c_a, c_b = crit(k, zeta * alpha), crit(k, zeta * beta)
+    epsilon = _nudged((c_a + c_b) / (2.0 * root(k)), ulps)
+    plan = build(kind, alpha, beta, epsilon, 0.0, 1.0, zeta, rho, tau)
+    last = plan.stages[-1]
+    assert last.a == last.b == plan.theta_star * scale(last.n)
+    for stage in plan.stages[:-1]:
+        r, scaled = root(stage.n), plan.theta_star * scale(stage.n)
+        assert stage.a == min(scaled, epsilon * r - crit(stage.n, zeta * beta))
+        assert stage.b == max(scaled, crit(stage.n, zeta * alpha) - epsilon * r)
+
+
+def _edited(plan, sizes=None, final=None):
+    """plan's stages with sizes in place of theirs, or the final stage's a moved."""
+    stages = [
+        Stage(n=n, a=s.a, b=s.b) for n, s in zip(sizes or plan.sizes, plan.stages)
+    ]
+    if final is not None:
+        stages[-1] = Stage(n=stages[-1].n, a=stages[-1].a + final, b=stages[-1].b)
+    return tuple(stages)
+
+
+@pytest.mark.parametrize("kind", ["known", "unknown"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda plan: (), r"^plan has no stages$"),
+    (lambda plan: _edited(plan, sizes=(5, 5, 17)), r"^stage sizes must increase, got 5 then 5$"),
+    (lambda plan: _edited(plan, sizes=(5, 9, 7)), r"^stage sizes must increase, got 9 then 7$"),
+    (lambda plan: _edited(plan, final=-1.0),
+     r"^the final stage must decide: a=-1\.0 != b=0\.0$"),
+], ids=["no-stages", "equal-sizes", "decreasing-sizes", "open-final"])
+def test_plan_refuses_what_breaks_its_contract(kind, edit, message):
+    # the builders never make such stages; a hand-made plan is refused when
+    # it is made, by the constructor and by dataclasses.replace alike
+    plan = build(kind, 0.05, 0.05, 0.5, 0.0, 1.0, 0.45, 1.0, 3)
+    assert plan.stages[-1].a == plan.stages[-1].b == 0.0
+    stages = edit(plan)
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(plan, stages=stages)
+    fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+    with pytest.raises(DomainError, match=message):
+        type(plan)(**{**fields, "stages": stages})
+
+
+# recorded under numpy 2.4.6 and scipy 1.17.1, with 16 cells and tail mass 1e-4
+OC_BOUNDS = {
+    ("known", -0.7): "(0.9868667245122833, 1.0)",
+    ("known", -0.5): "(0.9486372718935067, 1.0)",
+    ("known", 0.5): "(0.0, 0.09775522960829222)",
+    ("known", 0.7): "(0.0, 0.02921226579767647)",
+    ("unknown", -0.7): "(0.9873551339351535, 1.0)",
+    ("unknown", -0.5): "(0.9461004233738002, 1.0)",
+    ("unknown", 0.5): "(0.0, 0.12276627842605499)",
+    ("unknown", 0.7): "(0.0, 0.0367418878272281)",
+}
+
+
+@pytest.mark.parametrize("kind, theta", list(OC_BOUNDS))
+def test_oc_bounds_keep_their_bits(kind, theta):
+    # both sides of the indifference zone: the plan's own envelope below it,
+    # the mirror plan's above it, of an alpha != beta design
+    builds = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if builds != {"numpy": "2.4.6", "scipy": "1.17.1"}:
+        pytest.skip(f"oc bounds recorded with numpy 2.4.6, scipy 1.17.1, running {builds}")
+    if kind == "known":
+        plan = build_known_plan(0.05, 0.10, 0.5, 0.0, 1.0, zeta=0.45, rho=0.5, tau=4)
+    else:
+        plan = build_unknown_plan(0.05, 0.10, 0.5, 0.0, 0.7033882181678947, 0.5, 4)
+    assert repr(plan.oc_bounds(theta, 1e-4, 16)) == OC_BOUNDS[kind, theta]
 
 
 class TestBounds:
@@ -266,7 +370,7 @@ class TestBounds:
         # the closed-form envelope is a point interval, and the certificate
         # is the plan's and the mirror plan's envelope at -epsilon
         phi = oc_upper_phi(-0.7, self.PLAN)
-        assert self.PLAN.envelope(-0.7) == (phi, phi)
+        assert self.PLAN.envelopes(-0.7, [self.PLAN]) == [(phi, phi)]
         assert self.PLAN.certify() == (
             oc_upper_phi(-0.5, self.PLAN),
             oc_upper_phi(-0.5, self.PLAN.mirror()),
@@ -281,7 +385,8 @@ class TestBounds:
         else:
             plan = build_unknown_plan(0.05, beta, 0.5, 0.0, zeta=0.45, rho=1.0, tau=3)
         mirror = plan.mirror()
-        expected = (plan.envelope(-0.5, 1e-4, 16)[1], mirror.envelope(-0.5, 1e-4, 16)[1])
+        [(_, own), (_, mirrored)] = [p.envelopes(-0.5, [p], 1e-4, 16)[0] for p in (plan, mirror)]
+        expected = (own, mirrored)
         assert (repr(mirror) == repr(plan)) == (beta == 0.05)
         calls = []
         envelopes_of_kind = type(plan).envelopes

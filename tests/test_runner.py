@@ -17,7 +17,6 @@ from seqnorm.errors import (
     DomainError,
     IntegrityError,
     PlanCertificationError,
-    SeqnormError,
     SessionFormatError,
     StateError,
 )
@@ -25,6 +24,7 @@ from seqnorm.plan_known import Decision, build_known_plan
 from seqnorm.plan_unknown import build_unknown_plan
 from seqnorm import runner
 from seqnorm.runner import (
+    SessionStatus,
     dump_json,
     feed,
     format_real,
@@ -193,15 +193,18 @@ class TestSessionFlow:
             feed(session, [0.0])
 
     def test_final_stage_continue_is_refused(self):
-        # thresholds no statistic crosses: the final stage cannot decide
+        # thresholds no statistic crosses would let the final stage continue:
+        # such a plan is refused when it is made, so no session runs one (a
+        # refused batch's rollback is tested with the overflow tests)
         plan = make_plan()
-        wide = replace(plan, stages=tuple(replace(s, a=-1e9, b=1e9) for s in plan.stages))
-        session = new_session(wide)
-        feed(session, [0.0] * plan.sizes[0])
-        before = session_to_dict(session)
-        with pytest.raises(SeqnormError, match="^final stage returned continue"):
-            feed(session, [0.0] * (plan.sizes[-1] - plan.sizes[0]))
-        assert session_to_dict(session) == before and not session.is_terminal
+        message = "^the final stage must decide: a=-1000000000.0 != b=1000000000.0$"
+        with pytest.raises(DomainError, match=message):
+            replace(plan, stages=tuple(replace(s, a=-1e9, b=1e9) for s in plan.stages))
+        # a statistic on the closed final threshold decides there
+        session = new_session(plan)
+        feed(session, [0.0] * plan.sizes[-1])
+        assert plan.stages[-1].a == plan.stages[-1].b == 0.0
+        assert session.status == SessionStatus(state="accepted", stage=3, statistic=0.0)
 
     def test_chunking_equivalence(self):
         plan = make_plan()

@@ -6,13 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import cython_special
 
 from seqnorm.errors import DomainError, InconsistentBoundaryError
 from seqnorm.special import (
     _clamp_unit,
+    _far_tail_bound,
     chi_square_cdf,
     chi_square_quantile,
     noncentral_t_cdf,
@@ -264,13 +265,36 @@ class TestNoncentralT:
     @pytest.mark.parametrize("dof", [3, 300])
     @pytest.mark.parametrize("ncp", [1e10, -1e10, 1e12, -1e300])
     def test_scipy_nan_is_refused(self, dof, ncp):
-        # scipy 1.17's nctdtr gives NaN once |ncp| >= 1e10, whatever x and dof
+        # scipy 1.17's nctdtr gives NaN once |ncp| >= 1e10, whatever x and
+        # dof; the NaN is not passed on: at x = 0.5 the tail bound puts the
+        # CDF within 1e-12 of its limit, 0 for ncp > 0 and 1 for ncp < 0
         value = float(sp.nctdtr(dof, ncp, 0.5))
-        if not math.isnan(value):
-            assert noncentral_t_cdf(0.5, dof, ncp) == value
-            return
+        limit = 0.0 if ncp > 0.0 else 1.0
+        assert noncentral_t_cdf(0.5, dof, ncp) == (limit if math.isnan(value) else value)
+        assert noncentral_t_cdf(-0.5, dof, ncp) == pytest.approx(limit, abs=1e-12)
+
+    @pytest.mark.skipif(
+        not math.isnan(sp.nctdtr(3, 1e10, 1e12)),
+        reason="this scipy's nctdtr computes |ncp| >= 1e10",
+    )
+    @pytest.mark.parametrize("x, ncp", [(1e12, 1e10), (-1e12, -1e10)])
+    def test_scipy_nan_without_a_tight_bound_is_refused(self, x, ncp):
+        # x / ncp = 100: the bound's chi-square term is about 1, so the CDF
+        # is not known to lie near either limit
         with pytest.raises(DomainError, match="noncentral t CDF not computable"):
-            noncentral_t_cdf(0.5, dof, ncp)
+            noncentral_t_cdf(x, 3, ncp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.floats(-60.0, 60.0),
+        dof=st.integers(1, 2000),
+        ncp=st.floats(1e-3, 60.0),
+    )
+    def test_far_tail_bound_bounds_the_cdf(self, x, dof, ncp):
+        # where nctdtr computes, the bound the NaN fallback relies on holds
+        value = float(sp.nctdtr(dof, ncp, x))
+        assume(not math.isnan(value))
+        assert value <= _far_tail_bound(x, dof, ncp) + 1e-12
 
     @pytest.mark.parametrize("dof", [3, 300])
     def test_large_ncp_below_the_nan_edge(self, dof):
@@ -299,6 +323,7 @@ _CYTHON_CALLS = {
     "betaincinv": st.tuples(_half_dof, st.just(0.5), _unit),
     "gammainc": st.tuples(_half_dof, st.floats(0.0, 1e7)),
     "gammaincinv": st.tuples(_half_dof, _unit),
+    "gammaincc": st.tuples(_half_dof, st.floats(0.0, math.inf)),
     "nctdtr": st.tuples(
         st.integers(1, 10**6).map(float), st.floats(-1e11, 1e11), st.floats(-1e8, 1e8)
     ),
