@@ -66,8 +66,8 @@ class Stage:
             raise DomainError(f"stage thresholds inverted: a={self.a} > b={self.b}")
 
 
-def validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma=None):
-    """Raise DomainError unless the design values are valid; sigma is checked if given."""
+def validate_design(alpha, beta, epsilon, zeta, rho, tau):
+    """Raise DomainError unless the design values are valid; ``KnownVarPlan`` checks sigma."""
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not (0.0 < val < 1.0):
             raise DomainError(f"{name} must lie in (0, 1), got {val}")
@@ -82,8 +82,6 @@ def validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma=None):
         raise DomainError(f"tau must be a positive integer, got {tau}")
     if tau > _TAU_LIMIT:
         raise DomainError(f"tau must be at most {_TAU_LIMIT}, got {tau}")
-    if sigma is not None and not (sigma > 0.0 and math.isfinite(sigma)):
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
 
 
 # defaults of the unknown-variance interval (chi-square tail mass and
@@ -160,7 +158,7 @@ class Plan:
         sums are sums of n samples and squares their sums of squared
         deviations, read only by a studentized plan, whose sd is
         sqrt(squares / (n - 1)); any other plan's sd is its sigma.  n is
-        one stage size (a session) or a column of them (the simulator).  An
+        one stage size, as sessions and the simulator both pass it.  An
         overflowing statistic is +-inf, which still decides; a zero sd pins
         it to the sign of sums / n - gamma, and 0 / 0 gives 0.
         """
@@ -268,6 +266,12 @@ class KnownVarPlan(Plan):
     kind = "known"
     studentized = False
 
+    def __post_init__(self):
+        """The ``Plan`` contract, and a sigma the statistic can divide by."""
+        super().__post_init__()
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+
     def _sd(self, squares, n) -> float:
         """The plan's sigma, whatever sigma the data had."""
         return self.sigma
@@ -310,7 +314,7 @@ def build_known_plan(
     the top size, where the two meet, gets a_s = b_s = theta* itself, since
     rounding may leave the formulas an ulp apart there.
     """
-    validate_design(alpha, beta, epsilon, zeta, rho, tau, sigma)
+    validate_design(alpha, beta, epsilon, zeta, rho, tau)
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
     tau = int(tau)

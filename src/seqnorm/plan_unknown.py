@@ -57,6 +57,12 @@ class UnknownVarPlan(Plan):
     kind = "unknown"
     studentized = True
 
+    def __post_init__(self):
+        """The ``Plan`` contract, and a first stage with a sample deviation."""
+        super().__post_init__()
+        if self.stages[0].n < 2:
+            raise DomainError("unknown-variance plans need stage sizes >= 2")
+
     def _sd(self, squares, n):
         """The sample deviation sqrt(squares / (n - 1)); a negative sum of
         squares counts as zero."""

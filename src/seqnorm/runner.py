@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, fields
@@ -127,17 +128,6 @@ def plan_to_dict(plan) -> dict:
     return out
 
 
-def _real(value, name: str) -> float:
-    """A finite JSON number; booleans are not numbers here."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise SessionFormatError(f"{name} must be a finite real, got {value!r}")
-    return float(value)
-
-
 def _reals(values, name: str) -> list[float]:
     """A JSON array of finite numbers, as floats; checked in bulk for speed."""
     if isinstance(values, list) and set(map(type, values)) <= {int, float}:
@@ -150,19 +140,22 @@ def _reals(values, name: str) -> list[float]:
     raise SessionFormatError(f"{name} must be an array of finite reals")
 
 
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SessionFormatError(f"{name} must be an integer, got {value!r}")
-    return value
+def _require_fields(data: dict, expected, what: str) -> None:
+    """Refuse a file whose fields are not exactly the ones the program writes."""
+    found = {"missing": [key for key in expected if key not in data],
+             "unknown": [key for key in data if key not in expected]}
+    named = [f"{label} fields {keys}" for label, keys in found.items() if keys]
+    if named:
+        raise SessionFormatError(f"{what} has " + " and ".join(named))
 
 
 def plan_from_dict(data: dict):
-    """The plan a file's design builds, provided its stored stages and theta_star match.
+    """The plan a file's design builds, provided the file is what saving that plan writes.
 
-    Stages and theta_star are derived data: they are rebuilt from the design
-    fields and compared type-strictly, so an edited threshold or size, or a
-    file written by a numerics build that rounds differently, is refused.  A
-    known-variance plan that says it is certified has its closed-form
+    The file must have the fields plan_to_dict writes for its kind; its design
+    fields (reals through float, tau as an integer) build the plan, which,
+    written out, must equal the file field for field with equal JSON types.
+    A known-variance plan that says it is certified has its closed-form
     certificate re-run, and is refused unless both bounds hold.
     """
     if not isinstance(data, dict):
@@ -172,36 +165,32 @@ def plan_from_dict(data: dict):
     if cls is None:
         raise SessionFormatError(f"unknown plan kind {kind!r}")
     scalars = _SCALARS[cls]
-    missing = {"kind", "stages", "certified", *scalars} - set(data)
-    if missing:
-        raise SessionFormatError(f"plan is missing fields: {sorted(missing)}")
-    if not isinstance(data["certified"], bool):
-        raise SessionFormatError(f"certified must be true or false, got {data['certified']!r}")
-    design = {
-        key: (_integer if key == "tau" else _real)(data[key], key)
-        for key in scalars
-        if key != "theta_star"
-    }
+    _require_fields(data, ("kind", *scalars, "stages", "certified"), "plan")
+    design = {key: data[key] for key in scalars[:-1]}  # theta_star, the last, is derived
+    for key, value in design.items():
+        read, what = (operator.index, "an integer") if key == "tau" else (float, "a finite real")
+        try:
+            design[key] = read(value)
+        except (TypeError, ValueError, OverflowError):
+            raise SessionFormatError(f"{key} must be {what}, got {value!r}") from None
     build = build_known_plan if cls is KnownVarPlan else build_unknown_plan
     try:
         with warnings.catch_warnings():
-            # the builder warns when it clips stage sizes to 2; loading prints nothing
-            warnings.simplefilter("ignore", RuntimeWarning)
-            plan = build(**design)
+            warnings.simplefilter("ignore", RuntimeWarning)  # the builder's clip warning
+            plan = build(**design).with_certified(data["certified"] is True)
     except DomainError as exc:
         raise SessionFormatError(str(exc)) from exc
-    derived = plan_to_dict(plan)
-    for key in ("theta_star", "stages"):
-        if not _json_equal(derived[key], data[key]):
+    for key, value in plan_to_dict(plan).items():
+        if not _json_equal(value, data[key]):
             raise SessionFormatError(f"the stored {key} field does not match the plan's design")
-    if cls is KnownVarPlan and data["certified"]:
+    if cls is KnownVarPlan and plan.certified:
         bound_a, bound_b = plan.certify()
         if not (bound_a <= plan.alpha and bound_b <= plan.beta):
             raise SessionFormatError(
                 f"the plan says certified, but its bounds ({format_real(bound_a)}, "
                 f"{format_real(bound_b)}) exceed (alpha, beta)"
             )
-    return plan.with_certified(data["certified"])
+    return plan
 
 
 def _write_json(obj, path: str | os.PathLike) -> None:
@@ -385,9 +374,7 @@ def session_from_dict(data: dict, plan) -> TestSession:
     version = data.get("version")
     if type(version) is not int or version != SESSION_SCHEMA_VERSION:
         raise SessionFormatError(f"unsupported session schema version {version!r}")
-    for key in ("plan", "samples", "status", "history"):
-        if key not in data:
-            raise SessionFormatError(f"session is missing field {key!r}")
+    _require_fields(data, ("version", "plan", "samples", "status", "history"), "session")
     if not _json_equal(data["plan"], plan_to_dict(plan)):
         raise SessionFormatError("session was created from a different plan")
     samples = _reals(data["samples"], "samples")

@@ -21,10 +21,12 @@ name, with the same bits, without the ufunc's per-call dispatch (0.1 to
 ufunc costs no more than the fused cython_special dispatch.  Fused
 functions choose their C signature from the argument types and refuse a
 Python int where a double is expected, so degrees of freedom are passed as
-floats.  scipy's ``nctdtr`` returns NaN for |ncp| >= 1e10; there
-noncentral_t_cdf returns the limit 0 or 1 when a tail bound puts the CDF
-within its 1e-12 of it, and raises otherwise rather than pass the NaN on
-as a probability.
+floats.  scipy's ``nctdtr`` returns NaN for |ncp| >= 1e10, and at one
+degree of freedom for some tiny nonzero |x|; there noncentral_t_cdf
+returns Phi(-ncp) when |x| is small enough for it to lie within 1e-12 of
+the CDF, else the limit 0 or 1 when a tail bound puts the CDF within its
+1e-12 of it, and raises otherwise rather than pass the NaN on as a
+probability.
 """
 
 from __future__ import annotations
@@ -149,9 +151,11 @@ def noncentral_t_cdf(x: float, dof: int, ncp: float) -> float:
     """CDF of (U + ncp)/sqrt(W/dof) with U standard normal, W chi-square(dof).
 
     Computed by scipy's ``nctdtr`` (Boost) to absolute error <= 1e-12.
-    Where nctdtr gives NaN (|ncp| >= 1e10) the limit, 0 for ncp > 0 or 1 for
-    ncp < 0, is returned when _far_tail_bound shows the CDF lies within
-    1e-12 of it; otherwise this raises DomainError.
+    Where nctdtr gives NaN (|ncp| >= 1e10, or 1e-161 <~ |x| <~ 1e-96 at one
+    degree of freedom), F(0) = Phi(-ncp) is returned for |x| <= 2e-12, and
+    else the limit, 0 for ncp > 0 or 1 for ncp < 0, when _far_tail_bound
+    shows the CDF lies within 1e-12 of it; otherwise this raises
+    DomainError.
     """
     dof = _require_dof(dof)
     x = float(x)
@@ -164,6 +168,10 @@ def noncentral_t_cdf(x: float, dof: int, ncp: float) -> float:
         return 0.0
     value = cs.nctdtr(float(dof), ncp, x)
     if math.isnan(value):
+        # the density E[S phi(x S - ncp)] is at most E[S] / sqrt(2 pi) <=
+        # 1 / sqrt(2 pi), so |F(x) - F(0)| <= |x| / sqrt(2 pi) < 1e-12 here
+        if abs(x) <= 2e-12:
+            return float(ndtr(-ncp))
         # F(x; ncp) = 1 - F(-x; -ncp) turns ncp < 0 into the bounded case
         if ncp > 0.0 and _far_tail_bound(x, dof, ncp) <= 1e-12:
             return 0.0

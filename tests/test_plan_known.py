@@ -336,6 +336,26 @@ def test_plan_refuses_what_breaks_its_contract(kind, edit, message):
         type(plan)(**{**fields, "stages": stages})
 
 
+@pytest.mark.parametrize("kind, edit, message", [
+    ("known", lambda plan: {"sigma": -1.0}, r"^sigma must be positive and finite, got -1\.0$"),
+    ("known", lambda plan: {"sigma": 0.0}, r"^sigma must be positive and finite, got 0\.0$"),
+    ("known", lambda plan: {"sigma": math.nan}, r"^sigma must be positive and finite, got nan$"),
+    ("known", lambda plan: {"sigma": math.inf}, r"^sigma must be positive and finite, got inf$"),
+    ("unknown", lambda plan: {"stages": _edited(plan, sizes=(1, *plan.sizes[1:]))},
+     r"^unknown-variance plans need stage sizes >= 2$"),
+], ids=["negative-sigma", "zero-sigma", "nan-sigma", "inf-sigma", "unknown-first-size-1"])
+def test_plan_refuses_what_its_statistic_cannot_serve(kind, edit, message):
+    # a negative sigma flips every statistic's sign and a NaN one zeroes it;
+    # one sample has no sample deviation
+    plan = build(kind, 0.05, 0.05, 0.5, 0.0, 1.0, 0.45, 1.0, 3)
+    change = edit(plan)
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(plan, **change)
+    fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+    with pytest.raises(DomainError, match=message):
+        type(plan)(**{**fields, **change})
+
+
 # recorded under numpy 2.4.6 and scipy 1.17.1, with 16 cells and tail mass 1e-4
 OC_BOUNDS = {
     ("known", -0.7): "(0.9868667245122833, 1.0)",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from seqnorm.cli import main
 from seqnorm.errors import (
+    DegenerateSampleError,
     DomainError,
     IntegrityError,
     PlanCertificationError,
@@ -41,6 +42,7 @@ from seqnorm.runner import (
 from seqnorm.simulate import simulate_plan
 
 from oracles import reference_statistic, replicate_samples
+from test_plan_known import build
 
 
 def make_plan(certified=True):
@@ -88,6 +90,20 @@ class TestSerialization:
         with pytest.raises(SessionFormatError):
             plan_from_dict(decreasing)
 
+    @pytest.mark.parametrize("edit, message", [
+        # a real written as an integer: the rebuilt plan writes 1.0
+        (lambda d: d.update(rho=1), "the stored rho field does not match the plan's design"),
+        (lambda d: d.update(comment="x"), "plan has unknown fields ['comment']"),
+        (lambda d: (d.pop("zeta"), d.pop("rho"), d.update(note=1)),
+         "plan has missing fields ['zeta', 'rho'] and unknown fields ['note']"),
+    ], ids=["integer-rho", "extra-field", "missing-and-extra-fields"])
+    def test_plan_file_is_what_saving_writes(self, edit, message):
+        data = plan_to_dict(make_plan())
+        edit(data)
+        with pytest.raises(SessionFormatError) as info:
+            plan_from_dict(data)
+        assert str(info.value) == message
+
 
 class TestPlanFieldTypes:
     @pytest.mark.parametrize("key, value", [
@@ -101,6 +117,10 @@ class TestPlanFieldTypes:
         ("sigma", None),
         ("certified", "no"),
         ("certified", 1),
+        ("rho", 1),
+        ("gamma", 0),
+        ("sigma", 1),
+        ("comment", "x"),
     ])
     def test_malformed_field_is_format_error(self, key, value):
         data = dict(plan_to_dict(make_plan()), **{key: value})
@@ -134,6 +154,8 @@ class TestPlanFieldValues:
         ("epsilon", 1e-200, ["asn", "--theta", "0.5"]),
         # the builders loop over tau rungs; a huge tau is refused before that
         ("tau", 10**9, ["asn", "--theta", "0.5"]),
+        # a JSON integer past the largest double
+        pytest.param("epsilon", 10**400, ["asn", "--theta", "0.5"], id="epsilon-past-double"),
     ])
     def test_out_of_range_value_is_format_error(self, tmp_path, key, value, command):
         data = dict(plan_to_dict(make_plan()), **{key: value})
@@ -283,6 +305,56 @@ def test_session_statistics_match_the_scalar_reference(
         n = plan.sizes[entry.stage - 1]
         assert type(entry.statistic) is float
         assert repr(entry.statistic) == repr(reference_statistic(plan, samples, n))
+
+
+# both builders' domains: alpha != beta, negative gamma, and epsilons large
+# enough that unknown-variance sizes are clipped to 2
+drawn_plans = st.builds(
+    build,
+    kind=st.sampled_from(["known", "unknown"]),
+    alpha=st.floats(0.005, 0.4),
+    beta=st.floats(0.005, 0.4),
+    epsilon=st.floats(0.1, 4.0),
+    gamma=st.floats(-1e3, 1e3),
+    sigma=st.floats(1e-3, 1e3),
+    zeta=st.floats(0.05, 1.0),
+    rho=st.floats(0.1, 2.0),
+    tau=st.integers(1, 6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=drawn_plans, certified=st.booleans())
+def test_every_written_plan_loads_back(plan, certified):
+    """plan_from_dict gives back what plan_to_dict wrote, byte for byte,
+    except for a known-variance plan marked certified whose bounds fail."""
+    data = plan_to_dict(plan.with_certified(certified))
+    if certified and plan.kind == "known":
+        bound_a, bound_b = plan.certify()
+        if not (bound_a <= plan.alpha and bound_b <= plan.beta):
+            with pytest.raises(SessionFormatError, match="^the plan says certified"):
+                plan_from_dict(json.loads(dump_json(data)))
+            return
+    assert dump_json(plan_to_dict(plan_from_dict(json.loads(dump_json(data))))) == dump_json(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    plan=drawn_plans,
+    batches=st.lists(st.lists(st.floats(-10.0, 10.0), max_size=8), max_size=6),
+)
+def test_every_saved_session_loads_back(plan, batches):
+    """A session saved after any batches loads back to the same bytes,
+    against the plan its embedded copy loads as."""
+    session = new_session(plan, allow_uncertified=True)
+    for batch in batches:
+        if session.is_terminal:
+            break
+        with contextlib.suppress(DegenerateSampleError):
+            feed(session, batch)
+    data = json.loads(dump_json(session_to_dict(session)))
+    loaded = session_from_dict(data, plan_from_dict(data["plan"]))
+    assert dump_json(session_to_dict(loaded)) == dump_json(session_to_dict(session))
 
 
 class TestOverflow:
@@ -437,6 +509,18 @@ class TestPersistence:
         path.write_text(dump_json(data))
         with pytest.raises(SessionFormatError):
             load_session(path, session.plan)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(extra=1), "session has unknown fields ['extra']"),
+        (lambda d: d.pop("history"), "session has missing fields ['history']"),
+    ], ids=["extra-field", "missing-field"])
+    def test_session_file_is_what_saving_writes(self, edit, message):
+        session = feed(new_session(make_plan()), [0.1, 0.2])
+        data = session_to_dict(session)
+        edit(data)
+        with pytest.raises(SessionFormatError) as info:
+            session_from_dict(data, session.plan)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("version", [True, 1.0, "1"])
     def test_version_must_be_the_integer(self, tmp_path, version):

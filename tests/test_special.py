@@ -284,6 +284,14 @@ class TestNoncentralT:
         with pytest.raises(DomainError, match="noncentral t CDF not computable"):
             noncentral_t_cdf(x, 3, ncp)
 
+    @pytest.mark.parametrize("ncp", [1.0, -3.0, 10.0])
+    @pytest.mark.parametrize("x", [1e-120, -1e-120, 1e-110, -1e-110, 1e-150])
+    def test_tiny_x_at_one_dof_is_phi_of_minus_ncp(self, x, ncp):
+        # scipy 1.17's nctdtr gives NaN at one degree of freedom for
+        # 1e-161 <~ |x| <~ 1e-96; the density is at most 1 / sqrt(2 pi), so
+        # F(x) lies within |x| / sqrt(2 pi) of F(0) = Phi(-ncp)
+        assert noncentral_t_cdf(x, 1, ncp) == pytest.approx(normal_cdf_oracle(-ncp), abs=1e-12)
+
     @settings(max_examples=300, deadline=None)
     @given(
         x=st.floats(-60.0, 60.0),
