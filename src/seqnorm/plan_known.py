@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -94,7 +95,11 @@ DEFAULT_CELL_BUDGET = 256
 def _check_interval_settings(tail_mass: float, cell_budget: int) -> None:
     if not (0.0 < tail_mass < 1.0):
         raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    if cell_budget < 4:
+    try:  # the partition refines until it reaches the budget: a NaN or inf one never ends
+        budget = operator.index(cell_budget)
+    except TypeError:
+        raise DomainError(f"cell_budget must be an integer, got {cell_budget!r}") from None
+    if budget < 4:
         raise DomainError(f"cell_budget must be >= 4, got {cell_budget}")
 
 

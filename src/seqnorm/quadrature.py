@@ -8,36 +8,36 @@ swaps order.
 The 15-point Kronrod rule evaluates only interior nodes, so integrands that
 are singular or undefined exactly at an endpoint (a hyperbola's radicand
 or denominator vanishing at a critical angle) are never sampled there.
-The adaptive loop is QUADPACK's (Piessens et al., 1983): bisect the panel
-with the largest error estimate until the summed estimate meets tol.
 
-``integrate_many`` runs that loop for many arcs and evaluates their panels
-together; ``integrate`` is its one-arc call.  It works in rounds, and a
-round's integrand call costs about the same whatever its size, so each
-round bisects, for every open arc, every panel the loop would bisect if the
-halves' error estimates were negligible, then replays the loop on those
-halves until it needs one it lacks (see ``_OpenArc``).  The replay pops,
-sets aside and numbers panels as the one-at-a-time loop does, so only the
-number of rounds changes: on the certificates of perfbench's unknown-design
-workload, 35 rather than 90 adaptive rounds for asym and 42 rather than 82
-for sym.
+Refinement is local.  An arc starts from equal panels; while its summed
+error estimate |K15 - G7| exceeds tol, each round bisects every panel
+whose estimate exceeds its share of tol (tol times the panel's width over
+the arc's), and the halves take the panel's place.  The arc stops when its
+sum meets tol, when no panel qualifies (or none is wide enough to halve),
+or when the halves would take it past max_panels panels.
 
-Integrands must accept and return numpy arrays, elementwise, so a node's
-value does not depend on the batch it comes in.  A result must not depend
-on the batching either, so each panel's sums are reduced row by row: the
-node values of a batch form a C-contiguous (panels, 15) array, and
-``np.matmul(rows[:, None, :], w)`` takes one dot product per row, which
+``integrate_many`` runs that rule for many arcs and evaluates their panels
+together, one integrand call per round; ``integrate`` is its one-arc call.
+An arc's decisions read its own panels only, so a batched arc gets its
+one-arc value, bit for bit.  That needs two more things.  Integrands must
+accept and return numpy arrays, elementwise, so a node's value does not
+depend on the batch it comes in.  And each panel's sums are reduced row by
+row: the node values of a batch form a C-contiguous (panels, 15) array,
+and ``np.matmul(rows[:, None, :], w)`` takes one dot product per row, which
 gives the bits of ``w.dot(row)``.  A matrix-vector product (``rows @ w``)
 or an F-ordered or strided block sums in another order and moves the last
-bits; so does a Python sum.  That equality was verified on numpy 2.4.6
-only.  On the oldest numpy that pyproject admits (1.24) it is unverified;
-tests/test_quadrature.py checks it panel by panel against ``np.dot``
-wherever the suite runs.
+bits.  That equality was verified on numpy 2.4.6 only.  On the oldest
+numpy that pyproject admits (1.24) it is unverified; tests/test_quadrature.py
+checks it panel by panel against ``np.dot`` wherever the suite runs.
+
+Totals over an arc's panels, of values and of error estimates, add left to
+right from 0.0.  They must not use the built-in ``sum``: it compensates
+rounding from Python 3.12 on, which would move last bits and stop
+decisions from one interpreter to another.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
 
 import numpy as np
@@ -83,7 +83,11 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarra
 
 
 def _edges(a: np.ndarray, b: np.ndarray, npanels: int) -> np.ndarray:
-    """Row i holds np.linspace(a[i], b[i], npanels + 1), with its bits."""
+    """Row i holds np.linspace(a[i], b[i], npanels + 1), with its bits.
+
+    Those bits place the initial panels, and with them every number of the
+    pinned default certificates; an edge computed another way moves them.
+    """
     frac = np.arange(npanels + 1, dtype=float)
     delta = b - a
     step = delta / npanels
@@ -96,8 +100,16 @@ def _edges(a: np.ndarray, b: np.ndarray, npanels: int) -> np.ndarray:
     return edges
 
 
+def _add_left_to_right(xs) -> float:
+    """0.0 + xs[0] + xs[1] + ..., in a plain loop (the module docstring says why)."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _left_to_right_sums(rows: np.ndarray) -> np.ndarray:
-    """Each row's 0.0 + row[0] + row[1] + ..., with the bits of a Python loop.
+    """Each row's _add_left_to_right, with its bits.
 
     accumulate adds strictly in order; the trailing + 0.0 turns the -0.0 of
     an all -0.0 row into the loop's +0.0 and changes nothing else.
@@ -117,14 +129,14 @@ def integrate_many(
 
     f(x, arc) takes nodes x and, for each node, the index i of its arc.
     Returns (values, capped): capped[i] is True when arc i stopped with its
-    summed error estimate still above tol, because it reached max_panels or
-    ran out of panels wide enough to bisect.
+    summed error estimate still above tol, because no panel qualified for
+    bisection or the halves would take it past max_panels.
 
-    Each arc runs its own adaptive loop, the one ``integrate`` describes,
-    and gets the bits it would get alone: the arcs only share integrand
-    calls (every initial panel in one, then, one round at a time, the
-    halves of every panel that the open arcs' loops are guessed to bisect
-    next).  Raises DomainError if a limit is not finite.
+    Each arc follows the local rule of the module docstring on its own
+    panels, so it gets the bits it would get alone: the arcs only share
+    integrand calls (every initial panel in one, then, one round at a time,
+    the halves of every panel the open arcs bisect).  Raises DomainError if
+    a limit is not finite.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -143,122 +155,50 @@ def integrate_many(
 
     npanels = max(1, int(initial_panels))
     edges = _edges(lo, hi, npanels)
-    owner = np.repeat(arcs, npanels)
-    nodes = np.repeat(owner, len(_XK))
+    nodes = np.repeat(arcs, npanels * len(_XK))
     val, err = _panels(lambda x: f(x, nodes), edges[:, :-1].ravel(), edges[:, 1:].ravel())
     val = val.reshape(-1, npanels)
     err = err.reshape(-1, npanels)
-    total = _left_to_right_sums(val)
     total_err = _left_to_right_sums(err)
-    values[arcs] = sign * total
-    capped[arcs] = total_err > tol
+    values[arcs] = sign * _left_to_right_sums(val)
 
-    # arcs still above tol keep bisecting from their initial panels
-    going = np.flatnonzero((total_err > tol) & (npanels < max_panels))
-    open_arcs = []
-    for r in going.tolist():
-        heap = []  # (-err, order, lo, hi, value)
-        for order, (p_lo, p_hi, v, e) in enumerate(
-            zip(edges[r, :-1].tolist(), edges[r, 1:].tolist(), val[r].tolist(), err[r].tolist())
-        ):
-            heapq.heappush(heap, (-e, order, p_lo, p_hi, v))
-        open_arcs.append(
-            _OpenArc(int(arcs[r]), float(sign[r]), heap, npanels, float(total_err[r]))
-        )
+    # an arc still above tol: (index, sign, width, its (lo, hi, value, error) panels in order)
+    open_arcs = [
+        (int(arcs[r]), float(sign[r]), float(hi[r] - lo[r]), list(zip(
+            edges[r, :-1].tolist(), edges[r, 1:].tolist(), val[r].tolist(), err[r].tolist()
+        )))
+        for r in np.flatnonzero(total_err > tol).tolist()
+    ]
     while open_arcs:
-        wanted = [(arc, split) for arc in open_arcs for split in arc.speculate(tol, max_panels)]
-        if wanted:
-            splits = np.array([split for _, split in wanted])  # (order, lo, mid, hi) rows
-            nodes = np.repeat([arc.index for arc, _ in wanted], 2 * len(_XK))
-            val, err = _panels(
-                lambda x: f(x, nodes), splits[:, 1:3].ravel(), splits[:, 2:4].ravel()
-            )
-            for (arc, split), v, e in zip(
-                wanted, val.reshape(-1, 2).tolist(), err.reshape(-1, 2).tolist()
-            ):
-                arc.computed[split[0]] = (v, e)
-        still_open = []
+        wanted = []  # (arc, positions of the panels it bisects)
         for arc in open_arcs:
-            if arc.replay(tol, max_panels):
-                still_open.append(arc)
+            index, arc_sign, width, panels = arc
+            arc_err = _add_left_to_right(p[3] for p in panels)
+            split = [
+                i for i, (p_lo, p_hi, _, e) in enumerate(panels)
+                if e > tol * (p_hi - p_lo) / width and p_lo < 0.5 * (p_lo + p_hi) < p_hi
+            ] if arc_err > tol else []
+            if split and len(panels) + len(split) <= max_panels:
+                wanted.append((arc, split))
             else:
-                values[arc.index], capped[arc.index] = arc.result(tol)
-        open_arcs = still_open
+                values[index] = arc_sign * _add_left_to_right(p[2] for p in panels)
+                capped[index] = arc_err > tol
+        if not wanted:
+            break
+        # a row (lo, mid, hi) for each panel to bisect, in arc and then position order
+        cuts = [arc[3][i][:2] for arc, split in wanted for i in split]
+        cuts = np.array([(p_lo, 0.5 * (p_lo + p_hi), p_hi) for p_lo, p_hi in cuts])
+        nodes = np.repeat([arc[0] for arc, split in wanted for _ in split], 2 * len(_XK))
+        val, err = _panels(lambda x: f(x, nodes), cuts[:, :2].ravel(), cuts[:, 1:].ravel())
+        halves = zip(cuts[:, 1].tolist(), val.reshape(-1, 2).tolist(), err.reshape(-1, 2).tolist())
+        for arc, split in wanted:
+            panels = arc[3]
+            for shift, i in enumerate(split):  # each earlier split moves this panel right
+                mid, (v1, v2), (e1, e2) = next(halves)
+                left, right, _, _ = panels[i + shift]
+                panels[i + shift:i + shift + 1] = [(left, mid, v1, e1), (mid, right, v2, e2)]
+        open_arcs = [arc for arc, _ in wanted]
     return values, capped
-
-
-class _OpenArc:
-    """One arc's adaptive loop, advanced a round at a time.
-
-    A round first guesses which panels the loop will bisect: those it would
-    bisect if every half had a zero error estimate (speculate).  Once their
-    halves are computed, it runs the loop itself on them (replay), which
-    pops, sets aside and numbers panels exactly as the one-at-a-time loop
-    does, and pauses where the loop needs halves not yet computed: most
-    often those of a half made in the same round.  The loop's summed
-    estimate stays above the guess's, up to rounding, so a guessed panel is
-    bisected in this round or a later one unless max_panels ends the loop;
-    its halves wait in ``computed`` until then.
-    """
-
-    def __init__(self, index, sign, heap, order, total_err):
-        self.index = index
-        self.sign = sign
-        self.heap = heap
-        self.aside = []  # panels narrower than float spacing: never split, still summed
-        self.order = order
-        self.total_err = total_err
-        self.computed = {}  # a panel's order -> its halves' ((v1, v2), (e1, e2))
-
-    def speculate(self, tol, max_panels) -> list[tuple[int, float, float, float]]:
-        """(order, lo, mid, hi) of each panel the guess bisects whose halves are not computed."""
-        heap = self.heap
-        popped = []
-        wanted = []
-        total_err = self.total_err
-        count = len(heap) + len(self.aside)
-        while heap and total_err > tol and count < max_panels:
-            panel = heapq.heappop(heap)
-            popped.append(panel)
-            neg_err, order, lo, hi, _ = panel
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                continue
-            total_err += neg_err
-            count += 1
-            if order not in self.computed:
-                wanted.append((order, lo, mid, hi))
-        for panel in popped:  # keys are unique, so the pop order does not change
-            heapq.heappush(heap, panel)
-        return wanted
-
-    def replay(self, tol, max_panels) -> bool:
-        """Run the loop on the computed halves; True when it pauses for halves not computed."""
-        heap, aside, computed = self.heap, self.aside, self.computed
-        while heap and self.total_err > tol and len(heap) + len(aside) < max_panels:
-            neg_err, order, lo, hi, _ = heap[0]
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                aside.append(heapq.heappop(heap))  # its estimate stays in total_err
-                continue
-            halves = computed.pop(order, None)
-            if halves is None:
-                return True
-            (v1, v2), (e1, e2) = halves
-            self.total_err += (e1 + e2) - (-neg_err)
-            heapq.heapreplace(heap, (-e1, self.order, lo, mid, v1))
-            heapq.heappush(heap, (-e2, self.order + 1, mid, hi, v2))
-            self.order += 2
-        return False
-
-    def result(self, tol) -> tuple[float, bool]:
-        # recompute the sum in deterministic (position) order for bit stability;
-        # the built-in sum compensates rounding from Python 3.12 on, a plain
-        # left-to-right loop gives the same bits on every interpreter
-        total = 0.0
-        for item in sorted(self.heap + self.aside, key=lambda t: t[2]):
-            total += item[4]
-        return self.sign * total, self.total_err > tol
 
 
 def integrate(
@@ -271,10 +211,9 @@ def integrate(
 ) -> float:
     """Integrate f from a to b (signed) to absolute tolerance tol.
 
-    Panels with the largest error estimates are bisected first; the loop
-    stops once the summed error estimate drops below tol, max_panels panels
-    exist, or every panel is too narrow to bisect.  Raises DomainError if
-    the limits are not finite.  This is the one-arc call of integrate_many.
+    Bisects initial_panels equal panels by the local rule of the module
+    docstring, up to max_panels panels.  Raises DomainError if the limits
+    are not finite.  This is the one-arc call of integrate_many.
     """
     values, _ = integrate_many(
         lambda x, arc: f(x), [a], [b], tol=tol, initial_panels=initial_panels,

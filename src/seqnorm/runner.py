@@ -170,6 +170,8 @@ def plan_from_dict(data: dict):
     for key, value in design.items():
         read, what = (operator.index, "an integer") if key == "tau" else (float, "a finite real")
         try:
+            if isinstance(value, (str, bool)):  # float() would read "0.05" and true
+                raise TypeError
             design[key] = read(value)
         except (TypeError, ValueError, OverflowError):
             raise SessionFormatError(f"{key} must be {what}, got {value!r}") from None

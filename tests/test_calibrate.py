@@ -223,9 +223,11 @@ class TestProbePath:
     """Pinned probe sequences: any change to a search step shows here."""
 
     @pytest.mark.parametrize("tail_mass, probes", [
-        # feasible at the anchor 1/3 and infeasible at zeta_hi = 1: Illinois steps
+        # feasible at the anchor 1/3 and infeasible at zeta_hi = 1: Illinois steps.
+        # A step reads the last bits of earlier bounds, so an ulp in a 4-cell
+        # bound moves the last (infeasible) probe without moving the result
         (1e-4, [1 / 3, 1.0, 0.4040156620194033, 0.4338148789184331, 0.4166478050458483,
-                0.42316395752502495]),
+                0.423163957525025]),
         # a tail budget this large makes the anchor infeasible: halve, then Illinois steps
         (0.03, [1 / 3, 0.16666666666666666, 0.20971346399479968, 0.21589445746172636]),
     ])

@@ -1,6 +1,8 @@
 """Unknown-variance plans: construction, statistics, partition bounds."""
 
 import math
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -222,6 +224,24 @@ class TestEnvelopeInterval:
             oc_upper_P(-0.5, self.PLAN, tail_mass=0.0, cell_budget=16)
         with pytest.raises(DomainError):
             oc_upper_P(-0.5, self.PLAN, tail_mass=1e-4, cell_budget=3)
+
+    @pytest.mark.parametrize("cell_budget", [math.nan, math.inf, 256.5])
+    def test_non_integer_cell_budget_refused_at_once(self, cell_budget):
+        # refinement stops on reaching the budget, which a NaN or inf never
+        # is; the alarm turns a hang into a failure
+        def hung(signum, frame):
+            raise AssertionError(f"certify ran on with cell_budget={cell_budget}")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="cell_budget must be an integer"):
+                self.PLAN.certify(1e-4, cell_budget)
+            assert time.perf_counter() - start < 1.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def partition(root, budget, evaluate):

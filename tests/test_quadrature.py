@@ -1,12 +1,13 @@
-"""Adaptive Gauss-Kronrod quadrature: batched panel evaluation against a
-panel-at-a-time reference, bit for bit."""
+"""Adaptive Gauss-Kronrod quadrature: batched arcs against a panel-at-a-time
+reference of the local bisection rule and against their own one-arc calls,
+bit for bit, and values against mpmath."""
 
-import heapq
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqnorm import geometry, quadrature
@@ -34,46 +35,38 @@ def _reference_panel(f, a, b):
 
 
 def reference_integrate(f, a, b, tol=1e-12, initial_panels=8, max_panels=2048):
-    """One integrand call per panel; returns (value, bisections, capped)."""
-    a = float(a)
-    b = float(b)
+    """The local rule, one integrand call per panel; returns (value, rounds, capped)."""
+    a, b = float(a), float(b)
     if a == b:
         return 0.0, 0, False
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    npanels = max(1, int(initial_panels))
-    edges = np.linspace(a, b, npanels + 1)
-    heap = []
-    order = 0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _reference_panel(f, lo, hi)
-        heapq.heappush(heap, (-err, order, lo, hi, val))
-        order += 1
-        total_err += err
-    bisections = 0
-    while total_err > tol and len(heap) < max_panels:
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        err = -neg_err
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            heapq.heappush(heap, (0.0, order, lo, hi, val))
-            order += 1
-            continue
-        v1, e1 = _reference_panel(f, lo, mid)
-        v2, e2 = _reference_panel(f, mid, hi)
-        bisections += 1
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, order, lo, mid, v1))
-        order += 1
-        heapq.heappush(heap, (-e2, order, mid, hi, v2))
-        order += 1
+    lo, hi = min(a, b), max(a, b)
+    edges = np.linspace(lo, hi, max(1, int(initial_panels)) + 1).tolist()
+
+    def panel(p_lo, p_hi):  # (lo, hi, value, error)
+        return (p_lo, p_hi, *_reference_panel(f, p_lo, p_hi))
+
+    def bisected(p_lo, p_hi, _, err):
+        return err > tol * (p_hi - p_lo) / (hi - lo) and p_lo < 0.5 * (p_lo + p_hi) < p_hi
+
+    def halves(p_lo, p_hi, *_):
+        mid = 0.5 * (p_lo + p_hi)
+        return [panel(p_lo, mid), panel(mid, p_hi)]
+
+    panels = [panel(p_lo, p_hi) for p_lo, p_hi in zip(edges, edges[1:])]
+    rounds = 0
+    while True:
+        total_err = 0.0
+        for p in panels:
+            total_err += p[3]
+        nsplit = [bisected(*p) for p in panels].count(True)
+        if total_err <= tol or nsplit == 0 or len(panels) + nsplit > max_panels:
+            break
+        panels = [half for p in panels for half in (halves(*p) if bisected(*p) else [p])]
+        rounds += 1
     total = 0.0
-    for item in sorted(heap, key=lambda t: t[2]):
-        total += item[4]
-    return sign * float(total), bisections, total_err > tol
+    for p in panels:
+        total += p[2]
+    return (-1.0 if b < a else 1.0) * total, rounds, total_err > tol
 
 
 def smooth(c0, c1, w, p):
@@ -119,12 +112,12 @@ def test_batched_panels_match_reference_bit_for_bit(
         return f(x)
 
     got = integrate(counted, a, b, tol=tol, initial_panels=initial_panels, max_panels=max_panels)
-    ref, bisections, _ = reference_integrate(
+    ref, rounds, _ = reference_integrate(
         f, a, b, tol=tol, initial_panels=initial_panels, max_panels=max_panels
     )
     assert got == ref
     assert repr(got) == repr(ref)  # signed zeros too
-    assert calls <= (0 if a == b else 1 + bisections)
+    assert calls == (0 if a == b else 1 + rounds)  # one integrand call per round
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,10 +152,12 @@ def test_row_sums_add_left_to_right_from_zero(rows):
 
 
 def test_step_integrand_bisects_until_max_panels():
+    # only the panel holding the step is above its share of tol, so each
+    # round bisects that one panel, until the next halves would make 41
     f = step(0.3, 1.0)
-    value, bisections, capped = reference_integrate(f, -1.0, 1.0, max_panels=40)
+    value, rounds, capped = reference_integrate(f, -1.0, 1.0, max_panels=40)
     assert capped
-    assert bisections == 40 - 8
+    assert rounds == 40 - 8
     assert integrate(f, -1.0, 1.0, max_panels=40) == value
 
 
@@ -171,15 +166,15 @@ ULP = 2.0**-52  # float spacing just above 1.0
 
 def test_unsplittable_panels_still_return():
     # every panel ends up one ulp wide while the summed error stays far
-    # above tol; such panels are set aside, so the loop runs out of work
+    # above tol; such panels are never bisected, so the loop runs out of work
     f = lambda x: 1e300 * np.sin(1e20 * x)
     assert math.isfinite(integrate(f, 1.0, 1.0 + 2 * ULP))
 
 
 @pytest.mark.parametrize("initial_panels", [1, 8])
 def test_set_aside_panels_match_reference(initial_panels):
-    # the noisy left half bisects down to one-ulp panels that are set aside;
-    # the quiet right half is then split until max_panels, as in the reference
+    # the noisy left half bisects down to one-ulp panels, which are left
+    # as they are while their neighbours still qualify, as in the reference
     quiet_from = 1.0 + 64 * ULP
     f = lambda x: np.where(x < quiet_from, 1e300 * np.sin(1e20 * x), 0.0)
     kwargs = dict(initial_panels=initial_panels, max_panels=100)
@@ -217,11 +212,17 @@ def test_many_arcs_match_one_arc_reference_bit_for_bit(arcs, tol, initial_panels
     ref = [reference_integrate(f, lo, hi, **kwargs) for f, lo, hi in zip(fs, a, b)]
     assert list(map(repr, values.tolist())) == [repr(value) for value, _, _ in ref]
     assert capped.tolist() == [bool(cap) for _, _, cap in ref]
+    # and each arc of the mixed batch gets its own one-arc call's value and flag
+    alone = [
+        integrate_many(lambda x, arc: f(x), [lo], [hi], **kwargs) for f, lo, hi in zip(fs, a, b)
+    ]
+    assert list(map(repr, values.tolist())) == [repr(float(v[0])) for v, _ in alone]
+    assert capped.tolist() == [bool(c[0]) for _, c in alone]
 
 
 def test_many_arcs_with_set_aside_and_capped_arcs():
     # arcs that stop for each reason, batched: converged, capped at
-    # max_panels, set-aside one-ulp panels, empty, reversed
+    # max_panels, out of panels wide enough to halve, empty, reversed
     quiet_from = 1.0 + 64 * ULP
     noisy = lambda x: np.where(x < quiet_from, 1e300 * np.sin(1e20 * x), 0.0)
     arcs = [
@@ -258,8 +259,9 @@ def compensated_sum(values, start=0):
 
 def test_total_does_not_depend_on_the_builtin_sum(monkeypatch):
     # the module sees the compensated sum, as it would on Python 3.12+; on
-    # these limits the compensated panel total differs in its last bits
-    # (1069.1050839605425 against 1069.1050839605412)
+    # these limits the arc bisects and the compensated total of its final
+    # panels differs in its last bits (1069.1050839605425 against
+    # 1069.1050839605398)
     monkeypatch.setattr(quadrature, "sum", compensated_sum, raising=False)
     f = lambda x: 1e3 * np.cos(x)
     ref, _, _ = reference_integrate(f, -7.0, 9.0)
@@ -274,6 +276,44 @@ def test_accuracy_and_orientation():
     assert integrate(f, -1.0, 2.0) == pytest.approx(exact, abs=1e-11)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    f=integrands,
+    a=limits,
+    b=limits,
+    tol=st.sampled_from([1e-12, 1e-6]),
+    max_panels=st.sampled_from([4, 2048]),
+)
+def test_reversed_limits_negate_the_value(f, a, b, tol, max_panels):
+    assume(a != b)  # an empty arc is +0.0 both ways
+    kwargs = dict(tol=tol, max_panels=max_panels)
+    assert repr(integrate(f, b, a, **kwargs)) == repr(-integrate(f, a, b, **kwargs))
+
+
+# integrands written once for numpy arrays and for mpmath numbers (m is the module)
+ACCURACY_CASES = {
+    "peak": (lambda x, m: 1.0 / (1.0 + ((x - 0.1) / 1e-3) ** 2), -1.0, 2.0, [0.1]),
+    "narrow-peak": (lambda x, m: 50.0 / (1.0 + ((x + 3.7) / 1e-4) ** 2), -10.0, 10.0, [-3.7]),
+    "oscillating": (lambda x, m: m.sin(40.0 * x + 0.3) * m.exp(-0.1 * x * x), -6.0, 7.0, 80),
+    "fast-oscillating": (lambda x, m: m.cos(300.0 * x), 3.0, 0.0, 300),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+@pytest.mark.parametrize("case", sorted(ACCURACY_CASES))
+def test_values_agree_with_mpmath_within_tol(case, tol):
+    f, a, b, breaks = ACCURACY_CASES[case]
+    values, capped = integrate_many(lambda x, arc: f(x, np), [a], [b], tol=tol)
+    assert not capped[0]
+    with mpmath.workdps(30):
+        if isinstance(breaks, int):  # equal pieces, a few per period
+            points = mpmath.linspace(a, b, breaks + 1)
+        else:  # split at each peak
+            points = [a, *breaks, b]
+        exact = mpmath.quad(lambda x: f(x, mpmath), points)
+    assert abs(values[0] - float(exact)) <= tol
+
+
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
 def test_non_finite_limits_rejected(a, b):
     with pytest.raises(DomainError):
@@ -283,7 +323,8 @@ def test_non_finite_limits_rejected(a, b):
 def test_bench_asym_calibration_round_count(monkeypatch):
     # the 8-cell asym calibration of perfbench's unknown-design workload:
     # 30 integrate_many calls of one initial round each, then 29 adaptive
-    # rounds (72 when each round bisected one panel per arc)
+    # rounds, each bisecting every panel above its share of tol in every
+    # open arc (72 rounds when each round bisected one panel per arc)
     calls = {"rounds": 0, "integrate_many": 0}
 
     def counted_panels(*args):

@@ -127,6 +127,22 @@ class TestPlanFieldTypes:
         with pytest.raises(SessionFormatError):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("alpha", "0.05", "alpha must be a finite real, got '0.05'"),
+        ("alpha", True, "alpha must be a finite real, got True"),
+        ("tau", True, "tau must be an integer, got True"),
+    ])
+    def test_string_or_bool_field_names_its_type(self, tmp_path, key, value, shown):
+        # float() reads both; the message must name the type, not a design
+        # mismatch or range that the converted value would fail later
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(dict(plan_to_dict(make_plan()), **{key: value})))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["asn", str(path), "--theta", "0"])
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() == f"asn: cannot read plan: {shown}\n"
+
     @pytest.mark.parametrize("stages", [
         "abc",
         [{"n": "5", "a": -1.0, "b": 1.0}],
