@@ -113,6 +113,20 @@ class TestUnknown:
             res = calibrate_unknown(**design)  # the default tail mass and 256 cells
         assert (repr(res.zeta), res.iterations) == (zeta, iterations)
 
+    def test_1024_cell_calibration_keeps_its_bits(self):
+        # the asym design at the budget ROADMAP item 2(f) would make the
+        # default; recorded under these builds, others may round differently
+        builds = {"numpy": np.__version__, "scipy": scipy.__version__}
+        if builds != {"numpy": "2.4.6", "scipy": "1.17.1"}:
+            pytest.skip(f"1024-cell calibration bits recorded with numpy 2.4.6, scipy 1.17.1, "
+                        f"running {builds}")
+        res = calibrate_unknown(0.05, 0.10, 0.5, 0.5, 4, cell_budget=1024)
+        assert (repr(res.zeta), res.iterations) == ("0.7406392062538631", 7)
+        assert (repr(res.phi_at_theta0), repr(res.phi_mirror_at_theta1)) == (
+            "0.04251893105159765", "0.09999945259828227"
+        )
+        assert res.certified
+
     def test_deterministic(self):
         a = calibrate_unknown(0.05, 0.05, 0.5, rho=1.0, tau=2, cell_budget=16)
         b = calibrate_unknown(0.05, 0.05, 0.5, rho=1.0, tau=2, cell_budget=16)
