@@ -29,7 +29,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CalibrationError, DomainError
-from .plan_known import DEFAULT_CELL_BUDGET, DEFAULT_TAIL_MASS, build_known_plan
+from .plan_known import (
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_TAIL_MASS,
+    build_known_plan,
+    validate_design,
+)
 from .plan_unknown import build_unknown_plan
 
 _ZETA_FLOOR = 1e-6
@@ -182,6 +187,7 @@ def calibrate_known(
     def probe(zeta: float) -> tuple[float, float]:
         return build_known_plan(alpha, beta, epsilon, 0.0, 1.0, zeta, rho, tau).certify()
 
+    validate_design(alpha, beta, epsilon, 1.0, rho, tau)  # before the search divides by tau
     return _search(probe, alpha, beta, tau, zeta_tol, interpolate=False)
 
 
@@ -205,4 +211,5 @@ def calibrate_unknown(
         plan = build_unknown_plan(alpha, beta, epsilon, 0.0, zeta, rho, tau)
         return plan.certify(tail_mass, cell_budget)
 
+    validate_design(alpha, beta, epsilon, 1.0, rho, tau)  # before the search divides by tau
     return _search(probe, alpha, beta, tau, zeta_tol, interpolate=True)

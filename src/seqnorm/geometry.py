@@ -14,9 +14,16 @@ Owen's T(d, tan phi) (Owen, Ann. Math. Statist. 27, 1956).  Cone regions need
 no quadrature; only the curved hyperbola arcs use adaptive quadrature.
 ``cone_prob`` and the known-variance envelope's cone pairs share one scalar
 kernel, ``_cone_measure``, fed what all cones of one barrier and slope share.
-``hyperbola_cone_prob_many`` integrates the arcs of a whole list of regions
-in one ``integrate_many`` call, and ``hyperbola_cone_prob`` is its one-region
-call; a region's value does not depend on the list it comes in.
+``hyperbola_family_prob_many`` integrates the arcs of a whole list of
+hyperbola-cone regions in one ``integrate_many`` call.  It takes each region
+as (family, h, g): a ``HyperbolaFamily`` holds what all regions of one
+(offset, lam, k) share (the nudged lam, atan k, sqrt(1 + k^2), the
+asymptote's angle, ...), computed once, so a partition's corners, which
+differ only in h and g, skip that work.  ``hyperbola_cone_prob_many`` makes
+each region a one-region family and calls it, and ``hyperbola_cone_prob`` is
+its one-region call; a region's value does not depend on the list it comes
+in, nor on the family it shares.  The arc integrand reads each panel's
+(offset, lam, h) once and broadcasts it over the panel's nodes.
 
 Two closed-form region families drive the multistage test bounds:
 
@@ -52,7 +59,7 @@ from scipy.special.cython_special import owens_t
 
 from .errors import DomainError
 # integrate is unused here; perfbench's binding test rebinds it
-from .quadrature import integrate, integrate_many  # noqa: F401
+from .quadrature import PANEL_NODES, integrate, integrate_many  # noqa: F401
 from .special import _clamp_unit
 
 _TWO_PI = 2.0 * math.pi
@@ -105,13 +112,61 @@ class HyperbolaConeRegion:
             _require_finite_fields(self)
         if self.lam <= 0.0:
             raise DomainError(f"lam must be > 0, got {self.lam}")
-        if self.h < 0.0:
-            raise DomainError(f"h must be >= 0, got {self.h}")
-        if 0.0 < self.h < sys.float_info.min:
-            # sqrt(h) and h times the polar direction terms lose their digits
-            raise DomainError(f"h must be 0 or a normal float, got {self.h}")
+        _require_corner(self.h, self.g)
         if self.k <= 0.0:
             raise DomainError(f"k must be > 0, got {self.k}")
+
+
+def _require_corner(h: float, g: float) -> None:
+    """Raise DomainError for an h or g that HyperbolaConeRegion refuses."""
+    if not (math.isfinite(h) and math.isfinite(g)):
+        raise DomainError(f"{'g' if math.isfinite(h) else 'h'} must be finite")
+    if h < 0.0:
+        raise DomainError(f"h must be >= 0, got {h}")
+    if 0.0 < h < sys.float_info.min:
+        # sqrt(h) and h times the polar direction terms lose their digits
+        raise DomainError(f"h must be 0 or a normal float, got {h}")
+
+
+class HyperbolaFamily:
+    """What the regions {sqrt(lam v^2 + h) <= u - offset <= k v + g} of one
+    (offset, lam, k) share, whatever h and g.
+
+    lam is nudged off k^2 when the two nearly coincide, with a RuntimeWarning.
+    Then come lam - k^2 (the tangency denominator), atan(k), sqrt(1 + k^2),
+    whether the line is flatter than the asymptote (``bounded``) and the
+    asymptote's angle atan(1 / sqrt(lam)).
+    """
+
+    __slots__ = ("offset", "lam", "k", "k2", "denom", "phi_k", "hyp", "bounded", "phi_asym")
+
+    def __init__(self, offset: float, lam: float, k: float):
+        if not (math.isfinite(offset) and math.isfinite(lam) and lam > 0.0
+                and math.isfinite(k) and k > 0.0):
+            raise DomainError(
+                f"a hyperbola family needs a finite offset, lam > 0 and k > 0, "
+                f"got offset={offset}, lam={lam}, k={k}"
+            )
+        k2 = k * k
+        if not math.isfinite(k2):
+            raise DomainError(f"region too large for double precision: k = {k}")
+        if abs(k2 - lam) <= 1e-9 * max(k2, lam):
+            warnings.warn(
+                "hyperbola shape coincides with the squared line slope; nudging "
+                "the shape parameter off the degenerate surface",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            lam = k2 * (1.0 + 1e-8) if lam >= k2 else k2 * (1.0 - 1e-8)
+        self.offset = offset
+        self.lam = lam
+        self.k = k
+        self.k2 = k2
+        self.denom = lam - k2
+        self.phi_k = math.atan(k)
+        self.hyp = math.sqrt(1.0 + k2)
+        self.bounded = k2 < lam
+        self.phi_asym = math.atan(1.0 / math.sqrt(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +203,57 @@ def _hyperbola_polar_sq_radius(phi: np.ndarray, offset, lam, h) -> np.ndarray:
     one the case tables integrate; the far root enters the tables through a
     half-turn shift of the angle.  At eta = 0 the ratio is 0/0 and the root
     continues to 0 where the denominator stays away from zero and to
-    2 offset cos(phi) / (cos^2 - lam sin^2) where it vanishes.  offset, lam
-    and h are floats or arrays shaped like phi, one hyperbola per node.
+    2 offset cos(phi) / (cos^2 - lam sin^2) where it vanishes.
+
+    offset, lam and h are floats, or (panels, 1) columns that broadcast over
+    a (panels, 15) phi, so eta and lam eta are formed once per panel.  Each
+    node's value is the same sequence of IEEE operations either way; the
+    in-place steps only reuse buffers.  Runs under _upsilon's np.errstate.
     """
     eta = offset * offset - h
+    lam_eta = lam * eta
     c = np.cos(phi)
     s = np.sin(phi)
-    rad = h * c * c + lam * eta * s * s
+    rad = h * c
+    rad *= c
+    t = lam_eta * s
+    t *= s
+    rad += t  # h c^2 + lam eta s^2
     if np.signbit(rad).any():  # -0.0 too, so the clamp below gives +0.0
         scale = abs(h) + lam * abs(eta) + 1e-300
         bad = rad < -1e-10 * scale  # angle outside the branch's admissible interval
         if np.any(bad):
             rad = np.where(bad, np.inf, rad)  # forces the integrand to 0
         rad = np.maximum(rad, 0.0)
-    sq = np.sqrt(rad)
+    sq = np.sqrt(rad, out=rad)
     num = offset * c
     # two algebraically equal forms of the near root; each cancels on the
     # opposite sign of offset*cos(phi), so pick per element
     den = num + sq
-    aq = c * c - lam * s * s
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = eta / den
-        if not den.all():
-            ratio = np.where(den != 0.0, ratio, np.where(eta == 0.0, 0.0, np.inf))
-        stable = (num - sq) / aq
-        if not aq.all():
-            stable = np.where(aq != 0.0, stable, np.inf)
-        r = np.where(num >= 0.0, ratio, stable)
-        return r * r  # an overflow is a radius the integrand sends to 0
+    aq = np.multiply(c, c, out=c)
+    np.multiply(lam, s, out=t)
+    t *= s
+    aq -= t  # cos^2 - lam sin^2
+    ratio = np.divide(eta, den, out=t)
+    if not den.all():
+        ratio = np.where(den != 0.0, ratio, np.where(eta == 0.0, 0.0, np.inf))
+    stable = np.subtract(num, sq, out=sq)
+    stable /= aq
+    if not aq.all():
+        stable = np.where(aq != 0.0, stable, np.inf)
+    r = np.where(num >= 0.0, ratio, stable)
+    r *= r  # an overflow is a radius the integrand sends to 0
+    return r
 
 
 def _upsilon(phi: np.ndarray, offset, lam, h) -> np.ndarray:
     """The arc integrand exp(-r(phi)^2 / 2) / (2 pi) of the hyperbola (offset, lam, h)."""
-    r2 = _hyperbola_polar_sq_radius(phi, offset, lam, h)
-    with np.errstate(over="ignore", under="ignore"):
-        return _INV_TWO_PI * np.exp(-0.5 * r2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        r2 = _hyperbola_polar_sq_radius(phi, offset, lam, h)
+        r2 *= -0.5
+        np.exp(r2, out=r2)
+        r2 *= _INV_TWO_PI
+        return r2
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +322,6 @@ def _abs_polar_angle(u: float, v: float) -> float:
 
 class _BranchData(NamedTuple):
     leaf: str  # "zero", "np1".."np5", "pp1".."pp3", "n1".."n5", "p1".."p3"
-    lam: float  # possibly nudged off the degenerate surface
     # the boundary formula: its hyperbola arcs' (from, to) angles, the line's
     # (distance, from, to), and its terms as indices into (arc integrals...,
     # line integral, 1.0); the value is the first minus each later term
@@ -260,39 +330,42 @@ class _BranchData(NamedTuple):
     terms: tuple[int, ...] = (-1, -1)  # the empty region: 1 - 1
 
 
-def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
-    off = region.offset
-    lam = region.lam
-    h = region.h
-    g = region.g
-    k = region.k
-    k2 = k * k
-    if not math.isfinite(k2):
-        raise DomainError(f"region too large for double precision: {region}")
+_EMPTY = _BranchData(leaf="zero")
 
-    if abs(k2 - lam) <= 1e-9 * max(k2, lam):
-        warnings.warn(
-            "hyperbola shape coincides with the squared line slope; nudging "
-            "the shape parameter off the degenerate surface",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        lam = k2 * (1.0 + 1e-8) if lam >= k2 else k2 * (1.0 - 1e-8)
+
+def _too_large(family: HyperbolaFamily, h: float, g: float) -> DomainError:
+    return DomainError(
+        f"region too large for double precision: offset={family.offset}, "
+        f"lam={family.lam}, h={h}, g={g}, k={family.k}"
+    )
+
+
+def _branch_geometry(family: HyperbolaFamily, h: float, g: float) -> _BranchData:
+    """The boundary formula of the family's region with this h and g.
+
+    h and g are checked as HyperbolaConeRegion checks them, so a corner
+    given as (family, h, g) is refused exactly where its region would be.
+    """
+    _require_corner(h, g)
+    off = family.offset
+    lam = family.lam
+    k = family.k
 
     # the arc integrand's radicand is bounded by h + lam |eta|
     eta = off * off - h
-    if not math.isfinite(h + lam * abs(eta)):
-        raise DomainError(f"region too large for double precision: {region}")
+    lam_eta = lam * abs(eta)
+    if not math.isfinite(h + lam_eta):
+        raise _too_large(family, h, g)
 
     sqrt_h = math.sqrt(h)
-    delta = h * (k2 - lam) + lam * g * g
+    delta = h * (family.k2 - lam) + lam * g * g
     if not math.isfinite(delta):
-        raise DomainError(f"region too large for double precision: {region}")
+        raise _too_large(family, h, g)
     sqd = math.sqrt(max(delta, 0.0))
 
     # the line touches the hyperbola at A and, when it is flatter than the
     # asymptote, again at B; otherwise B recedes to infinity along the asymptote
-    bounded = k2 < lam
+    bounded = family.bounded
     if not bounded:
         crossing = g * k > sqd
     elif g > sqrt_h:
@@ -300,30 +373,31 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
     elif g > 0.0 and delta >= 0.0:
         crossing = False
     else:
-        return _BranchData(leaf="zero", lam=lam)
+        return _EMPTY
 
-    denom = lam - k2
+    denom = family.denom
     z_a = (lam * g - k * sqd) / denom
     phi_a = _abs_polar_angle(off + z_a, (g * k - sqd) / denom)
     if crossing:
         phi_a = -phi_a
-    phi_k = math.atan(k)
+    phi_k = family.phi_k
     if bounded:
         z_b = (lam * g + k * sqd) / denom
         phi_b = _abs_polar_angle(off + z_b, (g * k + sqd) / denom)
         line_b = phi_k + phi_b
         u_q = off + (h / z_b if z_b != 0.0 else 0.0)
     else:
-        phi_b = math.atan(1.0 / math.sqrt(lam))
+        phi_b = family.phi_asym
         line_b = _HALF_PI
         u_q = off
-    lam_eta = lam * abs(eta)
     if eta == 0.0:
         phi_m = _HALF_PI
     elif h == 0.0:
         phi_m = 0.0
     elif lam_eta < sys.float_info.min:
-        raise DomainError(f"lam * |offset^2 - h| underflows: {region}")
+        raise DomainError(
+            f"lam * |offset^2 - h| underflows: offset={off}, lam={lam}, h={h}, g={g}, k={k}"
+        )
     else:
         phi_m = math.atan(math.sqrt(h / lam_eta))
 
@@ -340,7 +414,7 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
 
     # the region's boundary formula; term -2 is the line integral B, -1 is 1.0
     line_a = phi_k + phi_a
-    level = abs(off + g) / math.sqrt(1.0 + k2)
+    level = abs(off + g) / family.hyp
     line = (level, line_a, line_b)
     if rung == 3 and not crossing:  # B(line_b, line_a) - U0
         arcs, line, terms = ((phi_b, phi_a),), (level, line_b, line_a), (-2, 0)
@@ -356,45 +430,70 @@ def _branch_geometry(region: HyperbolaConeRegion) -> _BranchData:
     else:  # B(line_b, line_a + 2 pi) - U0
         arcs, terms = ((phi_b, _TWO_PI + phi_a),), (-2, 0)
         line = (level, line_b, line_a + _TWO_PI)
-    family = ("n" if crossing else "p") + ("p" if bounded else "")
-    return _BranchData(f"{family}{rung}", lam, arcs, line, terms)
+    kind = ("n" if crossing else "p") + ("p" if bounded else "")
+    return _BranchData(f"{kind}{rung}", arcs, line, terms)
 
 
 def classify_branch(region: HyperbolaConeRegion) -> str:
     """Name of the closed-form leaf the region dispatches to ("zero" if empty)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return _branch_geometry(region).leaf
+        family = HyperbolaFamily(region.offset, region.lam, region.k)
+        return _branch_geometry(family, region.h, region.g).leaf
 
 
-def hyperbola_cone_prob_many(regions: Sequence[HyperbolaConeRegion]) -> list[float]:
-    """Pr{(U, V) in region} for each region, via the six closed-form boundary formulas.
+def hyperbola_family_prob_many(
+    corners: Sequence[tuple[HyperbolaFamily, float, float]],
+) -> list[float]:
+    """Pr{(U, V) in region} for each region given as (family, h, g), via the
+    six closed-form boundary formulas.
 
     The branch geometry, the straight pieces and the assembly run region by
     region in ``math``, whose last bits numpy's ufuncs do not always share;
     only the curved arcs of all regions go through one ``integrate_many``
     call.  Each value has the bits of a one-region call.
     """
-    data = [_branch_geometry(region) for region in regions]
-    owner = [i for i, d in enumerate(data) for _ in d.arcs]
-    if owner:
-        lo, hi = np.array([arc for d in data for arc in d.arcs]).T
-        offset = np.array([regions[i].offset for i in owner])
-        lam = np.array([data[i].lam for i in owner])
-        h = np.array([regions[i].h for i in owner])
-        values, _ = integrate_many(
-            lambda phi, arc: _upsilon(phi, offset[arc], lam[arc], h[arc]), lo, hi
-        )
-        values = iter(values.tolist())
+    data = [_branch_geometry(family, h, g) for family, h, g in corners]
+    # a row (offset, lam, h, from, to) for each arc, in region order
+    rows = [
+        (family.offset, family.lam, h, a, b)
+        for (family, h, _), d in zip(corners, data) for a, b in d.arcs
+    ]
+    values = []
+    if rows:
+        rows = np.array(rows)
+
+        def integrand(phi, arc):
+            # each panel's 15 nodes share one arc, so its row of parameters
+            # is read once and broadcast over them
+            offset, lam, h = rows[arc[::PANEL_NODES], :3].T[:, :, None]
+            return _upsilon(phi.reshape(-1, PANEL_NODES), offset, lam, h).ravel()
+
+        values = integrate_many(integrand, rows[:, 3], rows[:, 4])[0].tolist()
 
     out = []
+    i = 0
     for d in data:
-        parts = (*[next(values) for _ in d.arcs], _barrier_integral(*d.line), 1.0)
-        value = parts[d.terms[0]]
-        for term in d.terms[1:]:
+        if d is _EMPTY:
+            out.append(0.0)
+            continue
+        j = i + len(d.arcs)
+        parts = [*values[i:j], _barrier_integral(*d.line), 1.0]
+        i = j
+        terms = d.terms
+        value = parts[terms[0]]
+        for term in terms[1:]:
             value -= parts[term]
         out.append(_clamp_unit(value))
     return out
+
+
+def hyperbola_cone_prob_many(regions: Sequence[HyperbolaConeRegion]) -> list[float]:
+    """Pr{(U, V) in region} for each region: each region is a one-region
+    family, and all go through one hyperbola_family_prob_many call."""
+    return hyperbola_family_prob_many(
+        [(HyperbolaFamily(r.offset, r.lam, r.k), r.h, r.g) for r in regions]
+    )
 
 
 def hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:

@@ -68,19 +68,29 @@ class Stage:
 
 
 def validate_design(alpha, beta, epsilon, zeta, rho, tau):
-    """Raise DomainError unless the design values are valid; ``KnownVarPlan`` checks sigma."""
-    for name, val in (("alpha", alpha), ("beta", beta)):
-        if not (0.0 < val < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {val}")
-    for name, val in (("epsilon", epsilon), ("rho", rho)):
-        if not (val > 0.0 and math.isfinite(val)):
-            raise DomainError(f"{name} must be positive and finite, got {val}")
-    # above 1 a stage's critical level zeta*alpha would exceed alpha itself;
-    # calibration searches (0, 1] as well
-    if not (0.0 < zeta <= 1.0):
-        raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
-    if not (1 <= tau < math.inf and tau == int(tau)):
-        raise DomainError(f"tau must be a positive integer, got {tau}")
+    """Raise DomainError unless the design values are valid; ``KnownVarPlan`` checks sigma.
+
+    A value that does not compare with numbers (a str, None, a list) is
+    refused by the TypeError its first comparison raises.
+    """
+    try:
+        for name, val in (("alpha", alpha), ("beta", beta)):
+            if not (0.0 < val < 1.0):
+                raise DomainError(f"{name} must lie in (0, 1), got {val}")
+        for name, val in (("epsilon", epsilon), ("rho", rho)):
+            if not (val > 0.0 and math.isfinite(val)):
+                raise DomainError(f"{name} must be positive and finite, got {val}")
+        # above 1 a stage's critical level zeta*alpha would exceed alpha itself;
+        # calibration searches (0, 1] as well
+        name, val = "zeta", zeta
+        if not (0.0 < zeta <= 1.0):
+            raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
+        name, val = "tau", tau
+        if not (1 <= tau < math.inf and tau == int(tau)):
+            raise DomainError(f"tau must be a positive integer, got {tau}")
+    except TypeError:
+        kind = "a positive integer" if name == "tau" else "a finite real"
+        raise DomainError(f"{name} must be {kind}, got {val!r}") from None
     if tau > _TAU_LIMIT:
         raise DomainError(f"tau must be at most {_TAU_LIMIT}, got {tau}")
 

@@ -28,10 +28,10 @@ import numpy as np
 from .errors import DomainError, SeqnormError
 from .geometry import (  # noqa: F401  (hyperbola_cone_prob: perfbench's binding test)
     ConeRegion,
-    HyperbolaConeRegion,
+    HyperbolaFamily,
     cone_prob,
     hyperbola_cone_prob,
-    hyperbola_cone_prob_many,
+    hyperbola_family_prob_many,
 )
 from .plan_known import (
     DEFAULT_CELL_BUDGET,
@@ -89,7 +89,7 @@ class UnknownVarPlan(Plan):
         truncation budget is split evenly over a plan's terms, so the total
         truncation slack absorbed into its interval is at most tail_mass.
         The partitions of every term of every plan are refined in lock-step,
-        so the corners a round lacks go through one hyperbola_cone_prob_many
+        so the corners a round lacks go through one hyperbola_family_prob_many
         call; each term's cells are the ones stage_term_cells gives.
         """
         if not math.isfinite(theta):
@@ -312,9 +312,12 @@ class _StageTerm:
     has no dof).  A rectangle of it bounds Pr{scale sqrt(V^2 + y + z) <= U -
     off <= k V + omega sqrt(y)} differences between two omega values using
     monotonicity: the radicand grows with y + z (shrinking the region) and
-    the line intercept grows with omega sqrt(y).  Neighbouring cells share
-    corners, so each corner's probability is computed once per term, by
-    _fill_corners, and then looked up.
+    the line intercept grows with omega sqrt(y).  Every corner is a region
+    of one hyperbola family (offset off, lam scale^2, slope k), built once
+    per term; a cone when scale is 0.  Neighbouring cells share corners and
+    edges, so each corner's probability is computed once per term, by
+    _fill_corners, and each edge's chi-square CDF once, by mass; both are
+    then looked up.
     """
 
     def __init__(self, theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float):
@@ -339,7 +342,10 @@ class _StageTerm:
         size = self.scale * self.scale * (self.off * self.off) if self.scale != 0.0 else self.off
         if not math.isfinite(size):
             raise _overflow(theta, ell, cur.n)
+        self.lam = self.scale * self.scale
+        self.family = HyperbolaFamily(self.off, self.lam, self.k) if self.scale != 0.0 else None
         self._corners: dict[tuple[float, float, float], float] = {}
+        self._cdf: dict[tuple[float, int], float] = {}
 
         quarter = tail_budget / 4.0
         y_lo = chi_square_quantile(quarter, self.dof_y)
@@ -351,15 +357,14 @@ class _StageTerm:
             z_lo = z_hi = 0.0
         self.root = (y_lo, y_hi, z_lo, z_hi)
 
-    def region(self, key: tuple[float, float, float]) -> ConeRegion | HyperbolaConeRegion:
-        """The event at a corner key: a cone when scale is 0, else a hyperbola-cone."""
+    def corner(self, key: tuple[float, float, float]):
+        """The event at a corner key: a ConeRegion when scale is 0, else the
+        (family, h, g) of a hyperbola-cone."""
         sum_yz, y, omega = key
-        if self.scale == 0.0:
+        if self.family is None:
             return ConeRegion(h=self.off, g=self.off + omega * math.sqrt(y), k=self.k)
-        lam = self.scale * self.scale
-        return HyperbolaConeRegion(
-            offset=self.off, lam=lam, h=lam * sum_yz, g=omega * math.sqrt(y), k=self.k
-        )
+        # h takes scale^2 itself, not the family's lam, which may be nudged
+        return self.family, self.lam * sum_yz, omega * math.sqrt(y)
 
     def rect_keys(self, rect) -> list[tuple[float, float, float]]:
         """The omega_plus then omega_minus (upper, lower) keys (y + z, y, omega) of rect."""
@@ -372,17 +377,26 @@ class _StageTerm:
             keys += [(near, y_wide, omega), (far, y_narrow, omega)]
         return keys
 
+    def _chi_square_cdf(self, x: float, dof: int) -> float:
+        """chi_square_cdf(x, dof), computed once per edge of this term."""
+        p = self._cdf.get((x, dof))
+        if p is None:
+            p = self._cdf[x, dof] = chi_square_cdf(x, dof)
+        return p
+
     def mass(self, y_lo, y_hi, z_lo, z_hi) -> float:
-        m = chi_square_cdf(y_hi, self.dof_y) - chi_square_cdf(y_lo, self.dof_y)
+        cdf = self._chi_square_cdf
+        m = cdf(y_hi, self.dof_y) - cdf(y_lo, self.dof_y)
         if self.dof_z > 0:
-            m *= chi_square_cdf(z_hi, self.dof_z) - chi_square_cdf(z_lo, self.dof_z)
+            m *= cdf(z_hi, self.dof_z) - cdf(z_lo, self.dof_z)
         return max(0.0, m)
 
     def bounds(self, rects) -> list[tuple[float, float]]:
         """Mass-weighted (lower, upper) bounds of rectangles whose corners are in the memo."""
+        corners = self._corners
         out = []
         for rect in rects:
-            a_hi, a_lo, b_hi, b_lo = (self._corners[key] for key in self.rect_keys(rect))
+            a_hi, a_lo, b_hi, b_lo = [corners[key] for key in self.rect_keys(rect)]
             if self.negate:
                 diff_hi = min(0.0, a_hi - b_lo)
                 diff_lo = max(-1.0, a_lo - b_hi)
@@ -399,22 +413,23 @@ def _fill_corners(batch: list[tuple[_StageTerm, list]]) -> None:
     """Compute the corners that each (term, rectangles) pair's memo lacks.
 
     Cone corners (scale 0) are closed forms, computed one by one; every
-    hyperbola-cone corner of the batch goes into one hyperbola_cone_prob_many
-    call.  A region's probability does not depend on the batch it is in, so
-    each memo holds the same bits whichever terms share a round.
+    hyperbola-cone corner of the batch goes, as (family, h, g), into one
+    hyperbola_family_prob_many call.  A region's probability does not
+    depend on the batch it is in, so each memo holds the same bits whichever
+    terms share a round.
     """
-    owners, regions = [], []
+    owners, corners = [], []
     for term, rects in batch:
         keys = dict.fromkeys(key for rect in rects for key in term.rect_keys(rect))
         missing = [key for key in keys if key not in term._corners]
-        if term.scale == 0.0:
+        if term.family is None:
             for key in missing:
-                term._corners[key] = cone_prob(term.region(key))
+                term._corners[key] = cone_prob(term.corner(key))
         else:
             owners += [(term, key) for key in missing]
-            regions += [term.region(key) for key in missing]
-    if regions:
-        for (term, key), p in zip(owners, hyperbola_cone_prob_many(regions)):
+            corners += [term.corner(key) for key in missing]
+    if corners:
+        for (term, key), p in zip(owners, hyperbola_family_prob_many(corners)):
             term._corners[key] = p
 
 

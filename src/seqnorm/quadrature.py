@@ -18,6 +18,9 @@ or when the halves would take it past max_panels panels.
 
 ``integrate_many`` runs that rule for many arcs and evaluates their panels
 together, one integrand call per round; ``integrate`` is its one-arc call.
+The nodes of a call come panel by panel, PANEL_NODES (15) at a time, and
+the nodes of one panel belong to one arc, so an integrand may read its
+per-arc parameters once per panel, as a (panels, PANEL_NODES) array's rows.
 An arc's decisions read its own panels only, so a batched arc gets its
 one-arc value, bit for bit.  That needs two more things.  Integrands must
 accept and return numpy arrays, elementwise, so a node's value does not
@@ -68,13 +71,15 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+PANEL_NODES = len(_XK)
 
 
 def _panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """(kronrod, |kronrod - gauss|) arrays for panels [lo[i], hi[i]], from one call of f."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    x = mid[:, None] + half[:, None] * _XK
+    x = half[:, None] * _XK
+    x += mid[:, None]
     ys = np.ascontiguousarray(np.asarray(f(x.ravel()), dtype=float).reshape(x.shape))
     gauss = np.ascontiguousarray(ys[:, _GAUSS_IDX])
     k15 = half * np.matmul(ys[:, None, :], _WK)[:, 0]
@@ -127,7 +132,8 @@ def integrate_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate f over arcs a[i] to b[i] (signed), each to absolute tolerance tol.
 
-    f(x, arc) takes nodes x and, for each node, the index i of its arc.
+    f(x, arc) takes nodes x and, for each node, the index i of its arc;
+    each run of PANEL_NODES nodes is one panel, of one arc.
     Returns (values, capped): capped[i] is True when arc i stopped with its
     summed error estimate still above tol, because no panel qualified for
     bisection or the halves would take it past max_panels.
@@ -155,7 +161,7 @@ def integrate_many(
 
     npanels = max(1, int(initial_panels))
     edges = _edges(lo, hi, npanels)
-    nodes = np.repeat(arcs, npanels * len(_XK))
+    nodes = np.repeat(arcs, npanels * PANEL_NODES)
     val, err = _panels(lambda x: f(x, nodes), edges[:, :-1].ravel(), edges[:, 1:].ravel())
     val = val.reshape(-1, npanels)
     err = err.reshape(-1, npanels)
@@ -188,7 +194,7 @@ def integrate_many(
         # a row (lo, mid, hi) for each panel to bisect, in arc and then position order
         cuts = [arc[3][i][:2] for arc, split in wanted for i in split]
         cuts = np.array([(p_lo, 0.5 * (p_lo + p_hi), p_hi) for p_lo, p_hi in cuts])
-        nodes = np.repeat([arc[0] for arc, split in wanted for _ in split], 2 * len(_XK))
+        nodes = np.repeat([arc[0] for arc, split in wanted for _ in split], 2 * PANEL_NODES)
         val, err = _panels(lambda x: f(x, nodes), cuts[:, :2].ravel(), cuts[:, 1:].ravel())
         halves = zip(cuts[:, 1].tolist(), val.reshape(-1, 2).tolist(), err.reshape(-1, 2).tolist())
         for arc, split in wanted:

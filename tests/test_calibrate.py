@@ -74,6 +74,15 @@ class TestKnown:
             calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=3, zeta_tol=float("nan"))
 
 
+@pytest.mark.parametrize("calibrate_fn", [calibrate_known, calibrate_unknown])
+@pytest.mark.parametrize("tau", [0, -1])
+def test_tau_below_one_is_refused_before_the_search(calibrate_fn, tau):
+    # the search's first step divides by tau, so tau is checked before it:
+    # 0 would divide by zero, and -1 would be reported as a bad zeta
+    with pytest.raises(DomainError, match=rf"^tau must be a positive integer, got {tau}$"):
+        calibrate_fn(0.05, 0.05, 0.5, 1.0, tau)
+
+
 class TestUnknown:
     def test_certified_and_bounds_hold(self, unknown_calibration):
         res = unknown_calibration

@@ -17,12 +17,14 @@ from seqnorm.geometry import (
     _HALF_PI,
     _TWO_PI,
     HyperbolaConeRegion,
+    HyperbolaFamily,
     _abs_polar_angle,
     _barrier_integral,
     _upsilon,
     classify_branch,
     hyperbola_cone_prob,
     hyperbola_cone_prob_many,
+    hyperbola_family_prob_many,
 )
 from seqnorm.quadrature import integrate
 from seqnorm.special import _clamp_unit
@@ -673,3 +675,54 @@ class TestBatchInvariance:
         assert {classify_branch(r) for r in zeros} == {"zero"}
         got = hyperbola_cone_prob_many(zeros)
         assert list(map(repr, got)) == ["0.0", "0.0"]
+
+
+class TestFamilyPath:
+    """Regions given as (family, h, g), the way partition corners go in."""
+
+    @pytest.mark.parametrize("leaf", [*LEAF_CASES, "zero"])
+    def test_every_leaf_through_a_family(self, leaf):
+        off, lam, h, g, k = LEAF_CASES.get(leaf, ZERO_CASE)
+        family = HyperbolaFamily(off, lam, k)
+        assert geometry._branch_geometry(family, h, g).leaf == leaf
+        [got] = hyperbola_family_prob_many([(family, h, g)])
+        assert repr(got) == repr(hyperbola_cone_prob(region_of((off, lam, h, g, k))))
+
+    def test_one_family_serves_every_h_and_g(self):
+        # the corners of one family, in one batch, against one region each
+        off, lam, k = -0.7, 2.0, 0.8
+        family = HyperbolaFamily(off, lam, k)
+        corners = [(h, g) for h in (0.0, 0.2, 0.8, 2.0) for g in (-0.5, 0.1, 0.9, 1.8)]
+        got = hyperbola_family_prob_many([(family, h, g) for h, g in corners])
+        assert list(map(repr, got)) == [
+            repr(hyperbola_cone_prob(HyperbolaConeRegion(off, lam, h, g, k))) for h, g in corners
+        ]
+
+    def test_k_squared_equal_to_lam_is_nudged_with_a_warning(self):
+        with pytest.warns(RuntimeWarning, match="nudging"):
+            family = HyperbolaFamily(-0.5, 1.0, 1.0)
+        assert family.lam == 1.0 + 1e-8 and family.denom == family.lam - 1.0
+        with pytest.warns(RuntimeWarning, match="nudging"):
+            region = hyperbola_cone_prob(HyperbolaConeRegion(-0.5, 1.0, 0.5, 1.2, 1.0))
+        assert hyperbola_family_prob_many([(family, 0.5, 1.2)]) == [region]
+
+    @pytest.mark.parametrize("h, g, message", [
+        (1e-310, 1.0, "h must be 0 or a normal float"),
+        (-0.1, 1.0, "h must be >= 0"),
+        (math.inf, 1.0, "h must be finite"),
+        (0.5, math.nan, "g must be finite"),
+    ])
+    def test_corner_is_refused_as_its_region_is(self, h, g, message):
+        family = HyperbolaFamily(-0.5, 2.0, 0.8)
+        with pytest.raises(DomainError, match=message):
+            HyperbolaConeRegion(-0.5, 2.0, h, g, 0.8)
+        with pytest.raises(DomainError, match=message):
+            hyperbola_family_prob_many([(family, 0.5, 1.0), (family, h, g)])
+
+    @pytest.mark.parametrize("offset, lam, k", [
+        (math.nan, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, 1e200),
+    ])
+    def test_family_refuses_what_a_region_refuses(self, offset, lam, k):
+        with pytest.raises(DomainError):
+            HyperbolaFamily(offset, lam, k)
+

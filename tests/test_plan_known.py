@@ -11,6 +11,7 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqnorm.calibrate import calibrate_known, calibrate_unknown
 from seqnorm.errors import DomainError
 from seqnorm.plan_known import (
     Decision,
@@ -20,7 +21,7 @@ from seqnorm.plan_known import (
     decision_code,
     oc_upper_phi,
 )
-from seqnorm.plan_unknown import build_unknown_plan
+from seqnorm.plan_unknown import build_unknown_plan, min_stage_size
 from seqnorm.runner import _json_equal, plan_to_dict
 from seqnorm.special import std_normal_cdf, std_normal_critical, student_t_critical
 
@@ -101,6 +102,47 @@ class TestBuild:
         for s, m in zip(plan.stages, mirrored.stages):
             assert m.a == pytest.approx(-s.b, abs=1e-12)
             assert m.b == pytest.approx(-s.a, abs=1e-12)
+
+
+# a design value that does not compare with numbers, and the message it gets
+NON_NUMERIC = [
+    ("alpha", "0.05", "alpha must be a finite real, got '0.05'"),
+    ("beta", None, "beta must be a finite real, got None"),
+    ("epsilon", [1.0], "epsilon must be a finite real, got [1.0]"),
+    ("rho", "1", "rho must be a finite real, got '1'"),
+    ("zeta", None, "zeta must be a finite real, got None"),
+    ("tau", "3", "tau must be a positive integer, got '3'"),
+    ("tau", [3], "tau must be a positive integer, got [3]"),
+]
+
+# min_stage_size takes no rho or tau, and calibration searches zeta
+ENTRIES = {
+    "build_known_plan": {"alpha", "beta", "epsilon", "zeta", "rho", "tau"},
+    "build_unknown_plan": {"alpha", "beta", "epsilon", "zeta", "rho", "tau"},
+    "min_stage_size": {"alpha", "beta", "epsilon", "zeta"},
+    "calibrate_known": {"alpha", "beta", "epsilon", "rho", "tau"},
+    "calibrate_unknown": {"alpha", "beta", "epsilon", "rho", "tau"},
+}
+
+
+@pytest.mark.parametrize("entry, key, bad, message", [
+    (entry, *case) for entry, keys in ENTRIES.items() for case in NON_NUMERIC if case[0] in keys
+])
+def test_non_numeric_design_value_is_a_domain_error(entry, key, bad, message):
+    design = dict(alpha=0.05, beta=0.05, epsilon=0.5, zeta=0.5, rho=1.0, tau=3)
+    design[key] = bad
+    calls = {
+        "build_known_plan": lambda d: build_known_plan(gamma=0.0, sigma=1.0, **d),
+        "build_unknown_plan": lambda d: build_unknown_plan(gamma=0.0, **d),
+        "min_stage_size": lambda d: min_stage_size(d["alpha"], d["beta"], d["epsilon"], d["zeta"]),
+        "calibrate_known": lambda d: calibrate_known(
+            d["alpha"], d["beta"], d["epsilon"], d["rho"], d["tau"]),
+        "calibrate_unknown": lambda d: calibrate_unknown(
+            d["alpha"], d["beta"], d["epsilon"], d["rho"], d["tau"], cell_budget=4),
+    }
+    with pytest.raises(DomainError) as err:
+        calls[entry](design)
+    assert str(err.value) == message
 
 
 def build(kind, alpha, beta, epsilon, gamma, sigma, zeta, rho, tau):

@@ -8,13 +8,18 @@ import warnings
 import numpy as np
 import pytest
 import scipy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqnorm import geometry, plan_unknown
 from seqnorm.errors import DegenerateSampleError, DomainError, SeqnormError
+from seqnorm.geometry import HyperbolaConeRegion, hyperbola_cone_prob
 from seqnorm.plan_unknown import (
     UnknownVarPlan,
     _fill_corners,
     _partition_many,
+    _StageTerm,
+    _term_cells,
     build_unknown_plan,
     min_stage_size,
     mirror_unknown_plan,
@@ -475,16 +480,18 @@ class TestCornerMemo:
 
     @pytest.mark.parametrize("ell, region", [(2, "hyperbola_cone_prob"), (3, "cone_prob")])
     def test_one_geometry_call_per_distinct_corner(self, monkeypatch, ell, region):
-        # hyperbola-cone corners go to the batched evaluator, cone corners one by one
-        region_fn = "hyperbola_cone_prob_many" if region == "hyperbola_cone_prob" else region
-        regions = {"cone_prob": [], "hyperbola_cone_prob_many": [], "hyperbola_cone_prob": []}
+        # hyperbola-cone corners go to the batched evaluator as (family, h, g),
+        # cone corners one by one
+        many = "hyperbola_family_prob_many"
+        region_fn = many if region == "hyperbola_cone_prob" else region
+        regions = {"cone_prob": [], many: [], "hyperbola_cone_prob": []}
         batches = []
 
         def counted(name):
             original = getattr(plan_unknown, name)
 
             def wrapper(arg):
-                batch = list(arg) if name == "hyperbola_cone_prob_many" else [arg]
+                batch = list(arg) if name == many else [arg]
                 regions[name] += batch
                 batches.append(len(batch))
                 return original(arg)
@@ -502,7 +509,7 @@ class TestCornerMemo:
         initial = 4 if cells[0, 3] > cells[0, 2] else 2
         splits = len(cells) - initial
         assert len(sent) < 4 * (initial + 2 * splits)
-        if region_fn == "hyperbola_cone_prob_many":
+        if region_fn == many:
             # one batch for the initial cells, then one per split
             assert len(batches) == 1 + splits
 
@@ -514,6 +521,38 @@ class TestCornerMemo:
             rects = [(y_lo, y_hi, z_lo, z_hi)]
             _fill_corners([(fresh, rects)])
             assert [(p_lower, p_upper)] == fresh.bounds(rects)
+
+
+class TestFamilyCorners:
+    """A term's corners go in as (family, h, g), one family per term; each
+    corner keeps the bits of its own HyperbolaConeRegion."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 0.2),
+        beta=st.floats(0.01, 0.2),
+        epsilon=st.floats(0.3, 1.5),
+        zeta=st.floats(0.2, 1.0),
+        rho=st.floats(0.3, 2.0),
+        tau=st.integers(2, 4),
+        theta=st.floats(-2.0, 0.0),
+        pick=st.integers(0, 2),
+        budget=st.sampled_from([4, 8, 16]),
+    )
+    def test_term_corners_keep_their_region_bits(
+        self, alpha, beta, epsilon, zeta, rho, tau, theta, pick, budget
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # clipped sizes, nudged shapes
+            plan = build_unknown_plan(alpha, beta, epsilon, 0.0, zeta, rho, tau)
+            assume(plan.num_stages >= 2)
+            term = _StageTerm(theta, plan, 2 + pick % (plan.num_stages - 1), 1e-4)
+            assume(term.family is not None)
+            _term_cells([term], budget)
+            lam = term.scale * term.scale
+            for (sum_yz, y, omega), p in term._corners.items():
+                region = HyperbolaConeRegion(term.off, lam, lam * sum_yz, omega * math.sqrt(y), term.k)
+                assert repr(p) == repr(hyperbola_cone_prob(region))
 
 
 class TestLockStep:
@@ -606,13 +645,13 @@ class TestLockStep:
     ):
         plan = self.plan(name)
         calls = []
-        many = plan_unknown.hyperbola_cone_prob_many
+        many = plan_unknown.hyperbola_family_prob_many
 
-        def counted(regions):
-            calls.append(len(regions))
-            return many(regions)
+        def counted(corners):
+            calls.append(len(corners))
+            return many(corners)
 
-        monkeypatch.setattr(plan_unknown, "hyperbola_cone_prob_many", counted)
+        monkeypatch.setattr(plan_unknown, "hyperbola_family_prob_many", counted)
         own = repr(plan.mirror()) == repr(plan)
         for p in [plan] if own else [plan, plan.mirror()]:
             for ell in range(2, p.num_stages + 1):
