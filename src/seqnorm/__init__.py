@@ -33,6 +33,7 @@ from .plan_known import (
     Stage,
     build_known_plan,
     decision_code,
+    decision_masks,
     oc_upper_phi,
 )
 from .plan_unknown import (

@@ -95,6 +95,16 @@ def validate_design(alpha, beta, epsilon, zeta, rho, tau):
         raise DomainError(f"tau must be at most {_TAU_LIMIT}, got {tau}")
 
 
+def _isfinite(name: str, val) -> bool:
+    """math.isfinite(val); a value it cannot take as a real (a str, None, a
+    list) raises DomainError with validate_design's message instead of its
+    TypeError."""
+    try:
+        return math.isfinite(val)
+    except TypeError:
+        raise DomainError(f"{name} must be a finite real, got {val!r}") from None
+
+
 # defaults of the unknown-variance interval (chi-square tail mass and
 # partition cells per stage term); the closed-form known envelope only checks
 # them, so that both plan kinds refuse the same settings
@@ -121,7 +131,7 @@ def _threshold_repr(plan) -> str:
 class Plan:
     """Design parameters plus the stage ladder they build.
 
-    A subclass supplies the statistic's scale ``_sd(squares, n)`` and
+    A subclass supplies the statistic's scale ``_sd(squares, n, out)`` and
     whether it is ``studentized`` (reads the squares), the statistic's law
     ``stage_cdf(x, n, theta)`` at stage size n and standardized mean
     theta, and ``envelopes(theta, plans, tail_mass, cell_budget)``, one
@@ -173,13 +183,29 @@ class Plan:
         sums are sums of n samples and squares their sums of squared
         deviations, read only by a studentized plan, whose sd is
         sqrt(squares / (n - 1)); any other plan's sd is its sigma.  n is
-        one stage size, as sessions and the simulator both pass it.  An
-        overflowing statistic is +-inf, which still decides; a zero sd pins
-        it to the sign of sums / n - gamma, and 0 / 0 gives 0.
+        one stage size, as sessions pass it, or an array that broadcasts
+        against sums.  An overflowing statistic is +-inf, which still
+        decides; a zero sd pins it to the sign of sums / n - gamma, and
+        0 / 0 gives 0.  It is ``_statistics_into`` on a copy of sums.
+        """
+        return self._statistics_into(np.array(sums, dtype=float)[()], squares, n)
+
+    def _statistics_into(self, t, squares, n, sd=None):
+        """Overwrite t, sums of n samples, with their stage statistic, and return it.
+
+        The one kernel of the statistic, which the simulator calls too.
+        Each step is an augmented operator, in the order sqrt(n) (sums / n -
+        gamma) / sd evaluates, so an array t is written in place and a
+        scalar rebound.  sd is a scratch array of t's shape for a studentized
+        plan's sd, or None.  A 0 / 0 makes a copy with 0 there.
         """
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = np.sqrt(n) * (sums / n - self.gamma) / self._sd(squares, n)
-        return np.where(np.isnan(t), 0.0, t)
+            t /= n
+            t -= self.gamma
+            t *= np.sqrt(n)
+            t /= self._sd(squares, n, sd)
+        nan = np.isnan(t)
+        return np.where(nan, 0.0, t) if nan.any() else t
 
     def _mirrored_thresholds(self) -> tuple[float, list[tuple[float, float]]]:
         """theta* and the stage (a, b) pairs of ``mirror()``.
@@ -287,8 +313,8 @@ class KnownVarPlan(Plan):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def _sd(self, squares, n) -> float:
-        """The plan's sigma, whatever sigma the data had."""
+    def _sd(self, squares, n, out) -> float:
+        """The plan's sigma, whatever sigma the data had; out is left as it is."""
         return self.sigma
 
     def stage_cdf(self, x: float, n: int, theta: float) -> float:
@@ -330,8 +356,9 @@ def build_known_plan(
     rounding may leave the formulas an ulp apart there.
     """
     validate_design(alpha, beta, epsilon, zeta, rho, tau)
-    if not math.isfinite(gamma):
+    if not _isfinite("gamma", gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
+    _isfinite("sigma", sigma)  # float() would read "1.0"; KnownVarPlan checks the value
     tau = int(tau)
 
     z_a = std_normal_critical(zeta * alpha)
@@ -362,14 +389,22 @@ def build_known_plan(
     )
 
 
-def decision_code(t, a, b):
+def decision_masks(t, a, b):
     """The decision rule: accept at or below a, reject strictly above b, continue between.
 
-    Gives the ``Decision`` value (0 continue, 1 accept, 2 reject) of a
-    statistic t against thresholds a <= b.  It is elementwise on numpy
-    arrays and stays in plain integer arithmetic on floats.
+    Gives the two comparisons of a statistic t against thresholds a <= b,
+    (t <= a, t > b), elementwise on numpy arrays and as plain bools on
+    floats; at most one holds, and where neither does sampling continues.
     """
-    return (t <= a) + 2 * (t > b)
+    return t <= a, t > b
+
+
+def decision_code(t, a, b):
+    """The ``Decision`` value (0 continue, 1 accept, 2 reject) of a
+    statistic t against thresholds a <= b, from ``decision_masks``: an
+    integer array on numpy arrays and a plain int on floats."""
+    accept, reject = decision_masks(t, a, b)
+    return accept + 2 * reject
 
 
 def _overflow(theta: float, ell: int, n: int) -> DomainError:

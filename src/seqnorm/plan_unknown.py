@@ -39,6 +39,7 @@ from .plan_known import (
     Plan,
     Stage,
     _check_interval_settings,
+    _isfinite,
     _overflow,
     validate_design,
 )
@@ -63,12 +64,14 @@ class UnknownVarPlan(Plan):
         if self.stages[0].n < 2:
             raise DomainError("unknown-variance plans need stage sizes >= 2")
 
-    def _sd(self, squares, n):
-        """The sample deviation sqrt(squares / (n - 1)); a negative sum of
-        squares counts as zero."""
+    def _sd(self, squares, n, out):
+        """The sample deviation sqrt(squares / (n - 1)), written into out; a
+        negative sum of squares counts as zero."""
         if np.any(np.less(n, 2)):
             raise DomainError("unknown-variance plans need stage sizes >= 2")
-        return np.sqrt(np.maximum(squares, 0.0) / (n - 1))
+        sd = np.maximum(squares, 0.0, out=out)
+        sd /= n - 1
+        return np.sqrt(sd, out=out)
 
     def stage_cdf(self, x: float, n: int, theta: float) -> float:
         """Pr{statistic at size n <= x}: noncentral t, n - 1 dof, ncp sqrt(n) theta."""
@@ -186,7 +189,7 @@ def build_unknown_plan(
     theta* sqrt(n_s - 1) itself, since rounding may leave them an ulp apart.
     """
     validate_design(alpha, beta, epsilon, zeta, rho, tau)
-    if not math.isfinite(gamma):
+    if not _isfinite("gamma", gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
     tau = int(tau)
 
@@ -391,12 +394,13 @@ class _StageTerm:
             m *= cdf(z_hi, self.dof_z) - cdf(z_lo, self.dof_z)
         return max(0.0, m)
 
-    def bounds(self, rects) -> list[tuple[float, float]]:
-        """Mass-weighted (lower, upper) bounds of rectangles whose corners are in the memo."""
+    def bounds(self, rects, keys) -> list[tuple[float, float]]:
+        """Mass-weighted (lower, upper) bounds of rectangles whose corners are
+        in the memo, keys holding each rectangle's rect_keys."""
         corners = self._corners
         out = []
-        for rect in rects:
-            a_hi, a_lo, b_hi, b_lo = [corners[key] for key in self.rect_keys(rect)]
+        for rect, rect_keys in zip(rects, keys):
+            a_hi, a_lo, b_hi, b_lo = [corners[key] for key in rect_keys]
             if self.negate:
                 diff_hi = min(0.0, a_hi - b_lo)
                 diff_lo = max(-1.0, a_lo - b_hi)
@@ -410,7 +414,8 @@ class _StageTerm:
 
 
 def _fill_corners(batch: list[tuple[_StageTerm, list]]) -> None:
-    """Compute the corners that each (term, rectangles) pair's memo lacks.
+    """Compute the corners that each (term, keys) pair's memo lacks, keys
+    holding the rect_keys of each of the term's rectangles.
 
     Cone corners (scale 0) are closed forms, computed one by one; every
     hyperbola-cone corner of the batch goes, as (family, h, g), into one
@@ -419,9 +424,11 @@ def _fill_corners(batch: list[tuple[_StageTerm, list]]) -> None:
     terms share a round.
     """
     owners, corners = [], []
-    for term, rects in batch:
-        keys = dict.fromkeys(key for rect in rects for key in term.rect_keys(rect))
-        missing = [key for key in keys if key not in term._corners]
+    for term, keys in batch:
+        missing = [
+            key for key in dict.fromkeys(key for rect_keys in keys for key in rect_keys)
+            if key not in term._corners
+        ]
         if term.family is None:
             for key in missing:
                 term._corners[key] = cone_prob(term.corner(key))
@@ -437,9 +444,12 @@ def _term_cells(terms: list[_StageTerm], cell_budget: int) -> list[np.ndarray]:
     """The cells of each term's root, all refined in lock-step by _partition_many."""
 
     def evaluate_round(pending):
-        batch = [(terms[i], rects) for i, rects in pending]
-        _fill_corners(batch)
-        return [term.bounds(rects) for term, rects in batch]
+        # each rectangle's corner keys, made once for the round's corners and bounds
+        batch = [
+            (terms[i], rects, [terms[i].rect_keys(rect) for rect in rects]) for i, rects in pending
+        ]
+        _fill_corners([(term, keys) for term, _, keys in batch])
+        return [term.bounds(rects, keys) for term, rects, keys in batch]
 
     return _partition_many([term.root for term in terms], cell_budget, evaluate_round)
 

@@ -1,13 +1,14 @@
 """Plan execution on synthetic normal data: the stopped decision rule and
 the adjacent-stage boundary-crossing sums the OC envelopes bound.
 
-Each replicate's stage statistics come from the plan's own
-``stage_statistics`` and its decisions from ``decision_code``: the method
-and the rule a session applies, so a simulated replicate reaches the stage
-and decision a session reaches on samples with the same stage sums and
-sums of squares.  sigma is the data's standard deviation; a known-variance
-plan still standardizes by its own sigma, so a different sigma simulates a
-misspecified one.
+Each replicate's stage statistics come from the plan's statistic kernel,
+``_statistics_into``, which the plan's ``stage_statistics`` calls too, and
+its decisions from ``decision_masks``, the rule ``decision_code`` is built
+from: the formula and the rule a session applies, so a simulated replicate
+reaches the stage and decision a session reaches on samples with the same
+stage sums and sums of squares.  sigma is the data's standard deviation;
+a known-variance plan still standardizes by its own sigma, so a different
+sigma simulates a misspecified one.
 
 A stage statistic depends on the samples only through their sum and, for a
 studentized plan, their sum of squared deviations, so a replicate draws
@@ -33,13 +34,22 @@ replicates that stop at stage l are counted as the walk goes, so one that
 stops at stage 1 costs one stage's draws.  ``mc_transition_sums`` decides
 every replicate at every stage: the replicates still sampling get the
 draws ``simulate_plan`` gives them, and those that have stopped draw from
-kinds 2 and 3, so the two walks agree on every stop.  A replicate's draws
-depend on the seed, its block, and the replicates before it in its block,
-never on those after it, so the first r replicates of
-``simulate_plan(r + 1)`` are those of ``simulate_plan(r)``.  numpy does not
-promise that a ``Generator`` method draws the same stream across versions
-(NEP 19), so reports are reproducible for one numpy version; the golden
-transcript pins the one it was recorded with.
+kinds 2 and 3, so the two walks agree on every stop.
+
+A block decides a stage in place, in a workspace its walk makes, so no two
+threads share one: a statistic and a deviation buffer of one entry per
+replicate, whose leading entries each stage uses.  ``_pool`` adds the
+stage's draws into the running sums and sums of squares, the statistic
+kernel writes the statistics (and a studentized plan's deviations) into
+the buffers, and the stopped walk counts accepts and rejects from the two
+comparisons of ``decision_masks``, then gathers the rows still sampling.
+
+A replicate's draws depend on the seed, its block, and the replicates
+before it in its block, never on those after it, so the first r
+replicates of ``simulate_plan(r + 1)`` are those of ``simulate_plan(r)``.
+numpy does not promise that a ``Generator`` method draws the same stream
+across versions (NEP 19), so reports are reproducible for one numpy
+version; the golden transcript pins the one it was recorded with.
 
 Data whose stage sums or sums of squares could overflow a double are
 refused.  The bound takes every normal drawn as at most ``_Z_MAX`` = r +
@@ -75,7 +85,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DomainError
-from .plan_known import Decision, decision_code
+from .plan_known import Decision, decision_code, decision_masks
 
 _BLOCK = 1 << 15  # replicates per block: the unit of randomness and of work
 _MAX_SIZE = 1 << 24  # largest final stage simulated
@@ -147,13 +157,25 @@ def _pool(sums, squares, block_sums, block_squares, prev: int, dn: int):
     SS_l = SS_{l-1} + W_l + (n_{l-1} dn / n_l) (mean_{l-1} - mean_block)^2,
     W_l being the block's own sum of squared deviations.  The squares are
     None when block_squares is; prev = 0 gives the block's own.
+
+    It works in place, in the order the identity evaluates: sums and
+    block_squares become the pooled sums and squares, and squares and
+    block_sums scratch, so no argument may be read after the call.
     """
     if prev == 0:
         return block_sums, block_squares
     if block_squares is None:
-        return sums + block_sums, None
-    gap = sums / prev - block_sums / dn
-    return sums + block_sums, squares + block_squares + (prev * dn / (prev + dn)) * (gap * gap)
+        sums += block_sums
+        return sums, None
+    block_squares += squares
+    gap = np.divide(sums, prev, out=squares)
+    sums += block_sums
+    block_sums /= dn
+    gap -= block_sums
+    gap *= gap
+    gap *= prev * dn / (prev + dn)
+    block_squares += gap
+    return sums, block_squares
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +244,8 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
 
     def walk(block):
         rows = min(_BLOCK, replications - block * _BLOCK)
+        # the block's workspace: each stage writes into the first len(sums) entries
+        stat, sd = np.empty(rows), np.empty(rows)
         codes = None if tally is None else np.zeros((plan.num_stages, rows), dtype=np.int8)
         stops, accepted = np.zeros(plan.num_stages, dtype=np.int64), 0
         # the stopped walk keeps only the rows still sampling; the all-stages
@@ -239,23 +263,25 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
                 drawn = [_scatter(sampling, *pair) for pair in zip(drawn, stopped)]
             sums, squares = _pool(sums, squares, *drawn, prev, dn)
             prev = st.n
-            code = decision_code(
-                plan.stage_statistics(sums + prev * plan.gamma, squares, float(prev)), st.a, st.b
-            )
-            going = code == Decision.CONTINUE
+            m = len(sums)
+            t = np.add(sums, prev * plan.gamma, out=stat[:m])
+            t = plan._statistics_into(t, squares, float(prev), sd[:m])
             if codes is not None:
-                codes[i] = code
-                sampling &= going
+                codes[i] = decision_code(t, st.a, st.b)
+                sampling &= codes[i] == Decision.CONTINUE
                 live = int(np.count_nonzero(sampling))
                 continue
-            live = int(np.count_nonzero(going))
-            stops[i] = len(code) - live
-            accepted += int(np.count_nonzero(code == Decision.ACCEPT))
+            accepts, rejects = decision_masks(t, st.a, st.b)
+            accepting = int(np.count_nonzero(accepts))
+            stopping = accepting + int(np.count_nonzero(rejects))
+            accepted += accepting
+            stops[i] = stopping
+            live = m - stopping
             if live == 0:
                 break
-            if live < len(code):
+            if stopping:
                 # gathering by index is several times faster than by a boolean mask
-                going = np.flatnonzero(going)
+                going = np.flatnonzero(~(accepts | rejects))
                 sums = sums[going]
                 squares = None if squares is None else squares[going]
         return (stops, accepted) if tally is None else tally(codes)

@@ -388,6 +388,7 @@ def replicate_samples(plan, mu: float, sigma: float, r: int, seed: int) -> list[
             block_squares[row] / (dn * (dn - 1))
         )
         samples += [mean + spread] * (dn - 1) + [mean - (dn - 1) * spread]
+        # _pool works in place: block_sums and block_squares are not read after it
         sums, squares = _pool(sums, squares, block_sums, block_squares, prev, dn)
         prev = st.n
         stats = plan.stage_statistics(sums + prev * plan.gamma, squares, float(prev))

@@ -115,6 +115,19 @@ NON_NUMERIC = [
     ("tau", [3], "tau must be a positive integer, got [3]"),
 ]
 
+# gamma and sigma, which only the builders take (build_unknown_plan no sigma)
+BUILDER_NON_NUMERIC = [
+    (entry, *case)
+    for entry in ("build_known_plan", "build_unknown_plan")
+    for case in (
+        ("gamma", "0", "gamma must be a finite real, got '0'"),
+        ("gamma", None, "gamma must be a finite real, got None"),
+    )
+] + [
+    ("build_known_plan", "sigma", "1.0", "sigma must be a finite real, got '1.0'"),
+    ("build_known_plan", "sigma", None, "sigma must be a finite real, got None"),
+]
+
 # min_stage_size takes no rho or tau, and calibration searches zeta
 ENTRIES = {
     "build_known_plan": {"alpha", "beta", "epsilon", "zeta", "rho", "tau"},
@@ -127,13 +140,13 @@ ENTRIES = {
 
 @pytest.mark.parametrize("entry, key, bad, message", [
     (entry, *case) for entry, keys in ENTRIES.items() for case in NON_NUMERIC if case[0] in keys
-])
+] + BUILDER_NON_NUMERIC)
 def test_non_numeric_design_value_is_a_domain_error(entry, key, bad, message):
     design = dict(alpha=0.05, beta=0.05, epsilon=0.5, zeta=0.5, rho=1.0, tau=3)
     design[key] = bad
     calls = {
-        "build_known_plan": lambda d: build_known_plan(gamma=0.0, sigma=1.0, **d),
-        "build_unknown_plan": lambda d: build_unknown_plan(gamma=0.0, **d),
+        "build_known_plan": lambda d: build_known_plan(**{"gamma": 0.0, "sigma": 1.0, **d}),
+        "build_unknown_plan": lambda d: build_unknown_plan(**{"gamma": 0.0, **d}),
         "min_stage_size": lambda d: min_stage_size(d["alpha"], d["beta"], d["epsilon"], d["zeta"]),
         "calibrate_known": lambda d: calibrate_known(
             d["alpha"], d["beta"], d["epsilon"], d["rho"], d["tau"]),

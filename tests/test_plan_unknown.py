@@ -519,8 +519,9 @@ class TestCornerMemo:
         for y_lo, y_hi, z_lo, z_hi, p_lower, p_upper in cells.tolist():
             fresh = plan_unknown._StageTerm(-0.5, self.PLAN, ell, 5e-5)
             rects = [(y_lo, y_hi, z_lo, z_hi)]
-            _fill_corners([(fresh, rects)])
-            assert [(p_lower, p_upper)] == fresh.bounds(rects)
+            keys = [fresh.rect_keys(rect) for rect in rects]
+            _fill_corners([(fresh, keys)])
+            assert [(p_lower, p_upper)] == fresh.bounds(rects, keys)
 
 
 class TestFamilyCorners:

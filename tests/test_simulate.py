@@ -47,6 +47,9 @@ STRADDLE = build_unknown_plan(0.05, 0.05, 0.15, 0.0, zeta=0.8, rho=0.5, tau=3)
 # degrees of freedom, so numpy draws it by the rejection step below shape 1,
 # not at all, as an exponential, and by Marsaglia and Tsang's method twice
 MIXED = build_unknown_plan(0.05, 0.05, 0.4, 0.0, zeta=0.7, rho=1.0, tau=5)
+# sizes (6, 9, 13, 19), gamma 1.3 and sigma 0.7: a known-variance plan whose
+# statistic is neither centred at 0 nor scaled by 1
+SHIFTED = build_known_plan(0.05, 0.10, 0.4, 1.3, 0.7, zeta=0.6, rho=0.5, tau=4)
 
 
 class TestSimulatePlan:
@@ -115,6 +118,36 @@ class TestSimulatePlan:
         got = plan.stage_statistics(sums, squares, n)
         assert got.tolist() == [[math.inf, -math.inf, 0.0, math.inf]] * plan.num_stages
         assert plan.stage_statistics(-2.0, 0.0, plan.sizes[0]) == -math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["known", "unknown"]),
+        n=st.integers(2, 400),
+        rows=st.lists(st.tuples(
+            st.one_of(
+                st.floats(-1e6, 1e6),
+                st.sampled_from([0.0, -0.0, 1.79e308, -1.79e308, 1e-300]),
+            ),
+            st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, 1e-300, 1.7e308])),
+        ), min_size=1, max_size=20),
+    )
+    def test_kernel_in_a_buffer_is_the_session_statistic(self, kind, n, rows):
+        """The kernel the stage walk calls, writing a whole buffer, gives each
+        row the bits a session's scalar statistic has; rows include zero sums
+        of squares (+-inf or 0), sums whose statistic overflows to +-inf, and,
+        for the unknown plan, a zero sum with zero squares (0 / 0, which
+        gives 0)."""
+        plan = SHIFTED if kind == "known" else STRADDLE
+        if plan.studentized:  # STRADDLE's gamma is 0, so a zero sum is n gamma
+            rows = rows + [(0.0, 0.0)]
+        totals = np.array([total for total, _ in rows])
+        squares = np.array([ss for _, ss in rows])
+        got = plan._statistics_into(totals.copy(), squares, float(n), np.empty(len(rows)))
+        # as TestSession._statistic computes it
+        want = [float(plan.stage_statistics(total, ss, n)) for total, ss in rows]
+        assert [repr(float(t)) for t in got] == [repr(t) for t in want]
+        if plan.studentized:
+            assert repr(want[-1]) == "0.0"
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -196,14 +229,19 @@ def test_data_too_large_for_finite_sums_is_refused(name):
         run(hi)
 
 
+@pytest.mark.parametrize("plan, mu, sigma", [
+    pytest.param(STRADDLE, 0.1, 1.3, id="straddle"),
+    # data whose sigma is not the plan's: the statistic divides by 0.7
+    pytest.param(SHIFTED, 1.35, 1.1, id="known-shifted"),
+])
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 20 * 15), st.sampled_from([1, 2, 3, 8]))
-def test_simulation_is_unchanged_under_any_chunk(reps, cpus):
+def test_simulation_is_unchanged_under_any_chunk(plan, mu, sigma, reps, cpus):
     """Reports and transition sums equal the one-CPU run's, in runs of 1 to
-    20 blocks of 15 replicates, however many threads share the blocks; a
-    short switch interval makes a lost update of the shared totals likely
-    to show."""
-    args = (STRADDLE, 0.1, 1.3, reps, 17)
+    20 blocks of 15 replicates, however many threads share the blocks, each
+    block deciding its stages in a workspace of its own; a short switch
+    interval makes a lost update of the shared totals likely to show."""
+    args = (plan, mu, sigma, reps, 17)
     with mock.patch.object(sim, "_BLOCK", 15):
         with mock.patch.object(sim, "_cpus", lambda: 1):
             base, sums = simulate_plan(*args), mc_transition_sums(*args)
@@ -487,7 +525,7 @@ def test_largest_accepted_draw_is_within_the_overflow_bound():
 
 REPLAY_PLANS = {
     "known": build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, zeta=0.455, rho=1.0, tau=3),
-    "known-shifted": build_known_plan(0.05, 0.10, 0.4, 1.3, 0.7, zeta=0.6, rho=0.5, tau=4),
+    "known-shifted": SHIFTED,
     "unknown": build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=0.8, rho=1.0, tau=3),
     "unknown-straddle": STRADDLE,
     "unknown-mixed": MIXED,
