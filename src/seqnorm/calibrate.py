@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError, DomainError, real
 from .plan_known import (
     DEFAULT_CELL_BUDGET,
     DEFAULT_TAIL_MASS,
@@ -44,9 +44,11 @@ _STEP_MARGIN = 0.05
 _GUARD_SLACK = 2
 
 
-def _check_zeta_tol(zeta_tol: float) -> None:
+def _check_zeta_tol(zeta_tol: float) -> float:
+    zeta_tol = real("zeta_tol", zeta_tol, finite=False)
     if not zeta_tol > 0.0:
         raise DomainError(f"zeta_tol must be > 0, got {zeta_tol}")
+    return zeta_tol
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def _search(
     most zeta_tol wide: at the midpoint, or with interpolate at the guarded
     Illinois step of the module docstring.
     """
-    _check_zeta_tol(zeta_tol)
+    zeta_tol = _check_zeta_tol(zeta_tol)
     zeta_hi = min(1.0, 10.0 / tau)
     anchor = min(1.0 / tau, zeta_hi)
     path: dict[float, tuple[float, float, bool]] = {}  # every probe, each zeta once
@@ -130,7 +132,9 @@ def _search(
     # leaves the bracket exactly that wide, so aim sits a little below
     # zeta_tol: rounding must not cost the last step
     width = hi - lo
-    steps = (math.ceil(math.log2(width / zeta_tol)) if width > zeta_tol else 0) + _GUARD_SLACK
+    # a subnormal zeta_tol overflows the ratio; 2**1023 steps past any double's spacing
+    ratio = min(width / zeta_tol, 2.0**1023)
+    steps = (math.ceil(math.log2(ratio)) if width > zeta_tol else 0) + _GUARD_SLACK
     aim = zeta_tol * (1.0 - 2.0**-10)
     k = 0
     while hi - lo > zeta_tol:
@@ -187,7 +191,7 @@ def calibrate_known(
     def probe(zeta: float) -> tuple[float, float]:
         return build_known_plan(alpha, beta, epsilon, 0.0, 1.0, zeta, rho, tau).certify()
 
-    validate_design(alpha, beta, epsilon, 1.0, rho, tau)  # before the search divides by tau
+    alpha, beta, epsilon, _, rho, tau = validate_design(alpha, beta, epsilon, 1.0, rho, tau)
     return _search(probe, alpha, beta, tau, zeta_tol, interpolate=False)
 
 
@@ -211,5 +215,5 @@ def calibrate_unknown(
         plan = build_unknown_plan(alpha, beta, epsilon, 0.0, zeta, rho, tau)
         return plan.certify(tail_mass, cell_budget)
 
-    validate_design(alpha, beta, epsilon, 1.0, rho, tau)  # before the search divides by tau
+    alpha, beta, epsilon, _, rho, tau = validate_design(alpha, beta, epsilon, 1.0, rho, tau)
     return _search(probe, alpha, beta, tau, zeta_tol, interpolate=True)

@@ -14,7 +14,7 @@ import sys
 from functools import cache, partial
 
 from .calibrate import _check_zeta_tol, calibrate_known, calibrate_unknown
-from .errors import CalibrationError, DomainError, SeqnormError, SessionFormatError
+from .errors import CalibrationError, DomainError, SeqnormError, SessionFormatError, real
 from .plan_known import (
     DEFAULT_CELL_BUDGET,
     DEFAULT_TAIL_MASS,
@@ -213,8 +213,7 @@ def cmd_asn(args) -> int:
     plan = _read_plan(args.plan)
     lines = [",".join(["theta", *(f"tail_{ell}" for ell in range(1, plan.num_stages))])]
     for theta in args.theta:
-        if not math.isfinite(theta):  # a one-stage plan has no tail to refuse it
-            raise DomainError(f"theta must be finite, got {theta}")
+        theta = real("theta", theta)  # a one-stage plan has no tail to refuse NaN or inf
         tails = [plan.sample_tail(ell, theta) for ell in range(1, plan.num_stages)]
         lines.append(",".join(format_real(x) for x in [theta, *tails]))
     _write_text(args.out, "\n".join(lines) + "\n")

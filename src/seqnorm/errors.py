@@ -1,4 +1,13 @@
-"""Semantic exception hierarchy shared across the package."""
+"""Semantic exception hierarchy, and the two argument checks every public
+entry point converts its scalars through: it raises ``DomainError`` for a
+value of the wrong type, as for one out of range.  A real is what
+``float()`` reads without overflow, less bools and text; a count is what
+``operator.index`` takes, less bool.  Each entry point then checks the
+converted value's range with its own message.
+"""
+
+import math
+import operator
 
 
 class SeqnormError(Exception):
@@ -7,6 +16,31 @@ class SeqnormError(Exception):
 
 class DomainError(SeqnormError, ValueError):
     """An argument is outside its mathematical domain."""
+
+
+def real(name: str, value, finite: bool = True) -> float:
+    """value as a float; DomainError for a bool, text, or what float() cannot
+    read or overflows on, and with finite, for NaN and +-inf."""
+    if type(value) is not float:  # a float, the common case, is taken as it is
+        try:
+            if isinstance(value, (bool, str, bytes, bytearray)):  # float() reads them
+                raise TypeError
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{name} must be a finite real, got {value!r}") from None
+    if finite and not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def count(name: str, value) -> int:
+    """operator.index(value); DomainError for a bool or what it refuses."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class DegenerateSampleError(SeqnormError):

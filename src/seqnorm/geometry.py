@@ -57,7 +57,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.special.cython_special import owens_t
 
-from .errors import DomainError
+from .errors import DomainError, real
 # integrate is unused here; perfbench's binding test rebinds it
 from .quadrature import PANEL_NODES, integrate, integrate_many  # noqa: F401
 from .special import _clamp_unit
@@ -72,13 +72,6 @@ _HALF_PI = 0.5 * math.pi
 # ---------------------------------------------------------------------------
 
 
-def _require_finite_fields(region) -> None:
-    """Raise DomainError naming the first field of region that is not finite."""
-    for name in region.__dataclass_fields__:
-        if not math.isfinite(getattr(region, name)):
-            raise DomainError(f"{name} must be finite")
-
-
 @dataclass(frozen=True)
 class ConeRegion:
     """Wedge {h <= u <= k v + g} bounded left by a vertical barrier."""
@@ -88,8 +81,8 @@ class ConeRegion:
     k: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and math.isfinite(self.g) and math.isfinite(self.k)):
-            _require_finite_fields(self)
+        for name in self.__dataclass_fields__:  # each field as a finite float
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if self.k <= 0.0:
             raise DomainError(f"k must be > 0, got {self.k}")
 
@@ -105,11 +98,8 @@ class HyperbolaConeRegion:
     k: float
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.offset) and math.isfinite(self.lam) and math.isfinite(self.h)
-            and math.isfinite(self.g) and math.isfinite(self.k)
-        ):
-            _require_finite_fields(self)
+        for name in self.__dataclass_fields__:  # each field as a finite float
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if self.lam <= 0.0:
             raise DomainError(f"lam must be > 0, got {self.lam}")
         _require_corner(self.h, self.g)
@@ -141,12 +131,9 @@ class HyperbolaFamily:
     __slots__ = ("offset", "lam", "k", "k2", "denom", "phi_k", "hyp", "bounded", "phi_asym")
 
     def __init__(self, offset: float, lam: float, k: float):
-        if not (math.isfinite(offset) and math.isfinite(lam) and lam > 0.0
-                and math.isfinite(k) and k > 0.0):
-            raise DomainError(
-                f"a hyperbola family needs a finite offset, lam > 0 and k > 0, "
-                f"got offset={offset}, lam={lam}, k={k}"
-            )
+        offset, lam, k = real("offset", offset), real("lam", lam), real("k", k)
+        if not (lam > 0.0 and k > 0.0):
+            raise DomainError(f"a hyperbola family needs lam > 0 and k > 0, got lam={lam}, k={k}")
         k2 = k * k
         if not math.isfinite(k2):
             raise DomainError(f"region too large for double precision: k = {k}")

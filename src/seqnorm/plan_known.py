@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, count, real
 from .geometry import _cone_measure, _cone_shared
 from .special import std_normal_cdf, std_normal_critical
 
@@ -68,41 +67,28 @@ class Stage:
 
 
 def validate_design(alpha, beta, epsilon, zeta, rho, tau):
-    """Raise DomainError unless the design values are valid; ``KnownVarPlan`` checks sigma.
-
-    A value that does not compare with numbers (a str, None, a list) is
-    refused by the TypeError its first comparison raises.
-    """
-    try:
-        for name, val in (("alpha", alpha), ("beta", beta)):
-            if not (0.0 < val < 1.0):
-                raise DomainError(f"{name} must lie in (0, 1), got {val}")
-        for name, val in (("epsilon", epsilon), ("rho", rho)):
-            if not (val > 0.0 and math.isfinite(val)):
-                raise DomainError(f"{name} must be positive and finite, got {val}")
-        # above 1 a stage's critical level zeta*alpha would exceed alpha itself;
-        # calibration searches (0, 1] as well
-        name, val = "zeta", zeta
-        if not (0.0 < zeta <= 1.0):
-            raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
-        name, val = "tau", tau
-        if not (1 <= tau < math.inf and tau == int(tau)):
-            raise DomainError(f"tau must be a positive integer, got {tau}")
-    except TypeError:
-        kind = "a positive integer" if name == "tau" else "a finite real"
-        raise DomainError(f"{name} must be {kind}, got {val!r}") from None
+    """The design values, tau as an int and the rest as floats, once all are
+    valid; DomainError names the first that is not (sigma: ``KnownVarPlan``)."""
+    names = ("alpha", "beta", "epsilon", "zeta", "rho")
+    alpha, beta, epsilon, zeta, rho = (
+        real(name, val, finite=False) for name, val in zip(names, (alpha, beta, epsilon, zeta, rho))
+    )
+    tau = count("tau", tau)
+    for name, val in (("alpha", alpha), ("beta", beta)):
+        if not (0.0 < val < 1.0):
+            raise DomainError(f"{name} must lie in (0, 1), got {val}")
+    for name, val in (("epsilon", epsilon), ("rho", rho)):
+        if not (val > 0.0 and math.isfinite(val)):
+            raise DomainError(f"{name} must be positive and finite, got {val}")
+    # above 1 a stage's critical level zeta*alpha would exceed alpha itself;
+    # calibration searches (0, 1] as well
+    if not (0.0 < zeta <= 1.0):
+        raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
+    if tau < 1:
+        raise DomainError(f"tau must be a positive integer, got {tau}")
     if tau > _TAU_LIMIT:
         raise DomainError(f"tau must be at most {_TAU_LIMIT}, got {tau}")
-
-
-def _isfinite(name: str, val) -> bool:
-    """math.isfinite(val); a value it cannot take as a real (a str, None, a
-    list) raises DomainError with validate_design's message instead of its
-    TypeError."""
-    try:
-        return math.isfinite(val)
-    except TypeError:
-        raise DomainError(f"{name} must be a finite real, got {val!r}") from None
+    return alpha, beta, epsilon, zeta, rho, tau
 
 
 # defaults of the unknown-variance interval (chi-square tail mass and
@@ -112,15 +98,16 @@ DEFAULT_TAIL_MASS = 1e-4
 DEFAULT_CELL_BUDGET = 256
 
 
-def _check_interval_settings(tail_mass: float, cell_budget: int) -> None:
+def _check_interval_settings(tail_mass: float, cell_budget: int) -> tuple[float, int]:
+    """tail_mass as a float and cell_budget as an int, once they are valid."""
+    tail_mass = real("tail_mass", tail_mass, finite=False)
     if not (0.0 < tail_mass < 1.0):
         raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    try:  # the partition refines until it reaches the budget: a NaN or inf one never ends
-        budget = operator.index(cell_budget)
-    except TypeError:
-        raise DomainError(f"cell_budget must be an integer, got {cell_budget!r}") from None
-    if budget < 4:
+    # the partition refines until it reaches the budget: a NaN or inf one never ends
+    cell_budget = count("cell_budget", cell_budget)
+    if cell_budget < 4:
         raise DomainError(f"cell_budget must be >= 4, got {cell_budget}")
+    return tail_mass, cell_budget
 
 
 def _threshold_repr(plan) -> str:
@@ -248,12 +235,12 @@ class Plan:
     def sample_tail(self, ell: int, theta: float) -> float:
         """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
         s = self.num_stages
+        ell = count("ell", ell)
         if not (1 <= ell <= s - 1):
             raise DomainError(
                 f"stage index must lie in [1, {s - 1}] (sampling always stops at stage {s})"
             )
-        if not math.isfinite(theta):
-            raise DomainError(f"theta must be finite, got {theta}")
+        theta = real("theta", theta)
         stage = self.stages[ell - 1]
         if not math.isfinite(math.sqrt(stage.n) * theta):
             raise _overflow(theta, ell, stage.n)
@@ -272,6 +259,7 @@ class Plan:
         probability exceeds 1 - (envelope upper end at theta); above it, it
         stays below the mirror plan's envelope upper end at -theta.
         """
+        theta = real("theta", theta, finite=False)  # the envelope refuses NaN and inf
         if abs(theta) < self.epsilon:
             raise DomainError(
                 f"theta={theta} lies inside the indifference zone; no bound is stated there"
@@ -355,11 +343,9 @@ def build_known_plan(
     the top size, where the two meet, gets a_s = b_s = theta* itself, since
     rounding may leave the formulas an ulp apart there.
     """
-    validate_design(alpha, beta, epsilon, zeta, rho, tau)
-    if not _isfinite("gamma", gamma):
-        raise DomainError(f"gamma must be finite, got {gamma}")
-    _isfinite("sigma", sigma)  # float() would read "1.0"; KnownVarPlan checks the value
-    tau = int(tau)
+    alpha, beta, epsilon, zeta, rho, tau = validate_design(alpha, beta, epsilon, zeta, rho, tau)
+    gamma = real("gamma", gamma)
+    sigma = real("sigma", sigma, finite=False)  # KnownVarPlan checks its value
 
     z_a = std_normal_critical(zeta * alpha)
     z_b = std_normal_critical(zeta * beta)
@@ -376,13 +362,13 @@ def build_known_plan(
         stages.append(Stage(n=n, a=min(theta_star, root - z_b), b=max(theta_star, z_a - root)))
     stages.append(Stage(n=sizes[-1], a=theta_star, b=theta_star))
     return KnownVarPlan(
-        alpha=float(alpha),
-        beta=float(beta),
-        epsilon=float(epsilon),
-        gamma=float(gamma),
-        sigma=float(sigma),
-        zeta=float(zeta),
-        rho=float(rho),
+        alpha=alpha,
+        beta=beta,
+        epsilon=epsilon,
+        gamma=gamma,
+        sigma=sigma,
+        zeta=zeta,
+        rho=rho,
         tau=tau,
         theta_star=theta_star,
         stages=tuple(stages),
@@ -420,8 +406,7 @@ def oc_upper_phi(theta: float, plan: KnownVarPlan) -> float:
     contributes the measure of a cone pair (continue band at l-1 crossed by
     the reject line at l).
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
+    theta = real("theta", theta)
     stages = plan.stages
     x = math.sqrt(stages[0].n) * theta - stages[0].b
     if not math.isfinite(x):

@@ -25,11 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SeqnormError
+from .errors import DomainError, SeqnormError, real
 from .geometry import (  # noqa: F401  (hyperbola_cone_prob: perfbench's binding test)
-    ConeRegion,
     HyperbolaFamily,
-    cone_prob,
+    _cone_measure,
+    _cone_shared,
     hyperbola_cone_prob,
     hyperbola_family_prob_many,
 )
@@ -39,7 +39,6 @@ from .plan_known import (
     Plan,
     Stage,
     _check_interval_settings,
-    _isfinite,
     _overflow,
     validate_design,
 )
@@ -95,9 +94,8 @@ class UnknownVarPlan(Plan):
         so the corners a round lacks go through one hyperbola_family_prob_many
         call; each term's cells are the ones stage_term_cells gives.
         """
-        if not math.isfinite(theta):
-            raise DomainError(f"theta must be finite, got {theta}")
-        _check_interval_settings(tail_mass, cell_budget)
+        theta = real("theta", theta)
+        tail_mass, cell_budget = _check_interval_settings(tail_mass, cell_budget)
 
         specs = [
             (j, ell, tail_mass / (plan.num_stages - 1))
@@ -138,7 +136,7 @@ def min_stage_size(alpha: float, beta: float, epsilon: float, zeta: float) -> in
     is monotone; a doubling search brackets the crossover and bisection
     pins it.
     """
-    validate_design(alpha, beta, epsilon, zeta, rho=1.0, tau=1)
+    alpha, beta, epsilon, zeta, _, _ = validate_design(alpha, beta, epsilon, zeta, rho=1.0, tau=1)
 
     def ok(n: int) -> bool:
         dof = n - 1
@@ -188,10 +186,8 @@ def build_unknown_plan(
     except at the top size n_s, where the two meet: a_s = b_s =
     theta* sqrt(n_s - 1) itself, since rounding may leave them an ulp apart.
     """
-    validate_design(alpha, beta, epsilon, zeta, rho, tau)
-    if not _isfinite("gamma", gamma):
-        raise DomainError(f"gamma must be finite, got {gamma}")
-    tau = int(tau)
+    alpha, beta, epsilon, zeta, rho, tau = validate_design(alpha, beta, epsilon, zeta, rho, tau)
+    gamma = real("gamma", gamma)
 
     n_star = min_stage_size(alpha, beta, epsilon, zeta)
     raw = [math.ceil(n_star * (1.0 + rho) ** (i - tau)) for i in range(1, tau + 1)]
@@ -218,12 +214,12 @@ def build_unknown_plan(
     close = theta_star * math.sqrt(dof_final)
     stages.append(Stage(n=sizes[-1], a=close, b=close))
     return UnknownVarPlan(
-        alpha=float(alpha),
-        beta=float(beta),
-        epsilon=float(epsilon),
-        gamma=float(gamma),
-        zeta=float(zeta),
-        rho=float(rho),
+        alpha=alpha,
+        beta=beta,
+        epsilon=epsilon,
+        gamma=gamma,
+        zeta=zeta,
+        rho=rho,
         tau=tau,
         theta_star=theta_star,
         stages=tuple(stages),
@@ -317,10 +313,11 @@ class _StageTerm:
     monotonicity: the radicand grows with y + z (shrinking the region) and
     the line intercept grows with omega sqrt(y).  Every corner is a region
     of one hyperbola family (offset off, lam scale^2, slope k), built once
-    per term; a cone when scale is 0.  Neighbouring cells share corners and
-    edges, so each corner's probability is computed once per term, by
-    _fill_corners, and each edge's chi-square CDF once, by mass; both are
-    then looked up.
+    per term; when scale is 0, a cone of barrier off and slope k, whose
+    _cone_shared is computed once per term.  Neighbouring cells share
+    corners and edges, so each corner's probability is computed once per
+    term, by _fill_corners, and each edge's chi-square CDF once, by mass;
+    both are then looked up.
     """
 
     def __init__(self, theta: float, plan: UnknownVarPlan, ell: int, tail_budget: float):
@@ -347,6 +344,7 @@ class _StageTerm:
             raise _overflow(theta, ell, cur.n)
         self.lam = self.scale * self.scale
         self.family = HyperbolaFamily(self.off, self.lam, self.k) if self.scale != 0.0 else None
+        self.cone = _cone_shared(self.off, self.k) if self.family is None else None
         self._corners: dict[tuple[float, float, float], float] = {}
         self._cdf: dict[tuple[float, int], float] = {}
 
@@ -361,11 +359,11 @@ class _StageTerm:
         self.root = (y_lo, y_hi, z_lo, z_hi)
 
     def corner(self, key: tuple[float, float, float]):
-        """The event at a corner key: a ConeRegion when scale is 0, else the
-        (family, h, g) of a hyperbola-cone."""
+        """The event at a corner key: when scale is 0 its probability, the
+        cone's closed form, else the (family, h, g) of a hyperbola-cone."""
         sum_yz, y, omega = key
         if self.family is None:
-            return ConeRegion(h=self.off, g=self.off + omega * math.sqrt(y), k=self.k)
+            return _cone_measure(self.off, self.off + omega * math.sqrt(y), self.k, *self.cone)
         # h takes scale^2 itself, not the family's lam, which may be nudged
         return self.family, self.lam * sum_yz, omega * math.sqrt(y)
 
@@ -431,7 +429,7 @@ def _fill_corners(batch: list[tuple[_StageTerm, list]]) -> None:
         ]
         if term.family is None:
             for key in missing:
-                term._corners[key] = cone_prob(term.corner(key))
+                term._corners[key] = term.corner(key)
         else:
             owners += [(term, key) for key in missing]
             corners += [term.corner(key) for key in missing]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass, fields
@@ -34,6 +33,7 @@ from .errors import (
     PlanCertificationError,
     SessionFormatError,
     StateError,
+    real,
 )
 from .plan_known import Decision, KnownVarPlan, build_known_plan, decision_code
 from .plan_unknown import UnknownVarPlan, build_unknown_plan
@@ -153,8 +153,9 @@ def plan_from_dict(data: dict):
     """The plan a file's design builds, provided the file is what saving that plan writes.
 
     The file must have the fields plan_to_dict writes for its kind; its design
-    fields (reals through float, tau as an integer) build the plan, which,
-    written out, must equal the file field for field with equal JSON types.
+    fields build the plan, whose builder refuses a field of the wrong type as
+    it refuses one out of range, and the plan, written out, must equal the
+    file field for field with equal JSON types.
     A known-variance plan that says it is certified has its closed-form
     certificate re-run, and is refused unless both bounds hold.
     """
@@ -167,14 +168,6 @@ def plan_from_dict(data: dict):
     scalars = _SCALARS[cls]
     _require_fields(data, ("kind", *scalars, "stages", "certified"), "plan")
     design = {key: data[key] for key in scalars[:-1]}  # theta_star, the last, is derived
-    for key, value in design.items():
-        read, what = (operator.index, "an integer") if key == "tau" else (float, "a finite real")
-        try:
-            if isinstance(value, (str, bool)):  # float() would read "0.05" and true
-                raise TypeError
-            design[key] = read(value)
-        except (TypeError, ValueError, OverflowError):
-            raise SessionFormatError(f"{key} must be {what}, got {value!r}") from None
     build = build_known_plan if cls is KnownVarPlan else build_unknown_plan
     try:
         with warnings.catch_warnings():
@@ -314,8 +307,13 @@ def feed(session: TestSession, batch: Sequence[float]) -> TestSession:
     """
     if session.is_terminal:
         raise StateError("session already reached a terminal decision")
-    values = [float(x) for x in batch]
-    if any(not math.isfinite(v) for v in values):
+    values = list(batch)
+    if set(map(type, values)) != {float}:  # a batch of floats, as run reads, skips real
+        try:
+            values = [real("sample", x, finite=False) for x in values]
+        except DomainError:
+            raise DomainError("samples must be finite reals") from None
+    if not all(map(math.isfinite, values)):
         raise DomainError("samples must be finite reals")
     seen, rows = len(session.samples), len(session.history)
     session.samples.extend(values)

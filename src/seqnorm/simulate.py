@@ -84,7 +84,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DomainError
+from .errors import DomainError, count, real
 from .plan_known import Decision, decision_code, decision_masks
 
 _BLOCK = 1 << 15  # replicates per block: the unit of randomness and of work
@@ -104,7 +104,7 @@ def _cpus() -> int:
 
 def _stream(seed: int, counter: int) -> Generator:
     """The counter-based stream (Philox) keyed by seed, from counter on."""
-    if not (0 <= seed < 2**128):
+    if not (0 <= count("seed", seed) < 2**128):
         raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     return Generator(Philox(key=seed, counter=counter))
 
@@ -211,8 +211,10 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
     them item by item, so a part's items must be integers or integer
     arrays: the totals are then exact, whatever the order blocks finish in.
     """
+    replications = count("replications", replications)
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
+    mu, sigma = real("mu", mu, finite=False), real("sigma", sigma, finite=False)
     if sigma <= 0.0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not (math.isfinite(mu) and math.isfinite(sigma)):

@@ -36,32 +36,25 @@ import math
 from scipy.special import cython_special as cs
 from scipy.special import ndtr
 
-from .errors import DomainError, InconsistentBoundaryError
+from .errors import DomainError, InconsistentBoundaryError, count, real
 from .quadrature import integrate  # noqa: F401  (unused; perfbench's binding test rebinds it)
 
 _CLAMP_SLACK = 1e-7
 
 
-def _require_finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 def _require_open_unit(p: float, name: str) -> float:
-    p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
+    p = real(name, p, finite=False)
+    if not (0.0 < p < 1.0):
         raise DomainError(f"{name} must lie in (0, 1), got {p!r}")
     return p
 
 
-def _require_dof(dof: int, name: str = "dof") -> int:
-    if dof != int(dof):
-        raise DomainError(f"{name} must be an integer, got {dof!r}")
-    dof = int(dof)
+def _require_dof(dof: int) -> int:
+    dof = count("dof", dof)
     if dof < 1:
-        raise DomainError(f"{name} must be >= 1, got {dof}")
+        raise DomainError(f"dof must be >= 1, got {dof}")
+    if dof > 2**53:  # above it a double no longer holds every count
+        raise DomainError(f"dof must be at most 2**53, got {dof}")
     return dof
 
 
@@ -82,8 +75,7 @@ def _clamp_unit(value: float) -> float:
 
 def std_normal_cdf(x: float) -> float:
     """Lower-tail standard normal CDF Pr{U <= x}."""
-    x = _require_finite(x, "x")
-    return float(ndtr(x))
+    return float(ndtr(real("x", x)))
 
 
 def std_normal_critical(delta: float) -> float:
@@ -134,7 +126,7 @@ def student_t_critical(dof: int, delta: float) -> float:
 def chi_square_cdf(x: float, dof: int) -> float:
     """Lower-tail chi-square CDF: regularized incomplete gamma P(dof/2, x/2)."""
     dof = _require_dof(dof)
-    x = float(x)
+    x = real("x", x, finite=False)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
     return cs.gammainc(0.5 * dof, 0.5 * x)
@@ -158,8 +150,8 @@ def noncentral_t_cdf(x: float, dof: int, ncp: float) -> float:
     DomainError.
     """
     dof = _require_dof(dof)
-    x = float(x)
-    ncp = _require_finite(ncp, "ncp")
+    x = real("x", x, finite=False)
+    ncp = real("ncp", ncp)
     if math.isnan(x):
         raise DomainError("x must not be NaN")
     if x == float("inf"):

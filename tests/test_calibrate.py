@@ -83,6 +83,17 @@ def test_tau_below_one_is_refused_before_the_search(calibrate_fn, tau):
         calibrate_fn(0.05, 0.05, 0.5, 1.0, tau)
 
 
+@pytest.mark.parametrize("calibrate_fn", [calibrate_known, calibrate_unknown])
+def test_subnormal_zeta_tol_narrows_to_adjacent_doubles(calibrate_fn):
+    # width / zeta_tol overflowed, and the step count's ceil raised
+    # OverflowError; the search now ends where lo and hi are adjacent doubles
+    kwargs = {"cell_budget": 4} if calibrate_fn is calibrate_unknown else {}
+    res = calibrate_fn(0.05, 0.05, 0.5, 1.0, 3, zeta_tol=5e-324, **kwargs)
+    assert res.certified
+    infeasible = [z for z, _, _, feasible in res.path if not feasible and z > res.zeta]
+    assert min(infeasible) == np.nextafter(res.zeta, 1.0)
+
+
 class TestUnknown:
     def test_certified_and_bounds_hold(self, unknown_calibration):
         res = unknown_calibration

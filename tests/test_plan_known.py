@@ -111,8 +111,16 @@ NON_NUMERIC = [
     ("epsilon", [1.0], "epsilon must be a finite real, got [1.0]"),
     ("rho", "1", "rho must be a finite real, got '1'"),
     ("zeta", None, "zeta must be a finite real, got None"),
-    ("tau", "3", "tau must be a positive integer, got '3'"),
-    ("tau", [3], "tau must be a positive integer, got [3]"),
+    ("tau", "3", "tau must be an integer, got '3'"),
+    ("tau", [3], "tau must be an integer, got [3]"),
+]
+
+# float() reads a bool as 0 or 1, and operator.index too; both are refused.
+# Kept apart from NON_NUMERIC and listed last, so that the cases above keep
+# their parameter indices
+BOOLEAN = [
+    ("alpha", True, "alpha must be a finite real, got True"),
+    ("tau", True, "tau must be an integer, got True"),
 ]
 
 # gamma and sigma, which only the builders take (build_unknown_plan no sigma)
@@ -140,7 +148,9 @@ ENTRIES = {
 
 @pytest.mark.parametrize("entry, key, bad, message", [
     (entry, *case) for entry, keys in ENTRIES.items() for case in NON_NUMERIC if case[0] in keys
-] + BUILDER_NON_NUMERIC)
+] + BUILDER_NON_NUMERIC + [
+    (entry, *case) for entry, keys in ENTRIES.items() for case in BOOLEAN if case[0] in keys
+])
 def test_non_numeric_design_value_is_a_domain_error(entry, key, bad, message):
     design = dict(alpha=0.05, beta=0.05, epsilon=0.5, zeta=0.5, rho=1.0, tau=3)
     design[key] = bad

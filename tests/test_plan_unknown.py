@@ -481,20 +481,20 @@ class TestCornerMemo:
     @pytest.mark.parametrize("ell, region", [(2, "hyperbola_cone_prob"), (3, "cone_prob")])
     def test_one_geometry_call_per_distinct_corner(self, monkeypatch, ell, region):
         # hyperbola-cone corners go to the batched evaluator as (family, h, g),
-        # cone corners one by one
+        # cone corners one by one to the cone kernel, _cone_measure, as (h, g, k)
         many = "hyperbola_family_prob_many"
-        region_fn = many if region == "hyperbola_cone_prob" else region
-        regions = {"cone_prob": [], many: [], "hyperbola_cone_prob": []}
+        region_fn = many if region == "hyperbola_cone_prob" else "_cone_measure"
+        regions = {"_cone_measure": [], many: [], "hyperbola_cone_prob": []}
         batches = []
 
         def counted(name):
             original = getattr(plan_unknown, name)
 
-            def wrapper(arg):
-                batch = list(arg) if name == many else [arg]
+            def wrapper(*args):
+                batch = list(args[0]) if name == many else [args[:3]]
                 regions[name] += batch
                 batches.append(len(batch))
-                return original(arg)
+                return original(*args)
 
             return wrapper
 

@@ -886,3 +886,13 @@ def test_seed_outside_philox_key_range(name, seed):
     with pytest.raises(DomainError) as info:
         SEEDED_DRAWS[name](seed)
     assert str(info.value) == f"seed must lie in [0, 2**128), got {seed}"
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.9, True])
+@pytest.mark.parametrize("name", sorted(SEEDED_DRAWS))
+def test_seed_that_is_not_an_integer(name, seed):
+    # Philox would truncate 1.5 and 1.9 to the key 1, and read True as 1:
+    # three runs of seed 1 under other names
+    with pytest.raises(DomainError) as info:
+        SEEDED_DRAWS[name](seed)
+    assert str(info.value) == f"seed must be an integer, got {seed!r}"
