@@ -69,11 +69,9 @@ class Stage:
 def validate_design(alpha, beta, epsilon, zeta, rho, tau):
     """The design values, tau as an int and the rest as floats, once all are
     valid; DomainError names the first that is not (sigma: ``KnownVarPlan``)."""
-    names = ("alpha", "beta", "epsilon", "zeta", "rho")
-    alpha, beta, epsilon, zeta, rho = (
-        real(name, val, finite=False) for name, val in zip(names, (alpha, beta, epsilon, zeta, rho))
-    )
-    tau = count("tau", tau)
+    alpha, beta = real("alpha", alpha, finite=False), real("beta", beta, finite=False)
+    epsilon, zeta = real("epsilon", epsilon, finite=False), real("zeta", zeta, finite=False)
+    rho, tau = real("rho", rho, finite=False), count("tau", tau)
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not (0.0 < val < 1.0):
             raise DomainError(f"{name} must lie in (0, 1), got {val}")
@@ -298,6 +296,7 @@ class KnownVarPlan(Plan):
     def __post_init__(self):
         """The ``Plan`` contract, and a sigma the statistic can divide by."""
         super().__post_init__()
+        object.__setattr__(self, "sigma", real("sigma", self.sigma, finite=False))
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
 
@@ -345,7 +344,6 @@ def build_known_plan(
     """
     alpha, beta, epsilon, zeta, rho, tau = validate_design(alpha, beta, epsilon, zeta, rho, tau)
     gamma = real("gamma", gamma)
-    sigma = real("sigma", sigma, finite=False)  # KnownVarPlan checks its value
 
     z_a = std_normal_critical(zeta * alpha)
     z_b = std_normal_critical(zeta * beta)

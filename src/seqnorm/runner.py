@@ -308,13 +308,12 @@ def feed(session: TestSession, batch: Sequence[float]) -> TestSession:
     if session.is_terminal:
         raise StateError("session already reached a terminal decision")
     values = list(batch)
-    if set(map(type, values)) != {float}:  # a batch of floats, as run reads, skips real
+    # a batch of finite floats, as run reads, skips real
+    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
         try:
-            values = [real("sample", x, finite=False) for x in values]
+            values = [real("sample", x) for x in values]
         except DomainError:
             raise DomainError("samples must be finite reals") from None
-    if not all(map(math.isfinite, values)):
-        raise DomainError("samples must be finite reals")
     seen, rows = len(session.samples), len(session.history)
     session.samples.extend(values)
     try:

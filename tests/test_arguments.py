@@ -6,6 +6,7 @@ wrong type: big integers, bools, text, None and a list.  Whatever the
 value, the call either returns or raises a SeqnormError, within 5 s.
 """
 
+import dataclasses
 import math
 import signal
 import time
@@ -81,6 +82,7 @@ ENTRIES = {
     "hyperbola_cone_prob": (
         lambda **f: hyperbola_cone_prob(HyperbolaConeRegion(**f)),
         dict(offset=-0.7, lam=2.0, h=0.2, g=0.9, k=0.8)),
+    "KnownVarPlan": (partial(dataclasses.replace, KNOWN), dict(sigma=1.0)),
 }
 
 WRONG_TYPE = [10**400, -(10**400), True, False, "0.5", "x", None, [1.0]]

@@ -408,7 +408,9 @@ def test_plan_refuses_what_breaks_its_contract(kind, edit, message):
     ("known", lambda plan: {"sigma": math.inf}, r"^sigma must be positive and finite, got inf$"),
     ("unknown", lambda plan: {"stages": _edited(plan, sizes=(1, *plan.sizes[1:]))},
      r"^unknown-variance plans need stage sizes >= 2$"),
-], ids=["negative-sigma", "zero-sigma", "nan-sigma", "inf-sigma", "unknown-first-size-1"])
+    ("known", lambda plan: {"sigma": "1"}, r"^sigma must be a finite real, got '1'$"),
+], ids=["negative-sigma", "zero-sigma", "nan-sigma", "inf-sigma", "unknown-first-size-1",
+        "str-sigma"])
 def test_plan_refuses_what_its_statistic_cannot_serve(kind, edit, message):
     # a negative sigma flips every statistic's sign and a NaN one zeroes it;
     # one sample has no sample deviation
