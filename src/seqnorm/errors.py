@@ -1,13 +1,17 @@
 """Semantic exception hierarchy, and the two argument checks every public
 entry point converts its scalars through: it raises ``DomainError`` for a
 value of the wrong type, as for one out of range.  A real is what
-``float()`` reads without overflow, less bools and text; a count is what
-``operator.index`` takes, less bool.  Each entry point then checks the
+``float()`` reads without overflow, less bools (numpy's too) and text; a
+count is what ``operator.index`` takes, less bool, and an integer Python
+can print, since messages print it.  Each entry point then checks the
 converted value's range with its own message.
 """
 
 import math
-import operator
+import sys
+from operator import index
+
+import numpy as np
 
 
 class SeqnormError(Exception):
@@ -19,28 +23,45 @@ class DomainError(SeqnormError, ValueError):
 
 
 def real(name: str, value, finite: bool = True) -> float:
-    """value as a float; DomainError for a bool, text, or what float() cannot
-    read or overflows on, and with finite, for NaN and +-inf."""
+    """value as a float; DomainError for a bool (numpy's too), text, or what
+    float() cannot read or overflows on, and with finite, for NaN and +-inf."""
     if type(value) is not float:  # a float, the common case, is taken as it is
         try:
-            if isinstance(value, (bool, str, bytes, bytearray)):  # float() reads them
+            if isinstance(value, (bool, np.bool_, str, bytes, bytearray)):  # float() reads them
                 raise TypeError
             value = float(value)
         except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"{name} must be a finite real, got {value!r}") from None
+            raise DomainError(f"{name} must be a finite real, got {_shown(value)}") from None
     if finite and not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
 
 
 def count(name: str, value) -> int:
-    """operator.index(value); DomainError for a bool or what it refuses."""
+    """operator.index(value); DomainError for a bool, what it refuses, or an
+    integer too long for Python to print, as messages print a count."""
     try:
-        if isinstance(value, bool):
+        if type(value) is bool:  # bool has no subclasses
             raise TypeError
-        return operator.index(value)
+        value = index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
+    if value.bit_length() > 64:  # a long integer, which may be too long to print
+        try:
+            repr(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise DomainError(f"{name} must be an integer of at most {limit} digits") from None
+    return value
+
+
+def _shown(value) -> str:
+    """repr(value), or a description of a value too long for Python to print
+    (an integer past its digit limit, or a container of one)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value of more than {sys.get_int_max_str_digits()} digits"
 
 
 class DegenerateSampleError(SeqnormError):

@@ -18,6 +18,7 @@ the upper end.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -253,55 +254,50 @@ def _partition_many(
 
     A root is halved along y and, if z has extent, along z.  Then each round
     the widest-gap cell of every partition still refining, the lowest-index
-    one among equals, is bisected along its side longer in units of the
-    root's sides: the low half keeps its row and the high half is appended,
-    until budget cells exist, so larger budgets extend one path.  A partition
-    whose widest cell has no extent stops.  evaluate_round(pending) gets, in
-    one call per round, the (root index, rectangles) pair of every partition
-    still refining, and returns each pair's (p_lower, p_upper) list in the
-    same order.  Each root's cells are rows (y_lo, y_hi, z_lo, z_hi, p_lower,
-    p_upper).
+    one among equals, which tops the partition's heap, is bisected along its
+    side longer in units of the root's sides: the low half keeps its row and
+    the high half is appended, until budget cells exist, so larger budgets
+    extend one path.  A partition whose widest cell has no extent stops.
+    evaluate_round(pending) gets, in one call per round, the (root index,
+    rectangles) pair of every partition still refining, and returns each
+    pair's (p_lower, p_upper) list in the same order.  Each root's cells are
+    rows (y_lo, y_hi, z_lo, z_hi, p_lower, p_upper).
     """
-    roots = np.array(roots, dtype=float).reshape(-1, 4)
-    if (roots[:, ::2] > roots[:, 1::2]).any():
+    if any(y_lo > y_hi or z_lo > z_hi for y_lo, y_hi, z_lo, z_hi in roots):
         raise DomainError("cell bounds inverted")
-    spans = (roots[:, 1::2] - roots[:, ::2]).tolist()
-    # rows and their gaps p_upper - p_lower, doubled when full
-    cells = [np.empty((4, 6)) for _ in spans]
-    gaps = [np.empty(4) for _ in spans]
-    # slots[i]: the rows partition i's latest rectangles fill, the last one its last row
-    slots, pending = [], []
-    for i, root in enumerate(roots.tolist()):
-        rows = _halves(*root, False) if spans[i][1] > 0.0 else [tuple(root)]
+    cells = [[] for _ in roots]
+    # (p_lower - p_upper, row) of each cell: the widest cell, lowest row first, on top
+    heaps = [[] for _ in roots]
+    pending = []
+    for i, root in enumerate(roots):
+        rows = _halves(*root, False) if root[3] > root[2] else [root]
         pending.append((i, [half for row in rows for half in _halves(*row, True)]))
-        slots.append(range(len(pending[-1][1])))
     while pending:
-        rounds = zip(pending, evaluate_round(pending))
-        made = np.array([r + tuple(b) for (_, rects), bs in rounds for r, b in zip(rects, bs)])
-        inverted = made[:, 4] > made[:, 5] + 1e-12
-        if inverted.any():
-            lower, upper = made[inverted.argmax(), 4:]
-            raise SeqnormError(f"cell bound inversion: lower={lower} > upper={upper}")
-        made = zip(made, (made[:, 5] - made[:, 4]).tolist())
         advanced = []
-        for i, _ in pending:
-            if slots[i][-1] >= len(gaps[i]):
-                cells[i] = np.concatenate((cells[i], cells[i]))
-                gaps[i] = np.concatenate((gaps[i], gaps[i]))
-            for slot in slots[i]:
-                cells[i][slot], gaps[i][slot] = next(made)
-            n = slots[i][-1] + 1
-            if n >= budget:
+        for (i, rects), bounds in zip(pending, evaluate_round(pending)):
+            rows, heap = cells[i], heaps[i]
+            made = [rect + tuple(b) for rect, b in zip(rects, bounds)]
+            for row in made:
+                if row[4] > row[5] + 1e-12:
+                    raise SeqnormError(f"cell bound inversion: lower={row[4]} > upper={row[5]}")
+            if rows:  # the split cell, still on top, gives its row to the low half
+                best = heap[0][1]
+                rows[best] = made[0]
+                heapq.heapreplace(heap, (made[0][4] - made[0][5], best))
+                made = made[1:]
+            for row in made:
+                heapq.heappush(heap, (row[4] - row[5], len(rows)))
+                rows.append(row)
+            if len(rows) >= budget:
                 continue
-            best = int(gaps[i][:n].argmax())
-            y_lo, y_hi, z_lo, z_hi = cells[i][best, :4].tolist()
-            ny = (y_hi - y_lo) / spans[i][0] if spans[i][0] > 0.0 else 0.0
-            nz = (z_hi - z_lo) / spans[i][1] if spans[i][1] > 0.0 else 0.0
+            y_lo, y_hi, z_lo, z_hi = rows[heap[0][1]][:4]
+            ry_lo, ry_hi, rz_lo, rz_hi = roots[i]
+            ny = (y_hi - y_lo) / (ry_hi - ry_lo) if ry_hi > ry_lo else 0.0
+            nz = (z_hi - z_lo) / (rz_hi - rz_lo) if rz_hi > rz_lo else 0.0
             if ny > 0.0 or nz > 0.0:
-                slots[i] = (best, n)
                 advanced.append((i, _halves(y_lo, y_hi, z_lo, z_hi, ny >= nz)))
         pending = advanced
-    return [rows[: last[-1] + 1] for rows, last in zip(cells, slots)]
+    return [np.array(rows, dtype=float) for rows in cells]
 
 
 class _StageTerm:

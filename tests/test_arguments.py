@@ -9,10 +9,12 @@ value, the call either returns or raises a SeqnormError, within 5 s.
 import dataclasses
 import math
 import signal
+import sys
 import time
 import warnings
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from seqnorm import (
     ConeRegion,
     HyperbolaConeRegion,
     SeqnormError,
+    Stage,
     build_known_plan,
     build_unknown_plan,
     calibrate_known,
@@ -83,9 +86,14 @@ ENTRIES = {
         lambda **f: hyperbola_cone_prob(HyperbolaConeRegion(**f)),
         dict(offset=-0.7, lam=2.0, h=0.2, g=0.9, k=0.8)),
     "KnownVarPlan": (partial(dataclasses.replace, KNOWN), dict(sigma=1.0)),
+    "Stage": (Stage, dict(n=5, a=-0.5, b=0.5)),
 }
 
-WRONG_TYPE = [10**400, -(10**400), True, False, "0.5", "x", None, [1.0]]
+# 10**5000 is past the digits Python prints by default
+WRONG_TYPE = [
+    10**400, -(10**400), 10**5000, -(10**5000), True, False, "0.5", "x", None, [1.0]
+]
+DIGITS = sys.get_int_max_str_digits()
 VALUES = st.one_of(
     st.floats(), st.integers(-(2**64), 2**64), st.sampled_from(WRONG_TYPE)
 )
@@ -143,6 +151,16 @@ def test_only_a_seqnorm_error_escapes(entry, key, data):
     ("feed", "sample", None, "samples must be finite reals"),
     ("cone_prob", "k", True, "k must be a finite real, got True"),
     ("hyperbola_cone_prob", "offset", math.inf, "offset must be finite, got inf"),
+    ("Stage", "n", 5.5, "n must be an integer, got 5.5"),
+    ("Stage", "n", "5", "n must be an integer, got '5'"),
+    ("Stage", "a", "0", "a must be a finite real, got '0'"),
+    ("build_known_plan", "alpha", np.True_, "alpha must be a finite real, got np.True_"),
+    # an id that prints 10**5000 would fail as the value does
+    pytest.param("build_known_plan", "tau", 10**5000,
+                 f"tau must be an integer of at most {DIGITS} digits", id="tau-10**5000"),
+    pytest.param("build_known_plan", "gamma", -(10**5000),
+                 f"gamma must be a finite real, got a value of more than {DIGITS} digits",
+                 id="gamma-minus-10**5000"),
 ])
 def test_wrong_type_message(entry, key, value, message):
     function, args = ENTRIES[entry]

@@ -255,6 +255,47 @@ def partition(root, budget, evaluate):
     return cells
 
 
+def scan(root, budget, evaluate):
+    """The cells of one root as partition makes them, the widest-gap cell (the
+    lowest row among equals) found by a linear scan over the rows and split
+    one rectangle at a time."""
+    y_lo, y_hi, z_lo, z_hi = root
+    spans = (y_hi - y_lo, z_hi - z_lo)
+    y_mid = 0.5 * (y_lo + y_hi)
+    if z_hi > z_lo:
+        z_mid = 0.5 * (z_lo + z_hi)
+        geoms = [(y_lo, y_mid, z_lo, z_mid), (y_mid, y_hi, z_lo, z_mid),
+                 (y_lo, y_mid, z_mid, z_hi), (y_mid, y_hi, z_mid, z_hi)]
+    else:
+        geoms = [(y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)]
+    cells = [g + evaluate([g])[0] for g in geoms]
+    while len(cells) < budget:
+        best = max(range(len(cells)), key=lambda i: (cells[i][5] - cells[i][4], -i))
+        c_y_lo, c_y_hi, c_z_lo, c_z_hi, _, _ = cells[best]
+        ny = (c_y_hi - c_y_lo) / spans[0] if spans[0] > 0.0 else 0.0
+        nz = (c_z_hi - c_z_lo) / spans[1] if spans[1] > 0.0 else 0.0
+        if ny <= 0.0 and nz <= 0.0:
+            break
+        if ny >= nz:
+            mid = 0.5 * (c_y_lo + c_y_hi)
+            geoms = [(c_y_lo, mid, c_z_lo, c_z_hi), (mid, c_y_hi, c_z_lo, c_z_hi)]
+        else:
+            mid = 0.5 * (c_z_lo + c_z_hi)
+            geoms = [(c_y_lo, c_y_hi, c_z_lo, mid), (c_y_lo, c_y_hi, mid, c_z_hi)]
+        lo, hi = (g + evaluate([g])[0] for g in geoms)
+        cells[best] = lo
+        cells.append(hi)
+    return np.array(cells)
+
+
+# synthetic bounds whose gaps tie often: all equal, or set by one side's length
+TIED_GAPS = {
+    "equal": lambda rects: [(0.0, 1.0)] * len(rects),
+    "y-side": lambda rects: [(0.0, y_hi - y_lo) for y_lo, y_hi, _, _ in rects],
+    "z-side": lambda rects: [(0.0, z_hi - z_lo) for _, _, z_lo, z_hi in rects],
+}
+
+
 class TestPartitionCells:
     PLAN = build_unknown_plan(0.05, 0.05, 0.5, 0.0, zeta=1 / 3, rho=1.0, tau=3)
 
@@ -334,38 +375,8 @@ class TestPartitionCells:
         assert (refined[:, 5] - refined[:, 4]).tolist() == [1.0] * 8
 
     def test_refine_matches_widest_gap_scan(self, monkeypatch, unknown_plan):
-        # the widest cell comes from an argmax over the cell rows; a linear
-        # scan from the explicit root split, one rectangle at a time, is the
-        # reference
-        def scan(root, budget, evaluate):
-            y_lo, y_hi, z_lo, z_hi = root
-            spans = (y_hi - y_lo, z_hi - z_lo)
-            y_mid = 0.5 * (y_lo + y_hi)
-            if z_hi > z_lo:
-                z_mid = 0.5 * (z_lo + z_hi)
-                geoms = [(y_lo, y_mid, z_lo, z_mid), (y_mid, y_hi, z_lo, z_mid),
-                         (y_lo, y_mid, z_mid, z_hi), (y_mid, y_hi, z_mid, z_hi)]
-            else:
-                geoms = [(y_lo, y_mid, z_lo, z_hi), (y_mid, y_hi, z_lo, z_hi)]
-            cells = [g + evaluate([g])[0] for g in geoms]
-            while len(cells) < budget:
-                best = max(range(len(cells)), key=lambda i: (cells[i][5] - cells[i][4], -i))
-                c_y_lo, c_y_hi, c_z_lo, c_z_hi, _, _ = cells[best]
-                ny = (c_y_hi - c_y_lo) / spans[0] if spans[0] > 0.0 else 0.0
-                nz = (c_z_hi - c_z_lo) / spans[1] if spans[1] > 0.0 else 0.0
-                if ny <= 0.0 and nz <= 0.0:
-                    break
-                if ny >= nz:
-                    mid = 0.5 * (c_y_lo + c_y_hi)
-                    geoms = [(c_y_lo, mid, c_z_lo, c_z_hi), (mid, c_y_hi, c_z_lo, c_z_hi)]
-                else:
-                    mid = 0.5 * (c_z_lo + c_z_hi)
-                    geoms = [(c_y_lo, c_y_hi, c_z_lo, mid), (c_y_lo, c_y_hi, mid, c_z_hi)]
-                lo, hi = (g + evaluate([g])[0] for g in geoms)
-                cells[best] = lo
-                cells.append(hi)
-            return np.array(cells)
-
+        # the widest cell comes from each partition's heap; a linear scan from
+        # the explicit root split, one rectangle at a time, is the reference
         pairs = []
         partition_many = plan_unknown._partition_many
 
@@ -384,6 +395,16 @@ class TestPartitionCells:
         for got, ref in pairs:
             assert got.shape == (256, 6)
             assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("gaps", sorted(TIED_GAPS))
+    @pytest.mark.parametrize("root", [
+        (0.0, 2.0, 0.0, 1.0), (0.0, 1.0, 0.0, 3.0), (0.0, 1.0, 0.0, 0.0)
+    ])
+    def test_refine_matches_scan_where_gaps_tie(self, gaps, root):
+        evaluate = TIED_GAPS[gaps]
+        for budget in (1, 4, 5, 8, 33, 100, 257, 300):
+            got = partition(root, budget, evaluate)
+            assert got.tobytes() == scan(root, budget, evaluate).tobytes()
 
     def test_partition_budget_below_initial_split(self):
         def evaluate(rects):
