@@ -58,13 +58,17 @@ class Stage:
     b: float
 
     def __post_init__(self):
-        # the int and floats that builders pass are taken as they are
+        # the builders, mirror and the loader pass an int and two floats (the
+        # critical values come from cython_special, which returns floats), so
+        # they are taken as they are
         if not (type(self.n) is int and type(self.a) is float and type(self.b) is float):
             object.__setattr__(self, "n", count("n", self.n))
             object.__setattr__(self, "a", real("a", self.a, finite=False))
             object.__setattr__(self, "b", real("b", self.b, finite=False))
-        if self.n < 1:  # count refuses an n too long to print
-            raise DomainError(f"stage size must be >= 1, got {count('n', self.n)}")
+        if not 1 <= self.n < 2**64:
+            n = count("n", self.n)  # refuses an n too long to print
+            if n < 1:
+                raise DomainError(f"stage size must be >= 1, got {n}")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError("stage thresholds must be finite")
         if self.a > self.b:

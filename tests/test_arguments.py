@@ -154,6 +154,8 @@ def test_only_a_seqnorm_error_escapes(entry, key, data):
     ("Stage", "n", 5.5, "n must be an integer, got 5.5"),
     ("Stage", "n", "5", "n must be an integer, got '5'"),
     ("Stage", "a", "0", "a must be a finite real, got '0'"),
+    pytest.param("Stage", "n", 10**5000, f"n must be an integer of at most {DIGITS} digits",
+                 id="stage-n-10**5000"),
     ("build_known_plan", "alpha", np.True_, "alpha must be a finite real, got np.True_"),
     # an id that prints 10**5000 would fail as the value does
     pytest.param("build_known_plan", "tau", 10**5000,
