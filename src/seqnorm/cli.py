@@ -197,14 +197,15 @@ def cmd_oc(args) -> int:
     plan = _read_plan(args.plan)
     if args.mu_units and not hasattr(plan, "sigma"):
         raise DomainError("--mu-units needs a plan with a known sigma")
+    grid = _grid(args.theta_min, args.theta_max, args.points)
+    thetas = [(value - plan.gamma) / plan.sigma if args.mu_units else value for value in grid]
+    outside = [theta for theta in thetas if not abs(theta) < plan.epsilon]
+    bounds = iter(plan.oc_bounds(outside, args.tail_mass, args.cell_budget))
     lines = ["theta,oc_lower,oc_upper"]
-    for value in _grid(args.theta_min, args.theta_max, args.points):
-        theta = (value - plan.gamma) / plan.sigma if args.mu_units else value
-        if abs(theta) < plan.epsilon:
-            lines.append(f"{format_real(value)},,")  # no bound inside the indifference zone
-            continue
-        lo, hi = plan.oc_bounds(theta, args.tail_mass, args.cell_budget)
-        lines.append(f"{format_real(value)},{format_real(lo)},{format_real(hi)}")
+    for value, theta in zip(grid, thetas):
+        # no bound inside the indifference zone
+        lo, hi = ("", "") if abs(theta) < plan.epsilon else map(format_real, next(bounds))
+        lines.append(f"{format_real(value)},{lo},{hi}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, count, real
+from .errors import DomainError, _shown, count, real
 from .geometry import _cone_measure, _cone_shared
 from .special import std_normal_cdf, std_normal_critical
 
@@ -128,9 +128,9 @@ class Plan:
     A subclass supplies the statistic's scale ``_sd(squares, n, out)`` and
     whether it is ``studentized`` (reads the squares), the statistic's law
     ``stage_cdf(x, n, theta)`` at stage size n and standardized mean
-    theta, and ``envelopes(theta, plans, tail_mass, cell_budget)``, one
-    ``(lo, hi)`` bracket of the rejection envelope per plan of its kind,
-    evaluated together.
+    theta, and ``envelopes(pairs, tail_mass, cell_budget)``, one
+    ``(lo, hi)`` bracket of the rejection envelope per (theta, plan) pair,
+    plans of its kind, evaluated together.
     """
 
     alpha: float
@@ -256,27 +256,46 @@ class Plan:
 
     def oc_bounds(
         self,
-        theta: float,
+        thetas,
         tail_mass: float = DEFAULT_TAIL_MASS,
         cell_budget: int = DEFAULT_CELL_BUDGET,
-    ) -> tuple[float, float]:
-        """Certified (lower, upper) bounds on Pr{accept | mean = gamma + theta sigma}.
+    ) -> list[tuple[float, float]]:
+        """Certified (lower, upper) bounds on Pr{accept | mean = gamma + theta sigma} at each theta.
 
         Only stated outside the indifference zone: below it the acceptance
         probability exceeds 1 - (envelope upper end at theta); above it, it
-        stays below the mirror plan's envelope upper end at -theta.
+        stays below the mirror plan's envelope upper end at -theta.  A theta
+        is refused after the envelopes of those before it, so an error is
+        the first failing theta's.
         """
-        theta = real("theta", theta, finite=False)  # the envelope refuses NaN and inf
-        if abs(theta) < self.epsilon:
-            raise DomainError(
-                f"theta={theta} lies inside the indifference zone; no bound is stated there"
-            )
-        if theta <= -self.epsilon:
-            # the envelope may exceed 1 for uncalibrated designs; the bound floors at 0
-            [(_, hi)] = self.envelopes(theta, [self], tail_mass, cell_budget)
-            return min(1.0, max(0.0, 1.0 - hi)), 1.0
-        [(_, hi)] = self.envelopes(-theta, [self.mirror()], tail_mass, cell_budget)
-        return 0.0, min(1.0, max(0.0, hi))
+        try:
+            thetas = list(thetas)
+        except TypeError:
+            raise DomainError(f"thetas must be an iterable, got {_shown(thetas)}") from None
+        pairs, refusal, mirror = [], None, None
+        for theta in thetas:
+            try:
+                theta = real("theta", theta, finite=False)  # the envelope refuses NaN and inf
+                if abs(theta) < self.epsilon:
+                    raise DomainError(
+                        f"theta={theta} lies inside the indifference zone; no bound is stated there"
+                    )
+            except DomainError as exc:
+                refusal = exc
+                break
+            if theta <= -self.epsilon:
+                pairs.append((theta, self))
+            else:
+                mirror = mirror or self.mirror()
+                pairs.append((-theta, mirror))
+        brackets = self.envelopes(pairs, tail_mass, cell_budget)
+        if refusal is not None:
+            raise refusal
+        # the envelope may exceed 1 for uncalibrated designs; the bounds floor at 0
+        return [
+            (min(1.0, max(0.0, 1.0 - hi)), 1.0) if plan is self else (0.0, min(1.0, max(0.0, hi)))
+            for (_, plan), (_, hi) in zip(pairs, brackets)
+        ]
 
     def certify(
         self, tail_mass: float = DEFAULT_TAIL_MASS, cell_budget: int = DEFAULT_CELL_BUDGET
@@ -291,8 +310,14 @@ class Plan:
         envelope is evaluated once.
         """
         plans = [self] if self._is_own_mirror() else [self, self.mirror()]
-        brackets = self.envelopes(-self.epsilon, plans, tail_mass, cell_budget)
+        brackets = self.envelopes([(-self.epsilon, plan) for plan in plans], tail_mass, cell_budget)
         return brackets[0][1], brackets[-1][1]
+
+
+def _check_plan(plan, cls=Plan) -> None:
+    """DomainError unless plan is a cls: a plan of either kind by default."""
+    if not isinstance(plan, cls):
+        raise DomainError(f"plan must be an instance of {cls.__name__}, got {type(plan).__name__}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -319,14 +344,13 @@ class KnownVarPlan(Plan):
 
     @staticmethod
     def envelopes(
-        theta: float,
-        plans: list["KnownVarPlan"],
+        pairs: list[tuple[float, "KnownVarPlan"]],
         tail_mass: float = DEFAULT_TAIL_MASS,
         cell_budget: int = DEFAULT_CELL_BUDGET,
     ) -> list[tuple[float, float]]:
-        """[phi, phi] per plan: the closed form is exact, so each interval is a point."""
+        """[phi, phi] per (theta, plan) pair: the closed form is exact, so each is a point."""
         _check_interval_settings(tail_mass, cell_budget)
-        phis = [oc_upper_phi(theta, plan) for plan in plans]
+        phis = [oc_upper_phi(theta, plan) for theta, plan in pairs]
         return [(phi, phi) for phi in phis]
 
 
@@ -414,6 +438,7 @@ def oc_upper_phi(theta: float, plan: KnownVarPlan) -> float:
     the reject line at l).
     """
     theta = real("theta", theta)
+    _check_plan(plan, KnownVarPlan)
     stages = plan.stages
     x = math.sqrt(stages[0].n) * theta - stages[0].b
     if not math.isfinite(x):

@@ -40,6 +40,7 @@ from .plan_known import (
     Plan,
     Stage,
     _check_interval_settings,
+    _check_plan,
     _overflow,
     validate_design,
 )
@@ -79,45 +80,43 @@ class UnknownVarPlan(Plan):
 
     @staticmethod
     def envelopes(
-        theta: float,
-        plans: list["UnknownVarPlan"],
+        pairs: list[tuple[float, "UnknownVarPlan"]],
         tail_mass: float = DEFAULT_TAIL_MASS,
         cell_budget: int = DEFAULT_CELL_BUDGET,
     ) -> list[tuple[float, float]]:
-        """Intervals [lower, upper] certified to bracket each plan's rejection envelope.
+        """Intervals [lower, upper] certified to bracket each pair's rejection envelope.
 
         The first-stage term is a single noncentral-t tail and enters both
         ends exactly, and is the whole envelope of a single-stage plan.  Each
         later term is bracketed by partition cells; the chi-square tail
         truncation budget is split evenly over a plan's terms, so the total
         truncation slack absorbed into its interval is at most tail_mass.
-        The partitions of every term of every plan are refined in lock-step,
+        The partitions of every term of every pair are refined in lock-step,
         so the corners a round lacks go through one hyperbola_family_prob_many
-        call; each term's cells are the ones stage_term_cells gives.
+        call; each term's cells are the ones stage_term_cells gives.  Pairs
+        are checked in order, so an error is the first failing pair's.
         """
-        theta = real("theta", theta)
         tail_mass, cell_budget = _check_interval_settings(tail_mass, cell_budget)
 
-        specs = [
-            (j, ell, tail_mass / (plan.num_stages - 1))
-            for j, plan in enumerate(plans)
-            for ell in range(2, plan.num_stages + 1)
-        ]
-        terms = [_StageTerm(theta, plans[j], ell, tail_budget) for j, ell, tail_budget in specs]
-        term_cells = _term_cells(terms, cell_budget)
-
-        brackets = []
-        for plan in plans:
+        specs, terms, brackets = [], [], []
+        for j, (theta, plan) in enumerate(pairs):
+            theta = real("theta", theta)
+            _check_plan(plan, UnknownVarPlan)
+            for ell in range(2, plan.num_stages + 1):
+                tail_budget = tail_mass / (plan.num_stages - 1)
+                specs.append((j, theta, plan, ell, tail_budget))
+                terms.append(_StageTerm(theta, plan, ell, tail_budget))
             first = plan.stages[0]
             if not math.isfinite(math.sqrt(first.n) * theta):
                 raise _overflow(theta, 1, first.n)
             p1 = 1.0 - plan.stage_cdf(first.b, first.n, theta)
             brackets.append([p1, p1])
-        for (j, ell, tail_budget), term, cells in zip(specs, terms, term_cells):
+        term_cells = _term_cells(terms, cell_budget)
+        for (j, theta, plan, ell, tail_budget), term, cells in zip(specs, terms, term_cells):
             cell_lo = math.fsum(cells[:, 4])
             cell_hi = math.fsum(cells[:, 5])
             if term.negate:
-                nct = plans[j].sample_tail(ell - 1, theta)
+                nct = plan.sample_tail(ell - 1, theta)
                 term_lo = max(0.0, nct + cell_lo - tail_budget)
                 term_hi = min(nct, nct + cell_hi)
             else:
@@ -456,8 +455,9 @@ def stage_term_cells(
     Returns the cells, rows (y_lo, y_hi, z_lo, z_hi, p_lower, p_upper), the
     _StageTerm and its root's (y, z) side lengths (see _StageTerm for the
     root).  UnknownVarPlan.envelopes refines these same cells for every
-    term of its plans at once.
+    term of its pairs at once.
     """
+    _check_plan(plan, UnknownVarPlan)
     term = _StageTerm(theta, plan, ell, tail_budget)
     [cells] = _term_cells([term], cell_budget)
     y_lo, y_hi, z_lo, z_hi = term.root
@@ -470,5 +470,5 @@ def oc_upper_P(
     tail_mass: float = DEFAULT_TAIL_MASS,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> tuple[float, float]:
-    """Certified bracket of the plan's rejection envelope: envelopes' one-plan call."""
-    return UnknownVarPlan.envelopes(theta, [plan], tail_mass, cell_budget)[0]
+    """Certified bracket of the plan's rejection envelope: envelopes' one-pair call."""
+    return UnknownVarPlan.envelopes([(theta, plan)], tail_mass, cell_budget)[0]

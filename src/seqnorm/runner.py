@@ -19,11 +19,12 @@ exactly, so the recompute check can demand bit equality.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     StateError,
     real,
 )
-from .plan_known import Decision, KnownVarPlan, build_known_plan, decision_code
+from .plan_known import Decision, KnownVarPlan, _check_plan, build_known_plan, decision_code
 from .plan_unknown import UnknownVarPlan, build_unknown_plan
 
 SESSION_SCHEMA_VERSION = 1
@@ -111,18 +112,19 @@ def _emit(obj, out: list[str], depth: int) -> None:
 
 
 _PLAN_TYPES = {cls.kind: cls for cls in (KnownVarPlan, UnknownVarPlan)}
-# serialized order of the scalar fields; each plan type writes the ones it has
-_SCALAR_ORDER = ("alpha", "beta", "epsilon", "gamma", "sigma", "zeta", "rho", "tau", "theta_star")
-_SCALARS = {
-    cls: tuple(key for key in _SCALAR_ORDER if key in {f.name for f in fields(cls)})
-    for cls in _PLAN_TYPES.values()
+# each kind's design fields, in the order a plan file stores them: its builder's parameters
+_DESIGN = {
+    KnownVarPlan: tuple(inspect.signature(build_known_plan).parameters),
+    UnknownVarPlan: tuple(inspect.signature(build_unknown_plan).parameters),
 }
 
 
 def plan_to_dict(plan) -> dict:
+    _check_plan(plan)
     out = {"kind": plan.kind}
-    for key in _SCALARS[type(plan)]:
+    for key in _DESIGN[type(plan)]:
         out[key] = getattr(plan, key)
+    out["theta_star"] = plan.theta_star
     out["stages"] = [{"n": s.n, "a": s.a, "b": s.b} for s in plan.stages]
     out["certified"] = plan.certified
     return out
@@ -165,9 +167,8 @@ def plan_from_dict(data: dict):
     cls = _PLAN_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SessionFormatError(f"unknown plan kind {kind!r}")
-    scalars = _SCALARS[cls]
-    _require_fields(data, ("kind", *scalars, "stages", "certified"), "plan")
-    design = {key: data[key] for key in scalars[:-1]}  # theta_star, the last, is derived
+    _require_fields(data, ("kind", *_DESIGN[cls], "theta_star", "stages", "certified"), "plan")
+    design = {key: data[key] for key in _DESIGN[cls]}
     build = build_known_plan if cls is KnownVarPlan else build_unknown_plan
     try:
         with warnings.catch_warnings():
@@ -290,6 +291,7 @@ class TestSession:
 
 def new_session(plan, allow_uncertified: bool = False) -> TestSession:
     """Fresh session; refuses uncertified plans unless explicitly allowed."""
+    _check_plan(plan)
     if not plan.certified and not allow_uncertified:
         raise PlanCertificationError(
             "plan is not certified; pass allow_uncertified=True to run it anyway"

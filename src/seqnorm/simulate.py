@@ -85,7 +85,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, count, real
-from .plan_known import Decision, decision_code, decision_masks
+from .plan_known import Decision, _check_plan, decision_code, decision_masks
 
 _BLOCK = 1 << 15  # replicates per block: the unit of randomness and of work
 _MAX_SIZE = 1 << 24  # largest final stage simulated
@@ -211,6 +211,7 @@ def _stage_pass(plan, mu: float, sigma: float, replications: int, seed: int, tal
     them item by item, so a part's items must be integers or integer
     arrays: the totals are then exact, whatever the order blocks finish in.
     """
+    _check_plan(plan)
     replications = count("replications", replications)
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")

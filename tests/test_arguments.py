@@ -8,6 +8,7 @@ value, the call either returns or raises a SeqnormError, within 5 s.
 
 import dataclasses
 import math
+import os
 import signal
 import sys
 import time
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 from seqnorm import (
     ConeRegion,
     HyperbolaConeRegion,
+    KnownVarPlan,
     SeqnormError,
     Stage,
+    UnknownVarPlan,
     build_known_plan,
     build_unknown_plan,
     calibrate_known,
@@ -37,22 +40,33 @@ from seqnorm import (
     min_stage_size,
     new_session,
     noncentral_t_cdf,
+    oc_upper_P,
+    oc_upper_phi,
+    plan_to_dict,
+    save_plan,
     simulate_plan,
     std_normal_cdf,
     std_normal_critical,
     student_t_critical,
 )
+from seqnorm.runner import session_from_dict, session_to_dict
 
 KNOWN = build_known_plan(0.05, 0.05, 0.5, 0.0, 1.0, 0.5, 1.0, 3)
 UNKNOWN = build_unknown_plan(0.05, 0.05, 0.5, 0.0, 1 / 3, 1.0, 3)
 DESIGN = dict(alpha=0.05, beta=0.05, epsilon=0.5)
 BOUNDS = dict(tail_mass=1e-4, cell_budget=4)
+SESSION = session_to_dict(new_session(KNOWN, allow_uncertified=True))
 
 
 def _feed(sample):
     """A fresh session fed its whole first stage of one sample value."""
     session = new_session(KNOWN, allow_uncertified=True)
     return feed(session, [sample] * KNOWN.stages[0].n)
+
+
+def _envelope(cls):
+    """cls.envelopes of the one pair (-0.5, plan), as a function of plan."""
+    return lambda plan: cls.envelopes([(-0.5, plan)], **BOUNDS)
 
 
 # each entry point with arguments it accepts; the test replaces one of them
@@ -64,16 +78,24 @@ ENTRIES = {
     "calibrate_known": (calibrate_known, dict(DESIGN, rho=1.0, tau=3, zeta_tol=1e-4)),
     "calibrate_unknown": (
         calibrate_unknown, dict(DESIGN, rho=1.0, tau=3, zeta_tol=1e-2, **BOUNDS)),
-    "known.oc_bounds": (KNOWN.oc_bounds, dict(theta=-1.0, **BOUNDS)),
-    "unknown.oc_bounds": (UNKNOWN.oc_bounds, dict(theta=-1.0, **BOUNDS)),
+    "known.oc_bounds": (KNOWN.oc_bounds, dict(thetas=[-1.0], **BOUNDS)),
+    "unknown.oc_bounds": (UNKNOWN.oc_bounds, dict(thetas=[-1.0], **BOUNDS)),
+    "known.envelopes": (_envelope(KnownVarPlan), dict(plan=KNOWN)),
+    "unknown.envelopes": (_envelope(UnknownVarPlan), dict(plan=UNKNOWN)),
+    "oc_upper_phi": (oc_upper_phi, dict(theta=-0.5, plan=KNOWN)),
+    "oc_upper_P": (partial(oc_upper_P, **BOUNDS), dict(theta=-0.5, plan=UNKNOWN)),
     "known.certify": (KNOWN.certify, BOUNDS),
     "unknown.certify": (UNKNOWN.certify, BOUNDS),
     "known.sample_tail": (KNOWN.sample_tail, dict(ell=1, theta=-0.5)),
     "unknown.sample_tail": (UNKNOWN.sample_tail, dict(ell=1, theta=-0.5)),
     "simulate_plan": (
-        partial(simulate_plan, KNOWN), dict(mu=0.0, sigma=1.0, replications=10, seed=1)),
+        simulate_plan, dict(plan=KNOWN, mu=0.0, sigma=1.0, replications=10, seed=1)),
     "mc_transition_sums": (
-        partial(mc_transition_sums, UNKNOWN), dict(mu=0.0, sigma=1.0, replications=10, seed=1)),
+        mc_transition_sums, dict(plan=UNKNOWN, mu=0.0, sigma=1.0, replications=10, seed=1)),
+    "new_session": (partial(new_session, allow_uncertified=True), dict(plan=KNOWN)),
+    "plan_to_dict": (plan_to_dict, dict(plan=KNOWN)),
+    "save_plan": (partial(save_plan, path=os.devnull), dict(plan=KNOWN)),
+    "session_from_dict": (partial(session_from_dict, SESSION), dict(plan=KNOWN)),
     "feed": (_feed, dict(sample=0.1)),
     "std_normal_cdf": (std_normal_cdf, dict(x=0.5)),
     "std_normal_critical": (std_normal_critical, dict(delta=0.05)),
@@ -145,7 +167,8 @@ def test_only_a_seqnorm_error_escapes(entry, key, data):
     ("simulate_plan", "mu", None, "mu must be a finite real, got None"),
     ("calibrate_known", "zeta_tol", None, "zeta_tol must be a finite real, got None"),
     ("known.certify", "tail_mass", None, "tail_mass must be a finite real, got None"),
-    ("known.oc_bounds", "theta", "a", "theta must be a finite real, got 'a'"),
+    pytest.param("known.oc_bounds", "thetas", ["a"], "theta must be a finite real, got 'a'",
+                 id="known.oc_bounds-thetas-a"),
     ("known.sample_tail", "ell", 1.0, "ell must be an integer, got 1.0"),
     ("feed", "sample", "0.5", "samples must be finite reals"),
     ("feed", "sample", None, "samples must be finite reals"),
@@ -163,6 +186,13 @@ def test_only_a_seqnorm_error_escapes(entry, key, data):
     pytest.param("build_known_plan", "gamma", -(10**5000),
                  f"gamma must be a finite real, got a value of more than {DIGITS} digits",
                  id="gamma-minus-10**5000"),
+    ("simulate_plan", "plan", "x", "plan must be an instance of Plan, got str"),
+    pytest.param("unknown.envelopes", "plan", KNOWN,
+                 "plan must be an instance of UnknownVarPlan, got KnownVarPlan",
+                 id="unknown.envelopes-plan-known"),
+    pytest.param("known.envelopes", "plan", UNKNOWN,
+                 "plan must be an instance of KnownVarPlan, got UnknownVarPlan",
+                 id="known.envelopes-plan-unknown"),
 ])
 def test_wrong_type_message(entry, key, value, message):
     function, args = ENTRIES[entry]

@@ -659,6 +659,34 @@ class TestErrorHandling:
         assert err == "asn: cannot read plan: tau must be an integer, got 'x'\n"
 
 
+def test_oc_makes_one_oc_bounds_call(known_plan_file, monkeypatch, capsys):
+    # the grid points outside the zone, in grid order; the zone's rows stay empty
+    calls = []
+    oc_bounds = seqnorm.Plan.oc_bounds
+
+    def counted(self, thetas, *args):
+        calls.append(thetas)
+        return oc_bounds(self, thetas, *args)
+
+    monkeypatch.setattr(seqnorm.Plan, "oc_bounds", counted)
+    code, out, err = run_cli([
+        "oc", str(known_plan_file), "--theta-min", "-1.5", "--theta-max", "1.5", "--points", "7",
+    ], capsys)
+    assert (code, err) == (0, "")
+    assert calls == [[-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]]
+    assert out.split("\n")[4] == "0.0,,"
+
+
+def test_oc_refuses_a_bad_budget_whatever_its_grid(known_plan_file, capsys):
+    # the one oc_bounds call checks the settings even when every point lies
+    # inside the zone and no bound is computed
+    code, out, err = run_cli([
+        "oc", str(known_plan_file), "--theta-min", "-0.1", "--theta-max", "0.1", "--points", "3",
+        "--cell-budget", "2",
+    ], capsys)
+    assert (code, out, err) == (2, "", "oc: cell_budget must be >= 4, got 2\n")
+
+
 class TestIndifferenceBoundary:
     def test_oc_at_zone_edge_with_nonunit_scale(self, tmp_path, capsys):
         # gamma = 1.3, sigma = 0.7 made the old mu round trip turn theta = 0.5
@@ -678,7 +706,7 @@ class TestIndifferenceBoundary:
         assert [r[0] for r in rows] == ["-1.5", "-1.0", "-0.5", "0.0", "0.5"]
         assert rows[3] == ["0.0", "", ""]
         plan = load_plan(path)
-        lo, hi = plan.oc_bounds(0.5)
+        [(lo, hi)] = plan.oc_bounds([0.5])
         assert [float(x) for x in rows[4]] == [0.5, lo, hi]
 
 

@@ -447,7 +447,8 @@ def test_oc_bounds_keep_their_bits(kind, theta):
         plan = build_known_plan(0.05, 0.10, 0.5, 0.0, 1.0, zeta=0.45, rho=0.5, tau=4)
     else:
         plan = build_unknown_plan(0.05, 0.10, 0.5, 0.0, 0.7033882181678947, 0.5, 4)
-    assert repr(plan.oc_bounds(theta, 1e-4, 16)) == OC_BOUNDS[kind, theta]
+    [bounds] = plan.oc_bounds([theta], 1e-4, 16)
+    assert repr(bounds) == OC_BOUNDS[kind, theta]
 
 
 class TestBounds:
@@ -457,7 +458,7 @@ class TestBounds:
         # the closed-form envelope is a point interval, and the certificate
         # is the plan's and the mirror plan's envelope at -epsilon
         phi = oc_upper_phi(-0.7, self.PLAN)
-        assert self.PLAN.envelopes(-0.7, [self.PLAN]) == [(phi, phi)]
+        assert self.PLAN.envelopes([(-0.7, self.PLAN)]) == [(phi, phi)]
         assert self.PLAN.certify() == (
             oc_upper_phi(-0.5, self.PLAN),
             oc_upper_phi(-0.5, self.PLAN.mirror()),
@@ -472,15 +473,15 @@ class TestBounds:
         else:
             plan = build_unknown_plan(0.05, beta, 0.5, 0.0, zeta=0.45, rho=1.0, tau=3)
         mirror = plan.mirror()
-        [(_, own), (_, mirrored)] = [p.envelopes(-0.5, [p], 1e-4, 16)[0] for p in (plan, mirror)]
+        [(_, own), (_, mirrored)] = [p.envelopes([(-0.5, p)], 1e-4, 16)[0] for p in (plan, mirror)]
         expected = (own, mirrored)
         assert (repr(mirror) == repr(plan)) == (beta == 0.05)
         calls = []
         envelopes_of_kind = type(plan).envelopes
 
-        def counted(theta, plans, *args):
-            calls.append(plans)
-            return envelopes_of_kind(theta, plans, *args)
+        def counted(pairs, *args):
+            calls.append(pairs)
+            return envelopes_of_kind(pairs, *args)
 
         monkeypatch.setattr(type(plan), "envelopes", staticmethod(counted))
         assert list(map(repr, plan.certify(1e-4, 16))) == list(map(repr, expected))
@@ -488,27 +489,82 @@ class TestBounds:
         assert len(calls) == 1
         assert len(calls[0]) == envelopes
 
+    @pytest.mark.parametrize("kind", ["known", "unknown"])
+    def test_envelopes_of_mixed_pairs_are_one_pair_calls(self, kind):
+        # several thetas, the plan and its mirror, and a pair given twice, in
+        # one call: each bracket is the one its pair gets alone
+        plan = build(kind, 0.05, 0.10, 0.5, 0.0, 1.0, 0.45, 0.5, 4)
+        mirror = plan.mirror()
+        pairs = [(-0.5, plan), (-0.9, mirror), (-0.5, mirror), (-2.0, plan), (-0.5, plan)]
+        alone = [type(plan).envelopes([pair], 1e-4, 16)[0] for pair in pairs]
+        assert list(map(repr, type(plan).envelopes(pairs, 1e-4, 16))) == list(map(repr, alone))
+
+    @pytest.mark.parametrize("kind", ["known", "unknown"])
+    def test_oc_bounds_make_one_envelopes_call(self, monkeypatch, kind):
+        # a grid on both sides of the zone: one envelopes call, one mirror
+        plan = build(kind, 0.05, 0.10, 0.5, 0.0, 1.0, 0.45, 0.5, 4)
+        thetas = [-1.0, 0.6, -0.5, 1.5, 0.5]
+        expected = [plan.oc_bounds([theta], 1e-4, 16)[0] for theta in thetas]
+        calls, mirrors = [], []
+        envelopes_of_kind, mirror = type(plan).envelopes, type(plan).mirror
+
+        def counted(pairs, *args):
+            calls.append(pairs)
+            return envelopes_of_kind(pairs, *args)
+
+        def counted_mirror(self):
+            mirrors.append(self)
+            return mirror(self)
+
+        monkeypatch.setattr(type(plan), "envelopes", staticmethod(counted))
+        monkeypatch.setattr(type(plan), "mirror", counted_mirror)
+        assert list(map(repr, plan.oc_bounds(thetas, 1e-4, 16))) == list(map(repr, expected))
+        assert (len(calls), len(calls[0]), len(mirrors)) == (1, 5, 1)
+        plan.oc_bounds([-1.0, -0.5], 1e-4, 16)
+        assert len(mirrors) == 1  # thetas below the zone need no mirror
+
+    def test_oc_bounds_of_no_thetas(self):
+        assert self.PLAN.oc_bounds([]) == []
+
+    @pytest.mark.parametrize("thetas, message", [
+        (1.5, "thetas must be an iterable, got 1.5"),
+        (None, "thetas must be an iterable, got None"),
+        ([-0.6, 0.1, 0.2], "theta=0.1 lies inside the indifference zone; no bound is stated there"),
+        ([-0.6, "a", 0.1], "theta must be a finite real, got 'a'"),
+        # a later theta's refusal waits for the envelopes of the ones before it
+        ([-1e308, 0.1], "|theta| = 1e+308 is too large: the stage 1 term (n = 5) overflows "
+                        "double precision"),
+        ([math.nan, 0.1], "theta must be finite, got nan"),
+        ([-0.6, 0.0, -1e308], "theta=0.0 lies inside the indifference zone; no bound is stated "
+                              "there"),
+    ], ids=["float", "none", "zone", "str", "overflow-then-zone", "nan-then-zone",
+            "zone-then-overflow"])
+    def test_oc_bounds_refuse_the_first_failing_theta(self, thetas, message):
+        with pytest.raises(DomainError) as err:
+            self.PLAN.oc_bounds(thetas)
+        assert str(err.value) == message
+
     def test_far_field_lower(self):
-        lo, hi = self.PLAN.oc_bounds(-50.0)
+        [(lo, hi)] = self.PLAN.oc_bounds([-50.0])
         assert lo >= 1.0 - 1e-10
         assert hi == 1.0
 
     def test_symmetric_mirror_relation(self):
         for theta in (0.5, 0.8, 1.5):
-            lo_neg, _ = self.PLAN.oc_bounds(-theta)
-            _, hi_pos = self.PLAN.oc_bounds(theta)
+            [(lo_neg, _)] = self.PLAN.oc_bounds([-theta])
+            [(_, hi_pos)] = self.PLAN.oc_bounds([theta])
             assert lo_neg == pytest.approx(1.0 - hi_pos, abs=1e-9)
 
     def test_indifference_zone_rejected(self):
         with pytest.raises(DomainError):
-            self.PLAN.oc_bounds(0.2)
+            self.PLAN.oc_bounds([0.2])
 
     def test_nonunit_scale_conversion(self):
         # bounds are stated in theta = (mu - gamma) / sigma, so they do not
         # depend on the plan's gamma and sigma
         plan = build_known_plan(0.05, 0.05, 0.5, 10.0, 2.0, zeta=1 / 3, rho=1.0, tau=3)
-        lo_scaled, hi_scaled = plan.oc_bounds(-0.5)
-        lo_unit, hi_unit = self.PLAN.oc_bounds(-0.5)
+        [(lo_scaled, hi_scaled)] = plan.oc_bounds([-0.5])
+        [(lo_unit, hi_unit)] = self.PLAN.oc_bounds([-0.5])
         assert lo_scaled == pytest.approx(lo_unit, abs=1e-12)
         assert hi_scaled == pytest.approx(hi_unit, abs=1e-12)
 
@@ -521,7 +577,7 @@ class TestBoundValidityAgainstMC:
         for theta in (-1.2, -0.7, 0.7, 1.2):
             rep = simulate_plan(known_plan, mu=theta, sigma=1.0, replications=reps, seed=808)
             se = math.sqrt(max(rep.accept_rate * (1 - rep.accept_rate), 1e-12) / reps)
-            lo, hi = known_plan.oc_bounds(theta)
+            [(lo, hi)] = known_plan.oc_bounds([theta])
             assert rep.accept_rate >= lo - 4 * se
             assert rep.accept_rate <= hi + 4 * se
 

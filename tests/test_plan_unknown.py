@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqnorm import geometry, plan_unknown
+from seqnorm.cli import _grid
 from seqnorm.errors import DegenerateSampleError, DomainError, SeqnormError
 from seqnorm.geometry import HyperbolaConeRegion, hyperbola_cone_prob
 from seqnorm.plan_unknown import (
@@ -186,7 +187,7 @@ class TestEnvelopeInterval:
         alpha, beta, epsilon, zeta, tau = design
         plan = build_unknown_plan(alpha, beta, epsilon, 0.0, zeta=zeta, rho=1.0, tau=tau)
         with pytest.raises(DomainError) as err:
-            plan.oc_bounds(theta, cell_budget=8)
+            plan.oc_bounds([theta], cell_budget=8)
         assert str(err.value) == (
             f"|theta| = {abs(theta)!r} is too large: the stage {stage} term (n = {n}) "
             "overflows double precision"
@@ -459,7 +460,7 @@ class TestBoundsAndTails:
 
     def test_bounds_outside_zone_only(self):
         with pytest.raises(DomainError):
-            self.PLAN.oc_bounds(0.1)
+            self.PLAN.oc_bounds([0.1])
 
     def test_certify_is_both_upper_ends(self):
         mirrored = mirror_unknown_plan(self.PLAN)
@@ -470,7 +471,7 @@ class TestBoundsAndTails:
         assert self.PLAN.mirror() == mirrored
 
     def test_far_field(self):
-        lo, hi = self.PLAN.oc_bounds(-40.0, cell_budget=16)
+        [(lo, hi)] = self.PLAN.oc_bounds([-40.0], cell_budget=16)
         assert lo >= 1.0 - 2e-4
         assert hi == 1.0
 
@@ -629,7 +630,7 @@ class TestLockStep:
             return refined[-1]
 
         monkeypatch.setattr(plan_unknown, "_partition_many", recorded)
-        got = UnknownVarPlan.envelopes(theta, [plan, plan.mirror()], 1e-4, 32)
+        got = UnknownVarPlan.envelopes([(theta, plan), (theta, plan.mirror())], 1e-4, 32)
         monkeypatch.undo()
         # one lock-step refinement for every term of both plans
         [lockstep_cells] = refined
@@ -641,6 +642,33 @@ class TestLockStep:
         expected = [cells for per_plan in term_cells for cells in per_plan]
         assert len(lockstep_cells) == 2 * (plan.num_stages - 1)
         assert [c.tobytes() for c in lockstep_cells] == [c.tobytes() for c in expected]
+
+    @pytest.mark.parametrize("name", ["sym", "asym"])
+    def test_oc_bounds_over_a_grid_are_one_pair_envelopes(self, name):
+        # the 42 points outside the zone of the 61-point grid from -1.5 to 1.5
+        plan = self.plan(name)
+        mirror = plan.mirror()
+        thetas = [theta for theta in _grid(-1.5, 1.5, 61) if abs(theta) >= plan.epsilon]
+        expected = []
+        for theta in thetas:
+            if theta <= -plan.epsilon:
+                [(_, hi)] = UnknownVarPlan.envelopes([(theta, plan)], 1e-4, 16)
+                expected.append((min(1.0, max(0.0, 1.0 - hi)), 1.0))
+            else:
+                [(_, hi)] = UnknownVarPlan.envelopes([(-theta, mirror)], 1e-4, 16)
+                expected.append((0.0, min(1.0, max(0.0, hi))))
+        assert len(thetas) == 42
+        assert list(map(repr, plan.oc_bounds(thetas, 1e-4, 16))) == list(map(repr, expected))
+
+    def test_overflow_of_a_later_pair_is_its_own(self):
+        # pairs are taken in order: the overflowing pair's message, after a
+        # pair that does not overflow and before one that does not either
+        plan = self.plan("asym")
+        with pytest.raises(DomainError) as err:
+            plan.oc_bounds([-0.6, -1e200, 0.7, 1e308], cell_budget=8)
+        assert str(err.value) == (
+            "|theta| = 1e+200 is too large: the stage 2 term (n = 7) overflows double precision"
+        )
 
     @pytest.mark.parametrize("name, brackets", [
         ("sym", "[(0.04489720581787282, 0.04999871846894828), "
@@ -656,7 +684,8 @@ class TestLockStep:
                         f"running {builds}")
         plan = self.plan(name)
         # the default tail mass and 256 cells
-        assert repr(UnknownVarPlan.envelopes(-plan.epsilon, [plan, plan.mirror()])) == brackets
+        pairs = [(-plan.epsilon, plan), (-plan.epsilon, plan.mirror())]
+        assert repr(UnknownVarPlan.envelopes(pairs)) == brackets
 
     @pytest.mark.parametrize("name, one_term_batches, batches", [
         ("sym", 5, 5),  # one hyperbola-cone term; the cone term needs no batch
@@ -707,7 +736,7 @@ class TestArcConvergence:
         monkeypatch.setattr(geometry, "integrate_many", recorded)
         plan = build_unknown_plan(alpha, beta, epsilon, 0.0, zeta, rho, tau)
         for p in (plan, plan.mirror()):
-            p.envelopes(-epsilon, [p])  # the default 256 cells and tail mass
+            p.envelopes([(-epsilon, p)])  # the default 256 cells and tail mass
         assert len(arcs) > 1000
         assert not any(arcs)
 

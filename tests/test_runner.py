@@ -1,6 +1,7 @@
 """Session state machine, persistence round trips, integrity checks."""
 
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -75,6 +76,17 @@ class TestSerialization:
         ]
         unknown = plan_to_dict(build_unknown_plan(0.05, 0.05, 0.5, 0.0, 1.0, 1.0, 3))
         assert "sigma" not in unknown
+
+    @pytest.mark.parametrize("plan, builder", [
+        (make_plan(), build_known_plan),
+        (build_unknown_plan(0.05, 0.05, 0.5, 0.0, 1.0, 1.0, 3), build_unknown_plan),
+    ], ids=["known", "unknown"])
+    def test_plan_file_holds_its_builders_parameters(self, plan, builder):
+        # a builder parameter is a plan file field with no loader code of its own
+        design = list(inspect.signature(builder).parameters)
+        assert list(plan_to_dict(plan)) == [
+            "kind", *design, "theta_star", "stages", "certified"
+        ]
 
     def test_plan_schema_rejections(self):
         good = plan_to_dict(make_plan())
