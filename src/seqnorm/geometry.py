@@ -19,11 +19,11 @@ hyperbola-cone regions in one ``integrate_many`` call.  It takes each region
 as (family, h, g): a ``HyperbolaFamily`` holds what all regions of one
 (offset, lam, k) share (the nudged lam, atan k, sqrt(1 + k^2), the
 asymptote's angle, ...), computed once, so a partition's corners, which
-differ only in h and g, skip that work.  ``hyperbola_cone_prob_many`` makes
-each region a one-region family and calls it, and ``hyperbola_cone_prob`` is
-its one-region call; a region's value does not depend on the list it comes
-in, nor on the family it shares.  The arc integrand reads each panel's
-(offset, lam, h) once and broadcasts it over the panel's nodes.
+differ only in h and g, skip that work.  ``hyperbola_cone_prob`` makes its
+region a one-region family and calls it; a region's value does not depend
+on the list it comes in, nor on the family it shares.  The arc integrand
+gets one panel per row and reads each row's (offset, lam, h) once, as a
+column that broadcasts over the row's nodes.
 
 Two closed-form region families drive the multistage test bounds:
 
@@ -59,7 +59,7 @@ from scipy.special.cython_special import owens_t
 
 from .errors import DomainError, real
 # integrate is unused here; perfbench's binding test rebinds it
-from .quadrature import PANEL_NODES, integrate, integrate_many  # noqa: F401
+from .quadrature import integrate, integrate_many  # noqa: F401
 from .special import _clamp_unit
 
 _TWO_PI = 2.0 * math.pi
@@ -451,10 +451,7 @@ def hyperbola_family_prob_many(
         rows = np.array(rows)
 
         def integrand(phi, arc):
-            # each panel's 15 nodes share one arc, so its row of parameters
-            # is read once and broadcast over them
-            offset, lam, h = rows[arc[::PANEL_NODES], :3].T[:, :, None]
-            return _upsilon(phi.reshape(-1, PANEL_NODES), offset, lam, h).ravel()
+            return _upsilon(phi, *rows[arc, :3].T[:, :, None])
 
         values = integrate_many(integrand, rows[:, 3], rows[:, 4])[0].tolist()
 
@@ -475,14 +472,7 @@ def hyperbola_family_prob_many(
     return out
 
 
-def hyperbola_cone_prob_many(regions: Sequence[HyperbolaConeRegion]) -> list[float]:
-    """Pr{(U, V) in region} for each region: each region is a one-region
-    family, and all go through one hyperbola_family_prob_many call."""
-    return hyperbola_family_prob_many(
-        [(HyperbolaFamily(r.offset, r.lam, r.k), r.h, r.g) for r in regions]
-    )
-
-
 def hyperbola_cone_prob(region: HyperbolaConeRegion) -> float:
-    """Pr{(U, V) in region}: the one-region call of hyperbola_cone_prob_many."""
-    return hyperbola_cone_prob_many([region])[0]
+    """Pr{(U, V) in region}: a one-region family through hyperbola_family_prob_many."""
+    family = HyperbolaFamily(region.offset, region.lam, region.k)
+    return hyperbola_family_prob_many([(family, region.h, region.g)])[0]

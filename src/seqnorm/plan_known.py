@@ -269,6 +269,8 @@ class Plan:
         the first failing theta's.
         """
         try:
+            if isinstance(thetas, (str, bytes, bytearray)):  # list() reads them item by item
+                raise TypeError
             thetas = list(thetas)
         except TypeError:
             raise DomainError(f"thetas must be an iterable, got {_shown(thetas)}") from None
@@ -320,6 +322,22 @@ def _check_plan(plan, cls=Plan) -> None:
         raise DomainError(f"plan must be an instance of {cls.__name__}, got {type(plan).__name__}")
 
 
+def _pairs(pairs):
+    """The (theta, plan) items of an envelope request, each unpacked as it is
+    reached; DomainError for a pairs that is not iterable, or for the first
+    item that is not a 2-item pair."""
+    try:
+        items = iter(pairs)
+    except TypeError:
+        raise DomainError(f"pairs must be an iterable, got {_shown(pairs)}") from None
+    for item in items:
+        try:
+            theta, plan = item
+        except (TypeError, ValueError):
+            raise DomainError(f"each pair must be (theta, plan), got {_shown(item)}") from None
+        yield theta, plan
+
+
 @dataclass(frozen=True, kw_only=True)
 class KnownVarPlan(Plan):
     sigma: float
@@ -350,7 +368,7 @@ class KnownVarPlan(Plan):
     ) -> list[tuple[float, float]]:
         """[phi, phi] per (theta, plan) pair: the closed form is exact, so each is a point."""
         _check_interval_settings(tail_mass, cell_budget)
-        phis = [oc_upper_phi(theta, plan) for theta, plan in pairs]
+        phis = [oc_upper_phi(theta, plan) for theta, plan in _pairs(pairs)]
         return [(phi, phi) for phi in phis]
 
 

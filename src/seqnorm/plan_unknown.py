@@ -42,6 +42,7 @@ from .plan_known import (
     _check_interval_settings,
     _check_plan,
     _overflow,
+    _pairs,
     validate_design,
 )
 from .special import (
@@ -99,7 +100,7 @@ class UnknownVarPlan(Plan):
         tail_mass, cell_budget = _check_interval_settings(tail_mass, cell_budget)
 
         specs, terms, brackets = [], [], []
-        for j, (theta, plan) in enumerate(pairs):
+        for j, (theta, plan) in enumerate(_pairs(pairs)):
             theta = real("theta", theta)
             _check_plan(plan, UnknownVarPlan)
             for ell in range(2, plan.num_stages + 1):

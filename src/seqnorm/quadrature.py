@@ -9,24 +9,24 @@ The 15-point Kronrod rule evaluates only interior nodes, so integrands that
 are singular or undefined exactly at an endpoint (a hyperbola's radicand
 or denominator vanishing at a critical angle) are never sampled there.
 
-Refinement is local.  An arc starts from equal panels; while its summed
-error estimate |K15 - G7| exceeds tol, each round bisects every panel
-whose estimate exceeds its share of tol (tol times the panel's width over
-the arc's), and the halves take the panel's place.  The arc stops when its
-sum meets tol, when no panel qualifies (or none is wide enough to halve),
-or when the halves would take it past max_panels panels.
+Refinement is local.  An arc starts from 8 equal panels; while its
+summed error estimate |K15 - G7| exceeds the tolerance 1e-12, each round
+bisects every panel whose estimate exceeds its share of that tolerance
+(the tolerance times the panel's width over the arc's), and the halves take
+the panel's place.  The arc stops when its sum meets the tolerance, when no
+panel qualifies (or none is wide enough to halve), or when the halves would
+take it past 2048 panels.
 
 ``integrate_many`` runs that rule for many arcs and evaluates their panels
 together, one integrand call per round; ``integrate`` is its one-arc call.
-The nodes of a call come panel by panel, PANEL_NODES (15) at a time, and
-the nodes of one panel belong to one arc, so an integrand may read its
-per-arc parameters once per panel, as a (panels, PANEL_NODES) array's rows.
-An arc's decisions read its own panels only, so a batched arc gets its
-one-arc value, bit for bit.  That needs two more things.  Integrands must
-accept and return numpy arrays, elementwise, so a node's value does not
-depend on the batch it comes in.  And each panel's sums are reduced row by
-row: the node values of a batch form a C-contiguous (panels, 15) array,
-and ``np.matmul(rows[:, None, :], w)`` takes one dot product per row, which
+The integrand gets a call's nodes as a C-contiguous (panels, 15) array,
+one panel per row, and the index of each row's arc, so it may read its
+per-arc parameters once per row.  An arc's decisions read its own panels
+only, so a batched arc gets its one-arc value, bit for bit.  That needs two
+more things.  Integrands must accept and return numpy arrays, elementwise,
+so a node's value does not depend on the batch it comes in.  And each
+panel's sums are reduced row by row: ``np.matmul(rows[:, None, :], w)``
+takes one dot product per row of the C-contiguous node values, which
 gives the bits of ``w.dot(row)``.  A matrix-vector product (``rows @ w``)
 or an F-ordered or strided block sums in another order and moves the last
 bits.  That equality was verified on numpy 2.4.6 only.  On the oldest
@@ -71,16 +71,19 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
-PANEL_NODES = len(_XK)
+_TOL = 1e-12  # absolute, per arc
+_INITIAL_PANELS = 8
+_MAX_PANELS = 2048
 
 
 def _panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
-    """(kronrod, |kronrod - gauss|) arrays for panels [lo[i], hi[i]], from one call of f."""
+    """(kronrod, |kronrod - gauss|) arrays for panels [lo[i], hi[i]], from one
+    call of f on their nodes, row i holding panel i's."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     x = half[:, None] * _XK
     x += mid[:, None]
-    ys = np.ascontiguousarray(np.asarray(f(x.ravel()), dtype=float).reshape(x.shape))
+    ys = np.ascontiguousarray(f(x), dtype=float)
     gauss = np.ascontiguousarray(ys[:, _GAUSS_IDX])
     k15 = half * np.matmul(ys[:, None, :], _WK)[:, 0]
     g7 = half * np.matmul(gauss[:, None, :], _WG)[:, 0]
@@ -123,20 +126,15 @@ def _left_to_right_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def integrate_many(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a,
-    b,
-    tol: float = 1e-12,
-    initial_panels: int = 8,
-    max_panels: int = 2048,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate f over arcs a[i] to b[i] (signed), each to absolute tolerance tol.
+    """Integrate f over arcs a[i] to b[i] (signed), each to absolute tolerance 1e-12.
 
-    f(x, arc) takes nodes x and, for each node, the index i of its arc;
-    each run of PANEL_NODES nodes is one panel, of one arc.
-    Returns (values, capped): capped[i] is True when arc i stopped with its
-    summed error estimate still above tol, because no panel qualified for
-    bisection or the halves would take it past max_panels.
+    f(x, arc) takes a (panels, 15) array x of nodes, one panel per row, and
+    the index arc[j] of row j's arc, and returns x's shape.  Returns
+    (values, capped): capped[i] is True when arc i stopped with its summed
+    error estimate still above the tolerance, because no panel qualified
+    for bisection or the halves would take it past 2048 panels.
 
     Each arc follows the local rule of the module docstring on its own
     panels, so it gets the bits it would get alone: the arcs only share
@@ -159,12 +157,11 @@ def integrate_many(
     hi = np.maximum(a[arcs], b[arcs])
     sign = np.where(b[arcs] < a[arcs], -1.0, 1.0)
 
-    npanels = max(1, int(initial_panels))
-    edges = _edges(lo, hi, npanels)
-    nodes = np.repeat(arcs, npanels * PANEL_NODES)
-    val, err = _panels(lambda x: f(x, nodes), edges[:, :-1].ravel(), edges[:, 1:].ravel())
-    val = val.reshape(-1, npanels)
-    err = err.reshape(-1, npanels)
+    edges = _edges(lo, hi, _INITIAL_PANELS)
+    row_arcs = np.repeat(arcs, _INITIAL_PANELS)
+    val, err = _panels(lambda x: f(x, row_arcs), edges[:, :-1].ravel(), edges[:, 1:].ravel())
+    val = val.reshape(-1, _INITIAL_PANELS)
+    err = err.reshape(-1, _INITIAL_PANELS)
     total_err = _left_to_right_sums(err)
     values[arcs] = sign * _left_to_right_sums(val)
 
@@ -173,7 +170,7 @@ def integrate_many(
         (int(arcs[r]), float(sign[r]), float(hi[r] - lo[r]), list(zip(
             edges[r, :-1].tolist(), edges[r, 1:].tolist(), val[r].tolist(), err[r].tolist()
         )))
-        for r in np.flatnonzero(total_err > tol).tolist()
+        for r in np.flatnonzero(total_err > _TOL).tolist()
     ]
     while open_arcs:
         wanted = []  # (arc, positions of the panels it bisects)
@@ -182,20 +179,20 @@ def integrate_many(
             arc_err = _add_left_to_right(p[3] for p in panels)
             split = [
                 i for i, (p_lo, p_hi, _, e) in enumerate(panels)
-                if e > tol * (p_hi - p_lo) / width and p_lo < 0.5 * (p_lo + p_hi) < p_hi
-            ] if arc_err > tol else []
-            if split and len(panels) + len(split) <= max_panels:
+                if e > _TOL * (p_hi - p_lo) / width and p_lo < 0.5 * (p_lo + p_hi) < p_hi
+            ] if arc_err > _TOL else []
+            if split and len(panels) + len(split) <= _MAX_PANELS:
                 wanted.append((arc, split))
             else:
                 values[index] = arc_sign * _add_left_to_right(p[2] for p in panels)
-                capped[index] = arc_err > tol
+                capped[index] = arc_err > _TOL
         if not wanted:
             break
         # a row (lo, mid, hi) for each panel to bisect, in arc and then position order
         cuts = [arc[3][i][:2] for arc, split in wanted for i in split]
         cuts = np.array([(p_lo, 0.5 * (p_lo + p_hi), p_hi) for p_lo, p_hi in cuts])
-        nodes = np.repeat([arc[0] for arc, split in wanted for _ in split], 2 * PANEL_NODES)
-        val, err = _panels(lambda x: f(x, nodes), cuts[:, :2].ravel(), cuts[:, 1:].ravel())
+        row_arcs = np.repeat([arc[0] for arc, split in wanted for _ in split], 2)
+        val, err = _panels(lambda x: f(x, row_arcs), cuts[:, :2].ravel(), cuts[:, 1:].ravel())
         halves = zip(cuts[:, 1].tolist(), val.reshape(-1, 2).tolist(), err.reshape(-1, 2).tolist())
         for arc, split in wanted:
             panels = arc[3]
@@ -207,22 +204,9 @@ def integrate_many(
     return values, capped
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    initial_panels: int = 8,
-    max_panels: int = 2048,
-) -> float:
-    """Integrate f from a to b (signed) to absolute tolerance tol.
-
-    Bisects initial_panels equal panels by the local rule of the module
-    docstring, up to max_panels panels.  Raises DomainError if the limits
-    are not finite.  This is the one-arc call of integrate_many.
-    """
-    values, _ = integrate_many(
-        lambda x, arc: f(x), [a], [b], tol=tol, initial_panels=initial_panels,
-        max_panels=max_panels,
-    )
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Integrate f from a to b (signed) to absolute tolerance 1e-12: the
+    one-arc call of integrate_many, whose (panels, 15) node array f gets.
+    Raises DomainError if the limits are not finite."""
+    values, _ = integrate_many(lambda x, arc: f(x), [a], [b])
     return float(values[0])

@@ -8,7 +8,9 @@ numpy's samplers on chosen inputs), the scalar stage statistic written
 out over a sample list, and the cone evaluator and known-variance
 envelope as they stood before the envelope shared one kernel with
 ``cone_prob``: one ``ConeRegion`` per cone and one ``_barrier_integral``
-per boundary piece.
+per boundary piece.  ``reference_integrate`` is the local bisection rule
+of the quadrature module, one integrand call per panel, with its
+tolerance and panel counts as settings.
 
 Every seeded draw comes from a ``seqnorm.simulate._stream``, so the
 package's seed-range check covers these oracles as well.
@@ -31,6 +33,7 @@ from scipy.special.cython_special import owens_t
 
 from seqnorm.geometry import ConeRegion
 from seqnorm.plan_known import Decision, decision_code
+from seqnorm.quadrature import _GAUSS_IDX, _WG, _WK, _XK
 from seqnorm.simulate import _BLOCK, _block_draw, _pool, _sim_report, _stream
 from seqnorm.special import _clamp_unit, std_normal_cdf
 
@@ -475,3 +478,48 @@ def reference_oc_upper_phi(theta: float, plan) -> float:
     for region_b, region_a in reference_phi_terms(theta, stages):
         total += reference_cone_prob(region_b) - reference_cone_prob(region_a)
     return total
+
+
+def reference_panel(f, a, b):
+    """(kronrod, |kronrod - gauss|) of the panel [a, b], from f on its 15 nodes."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    y = np.asarray(f(mid + half * _XK), dtype=float)
+    k15 = half * float(np.dot(_WK, y))
+    g7 = half * float(np.dot(_WG, y[_GAUSS_IDX]))
+    return k15, abs(k15 - g7)
+
+
+def reference_integrate(f, a, b, tol=1e-12, initial_panels=8, max_panels=2048):
+    """The local rule, one integrand call per panel; returns (value, rounds, capped)."""
+    a, b = float(a), float(b)
+    if a == b:
+        return 0.0, 0, False
+    lo, hi = min(a, b), max(a, b)
+    edges = np.linspace(lo, hi, max(1, int(initial_panels)) + 1).tolist()
+
+    def panel(p_lo, p_hi):  # (lo, hi, value, error)
+        return (p_lo, p_hi, *reference_panel(f, p_lo, p_hi))
+
+    def bisected(p_lo, p_hi, _, err):
+        return err > tol * (p_hi - p_lo) / (hi - lo) and p_lo < 0.5 * (p_lo + p_hi) < p_hi
+
+    def halves(p_lo, p_hi, *_):
+        mid = 0.5 * (p_lo + p_hi)
+        return [panel(p_lo, mid), panel(mid, p_hi)]
+
+    panels = [panel(p_lo, p_hi) for p_lo, p_hi in zip(edges, edges[1:])]
+    rounds = 0
+    while True:
+        total_err = 0.0
+        for p in panels:
+            total_err += p[3]
+        nsplit = [bisected(*p) for p in panels].count(True)
+        if total_err <= tol or nsplit == 0 or len(panels) + nsplit > max_panels:
+            break
+        panels = [half for p in panels for half in (halves(*p) if bisected(*p) else [p])]
+        rounds += 1
+    total = 0.0
+    for p in panels:
+        total += p[2]
+    return (-1.0 if b < a else 1.0) * total, rounds, total_err > tol

@@ -69,6 +69,11 @@ def _envelope(cls):
     return lambda plan: cls.envelopes([(-0.5, plan)], **BOUNDS)
 
 
+def _envelope_of_pair(cls):
+    """cls.envelopes of one pair, as a function of that pair."""
+    return lambda pair: cls.envelopes([pair], **BOUNDS)
+
+
 # each entry point with arguments it accepts; the test replaces one of them
 ENTRIES = {
     "build_known_plan": (
@@ -82,6 +87,8 @@ ENTRIES = {
     "unknown.oc_bounds": (UNKNOWN.oc_bounds, dict(thetas=[-1.0], **BOUNDS)),
     "known.envelopes": (_envelope(KnownVarPlan), dict(plan=KNOWN)),
     "unknown.envelopes": (_envelope(UnknownVarPlan), dict(plan=UNKNOWN)),
+    "known.envelopes-pair": (_envelope_of_pair(KnownVarPlan), dict(pair=(-0.5, KNOWN))),
+    "unknown.envelopes-pair": (_envelope_of_pair(UnknownVarPlan), dict(pair=(-0.5, UNKNOWN))),
     "oc_upper_phi": (oc_upper_phi, dict(theta=-0.5, plan=KNOWN)),
     "oc_upper_P": (partial(oc_upper_P, **BOUNDS), dict(theta=-0.5, plan=UNKNOWN)),
     "known.certify": (KNOWN.certify, BOUNDS),
@@ -193,6 +200,10 @@ def test_only_a_seqnorm_error_escapes(entry, key, data):
     pytest.param("known.envelopes", "plan", UNKNOWN,
                  "plan must be an instance of KnownVarPlan, got UnknownVarPlan",
                  id="known.envelopes-plan-unknown"),
+    ("known.envelopes-pair", "pair", 1.5, "each pair must be (theta, plan), got 1.5"),
+    pytest.param("unknown.envelopes-pair", "pair", (-0.5, UNKNOWN, 1),
+                 f"each pair must be (theta, plan), got {(-0.5, UNKNOWN, 1)!r}",
+                 id="unknown.envelopes-pair-three-items"),
 ])
 def test_wrong_type_message(entry, key, value, message):
     function, args = ENTRIES[entry]

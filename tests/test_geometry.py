@@ -12,10 +12,15 @@ from hypothesis import strategies as hst
 
 from seqnorm.errors import DomainError
 from seqnorm.geometry import ConeRegion, _barrier_integral, _upsilon, cone_prob
-from seqnorm.quadrature import integrate
 from seqnorm.special import std_normal_cdf
 
-from oracles import grid_domain_prob, mc_domain_prob_many, reference_cone_prob, section
+from oracles import (
+    grid_domain_prob,
+    mc_domain_prob_many,
+    reference_cone_prob,
+    reference_integrate,
+    section,
+)
 
 TWO_PI = 2.0 * math.pi
 INV_TWO_PI = 1.0 / TWO_PI
@@ -39,7 +44,7 @@ def _barrier_exponent(phi: np.ndarray, level: float) -> np.ndarray:
 
 
 def polar_barrier_integral(level, lo, hi):
-    """integrate(_barrier_exponent) from lo to hi, signed.
+    """reference_integrate(_barrier_exponent) from lo to hi, signed.
 
     The integrand is flat to all orders at the odd multiples of pi/2, and
     Kronrod's error estimate misses the dip there when a panel straddles
@@ -52,7 +57,7 @@ def polar_barrier_integral(level, lo, hi):
     cuts = [(j + 0.5) * math.pi for j in range(first, math.ceil(b / math.pi - 0.5))]
     edges = [a] + [c for c in cuts if a < c < b] + [b]
     total = sum(
-        integrate(lambda phi: _barrier_exponent(phi, level), x, y, tol=1e-14)
+        reference_integrate(lambda phi: _barrier_exponent(phi, level), x, y, tol=1e-14)[0]
         for x, y in zip(edges, edges[1:])
     )
     return total if hi >= lo else -total

@@ -23,7 +23,6 @@ from seqnorm.geometry import (
     _upsilon,
     classify_branch,
     hyperbola_cone_prob,
-    hyperbola_cone_prob_many,
     hyperbola_family_prob_many,
 )
 from seqnorm.quadrature import integrate
@@ -633,6 +632,13 @@ class TestSharedFormulas:
         self.check(params)
 
 
+def one_region_families(regions):
+    """hyperbola_family_prob_many with each region as its own family."""
+    return hyperbola_family_prob_many(
+        [(HyperbolaFamily(r.offset, r.lam, r.k), r.h, r.g) for r in regions]
+    )
+
+
 @pytest.mark.filterwarnings("ignore:hyperbola shape coincides:RuntimeWarning")
 class TestBatchInvariance:
     """A region's value does not depend on the batch it is evaluated in."""
@@ -654,16 +660,16 @@ class TestBatchInvariance:
         alone = data.draw(st.permutations(alone))
         cut = data.draw(st.integers(0, len(alone)))
         regions = [region for region, _ in alone]
-        got = hyperbola_cone_prob_many(regions[:cut]) + hyperbola_cone_prob_many(regions[cut:])
+        got = one_region_families(regions[:cut]) + one_region_families(regions[cut:])
         assert list(map(repr, got)) == [value for _, value in alone]
 
     def test_every_leaf_in_one_batch(self):
         params = [*LEAF_CASES.values(), ZERO_CASE]
         regions = [region_of(p) for p in params]
-        assert list(map(repr, hyperbola_cone_prob_many(regions))) == [
+        assert list(map(repr, one_region_families(regions))) == [
             repr(hyperbola_cone_prob(r)) for r in regions
         ]
-        assert hyperbola_cone_prob_many([]) == []
+        assert one_region_families([]) == []
 
     def test_batch_of_empty_regions_integrates_nothing(self, monkeypatch):
         def no_arcs(*args, **kwargs):
@@ -673,7 +679,7 @@ class TestBatchInvariance:
         steep = HyperbolaConeRegion(offset=0.0, lam=4.0, h=1.0, g=0.3, k=0.5)
         zeros = [region_of(ZERO_CASE), steep]
         assert {classify_branch(r) for r in zeros} == {"zero"}
-        got = hyperbola_cone_prob_many(zeros)
+        got = one_region_families(zeros)
         assert list(map(repr, got)) == ["0.0", "0.0"]
 
 

@@ -500,6 +500,22 @@ class TestBounds:
         assert list(map(repr, type(plan).envelopes(pairs, 1e-4, 16))) == list(map(repr, alone))
 
     @pytest.mark.parametrize("kind", ["known", "unknown"])
+    @pytest.mark.parametrize("pairs, message", [
+        (1.5, "pairs must be an iterable, got 1.5"),
+        (None, "pairs must be an iterable, got None"),
+        ([(-0.5,)], "each pair must be (theta, plan), got (-0.5,)"),
+        ([-0.5], "each pair must be (theta, plan), got -0.5"),
+        # pairs are taken in order, so the first failing pair's error wins
+        ([(-0.5,), (-1e200, "plan")], "each pair must be (theta, plan), got (-0.5,)"),
+        ([(-1e200, "plan"), (-0.5,)], "plan must be an instance of {}, got str"),
+    ], ids=["float", "none", "short-pair", "bare-theta", "short-then-str", "str-then-short"])
+    def test_envelopes_refuse_a_malformed_request(self, kind, pairs, message):
+        cls = type(build(kind, 0.05, 0.10, 0.5, 0.0, 1.0, 0.45, 0.5, 4))
+        with pytest.raises(DomainError) as err:
+            cls.envelopes(pairs, 1e-4, 16)
+        assert str(err.value) == message.format(cls.__name__)
+
+    @pytest.mark.parametrize("kind", ["known", "unknown"])
     def test_oc_bounds_make_one_envelopes_call(self, monkeypatch, kind):
         # a grid on both sides of the zone: one envelopes call, one mirror
         plan = build(kind, 0.05, 0.10, 0.5, 0.0, 1.0, 0.45, 0.5, 4)
@@ -537,8 +553,12 @@ class TestBounds:
         ([math.nan, 0.1], "theta must be finite, got nan"),
         ([-0.6, 0.0, -1e308], "theta=0.0 lies inside the indifference zone; no bound is stated "
                               "there"),
+        # text is read whole, not as a theta per character or byte
+        ("ab", "thetas must be an iterable, got 'ab'"),
+        (b"ab", "thetas must be an iterable, got b'ab'"),
+        (bytearray(b"ab"), "thetas must be an iterable, got bytearray(b'ab')"),
     ], ids=["float", "none", "zone", "str", "overflow-then-zone", "nan-then-zone",
-            "zone-then-overflow"])
+            "zone-then-overflow", "text", "bytes", "bytearray"])
     def test_oc_bounds_refuse_the_first_failing_theta(self, thetas, message):
         with pytest.raises(DomainError) as err:
             self.PLAN.oc_bounds(thetas)

@@ -14,59 +14,16 @@ from seqnorm import geometry, quadrature
 from seqnorm.calibrate import calibrate_unknown
 from seqnorm.errors import DomainError
 from seqnorm.quadrature import (
-    _GAUSS_IDX,
-    _WG,
-    _WK,
-    _XK,
+    _INITIAL_PANELS,
+    _MAX_PANELS,
+    _TOL,
     _left_to_right_sums,
     _panels,
     integrate,
     integrate_many,
 )
 
-
-def _reference_panel(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _XK), dtype=float)
-    k15 = half * float(np.dot(_WK, y))
-    g7 = half * float(np.dot(_WG, y[_GAUSS_IDX]))
-    return k15, abs(k15 - g7)
-
-
-def reference_integrate(f, a, b, tol=1e-12, initial_panels=8, max_panels=2048):
-    """The local rule, one integrand call per panel; returns (value, rounds, capped)."""
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0, 0, False
-    lo, hi = min(a, b), max(a, b)
-    edges = np.linspace(lo, hi, max(1, int(initial_panels)) + 1).tolist()
-
-    def panel(p_lo, p_hi):  # (lo, hi, value, error)
-        return (p_lo, p_hi, *_reference_panel(f, p_lo, p_hi))
-
-    def bisected(p_lo, p_hi, _, err):
-        return err > tol * (p_hi - p_lo) / (hi - lo) and p_lo < 0.5 * (p_lo + p_hi) < p_hi
-
-    def halves(p_lo, p_hi, *_):
-        mid = 0.5 * (p_lo + p_hi)
-        return [panel(p_lo, mid), panel(mid, p_hi)]
-
-    panels = [panel(p_lo, p_hi) for p_lo, p_hi in zip(edges, edges[1:])]
-    rounds = 0
-    while True:
-        total_err = 0.0
-        for p in panels:
-            total_err += p[3]
-        nsplit = [bisected(*p) for p in panels].count(True)
-        if total_err <= tol or nsplit == 0 or len(panels) + nsplit > max_panels:
-            break
-        panels = [half for p in panels for half in (halves(*p) if bisected(*p) else [p])]
-        rounds += 1
-    total = 0.0
-    for p in panels:
-        total += p[2]
-    return (-1.0 if b < a else 1.0) * total, rounds, total_err > tol
+from oracles import reference_integrate, reference_panel
 
 
 def smooth(c0, c1, w, p):
@@ -95,13 +52,8 @@ integrands = st.one_of(
     a=limits,
     b=limits,
     same=st.booleans(),
-    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
-    initial_panels=st.sampled_from([1, 8, 16]),
-    max_panels=st.sampled_from([4, 24, 2048]),
 )
-def test_batched_panels_match_reference_bit_for_bit(
-    f, a, b, same, tol, initial_panels, max_panels
-):
+def test_batched_panels_match_reference_bit_for_bit(f, a, b, same):
     if same:
         b = a
     calls = 0
@@ -111,10 +63,8 @@ def test_batched_panels_match_reference_bit_for_bit(
         calls += 1
         return f(x)
 
-    got = integrate(counted, a, b, tol=tol, initial_panels=initial_panels, max_panels=max_panels)
-    ref, rounds, _ = reference_integrate(
-        f, a, b, tol=tol, initial_panels=initial_panels, max_panels=max_panels
-    )
+    got = integrate(counted, a, b)
+    ref, rounds, _ = reference_integrate(f, a, b)
     assert got == ref
     assert repr(got) == repr(ref)  # signed zeros too
     assert calls == (0 if a == b else 1 + rounds)  # one integrand call per round
@@ -129,7 +79,7 @@ def test_each_panel_value_and_error_match_reference(f, edges):
     # the error estimates steer bisection, so they must match bit for bit too
     edges = np.array(edges)
     got = zip(*_panels(f, edges[:-1], edges[1:]))
-    ref = [_reference_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    ref = [reference_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     assert [tuple(map(repr, map(float, p))) for p in got] == [
         tuple(map(repr, map(float, p))) for p in ref
     ]
@@ -151,14 +101,17 @@ def test_row_sums_add_left_to_right_from_zero(rows):
     assert repr(float(_left_to_right_sums(np.array([[-0.0, -0.0]]))[0])) == "0.0"
 
 
-def test_step_integrand_bisects_until_max_panels():
+def test_step_integrand_bisects_one_panel_per_round():
     # only the panel holding the step is above its share of tol, so each
-    # round bisects that one panel, until the next halves would make 41
+    # round bisects that one panel, until it is narrow enough to meet tol
     f = step(0.3, 1.0)
-    value, rounds, capped = reference_integrate(f, -1.0, 1.0, max_panels=40)
-    assert capped
-    assert rounds == 40 - 8
-    assert integrate(f, -1.0, 1.0, max_panels=40) == value
+    value, rounds, capped = reference_integrate(f, -1.0, 1.0)
+    assert not capped
+    assert rounds == 34
+    calls = []
+    got = integrate(lambda x: calls.append(x.shape) or f(x), -1.0, 1.0)
+    assert repr(got) == repr(value)
+    assert calls == [(_INITIAL_PANELS, 15)] + [(2, 15)] * rounds
 
 
 ULP = 2.0**-52  # float spacing just above 1.0
@@ -171,20 +124,18 @@ def test_unsplittable_panels_still_return():
     assert math.isfinite(integrate(f, 1.0, 1.0 + 2 * ULP))
 
 
-@pytest.mark.parametrize("initial_panels", [1, 8])
-def test_set_aside_panels_match_reference(initial_panels):
+def test_set_aside_panels_match_reference():
     # the noisy left half bisects down to one-ulp panels, which are left
     # as they are while their neighbours still qualify, as in the reference
     quiet_from = 1.0 + 64 * ULP
     f = lambda x: np.where(x < quiet_from, 1e300 * np.sin(1e20 * x), 0.0)
-    kwargs = dict(initial_panels=initial_panels, max_panels=100)
-    got = integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
-    ref, _, _ = reference_integrate(f, 1.0, 1.0 + 128 * ULP, **kwargs)
+    got = integrate(f, 1.0, 1.0 + 128 * ULP)
+    ref, _, _ = reference_integrate(f, 1.0, 1.0 + 128 * ULP)
     assert repr(got) == repr(ref)
 
 
 def stacked(fs):
-    """The batched integrand that applies fs[i] to the nodes of arc i."""
+    """The batched integrand that applies fs[i] to the rows of arc i."""
 
     def f(x, arc):
         out = np.empty_like(x)
@@ -199,43 +150,40 @@ def stacked(fs):
 @settings(max_examples=150, deadline=None)
 @given(
     arcs=st.lists(st.tuples(integrands, limits, limits, st.booleans()), min_size=1, max_size=8),
-    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
-    initial_panels=st.sampled_from([1, 8, 16]),
-    max_panels=st.sampled_from([4, 24, 2048]),
 )
-def test_many_arcs_match_one_arc_reference_bit_for_bit(arcs, tol, initial_panels, max_panels):
+def test_many_arcs_match_one_arc_reference_bit_for_bit(arcs):
     fs = [f for f, _, _, _ in arcs]
     a = [lo for _, lo, _, _ in arcs]
     b = [lo if same else hi for _, lo, hi, same in arcs]
-    kwargs = dict(tol=tol, initial_panels=initial_panels, max_panels=max_panels)
-    values, capped = integrate_many(stacked(fs), a, b, **kwargs)
-    ref = [reference_integrate(f, lo, hi, **kwargs) for f, lo, hi in zip(fs, a, b)]
+    values, capped = integrate_many(stacked(fs), a, b)
+    ref = [reference_integrate(f, lo, hi) for f, lo, hi in zip(fs, a, b)]
     assert list(map(repr, values.tolist())) == [repr(value) for value, _, _ in ref]
     assert capped.tolist() == [bool(cap) for _, _, cap in ref]
     # and each arc of the mixed batch gets its own one-arc call's value and flag
     alone = [
-        integrate_many(lambda x, arc: f(x), [lo], [hi], **kwargs) for f, lo, hi in zip(fs, a, b)
+        integrate_many(lambda x, arc: f(x), [lo], [hi]) for f, lo, hi in zip(fs, a, b)
     ]
     assert list(map(repr, values.tolist())) == [repr(float(v[0])) for v, _ in alone]
     assert capped.tolist() == [bool(c[0]) for _, c in alone]
 
 
 def test_many_arcs_with_set_aside_and_capped_arcs():
-    # arcs that stop for each reason, batched: converged, capped at
-    # max_panels, out of panels wide enough to halve, empty, reversed
+    # arcs that stop for each reason, batched: converged, capped at the
+    # panel cap, out of panels wide enough to halve, empty, reversed
     quiet_from = 1.0 + 64 * ULP
     noisy = lambda x: np.where(x < quiet_from, 1e300 * np.sin(1e20 * x), 0.0)
     arcs = [
         (np.sin, 0.0, math.pi),
-        (lambda x: np.sin(1e3 * x), 0.0, 10.0),  # 1,600 periods
+        (lambda x: np.sin(1e9 * x), 0.0, 1.0),  # every panel splits in every round
         (noisy, 1.0, 1.0 + 128 * ULP),  # as in test_set_aside_panels_match_reference
         (np.cos, 2.0, 2.0),
         (peaked(0.1, 1e-3, 1.0), 2.0, -1.0),
     ]
     fs, a, b = zip(*arcs)
-    values, capped = integrate_many(stacked(fs), a, b, max_panels=100)
-    ref = [reference_integrate(f, lo, hi, max_panels=100) for f, lo, hi in arcs]
+    values, capped = integrate_many(stacked(fs), a, b)
+    ref = [reference_integrate(f, lo, hi) for f, lo, hi in arcs]
     assert list(map(repr, values.tolist())) == [repr(value) for value, _, _ in ref]
+    assert _INITIAL_PANELS * 2 ** ref[1][1] == _MAX_PANELS  # 8 rounds of doubling
     assert capped.tolist() == [False, True, True, False, False]
     assert capped.tolist() == [bool(cap) for _, _, cap in ref]
 
@@ -244,6 +192,26 @@ def test_arc_out_of_splittable_panels_is_capped():
     f = lambda x: 1e300 * np.sin(1e20 * x)
     values, capped = integrate_many(lambda x, arc: f(x), [1.0], [1.0 + 2 * ULP])
     assert math.isfinite(values[0]) and capped[0]
+
+
+def test_integrand_gets_one_panel_per_row():
+    # arc 0 meets tol on its initial panels; arc 2 (the peak) bisects its
+    # panel at 0.1 in the first refinement round; arc 1 is empty
+    calls = []
+
+    def f(x, arc):
+        calls.append((x.shape, x.flags.c_contiguous, arc.tolist(), x.min(1), x.max(1)))
+        return np.where(arc[:, None] == 0, np.cos(x), peaked(0.1, 1e-3, 1.0)(x))
+
+    integrate_many(f, [0.0, 5.0, -1.0], [1.0, 5.0, 2.0])
+    (shape, contiguous, arcs, lo, hi), (shape2, contiguous2, arcs2, _, _) = calls[:2]
+    assert shape == (2 * _INITIAL_PANELS, 15) and contiguous
+    assert arcs == [0] * _INITIAL_PANELS + [2] * _INITIAL_PANELS
+    # each row holds the nodes of one initial panel of its arc
+    edges = np.concatenate([np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 9)])
+    assert np.all(lo > np.delete(edges, [8, 17])) and np.all(hi < np.delete(edges, [0, 9]))
+    assert len(calls) > 2 and contiguous2
+    assert shape2 == (len(arcs2), 15) and set(arcs2) == {2} and len(arcs2) % 2 == 0
 
 
 def compensated_sum(values, start=0):
@@ -277,17 +245,10 @@ def test_accuracy_and_orientation():
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    f=integrands,
-    a=limits,
-    b=limits,
-    tol=st.sampled_from([1e-12, 1e-6]),
-    max_panels=st.sampled_from([4, 2048]),
-)
-def test_reversed_limits_negate_the_value(f, a, b, tol, max_panels):
+@given(f=integrands, a=limits, b=limits)
+def test_reversed_limits_negate_the_value(f, a, b):
     assume(a != b)  # an empty arc is +0.0 both ways
-    kwargs = dict(tol=tol, max_panels=max_panels)
-    assert repr(integrate(f, b, a, **kwargs)) == repr(-integrate(f, a, b, **kwargs))
+    assert repr(integrate(f, b, a)) == repr(-integrate(f, a, b))
 
 
 # integrands written once for numpy arrays and for mpmath numbers (m is the module)
@@ -299,11 +260,11 @@ ACCURACY_CASES = {
 }
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+@pytest.mark.parametrize("tol", [_TOL])
 @pytest.mark.parametrize("case", sorted(ACCURACY_CASES))
 def test_values_agree_with_mpmath_within_tol(case, tol):
     f, a, b, breaks = ACCURACY_CASES[case]
-    values, capped = integrate_many(lambda x, arc: f(x, np), [a], [b], tol=tol)
+    values, capped = integrate_many(lambda x, arc: f(x, np), [a], [b])
     assert not capped[0]
     with mpmath.workdps(30):
         if isinstance(breaks, int):  # equal pieces, a few per period
