@@ -19,7 +19,12 @@ method (Oliveira & Takahashi, ACM TOMS 47(1), 2021), so that at most
 ceil(log2(w0 / zeta_tol)) + 2 steps follow the anchor phase, two more than
 bisection, whatever g does.
 
-Every probe rebuilds the plan: stage sizes depend on zeta.
+Stage sizes depend on zeta, so every probe computes them afresh.  An
+unknown-variance probe builds the plan and certifies it.  A known-variance
+probe builds no plan: it certifies the (n, a, b) stage rows that
+build_known_plan would wrap at that zeta, and their mirror, with the
+closed-form envelope that KnownVarPlan.certify runs, so its bounds are the
+plan's bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .errors import CalibrationError, DomainError, real
 from .plan_known import (
     DEFAULT_CELL_BUDGET,
     DEFAULT_TAIL_MASS,
-    build_known_plan,
+    _known_bounds,
+    _known_ladder,
     validate_design,
 )
 from .plan_unknown import build_unknown_plan
@@ -184,12 +190,13 @@ def calibrate_known(
 ) -> CalibrationResult:
     """Certified zeta at a feasibility boundary near the anchor, known variance.
 
-    The envelope does not involve gamma or sigma, so probes build plans at
-    canonical gamma=0, sigma=1.
+    The envelope involves neither gamma nor sigma, so a probe certifies the
+    stage rows build_known_plan would wrap at zeta, with no plan built.
     """
 
     def probe(zeta: float) -> tuple[float, float]:
-        return build_known_plan(alpha, beta, epsilon, 0.0, 1.0, zeta, rho, tau).certify()
+        theta_star, rows = _known_ladder(alpha, beta, epsilon, zeta, rho, tau)
+        return _known_bounds(alpha, beta, epsilon, theta_star, rows)
 
     alpha, beta, epsilon, _, rho, tau = validate_design(alpha, beta, epsilon, 1.0, rho, tau)
     return _search(probe, alpha, beta, tau, zeta_tol, interpolate=False)

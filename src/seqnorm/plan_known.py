@@ -14,7 +14,9 @@ difference of two cone measures that share their barrier and slope; the
 geometry module evaluates the pair in closed form through the same kernel
 as ``cone_prob``, computing what the two cones share once.  phi taken at
 the indifference-zone endpoint equals the plan's total boundary-crossing
-rate there, which is what calibration pins to the error budget.
+rate there, which is what calibration pins to the error budget.  The
+envelope runs on (n, a, b) stage rows, so a calibration probe certifies the
+rows of a ladder and of its mirror without building either plan.
 
 ``Plan`` holds what both variance cases share: the design fields, the
 stage ladder, the stage statistic, the mirror plan, the OC bounds, the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sized
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -117,8 +120,25 @@ def _check_interval_settings(tail_mass: float, cell_budget: int) -> tuple[float,
     return tail_mass, cell_budget
 
 
-def _threshold_repr(plan) -> str:
-    return repr([plan.theta_star, *[(s.a, s.b) for s in plan.stages]])
+def _mirror_rows(rows: list) -> list:
+    """The (n, a, b) stage rows of the mirror plan, alpha and beta swapped.
+
+    Swapping them keeps every stage size and negates and exchanges each
+    stage's thresholds.  ``0.0 - x`` keeps the +0.0 build_known_plan and
+    build_unknown_plan give where a threshold is zero (``-x`` would give
+    -0.0).
+    """
+    return [(n, 0.0 - b, 0.0 - a) for n, a, b in rows]
+
+
+def _rows_are_own_mirror(alpha, beta, theta_star, rows, mirrored) -> bool:
+    """Whether the mirror rows, with theta* negated, are the rows bit for bit.
+
+    The mirror swaps alpha and beta, so only alpha = beta plans can be
+    their own, and changes no other field but theta_star, the stages and
+    certified.  repr tells -0.0 from 0.0, so equal reprs mean equal bits.
+    """
+    return alpha == beta and repr([0.0 - theta_star, mirrored]) == repr([theta_star, rows])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -201,43 +221,32 @@ class Plan:
         nan = np.isnan(t)
         return np.where(nan, 0.0, t) if nan.any() else t
 
-    def _mirrored_thresholds(self) -> tuple[float, list[tuple[float, float]]]:
-        """theta* and the stage (a, b) pairs of ``mirror()``.
-
-        Swapping alpha and beta negates theta* and negates and exchanges
-        each stage's thresholds.  ``0.0 - x`` keeps the +0.0 build_known_plan
-        and build_unknown_plan give where a threshold is zero (``-x`` would
-        give -0.0).
-        """
-        return 0.0 - self.theta_star, [(0.0 - s.b, 0.0 - s.a) for s in self.stages]
+    def _rows(self) -> list[tuple[int, float, float]]:
+        """The stages as (n, a, b) rows."""
+        return [(s.n, s.a, s.b) for s in self.stages]
 
     def mirror(self) -> "Plan":
         """The plan build_known_plan or build_unknown_plan makes with alpha and beta swapped.
 
-        Swapping them keeps every stage size; theta* and the thresholds are
-        ``_mirrored_thresholds()``, which is what the acceptance-side bound
-        evaluates.
+        Its theta* is negated and its stages are ``_mirror_rows``, which is
+        what the acceptance-side bound evaluates.
         """
-        theta_star, pairs = self._mirrored_thresholds()
         return replace(
             self,
             alpha=self.beta,
             beta=self.alpha,
-            theta_star=theta_star,
-            stages=tuple(Stage(n=s.n, a=a, b=b) for s, (a, b) in zip(self.stages, pairs)),
+            theta_star=0.0 - self.theta_star,
+            stages=tuple(Stage(n=n, a=a, b=b) for n, a, b in _mirror_rows(self._rows())),
             certified=False,
         )
 
     def _is_own_mirror(self) -> bool:
         """Whether ``mirror()`` has this plan's thresholds bit for bit,
-        decided without building it.
-
-        The mirror swaps alpha and beta, so only alpha = beta plans can be
-        their own, and changes no other field but theta_star, the stages and
-        certified.  repr tells -0.0 from 0.0, so equal reprs mean equal bits.
-        """
-        theta_star, pairs = self._mirrored_thresholds()
-        return self.alpha == self.beta and repr([theta_star, *pairs]) == _threshold_repr(self)
+        decided without building it."""
+        rows = self._rows()
+        return _rows_are_own_mirror(
+            self.alpha, self.beta, self.theta_star, rows, _mirror_rows(rows)
+        )
 
     def sample_tail(self, ell: int, theta: float) -> float:
         """Bound on Pr{sampling continues past stage ell}: the continue-band mass."""
@@ -268,9 +277,11 @@ class Plan:
         is refused after the envelopes of those before it, so an error is
         the first failing theta's.
         """
+        if isinstance(thetas, (str, bytes, bytearray)):  # list() reads them item by item
+            raise DomainError(
+                f"thetas must be an iterable of reals, not text, got {type(thetas).__name__}"
+            )
         try:
-            if isinstance(thetas, (str, bytes, bytearray)):  # list() reads them item by item
-                raise TypeError
             thetas = list(thetas)
         except TypeError:
             raise DomainError(f"thetas must be an iterable, got {_shown(thetas)}") from None
@@ -325,7 +336,8 @@ def _check_plan(plan, cls=Plan) -> None:
 def _pairs(pairs):
     """The (theta, plan) items of an envelope request, each unpacked as it is
     reached; DomainError for a pairs that is not iterable, or for the first
-    item that is not a 2-item pair."""
+    item that is not a 2-item pair, named by its type and length (its repr
+    may hold a plan's)."""
     try:
         items = iter(pairs)
     except TypeError:
@@ -334,7 +346,10 @@ def _pairs(pairs):
         try:
             theta, plan = item
         except (TypeError, ValueError):
-            raise DomainError(f"each pair must be (theta, plan), got {_shown(item)}") from None
+            shape = type(item).__name__
+            if isinstance(item, Sized):
+                shape += f" of length {len(item)}"
+            raise DomainError(f"each pair must be (theta, plan), got {shape}") from None
         yield theta, plan
 
 
@@ -359,6 +374,14 @@ class KnownVarPlan(Plan):
     def stage_cdf(self, x: float, n: int, theta: float) -> float:
         """Pr{statistic at size n <= x}: normal with mean sqrt(n) theta, unit variance."""
         return std_normal_cdf(x - math.sqrt(n) * theta)
+
+    def certify(
+        self, tail_mass: float = DEFAULT_TAIL_MASS, cell_budget: int = DEFAULT_CELL_BUDGET
+    ) -> tuple[float, float]:
+        """``Plan.certify`` in closed form over the stage rows; no mirror plan is built."""
+        _check_interval_settings(tail_mass, cell_budget)
+        theta = real("theta", -self.epsilon)  # the check oc_upper_phi makes of its theta
+        return _known_bounds(self.alpha, self.beta, -theta, self.theta_star, self._rows())
 
     @staticmethod
     def envelopes(
@@ -395,21 +418,7 @@ def build_known_plan(
     """
     alpha, beta, epsilon, zeta, rho, tau = validate_design(alpha, beta, epsilon, zeta, rho, tau)
     gamma = real("gamma", gamma)
-
-    z_a = std_normal_critical(zeta * alpha)
-    z_b = std_normal_critical(zeta * beta)
-    denom = 4.0 * epsilon * epsilon
-    base = (z_a + z_b) ** 2 / denom if denom > 0.0 else math.inf
-    if not math.isfinite(base):
-        raise DomainError(f"epsilon must be large enough for finite stage sizes, got {epsilon}")
-    sizes = sorted({max(1, math.ceil(base * (1.0 + rho) ** (i - tau))) for i in range(1, tau + 1)})
-    theta_star = 0.5 * (z_a - z_b)
-
-    stages = []
-    for n in sizes[:-1]:
-        root = epsilon * math.sqrt(n)
-        stages.append(Stage(n=n, a=min(theta_star, root - z_b), b=max(theta_star, z_a - root)))
-    stages.append(Stage(n=sizes[-1], a=theta_star, b=theta_star))
+    theta_star, rows = _known_ladder(alpha, beta, epsilon, zeta, rho, tau)
     return KnownVarPlan(
         alpha=alpha,
         beta=beta,
@@ -420,8 +429,29 @@ def build_known_plan(
         rho=rho,
         tau=tau,
         theta_star=theta_star,
-        stages=tuple(stages),
+        stages=tuple(Stage(n=n, a=a, b=b) for n, a, b in rows),
     )
+
+
+def _known_ladder(alpha, beta, epsilon, zeta, rho, tau) -> tuple[float, list]:
+    """theta* and the (n, a, b) stage rows of ``build_known_plan``, from
+    validated design values; DomainError for an epsilon too small for
+    finite stage sizes."""
+    z_a = std_normal_critical(zeta * alpha)
+    z_b = std_normal_critical(zeta * beta)
+    denom = 4.0 * epsilon * epsilon
+    base = (z_a + z_b) ** 2 / denom if denom > 0.0 else math.inf
+    if not math.isfinite(base):
+        raise DomainError(f"epsilon must be large enough for finite stage sizes, got {epsilon}")
+    sizes = sorted({max(1, math.ceil(base * (1.0 + rho) ** (i - tau))) for i in range(1, tau + 1)})
+    theta_star = 0.5 * (z_a - z_b)
+
+    rows = []
+    for n in sizes[:-1]:
+        root = epsilon * math.sqrt(n)
+        rows.append((n, min(theta_star, root - z_b), max(theta_star, z_a - root)))
+    rows.append((sizes[-1], theta_star, theta_star))
+    return theta_star, rows
 
 
 def decision_masks(t, a, b):
@@ -457,20 +487,36 @@ def oc_upper_phi(theta: float, plan: KnownVarPlan) -> float:
     """
     theta = real("theta", theta)
     _check_plan(plan, KnownVarPlan)
-    stages = plan.stages
-    x = math.sqrt(stages[0].n) * theta - stages[0].b
+    return _phi(theta, plan._rows())
+
+
+def _phi(theta: float, rows) -> float:
+    """``oc_upper_phi`` at a finite theta over (n, a, b) stage rows."""
+    n, _, b = rows[0]
+    x = math.sqrt(n) * theta - b
     if not math.isfinite(x):
-        raise _overflow(theta, 1, stages[0].n)
+        raise _overflow(theta, 1, n)
     total = std_normal_cdf(x)
-    for ell, (prev, cur) in enumerate(zip(stages[:-1], stages[1:]), 2):
-        ratio = cur.n / prev.n
+    for ell, ((prev_n, prev_a, prev_b), (n, _, b)) in enumerate(zip(rows, rows[1:]), 2):
+        ratio = n / prev_n
         k = math.sqrt(ratio - 1.0)
-        root = math.sqrt(cur.n) * theta
-        h = cur.b - root
-        g_b = -root + math.sqrt(ratio) * prev.b
-        g_a = -root + math.sqrt(ratio) * prev.a
+        root = math.sqrt(n) * theta
+        h = b - root
+        g_b = -root + math.sqrt(ratio) * prev_b
+        g_a = -root + math.sqrt(ratio) * prev_a
         if not (math.isfinite(h) and math.isfinite(g_b) and math.isfinite(g_a)):
-            raise _overflow(theta, ell, cur.n)
+            raise _overflow(theta, ell, n)
         shared = _cone_shared(h, k)
         total += _cone_measure(h, g_b, k, *shared) - _cone_measure(h, g_a, k, *shared)
     return total
+
+
+def _known_bounds(alpha, beta, epsilon, theta_star, rows) -> tuple[float, float]:
+    """``KnownVarPlan.certify`` of the plan with this design and these
+    (n, a, b) stage rows: phi at -epsilon over the rows and over the mirror's
+    rows, or once where the rows are their own mirror."""
+    bound_a = _phi(-epsilon, rows)
+    mirrored = _mirror_rows(rows)
+    if _rows_are_own_mirror(alpha, beta, theta_star, rows, mirrored):
+        return bound_a, bound_a
+    return bound_a, _phi(-epsilon, mirrored)

@@ -10,7 +10,10 @@ envelope as they stood before the envelope shared one kernel with
 ``cone_prob``: one ``ConeRegion`` per cone and one ``_barrier_integral``
 per boundary piece.  ``reference_integrate`` is the local bisection rule
 of the quadrature module, one integrand call per panel, with its
-tolerance and panel counts as settings.
+tolerance and panel counts as settings.  ``reference_calibrate_known`` is
+the known-variance search as it stood before its probes certified stage
+rows: each probe builds the plan and certifies it through the envelopes
+call that both plan kinds share.
 
 Every seeded draw comes from a ``seqnorm.simulate._stream``, so the
 package's seed-range check covers these oracles as well.
@@ -31,8 +34,9 @@ from seqnorm.errors import DomainError, SeqnormError
 from scipy.special import ndtr
 from scipy.special.cython_special import owens_t
 
+from seqnorm.calibrate import _search
 from seqnorm.geometry import ConeRegion
-from seqnorm.plan_known import Decision, decision_code
+from seqnorm.plan_known import Decision, Plan, build_known_plan, decision_code, validate_design
 from seqnorm.quadrature import _GAUSS_IDX, _WG, _WK, _XK
 from seqnorm.simulate import _BLOCK, _block_draw, _pool, _sim_report, _stream
 from seqnorm.special import _clamp_unit, std_normal_cdf
@@ -523,3 +527,15 @@ def reference_integrate(f, a, b, tol=1e-12, initial_panels=8, max_panels=2048):
     for p in panels:
         total += p[2]
     return (-1.0 if b < a else 1.0) * total, rounds, total_err > tol
+
+
+def reference_calibrate_known(alpha, beta, epsilon, rho, tau, zeta_tol=1e-4):
+    """``calibrate_known`` with a probe that builds the plan at each zeta and
+    certifies it by ``Plan.certify``: one envelopes call over the plan and,
+    unless it is its own, its mirror plan."""
+
+    def probe(zeta):
+        return Plan.certify(build_known_plan(alpha, beta, epsilon, 0.0, 1.0, zeta, rho, tau))
+
+    alpha, beta, epsilon, _, rho, tau = validate_design(alpha, beta, epsilon, 1.0, rho, tau)
+    return _search(probe, alpha, beta, tau, zeta_tol, interpolate=False)

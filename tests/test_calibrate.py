@@ -1,5 +1,6 @@
 """Calibration search: feasibility, maximality, determinism."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ import scipy
 from seqnorm import calibrate
 from seqnorm.calibrate import calibrate_known, calibrate_unknown
 from seqnorm.errors import CalibrationError, DomainError
-from seqnorm.plan_known import build_known_plan, oc_upper_phi
+from seqnorm.plan_known import KnownVarPlan, Stage, build_known_plan, oc_upper_phi
 from seqnorm.plan_unknown import build_unknown_plan, oc_upper_P
+
+from oracles import reference_calibrate_known
 
 DESIGN = dict(alpha=0.05, beta=0.05, epsilon=0.5, rho=1.0, tau=3)
 
@@ -287,29 +290,54 @@ class TestProbePath:
             assert feasible == (bound_a <= 0.05 and bound_b <= 0.05)
         assert (res.zeta, res.phi_at_theta0, res.phi_mirror_at_theta1, True) in res.path
 
-    def test_anchor_equal_to_zeta_hi_probes_once(self, monkeypatch):
-        seen = []
-
-        def build(*args):
-            seen.append(args[5])  # zeta
-            return build_known_plan(*args)
-
-        monkeypatch.setattr(calibrate, "build_known_plan", build)
-        assert calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=1).zeta == 1.0
-        assert seen == [1.0]
+    def test_anchor_equal_to_zeta_hi_probes_once(self):
+        res = calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=1)
+        assert res.zeta == 1.0
+        assert [row[0] for row in res.path] == [1.0]
 
     def test_tolerance_below_float_spacing_ends(self, monkeypatch):
         # once lo and hi are adjacent doubles their midpoint is one of them
-        seen = []
+        calls = []
+        search = calibrate._search
 
-        def build(*args):
-            seen.append(args[5])  # zeta
-            if len(seen) > 200:
-                raise AssertionError("zeta bisection does not end")
-            return build_known_plan(*args)
+        def guarded(probe, *args, **kwargs):
+            def counted(zeta):
+                calls.append(zeta)
+                if len(calls) > 200:
+                    raise AssertionError("zeta bisection does not end")
+                return probe(zeta)
 
-        monkeypatch.setattr(calibrate, "build_known_plan", build)
+            return search(counted, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "_search", guarded)
         res = calibrate_known(0.05, 0.05, 0.5, rho=1.0, tau=3, zeta_tol=1e-20)
+        seen = [row[0] for row in res.path]
         assert res.certified
         assert res.iterations == len(seen) == len(set(seen))
+        assert seen == calls  # the path holds every probe made, each once
         assert math.nextafter(res.zeta, 1.0) in seen  # the infeasible neighbour
+
+
+class TestRowProbe:
+    """calibrate_known probes stage rows, with the bits of a probe that
+    builds and certifies the plan and its mirror."""
+
+    ALPHAS = (0.01, 0.025, 0.05, 0.1)
+    EPSILONS = tuple(np.random.default_rng(20081).uniform(0.05, 1.0, 3).tolist())
+
+    @pytest.mark.parametrize("tau", range(1, 7))
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_probes_keep_the_plan_probes_bits(self, monkeypatch, rho, tau):
+        def refused(*args, **kwargs):
+            raise AssertionError("calibrate_known built a stage or a plan")
+
+        for alpha, beta, epsilon in itertools.product(self.ALPHAS, self.ALPHAS, self.EPSILONS):
+            with monkeypatch.context() as patch:
+                patch.setattr(Stage, "__init__", refused)
+                patch.setattr(KnownVarPlan, "__init__", refused)
+                res = calibrate_known(alpha, beta, epsilon, rho, tau)
+            # zeta, its bounds and every probe's row of the path
+            assert repr(res) == repr(reference_calibrate_known(alpha, beta, epsilon, rho, tau))
+            plan = build_known_plan(alpha, beta, epsilon, 0.0, 1.0, res.zeta, rho, tau)
+            pair = (oc_upper_phi(-epsilon, plan), oc_upper_phi(-epsilon, plan.mirror()))
+            assert repr(plan.certify()) == repr(pair)

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqnorm.calibrate import calibrate_known, calibrate_unknown
+from seqnorm import plan_known
 from seqnorm.errors import DomainError
 from seqnorm.plan_known import (
     Decision,
+    KnownVarPlan,
     Stage,
-    _threshold_repr,
     build_known_plan,
     decision_code,
     oc_upper_phi,
@@ -176,6 +177,10 @@ def build(kind, alpha, beta, epsilon, gamma, sigma, zeta, rho, tau):
         return build_unknown_plan(alpha, beta, epsilon, gamma, zeta, rho, tau)
 
 
+def threshold_repr(plan):
+    return repr([plan.theta_star, *[(s.a, s.b) for s in plan.stages]])
+
+
 probabilities = st.floats(0.005, 0.4)
 
 
@@ -207,7 +212,7 @@ def test_mirror_is_the_swapped_build(
     assert _json_equal(plan_to_dict(mirrored), plan_to_dict(swapped))
     assert repr(mirrored.mirror()) == repr(plan.with_certified(False))
     # certify tells a plan that is its own mirror without building the mirror
-    own = plan.alpha == plan.beta and _threshold_repr(mirrored) == _threshold_repr(plan)
+    own = plan.alpha == plan.beta and threshold_repr(mirrored) == threshold_repr(plan)
     assert plan._is_own_mirror() == own
 
 
@@ -477,6 +482,24 @@ class TestBounds:
         expected = (own, mirrored)
         assert (repr(mirror) == repr(plan)) == (beta == 0.05)
         calls = []
+        if kind == "known":
+            # the closed form runs on stage rows: one phi per envelope, and
+            # neither an envelopes call nor a mirror plan
+            phi = plan_known._phi
+
+            def counted_phi(theta, rows):
+                calls.append(rows)
+                return phi(theta, rows)
+
+            def refused(*args):
+                raise AssertionError("certify went through a plan")
+
+            monkeypatch.setattr(plan_known, "_phi", counted_phi)
+            monkeypatch.setattr(KnownVarPlan, "envelopes", staticmethod(refused))
+            monkeypatch.setattr(KnownVarPlan, "mirror", refused)
+            assert list(map(repr, plan.certify(1e-4, 16))) == list(map(repr, expected))
+            assert len(calls) == envelopes
+            return
         envelopes_of_kind = type(plan).envelopes
 
         def counted(pairs, *args):
@@ -503,10 +526,10 @@ class TestBounds:
     @pytest.mark.parametrize("pairs, message", [
         (1.5, "pairs must be an iterable, got 1.5"),
         (None, "pairs must be an iterable, got None"),
-        ([(-0.5,)], "each pair must be (theta, plan), got (-0.5,)"),
-        ([-0.5], "each pair must be (theta, plan), got -0.5"),
+        ([(-0.5,)], "each pair must be (theta, plan), got tuple of length 1"),
+        ([-0.5], "each pair must be (theta, plan), got float"),
         # pairs are taken in order, so the first failing pair's error wins
-        ([(-0.5,), (-1e200, "plan")], "each pair must be (theta, plan), got (-0.5,)"),
+        ([(-0.5,), (-1e200, "plan")], "each pair must be (theta, plan), got tuple of length 1"),
         ([(-1e200, "plan"), (-0.5,)], "plan must be an instance of {}, got str"),
     ], ids=["float", "none", "short-pair", "bare-theta", "short-then-str", "str-then-short"])
     def test_envelopes_refuse_a_malformed_request(self, kind, pairs, message):
@@ -554,9 +577,9 @@ class TestBounds:
         ([-0.6, 0.0, -1e308], "theta=0.0 lies inside the indifference zone; no bound is stated "
                               "there"),
         # text is read whole, not as a theta per character or byte
-        ("ab", "thetas must be an iterable, got 'ab'"),
-        (b"ab", "thetas must be an iterable, got b'ab'"),
-        (bytearray(b"ab"), "thetas must be an iterable, got bytearray(b'ab')"),
+        ("ab", "thetas must be an iterable of reals, not text, got str"),
+        (b"ab", "thetas must be an iterable of reals, not text, got bytes"),
+        (bytearray(b"ab"), "thetas must be an iterable of reals, not text, got bytearray"),
     ], ids=["float", "none", "zone", "str", "overflow-then-zone", "nan-then-zone",
             "zone-then-overflow", "text", "bytes", "bytearray"])
     def test_oc_bounds_refuse_the_first_failing_theta(self, thetas, message):
